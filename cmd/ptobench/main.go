@@ -29,8 +29,8 @@
 //
 // The composed-layer ablations carry the full structure×substrate matrix of
 // the shared adapter contract: A7 (wall clock) adds a Harris-list pair arm,
-// a mound+list MoveMin/MoveToPQ arm (the mound's DCAS-vs-MultiCAS
-// handshake), and a batched-MoveAll sweep (k=4, 16); A8 (deterministic)
+// a mound+list MoveMin/MoveToPQ arm (raw moundify DCAS racing composed
+// publications), and a batched-MoveAll sweep (k=4, 16); A8 (deterministic)
 // adds a simulated-skiplist pair arm and the same batched sweep. A10 is the
 // three-path speculation shape (fast / helping-middle / slow) under the
 // occupied-fallback adversary, with deterministic modeled arms and

@@ -365,9 +365,9 @@ func (t txnSet) Contains(k int64) bool {
 // txn.Move and batched txn.MoveAll traffic over a src/dst pair of every
 // composable set kind (BST, hash table, skiplist, Harris list), txn.Transfer
 // traffic between two queues, and txn.MoveMin/txn.MoveToPQ traffic between a
-// mound and a skiplist set — the arm that exercises the mound's DCAS-vs-
-// MultiCAS handshake, since every committed pop's moundify runs the mound's
-// own CAS protocol against in-flight composed publications. Composed
+// mound and a skiplist set — the arm where raw and composed operations
+// meet, since every committed pop's moundify runs the mound's own CAS/DCAS
+// against in-flight composed publications. Composed
 // read-only snapshots assert online that each key lives in exactly one set
 // of its pair, and key-count/value conservation is verified at quiescence.
 // Every structure is registered with the manager's Registry and the pair

@@ -18,8 +18,8 @@ import (
 	"sync"
 
 	"repro/internal/bst"
-	"repro/internal/core"
 	"repro/internal/htm"
+	"repro/internal/speculate"
 )
 
 // counterPair keeps two counters whose difference is invariant: a toy
@@ -27,35 +27,46 @@ import (
 type counterPair struct {
 	domain *htm.Domain
 	a, b   *htm.Var[uint64]
-	stats  *core.Stats
+	stats  *speculate.Stats
+	site   *speculate.Site
 }
 
 func newCounterPair() *counterPair {
 	d := htm.NewDomain(0, 0)
-	return &counterPair{domain: d, a: htm.NewVar(d, uint64(0)),
-		b: htm.NewVar(d, uint64(0)), stats: core.NewStats(1)}
+	c := &counterPair{domain: d, a: htm.NewVar(d, uint64(0)),
+		b: htm.NewVar(d, uint64(0)), stats: speculate.NewStats(1)}
+	c.site = speculate.Fixed(0).NewSite("quickstart/bump", c.stats,
+		speculate.Level{Name: "pto", Attempts: 3})
+	return c
 }
 
 // bump increments both counters atomically: a prefix transaction of two
-// plain stores, with a CAS-loop fallback (the "original algorithm").
+// plain stores, tried three times, with a CAS-loop fallback (the "original
+// algorithm"). Every structure in this repository drives its speculation
+// through the same Begin / Next / Try / Fallback loop.
 func (c *counterPair) bump() {
-	core.Run(c.domain, 3, func(tx *htm.Tx) {
-		htm.Store(tx, c.a, htm.Load(tx, c.a)+1)
-		htm.Store(tx, c.b, htm.Load(tx, c.b)+1)
-	}, func() {
-		for {
-			av := htm.Load(nil, c.a)
-			if htm.CAS(nil, c.a, av, av+1) {
-				break
-			}
+	r := c.site.Begin(c.domain)
+	for r.Next(0) {
+		if r.Try(func(tx *htm.Tx) {
+			htm.Store(tx, c.a, htm.Load(tx, c.a)+1)
+			htm.Store(tx, c.b, htm.Load(tx, c.b)+1)
+		}) == htm.Committed {
+			return
 		}
-		for {
-			bv := htm.Load(nil, c.b)
-			if htm.CAS(nil, c.b, bv, bv+1) {
-				break
-			}
+	}
+	r.Fallback()
+	for {
+		av := htm.Load(nil, c.a)
+		if htm.CAS(nil, c.a, av, av+1) {
+			break
 		}
-	}, c.stats)
+	}
+	for {
+		bv := htm.Load(nil, c.b)
+		if htm.CAS(nil, c.b, bv, bv+1) {
+			break
+		}
+	}
 }
 
 func main() {

@@ -58,8 +58,8 @@ func AblationComposedMove(scale float64) Figure {
 	}
 	// Matrix arms: the same experiment over the corners the adapter contract
 	// opened — a Harris-list pair, and a mound feeding a list set through
-	// MoveMin/MoveToPQ (the arm that exercises the DCAS/MultiCAS handshake:
-	// every committed pop's moundify runs the mound's own CAS protocol against
+	// MoveMin/MoveToPQ (the arm where raw and composed operations meet:
+	// every committed pop's moundify runs the mound's own CAS/DCAS against
 	// in-flight composed publications).
 	listArm := Series{Name: "Composed list pair (HTM fast path)"}
 	for _, threads := range []int{2, 4, 8} {

@@ -1,7 +1,6 @@
 package bst
 
 import (
-	"repro/internal/core"
 	"repro/internal/htm"
 	"repro/internal/speculate"
 )
@@ -67,7 +66,7 @@ type PTOTree struct {
 	root   *pnode
 	pto1   int
 	pto2   int
-	stats  *core.Stats
+	stats  *speculate.Stats
 
 	conSite *speculate.Site
 	insSite *speculate.Site
@@ -107,7 +106,7 @@ func NewPTO2() *PTOTree { return NewPTO(0, DefaultPTO2Attempts) }
 func NewPTO12() *PTOTree { return NewPTO(-1, -1) }
 
 // Stats exposes the PTO outcome counters: level 0 is PTO1, level 1 is PTO2.
-func (t *PTOTree) Stats() *core.Stats { return t.stats }
+func (t *PTOTree) Stats() *speculate.Stats { return t.stats }
 
 // Domain exposes the transactional domain (for tests).
 func (t *PTOTree) Domain() *htm.Domain { return t.domain }

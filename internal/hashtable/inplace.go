@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/epoch"
 	"repro/internal/htm"
 	"repro/internal/speculate"
@@ -33,7 +32,7 @@ type InplaceTable struct {
 	mgr      *epoch.Manager
 	handles  sync.Pool
 	attempts int
-	stats    *core.Stats
+	stats    *speculate.Stats
 	resizes  atomic.Uint64
 	// inplaceHits counts updates that committed without allocation.
 	inplaceHits atomic.Uint64
@@ -109,7 +108,7 @@ func NewInplaceTable(buckets, attempts int) *InplaceTable {
 		attempts = DefaultAttempts
 	}
 	t := &InplaceTable{domain: htm.NewDomain(0, 0), mgr: epoch.NewManager(),
-		attempts: attempts, stats: core.NewStats(1)}
+		attempts: attempts, stats: speculate.NewStats(1)}
 	t.handles.New = func() any { return t.mgr.Register() }
 	t.WithPolicy(speculate.Fixed(0))
 	t.head.Init(t.domain, nil)
@@ -130,7 +129,7 @@ func (t *InplaceTable) WithPolicy(p speculate.Policy) *InplaceTable {
 }
 
 // Stats exposes PTO outcome counters.
-func (t *InplaceTable) Stats() *core.Stats { return t.stats }
+func (t *InplaceTable) Stats() *speculate.Stats { return t.stats }
 
 // Domain exposes the transactional domain (for tests and diagnostics).
 func (t *InplaceTable) Domain() *htm.Domain { return t.domain }

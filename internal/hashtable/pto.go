@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/epoch"
 	"repro/internal/htm"
 	"repro/internal/speculate"
@@ -25,7 +24,7 @@ type PTOTable struct {
 	mgr      *epoch.Manager
 	handles  sync.Pool
 	attempts int
-	stats    *core.Stats
+	stats    *speculate.Stats
 	resizes  atomic.Uint64
 
 	insSite *speculate.Site
@@ -71,7 +70,7 @@ func (t *PTOTable) WithPolicy(p speculate.Policy) *PTOTable {
 }
 
 // Stats exposes PTO outcome counters.
-func (t *PTOTable) Stats() *core.Stats { return t.stats }
+func (t *PTOTable) Stats() *speculate.Stats { return t.stats }
 
 // Domain exposes the transactional domain (for tests and diagnostics).
 func (t *PTOTable) Domain() *htm.Domain { return t.domain }

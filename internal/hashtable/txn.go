@@ -3,7 +3,6 @@ package hashtable
 import (
 	"math/bits"
 
-	"repro/internal/core"
 	"repro/internal/epoch"
 	"repro/internal/htm"
 	"repro/internal/speculate"
@@ -37,7 +36,7 @@ func NewPTOTableIn(d *htm.Domain, buckets, attempts int) *PTOTable {
 		attempts = DefaultAttempts
 	}
 	t := &PTOTable{domain: d, mgr: epoch.NewManager(),
-		attempts: attempts, stats: core.NewStats(1)}
+		attempts: attempts, stats: speculate.NewStats(1)}
 	t.handles.New = func() any { return t.mgr.Register() }
 	t.WithPolicy(speculate.Fixed(0))
 	t.head.Init(t.domain, nil)

@@ -132,31 +132,19 @@ type stripe struct {
 	_          [48]byte
 }
 
-// stripeTable is one generation of a domain's ownership-record table: a
-// power-of-two count of stripes plus the derived hash shift and bitmap
-// width. A table's shape is immutable after construction, so hot paths read
-// it without synchronization; what can change is WHICH table is the
-// domain's current generation (ResizeStripes swaps in a new one). active
-// counts the transactions pinned to this generation: a transaction
-// increments it at begin and validates its whole read set against this
-// table, so a retiring table stays write-bumped (see the dual-table writer
-// protocol) until active drains to zero — the swap's RCU grace period.
+// stripeTable is a domain's ownership-record table: a power-of-two count of
+// stripes plus the derived hash shift and bitmap width. A table's shape is
+// immutable after construction, so hot paths read it without
+// synchronization; what can change is WHICH table the domain has installed
+// (ResizeStripes swaps in a new one). Exactly one table is live at a time,
+// by the retirement invariant: ResizeStripes locks every stripe of the old
+// table and never releases them, so holding a stripe of table t proves t is
+// still the installed table, and seeing one unlocked proves t had not been
+// retired at that instant. Nothing else ties a reader or writer to a table.
 type stripeTable struct {
 	shift   uint32 // 64 - log2(len(stripes)): the Fibonacci-hash shift
 	words   int    // stripe bitmap size in 64-bit words
 	stripes []stripe
-	active  atomic.Int64 // transactions pinned to this generation
-}
-
-// tables is the domain's live stripe-table generations: cur is the table
-// new transactions pin and all writers bump; prev, non-nil only during a
-// ResizeStripes grace period, is the migrating-out generation that pinned
-// transactions still validate against — writers bump BOTH until it drains.
-// Every swap installs a fresh tables value, so pointer equality of the pair
-// is a reliable "no swap happened in this window" check (no ABA).
-type tables struct {
-	cur  *stripeTable
-	prev *stripeTable
 }
 
 func newStripeTable(n int) *stripeTable {
@@ -201,13 +189,11 @@ type Domain struct {
 	readCap  atomic.Int64
 	writeCap atomic.Int64
 
-	// stripeCfg is the requested stripe count (0 = DefaultStripes); tbls is
-	// the live generation pair, built on first use. The indirection keeps
-	// the zero Domain ready to use while making the count a per-domain
-	// option — and, since the striped-remap work, a per-domain *runtime*
-	// knob: ResizeStripes swaps in a new generation under remapMu.
+	// stripeCfg is the requested stripe count (0 = DefaultStripes); tbl is
+	// the installed table, built on first use so the zero Domain stays
+	// ready to use. ResizeStripes installs a new table under remapMu.
 	stripeCfg atomic.Int64
-	tbls      atomic.Pointer[tables]
+	tbl       atomic.Pointer[stripeTable]
 	remapMu   sync.Mutex
 	remaps    atomic.Uint64
 }
@@ -245,53 +231,28 @@ func NewDomainStripes(readCap, writeCap, stripes int) *Domain {
 // Stripes returns the domain's current ownership-record stripe count.
 func (d *Domain) Stripes() int { return len(d.table().stripes) }
 
-// Remaps returns how many stripe-table generation swaps (ResizeStripes)
-// the domain has completed.
+// Remaps returns how many stripe-table swaps (ResizeStripes) the domain has
+// completed.
 func (d *Domain) Remaps() uint64 { return d.remaps.Load() }
 
-// pair returns the domain's live table generations, building the first one
+// table returns the domain's installed stripe table, building the first one
 // on first use.
-func (d *Domain) pair() *tables {
-	if p := d.tbls.Load(); p != nil {
-		return p
+func (d *Domain) table() *stripeTable {
+	if t := d.tbl.Load(); t != nil {
+		return t
 	}
 	n := int(d.stripeCfg.Load())
 	if n == 0 {
 		n = DefaultStripes
 	}
-	p := &tables{cur: newStripeTable(n)}
-	if d.tbls.CompareAndSwap(nil, p) {
-		return p
-	}
-	return d.tbls.Load()
+	d.tbl.CompareAndSwap(nil, newStripeTable(n))
+	return d.tbl.Load()
 }
 
-// table returns the domain's current stripe table.
-func (d *Domain) table() *stripeTable { return d.pair().cur }
-
-// pin marks one transaction as validating against the current table
-// generation and returns that table. The increment-then-revalidate loop
-// closes the race with a concurrent swap: an increment that lands after the
-// controller's grace check would pin a retired table, so the pin only
-// sticks if the table is still current AFTER the increment is visible —
-// atomic RMWs are totally ordered, so a pin the revalidation confirms is
-// guaranteed visible to the controller's subsequent grace-period scan. The
-// caller must balance with active.Add(-1) when the attempt ends.
-func (d *Domain) pin() *stripeTable {
-	for {
-		t := d.pair().cur
-		t.active.Add(1)
-		if d.tbls.Load().cur == t {
-			return t
-		}
-		t.active.Add(-1)
-	}
-}
-
-// remapOwner is the sentinel lock owner ResizeStripes holds every old-
-// generation stripe under while installing the new table. It is outside the
-// Var id space, so conflicts observed against it classify as stripe-alias
-// (false) conflicts: a migration abort is engine-induced, not a data race.
+// remapOwner is the sentinel lock owner under which ResizeStripes retires
+// every stripe of the old table. It is outside the Var id space, so
+// conflicts observed against it classify as stripe-alias (false) conflicts:
+// a resize abort is engine-induced, not a data race.
 const remapOwner = uint64(1) << 62
 
 // ResizeStripes swaps the domain's ownership-record table for a fresh one
@@ -301,53 +262,36 @@ const remapOwner = uint64(1) << 62
 // contention-adaptive stripe controller (internal/tune): growing the table
 // dilutes stripe aliasing without touching any Var.
 //
-// Safety protocol (the RCU-style swap):
+// The swap retires the old table: it takes every old stripe, ascending (the
+// order every spinning acquirer follows), under the remapOwner sentinel —
+// waiting behind any writer that holds one — never releases them, and
+// installs the new table. By the retirement invariant (see stripeTable) no
+// writer straddles the install. A transaction that began under the old
+// table aborts at its next read, validation or lock attempt as on any busy
+// stripe (classified alias: the owner is the sentinel) and retries under the
+// new table; a read-only one whose reads all preceded the swap still
+// commits at its begin snapshot; spinning acquirers re-resolve.
 //
-//  1. Quiesce writers: acquire every old-generation stripe, in ascending
-//     order, under the remapOwner sentinel. Commits that race this abort
-//     (they never spin); direct writers and MultiCAS decisions spin
-//     briefly. Holding the whole table guarantees no writer is mid-
-//     publication with only-old-generation locks when the new table
-//     becomes visible.
-//  2. Install {cur: new, prev: old} and release the old stripes at their
-//     pre-lock words. From here every writer bumps BOTH generations
-//     (commit, direct store/CAS/Add, MultiCAS decision all re-check the
-//     pair after locking), so transactions pinned to either table still
-//     observe every conflict.
-//  3. Grace period: wait until no transaction is pinned to the old table
-//     (attempts are short; pin lifetime is one attempt). Then install
-//     {cur: new} and retire the old generation — writers go back to
-//     single-table bumps.
-//
-// New-generation stripes start at version 0, which is safe under the
-// shared commit clock: any write a post-swap transaction must observe
-// commits after the swap install and therefore bumps the new table past
-// that transaction's begin snapshot. Concurrent ResizeStripes calls
-// serialize; the call blocks for one grace period (microseconds under
-// normal load).
+// New stripes start at version 0, which is safe under the shared commit
+// clock: any write a post-swap transaction must observe commits after the
+// install and therefore bumps the new table past that transaction's begin
+// snapshot. Concurrent calls serialize; a call waits only for writers
+// already holding a stripe, never for a transaction.
 func (d *Domain) ResizeStripes(n int) bool {
 	if n <= 0 || n&(n-1) != 0 {
 		panic(fmt.Sprintf("htm: stripe count %d is not a power of two", n))
 	}
 	d.remapMu.Lock()
 	defer d.remapMu.Unlock()
-	old := d.pair().cur // prev is always nil between swaps (remapMu)
+	old := d.table()
 	if len(old.stripes) == n {
 		return false
 	}
-	nt := newStripeTable(n)
-	prevWords := make([]uint64, len(old.stripes))
 	for i := range old.stripes {
-		prevWords[i] = acquire(&old.stripes[i], remapOwner)
+		// Never gives up: under remapMu nobody else installs a table.
+		d.acquire(old, &old.stripes[i], remapOwner)
 	}
-	d.tbls.Store(&tables{cur: nt, prev: old})
-	for i := range old.stripes {
-		old.stripes[i].word.Store(prevWords[i])
-	}
-	for old.active.Load() != 0 {
-		runtime.Gosched()
-	}
-	d.tbls.Store(&tables{cur: nt})
+	d.tbl.Store(newStripeTable(n))
 	d.remaps.Add(1)
 	return true
 }
@@ -395,15 +339,21 @@ func (d *Domain) caps() (int, int) {
 	return r, w
 }
 
-// acquire spins until it holds s's lock on behalf of Var owner, returning
-// the stripe's pre-lock word (even: version<<1). Only single-stripe writers
-// and the MultiCAS decision use it; transactional commits never spin on a
-// stripe (they abort instead), which is what keeps the spin here short.
-func acquire(s *stripe, owner uint64) uint64 {
+// acquire spins until it holds stripe s of table t on behalf of Var owner,
+// returning the stripe's pre-lock word (even: version<<1) — or gives up,
+// reporting false, once t is no longer the installed table: a retired
+// stripe never unlocks, so the caller must re-resolve against the new
+// table. Only single-stripe writers, the MultiCAS decision and ResizeStripes
+// use it; transactional commits never spin on a stripe (they abort
+// instead), which is what keeps the spin here short.
+func (d *Domain) acquire(t *stripeTable, s *stripe, owner uint64) (uint64, bool) {
 	for {
 		w := s.word.Load()
 		if w&1 == 0 && s.word.CompareAndSwap(w, owner<<1|1) {
-			return w
+			return w, true
+		}
+		if d.tbl.Load() != t {
+			return 0, false
 		}
 		runtime.Gosched()
 	}
@@ -456,15 +406,15 @@ type Var[T comparable] struct {
 // Init binds an embedded Var to domain d and sets its initial value. It must
 // be called exactly once, before any concurrent access; it is intended for
 // initializing Var fields of freshly allocated nodes. Init assigns the Var
-// its identity — its MultiCAS ordering id, from which each table generation
-// hashes the Var's conflict-detection stripe. The stripe is deliberately
-// NOT cached on the Var: ResizeStripes swaps the table at runtime, so every
-// access resolves id → stripe against the generation it is validating in
-// (one multiply and shift).
+// its identity — its MultiCAS ordering id, from which a table hashes the
+// Var's conflict-detection stripe. The stripe is deliberately NOT cached on
+// the Var: ResizeStripes swaps the table at runtime, so every access
+// resolves id → stripe against the table it is working in (one multiply and
+// shift).
 func (v *Var[T]) Init(d *Domain, init T) {
 	v.d = d
 	v.id = varIDs.Add(1)
-	d.pair() // force the first table generation before the Var is shared
+	d.table() // force the first table before the Var is shared
 	v.p.Store(&cell[T]{val: init})
 }
 
@@ -502,7 +452,7 @@ type stripeRec struct {
 // or used after that function returns.
 type Tx struct {
 	d  *Domain
-	t  *stripeTable // the generation pinned at begin; all reads validate here
+	t  *stripeTable // the table installed at begin; the whole attempt works here
 	rv uint64       // commit-clock snapshot taken at begin (the TL2 read version)
 
 	reads    int
@@ -576,9 +526,9 @@ func (tx *Tx) recordRead(s *stripe, idx uint32, varID uint64) {
 
 // Atomically runs f as a single transaction attempt against domain d and
 // reports how it ended. It makes exactly one attempt: retry policy is the
-// caller's responsibility (see internal/core), mirroring the paper's model in
-// which TxBegin may "return more than once" and the program decides whether
-// to retry or run the fallback.
+// caller's responsibility (see internal/speculate), mirroring the paper's
+// model in which TxBegin may "return more than once" and the program decides
+// whether to retry or run the fallback.
 //
 // If f returns normally the transaction commits (Committed). If f calls
 // Tx.Abort, or a conflict or capacity condition arises, the attempt's
@@ -646,10 +596,7 @@ func (d *Domain) AtomicallyDeferring(f func(tx *Tx)) (Status, bool) {
 
 func (d *Domain) atomically(helpBudget int, deferPending bool, f func(tx *Tx)) (Status, bool, int) {
 	rc, wc := d.caps()
-	// Pin the table generation first, THEN snapshot the clock: a writer
-	// that finished before the current generation was installed has already
-	// bumped the clock, so a post-pin snapshot can never miss it.
-	t := d.pin()
+	t := d.table()
 	tx := &Tx{
 		d:            d,
 		t:            t,
@@ -662,7 +609,6 @@ func (d *Domain) atomically(helpBudget int, deferPending bool, f func(tx *Tx)) (
 		deferPending: deferPending,
 	}
 	status := d.attempt(tx, f)
-	t.active.Add(-1)
 	switch status {
 	case Committed:
 		d.commits.Add(1)
@@ -740,50 +686,26 @@ func (tx *Tx) commit() Status {
 		}
 	}
 
-	// Deduplicate the write log onto stripes — in EVERY live table
-	// generation — and lock prev-generation stripes first, then current,
-	// each group ascending (the one global order every spinning acquirer
-	// follows). During a ResizeStripes migration two generations are live
-	// and transactions pinned to either validate against their own, so the
-	// commit must bump both. The pair is re-checked after locking: a swap
-	// between reading it and locking would leave a generation unbumped.
-	var recs, pinRecs []stripeRec
-	for {
-		p := d.tbls.Load()
-		recs = recs[:0]
-		if p.prev != nil {
-			recs = appendWriteRecs(recs, p.prev, tx.writeLog)
+	// Lock phase: take the written stripes of the attempt's table, ascending
+	// (the one global order every spinning acquirer follows); on a busy
+	// stripe restore those already taken and abort. A retired table's
+	// stripes are busy for good; once one is held the table cannot be
+	// retired under us. The abort is classified from the very word observed
+	// locked: a re-read could find the holder gone and book an alias
+	// conflict as true.
+	recs, wset := writeRecs(tx.t, tx.writeLog)
+	for i := range recs {
+		s := recs[i].s
+		w := s.word.Load()
+		for w&1 == 0 && !s.word.CompareAndSwap(w, recs[i].varID<<1|1) {
+			w = s.word.Load()
 		}
-		split := len(recs)
-		recs = appendWriteRecs(recs, p.cur, tx.writeLog)
-
-		// Lock phase. On failure restore every stripe already taken.
-		for i := range recs {
-			s := recs[i].s
-			w := s.word.Load()
-			if w&1 != 0 || !s.word.CompareAndSwap(w, recs[i].varID<<1|1) {
-				tx.alias = aliasConflict(s.word.Load(), s, recs[i].varID)
-				tx.unlock(recs[:i], 0)
-				return AbortConflict
-			}
-			recs[i].prev = w
+		if w&1 != 0 {
+			tx.alias = aliasConflict(w, s, recs[i].varID)
+			tx.unlock(recs[:i], 0)
+			return AbortConflict
 		}
-		if d.tbls.Load() == p {
-			// pinRecs is the locked group in the generation the read set
-			// validates against (the pinned table is always one of the
-			// pair: the grace period cannot end while we are pinned).
-			if tx.t == p.cur {
-				pinRecs = recs[split:]
-			} else {
-				pinRecs = recs[:split]
-			}
-			break
-		}
-		tx.unlock(recs, 0) // swap raced the lock phase; relock both tables
-	}
-	wset := make([]uint64, tx.t.words)
-	for i := range pinRecs {
-		wset[pinRecs[i].idx>>6] |= 1 << (pinRecs[i].idx & 63)
+		recs[i].prev = w
 	}
 
 	wv := d.clock.Add(1)
@@ -793,7 +715,7 @@ func (tx *Tx) commit() Status {
 		for _, r := range tx.readRecs {
 			if wset[r.idx>>6]&(1<<(r.idx&63)) != 0 {
 				// We hold this stripe's lock; judge it by its pre-lock word.
-				if prev := prevOf(pinRecs, r.idx); prev>>1 > tx.rv {
+				if prev := prevOf(recs, r.idx); prev>>1 > tx.rv {
 					tx.alias = aliasConflict(prev, r.s, r.varID)
 					tx.unlock(recs, 0)
 					return AbortConflict
@@ -841,10 +763,10 @@ func prevOf(recs []stripeRec, idx uint32) uint64 {
 	return recs[i].prev
 }
 
-// appendWriteRecs appends one record per distinct stripe the write log
-// touches in table t, sorted ascending within the appended group.
-func appendWriteRecs(recs []stripeRec, t *stripeTable, log []writeEntry) []stripeRec {
-	base := len(recs)
+// writeRecs returns one record per distinct stripe the write log touches in
+// table t, sorted ascending, and the bitmap of those stripes.
+func writeRecs(t *stripeTable, log []writeEntry) ([]stripeRec, []uint64) {
+	var recs []stripeRec
 	seen := make([]uint64, t.words)
 	for i := range log {
 		idx := t.indexOf(log[i].varID)
@@ -855,59 +777,29 @@ func appendWriteRecs(recs []stripeRec, t *stripeTable, log []writeEntry) []strip
 		seen[w] |= b
 		recs = append(recs, stripeRec{s: &t.stripes[idx], idx: idx, varID: log[i].varID})
 	}
-	grp := recs[base:]
-	sort.Slice(grp, func(i, j int) bool { return grp[i].idx < grp[j].idx })
-	return recs
+	sort.Slice(recs, func(i, j int) bool { return recs[i].idx < recs[j].idx })
+	return recs, seen
 }
 
-// directLock is the stripe set a single-Var direct writer (Store, CAS, Add)
-// holds: the Var's stripe in the current generation and, during a
-// migration, in the retiring one too — prev-generation first, matching the
-// commit path's global lock order. lockVar re-checks the generation pair
-// after acquiring, so a writer never publishes with a generation unlocked.
-type directLock struct {
-	curS, prevS *stripe // prevS nil outside a migration window
-	curW, prevW uint64  // pre-lock words
-}
-
-func (d *Domain) lockVar(id uint64) directLock {
+// lockVar takes the stripe of Var id in the installed table on the Var's own
+// behalf — the lock a single-Var direct writer (Store, CAS, Add) holds — and
+// returns it with its pre-lock word. A table retired mid-spin makes acquire
+// give up, and the loop re-resolves against its successor.
+func (d *Domain) lockVar(id uint64) (*stripe, uint64) {
 	for {
-		p := d.pair()
-		var dl directLock
-		if p.prev != nil {
-			dl.prevS = &p.prev.stripes[p.prev.indexOf(id)]
-			dl.prevW = acquire(dl.prevS, id)
-		}
-		dl.curS = &p.cur.stripes[p.cur.indexOf(id)]
-		dl.curW = acquire(dl.curS, id)
-		if d.tbls.Load() == p {
-			return dl
-		}
-		dl.curS.word.Store(dl.curW)
-		if dl.prevS != nil {
-			dl.prevS.word.Store(dl.prevW)
+		t := d.table()
+		s := &t.stripes[t.indexOf(id)]
+		if w, ok := d.acquire(t, s, id); ok {
+			return s, w
 		}
 	}
 }
 
-// publish releases the held stripes at version wv, recording id as each
-// stripe's last writer first (the attribution order every writer follows).
-func (dl *directLock) publish(id, wv uint64) {
-	if dl.prevS != nil {
-		dl.prevS.lastWriter.Store(id)
-		dl.prevS.word.Store(wv << 1)
-	}
-	dl.curS.lastWriter.Store(id)
-	dl.curS.word.Store(wv << 1)
-}
-
-// restore releases the held stripes back to their pre-lock words (the
-// logical value did not change; overlapping readers have nothing to see).
-func (dl *directLock) restore() {
-	dl.curS.word.Store(dl.curW)
-	if dl.prevS != nil {
-		dl.prevS.word.Store(dl.prevW)
-	}
+// publish releases held stripe s at version wv, recording id as its last
+// writer first (the attribution order every writer follows).
+func (s *stripe) publish(id, wv uint64) {
+	s.lastWriter.Store(id)
+	s.word.Store(wv << 1)
 }
 
 // Load reads v. With a non-nil tx it is a transactional read: it returns the
@@ -925,8 +817,8 @@ func Load[T comparable](tx *Tx, v *Var[T]) T {
 		if tx.reads > tx.readCap {
 			panic(abortSignal{status: AbortCapacity})
 		}
-		// Resolve the stripe in the PINNED generation: writers bump it for
-		// as long as we hold the pin, swap or no swap.
+		// Resolve the stripe in the attempt's table: if that has been
+		// retired the stripe reads locked, for good, and we abort.
 		idx := tx.t.indexOf(v.id)
 		s := &tx.t.stripes[idx]
 		pre := s.word.Load()
@@ -942,18 +834,19 @@ func Load[T comparable](tx *Tx, v *Var[T]) T {
 	}
 	d := v.d
 	for {
-		// Re-resolve the stripe each try: a table swap retires the old
-		// generation's stripes (writers stop bumping them), so the window
-		// is only trusted if the generation pair did not change across it.
-		p := d.pair()
-		s := &p.cur.stripes[p.cur.indexOf(v.id)]
+		// Re-resolve the stripe each try: a retired table's stripes stay
+		// locked, so only the installed table ever yields an unlocked window
+		// — and an unlocked closing word proves every writer up to that
+		// instant went through this very stripe.
+		t := d.table()
+		s := &t.stripes[t.indexOf(v.id)]
 		pre := s.word.Load()
 		if pre&1 != 0 {
 			runtime.Gosched()
 			continue
 		}
 		x := loadResolved(v)
-		if s.word.Load() == pre && d.tbls.Load() == p {
+		if s.word.Load() == pre {
 			return x
 		}
 	}
@@ -1024,9 +917,9 @@ func Store[T comparable](tx *Tx, v *Var[T], x T) {
 		return
 	}
 	d := v.d
-	dl := d.lockVar(v.id)
+	s, _ := d.lockVar(v.id)
 	storeLocked(v, x)
-	dl.publish(v.id, d.clock.Add(1))
+	s.publish(v.id, d.clock.Add(1))
 }
 
 // CAS atomically compares v against old and, if equal, replaces it with new,
@@ -1043,10 +936,9 @@ func Store[T comparable](tx *Tx, v *Var[T], x T) {
 // old, so the swap proceeds and its commit pays for the kill. When the
 // logical value already disagrees, the CAS fails WITHOUT killing: it aborts
 // its own operation and defers to the in-flight descriptor instead of
-// spinning on (or destroying) it. Eager descriptor-based fallbacks — the
-// Mound's DCAS — lean on this: their retry loop re-reads, helps the
-// descriptor to completion, and tries again, and no unpaid kill ever
-// degrades a concurrent composed operation's progress.
+// spinning on (or destroying) it. Every structure's direct CAS leans on
+// this: a fallback retry loop that lost anyway re-reads and tries again, and
+// no unpaid kill ever degrades a concurrent composed operation's progress.
 func CAS[T comparable](tx *Tx, v *Var[T], old, new T) bool {
 	if tx != nil {
 		if Load(tx, v) != old {
@@ -1056,7 +948,7 @@ func CAS[T comparable](tx *Tx, v *Var[T], old, new T) bool {
 		return true
 	}
 	d := v.d
-	dl := d.lockVar(v.id)
+	s, pre := d.lockVar(v.id)
 	ok := false
 	for {
 		c := v.p.Load()
@@ -1086,9 +978,11 @@ func CAS[T comparable](tx *Tx, v *Var[T], old, new T) bool {
 		}
 	}
 	if ok {
-		dl.publish(v.id, d.clock.Add(1))
+		s.publish(v.id, d.clock.Add(1))
 	} else {
-		dl.restore()
+		// The logical value did not change; overlapping readers have
+		// nothing to see.
+		s.word.Store(pre)
 	}
 	return ok
 }
@@ -1101,7 +995,7 @@ func Add(tx *Tx, v *Var[uint64], delta uint64) uint64 {
 		return x
 	}
 	d := v.d
-	dl := d.lockVar(v.id)
+	s, _ := d.lockVar(v.id)
 	var x uint64
 	for {
 		c := v.p.Load()
@@ -1115,6 +1009,6 @@ func Add(tx *Tx, v *Var[uint64], delta uint64) uint64 {
 			break
 		}
 	}
-	dl.publish(v.id, d.clock.Add(1))
+	s.publish(v.id, d.clock.Add(1))
 	return x
 }

@@ -255,60 +255,50 @@ func (m *MultiDesc) decide() {
 		return
 	}
 	d := m.d
-	// Merge the entries onto the stripes of every live table generation —
-	// both during a ResizeStripes migration — locking prev-generation
-	// stripes first, then current, each group ascending (the same global
-	// order the commit path and direct writers follow, so spinning
-	// acquirers never deadlock). Re-check the generation pair after
-	// locking: a swap in between would leave one generation unbumped.
+	// Merge the entries onto the stripes of the installed table and lock
+	// them ascending, the order ResizeStripes follows too.
 	var stripes []decStripe
+resolve:
 	for {
-		p := d.pair()
-		stripes = stripes[:0]
-		if p.prev != nil {
-			stripes = appendDecStripes(stripes, p.prev, m.entries)
-		}
-		stripes = appendDecStripes(stripes, p.cur, m.entries)
+		t := d.table()
+		stripes = decStripes(t, m.entries)
 		for i := range stripes {
-			stripes[i].prev = acquire(stripes[i].s, stripes[i].varID)
-		}
-		if d.tbls.Load() == p {
-			break
-		}
-		for i := range stripes {
-			stripes[i].s.word.Store(stripes[i].prev)
-		}
-	}
-	if m.status.CompareAndSwap(mwUndecided, mwSucceeded) {
-		wv := d.clock.Add(1)
-		for i := range stripes {
-			s := stripes[i].s
-			if stripes[i].write {
-				s.lastWriter.Store(stripes[i].varID)
-				s.word.Store(wv << 1)
-			} else {
-				s.word.Store(stripes[i].prev)
+			w, ok := d.acquire(t, stripes[i].s, stripes[i].varID)
+			if !ok {
+				// t was retired: re-resolve. Nothing is held — only the
+				// first acquire can fail, a held stripe keeps t installed.
+				continue resolve
 			}
+			stripes[i].prev = w
 		}
-		return
+		break
 	}
-	// Lost the race: another helper already decided (and, if it succeeded,
-	// already published the new versions — our pre-lock words are those),
-	// or a writer killed the descriptor. Either way the stripes go back to
-	// what we found.
+	// A loser of the status CAS — another helper already decided (and, if it
+	// succeeded, already published the new versions: our pre-lock words are
+	// those), or a writer killed the descriptor — puts every stripe back as
+	// found, as the winner does with its validation-only stripes.
+	var wv uint64
+	won := m.status.CompareAndSwap(mwUndecided, mwSucceeded)
+	if won {
+		wv = d.clock.Add(1)
+	}
 	for i := range stripes {
-		stripes[i].s.word.Store(stripes[i].prev)
+		if ds := &stripes[i]; won && ds.write {
+			ds.s.publish(ds.varID, wv)
+		} else {
+			ds.s.word.Store(ds.prev)
+		}
 	}
 }
 
-// appendDecStripes appends one decision record per distinct stripe the
-// entries hash to in table t, sorted ascending within the appended group.
-func appendDecStripes(out []decStripe, t *stripeTable, entries []Entry) []decStripe {
-	base := len(out)
+// decStripes returns one decision record per distinct stripe the entries
+// hash to in table t, sorted ascending.
+func decStripes(t *stripeTable, entries []Entry) []decStripe {
+	var out []decStripe
 merge:
 	for _, e := range entries {
 		idx := t.indexOf(e.varID())
-		for i := base; i < len(out); i++ {
+		for i := range out {
 			if out[i].idx == idx {
 				if e.writes() && !out[i].write {
 					out[i].write = true
@@ -319,8 +309,7 @@ merge:
 		}
 		out = append(out, decStripe{s: &t.stripes[idx], idx: idx, varID: e.varID(), write: e.writes()})
 	}
-	grp := out[base:]
-	sort.Slice(grp, func(i, j int) bool { return grp[i].idx < grp[j].idx })
+	sort.Slice(out, func(i, j int) bool { return out[i].idx < out[j].idx })
 	return out
 }
 
@@ -354,13 +343,12 @@ func MultiValidate(entries ...Entry) bool {
 	var snaps []uint64
 retry:
 	for {
-		// Resolve the stripes against the CURRENT generation each try, and
-		// only trust a window in which the generation pair did not change:
-		// after a swap's grace period writers stop bumping retired stripes,
-		// so a stale stripe set would miss them. Pair pointers are fresh
-		// per swap, so equality means no swap overlapped the window.
-		p := d.pair()
-		t := p.cur
+		// Resolve the stripes against the installed table each try. No
+		// table re-check closes the window: retired stripes never unlock,
+		// so finding every stripe unlocked and unchanged at the end proves
+		// the table was still installed — and every writer still bumping
+		// it — across the whole window.
+		t := d.table()
 		seen := make([]uint64, t.words)
 		strps = strps[:0]
 		for _, e := range entries {
@@ -391,9 +379,6 @@ retry:
 			if s.word.Load() != snaps[i] {
 				continue retry
 			}
-		}
-		if d.tbls.Load() != p {
-			continue retry
 		}
 		return ok
 	}

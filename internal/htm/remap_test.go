@@ -67,84 +67,158 @@ func TestResizeStripesPanicsOnBadCount(t *testing.T) {
 	}
 }
 
-// TestPinnedTxSurvivesResize is the deterministic grace-period check: a
-// transaction pinned to the old generation stays valid across the swap
-// (disjoint writes through the dual-table window do not doom it), and its
-// commit — which must lock stripes in BOTH generations — succeeds.
-func TestPinnedTxSurvivesResize(t *testing.T) {
+// swapThenRetry runs body as a transaction that resizes the table between
+// its first read and whatever body does next, checks that the attempt ends
+// the way an in-flight transaction must after a swap, and — when that is an
+// abort — that the retry (no further swap) commits under the new table.
+// ResizeStripes is called from inside the transaction body: it waits for no
+// transaction, so it returns there.
+func swapThenRetry(t *testing.T, want Status, body func(tx *Tx, a, b *Var[int])) (a, b *Var[int]) {
+	t.Helper()
 	d := NewDomainStripes(0, 0, 256)
-	a := NewVar(d, 1)
-	b := disjointVar(t, d, a)
-	swapped := make(chan struct{})
-	st := d.Atomically(func(tx *Tx) {
-		if Load(tx, a) != 1 {
-			t.Error("wrong initial read")
-		}
-		// The resize blocks in its grace period until this transaction
-		// finishes, so run it in the background and wait only for the
-		// install (visible as the new stripe count).
-		go func() {
-			defer close(swapped)
-			d.ResizeStripes(1024)
-		}()
-		for d.Stripes() != 1024 {
-			runtime.Gosched()
-		}
-		// A direct write during the migration window bumps both tables;
-		// disjoint from a (in the old table), it must not doom this tx.
-		Store(nil, b, 9)
-		if Load(tx, a) != 1 {
-			t.Error("pinned re-read failed after disjoint write during migration")
-		}
-		Store(tx, a, 2)
-	})
+	a = NewVar(d, 1)
+	b = NewVar(d, 1)
+	attempt := func(swap bool) (Status, bool) {
+		return d.AtomicallyClassified(func(tx *Tx) {
+			if Load(tx, a) != 1 {
+				t.Error("wrong initial read")
+			}
+			if swap && !d.ResizeStripes(1024) {
+				t.Error("ResizeStripes(1024) reported no swap")
+			}
+			body(tx, a, b)
+		})
+	}
+	st, alias := attempt(true)
+	if st != want || alias != (want == AbortConflict) {
+		t.Fatalf("(status, alias) across the swap = (%v, %v), want (%v, %v)", st, alias, want, want == AbortConflict)
+	}
 	if st != Committed {
-		t.Fatalf("status = %v, want commit across the swap", st)
+		if st, _ := attempt(false); st != Committed {
+			t.Fatalf("retry under the new table: status = %v, want commit", st)
+		}
 	}
-	<-swapped
-	if Load(nil, a) != 2 || Load(nil, b) != 9 {
-		t.Fatalf("a=%d b=%d after swap, want 2, 9", Load(nil, a), Load(nil, b))
+	if d.Stripes() != 1024 || d.Remaps() != 1 {
+		t.Fatalf("Stripes() = %d, Remaps() = %d, want 1024, 1", d.Stripes(), d.Remaps())
 	}
-	if d.Remaps() != 1 {
-		t.Fatalf("Remaps() = %d, want 1", d.Remaps())
+	return a, b
+}
+
+// TestInFlightTxAbortsAtNextRead: a transaction that began under a table
+// since retired finds its next read's stripe locked by the resize sentinel
+// and aborts as on any busy stripe — classified alias, the conflict being
+// engine-induced — and its retry commits.
+func TestInFlightTxAbortsAtNextRead(t *testing.T) {
+	_, b := swapThenRetry(t, AbortConflict, func(tx *Tx, a, b *Var[int]) {
+		Store(tx, b, Load(tx, b)+1)
+	})
+	if got := Load(nil, b); got != 2 {
+		t.Fatalf("b = %d, want 2: the aborted attempt must not publish, the retry must", got)
 	}
 }
 
-// TestPinnedTxStillSeesConflictsDuringMigration is the other half of the
-// grace-period argument: a write to the very Var a pinned transaction read
-// must still abort it mid-migration — the writer bumps the OLD generation's
-// stripe too, because the pinned reader validates there.
-func TestPinnedTxStillSeesConflictsDuringMigration(t *testing.T) {
-	d := NewDomainStripes(0, 0, 256)
-	a := NewVar(d, 1)
-	swapped := make(chan struct{})
-	var resized sync.Once
+// TestInFlightTxAbortsAtCommit: with no read after the swap the transaction
+// reaches commit, where the lock phase meets the retired stripes.
+func TestInFlightTxAbortsAtCommit(t *testing.T) {
+	a, b := swapThenRetry(t, AbortConflict, func(tx *Tx, a, b *Var[int]) {
+		Store(tx, a, 2)
+		Store(tx, b, 2)
+	})
+	if Load(nil, a) != 2 || Load(nil, b) != 2 {
+		t.Fatalf("a=%d b=%d, want 2, 2", Load(nil, a), Load(nil, b))
+	}
+}
+
+// TestInFlightTxReadOnlyCommits: every read was validated against the begin
+// snapshot before the swap, so a read-only transaction still serializes
+// there and commits.
+func TestInFlightTxReadOnlyCommits(t *testing.T) {
+	swapThenRetry(t, Committed, func(*Tx, *Var[int], *Var[int]) {})
+}
+
+// TestBlockedDirectWritersSurviveResize blocks a direct Store, two CAS
+// loops and the resizer behind one hand-held stripe, then releases it. Who
+// takes the stripe next is the scheduler's choice; a writer that loses to
+// the resizer is left spinning on a stripe that will never unlock and must
+// notice the new table and complete there, with no update lost.
+func TestBlockedDirectWritersSurviveResize(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		d := NewDomainStripes(0, 0, 64)
+		a := NewVar(d, 0)
+		b := aliasVar(t, d, a)
+		tb := d.table()
+		s := &tb.stripes[tb.indexOf(a.id)]
+		pre, _ := d.acquire(tb, s, a.id)
+		var wg sync.WaitGroup
+		spawn := func(f func()) {
+			wg.Add(1)
+			go func() { defer wg.Done(); f() }()
+		}
+		inc := func() {
+			for {
+				if x := Load(nil, a); CAS(nil, a, x, x+1) {
+					return
+				}
+			}
+		}
+		spawn(inc)
+		spawn(func() { Store(nil, b, 7) })
+		spawn(func() { d.ResizeStripes(1024) })
+		spawn(inc)
+		for i := 0; i < 20; i++ {
+			runtime.Gosched() // let them all reach the held stripe
+		}
+		s.word.Store(pre)
+		wg.Wait()
+		if Load(nil, a) != 2 || Load(nil, b) != 7 {
+			t.Fatalf("round %d: a=%d b=%d, want 2, 7", round, Load(nil, a), Load(nil, b))
+		}
+		if d.Stripes() != 1024 {
+			t.Fatalf("round %d: Stripes() = %d, want 1024", round, d.Stripes())
+		}
+	}
+}
+
+// TestParkedMultiCASDecidesUnderNewTable swaps the table while a descriptor
+// sits fully claimed but undecided: its decision must resolve its stripes
+// against the new table and publish there, visibly to transactions.
+func TestParkedMultiCASDecidesUnderNewTable(t *testing.T) {
+	d := NewDomainStripes(0, 0, 64)
+	a, b := NewVar(d, 1), NewVar(d, 10)
+	st := d.Atomically(func(tx *Tx) {
+		Load(tx, a)
+		ok := MultiCASParked(func() { d.ResizeStripes(1024) },
+			NewUpdate(a, 1, 2), NewUpdate(b, 10, 20))
+		if !ok {
+			t.Error("parked MultiCAS failed across the swap")
+		}
+	})
+	if st != Committed { // read-only, reads precede the swap
+		t.Fatalf("enclosing read-only tx: status = %v", st)
+	}
+	if Load(nil, a) != 2 || Load(nil, b) != 20 {
+		t.Fatalf("a=%d b=%d, want 2, 20", Load(nil, a), Load(nil, b))
+	}
+	// The decision bumped the NEW table: a transaction that read a before a
+	// second MultiCAS on it must abort with a true conflict.
 	st, alias := d.AtomicallyClassified(func(tx *Tx) {
 		Load(tx, a)
-		resized.Do(func() {
-			go func() {
-				defer close(swapped)
-				d.ResizeStripes(1024)
-			}()
-			for d.Stripes() != 1024 {
-				runtime.Gosched()
-			}
-		})
-		Store(nil, a, 7) // same Var: dual-table bump must reach the old stripe
-		Load(tx, a)      // must abort here
-		t.Error("pinned read survived a same-Var write during migration")
+		if !MultiCAS(NewUpdate(a, 2, 3)) {
+			t.Error("post-swap MultiCAS failed")
+		}
+		Load(tx, a)
+		t.Error("read survived a same-Var MultiCAS under the new table")
 	})
 	if st != AbortConflict || alias {
 		t.Fatalf("(status, alias) = (%v, %v), want (conflict, false)", st, alias)
 	}
-	<-swapped
 }
 
 // TestResizeUnderLoad is the acceptance stress: transactional increments,
 // direct CAS loops, and single-leg MultiCAS traffic run flat out while a
 // controller goroutine swaps the stripe table up and down repeatedly. Run
-// under -race this exercises every dual-table writer path with commits in
-// flight; the final counts prove no update was lost across any swap.
+// under -race this exercises every writer path's re-resolution with commits
+// in flight; the final counts prove no update was lost across any swap.
 func TestResizeUnderLoad(t *testing.T) {
 	d := NewDomainStripes(0, 0, 64)
 	const workers = 6
@@ -196,7 +270,7 @@ func TestResizeUnderLoad(t *testing.T) {
 			}
 		}(vars[w])
 	}
-	// Grace periods end as worker attempts retire, so the controller never
+	// A swap waits only for stripe holders, so the controller never
 	// deadlocks against the workers; wait for the workers, then stop it.
 	work.Wait()
 	stop.Store(true)
@@ -213,8 +287,8 @@ func TestResizeUnderLoad(t *testing.T) {
 
 // TestResizeWithMultiCASDescriptorsInFlight drives wide MultiCAS
 // publications (descriptor claims spanning many stripes) concurrently with
-// swaps: the decision path must lock both generations and the parked
-// window must resolve correctly whichever table generation decides it.
+// swaps: the decision path must give up on a retired table mid-spin and the
+// parked window must resolve correctly whichever table decides it.
 func TestResizeWithMultiCASDescriptorsInFlight(t *testing.T) {
 	d := NewDomainStripes(0, 0, 64)
 	const legs = 8

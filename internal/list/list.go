@@ -22,7 +22,6 @@ import (
 	"math"
 	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/htm"
 	"repro/internal/speculate"
 )
@@ -184,7 +183,7 @@ type PTOSet struct {
 	domain   *htm.Domain
 	head     *pnode
 	attempts int
-	stats    *core.Stats
+	stats    *speculate.Stats
 
 	insSite *speculate.Site
 	rmSite  *speculate.Site
@@ -219,7 +218,7 @@ func (s *PTOSet) WithPolicy(p speculate.Policy) *PTOSet {
 }
 
 // Stats exposes the PTO outcome counters.
-func (s *PTOSet) Stats() *core.Stats { return s.stats }
+func (s *PTOSet) Stats() *speculate.Stats { return s.stats }
 
 // Domain exposes the transactional domain (for tests and diagnostics).
 func (s *PTOSet) Domain() *htm.Domain { return s.domain }

@@ -1,7 +1,6 @@
 package list
 
 import (
-	"repro/internal/core"
 	"repro/internal/htm"
 	"repro/internal/speculate"
 	"repro/internal/txn"
@@ -25,7 +24,7 @@ func NewPTOIn(d *htm.Domain, attempts int) *PTOSet {
 	if attempts <= 0 {
 		attempts = DefaultAttempts
 	}
-	s := &PTOSet{domain: d, attempts: attempts, stats: core.NewStats(1)}
+	s := &PTOSet{domain: d, attempts: attempts, stats: speculate.NewStats(1)}
 	s.WithPolicy(speculate.Fixed(0))
 	tail := &pnode{key: tailKey}
 	tail.next.Init(d, &pbox{})

@@ -4,9 +4,12 @@
 // specializations DCAS and DCSS; the paper reports each software DCAS/DCSS
 // costs up to five CAS instructions, which is precisely the latency PTO
 // removes by running the double-word update as a single hardware transaction.
-// The general N-word MCAS is the publication primitive for the transactional
-// composition layer (internal/txn): a composed operation's write-set is
-// installed in one lock-free step when the HTM fast path is unavailable.
+//
+// The lock-free baseline Mound is this package's only importer. The
+// transactional composition layer publishes with htm.MultiCAS, the same
+// algorithm lifted onto transactional Vars; that one decides under stripe
+// locks, which is why the baseline keeps this genuinely lock-free
+// implementation over raw words (see DESIGN.md §7).
 //
 // Words are boxed behind unique heap cells, which rules out ABA on the
 // descriptor-installation CASes. A word temporarily holds a pointer to an

@@ -37,7 +37,6 @@ import (
 	"math"
 	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/htm"
 	"repro/internal/speculate"
 )
@@ -183,7 +182,7 @@ type PTO struct {
 	domain  *htm.Domain
 	leaves  int
 	nodes   []htm.Var[uint64]
-	stats   *core.Stats
+	stats   *speculate.Stats
 	retries int
 	site    *speculate.Site
 }
@@ -205,7 +204,7 @@ func NewPTO(leaves, attempts int) *PTO {
 		domain:  htm.NewDomain(0, 0),
 		leaves:  leaves,
 		nodes:   make([]htm.Var[uint64], 2*leaves-1),
-		stats:   core.NewStats(1),
+		stats:   speculate.NewStats(1),
 		retries: attempts,
 	}
 	p.WithPolicy(speculate.Fixed(0))
@@ -229,7 +228,7 @@ func (p *PTO) WithPolicy(pol speculate.Policy) *PTO {
 func (p *PTO) Leaves() int { return p.leaves }
 
 // Stats exposes commit/fallback counters for diagnostics and tests.
-func (p *PTO) Stats() *core.Stats { return p.stats }
+func (p *PTO) Stats() *speculate.Stats { return p.stats }
 
 // Domain exposes the transactional domain (for tests).
 func (p *PTO) Domain() *htm.Domain { return p.domain }
@@ -348,7 +347,7 @@ type TLE struct {
 	leaves  int
 	lock    htm.Var[uint64]
 	nodes   []htm.Var[uint64] // sequential representation: encoded values only
-	stats   *core.Stats
+	stats   *speculate.Stats
 	retries int
 	site    *speculate.Site
 }
@@ -365,7 +364,7 @@ func NewTLE(leaves, attempts int) *TLE {
 		domain:  htm.NewDomain(0, 0),
 		leaves:  leaves,
 		nodes:   make([]htm.Var[uint64], 2*leaves-1),
-		stats:   core.NewStats(1),
+		stats:   speculate.NewStats(1),
 		retries: attempts,
 	}
 	t.WithPolicy(speculate.Fixed(0))
@@ -387,7 +386,7 @@ func (t *TLE) WithPolicy(pol speculate.Policy) *TLE {
 }
 
 // Stats exposes commit/fallback counters.
-func (t *TLE) Stats() *core.Stats { return t.stats }
+func (t *TLE) Stats() *speculate.Stats { return t.stats }
 
 func (t *TLE) seqUpdate(tx *htm.Tx, slot int, val uint32) {
 	i := t.leaves - 1 + slot

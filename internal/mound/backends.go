@@ -1,9 +1,6 @@
 package mound
 
 import (
-	"sync/atomic"
-
-	"repro/internal/core"
 	"repro/internal/htm"
 	"repro/internal/mcas"
 	"repro/internal/speculate"
@@ -42,40 +39,17 @@ func (b *mcasBackend) dcas(id1 int, o1, n1 uint64, id2 int, o2, n2 uint64) bool 
 // Mound, or at leaves").
 const DefaultAttempts = 4
 
-// mword is a node word in the PTO substrate: the packed value plus an
-// optional claim by an in-flight software DCAS descriptor (the fallback
-// path). Mound words embed a version counter, so value-based CAS is ABA-free.
-type mword struct {
-	val  uint64
-	desc *mdesc
-}
-
-type mdesc struct {
-	status  atomic.Uint32
-	entries [2]mentry
-}
-
-type mentry struct {
-	w        *htm.Var[mword]
-	id       int
-	old, new uint64
-}
-
-const (
-	undecided uint32 = iota
-	succeeded
-	failed
-)
-
 // ptoBackend runs each DCAS/DCSS as a prefix transaction — two or three
 // plain loads, a comparison, and one or two buffered stores, with no CAS and
 // no descriptor traffic — retried up to attempts times before falling back
-// to the descriptor protocol over the same words.
+// to htm.MultiCAS, the domain's own descriptor protocol, over the same
+// words. Mound words embed a version counter, so value-based CAS is
+// ABA-free.
 type ptoBackend struct {
 	domain   *htm.Domain
-	words    []htm.Var[mword]
+	words    []htm.Var[uint64]
 	attempts int
-	stats    *core.Stats
+	stats    *speculate.Stats
 	site     *speculate.Site
 }
 
@@ -87,11 +61,11 @@ func newPTOBackendIn(d *htm.Domain, size, attempts int) *ptoBackend {
 	if attempts <= 0 {
 		attempts = DefaultAttempts
 	}
-	b := &ptoBackend{domain: d, words: make([]htm.Var[mword], size),
-		attempts: attempts, stats: core.NewStats(1)}
+	b := &ptoBackend{domain: d, words: make([]htm.Var[uint64], size),
+		attempts: attempts, stats: speculate.NewStats(1)}
 	b.withPolicy(speculate.Fixed(0))
 	for i := range b.words {
-		b.words[i].Init(b.domain, mword{})
+		b.words[i].Init(b.domain, 0)
 	}
 	return b
 }
@@ -113,7 +87,7 @@ func NewPTO(maxDepth, attempts int) *Mound {
 // of a PTO-backed mound; it is a no-op for the baseline. The default,
 // speculate.Fixed(0), reproduces the historical behavior: every DCAS makes
 // exactly `attempts` tries — explicit aborts included — then falls back to
-// the descriptor protocol. Returns m for chaining.
+// htm.MultiCAS. Returns m for chaining.
 func (m *Mound) WithPolicy(p speculate.Policy) *Mound {
 	if b, ok := m.be.(*ptoBackend); ok {
 		b.withPolicy(p)
@@ -123,7 +97,7 @@ func (m *Mound) WithPolicy(p speculate.Policy) *Mound {
 
 // Stats exposes the PTO outcome counters of a PTO-backed mound, or nil for
 // the baseline.
-func (m *Mound) Stats() *core.Stats {
+func (m *Mound) Stats() *speculate.Stats {
 	if b, ok := m.be.(*ptoBackend); ok {
 		return b.stats
 	}
@@ -139,31 +113,10 @@ func (m *Mound) Domain() *htm.Domain {
 	return nil
 }
 
-// load resolves any in-flight descriptor before returning the word value.
-func (b *ptoBackend) load(id int) uint64 {
-	for {
-		w := htm.Load(nil, &b.words[id])
-		if w.desc == nil {
-			return w.val
-		}
-		b.help(w.desc)
-	}
-}
+func (b *ptoBackend) load(id int) uint64 { return htm.Load(nil, &b.words[id]) }
 
 func (b *ptoBackend) cas(id int, old, new uint64) bool {
-	for {
-		w := htm.Load(nil, &b.words[id])
-		if w.desc != nil {
-			b.help(w.desc)
-			continue
-		}
-		if w.val != old {
-			return false
-		}
-		if htm.CAS(nil, &b.words[id], mword{val: old}, mword{val: new}) {
-			return true
-		}
-	}
+	return htm.CAS(nil, &b.words[id], old, new)
 }
 
 func (b *ptoBackend) dcss(cmp int, expect uint64, tgt int, old, new uint64) bool {
@@ -171,26 +124,19 @@ func (b *ptoBackend) dcss(cmp int, expect uint64, tgt int, old, new uint64) bool
 }
 
 func (b *ptoBackend) dcas(id1 int, o1, n1 uint64, id2 int, o2, n2 uint64) bool {
+	w1, w2 := &b.words[id1], &b.words[id2]
 	// Prefix transaction: the whole double-word update as plain loads,
 	// branches, and buffered stores (§2.3's strength reduction).
 	r := b.site.Begin(b.domain)
 	for r.Next(0) {
 		var result bool
 		st := r.Try(func(tx *htm.Tx) {
-			w1 := htm.Load(tx, &b.words[id1])
-			w2 := htm.Load(tx, &b.words[id2])
-			if w1.desc != nil || w2.desc != nil {
-				// A software DCAS is mid-flight; abort rather than help
-				// (§2.4) — the conflict that made it visible would abort us
-				// anyway.
-				tx.Abort(1)
-			}
-			if w1.val != o1 || w2.val != o2 {
+			if htm.Load(tx, w1) != o1 || htm.Load(tx, w2) != o2 {
 				result = false
 				return
 			}
-			htm.Store(tx, &b.words[id1], mword{val: n1})
-			htm.Store(tx, &b.words[id2], mword{val: n2})
+			htm.Store(tx, w1, n1)
+			htm.Store(tx, w2, n2)
 			result = true
 		})
 		if st == htm.Committed {
@@ -198,59 +144,8 @@ func (b *ptoBackend) dcas(id1 int, o1, n1 uint64, id2 int, o2, n2 uint64) bool {
 		}
 	}
 	r.Fallback()
-	return b.dcasFallback(id1, o1, n1, id2, o2, n2)
-}
-
-// dcasFallback is the original descriptor-based protocol (cf. internal/mcas)
-// expressed over the transactional words.
-func (b *ptoBackend) dcasFallback(id1 int, o1, n1 uint64, id2 int, o2, n2 uint64) bool {
-	d := &mdesc{}
-	d.entries[0] = mentry{w: &b.words[id1], id: id1, old: o1, new: n1}
-	d.entries[1] = mentry{w: &b.words[id2], id: id2, old: o2, new: n2}
-	if id2 < id1 {
-		d.entries[0], d.entries[1] = d.entries[1], d.entries[0]
-	}
-	b.help(d)
-	return d.status.Load() == succeeded
-}
-
-func (b *ptoBackend) help(d *mdesc) {
-claim:
-	for i := range d.entries {
-		e := &d.entries[i]
-		for {
-			if d.status.Load() != undecided {
-				break claim
-			}
-			w := htm.Load(nil, e.w)
-			switch {
-			case w.desc == d:
-				// Already claimed.
-			case w.desc != nil:
-				b.help(w.desc)
-				continue
-			case w.val != e.old:
-				d.status.CompareAndSwap(undecided, failed)
-				break claim
-			default:
-				if !htm.CAS(nil, e.w, w, mword{val: e.old, desc: d}) {
-					continue
-				}
-			}
-			break
-		}
-	}
-	d.status.CompareAndSwap(undecided, succeeded)
-	final := d.status.Load() == succeeded
-	for i := range d.entries {
-		e := &d.entries[i]
-		w := htm.Load(nil, e.w)
-		if w.desc == d {
-			v := e.old
-			if final {
-				v = e.new
-			}
-			htm.CAS(nil, e.w, w, mword{val: v})
-		}
-	}
+	// A DCSS guard (o1 == n1) is a validation-only leg. A MultiCAS killed by
+	// a colliding writer reports false like a mismatch; every caller
+	// re-reads and retries.
+	return htm.MultiCAS(htm.NewUpdate(w1, o1, n1), htm.NewUpdate(w2, o2, n2))
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // Crushing the transactional read capacity makes every DCAS/DCSS transaction
-// abort, so the PTO mound runs the descriptor-based fallback protocol over
-// the transactional words (dcasFallback, help) for every multi-word update.
+// abort, so the PTO mound runs its fallback — htm.MultiCAS over the
+// transactional words — for every multi-word update.
 
 func TestFallbackDCASForced(t *testing.T) {
 	m := NewPTO(12, 0)

@@ -18,7 +18,7 @@
 // fences. The PTO variant (§4.2) applies prefix transactions locally to
 // exactly those sub-operations — each DCAS/DCSS becomes one transaction
 // attempted up to four times (the paper's tuned retry value) before the
-// software descriptor path runs. The whole-operation application of PTO is
+// software path (htm.MultiCAS) runs. The whole-operation application of PTO is
 // deliberately absent: the paper found it unprofitable because all
 // removeMins contend at the root.
 package mound

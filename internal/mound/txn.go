@@ -6,26 +6,11 @@ import (
 )
 
 // This file is the Mound's adapter to the transactional composition layer
-// (internal/txn), on the shared txnops PQ contract.
-//
-// The Mound is the one composed structure whose own fallback is an *eager*
-// descriptor protocol: its software DCAS claims words (mword.desc) before
-// deciding, rather than staging into a capture buffer. Two protocols
-// therefore meet on the same htm.Var cells and the handshake goes both ways:
-//
-//   - Composed operation meets a mound DCAS claim (mword.desc != nil): on
-//     the fast path the adapter aborts (§2.4 — never help under
-//     speculation); in capture mode it helps the DCAS to completion and
-//     restarts, exactly as the structure's own load would.
-//
-//   - Mound DCAS meets an in-flight composed MultiCAS (the htm-level claim
-//     on the cell): the backend's direct CAS aborts-and-defers rather than
-//     spinning — htm.CAS fails without killing an undecided MultiCAS
-//     descriptor when the cell's logical value already disagrees, and kills
-//     it only when the CAS itself proceeds, so every kill is still paid for
-//     by a commit (the kill-paid-by-commit extension in internal/htm). The
-//     mound's retry loop then re-reads through htm.Load, which resolves the
-//     completed MultiCAS, and tries again against the new value.
+// (internal/txn), on the shared txnops PQ contract. Node words are plain
+// htm.Var[uint64] cells and the Mound's own DCAS fallback is htm.MultiCAS —
+// the protocol composed transactions publish with — so composed and raw
+// operations meet through the domain's one descriptor protocol and the
+// adapter reads and writes words with txn.Peek/Read/Write directly.
 
 // NewPTOIn returns an empty PTO-accelerated mound living in the shared
 // domain d, so it can participate in composed transactions with other
@@ -44,37 +29,6 @@ func (m *Mound) pto() *ptoBackend {
 		panic("mound: composed operations require a PTO-backed mound (NewPTO/NewPTOIn)")
 	}
 	return b
-}
-
-// txPeek reads node word id without adding it to the validated footprint,
-// resolving the descriptor handshake: a mound-DCAS claim aborts the fast
-// path and is helped-then-restarted in capture mode.
-func (b *ptoBackend) txPeek(c *txn.Ctx, id int) uint64 {
-	w := txn.Peek(c, &b.words[id])
-	if w.desc != nil {
-		if !c.Speculative() {
-			b.help(w.desc)
-		}
-		c.Retry()
-	}
-	return w.val
-}
-
-// txRead is txPeek with the word added to the validated footprint.
-func (b *ptoBackend) txRead(c *txn.Ctx, id int) uint64 {
-	w := txn.Read(c, &b.words[id])
-	if w.desc != nil {
-		if !c.Speculative() {
-			b.help(w.desc)
-		}
-		c.Retry()
-	}
-	return w.val
-}
-
-// txWrite stages a plain (unclaimed) value for node word id.
-func (b *ptoBackend) txWrite(c *txn.Ctx, id int, v uint64) {
-	txn.Write(c, &b.words[id], mword{val: v})
 }
 
 // TxPush adds v to the queue as part of a composed transaction. The search
@@ -102,7 +56,7 @@ func (m *Mound) TxPush(c *txn.Ctx, v int64) {
 	for {
 		d := m.depth.Load()
 		leaf := m.randomLeaf(int(d))
-		lw := b.txPeek(c, leaf)
+		lw := txn.Peek(c, &b.words[leaf])
 		if m.val(lw) < v || wordDirty(lw) {
 			probes++
 			if probes >= probesPerLevel {
@@ -113,7 +67,7 @@ func (m *Mound) TxPush(c *txn.Ctx, v int64) {
 				}
 				leaf = 0
 				for id := 1 << d; id < m.size; id++ {
-					if w := b.txPeek(c, id); !wordDirty(w) && m.val(w) >= v {
+					if w := txn.Peek(c, &b.words[id]); !wordDirty(w) && m.val(w) >= v {
 						leaf, lw = id, w
 						break
 					}
@@ -130,7 +84,7 @@ func (m *Mound) TxPush(c *txn.Ctx, v int64) {
 		for lo < hi {
 			mid := (lo + hi) / 2
 			id := leaf >> (int(d) - mid)
-			w := b.txPeek(c, id)
+			w := txn.Peek(c, &b.words[id])
 			if m.val(w) >= v {
 				hi = mid
 				nID, nw = id, w
@@ -141,17 +95,17 @@ func (m *Mound) TxPush(c *txn.Ctx, v int64) {
 		if m.val(nw) < v {
 			continue
 		}
-		if b.txRead(c, nID) != nw {
+		if txn.Read(c, &b.words[nID]) != nw {
 			c.Retry()
 		}
 		if nID != 1 {
-			pw := b.txRead(c, nID>>1) // DCSS guard: parent must stay clean and ≤ v
+			pw := txn.Read(c, &b.words[nID>>1]) // DCSS guard: parent must stay clean and ≤ v
 			if wordDirty(pw) || m.val(pw) > v {
 				c.Retry()
 			}
 		}
 		idx := m.pool.alloc(v, wordIdx(nw))
-		b.txWrite(c, nID, bump(nw, wordDirty(nw), idx))
+		txn.Write(c, &b.words[nID], bump(nw, wordDirty(nw), idx))
 		return
 	}
 }
@@ -164,7 +118,7 @@ func (m *Mound) TxPush(c *txn.Ctx, v int64) {
 // exactly as TxPopMin does.
 func (m *Mound) TxMin(c *txn.Ctx) (int64, bool) {
 	b := m.pto()
-	w := b.txRead(c, 1)
+	w := txn.Read(c, &b.words[1])
 	if wordDirty(w) {
 		if !c.Speculative() {
 			m.moundify(1)
@@ -191,7 +145,7 @@ func (m *Mound) TxMin(c *txn.Ctx) (int64, bool) {
 // TxPush after TxPopMin is fine — that is MoveMin's undo path.
 func (m *Mound) TxPopMin(c *txn.Ctx) (int64, bool) {
 	b := m.pto()
-	w := b.txRead(c, 1)
+	w := txn.Read(c, &b.words[1])
 	if wordDirty(w) {
 		if !c.Speculative() {
 			m.moundify(1) // help clear the dirt, then re-run the body
@@ -203,7 +157,7 @@ func (m *Mound) TxPopMin(c *txn.Ctx) (int64, bool) {
 		return 0, false // clean empty root, validated at commit
 	}
 	ln := m.pool.node(i)
-	b.txWrite(c, 1, bump(w, true, ln.next))
+	txn.Write(c, &b.words[1], bump(w, true, ln.next))
 	c.OnCommit(func() { m.moundify(1) })
 	return ln.val, true
 }

@@ -12,9 +12,9 @@ import (
 
 // The mound's composition adapter, on both commit paths: composed pushes and
 // pops preserve heap order, and concurrent cross-structure moves against a
-// list set conserve the pair's contents — the case that exercises the
-// DCAS/MultiCAS handshake (the post-commit moundify runs the mound's own
-// CAS protocol against in-flight composed MultiCASes).
+// list set — racing raw RemoveMin/Insert pairs, whose root CAS, moundify
+// DCAS and insert DCSS meet the composed publications on the same words —
+// conserve the pair's contents and leave the heap ordered.
 
 func checkComposedPushPop(t *testing.T, fallback bool) {
 	m := txn.New(0)
@@ -71,9 +71,19 @@ func checkMoundListConservation(t *testing.T, fallback bool) {
 			rng := uint64(w)*0x9E3779B97F4A7C15 + 1
 			for i := 0; i < opsPer; i++ {
 				rng = rng*6364136223846793005 + 1442695040888963407
-				if rng>>62&1 == 0 {
+				switch {
+				case w >= workers-2:
+					// Raw structure operations: the pop's moundify and the
+					// re-insert run the mound's own CAS/DCAS/DCSS (prefix
+					// transactions, or htm.MultiCAS in fallback mode)
+					// against the composed moves. The value is in neither
+					// structure only while this worker holds it.
+					if v, ok := pq.RemoveMin(); ok {
+						pq.Insert(v)
+					}
+				case rng>>62&1 == 0:
 					txn.MoveMin(m, pq, set)
-				} else {
+				default:
 					txn.MoveToPQ(m, set, pq, int64(rng>>33%vals)+1)
 				}
 			}
@@ -82,13 +92,18 @@ func checkMoundListConservation(t *testing.T, fallback bool) {
 	wg.Wait()
 	// Every value lives in exactly one of the two structures, so the union
 	// must be exactly 1..vals. (Values here are unique, so MoveMin's undo
-	// push never fires; TestMoveMinUndo* covers that path.)
+	// push never fires; TestMoveMinUndo* covers that path.) The queue must
+	// drain in order: every racing moundify restored the heap invariant.
 	got := append([]int64{}, set.Keys()...)
-	for {
+	for last := int64(0); ; {
 		v, ok := pq.RemoveMin()
 		if !ok {
 			break
 		}
+		if v < last {
+			t.Fatalf("queue drained %d after %d: heap order broken", v, last)
+		}
+		last = v
 		got = append(got, v)
 	}
 	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })

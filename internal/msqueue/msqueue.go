@@ -17,7 +17,6 @@ package msqueue
 import (
 	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/htm"
 	"repro/internal/speculate"
 )
@@ -110,8 +109,8 @@ type PTOQueue struct {
 	head     htm.Var[*pnode]
 	tail     htm.Var[*pnode]
 	attempts int
-	enqStats *core.Stats
-	deqStats *core.Stats
+	enqStats *speculate.Stats
+	deqStats *speculate.Stats
 
 	enqSite *speculate.Site
 	deqSite *speculate.Site
@@ -141,13 +140,13 @@ func (q *PTOQueue) WithPolicy(p speculate.Policy) *PTOQueue {
 }
 
 // EnqueueStats and DequeueStats expose PTO outcome counters.
-func (q *PTOQueue) EnqueueStats() *core.Stats { return q.enqStats }
+func (q *PTOQueue) EnqueueStats() *speculate.Stats { return q.enqStats }
 
 // Domain exposes the transactional domain (for tests and diagnostics).
 func (q *PTOQueue) Domain() *htm.Domain { return q.domain }
 
 // DequeueStats exposes PTO outcome counters for dequeues.
-func (q *PTOQueue) DequeueStats() *core.Stats { return q.deqStats }
+func (q *PTOQueue) DequeueStats() *speculate.Stats { return q.deqStats }
 
 // Enqueue appends v. The prefix transaction links the node and swings the
 // tail in one atomic step: no double-checks, no lagging-tail state.

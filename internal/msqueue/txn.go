@@ -1,7 +1,6 @@
 package msqueue
 
 import (
-	"repro/internal/core"
 	"repro/internal/htm"
 	"repro/internal/speculate"
 	"repro/internal/txn"
@@ -22,7 +21,7 @@ func NewPTOIn(d *htm.Domain, attempts int) *PTOQueue {
 		attempts = DefaultAttempts
 	}
 	q := &PTOQueue{domain: d, attempts: attempts,
-		enqStats: core.NewStats(1), deqStats: core.NewStats(1)}
+		enqStats: speculate.NewStats(1), deqStats: speculate.NewStats(1)}
 	q.WithPolicy(speculate.Fixed(0))
 	dummy := &pnode{}
 	dummy.next.Init(d, nil)

@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/htm"
 	"repro/internal/speculate"
 )
@@ -32,8 +31,8 @@ type PTOSet struct {
 	tail     *pnode
 	rstate   atomic.Uint64
 	attempts int
-	insStats *core.Stats
-	rmStats  *core.Stats
+	insStats *speculate.Stats
+	rmStats  *speculate.Stats
 
 	insSite *speculate.Site
 	rmSite  *speculate.Site
@@ -74,10 +73,10 @@ func (s *PTOSet) WithPolicy(p speculate.Policy) *PTOSet {
 func (s *PTOSet) Domain() *htm.Domain { return s.domain }
 
 // InsertStats and RemoveStats expose PTO outcome counters.
-func (s *PTOSet) InsertStats() *core.Stats { return s.insStats }
+func (s *PTOSet) InsertStats() *speculate.Stats { return s.insStats }
 
 // RemoveStats exposes PTO outcome counters for removals.
-func (s *PTOSet) RemoveStats() *core.Stats { return s.rmStats }
+func (s *PTOSet) RemoveStats() *speculate.Stats { return s.rmStats }
 
 func (s *PTOSet) randomLevel() int {
 	x := s.rstate.Add(0x9E3779B97F4A7C15)

@@ -1,7 +1,6 @@
 package skiplist
 
 import (
-	"repro/internal/core"
 	"repro/internal/htm"
 	"repro/internal/speculate"
 	"repro/internal/txn"
@@ -28,7 +27,7 @@ func NewPTOSetIn(d *htm.Domain, attempts int) *PTOSet {
 		attempts = DefaultAttempts
 	}
 	s := &PTOSet{domain: d, attempts: attempts,
-		insStats: core.NewStats(1), rmStats: core.NewStats(1)}
+		insStats: speculate.NewStats(1), rmStats: speculate.NewStats(1)}
 	s.WithPolicy(speculate.Fixed(0))
 	s.tail = s.newPNode(tailKey, MaxLevel-1)
 	s.head = s.newPNode(headKey, MaxLevel-1)

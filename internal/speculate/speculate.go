@@ -15,8 +15,8 @@
 //
 //   - Site is the per-(structure, operation) instantiation of a Policy: the
 //     level budgets of the PTO composition, the adaptive state, and hooks
-//     into telemetry (internal/telemetry) and the structure's legacy
-//     core.Stats counters.
+//     into telemetry (internal/telemetry) and the structure's own Stats
+//     counters.
 //
 //   - Run is the per-operation iterator a structure drives instead of its
 //     own for-loop:
@@ -65,7 +65,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/htm"
 	"repro/internal/telemetry"
 )
@@ -249,8 +248,8 @@ type levelState struct {
 // plus the shared state a Walk cannot hold (adaptive windows, the jitter
 // stream) and the site's metric destinations.
 type Site struct {
-	c      Core
-	legacy *core.Stats // historical per-structure counters; may be nil
+	c     Core
+	stats *Stats // the structure's own counters; may be nil
 
 	// tel holds one metric destination per level (empty when the policy has
 	// no registry). Single-level sites register under the site name alone,
@@ -267,12 +266,38 @@ type Site struct {
 	rng atomic.Uint64
 }
 
+// Stats aggregates the outcomes of one operation kind of one structure
+// instance (telemetry sites are shared by name across instances). Counters
+// are updated atomically and may be read concurrently.
+type Stats struct {
+	// CommitsByLevel[i] counts operations completed by level i's transaction.
+	CommitsByLevel []atomic.Uint64
+	// Fallbacks counts operations that ran the nonblocking fallback.
+	Fallbacks atomic.Uint64
+	// Aborts counts individual aborted attempts across all levels.
+	Aborts atomic.Uint64
+}
+
+// NewStats returns a Stats sized for the given number of levels.
+func NewStats(levels int) *Stats {
+	return &Stats{CommitsByLevel: make([]atomic.Uint64, levels)}
+}
+
+// Snapshot returns a plain-value copy of the counters.
+func (s *Stats) Snapshot() (commits []uint64, fallbacks, aborts uint64) {
+	commits = make([]uint64, len(s.CommitsByLevel))
+	for i := range s.CommitsByLevel {
+		commits[i] = s.CommitsByLevel[i].Load()
+	}
+	return commits, s.Fallbacks.Load(), s.Aborts.Load()
+}
+
 // NewSite binds the policy to one speculation site. name keys the site's
-// telemetry (shared across instances registering the same name); legacy is
-// the structure's historical core.Stats to keep updated (may be nil);
-// levels are the PTO composition's tiers, outermost first.
-func (p Policy) NewSite(name string, legacy *core.Stats, levels ...Level) *Site {
-	s := &Site{c: p.Core(levels...), legacy: legacy, adapt: make([]levelState, len(levels))}
+// telemetry (shared across instances registering the same name); stats is
+// the structure's own Stats to keep updated (may be nil); levels are the PTO
+// composition's tiers, outermost first.
+func (p Policy) NewSite(name string, stats *Stats, levels ...Level) *Site {
+	s := &Site{c: p.Core(levels...), stats: stats, adapt: make([]levelState, len(levels))}
 	if p.Metrics != nil {
 		s.tel = make([]*telemetry.Site, len(levels))
 		for i, l := range levels {
@@ -417,7 +442,7 @@ func (r *Run) Skip() { r.w.Skip() }
 // Try runs one speculative attempt of the current level: waits out any
 // pending backoff, executes body as a transaction against the Run's
 // domain, and records the outcome in the site's adaptive window, its
-// telemetry, and the structure's legacy counters. At a helping level the
+// telemetry, and the structure's own counters. At a helping level the
 // transaction carries the level's helping budget (htm.AtomicallyHelping):
 // undecided MultiCAS descriptors its writes collide with are helped to
 // decision at commit instead of killing the attempt or the descriptor. At a
@@ -469,14 +494,14 @@ func (r *Run) Try(body func(tx *htm.Tx)) htm.Status {
 		}
 	}
 	if st == htm.Committed {
-		if s.legacy != nil && level < len(s.legacy.CommitsByLevel) {
-			s.legacy.CommitsByLevel[level].Add(1)
+		if s.stats != nil && level < len(s.stats.CommitsByLevel) {
+			s.stats.CommitsByLevel[level].Add(1)
 		}
 		r.observeLatency()
 		return st
 	}
-	if s.legacy != nil {
-		s.legacy.Aborts.Add(1)
+	if s.stats != nil {
+		s.stats.Aborts.Add(1)
 	}
 	return st
 }
@@ -499,8 +524,8 @@ func outcomeOf(st htm.Status) Outcome {
 // fallback path. Call it exactly once, at the point the historical loops
 // counted a fallback.
 func (r *Run) Fallback() {
-	if r.s.legacy != nil {
-		r.s.legacy.Fallbacks.Add(1)
+	if r.s.stats != nil {
+		r.s.stats.Fallbacks.Add(1)
 	}
 	// Recorded at the innermost level the walk reached, mirroring the sim
 	// driver: the fallback is the exit of that tier.

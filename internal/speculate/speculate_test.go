@@ -3,7 +3,6 @@ package speculate
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/htm"
 	"repro/internal/telemetry"
 )
@@ -22,7 +21,7 @@ func capacityDomain() (*htm.Domain, *htm.Var[int], func(tx *htm.Tx)) {
 
 func TestFixedBudgetAndFallbackCounting(t *testing.T) {
 	d, _, body := capacityDomain()
-	legacy := core.NewStats(1)
+	legacy := NewStats(1)
 	site := Fixed(0).NewSite("t/fixed", legacy, Level{Name: "l0", Attempts: 3})
 	r := site.Begin(d)
 	tries := 0
@@ -123,7 +122,7 @@ func TestFailFastShortCircuitsDeterministicAborts(t *testing.T) {
 
 func TestMultiLevelCompositionAndCommitAccounting(t *testing.T) {
 	d, _, capBody := capacityDomain()
-	legacy := core.NewStats(2)
+	legacy := NewStats(2)
 	reg := telemetry.NewRegistry()
 	site := Fixed(0).WithMetrics(reg).NewSite("t/levels", legacy,
 		Level{Name: "pto1", Attempts: 2},

@@ -5,8 +5,8 @@
 //   - Stripe remapping (law A): when the interval's stripe-alias rate —
 //     false conflicts per attempt, the striping tax the classifier
 //     attributes to hashing rather than to data — crosses AliasHigh, the
-//     controller doubles the domain's orec stripe table via the RCU-style
-//     table swap in internal/htm. Sustained calm (CalmIntervals intervals
+//     controller doubles the domain's orec stripe table via the table
+//     swap in internal/htm (ResizeStripes). Sustained calm (CalmIntervals intervals
 //     under AliasLow) halves it back, so an alias burst grows the table
 //     once and the table shrinks only after the burst is provably over.
 //
