@@ -85,6 +85,7 @@ func TestAblationSMTKnee(t *testing.T) {
 }
 
 func TestAblationComposedMoveSim(t *testing.T) {
+	longSweep(t)
 	f := AblationComposedMoveSim(ablationTestScale)
 	allPositive(t, f)
 	// Three historical arms + the caps sweep, then the matrix arms (skiplist
@@ -157,6 +158,7 @@ func TestAblationAdaptivePolicy(t *testing.T) {
 }
 
 func TestAblationThreePath(t *testing.T) {
+	longSweep(t)
 	f := AblationThreePath(ablationTestScale)
 	allPositive(t, f)
 	// Two modeled arms and two wall-clock arms, three thread counts each.
@@ -184,6 +186,7 @@ func TestAblationThreePath(t *testing.T) {
 }
 
 func TestExtensionList(t *testing.T) {
+	longSweep(t)
 	f := ExtList(34, ablationTestScale)
 	allPositive(t, f)
 	lf := byName(f, "List (Lockfree+HP)")

@@ -11,6 +11,17 @@ import (
 
 const testScale = 0.2
 
+// longSweep skips, under -short, the tests that take longest: the
+// full-thread-range sweeps of Figures 2(b)-5, A8, A10, A12, the list
+// extension and the golden file. What -short keeps runs in about 3 s; tier-1
+// and CI run everything.
+func longSweep(t *testing.T) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("long sweep: skipped under -short")
+	}
+}
+
 func at(s Series, threads int) float64 {
 	for _, p := range s.Points {
 		if p.Threads == threads {
@@ -55,6 +66,7 @@ func TestFig2aShape(t *testing.T) {
 }
 
 func TestFig2bShape(t *testing.T) {
+	longSweep(t)
 	f := Fig2b(testScale)
 	mlf := byName(f, "Mound (Lockfree)")
 	mpto := byName(f, "Mound (PTO)")
@@ -74,6 +86,7 @@ func TestFig2bShape(t *testing.T) {
 }
 
 func TestFig3Shape(t *testing.T) {
+	longSweep(t)
 	f := Fig3(0, testScale)
 	tlf := byName(f, "Tree (Lockfree)")
 	tpto := byName(f, "Tree (PTO)")
@@ -96,6 +109,7 @@ func TestFig3Shape(t *testing.T) {
 }
 
 func TestFig4Shape(t *testing.T) {
+	longSweep(t)
 	writeOnly := Fig4(0, testScale)
 	lf := byName(writeOnly, "Hash (Lockfree)")
 	inplace := byName(writeOnly, "Hash (PTO+Inplace)")
@@ -120,6 +134,7 @@ func TestFig4Shape(t *testing.T) {
 }
 
 func TestFig5aShape(t *testing.T) {
+	longSweep(t)
 	f := Fig5a(testScale)
 	pto1 := byName(f, "PTO1")
 	both := byName(f, "PTO1+PTO2")
@@ -136,6 +151,7 @@ func TestFig5aShape(t *testing.T) {
 }
 
 func TestFig5bShape(t *testing.T) {
+	longSweep(t)
 	f := Fig5b(testScale)
 	withF := byName(f, "PTO(Fence)")
 	noF := byName(f, "PTO(NoFence)")
@@ -148,6 +164,7 @@ func TestFig5bShape(t *testing.T) {
 }
 
 func TestFig5cShape(t *testing.T) {
+	longSweep(t)
 	f := Fig5c(testScale)
 	withF := byName(f, "PTO(Fence)")
 	noF := byName(f, "PTO(NoFence)")

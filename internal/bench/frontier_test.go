@@ -8,6 +8,7 @@ import "testing"
 // recovers at a larger one (a located set-size threshold), and the NBTC
 // arm shifts a threshold or wins below one.
 func TestFrontierSample(t *testing.T) {
+	longSweep(t)
 	r := FrontierSample(ablationTestScale)
 	if r.Threads != a12Threads {
 		t.Fatalf("threads = %d, want %d", r.Threads, a12Threads)
@@ -46,6 +47,7 @@ func TestFrontierSample(t *testing.T) {
 // TestAblationFrontierFigure checks the rendered figure's shape: three
 // series per shape, x = the swept budgets.
 func TestAblationFrontierFigure(t *testing.T) {
+	longSweep(t)
 	f := AblationFrontier(ablationTestScale)
 	if len(f.Series) != 3*len(frontierShapes) {
 		t.Fatalf("series = %d, want %d", len(f.Series), 3*len(frontierShapes))

@@ -1,0 +1,191 @@
+package sim
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+)
+
+// Tests of the baton protocol (Machine.schedule): who runs, who parks, and
+// that nothing is left behind.
+
+// runRecovering runs body and returns what Run panicked with, or nil.
+func runRecovering(m *Machine, body func(t *Thread)) (p any) {
+	defer func() { p = recover() }()
+	m.Run(body)
+	return nil
+}
+
+// settleGoroutines waits for the bodies' goroutines, which Run does not join
+// (the last one signals Run and then returns), to exit: no more goroutines
+// than before the run. (Fewer is fine — an earlier test's may have been on
+// their way out when the count was taken.)
+func settleGoroutines(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d, want %d", runtime.NumGoroutine(), before)
+		}
+		runtime.Gosched()
+	}
+}
+
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	start := runtime.NumGoroutine()
+	m := New(DefaultConfig(8))
+	a := m.Thread(0).Alloc(LineWords)
+
+	m.Run(func(th *Thread) { // bodies that end at very different clocks
+		for i := 0; i < 10*(1+th.ID()*th.ID()); i++ {
+			th.Store(a+Addr(th.ID()), th.Load(a)+1)
+		}
+	})
+	settleGoroutines(t, start)
+
+	if p := runRecovering(m, func(th *Thread) {
+		for i := 0; i < 50; i++ {
+			th.Load(a)
+			if th.ID() == 3 && i == 20 {
+				panic("boom")
+			}
+		}
+	}); p != "sim thread 3: boom" {
+		t.Fatalf("Run panicked with %v", p)
+	}
+	settleGoroutines(t, start)
+}
+
+func TestRunReentrantClocksCarryOver(t *testing.T) {
+	m := New(DefaultConfig(4)) // one thread per core: no SMT inflation, so every Run costs the same
+	body := func(th *Thread) {
+		th.Work(uint64(10 + th.ID()))
+		th.Fence()
+	}
+	m.Run(body)
+	var first [4]uint64
+	for i := range first {
+		first[i] = m.Thread(i).Now()
+	}
+	for n := 2; n <= 100; n++ {
+		m.Run(body)
+		for i, c := range first {
+			if got := m.Thread(i).Now(); got != uint64(n)*c {
+				t.Fatalf("thread %d after %d runs: clock %d, want %d", i, n, got, uint64(n)*c)
+			}
+		}
+	}
+	if s := m.Stats(); s.Fences != 400 {
+		t.Fatalf("fences = %d, want 400", s.Fences)
+	}
+}
+
+// A body's panic is reported under its own thread id although the event after
+// it — some other thread's — is executed on the panicking body's goroutine,
+// and the other bodies run to completion.
+func TestPanicNamesItsThread(t *testing.T) {
+	for victim := 0; victim < 4; victim++ {
+		m := New(DefaultConfig(4))
+		a := m.Thread(0).Alloc(LineWords)
+		var finished [4]bool
+		p := runRecovering(m, func(th *Thread) {
+			for i := 0; i < 30; i++ {
+				th.Store(a, uint64(i))
+				if th.ID() == victim && i == 7 {
+					panic(fmt.Errorf("bad %d", victim))
+				}
+			}
+			finished[th.ID()] = true
+		})
+		if want := fmt.Sprintf("sim thread %d: bad %d", victim, victim); p != want {
+			t.Fatalf("victim %d: Run panicked with %v, want %q", victim, p, want)
+		}
+		for i, f := range finished {
+			if f == (i == victim) {
+				t.Fatalf("victim %d: finished = %v", victim, finished)
+			}
+		}
+		if m.Stats().Handoffs == 0 {
+			t.Fatal("no event was executed off its own goroutine")
+		}
+	}
+}
+
+func TestEventlessBodiesDoNotStall(t *testing.T) {
+	for _, idle := range [][]int{{0}, {3}, {1, 2}, {0, 1, 2, 3}} {
+		m := New(DefaultConfig(4))
+		a := m.Thread(0).Alloc(LineWords)
+		skip := map[int]bool{}
+		for _, i := range idle {
+			skip[i] = true
+		}
+		m.Run(func(th *Thread) {
+			if skip[th.ID()] {
+				return
+			}
+			for i := 0; i < 20; i++ {
+				th.Load(a)
+			}
+		})
+		if got, want := m.Stats().Loads, uint64(20*(4-len(idle))); got != want {
+			t.Fatalf("idle %v: loads = %d, want %d", idle, got, want)
+		}
+	}
+}
+
+// One thread's events are all its own: no goroutine switch at all.
+func TestSingleThreadNeverHandsOff(t *testing.T) {
+	m := New(DefaultConfig(1))
+	a := m.Thread(0).Alloc(1)
+	m.Run(func(th *Thread) {
+		for i := 0; i < 100; i++ {
+			th.Atomic(func() { th.Store(a, th.Load(a)+1) })
+		}
+	})
+	if s := m.Stats(); s.Handoffs != 0 || s.TxCommits != 100 {
+		t.Fatalf("stats = %+v", s)
+	}
+}
+
+// A body that panics between TxBegin and TxEnd must not leave a phantom
+// transaction on its hardware thread: the next Run on the machine stores and
+// loads normally everywhere, and nobody conflicts with the dead footprint.
+func TestPanicInsideAtomicLeavesNoTransaction(t *testing.T) {
+	for _, model := range []string{ModelRTM, ModelBoundedSet} {
+		cfg := DefaultConfig(4)
+		cfg.Model = model
+		m := New(cfg)
+		a := m.Thread(0).Alloc(4 * LineWords)
+		slot := func(id int) Addr { return a + Addr(id*LineWords) }
+		if p := runRecovering(m, func(th *Thread) {
+			th.Load(slot(th.ID()))
+			if th.ID() == 0 {
+				th.Atomic(func() {
+					th.Store(slot(0), 99)
+					th.Load(slot(1))
+					panic("inside")
+				})
+			}
+		}); p != "sim thread 0: inside" {
+			t.Fatalf("%s: Run panicked with %v", model, p)
+		}
+		before := m.Stats()
+		var sts [4]Status
+		m.Run(func(th *Thread) {
+			th.Store(slot(th.ID()), uint64(10+th.ID()))
+			sts[th.ID()] = th.Atomic(func() {
+				th.Store(slot(th.ID())+1, th.Load(slot(th.ID()))+1)
+			})
+		})
+		after := m.Stats()
+		if after.TxCommits-before.TxCommits != 4 || after.TxConflicts != before.TxConflicts {
+			t.Fatalf("%s: second run: %+v after %+v, statuses %v", model, after, before, sts)
+		}
+		for i := 0; i < 4; i++ {
+			if v, w := m.Thread(0).Load(slot(i)), m.Thread(0).Load(slot(i)+1); v != uint64(10+i) || w != v+1 {
+				t.Fatalf("%s: thread %d's words = %d, %d", model, i, v, w)
+			}
+		}
+	}
+}

@@ -33,7 +33,7 @@ type HTMModel interface {
 // report false when adding the line overflows the model's capacity, which
 // the machine turns into an AbortCapacity.
 type TxTracker interface {
-	// Begin starts tracking a new transaction.
+	// Begin starts tracking a new transaction, with an empty footprint.
 	Begin()
 	// Read adds line l to the read footprint; false means capacity overflow.
 	Read(l uint64) bool
@@ -49,7 +49,8 @@ type TxTracker interface {
 	// dooms the transaction (true on L1-coupled designs when l is in the
 	// write set; always false for designs with dedicated set storage).
 	EvictionAborts(l uint64) bool
-	// End discards the footprint (commit or abort).
+	// End empties the footprint (commit or abort); its storage serves the
+	// thread's next transaction.
 	End()
 }
 
@@ -92,9 +93,11 @@ const readFilterBuckets = 1021
 func filterBucket(l uint64) uint64 { return (l * 0x9E3779B97F4A7C15) % readFilterBuckets }
 
 func (t *rtmTracker) Begin() {
-	t.readSet = make(map[uint64]struct{}, 32)
-	t.readFilter = make(map[uint64]struct{}, 32)
-	t.writeSet = make(map[uint64]struct{}, 16)
+	if t.readSet == nil {
+		t.readSet = make(map[uint64]struct{}, 32)
+		t.readFilter = make(map[uint64]struct{}, 32)
+		t.writeSet = make(map[uint64]struct{}, 16)
+	}
 }
 
 func (t *rtmTracker) Read(l uint64) bool {
@@ -124,9 +127,9 @@ func (t *rtmTracker) EvictionAborts(l uint64) bool {
 }
 
 func (t *rtmTracker) End() {
-	t.readSet = nil
-	t.readFilter = nil
-	t.writeSet = nil
+	clear(t.readSet)
+	clear(t.readFilter)
+	clear(t.writeSet)
 }
 
 // boundedModel is the FORTH TR design: dedicated per-thread set storage for
@@ -148,8 +151,10 @@ type boundedTracker struct {
 }
 
 func (t *boundedTracker) Begin() {
-	t.readSet = make(map[uint64]struct{}, t.readCap)
-	t.writeSet = make(map[uint64]struct{}, t.writeCap)
+	if t.readSet == nil {
+		t.readSet = make(map[uint64]struct{}, t.readCap)
+		t.writeSet = make(map[uint64]struct{}, t.writeCap)
+	}
 }
 
 func (t *boundedTracker) Read(l uint64) bool {
@@ -175,6 +180,6 @@ func (t *boundedTracker) MayHaveRead(l uint64) bool {
 func (t *boundedTracker) EvictionAborts(uint64) bool { return false }
 
 func (t *boundedTracker) End() {
-	t.readSet = nil
-	t.writeSet = nil
+	clear(t.readSet)
+	clear(t.writeSet)
 }

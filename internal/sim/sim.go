@@ -28,6 +28,18 @@
 // CAS, Fence, Alloc, Atomic, ...); outside Machine.Run those calls execute
 // immediately and free of charge, which is how benchmarks prefill data
 // structures.
+//
+// Inside Run each simulated thread's body is a goroutine, but only the one
+// holding the machine's single baton runs; the rest are parked, each with one
+// posted event. There is no scheduler goroutine: the goroutine that posts an
+// event picks the next event itself (Machine.schedule), executes it, and
+// either carries on — the event was its own, no goroutine switch — or wakes
+// the event's owner and parks, one switch (Stats.Handoffs counts them).
+// Threads are started one at a time under the same baton, each when the
+// previous one posts its first event or ends. The one rule this puts on
+// bodies: they communicate only through simulated memory. A body that blocks
+// on a Go channel or mutex until another body acts deadlocks the run, because
+// that other body is not running.
 package sim
 
 import "fmt"
@@ -78,9 +90,12 @@ type Stats struct {
 	TxConflicts                  uint64
 	TxCapacity                   uint64
 	TxExplicit                   uint64
+	// Handoffs counts events executed on a goroutine other than their
+	// thread's own, each of which costs the host one goroutine switch.
+	Handoffs uint64
 }
 
-type opKind int
+type opKind uint8
 
 const (
 	opLoad opKind = iota
@@ -94,23 +109,19 @@ const (
 	opTxBegin
 	opTxEnd
 	opTxAbort
-	opDone
 )
 
 type request struct {
-	tid    int
 	kind   opKind
 	addr   Addr
 	val    uint64 // store value / CAS new / work cycles / alloc words
 	old    uint64 // CAS expected
-	code   int    // explicit abort code
 	status Status // opTxAbort reason (OK means AbortExplicit)
 }
 
 type reply struct {
 	val     uint64 // load result / alloc address
 	ok      bool   // CAS result
-	now     uint64 // thread clock after the event
 	aborted bool
 	status  Status
 }
@@ -122,17 +133,29 @@ type dline struct {
 	sharers uint16
 }
 
-const pageWords = 1 << 12
+// pageWords makes a page 17 KB, just under the 18 KB allocation size class.
+const pageWords = 1 << 11
 
-// thread is the scheduler-side state of a simulated hardware thread.
+// page is one unit of simulated memory with the directory entries of its
+// lines. Addresses come from a bump allocator, so pages are dense and live in
+// a slice indexed by page number, created on first touch.
+type page struct {
+	words [pageWords]uint64
+	dir   [pageWords / LineWords]dline
+}
+
+// thread is the machine-side state of a simulated hardware thread.
 type thread struct {
-	id    int
-	clock uint64
-	done  bool
+	id      int
+	sibling *thread // SMT sibling, or nil
+	clock   uint64
+	done    bool
 
-	// L1 model: directory bits are authoritative; fifo approximates
-	// occupancy for capacity eviction.
+	// L1 model: directory bits are authoritative; fifo, a ring of L1Lines
+	// entries whose oldest is at head, approximates occupancy for capacity
+	// eviction.
 	fifo []uint64
+	head int
 
 	inTx      bool
 	txAborted bool
@@ -145,8 +168,13 @@ type thread struct {
 	writeBuf   map[Addr]uint64
 	writeOrder []Addr
 
-	pending *request
-	replyCh chan reply
+	// The baton protocol (Run): the thread's posted event, its answer, and
+	// the channel its goroutine parks on until another goroutine has executed
+	// that event.
+	req     request
+	rep     reply
+	pending bool
+	wake    chan struct{}
 }
 
 // Machine is the simulated multicore. Create with New, build initial state
@@ -157,8 +185,7 @@ type Machine struct {
 	model HTMModel
 	stats Stats
 
-	pages map[uint64]*[pageWords]uint64
-	dir   map[uint64]*dline
+	pages []*page
 
 	threads []*thread
 	api     []*Thread
@@ -166,11 +193,17 @@ type Machine struct {
 	nextAddr  Addr
 	allocLine [1]Addr // shared allocator metadata line (the malloc bottleneck)
 
-	running bool
-	reqCh   chan *request
+	// Run state: the body, how many threads have been started, their panics,
+	// and the channel the last body to finish signals Run on.
+	running  bool
+	body     func(t *Thread)
+	started  int
+	panics   []any
+	finished chan struct{}
 
 	// directBuf/directOrder implement write buffering for setup-time
-	// transactions (direct mode).
+	// transactions (direct mode), while directTx is set.
+	directTx    bool
 	directBuf   map[Addr]uint64
 	directOrder []Addr
 }
@@ -186,21 +219,30 @@ func New(cfg Config) *Machine {
 		cfg:      cfg,
 		cost:     cfg.Cost,
 		model:    model,
-		pages:    make(map[uint64]*[pageWords]uint64),
-		dir:      make(map[uint64]*dline),
 		nextAddr: LineWords, // skip the null line
-		reqCh:    make(chan *request, cfg.Threads),
+		finished: make(chan struct{}),
 	}
 	// Reserve the allocator metadata lines.
 	for i := range m.allocLine {
 		m.allocLine[i] = m.nextAddr
 		m.nextAddr += LineWords
 	}
-	for i := 0; i < cfg.Threads; i++ {
-		t := &thread{id: i, tracker: model.NewTracker(), replyCh: make(chan reply, 1)}
-		t.resetTx()
-		m.threads = append(m.threads, t)
-		m.api = append(m.api, &Thread{m: m, id: i, rng: splitmix(cfg.Seed + uint64(i)*0x9E3779B97F4A7C15)})
+	threads, api := make([]thread, cfg.Threads), make([]Thread, cfg.Threads) // one allocation each
+	for i := range threads {
+		// wake holds the one token a parked goroutine is owed, so the waker
+		// never waits for it to arrive.
+		threads[i] = thread{id: i, tracker: model.NewTracker(), wake: make(chan struct{}, 1)}
+		api[i] = Thread{m: m, id: i, rng: splitmix(cfg.Seed + uint64(i)*0x9E3779B97F4A7C15)}
+		m.threads = append(m.threads, &threads[i])
+		m.api = append(m.api, &api[i])
+	}
+	for _, t := range m.threads {
+		// The last thread on t's core other than t (2-way SMT: the only one).
+		for o := t.id % cfg.Cores; o < cfg.Threads; o += cfg.Cores {
+			if o != t.id {
+				t.sibling = m.threads[o]
+			}
+		}
 	}
 	return m
 }
@@ -209,8 +251,8 @@ func (t *thread) resetTx() {
 	t.inTx = false
 	t.txAborted = false
 	t.tracker.End()
-	t.writeBuf = nil
-	t.writeOrder = nil
+	clear(t.writeBuf)
+	t.writeOrder = t.writeOrder[:0]
 }
 
 // Stats returns machine-wide event counters.
@@ -227,100 +269,108 @@ func (m *Machine) Model() HTMModel { return m.model }
 // must only be used by the body function running on it.
 func (m *Machine) Thread(i int) *Thread { return m.api[i] }
 
+// page returns page n, creating it (every line unowned) on first touch.
+func (m *Machine) page(n uint64) *page {
+	if n < uint64(len(m.pages)) && m.pages[n] != nil {
+		return m.pages[n]
+	}
+	for uint64(len(m.pages)) <= n {
+		m.pages = append(m.pages, nil)
+	}
+	p := new(page)
+	for i := range p.dir {
+		p.dir[i].owner = -1
+	}
+	m.pages[n] = p
+	return p
+}
+
 // word returns a pointer to the backing word for a.
 func (m *Machine) word(a Addr) *uint64 {
-	p := m.pages[uint64(a)/pageWords]
-	if p == nil {
-		p = new([pageWords]uint64)
-		m.pages[uint64(a)/pageWords] = p
-	}
-	return &p[uint64(a)%pageWords]
+	return &m.page(uint64(a) / pageWords).words[uint64(a)%pageWords]
 }
 
 func (m *Machine) dirEntry(l uint64) *dline {
-	d := m.dir[l]
-	if d == nil {
-		d = &dline{owner: -1}
-		m.dir[l] = d
-	}
-	return d
+	const pageLines = pageWords / LineWords
+	return &m.page(l / pageLines).dir[l%pageLines]
 }
 
-// sibling returns the id of t's SMT sibling, or -1.
-func (m *Machine) sibling(tid int) int {
-	s := -1
-	for i := 0; i < m.cfg.Threads; i++ {
-		if i != tid && i%m.cfg.Cores == tid%m.cfg.Cores {
-			s = i
-		}
-	}
-	return s
-}
-
-// Run executes body concurrently on the first n threads (n = cfg.Threads)
-// and returns when every body has returned. It may be called repeatedly.
+// Run executes body on every thread and returns when every body has
+// returned. It may be called repeatedly; thread clocks carry over. Bodies run
+// one at a time (package comment) and must not wait for each other in Go.
 func (m *Machine) Run(body func(t *Thread)) {
-	m.running = true
 	for _, t := range m.threads {
-		t.done = false
-		t.pending = nil
+		t.done, t.pending = false, false
 	}
-	panics := make([]any, m.cfg.Threads)
-	for i := 0; i < m.cfg.Threads; i++ {
-		api := m.api[i]
-		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					// Surface panics from simulated code to Run's caller.
-					panics[api.id] = fmt.Sprintf("sim thread %d: %v", api.id, r)
-				}
-				m.reqCh <- &request{tid: api.id, kind: opDone}
-			}()
-			body(api)
-		}()
-	}
-	live := m.cfg.Threads
-	waiting := 0
-	for live > 0 {
-		for waiting < live {
-			r := <-m.reqCh
-			t := m.threads[r.tid]
-			if r.kind == opDone {
-				t.done = true
-				live--
-				continue
-			}
-			t.pending = r
-			waiting++
-		}
-		if live == 0 {
-			break
-		}
-		// Pick the runnable thread with the smallest clock.
-		var pick *thread
-		for _, t := range m.threads {
-			if t.pending != nil && !t.done && (pick == nil || t.clock < pick.clock) {
-				pick = t
-			}
-		}
-		req := pick.pending
-		pick.pending = nil
-		waiting--
-		rep := m.process(pick, req)
-		rep.now = pick.clock
-		pick.replyCh <- rep
-	}
-	m.running = false
-	for _, p := range panics {
+	m.running, m.body, m.started = true, body, 0
+	m.panics = make([]any, len(m.threads))
+	m.start()
+	<-m.finished
+	m.running, m.body = false, nil
+	for _, p := range m.panics {
 		if p != nil {
 			panic(p)
 		}
 	}
 }
 
+// start hands the baton to a new goroutine running the body of the next
+// unstarted thread. When the body ends, that goroutine passes the baton on.
+func (m *Machine) start() {
+	api, t := m.api[m.started], m.threads[m.started]
+	m.started++
+	go func() {
+		defer func() {
+			if r := recover(); r != nil {
+				// Surface panics from simulated code to Run's caller.
+				m.panics[t.id] = fmt.Sprintf("sim thread %d: %v", t.id, r)
+			}
+			t.done = true
+			t.resetTx() // a body that panicked inside Atomic left its transaction open
+			m.schedule(t)
+		}()
+		m.body(api)
+	}()
+}
+
+// schedule is called by the goroutine holding the baton once its thread self
+// has posted an event or finished, and returns when that event has been
+// executed. Every other started thread is parked with a posted event, so the
+// caller makes the scheduling decision itself: while threads remain unstarted
+// it starts the next one; otherwise it executes the event of the pending
+// thread with the smallest (clock, id) and, unless that thread is self, wakes
+// it. The last thread to finish finds nothing pending and signals Run.
+func (m *Machine) schedule(self *thread) {
+	park := !self.done // read now: once the baton is passed on, machine state is another goroutine's
+	if m.started < len(m.threads) {
+		m.start()
+	} else {
+		var pick *thread
+		for _, t := range m.threads {
+			if t.pending && (pick == nil || t.clock < pick.clock) {
+				pick = t
+			}
+		}
+		if pick == nil {
+			m.finished <- struct{}{}
+			return
+		}
+		pick.pending = false
+		pick.rep = m.process(pick, &pick.req)
+		if pick == self {
+			return
+		}
+		m.stats.Handoffs++
+		pick.wake <- struct{}{}
+	}
+	if park {
+		<-self.wake
+	}
+}
+
 // charge adds cycles to t's clock, inflated if its SMT sibling is live.
 func (m *Machine) charge(t *thread, c uint64) {
-	if s := m.sibling(t.id); s >= 0 && !m.threads[s].done {
+	if s := t.sibling; s != nil && !s.done {
 		c = uint64(float64(c) * m.cfg.SMTFactor)
 	}
 	t.clock += c
@@ -403,32 +453,33 @@ func (m *Machine) access(t *thread, a Addr, write bool) uint64 {
 // On L1-coupled models (RTM), evicting a line in the running transaction's
 // write set is a capacity abort; models with dedicated set storage shrug.
 func (m *Machine) insertLine(t *thread, l uint64) {
-	t.fifo = append(t.fifo, l)
+	if len(t.fifo) < m.cfg.L1Lines {
+		t.fifo = append(t.fifo, l)
+		return
+	}
+	old := t.fifo[t.head]
+	t.fifo[t.head] = l
+	t.head = (t.head + 1) % len(t.fifo)
+	if old == l {
+		return
+	}
 	bit := uint16(1) << t.id
-	for len(t.fifo) > m.cfg.L1Lines {
-		old := t.fifo[0]
-		t.fifo = t.fifo[1:]
-		if old == l {
-			continue
-		}
-		d := m.dirEntry(old)
-		if d.sharers&bit == 0 {
-			continue // stale entry: already invalidated
-		}
-		if t.inTx && !t.txAborted && t.tracker.EvictionAborts(old) {
-			t.txAborted = true
-			t.txStatus = AbortCapacity
-		}
-		d.sharers &^= bit
-		if d.owner == int8(t.id) {
-			d.owner = -1
-		}
-		break
+	d := m.dirEntry(old)
+	if d.sharers&bit == 0 {
+		return // stale entry: already invalidated
+	}
+	if t.inTx && !t.txAborted && t.tracker.EvictionAborts(old) {
+		t.txAborted = true
+		t.txStatus = AbortCapacity
+	}
+	d.sharers &^= bit
+	if d.owner == int8(t.id) {
+		d.owner = -1
 	}
 }
 
-// process executes one event on the scheduler. All memory and HTM state
-// changes happen here, in global event order.
+// process executes one event, on whichever goroutine holds the baton. All
+// memory and HTM state changes happen here, in global event order.
 func (m *Machine) process(t *thread, r *request) reply {
 	// A doomed transaction learns of its abort at its next event.
 	if t.inTx && t.txAborted && r.kind != opTxAbort && r.kind != opTxEnd {
@@ -534,8 +585,9 @@ func (m *Machine) process(t *thread, r *request) reply {
 		t.inTx = true
 		t.txAborted = false
 		t.tracker.Begin()
-		t.writeBuf = make(map[Addr]uint64, 16)
-		t.writeOrder = t.writeOrder[:0]
+		if t.writeBuf == nil {
+			t.writeBuf = make(map[Addr]uint64, 16)
+		}
 	case opTxEnd:
 		if t.txAborted {
 			return m.finishAbort(t)

@@ -18,6 +18,9 @@ type Thread struct {
 // txSignal unwinds an aborted transaction to Atomic.
 type txSignal struct{ status Status }
 
+// do executes one event. During Run it posts the event in the thread's own
+// slot and takes the scheduling decision (Machine.schedule); neither mode
+// allocates.
 func (t *Thread) do(r request) reply {
 	if !t.m.running {
 		if r.kind == opTxAbort {
@@ -30,15 +33,15 @@ func (t *Thread) do(r request) reply {
 		}
 		return t.m.direct(&r)
 	}
-	r.tid = t.id
-	t.m.reqCh <- &r
-	rep := <-t.m.threads[t.id].replyCh
-	t.now = rep.now
-	if rep.aborted {
+	th := t.m.threads[t.id]
+	th.req, th.pending = r, true
+	t.m.schedule(th)
+	t.now = th.clock
+	if th.rep.aborted {
 		t.inTx = false
-		panic(txSignal{status: rep.status})
+		panic(txSignal{status: th.rep.status})
 	}
-	return rep
+	return th.rep
 }
 
 // direct executes an event immediately, with functional effects only (no
@@ -47,14 +50,14 @@ func (t *Thread) do(r request) reply {
 func (m *Machine) direct(r *request) reply {
 	switch r.kind {
 	case opLoad:
-		if m.directBuf != nil {
+		if m.directTx {
 			if v, ok := m.directBuf[r.addr]; ok {
 				return reply{val: v}
 			}
 		}
 		return reply{val: *m.word(r.addr)}
 	case opStore:
-		if m.directBuf != nil {
+		if m.directTx {
 			if _, ok := m.directBuf[r.addr]; !ok {
 				m.directOrder = append(m.directOrder, r.addr)
 			}
@@ -64,7 +67,7 @@ func (m *Machine) direct(r *request) reply {
 		*m.word(r.addr) = r.val
 	case opCAS:
 		cur := *m.word(r.addr)
-		if m.directBuf != nil {
+		if m.directTx {
 			if v, ok := m.directBuf[r.addr]; ok {
 				cur = v
 			}
@@ -72,7 +75,7 @@ func (m *Machine) direct(r *request) reply {
 		if cur != r.old {
 			return reply{ok: false}
 		}
-		if m.directBuf != nil {
+		if m.directTx {
 			if _, ok := m.directBuf[r.addr]; !ok {
 				m.directOrder = append(m.directOrder, r.addr)
 			}
@@ -159,7 +162,7 @@ func (t *Thread) TxAbort(code int) {
 		panic("sim: TxAbort outside a transaction")
 	}
 	t.abortCode = code
-	t.do(request{kind: opTxAbort, code: code, status: AbortExplicit})
+	t.do(request{kind: opTxAbort, status: AbortExplicit})
 	panic("unreachable") // the abort reply always panics with txSignal
 }
 
@@ -188,12 +191,14 @@ func (t *Thread) Atomic(body func()) Status {
 	}
 	if !t.m.running {
 		// Setup is single-threaded; buffer writes so TxAbort rolls back.
-		t.inTx = true
-		t.m.directBuf = make(map[Addr]uint64, 8)
-		t.m.directOrder = t.m.directOrder[:0]
+		t.inTx, t.m.directTx = true, true
+		if t.m.directBuf == nil {
+			t.m.directBuf = make(map[Addr]uint64, 8)
+		}
 		defer func() {
-			t.inTx = false
-			t.m.directBuf = nil
+			t.inTx, t.m.directTx = false, false
+			clear(t.m.directBuf)
+			t.m.directOrder = t.m.directOrder[:0]
 		}()
 		return func() (st Status) {
 			defer func() {

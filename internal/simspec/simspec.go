@@ -10,10 +10,11 @@
 // ablations and the adaptive-policy ablation exercise one policy
 // implementation across both substrates.
 //
-// Determinism: the simulator's scheduler runs the Go code between events
-// of different simulated threads concurrently, so a shared mutable
-// adaptive window would inject scheduling nondeterminism into modeled
-// runs. The driver therefore keeps its adaptive state in per-hardware-
+// Determinism: the simulator orders events, not the Go code between them
+// (a body runs on from one event until it posts the next, and how far that
+// is depends on the structure's code, not on simulated time), so a shared
+// mutable adaptive window would tie modeled runs to that incidental order.
+// The driver therefore keeps its adaptive state in per-hardware-
 // thread lanes (plain, unshared fields), and draws backoff jitter from the
 // thread's own deterministic Rand stream. Decision sequences depend only
 // on each thread's event history, so simulated runs stay replayable.

@@ -38,9 +38,10 @@ const (
 	nbtcUnfit
 )
 
-// NBTCStats counts NBTC publication outcomes, machine-wide. Thread bodies
-// run as real goroutines between modeled events, so the counters are
-// atomics; reads are exact at quiescence (after Machine.Run returns).
+// NBTCStats counts NBTC publication outcomes, machine-wide. The counters are
+// atomics, so a reader outside the run (a metrics endpoint, a test) never
+// races the thread bodies' goroutines; reads are exact at quiescence (after
+// Machine.Run returns).
 type NBTCStats struct {
 	// Batches is the number of publication batches committed as one
 	// commit-time hardware transaction.
