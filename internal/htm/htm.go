@@ -48,10 +48,11 @@
 package htm
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -72,7 +73,8 @@ const (
 	AbortCapacity
 	// AbortExplicit means the transaction called Abort itself, e.g. because
 	// it observed a state in which it would have to help a concurrent
-	// operation (§2.4 of the paper). The user code is available via Tx code.
+	// operation (§2.4 of the paper), or because a helping or deferring
+	// attempt met more undecided descriptors than its budget (HelpExhausted).
 	AbortExplicit
 )
 
@@ -428,13 +430,8 @@ func NewVar[T comparable](d *Domain, init T) *Var[T] {
 // Domain returns the domain the Var is bound to.
 func (v *Var[T]) Domain() *Domain { return v.d }
 
-// abortSignal is the panic payload used to unwind to Atomically.
-type abortSignal struct {
-	status Status
-	code   int
-	// alias marks a conflict abort attributed to stripe aliasing.
-	alias bool
-}
+// ID returns the Var's identity, unique across all Vars.
+func (v *Var[T]) ID() uint64 { return v.id }
 
 // stripeRec is one touched stripe of a transaction: the stripe (pointer and
 // index), the id of the (first) Var the transaction touched there — kept for
@@ -449,7 +446,10 @@ type stripeRec struct {
 
 // Tx is an in-flight transaction. A Tx is only valid inside the function
 // passed to Atomically and must not be retained, shared between goroutines,
-// or used after that function returns.
+// or used after that function returns: attempts take their Tx from a pool
+// and recycle it when they end, so its sets, log and commit scratch keep
+// their capacity and a steady-state attempt allocates nothing but the cells
+// it publishes. Load, Store and Abort through a recycled Tx panic (live).
 type Tx struct {
 	d  *Domain
 	t  *stripeTable // the table installed at begin; the whole attempt works here
@@ -459,25 +459,35 @@ type Tx struct {
 	readSet  []uint64    // stripes with at least one transactional read
 	readRecs []stripeRec // one record per read stripe, first-touch order
 
-	// writes is the redo log: insertion-ordered so commit write-back follows
-	// program order of first-writes, plus an index for read-own-writes.
-	writeIdx map[any]int
+	// writeLog is the redo log: insertion-ordered so commit write-back
+	// follows program order of first-writes. writeIdx maps a written Var's
+	// id to its log position; written is a 64-bit filter over those ids
+	// (bit id&63), so a Load of a Var the attempt has not written — every
+	// step of a search walk — never touches the map (staged).
 	writeLog []writeEntry
+	writeIdx map[uint64]int
+	written  uint64
+
+	// lockRecs and lockSet are commit's scratch: the records and the bitmap
+	// of the written stripes (writeRecs).
+	lockRecs []stripeRec
+	lockSet  []uint64
 
 	readCap  int
 	writeCap int
-	code     int
-	// alias records whether the abort that ended this attempt (if any) was
-	// a conflict attributed to stripe aliasing.
-	alias bool
+	// aborted is the status of an attempt that unwound out of its body
+	// (abort); alias, whether the conflict that ended the attempt, there or
+	// in commit, was attributed to stripe aliasing.
+	aborted Status
+	alias   bool
 
 	// helpBudget and helped implement the three-path template's middle
 	// tier: a transaction run with a positive budget (AtomicallyHelping)
 	// drives up to helpBudget undecided MultiCAS descriptors claiming its
 	// written cells to decision at commit — instead of killing them or
-	// aborting on sight — then aborts explicitly with code HelpExhausted.
-	// The fast path runs with budget 0 and is untouched. deferPending is
-	// the budget-0 variant for the fast level of a three-path site
+	// aborting on sight — then aborts explicitly (HelpExhausted). The fast
+	// path runs with budget 0 and is untouched. deferPending is the
+	// budget-0 variant for the fast level of a three-path site
 	// (AtomicallyDeferring): an undecided descriptor on the write set
 	// aborts the attempt instead of being killed, deferring the encounter
 	// to the helping tier below.
@@ -486,31 +496,84 @@ type Tx struct {
 	deferPending bool
 }
 
-type writeEntry struct {
-	key   any
-	varID uint64
-	boxed any // the pending value, boxed, for read-own-writes
-	apply func(boxed any)
-	// pending probes the written cell for an undecided MultiCAS claim, for
-	// the commit-time helping pass of budgeted (middle-level) transactions.
-	pending func() *MultiDesc
+// txPool recycles Tx values across attempts (and goroutines). A pooled Tx is
+// a zero Tx but for the capacity of its slices and map.
+var txPool = sync.Pool{New: func() any { return &Tx{writeIdx: make(map[uint64]int)} }}
+
+// recycle returns tx to the pool as a zero Tx with capacity: cleared, so it
+// pins no cell, Var or retired stripe table, and detached (live).
+func (tx *Tx) recycle() {
+	clear(tx.readRecs)
+	clear(tx.writeLog)
+	clear(tx.lockRecs)
+	clear(tx.writeIdx)
+	*tx = Tx{
+		readSet:  tx.readSet,
+		readRecs: tx.readRecs[:0],
+		writeLog: tx.writeLog[:0],
+		writeIdx: tx.writeIdx,
+		lockRecs: tx.lockRecs[:0],
+		lockSet:  tx.lockSet,
+	}
+	txPool.Put(tx)
 }
 
-// Code returns the user abort code recorded by the last explicit Abort on
-// this context. It is only meaningful when Atomically returned AbortExplicit.
-func (tx *Tx) Code() int { return tx.code }
+// live returns the attempt's stripe table, panicking on a Tx whose attempt
+// has already returned.
+func (tx *Tx) live() *stripeTable {
+	if tx.t == nil {
+		panic("htm: Tx used after its attempt returned")
+	}
+	return tx.t
+}
 
-// Abort aborts the running transaction with AbortExplicit, recording code for
-// the fallback path (the analogue of XABORT imm8). It does not return.
+// zeroWords returns buf resized to n zero words, reusing its capacity.
+func zeroWords(buf []uint64, n int) []uint64 {
+	buf = slices.Grow(buf[:0], n)[:n]
+	clear(buf)
+	return buf
+}
+
+// writeTarget is the untyped face of a written Var[T] in the redo log:
+// install publishes c, the *cell[T] staged for the Var, under the Var's
+// stripe lock (storeLocked); pendingDesc returns the undecided MultiCAS
+// descriptor claiming the Var's cell, if any, for commit's helping pass.
+type writeTarget interface {
+	install(c any)
+	pendingDesc() *MultiDesc
+}
+
+// writeEntry is one redo-log record: the written Var and the cell commit
+// will install for it, allocated by the first Store to the Var and private
+// to the attempt until then (write-after-write mutates it, read-own-write
+// reads it): a write costs one allocation, the box the Var must point at.
+type writeEntry struct {
+	v     writeTarget
+	varID uint64
+	cell  any // *cell[T]
+}
+
+// Abort aborts the running transaction with AbortExplicit (the analogue of
+// XABORT imm8; code documents the reason at the call site — retry policies
+// act on the status alone). It does not return.
 func (tx *Tx) Abort(code int) {
-	tx.code = code
-	panic(abortSignal{status: AbortExplicit, code: code})
+	tx.live()
+	tx.abort(AbortExplicit)
+}
+
+// abort unwinds the attempt's body back to attempt, which reports st. The
+// panic payload is the Tx itself: boxing a pointer allocates nothing, and no
+// other attempt's unwinding can be mistaken for this one's.
+func (tx *Tx) abort(st Status) {
+	tx.aborted = st
+	panic(tx)
 }
 
 // conflict aborts the transaction with AbortConflict, classifying the
 // abort against the stripe word that failed validation. It does not return.
 func (tx *Tx) conflict(word uint64, s *stripe, varID uint64) {
-	panic(abortSignal{status: AbortConflict, alias: aliasConflict(word, s, varID)})
+	tx.alias = aliasConflict(word, s, varID)
+	tx.abort(AbortConflict)
 }
 
 // recordRead adds the stripe to the transaction's read set (first touch
@@ -558,7 +621,8 @@ func (d *Domain) AtomicallyClassified(f func(tx *Tx)) (Status, bool) {
 // HelpExhausted is the abort code of a helping (middle-level) transaction
 // that ran out of helping budget: it encountered more undecided MultiCAS
 // descriptors on its write set than helpBudget allowed, helped that many to
-// decision, and aborted explicitly rather than kill the rest. The helping
+// decision, and aborted explicitly rather than kill the rest (commit raises
+// this AbortExplicit, not the body; callers see the status). The helping
 // is real progress — the decided descriptors stay decided — so retry
 // policies treat the abort as consuming one attempt, not the level. A
 // deferring fast attempt (AtomicallyDeferring, budget 0) aborts with the
@@ -595,26 +659,21 @@ func (d *Domain) AtomicallyDeferring(f func(tx *Tx)) (Status, bool) {
 }
 
 func (d *Domain) atomically(helpBudget int, deferPending bool, f func(tx *Tx)) (Status, bool, int) {
-	rc, wc := d.caps()
-	t := d.table()
-	tx := &Tx{
-		d:            d,
-		t:            t,
-		rv:           d.clock.Load(),
-		readSet:      make([]uint64, t.words),
-		writeIdx:     make(map[any]int, 8),
-		readCap:      rc,
-		writeCap:     wc,
-		helpBudget:   helpBudget,
-		deferPending: deferPending,
-	}
+	tx := txPool.Get().(*Tx)
+	tx.d, tx.t, tx.rv = d, d.table(), d.clock.Load()
+	tx.readCap, tx.writeCap = d.caps()
+	tx.helpBudget, tx.deferPending = helpBudget, deferPending
+	tx.readSet = zeroWords(tx.readSet, tx.t.words)
+	// A foreign panic out of f unwinds past the recycle: that Tx is dropped.
 	status := d.attempt(tx, f)
+	alias, helped := status == AbortConflict && tx.alias, tx.helped
+	tx.recycle()
 	switch status {
 	case Committed:
 		d.commits.Add(1)
 	case AbortConflict:
 		d.conflicts.Add(1)
-		if tx.alias {
+		if alias {
 			d.falseConflicts.Add(1)
 		}
 	case AbortCapacity:
@@ -622,18 +681,16 @@ func (d *Domain) atomically(helpBudget int, deferPending bool, f func(tx *Tx)) (
 	case AbortExplicit:
 		d.explicit.Add(1)
 	}
-	return status, status == AbortConflict && tx.alias, tx.helped
+	return status, alias, helped
 }
 
 func (d *Domain) attempt(tx *Tx, f func(tx *Tx)) (status Status) {
 	defer func() {
 		if r := recover(); r != nil {
-			if sig, ok := r.(abortSignal); ok {
-				status = sig.status
-				tx.alias = sig.alias
-				return
+			if r != any(tx) {
+				panic(r)
 			}
-			panic(r)
+			status = tx.aborted
 		}
 	}()
 	f(tx)
@@ -668,17 +725,13 @@ func (tx *Tx) commit() Status {
 	if tx.helpBudget > 0 || tx.deferPending {
 		for i := range tx.writeLog {
 			e := &tx.writeLog[i]
-			if e.pending == nil {
-				continue
-			}
 			for {
-				m := e.pending()
+				m := e.v.pendingDesc()
 				if m == nil {
 					break
 				}
 				if tx.helped >= tx.helpBudget {
-					tx.code = HelpExhausted
-					return AbortExplicit
+					return AbortExplicit // code HelpExhausted
 				}
 				tx.helped++
 				m.help()
@@ -693,7 +746,7 @@ func (tx *Tx) commit() Status {
 	// retired under us. The abort is classified from the very word observed
 	// locked: a re-read could find the holder gone and book an alias
 	// conflict as true.
-	recs, wset := writeRecs(tx.t, tx.writeLog)
+	recs, wset := tx.writeRecs()
 	for i := range recs {
 		s := recs[i].s
 		w := s.word.Load()
@@ -733,7 +786,7 @@ func (tx *Tx) commit() Status {
 	// Apply the redo log and release the stripes at the new version.
 	for i := range tx.writeLog {
 		e := &tx.writeLog[i]
-		e.apply(e.boxed)
+		e.v.install(e.cell)
 	}
 	tx.unlock(recs, wv<<1)
 	return Committed
@@ -756,28 +809,36 @@ func (tx *Tx) unlock(recs []stripeRec, word uint64) {
 	}
 }
 
+// cmpIdx orders a stripe record against a stripe index.
+func cmpIdx(r stripeRec, idx uint32) int { return cmp.Compare(r.idx, idx) }
+
+// byIdx orders stripe records by stripe index, the lock order.
+func byIdx(a, b stripeRec) int { return cmpIdx(a, b.idx) }
+
 // prevOf returns the pre-lock word recorded for stripe idx in the sorted
 // lock records.
 func prevOf(recs []stripeRec, idx uint32) uint64 {
-	i := sort.Search(len(recs), func(i int) bool { return recs[i].idx >= idx })
+	i, _ := slices.BinarySearchFunc(recs, idx, cmpIdx)
 	return recs[i].prev
 }
 
-// writeRecs returns one record per distinct stripe the write log touches in
-// table t, sorted ascending, and the bitmap of those stripes.
-func writeRecs(t *stripeTable, log []writeEntry) ([]stripeRec, []uint64) {
-	var recs []stripeRec
-	seen := make([]uint64, t.words)
-	for i := range log {
-		idx := t.indexOf(log[i].varID)
+// writeRecs returns (in tx's scratch) one record per distinct stripe the
+// write log touches, sorted ascending, and the bitmap of those stripes.
+func (tx *Tx) writeRecs() ([]stripeRec, []uint64) {
+	t := tx.t
+	recs, seen := tx.lockRecs, zeroWords(tx.lockSet, t.words)
+	for i := range tx.writeLog {
+		id := tx.writeLog[i].varID
+		idx := t.indexOf(id)
 		w, b := idx>>6, uint64(1)<<(idx&63)
 		if seen[w]&b != 0 {
 			continue
 		}
 		seen[w] |= b
-		recs = append(recs, stripeRec{s: &t.stripes[idx], idx: idx, varID: log[i].varID})
+		recs = append(recs, stripeRec{s: &t.stripes[idx], idx: idx, varID: id})
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].idx < recs[j].idx })
+	slices.SortFunc(recs, byIdx)
+	tx.lockRecs, tx.lockSet = recs, seen
 	return recs, seen
 }
 
@@ -810,17 +871,18 @@ func (s *stripe) publish(id, wv uint64) {
 // commit (it retries across the stripe's writer windows).
 func Load[T comparable](tx *Tx, v *Var[T]) T {
 	if tx != nil {
-		if i, ok := tx.writeIdx[v]; ok {
-			return tx.writeLog[i].boxed.(T)
+		t := tx.live()
+		if c := staged(tx, v); c != nil {
+			return c.val
 		}
 		tx.reads++
 		if tx.reads > tx.readCap {
-			panic(abortSignal{status: AbortCapacity})
+			tx.abort(AbortCapacity)
 		}
 		// Resolve the stripe in the attempt's table: if that has been
 		// retired the stripe reads locked, for good, and we abort.
-		idx := tx.t.indexOf(v.id)
-		s := &tx.t.stripes[idx]
+		idx := t.indexOf(v.id)
+		s := &t.stripes[idx]
 		pre := s.word.Load()
 		if pre&1 != 0 || pre>>1 > tx.rv {
 			tx.conflict(pre, s, v.id)
@@ -868,12 +930,13 @@ func loadResolved[T comparable](v *Var[T]) T {
 	}
 }
 
-// storeLocked installs x in v's cell. It must be called with v's stripe
-// lock held: an undecided MultiCAS descriptor found on the cell is killed
-// (its decision must acquire this stripe too, so the status CAS cannot race
-// with a commit), and a decided one — whose stripe bump necessarily
-// preceded our lock acquisition — is released before we overwrite.
-func storeLocked[T comparable](v *Var[T], x T) {
+// storeLocked makes the plain cell nc v's cell. It must be called with v's
+// stripe lock held: an undecided MultiCAS descriptor found on the cell is
+// killed (its decision must acquire this stripe too, so the status CAS
+// cannot race with a commit), and a decided one — whose stripe bump
+// necessarily preceded our lock acquisition — is released before we
+// overwrite.
+func storeLocked[T comparable](v *Var[T], nc *cell[T]) {
 	for {
 		c := v.p.Load()
 		if c.desc != nil {
@@ -881,10 +944,30 @@ func storeLocked[T comparable](v *Var[T], x T) {
 			c.desc.releaseAll()
 			continue
 		}
-		if v.p.CompareAndSwap(c, &cell[T]{val: x}) {
+		if v.p.CompareAndSwap(c, nc) {
 			return
 		}
 	}
+}
+
+func (v *Var[T]) install(c any) { storeLocked(v, c.(*cell[T])) }
+
+func (v *Var[T]) pendingDesc() *MultiDesc {
+	if c := v.p.Load(); c.desc != nil && c.desc.status.Load() == mwUndecided {
+		return c.desc
+	}
+	return nil
+}
+
+// staged returns the cell tx has staged for v, or nil if it has not written
+// v — without a map access unless v's filter bit is set.
+func staged[T comparable](tx *Tx, v *Var[T]) *cell[T] {
+	if tx.written&(1<<(v.id&63)) != 0 {
+		if i, ok := tx.writeIdx[v.id]; ok {
+			return tx.writeLog[i].cell.(*cell[T])
+		}
+	}
+	return nil
 }
 
 // Store writes x to v. With a non-nil tx the write is buffered and becomes
@@ -892,33 +975,22 @@ func storeLocked[T comparable](v *Var[T], x T) {
 // under v's stripe lock.
 func Store[T comparable](tx *Tx, v *Var[T], x T) {
 	if tx != nil {
-		if i, ok := tx.writeIdx[v]; ok {
-			tx.writeLog[i].boxed = x
+		tx.live()
+		if c := staged(tx, v); c != nil {
+			c.val = x
 			return
 		}
 		if len(tx.writeLog) >= tx.writeCap {
-			panic(abortSignal{status: AbortCapacity})
+			tx.abort(AbortCapacity)
 		}
-		tx.writeIdx[v] = len(tx.writeLog)
-		tx.writeLog = append(tx.writeLog, writeEntry{
-			key:   v,
-			varID: v.id,
-			boxed: x,
-			apply: func(boxed any) {
-				storeLocked(v, boxed.(T))
-			},
-			pending: func() *MultiDesc {
-				if c := v.p.Load(); c.desc != nil && c.desc.status.Load() == mwUndecided {
-					return c.desc
-				}
-				return nil
-			},
-		})
+		tx.written |= 1 << (v.id & 63)
+		tx.writeIdx[v.id] = len(tx.writeLog)
+		tx.writeLog = append(tx.writeLog, writeEntry{v: v, varID: v.id, cell: &cell[T]{val: x}})
 		return
 	}
 	d := v.d
 	s, _ := d.lockVar(v.id)
-	storeLocked(v, x)
+	storeLocked(v, &cell[T]{val: x})
 	s.publish(v.id, d.clock.Add(1))
 }
 

@@ -42,18 +42,6 @@ func TestExplicitAbortDiscardsWrites(t *testing.T) {
 	}
 }
 
-func TestAbortCodeIsVisible(t *testing.T) {
-	d := NewDomain(0, 0)
-	var tx0 *Tx
-	st := d.Atomically(func(tx *Tx) {
-		tx0 = tx
-		tx.Abort(42)
-	})
-	if st != AbortExplicit || tx0.Code() != 42 {
-		t.Fatalf("status=%v code=%d, want explicit/42", st, tx0.Code())
-	}
-}
-
 func TestReadOwnWrites(t *testing.T) {
 	d := NewDomain(0, 0)
 	x := NewVar(d, 5)

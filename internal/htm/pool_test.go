@@ -1,0 +1,247 @@
+package htm
+
+import (
+	"testing"
+)
+
+// The tests in this file pin the hygiene of the pooled Tx: every attempt
+// starts from a Tx that carries nothing of the attempt before it, however
+// that one ended. They run on one goroutine, so (outside -race, where
+// sync.Pool drops values at random) the very Tx under suspicion comes back.
+
+// checkFresh fails unless tx looks like the first attempt of a new Tx.
+func checkFresh(t *testing.T, tx *Tx) {
+	t.Helper()
+	if len(tx.writeLog) != 0 || len(tx.writeIdx) != 0 || tx.written != 0 {
+		t.Errorf("recycled Tx carries a write log: log=%d idx=%d filter=%#x",
+			len(tx.writeLog), len(tx.writeIdx), tx.written)
+	}
+	if tx.reads != 0 || len(tx.readRecs) != 0 || len(tx.lockRecs) != 0 {
+		t.Errorf("recycled Tx carries reads=%d readRecs=%d lockRecs=%d",
+			tx.reads, len(tx.readRecs), len(tx.lockRecs))
+	}
+	if len(tx.readSet) != tx.t.words {
+		t.Errorf("read bitmap has %d words, table has %d", len(tx.readSet), tx.t.words)
+	}
+	for _, w := range tx.readSet {
+		if w != 0 {
+			t.Errorf("recycled Tx carries a read bitmap: %#x", tx.readSet)
+			break
+		}
+	}
+	if tx.helped != 0 || tx.alias {
+		t.Errorf("recycled Tx carries helped=%d alias=%v", tx.helped, tx.alias)
+	}
+}
+
+func TestPoolAbortedWritesDoNotLeak(t *testing.T) {
+	endings := []struct {
+		name string
+		want Status
+		end  func(tx *Tx, x, y *Var[int])
+	}{
+		{"explicit", AbortExplicit, func(tx *Tx, x, y *Var[int]) {
+			Store(tx, x, 99)
+			tx.Abort(3)
+		}},
+		{"capacity", AbortCapacity, func(tx *Tx, x, y *Var[int]) {
+			Store(tx, x, 99)
+			Store(tx, y, 99) // write capacity is 1
+		}},
+		{"commit-conflict", AbortConflict, func(tx *Tx, x, y *Var[int]) {
+			Load(tx, y)
+			Store(tx, x, 99)
+			Store(nil, y, 8) // invalidates the read of y; found at commit
+		}},
+	}
+	for _, e := range endings {
+		t.Run(e.name, func(t *testing.T) {
+			d := NewDomain(0, 1)
+			x, y := NewVar(d, 10), NewVar(d, 7)
+			if st := d.Atomically(func(tx *Tx) { e.end(tx, x, y) }); st != e.want {
+				t.Fatalf("first attempt ended %v, want %v", st, e.want)
+			}
+			st := d.Atomically(func(tx *Tx) {
+				checkFresh(t, tx)
+				if got := Load(tx, x); got != 10 {
+					t.Errorf("x = %d in the next attempt, want the committed 10", got)
+				}
+				if len(tx.writeLog) != 0 || tx.written != 0 {
+					t.Errorf("a Load grew the write log")
+				}
+			})
+			if st != Committed {
+				t.Fatalf("read-only follow-up ended %v", st)
+			}
+			if got := Load(nil, x); got != 10 {
+				t.Errorf("x = %d after the aborted write, want 10", got)
+			}
+		})
+	}
+}
+
+type poolNode struct{ k int }
+
+// stageTwice stores a then b to v in one attempt, checks the attempt reads
+// back b (the typed read-own-write through the staged cell) and that b is
+// what commits.
+func stageTwice[T comparable](t *testing.T, d *Domain, v *Var[T], a, b T) {
+	t.Helper()
+	st := d.Atomically(func(tx *Tx) {
+		Store(tx, v, a)
+		if got := Load(tx, v); got != a {
+			t.Errorf("read-own-write = %v, want %v", got, a)
+		}
+		Store(tx, v, b)
+		if got := Load(tx, v); got != b {
+			t.Errorf("read after write-after-write = %v, want %v", got, b)
+		}
+		if len(tx.writeLog) != 1 || tx.reads != 0 {
+			t.Errorf("two stores to one Var: log=%d reads=%d, want 1 and 0", len(tx.writeLog), tx.reads)
+		}
+	})
+	if st != Committed {
+		t.Fatalf("status = %v", st)
+	}
+	if got := Load(nil, v); got != b {
+		t.Errorf("committed %v, want the last staged value %v", got, b)
+	}
+}
+
+func TestPoolWriteAfterWriteTyped(t *testing.T) {
+	d := NewDomain(0, 0)
+	n1, n2 := &poolNode{1}, &poolNode{2}
+	stageTwice(t, d, NewVar(d, "init"), "a", "b")
+	stageTwice(t, d, NewVar[*poolNode](d, nil), n1, n2)
+	stageTwice(t, d, NewVar[*poolNode](d, n1), n2, nil)
+	stageTwice(t, d, NewVar(d, uint64(0)), 1<<63, 42)
+}
+
+func TestPoolForeignPanicLeavesNextAttemptClean(t *testing.T) {
+	d := NewDomain(0, 0)
+	x := NewVar(d, 1)
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("recovered %v, want the body's own panic", r)
+			}
+		}()
+		d.Atomically(func(tx *Tx) {
+			Load(tx, x)
+			Store(tx, x, 99)
+			panic("boom")
+		})
+	}()
+	st := d.Atomically(func(tx *Tx) {
+		checkFresh(t, tx)
+		Store(tx, x, Load(tx, x)+1)
+	})
+	if st != Committed || Load(nil, x) != 2 {
+		t.Fatalf("after a foreign panic: status=%v x=%d, want committed/2", st, Load(nil, x))
+	}
+}
+
+// TestPoolAcrossResize runs attempts on either side of a grow and a shrink
+// of the stripe table: the recycled bitmaps go 4 → 16 → 1 words.
+func TestPoolAcrossResize(t *testing.T) {
+	d := NewDomainStripes(0, 0, 256)
+	vars := make([]*Var[int], 300)
+	for i := range vars {
+		vars[i] = NewVar(d, 0)
+	}
+	round := func(words, want int) {
+		t.Helper()
+		st := d.Atomically(func(tx *Tx) {
+			checkFresh(t, tx)
+			if len(tx.readSet) != words {
+				t.Errorf("read bitmap = %d words, want %d", len(tx.readSet), words)
+			}
+			for _, v := range vars {
+				Store(tx, v, Load(tx, v)+1)
+			}
+		})
+		if st != Committed {
+			t.Fatalf("status = %v at %d stripes", st, d.Stripes())
+		}
+		for i, v := range vars {
+			if got := Load(nil, v); got != want {
+				t.Fatalf("vars[%d] = %d at %d stripes, want %d", i, got, d.Stripes(), want)
+			}
+		}
+	}
+	round(4, 1)
+	d.ResizeStripes(1024)
+	round(16, 2)
+	d.ResizeStripes(64)
+	round(1, 3)
+}
+
+// TestPoolCapacityLimitsExact: a maximal attempt grows every recycled
+// buffer past any limit a later attempt runs under; the limits are still
+// the configured ones, to the operation.
+func TestPoolCapacityLimitsExact(t *testing.T) {
+	d := NewDomain(0, 0)
+	vars := make([]*Var[int], DefaultReadCap+1)
+	for i := range vars {
+		vars[i] = NewVar(d, i)
+	}
+	run := func(reads, writes int) Status {
+		return d.Atomically(func(tx *Tx) {
+			for _, v := range vars[:reads] {
+				Load(tx, v)
+			}
+			for _, v := range vars[:writes] {
+				Store(tx, v, -1)
+			}
+		})
+	}
+	for _, c := range []struct {
+		readCap, writeCap, reads, writes int
+		want                             Status
+	}{
+		{0, 0, DefaultReadCap, DefaultWriteCap, Committed},
+		{0, 0, DefaultReadCap + 1, 0, AbortCapacity},
+		{0, 0, 0, DefaultWriteCap + 1, AbortCapacity},
+		{2, 1, 2, 1, Committed},
+		{2, 1, 3, 0, AbortCapacity},
+		{2, 1, 0, 2, AbortCapacity},
+		{-1, -1, 1, 0, AbortCapacity},
+		{-1, -1, 0, 1, AbortCapacity},
+	} {
+		d.SetCapacity(c.readCap, c.writeCap)
+		if st := run(c.reads, c.writes); st != c.want {
+			t.Errorf("caps (%d,%d), %d reads, %d writes: %v, want %v",
+				c.readCap, c.writeCap, c.reads, c.writes, st, c.want)
+		}
+	}
+}
+
+// TestPoolStaleTxPanics: a Tx retained past its attempt is detached, and
+// every operation through it panics with the engine's own message — not an
+// abort signal an enclosing attempt would swallow, and never a write into
+// the log of whichever attempt owns the Tx next.
+func TestPoolStaleTxPanics(t *testing.T) {
+	d := NewDomain(0, 0)
+	x := NewVar(d, 1)
+	var stale *Tx
+	d.Atomically(func(tx *Tx) { stale = tx })
+	for name, use := range map[string]func(){
+		"Load":  func() { Load(stale, x) },
+		"Store": func() { Store(stale, x, 2) },
+		"CAS":   func() { CAS(stale, x, 1, 2) },
+		"Abort": func() { stale.Abort(1) },
+	} {
+		func() {
+			defer func() {
+				if r, ok := recover().(string); !ok || r != "htm: Tx used after its attempt returned" {
+					t.Errorf("%s through a stale Tx: recovered %v", name, r)
+				}
+			}()
+			use()
+			t.Errorf("%s through a stale Tx returned", name)
+		}()
+	}
+	if len(stale.writeLog) != 0 || Load(nil, x) != 1 {
+		t.Errorf("a stale Tx took a write")
+	}
+}

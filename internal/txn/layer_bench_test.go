@@ -1,0 +1,111 @@
+package txn_test
+
+import (
+	"testing"
+
+	"repro/internal/hashtable"
+	"repro/internal/htm"
+	"repro/internal/israce"
+	"repro/internal/skiplist"
+	"repro/internal/txn"
+)
+
+// The composition layer's own share of the runtime clock (ROADMAP
+// perf-ledger (b)): one composed operation of each basic shape on one
+// goroutine, on the prefix path and on the forced MultiCAS fallback.
+
+// benchSets returns a manager (forced onto its fallback when fallback is
+// set) with a 256-key hash table and a 256-key skiplist in its domain.
+func benchSets(fallback bool) (*txn.Manager, *hashtable.PTOTable, *skiplist.PTOSet) {
+	d := htm.NewDomain(0, 0)
+	if fallback {
+		d.SetCapacity(-1, -1)
+	}
+	m := txn.NewIn(d, 0)
+	hot, cold := hashtable.NewPTOTableIn(d, 64, 0), skiplist.NewPTOSetIn(d, 0)
+	for k := int64(0); k < 512; k += 2 {
+		insert(m, hot, k)
+		insert(m, cold, k)
+	}
+	return m, hot, cold
+}
+
+// flip returns a one-op Atomic that alternately inserts and removes key, so
+// every call changes the set.
+func flip(m *txn.Manager, s txn.Set, key int64) func() {
+	in := false
+	return func() {
+		m.Atomic(func(c *txn.Ctx) {
+			if in {
+				s.TxRemove(c, key)
+			} else {
+				s.TxInsert(c, key)
+			}
+		})
+		in = !in
+	}
+}
+
+func run(b *testing.B, f func()) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f()
+	}
+}
+
+func BenchmarkAtomic1Op(b *testing.B) {
+	m, hot, _ := benchSets(false)
+	run(b, flip(m, hot, 701))
+}
+
+func BenchmarkAtomic1OpFallback(b *testing.B) {
+	m, hot, _ := benchSets(true)
+	run(b, flip(m, hot, 701))
+}
+
+var benchHits int
+
+// readOnly1Op is one composed lookup in the skiplist: a search path of
+// transactional reads and nothing to publish.
+func readOnly1Op(m *txn.Manager, s *skiplist.PTOSet) func() {
+	return func() {
+		m.ReadOnly(func(c *txn.Ctx) {
+			if s.TxContains(c, 64) {
+				benchHits++
+			}
+		})
+	}
+}
+
+func BenchmarkReadOnly1Op(b *testing.B) {
+	m, _, cold := benchSets(false)
+	run(b, readOnly1Op(m, cold))
+}
+
+func BenchmarkMoveAll16(b *testing.B) {
+	m, hot, cold := benchSets(false)
+	keys := make([]int64, 16)
+	for i := range keys {
+		keys[i] = int64(16000 + 2*i)
+		insert(m, hot, keys[i])
+	}
+	var src, dst txn.Set = hot, cold
+	run(b, func() {
+		benchHits += txn.MoveAll(m, src, dst, keys...)
+		src, dst = dst, src
+	})
+}
+
+// TestAllocsComposedReadOnly pins the prefix path's bookkeeping at zero: a
+// composed lookup that commits read-only takes its Ctx and its Tx from
+// their pools and publishes nothing.
+func TestAllocsComposedReadOnly(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation pins are meaningless under the race detector")
+	}
+	m, _, cold := benchSets(false)
+	if got := testing.AllocsPerRun(200, readOnly1Op(m, cold)); got != 0 {
+		t.Errorf("composed one-op ReadOnly: %v allocs, want 0", got)
+	}
+}

@@ -39,6 +39,8 @@
 package txn
 
 import (
+	"sync"
+
 	"repro/internal/htm"
 	"repro/internal/speculate"
 	"repro/internal/telemetry"
@@ -215,20 +217,38 @@ type restartSignal struct{}
 
 // Ctx is the context of one composed-operation attempt. It is only valid
 // inside the body passed to Atomic/ReadOnly and must not be retained or
-// shared between goroutines.
+// shared between goroutines: one Ctx serves every attempt of a call, reset
+// in between, and returns to a pool when the call does.
 type Ctx struct {
 	htx   *htm.Tx // non-nil on the fast path
-	cap   *capture
 	wrote bool
 	hooks []func()
+
+	// entries and order are capture mode's combined read/write buffer: one
+	// htm.Update per Var touched (keyed by Var id), holding the observed
+	// old value and (for writes) the staged new value; order preserves
+	// first-touch order for the MultiCAS entry set.
+	entries map[uint64]htm.Entry
+	order   []htm.Entry
 }
 
-// capture is the fallback's combined read/write buffer: one htm.Update per
-// Var touched, holding the observed old value and (for writes) the staged
-// new value. order preserves first-touch order for the MultiCAS entry set.
-type capture struct {
-	entries map[any]htm.Entry
-	order   []htm.Entry
+var ctxPool = sync.Pool{New: func() any { return &Ctx{entries: make(map[uint64]htm.Entry)} }}
+
+// reset readies c for the call's next attempt (and, cleared of everything
+// it could pin, for the pool), keeping capacity.
+func (c *Ctx) reset() {
+	c.htx, c.wrote = nil, false
+	clear(c.hooks)
+	c.hooks = c.hooks[:0]
+	clear(c.entries)
+	clear(c.order)
+	c.order = c.order[:0]
+}
+
+// stage records u as the capture buffer's entry for the Var with this id.
+func (c *Ctx) stage(id uint64, u htm.Entry) {
+	c.entries[id] = u
+	c.order = append(c.order, u)
 }
 
 // Speculative reports whether the body is running inside an HTM fast-path
@@ -269,13 +289,11 @@ func Read[T comparable](c *Ctx, v *htm.Var[T]) T {
 	if c.htx != nil {
 		return htm.Load(c.htx, v)
 	}
-	if e, ok := c.cap.entries[v]; ok {
+	if e, ok := c.entries[v.ID()]; ok {
 		return e.(*htm.Update[T]).Pending()
 	}
 	x := htm.Load(nil, v)
-	u := htm.NewUpdate(v, x, x)
-	c.cap.entries[v] = u
-	c.cap.order = append(c.cap.order, u)
+	c.stage(v.ID(), htm.NewUpdate(v, x, x))
 	return x
 }
 
@@ -291,7 +309,7 @@ func Peek[T comparable](c *Ctx, v *htm.Var[T]) T {
 	if c.htx != nil {
 		return htm.Load(c.htx, v)
 	}
-	if e, ok := c.cap.entries[v]; ok {
+	if e, ok := c.entries[v.ID()]; ok {
 		return e.(*htm.Update[T]).Pending()
 	}
 	return htm.Load(nil, v)
@@ -307,13 +325,11 @@ func Write[T comparable](c *Ctx, v *htm.Var[T], x T) {
 		htm.Store(c.htx, v, x)
 		return
 	}
-	if e, ok := c.cap.entries[v]; ok {
+	if e, ok := c.entries[v.ID()]; ok {
 		e.(*htm.Update[T]).SetNew(x)
 		return
 	}
-	u := htm.NewUpdate(v, htm.Load(nil, v), x)
-	c.cap.entries[v] = u
-	c.cap.order = append(c.cap.order, u)
+	c.stage(v.ID(), htm.NewUpdate(v, htm.Load(nil, v), x))
 }
 
 // Atomic runs body as one composed atomic operation, retrying until it
@@ -325,12 +341,19 @@ func Write[T comparable](c *Ctx, v *htm.Var[T], x T) {
 // middle attempts with the level's helping budget) — before the MultiCAS
 // fallback.
 func (m *Manager) Atomic(body func(c *Ctx)) {
+	c := ctxPool.Get().(*Ctx)
+	// A foreign panic out of body unwinds past the Put: that Ctx is dropped.
+	m.atomic(c, body)
+	c.reset()
+	ctxPool.Put(c)
+}
+
+func (m *Manager) atomic(c *Ctx, body func(c *Ctx)) {
 	if !m.force {
 		r := m.site.Begin(m.d)
 		levels := len(m.site.Core().Levels())
 		for lv := 0; lv < levels; lv++ {
 			for r.Next(lv) {
-				c := &Ctx{}
 				st := r.Try(func(tx *htm.Tx) {
 					c.htx = tx
 					body(c)
@@ -347,11 +370,12 @@ func (m *Manager) Atomic(body func(c *Ctx)) {
 					}
 					return
 				}
+				c.reset()
 			}
 		}
 		r.Fallback()
 	}
-	m.fallback(body)
+	m.fallback(c, body)
 }
 
 // ReadOnly runs body as a composed snapshot: identical to Atomic but the
@@ -368,9 +392,8 @@ func (m *Manager) ReadOnly(body func(c *Ctx)) {
 }
 
 // fallback drives the capture/publish loop until the operation commits.
-func (m *Manager) fallback(body func(c *Ctx)) {
-	for {
-		c := &Ctx{cap: &capture{entries: make(map[any]htm.Entry, 8)}}
+func (m *Manager) fallback(c *Ctx, body func(c *Ctx)) {
+	for ; ; c.reset() {
 		if !m.runCapture(c, body) {
 			if m.comp != nil {
 				m.comp.Restarts.Add(1)
@@ -378,13 +401,13 @@ func (m *Manager) fallback(body func(c *Ctx)) {
 			continue
 		}
 		writes := 0
-		for _, e := range c.cap.order {
+		for _, e := range c.order {
 			if u, ok := e.(interface{ IsWrite() bool }); ok && u.IsWrite() {
 				writes++
 			}
 		}
 		if writes == 0 {
-			if htm.MultiValidate(c.cap.order...) {
+			if htm.MultiValidate(c.order...) {
 				c.runHooks()
 				if m.comp != nil {
 					m.comp.Ops.Add(1)
@@ -399,9 +422,13 @@ func (m *Manager) fallback(body func(c *Ctx)) {
 		}
 		if m.comp != nil {
 			m.comp.MCASAttempts.Add(1)
-			m.comp.Width.Observe(len(c.cap.order))
+			m.comp.Width.Observe(len(c.order))
 		}
-		if htm.MultiCASParked(m.park, c.cap.order...) {
+		// The descriptor keeps the entry slice, and a helper may still be
+		// reading it after MultiCAS returns: hand the slice over for good.
+		entries := c.order
+		c.order = nil
+		if htm.MultiCASParked(m.park, entries...) {
 			c.runHooks()
 			if m.comp != nil {
 				m.comp.Ops.Add(1)
