@@ -13,30 +13,34 @@
 //     transactional or not, observes a partial commit.
 //
 // Internally this is a single-version, lazy-versioning STM in the TL2
-// style: a global commit clock per Domain plus a fixed array of striped
-// ownership records (orecs) — versioned stripe locks hashed by Var
-// identity, each padded to its own cache line. Values live in Var[T]
-// cells. A transaction snapshots the commit clock at begin; every
-// transactional read validates only the stripe of the Var it touches
-// (unlocked, version no newer than the snapshot). Transactional writes are
-// buffered and applied at commit while holding only the written stripes'
-// locks, acquired in ascending stripe order so commits stay deadlock-free.
-// Non-transactional writes lock only their own stripe, and
+// style: a global commit clock per Domain, a commit stamp on every Var (the
+// clock value of the last write to that Var), and a fixed array of striped
+// ownership records (orecs) — stripe locks hashed by Var identity, each
+// padded to its own cache line. Values live in Var[T] cells. A transaction
+// snapshots the commit clock at begin; every transactional read takes the
+// Var's value and stamp inside a window in which the Var's stripe stayed
+// unlocked and unchanged, and aborts if the stamp is newer than the
+// snapshot. Transactional writes are buffered and applied at commit while
+// holding only the written stripes' locks, acquired in ascending stripe
+// order so commits stay deadlock-free; commit re-checks every stamp the
+// attempt read. Non-transactional writes lock only their own stripe, and
 // non-transactional reads validate against their stripe word, so no code
-// path can observe a half-applied commit — but, unlike the whole-domain
-// sequence lock this package used to carry, writers to one stripe no
-// longer abort readers and committers of every other stripe. Conflicts are
-// detected per location (modulo stripe aliasing), which is what lets
-// disjoint-footprint operations — different hash buckets, distant skiplist
-// keys, separate BST subtrees — commit concurrently, the way they do under
-// real per-cache-line HTM conflict detection.
+// path can observe a half-applied commit. Conflicts are detected per
+// location, which is what lets disjoint-footprint operations — different
+// hash buckets, distant skiplist keys, separate BST subtrees — commit
+// concurrently, the way they do under real per-cache-line HTM conflict
+// detection.
 //
-// Stripe aliasing makes conflict detection conservative: two Vars that
-// hash to the same stripe can abort each other without a true data
-// conflict, exactly as two addresses sharing a cache set can on real
-// hardware. The engine classifies each conflict abort (true vs
-// stripe-alias, via the stripe's last-writer record) so telemetry can
-// report the false-conflict rate; see AtomicallyClassified.
+// Versions are per Var; a stripe is a lock and a window. Two Vars that hash
+// to the same stripe exclude each other's writers while one is in flight,
+// and a reader that meets a stripe held on behalf of a Var it never touched
+// aborts on a stripe alias (a false conflict) — but a completed write to an
+// aliased Var aborts nobody: only a stamp newer than the snapshot on a Var
+// the transaction actually read is a conflict, which is the rule PTO's
+// prefix transactions are designed around (§2, §4.6). The engine classifies
+// each conflict abort as true or alias from the stamp or from the owner id
+// in the lock word it met, so telemetry can report the false-conflict rate;
+// see AtomicallyClassified.
 //
 // The one property of real HTM this emulation cannot preserve is progress of
 // the combined system: the commit path holds stripe locks, so a preempted
@@ -108,30 +112,27 @@ type Stats struct {
 // DefaultStripes is the default ownership-record table size. 256 stripes
 // keep the whole table at 16KB (one cache line each) while making accidental
 // aliasing of a handful of hot Vars unlikely. The count is a per-Domain
-// option (NewDomainStripes): fewer stripes model a smaller conflict-detection
-// granularity — more aliasing, as on HTM with fewer cache sets — and the
+// option (NewDomainStripes): fewer stripes mean coarser locks — a writer in
+// flight is met by more readers and committers of unrelated Vars — and the
 // 4-stripe configuration is the aliasing stress fixture.
 const DefaultStripes = 256
 
-// stripe is one ownership record: a versioned lock word guarding every Var
-// that hashes to it, padded out to its own cache line so stripe traffic
-// does not false-share.
+// stripe is one ownership record: the lock every writer of a Var that hashes
+// to it holds while it writes, and the sequence word a reader's window is
+// judged by — padded out to its own cache line so stripe traffic does not
+// false-share. It carries no version anyone compares against a snapshot:
+// those are per Var (varHead.ver).
 type stripe struct {
-	// word is the ownership record proper. Unlocked it packs version<<1
-	// (version = the domain commit-clock value of the last write through
-	// the stripe); locked it packs ownerVarID<<1 | 1, naming the Var on
-	// whose behalf a writer (a committing transaction, a direct
-	// store/CAS/Add, or a deciding MultiCAS) holds the stripe. Carrying
-	// the owner in the lock word is what lets an aborting reader attribute
-	// a busy-stripe conflict exactly.
+	// word, unlocked, packs seq<<1, where seq is the commit-clock value of
+	// the last write released through the stripe: a reader that finds the
+	// same unlocked word on both sides of its reads knows no writer of any
+	// Var of the stripe ran in between. Locked it packs ownerVarID<<1 | 1,
+	// naming the Var on whose behalf a writer (a committing transaction, a
+	// direct store/CAS/Add, or a deciding MultiCAS) holds the stripe, which
+	// is what lets an aborting reader tell a writer of its own data from a
+	// stripe alias.
 	word atomic.Uint64
-	// lastWriter records the id of the Var most recently written through
-	// this stripe, published before the new version while the stripe is
-	// still locked. It exists purely for conflict attribution: an aborted
-	// reader of Var v that finds lastWriter != v's id was the victim of
-	// stripe aliasing, not of a true data conflict.
-	lastWriter atomic.Uint64
-	_          [48]byte
+	_    [56]byte
 }
 
 // stripeTable is a domain's ownership-record table: a power-of-two count of
@@ -175,8 +176,8 @@ func (t *stripeTable) indexOf(id uint64) uint32 {
 type Domain struct {
 	// clock is the TL2-style global commit clock: it only ever advances, by
 	// one per writing commit (transactional or direct). A transaction
-	// snapshots it at begin; a stripe whose version exceeds the snapshot
-	// has been written since the transaction began.
+	// snapshots it at begin; a Var whose stamp exceeds the snapshot has been
+	// written since the transaction began.
 	clock atomic.Uint64
 
 	commits        atomic.Uint64
@@ -217,8 +218,9 @@ func NewDomain(readCap, writeCap int) *Domain {
 
 // NewDomainStripes is NewDomain with an explicit ownership-record stripe
 // count: a power of two (panics otherwise), 0 selecting DefaultStripes.
-// Fewer stripes coarsen conflict detection — more false (aliasing)
-// conflicts, same correctness — which is the knob the aliasing stress tests
+// Fewer stripes coarsen the locks — more transactions meet a stripe held for
+// an unrelated Var (false conflicts), same correctness, and completed writes
+// still conflict per Var only — which is the knob the aliasing stress tests
 // and stripe-tuning experiments turn. The table is built here, before the
 // domain is shared.
 func NewDomainStripes(readCap, writeCap, stripes int) *Domain {
@@ -274,11 +276,10 @@ const remapOwner = uint64(1) << 62
 // new table; a read-only one whose reads all preceded the swap still
 // commits at its begin snapshot; spinning acquirers re-resolve.
 //
-// New stripes start at version 0, which is safe under the shared commit
-// clock: any write a post-swap transaction must observe commits after the
-// install and therefore bumps the new table past that transaction's begin
-// snapshot. Concurrent calls serialize; a call waits only for writers
-// already holding a stripe, never for a transaction.
+// Nothing a snapshot is judged against lives in the table — commit stamps
+// are per Var and survive the swap — so the new stripes simply start
+// unlocked at sequence 0. Concurrent calls serialize; a call waits only for
+// writers already holding a stripe, never for a transaction.
 func (d *Domain) ResizeStripes(n int) bool {
 	if n <= 0 || n&(n-1) != 0 {
 		panic(fmt.Sprintf("htm: stripe count %d is not a power of two", n))
@@ -342,7 +343,7 @@ func (d *Domain) caps() (int, int) {
 }
 
 // acquire spins until it holds stripe s of table t on behalf of Var owner,
-// returning the stripe's pre-lock word (even: version<<1) — or gives up,
+// returning the stripe's pre-lock word (even: seq<<1) — or gives up,
 // reporting false, once t is no longer the installed table: a retired
 // stripe never unlocks, so the caller must re-resolve against the new
 // table. Only single-stripe writers, the MultiCAS decision and ResizeStripes
@@ -359,25 +360,6 @@ func (d *Domain) acquire(t *stripeTable, s *stripe, owner uint64) (uint64, bool)
 		}
 		runtime.Gosched()
 	}
-}
-
-// aliasConflict classifies a conflict that Var varID's owner observed as
-// stripe word (the word that failed validation): true when the interfering
-// writer was a *different* Var, i.e. the abort is due to stripe aliasing
-// rather than a write to the data the transaction actually touched. A
-// locked word names its owner directly; an advanced version is attributed
-// to the stripe's last-writer record, which every writer publishes before
-// the version it installs. The split can still misattribute when a true
-// and an aliased writer pass through the stripe back to back — attribution
-// goes to the latest — which is the same precision real HTM offers
-// profilers: per-line, not per-address.
-func aliasConflict(word uint64, s *stripe, varID uint64) bool {
-	if word&1 != 0 {
-		owner := word >> 1
-		return owner != 0 && owner != varID
-	}
-	w := s.lastWriter.Load()
-	return w != 0 && w != varID
 }
 
 // cell is the immutable box a Var points at. desc == nil means the Var holds
@@ -400,9 +382,30 @@ var varIDs atomic.Uint64
 // path used by fallback code. Vars additionally participate in MultiCAS, the
 // lock-free multi-Var publication primitive of the composition layer.
 type Var[T comparable] struct {
+	varHead
+	p atomic.Pointer[cell[T]]
+}
+
+// varHead is the untyped head of every Var[T], and what a transaction's read
+// log points at: the Var's domain, its identity, and its commit stamp.
+type varHead struct {
 	d  *Domain
 	id uint64
-	p  atomic.Pointer[cell[T]]
+	// ver is the commit-clock value of the last write to this Var (0: never
+	// written since Init). Every writer stores it while holding the Var's
+	// stripe and before releasing it — Tx.commit's install, a direct Store,
+	// a successful CAS or Add, the winning MultiCAS decision for each write
+	// leg — so inside an unlocked-and-unchanged stripe window (value, ver)
+	// is a consistent pair, and ver only ever grows.
+	ver atomic.Uint64
+}
+
+// publish stamps the Var with commit version wv and releases its held
+// stripe s there — the tail of every single-Var direct write.
+func (h *varHead) publish(s *stripe, wv uint64) {
+	h.ver.Store(wv)
+	perturb()
+	s.word.Store(wv << 1)
 }
 
 // Init binds an embedded Var to domain d and sets its initial value. It must
@@ -433,12 +436,11 @@ func (v *Var[T]) Domain() *Domain { return v.d }
 // ID returns the Var's identity, unique across all Vars.
 func (v *Var[T]) ID() uint64 { return v.id }
 
-// stripeRec is one touched stripe of a transaction: the stripe (pointer and
-// index), the id of the (first) Var the transaction touched there — kept for
-// conflict attribution — and, on the commit path, the stripe's pre-lock word
-// for validation and rollback.
+// stripeRec is one stripe a committing transaction writes through: its
+// index in the attempt's table, the id of the first Var written there — the
+// owner it locks the stripe under — and the stripe's pre-lock word, for
+// rollback.
 type stripeRec struct {
-	s     *stripe
 	idx   uint32
 	varID uint64
 	prev  uint64
@@ -456,8 +458,9 @@ type Tx struct {
 	rv uint64       // commit-clock snapshot taken at begin (the TL2 read version)
 
 	reads    int
-	readSet  []uint64    // stripes with at least one transactional read
-	readRecs []stripeRec // one record per read stripe, first-touch order
+	readSet  []uint64   // stripes with at least one transactional read
+	readRecs []uint32   // index of each read stripe, first-touch order
+	readLog  []*varHead // one entry per transactional read: the stamps commit re-checks
 
 	// writeLog is the redo log: insertion-ordered so commit write-back
 	// follows program order of first-writes. writeIdx maps a written Var's
@@ -501,15 +504,16 @@ type Tx struct {
 var txPool = sync.Pool{New: func() any { return &Tx{writeIdx: make(map[uint64]int)} }}
 
 // recycle returns tx to the pool as a zero Tx with capacity: cleared, so it
-// pins no cell, Var or retired stripe table, and detached (live).
+// pins no cell, Var or retired stripe table (the stripe records hold indices,
+// not pointers, and need no clearing), and detached (live).
 func (tx *Tx) recycle() {
-	clear(tx.readRecs)
+	clear(tx.readLog)
 	clear(tx.writeLog)
-	clear(tx.lockRecs)
 	clear(tx.writeIdx)
 	*tx = Tx{
 		readSet:  tx.readSet,
 		readRecs: tx.readRecs[:0],
+		readLog:  tx.readLog[:0],
 		writeLog: tx.writeLog[:0],
 		writeIdx: tx.writeIdx,
 		lockRecs: tx.lockRecs[:0],
@@ -536,10 +540,11 @@ func zeroWords(buf []uint64, n int) []uint64 {
 
 // writeTarget is the untyped face of a written Var[T] in the redo log:
 // install publishes c, the *cell[T] staged for the Var, under the Var's
-// stripe lock (storeLocked); pendingDesc returns the undecided MultiCAS
+// stripe lock (storeLocked) and stamps the Var with commit version wv;
+// pendingDesc returns the undecided MultiCAS
 // descriptor claiming the Var's cell, if any, for commit's helping pass.
 type writeTarget interface {
-	install(c any)
+	install(c any, wv uint64)
 	pendingDesc() *MultiDesc
 }
 
@@ -569,22 +574,38 @@ func (tx *Tx) abort(st Status) {
 	panic(tx)
 }
 
-// conflict aborts the transaction with AbortConflict, classifying the
-// abort against the stripe word that failed validation. It does not return.
-func (tx *Tx) conflict(word uint64, s *stripe, varID uint64) {
-	tx.alias = aliasConflict(word, s, varID)
-	tx.abort(AbortConflict)
+// heldByAlias classifies the conflict of meeting a stripe held by someone
+// else, from the lock word observed: true when the holder works on behalf of
+// a Var the attempt has neither read nor written, i.e. the abort is due to
+// stripe aliasing — or to a resize, whose sentinel owner is no Var — rather
+// than to a writer of the attempt's own data. A holder names one Var per
+// stripe, so a writer of several aliased Vars can still pass for an alias; a
+// completed write never does — that is judged by the Var's stamp. It walks
+// the read log, which only an abort path can afford.
+func (tx *Tx) heldByAlias(word uint64) bool {
+	owner := word >> 1
+	if _, ok := tx.writeIdx[owner]; ok {
+		return false
+	}
+	for _, h := range tx.readLog {
+		if h.id == owner {
+			return false
+		}
+	}
+	return true
 }
 
-// recordRead adds the stripe to the transaction's read set (first touch
-// only; later reads through the same stripe are already covered).
-func (tx *Tx) recordRead(s *stripe, idx uint32, varID uint64) {
+// recordRead logs a validated read of h through stripe idx: the Var always
+// (commit re-checks its stamp), the stripe on first touch only (commit
+// checks it once, however many Vars were read through it).
+func (tx *Tx) recordRead(h *varHead, idx uint32) {
+	tx.readLog = append(tx.readLog, h)
 	w, b := idx>>6, uint64(1)<<(idx&63)
 	if tx.readSet[w]&b != 0 {
 		return
 	}
 	tx.readSet[w] |= b
-	tx.readRecs = append(tx.readRecs, stripeRec{s: s, idx: idx, varID: varID})
+	tx.readRecs = append(tx.readRecs, idx)
 }
 
 // Atomically runs f as a single transaction attempt against domain d and
@@ -607,10 +628,12 @@ func (d *Domain) Atomically(f func(tx *Tx)) Status {
 
 // AtomicallyClassified is Atomically plus conflict attribution: when the
 // attempt ends in AbortConflict, the second result reports whether the
-// engine classified the conflict as a stripe-alias (false) conflict — an
-// abort caused by an unrelated Var sharing the touched Var's ownership
-// record — rather than a true data conflict. It is always false for the
-// other statuses. Retry policies treat both kinds the same (both are
+// engine classified the conflict as a stripe-alias (false) conflict — the
+// attempt met a stripe held right now on behalf of a Var it never touched
+// (or retired by a resize) — rather than a true data conflict: a Var it read
+// carries a stamp newer than its snapshot, or the holder it met is writing a
+// Var it read or writes. It is always false for the other statuses. Retry
+// policies treat both kinds the same (both are
 // transient); the split exists for telemetry, so tuning can distinguish
 // contention that more stripes would cure from contention that is real.
 func (d *Domain) AtomicallyClassified(f func(tx *Tx)) (Status, bool) {
@@ -701,10 +724,11 @@ func (d *Domain) attempt(tx *Tx, f func(tx *Tx)) (status Status) {
 // stripes in ascending stripe order (aborting, never spinning, on a busy
 // stripe — deadlock freedom against other committers and MultiCAS
 // decisions), draw a new commit timestamp, validate the read set, apply the
-// log, and release the stripes at the new version. Read-only transactions
-// commit without any locking or validation at all — every read was already
-// validated against the begin snapshot, so the transaction serializes
-// there — mirroring the cheapness of read-only HTM commits.
+// log, stamping each written Var with the timestamp, and release the
+// stripes. Read-only transactions commit without any locking or validation
+// at all — every read was already validated against the begin snapshot, so
+// the transaction serializes there — mirroring the cheapness of read-only
+// HTM commits.
 func (tx *Tx) commit() Status {
 	if len(tx.writeLog) == 0 {
 		return Committed
@@ -744,83 +768,81 @@ func (tx *Tx) commit() Status {
 	// stripe restore those already taken and abort. A retired table's
 	// stripes are busy for good; once one is held the table cannot be
 	// retired under us. The abort is classified from the very word observed
-	// locked: a re-read could find the holder gone and book an alias
-	// conflict as true.
+	// locked: a re-read could find the holder gone.
 	recs, wset := tx.writeRecs()
+	perturb()
 	for i := range recs {
-		s := recs[i].s
+		s := &tx.t.stripes[recs[i].idx]
 		w := s.word.Load()
 		for w&1 == 0 && !s.word.CompareAndSwap(w, recs[i].varID<<1|1) {
 			w = s.word.Load()
 		}
 		if w&1 != 0 {
-			tx.alias = aliasConflict(w, s, recs[i].varID)
-			tx.unlock(recs[:i], 0)
-			return AbortConflict
+			return tx.fail(recs[:i], tx.heldByAlias(w))
 		}
 		recs[i].prev = w
 	}
 
+	perturb()
 	wv := d.clock.Add(1)
+	perturb()
 	// Validate the read set unless no one committed since our snapshot (in
-	// which case every read is trivially still current).
+	// which case every read is trivially still current). First no read
+	// stripe may be held by someone else: a holder may have drawn an earlier
+	// timestamp than ours and not have stamped yet. Then — every writer that
+	// released before that look having stamped — no Var we read may carry a
+	// stamp newer than the snapshot. A writer that takes a stripe after the
+	// look draws a later timestamp and serializes behind us.
 	if wv != tx.rv+1 {
-		for _, r := range tx.readRecs {
-			if wset[r.idx>>6]&(1<<(r.idx&63)) != 0 {
-				// We hold this stripe's lock; judge it by its pre-lock word.
-				if prev := prevOf(recs, r.idx); prev>>1 > tx.rv {
-					tx.alias = aliasConflict(prev, r.s, r.varID)
-					tx.unlock(recs, 0)
-					return AbortConflict
-				}
-				continue
+		for _, idx := range tx.readRecs {
+			if wset[idx>>6]&(1<<(idx&63)) != 0 {
+				continue // ours
 			}
-			if w := r.s.word.Load(); w&1 != 0 || w>>1 > tx.rv {
-				tx.alias = aliasConflict(w, r.s, r.varID)
-				tx.unlock(recs, 0)
-				return AbortConflict
+			if w := tx.t.stripes[idx].word.Load(); w&1 != 0 {
+				return tx.fail(recs, tx.heldByAlias(w))
+			}
+		}
+		for _, h := range tx.readLog {
+			if h.ver.Load() > tx.rv {
+				return tx.fail(recs, false)
 			}
 		}
 	}
 
-	// Apply the redo log and release the stripes at the new version.
+	// Apply the redo log, stamping as we go, and release the stripes.
+	perturb()
 	for i := range tx.writeLog {
 		e := &tx.writeLog[i]
-		e.v.install(e.cell)
+		e.v.install(e.cell, wv)
 	}
+	perturb()
 	tx.unlock(recs, wv<<1)
 	return Committed
 }
 
+// fail ends a commit in AbortConflict: it records the classification and
+// puts the stripes locked so far back as found.
+func (tx *Tx) fail(locked []stripeRec, alias bool) Status {
+	tx.alias = alias
+	tx.unlock(locked, 0)
+	return AbortConflict
+}
+
 // unlock releases the given locked stripe records: to word (the new
-// version) when non-zero — publishing each stripe's last-writer record
-// first, while still holding the lock — or back to each stripe's pre-lock
-// word on abort, leaving the attribution records untouched (an aborted
-// commit wrote nothing).
+// sequence) when non-zero, or back to each stripe's pre-lock word on abort
+// (an aborted commit wrote nothing).
 func (tx *Tx) unlock(recs []stripeRec, word uint64) {
 	for i := range recs {
-		s := recs[i].s
-		if word == 0 {
-			s.word.Store(recs[i].prev)
-			continue
+		w := word
+		if w == 0 {
+			w = recs[i].prev
 		}
-		s.lastWriter.Store(recs[i].varID)
-		s.word.Store(word)
+		tx.t.stripes[recs[i].idx].word.Store(w)
 	}
 }
 
-// cmpIdx orders a stripe record against a stripe index.
-func cmpIdx(r stripeRec, idx uint32) int { return cmp.Compare(r.idx, idx) }
-
 // byIdx orders stripe records by stripe index, the lock order.
-func byIdx(a, b stripeRec) int { return cmpIdx(a, b.idx) }
-
-// prevOf returns the pre-lock word recorded for stripe idx in the sorted
-// lock records.
-func prevOf(recs []stripeRec, idx uint32) uint64 {
-	i, _ := slices.BinarySearchFunc(recs, idx, cmpIdx)
-	return recs[i].prev
-}
+func byIdx(a, b stripeRec) int { return cmp.Compare(a.idx, b.idx) }
 
 // writeRecs returns (in tx's scratch) one record per distinct stripe the
 // write log touches, sorted ascending, and the bitmap of those stripes.
@@ -835,7 +857,7 @@ func (tx *Tx) writeRecs() ([]stripeRec, []uint64) {
 			continue
 		}
 		seen[w] |= b
-		recs = append(recs, stripeRec{s: &t.stripes[idx], idx: idx, varID: id})
+		recs = append(recs, stripeRec{idx: idx, varID: id})
 	}
 	slices.SortFunc(recs, byIdx)
 	tx.lockRecs, tx.lockSet = recs, seen
@@ -856,19 +878,19 @@ func (d *Domain) lockVar(id uint64) (*stripe, uint64) {
 	}
 }
 
-// publish releases held stripe s at version wv, recording id as its last
-// writer first (the attribution order every writer follows).
-func (s *stripe) publish(id, wv uint64) {
-	s.lastWriter.Store(id)
-	s.word.Store(wv << 1)
-}
+// loadWaits is how many times a transactional Load looks again at a stripe
+// it found held, or found changed under its reads, before it aborts. A reader
+// holds no lock, so waiting out a writer's few stores cannot deadlock; that
+// writers hold a stripe at all is an artefact of the emulation, not of HTM.
+const loadWaits = 16
 
 // Load reads v. With a non-nil tx it is a transactional read: it returns the
-// transaction's own pending write if any, validates v's stripe against the
-// begin snapshot (aborting if the stripe is locked or has been written since
-// the transaction began), and counts against the read capacity. With
-// tx == nil it is a direct read that never observes a partially applied
-// commit (it retries across the stripe's writer windows).
+// transaction's own pending write if any, reads v's value and commit stamp
+// inside a window in which v's stripe stayed unlocked and unchanged
+// (aborting if the stripe stays held, or if v has been written since the
+// transaction began), and counts against the read capacity. With tx == nil
+// it is a direct read that never observes a partially applied commit (it
+// retries across the stripe's writer windows).
 func Load[T comparable](tx *Tx, v *Var[T]) T {
 	if tx != nil {
 		t := tx.live()
@@ -883,16 +905,32 @@ func Load[T comparable](tx *Tx, v *Var[T]) T {
 		// retired the stripe reads locked, for good, and we abort.
 		idx := t.indexOf(v.id)
 		s := &t.stripes[idx]
-		pre := s.word.Load()
-		if pre&1 != 0 || pre>>1 > tx.rv {
-			tx.conflict(pre, s, v.id)
+		for wait := 0; ; wait++ {
+			w := s.word.Load()
+			if w&1 == 0 {
+				x := loadResolved(v)
+				if v.ver.Load() > tx.rv {
+					// A true conflict — and stamps only grow, so it is one
+					// whatever the window did.
+					tx.abort(AbortConflict)
+				}
+				w2 := s.word.Load()
+				if w2 == w {
+					tx.recordRead(&v.varHead, idx)
+					return x
+				}
+				w = w2 // a writer of the stripe passed, or is passing, under our reads
+			}
+			if wait >= loadWaits {
+				// Still held: whose writer is it? (Or forever changing: not
+				// v's writers, its stamp stands.)
+				tx.alias = w&1 == 0 || w>>1 != v.id && tx.heldByAlias(w)
+				tx.abort(AbortConflict)
+			}
+			if w&1 != 0 {
+				runtime.Gosched()
+			}
 		}
-		x := loadResolved(v)
-		if w := s.word.Load(); w != pre {
-			tx.conflict(w, s, v.id)
-		}
-		tx.recordRead(s, idx, v.id)
-		return x
 	}
 	d := v.d
 	for {
@@ -917,8 +955,8 @@ func Load[T comparable](tx *Tx, v *Var[T]) T {
 // loadResolved reads v's cell, finishing the release phase of any completed
 // MultiCAS it encounters. An undecided or failed descriptor is transparent:
 // the claimed cell still carries the logical (old) value, and if the
-// operation later succeeds its decision bumps the stripes of its write
-// legs, which the caller's stripe validation catches.
+// operation later succeeds its decision holds the Var's stripe and stamps
+// its write legs, which the caller's window or stamp check catches.
 func loadResolved[T comparable](v *Var[T]) T {
 	for {
 		c := v.p.Load()
@@ -950,7 +988,10 @@ func storeLocked[T comparable](v *Var[T], nc *cell[T]) {
 	}
 }
 
-func (v *Var[T]) install(c any) { storeLocked(v, c.(*cell[T])) }
+func (v *Var[T]) install(c any, wv uint64) {
+	storeLocked(v, c.(*cell[T]))
+	v.ver.Store(wv)
+}
 
 func (v *Var[T]) pendingDesc() *MultiDesc {
 	if c := v.p.Load(); c.desc != nil && c.desc.status.Load() == mwUndecided {
@@ -991,7 +1032,7 @@ func Store[T comparable](tx *Tx, v *Var[T], x T) {
 	d := v.d
 	s, _ := d.lockVar(v.id)
 	storeLocked(v, &cell[T]{val: x})
-	s.publish(v.id, d.clock.Add(1))
+	v.publish(s, d.clock.Add(1))
 }
 
 // CAS atomically compares v against old and, if equal, replaces it with new,
@@ -999,8 +1040,8 @@ func Store[T comparable](tx *Tx, v *Var[T], x T) {
 // to a load, a comparison, and a buffered store — exactly the CAS-to-branch
 // strength reduction of §2.3 — at no extra synchronization cost. Outside a
 // transaction it is a linearizable compare-and-swap. A failed direct CAS
-// does not advance the stripe version: the logical value did not change, so
-// overlapping transactions have nothing to observe.
+// neither stamps the Var nor advances the stripe: the logical value did not
+// change, so overlapping transactions have nothing to observe.
 //
 // Interplay with MultiCAS descriptors refines the kill-paid-by-commit rule:
 // a direct CAS that finds an undecided descriptor on its cell kills it only
@@ -1050,7 +1091,7 @@ func CAS[T comparable](tx *Tx, v *Var[T], old, new T) bool {
 		}
 	}
 	if ok {
-		s.publish(v.id, d.clock.Add(1))
+		v.publish(s, d.clock.Add(1))
 	} else {
 		// The logical value did not change; overlapping readers have
 		// nothing to see.
@@ -1081,6 +1122,6 @@ func Add(tx *Tx, v *Var[uint64], delta uint64) uint64 {
 			break
 		}
 	}
-	s.publish(v.id, d.clock.Add(1))
+	v.publish(s, d.clock.Add(1))
 	return x
 }

@@ -25,12 +25,11 @@ import (
 //     the same order committing transactions lock their write stripes, so
 //     the two can never deadlock (and committers abort rather than wait on
 //     a busy stripe anyway). A successful decision bumps the domain commit
-//     clock and releases each write leg's stripe at the new version, which
-//     aborts exactly the transactions that overlap the MCAS's write
-//     footprint — no longer every transaction in the domain, as the old
-//     whole-domain sequence lock did. Validation-only legs (Old == New)
-//     leave their stripe version untouched: their values do not change, so
-//     overlapping readers have nothing to observe.
+//     clock and stamps each write leg's Var with the new version before it
+//     releases the stripes, which aborts exactly the transactions that read
+//     a Var the MCAS writes. Validation-only legs (Old == New) are not
+//     stamped and leave their stripe as found: their values do not change,
+//     so overlapping readers have nothing to observe.
 //   - A committing transaction or direct writer that finds an *undecided*
 //     descriptor on a cell it writes kills it (undecided → failed): the
 //     writer holds that cell's stripe, which the descriptor's decision must
@@ -80,6 +79,7 @@ type Entry interface {
 	writes() bool
 	dom() *Domain
 	claim(m *MultiDesc) (claimResult, *MultiDesc)
+	stamp(wv uint64)
 	release(m *MultiDesc, success bool)
 	holds() bool
 }
@@ -112,6 +112,10 @@ func (u *Update[T]) IsWrite() bool { return u.old != u.new }
 func (u *Update[T]) varID() uint64 { return u.v.id }
 func (u *Update[T]) writes() bool  { return u.old != u.new }
 func (u *Update[T]) dom() *Domain  { return u.v.d }
+
+// stamp records commit version wv as the leg's Var's last write; the winning
+// decision calls it, for write legs only, while it holds the Var's stripe.
+func (u *Update[T]) stamp(wv uint64) { u.v.ver.Store(wv) }
 
 func (u *Update[T]) claim(m *MultiDesc) (claimResult, *MultiDesc) {
 	for {
@@ -194,7 +198,9 @@ func MultiCASParked(park func(), entries ...Entry) bool {
 	if park != nil && m.status.Load() == mwUndecided {
 		park()
 	}
+	perturb()
 	m.decide()
+	perturb()
 	m.releaseAll()
 	return m.status.Load() == mwSucceeded
 }
@@ -232,12 +238,12 @@ claim:
 }
 
 // decStripe is one stripe involved in a MultiCAS decision: a stripe with at
-// least one write leg is a write stripe and gets the new commit version; a
-// validation-only stripe is restored to its pre-lock word.
+// least one write leg is a write stripe and is released at the new commit
+// version; a validation-only stripe is restored to its pre-lock word.
 type decStripe struct {
 	s     *stripe
 	idx   uint32
-	varID uint64 // a writing Var in the stripe, for the last-writer record
+	varID uint64 // the owner the stripe is locked under: a writing Var of it, if any
 	write bool
 	prev  uint64
 }
@@ -247,9 +253,9 @@ type decStripe struct {
 // against committing transactions, direct writers, and other decisions).
 // Holding the stripes serializes the decision against writers that kill
 // undecided descriptors they collide with; exactly one caller wins the
-// status CAS under the locks, and only the winner bumps the commit clock
-// and publishes the new stripe versions — which aborts precisely the
-// transactions overlapping the operation's write footprint.
+// status CAS under the locks, and only the winner bumps the commit clock,
+// stamps the write legs' Vars and releases their stripes at the new version
+// — which aborts precisely the transactions that read a Var it writes.
 func (m *MultiDesc) decide() {
 	if m.status.Load() != mwUndecided {
 		return
@@ -274,17 +280,25 @@ resolve:
 		break
 	}
 	// A loser of the status CAS — another helper already decided (and, if it
-	// succeeded, already published the new versions: our pre-lock words are
-	// those), or a writer killed the descriptor — puts every stripe back as
-	// found, as the winner does with its validation-only stripes.
+	// succeeded, already stamped and published: our pre-lock words are its),
+	// or a writer killed the descriptor — puts every stripe back as found, as
+	// the winner does with its validation-only stripes.
+	perturb()
 	var wv uint64
 	won := m.status.CompareAndSwap(mwUndecided, mwSucceeded)
 	if won {
 		wv = d.clock.Add(1)
+		perturb()
+		for _, e := range m.entries {
+			if e.writes() {
+				e.stamp(wv)
+			}
+		}
 	}
+	perturb()
 	for i := range stripes {
 		if ds := &stripes[i]; won && ds.write {
-			ds.s.publish(ds.varID, wv)
+			ds.s.word.Store(wv << 1)
 		} else {
 			ds.s.word.Store(ds.prev)
 		}

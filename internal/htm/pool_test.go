@@ -2,6 +2,8 @@ package htm
 
 import (
 	"testing"
+
+	"repro/internal/israce"
 )
 
 // The tests in this file pin the hygiene of the pooled Tx: every attempt
@@ -16,9 +18,15 @@ func checkFresh(t *testing.T, tx *Tx) {
 		t.Errorf("recycled Tx carries a write log: log=%d idx=%d filter=%#x",
 			len(tx.writeLog), len(tx.writeIdx), tx.written)
 	}
-	if tx.reads != 0 || len(tx.readRecs) != 0 || len(tx.lockRecs) != 0 {
-		t.Errorf("recycled Tx carries reads=%d readRecs=%d lockRecs=%d",
-			tx.reads, len(tx.readRecs), len(tx.lockRecs))
+	if tx.reads != 0 || len(tx.readRecs) != 0 || len(tx.readLog) != 0 || len(tx.lockRecs) != 0 {
+		t.Errorf("recycled Tx carries reads=%d readRecs=%d readLog=%d lockRecs=%d",
+			tx.reads, len(tx.readRecs), len(tx.readLog), len(tx.lockRecs))
+	}
+	for _, h := range tx.readLog[:cap(tx.readLog)] {
+		if h != nil {
+			t.Errorf("recycled Tx's read log still pins Var %d", h.id)
+			break
+		}
 	}
 	if len(tx.readSet) != tx.t.words {
 		t.Errorf("read bitmap has %d words, table has %d", len(tx.readSet), tx.t.words)
@@ -77,6 +85,55 @@ func TestPoolAbortedWritesDoNotLeak(t *testing.T) {
 				t.Errorf("x = %d after the aborted write, want 10", got)
 			}
 		})
+	}
+}
+
+// TestPoolReadLogPinsNothing: the read log is recycled with its capacity
+// and without its contents, however the attempt that filled it ended — a
+// pooled Tx must not keep the Vars of a finished walk reachable, nor judge
+// the next attempt by their stamps.
+func TestPoolReadLogPinsNothing(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("under the race detector sync.Pool drops values at random")
+	}
+	d := NewDomain(0, 0)
+	vars := make([]*Var[int], 300)
+	for i := range vars {
+		vars[i] = NewVar(d, i)
+	}
+	out := NewVar(d, 0)
+	walk := func(tx *Tx) {
+		for _, v := range vars {
+			Load(tx, v)
+		}
+		if len(tx.readLog) != len(vars) {
+			t.Errorf("read log holds %d entries after %d reads", len(tx.readLog), len(vars))
+		}
+	}
+	for name, end := range map[string]func(tx *Tx){
+		"commit":   func(tx *Tx) { Store(tx, out, 1) },
+		"readonly": func(tx *Tx) {},
+		"explicit": func(tx *Tx) { tx.Abort(1) },
+		"conflict": func(tx *Tx) { Store(nil, vars[7], -1); Load(tx, vars[7]) },
+		"at-commit": func(tx *Tx) {
+			Store(tx, out, 2)
+			Store(nil, vars[9], -1)
+		},
+	} {
+		d.Atomically(func(tx *Tx) { walk(tx); end(tx) })
+		st := d.Atomically(func(tx *Tx) {
+			checkFresh(t, tx)
+			if cap(tx.readLog) < len(vars) {
+				t.Errorf("after %s: read log capacity %d, want the walk's %d kept", name, cap(tx.readLog), len(vars))
+			}
+			// One write from outside to a Var of the old walk: a stale log
+			// entry would fail this attempt's validation.
+			Store(nil, vars[3], -2)
+			Store(tx, out, 3)
+		})
+		if st != Committed {
+			t.Errorf("after %s: the next attempt ended %v, judged by a read it never made", name, st)
+		}
 	}
 }
 

@@ -1,0 +1,266 @@
+package htm
+
+import (
+	"sync"
+	"sync/atomic"
+	"testing"
+)
+
+// The tests in this file pin the per-Var commit stamp: who writes it, who
+// must not, and that judging reads by it — and stripes only as locks and
+// windows — keeps transactions serializable and their bodies opaque however
+// heavily the Vars alias.
+
+// elsewhere runs f on another goroutine and waits for it: a writer "from
+// outside" in the middle of a transaction body, without nesting attempts.
+func elsewhere(f func()) {
+	done := make(chan struct{})
+	go func() { defer close(done); f() }()
+	<-done
+}
+
+// stampingWriters are the five ways a Var's value changes; each must leave
+// the commit clock's new value in the Var's stamp.
+var stampingWriters = []struct {
+	name  string
+	write func(d *Domain, a, side *Var[uint64])
+}{
+	{"tx commit", func(d *Domain, a, side *Var[uint64]) {
+		elsewhere(func() { d.Atomically(func(tx *Tx) { Store(tx, a, Load(tx, a)+1) }) })
+	}},
+	{"direct Store", func(d *Domain, a, side *Var[uint64]) { Store(nil, a, 7) }},
+	{"direct CAS", func(d *Domain, a, side *Var[uint64]) { CAS(nil, a, 1, 7) }},
+	{"direct Add", func(d *Domain, a, side *Var[uint64]) { Add(nil, a, 6) }},
+	{"MultiCAS write leg", func(d *Domain, a, side *Var[uint64]) {
+		MultiCAS(NewUpdate(a, 1, 7), NewUpdate(side, 0, 0))
+	}},
+}
+
+// TestWritersStampTheVar: after each kind of write the Var's stamp is the
+// commit clock, a transaction that read the Var before the write aborts with
+// a true conflict at its next read of it, and one that does not read it
+// again fails commit validation the same way.
+func TestWritersStampTheVar(t *testing.T) {
+	for _, w := range stampingWriters {
+		t.Run(w.name, func(t *testing.T) {
+			d := NewDomain(0, 0)
+			a, side, out := NewVar(d, uint64(1)), NewVar(d, uint64(0)), NewVar(d, uint64(0))
+			if a.ver.Load() != 0 {
+				t.Fatalf("fresh Var stamped %d", a.ver.Load())
+			}
+			st, alias := d.AtomicallyClassified(func(tx *Tx) {
+				Load(tx, a)
+				w.write(d, a, side)
+				Load(tx, a)
+				t.Error("read survived a write to the same Var")
+			})
+			if st != AbortConflict || alias {
+				t.Fatalf("at the read: (status, alias) = (%v, %v), want (conflict, false)", st, alias)
+			}
+			if got, clock := a.ver.Load(), d.clock.Load(); got != clock || got == 0 {
+				t.Fatalf("stamp = %d, commit clock = %d", got, clock)
+			}
+			if side.ver.Load() != 0 {
+				t.Fatalf("a validation-only leg was stamped %d", side.ver.Load())
+			}
+
+			Store(nil, a, 1)
+			st, alias = d.AtomicallyClassified(func(tx *Tx) {
+				Load(tx, a)
+				Store(tx, out, 1)
+				w.write(d, a, side) // found by commit validation only
+			})
+			if st != AbortConflict || alias {
+				t.Fatalf("at commit: (status, alias) = (%v, %v), want (conflict, false)", st, alias)
+			}
+			if Load(nil, out) != 0 {
+				t.Fatal("an aborted commit published")
+			}
+			if s := d.Stats(); s.Conflicts != 2 || s.FalseConflicts != 0 {
+				t.Fatalf("stats = %+v, want two true conflicts", s)
+			}
+		})
+	}
+}
+
+// TestNonWritersDoNotStamp: a failed CAS, a validation-only MultiCAS leg, a
+// MultiCAS that fails and a MultiValidate change no value, so they stamp
+// nothing and a transaction that read the Var commits straight past them.
+func TestNonWritersDoNotStamp(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		poke func(a, side *Var[uint64])
+	}{
+		{"failed CAS", func(a, side *Var[uint64]) {
+			if CAS(nil, a, 99, 100) {
+				t.Error("CAS against a wrong old value succeeded")
+			}
+		}},
+		{"validation-only leg", func(a, side *Var[uint64]) {
+			if !MultiCAS(NewUpdate(a, 1, 1), NewUpdate(side, 0, 5)) {
+				t.Error("MultiCAS failed")
+			}
+		}},
+		{"failed MultiCAS", func(a, side *Var[uint64]) {
+			if MultiCAS(NewUpdate(a, 1, 2), NewUpdate(side, 99, 100)) {
+				t.Error("MultiCAS against a wrong old value succeeded")
+			}
+		}},
+		{"MultiValidate", func(a, side *Var[uint64]) {
+			if !MultiValidate(NewUpdate(a, 1, 1)) {
+				t.Error("MultiValidate failed")
+			}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			d := NewDomain(0, 0)
+			a, side, out := NewVar(d, uint64(1)), NewVar(d, uint64(0)), NewVar(d, uint64(0))
+			st := d.Atomically(func(tx *Tx) {
+				Load(tx, a)
+				c.poke(a, side)
+				if Load(tx, a) != 1 {
+					t.Error("value changed")
+				}
+				Store(tx, out, 1)
+			})
+			if st != Committed {
+				t.Fatalf("status = %v, want commit past a non-write", st)
+			}
+			if a.ver.Load() != 0 {
+				t.Fatalf("a non-write stamped the Var %d", a.ver.Load())
+			}
+		})
+	}
+}
+
+// TestWriteSkew: T1 reads x and writes y, T2 reads y and writes x. Each
+// guards its write on the other's Var being zero, so a serial order sets
+// exactly one of them. With x and y on one stripe the two commits exclude
+// each other and the loser must abort on a stamp although it holds the
+// shared stripe itself at validation; on two stripes both can hold their
+// write stripe at once, each with a timestamp drawn, and what stops the pair
+// is validation refusing a read stripe that someone else holds. First by
+// hand — T2 runs whole between T1's read and T1's commit — then hammered
+// (the build tag perturb yields between the phases, which is what lines the
+// two commits up on one CPU).
+func TestWriteSkew(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		pair func(t *testing.T, d *Domain, x *Var[int]) *Var[int]
+	}{
+		{"aliased", aliasVar},
+		{"disjoint", disjointVar},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			d := NewDomain(0, 0)
+			x := NewVar(d, 0)
+			y := c.pair(t, d, x)
+			guarded := func(read, write *Var[int], between func()) Status {
+				return d.Atomically(func(tx *Tx) {
+					if Load(tx, read) == 0 {
+						if between != nil {
+							between()
+						}
+						Store(tx, write, 1)
+					}
+				})
+			}
+			st := guarded(x, y, func() {
+				elsewhere(func() {
+					if st := guarded(y, x, nil); st != Committed {
+						t.Errorf("T2 alone: %v", st)
+					}
+				})
+			})
+			if st != AbortConflict || Load(nil, x) != 1 || Load(nil, y) != 0 {
+				t.Fatalf("T1 = %v with x=%d y=%d, want a conflict abort and x=1 y=0", st, Load(nil, x), Load(nil, y))
+			}
+
+			for round := 0; round < 2000; round++ {
+				Store(nil, x, 0)
+				Store(nil, y, 0)
+				var wg sync.WaitGroup
+				for _, p := range [][2]*Var[int]{{x, y}, {y, x}} {
+					wg.Add(1)
+					go func(read, write *Var[int]) {
+						defer wg.Done()
+						for guarded(read, write, nil) != Committed {
+						}
+					}(p[0], p[1])
+				}
+				wg.Wait()
+				if gx, gy := Load(nil, x), Load(nil, y); gx+gy != 1 {
+					t.Fatalf("round %d: x=%d y=%d: both or neither of a write-skew pair committed its write", round, gx, gy)
+				}
+			}
+		})
+	}
+}
+
+// TestOneStripeOpacity hammers a domain with a single stripe — every Var
+// aliases every other — with transfers between a and b by transaction and by
+// MultiCAS, plus direct writes to unrelated Vars. A transaction body that has
+// read both a and b must never see their sum broken, not even in an attempt
+// that is going to abort; direct reads that pass MultiValidate likewise.
+func TestOneStripeOpacity(t *testing.T) {
+	const total = 1000
+	d := NewDomainStripes(0, 0, 1)
+	a, b, c := NewVar(d, total), NewVar(d, 0), NewVar(d, 0)
+	var stop atomic.Bool
+	var writers, readers sync.WaitGroup
+	const rounds = 3000
+	spawn := func(wg *sync.WaitGroup, f func(i int)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds && !stop.Load(); i++ {
+				f(i)
+			}
+		}()
+	}
+	spawn(&writers, func(i int) { // transactional transfer
+		for d.Atomically(func(tx *Tx) {
+			x := Load(tx, a)
+			Store(tx, a, x-1)
+			Store(tx, b, Load(tx, b)+1)
+		}) != Committed {
+		}
+	})
+	spawn(&writers, func(i int) { // MultiCAS transfer back
+		for {
+			x, y := Load(nil, a), Load(nil, b)
+			if MultiCAS(NewUpdate(a, x, x+1), NewUpdate(b, y, y-1)) {
+				return
+			}
+		}
+	})
+	spawn(&writers, func(i int) { Store(nil, c, i) }) // aliased, unrelated
+	spawn(&writers, func(i int) { Add(nil, NewVar(d, uint64(0)), 1) })
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for !stop.Load() {
+				d.Atomically(func(tx *Tx) {
+					x := Load(tx, a)
+					Load(tx, c)
+					if y := Load(tx, b); x+y != total {
+						t.Errorf("a body saw a=%d b=%d", x, y)
+						stop.Store(true)
+					}
+				})
+				x, y := Load(nil, a), Load(nil, b)
+				if MultiValidate(NewUpdate(a, x, x), NewUpdate(b, y, y)) && x+y != total {
+					t.Errorf("MultiValidate passed a=%d b=%d", x, y)
+					stop.Store(true)
+				}
+			}
+		}()
+	}
+	writers.Wait()
+	stop.Store(true)
+	readers.Wait()
+	if x, y := Load(nil, a), Load(nil, b); x+y != total {
+		t.Fatalf("a=%d b=%d at quiescence", x, y)
+	}
+}

@@ -48,12 +48,21 @@ func NewPTOSet(attempts int) *PTOSet {
 	return NewPTOSetIn(htm.NewDomain(0, 0), attempts)
 }
 
+// newPNode allocates a node whose links are not yet bound to the domain:
+// every caller Inits each level before the node is published.
 func (s *PTOSet) newPNode(key int64, top int) *pnode {
-	n := &pnode{key: key, top: top, next: make([]htm.Var[*pbox], top+1)}
+	return &pnode{key: key, top: top, next: make([]htm.Var[*pbox], top+1)}
+}
+
+// link points every level of the still-private node n at succs. Nobody can
+// see n until a commit or a CAS publishes a predecessor's link to it, so its
+// own links are set by (re-)Init: a direct Store would take a stripe lock
+// and bump the domain's commit clock once per level for memory no
+// transaction can have read.
+func (s *PTOSet) link(n *pnode, succs *[MaxLevel]*pnode) {
 	for l := range n.next {
-		n.next[l].Init(s.domain, nil)
+		n.next[l].Init(s.domain, &pbox{n: succs[l]})
 	}
-	return n
 }
 
 // WithPolicy replaces the speculation policy governing the retry loops. The
@@ -175,9 +184,7 @@ func (s *PTOSet) Insert(key int64) bool {
 		if !r.Next(0) {
 			break // budget spent; preds/succs/pboxes hold a fresh view
 		}
-		for l := 0; l <= top; l++ {
-			htm.Store(nil, &n.next[l], &pbox{n: succs[l]})
-		}
+		s.link(n, &succs)
 		st := r.Try(func(tx *htm.Tx) {
 			for l := 0; l <= top; l++ {
 				if htm.Load(tx, &preds[l].next[l]) != pboxes[l] {
@@ -194,9 +201,7 @@ func (s *PTOSet) Insert(key int64) bool {
 			return true
 		}
 	}
-	for l := 0; l <= top; l++ {
-		htm.Store(nil, &n.next[l], &pbox{n: succs[l]})
-	}
+	s.link(n, &succs)
 	r.Fallback()
 	return s.insertFallback(n, top, &preds, &succs, &pboxes)
 }
@@ -209,9 +214,7 @@ func (s *PTOSet) insertFallback(n *pnode, top int, preds, succs *[MaxLevel]*pnod
 			if s.find(n.key, preds[:], succs[:], pboxes[:]) {
 				return false
 			}
-			for l := 0; l <= top; l++ {
-				htm.Store(nil, &n.next[l], &pbox{n: succs[l]})
-			}
+			s.link(n, succs)
 			continue
 		}
 		break

@@ -1,12 +1,16 @@
 package txn_test
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/hashtable"
 	"repro/internal/htm"
 	"repro/internal/israce"
 	"repro/internal/skiplist"
+	"repro/internal/speculate"
+	"repro/internal/telemetry"
 	"repro/internal/txn"
 )
 
@@ -95,6 +99,44 @@ func BenchmarkMoveAll16(b *testing.B) {
 		benchHits += txn.MoveAll(m, src, dst, keys...)
 		src, dst = dst, src
 	})
+}
+
+// BenchmarkMoveAll16Contended is BenchmarkMoveAll16 with a second goroutine
+// flipping keys of two other sets in the same domain. The flipper writes no
+// Var a move reads, so every fallback it causes is a false one: fallbacks/op
+// was 0.9 while a read was judged by its stripe's version (a move reads
+// every stripe), and is what meeting a held stripe costs under per-Var
+// stamps (0.001).
+func BenchmarkMoveAll16Contended(b *testing.B) {
+	m, hot, cold := benchSets(false)
+	reg := telemetry.NewRegistry()
+	m.WithPolicy(speculate.Fixed(0).WithMetrics(reg))
+	keys := make([]int64, 16)
+	for i := range keys {
+		keys[i] = int64(16000 + 2*i)
+		insert(m, hot, keys[i])
+	}
+	d := m.Domain()
+	flips := []func(){flip(m, hashtable.NewPTOTableIn(d, 64, 0), 701), flip(m, skiplist.NewPTOSetIn(d, 0), 703)}
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; !stop.Load(); i++ {
+			flips[i%len(flips)]()
+		}
+	}()
+	before := reg.Snapshot().Composed[0].FallbackCommits
+	var src, dst txn.Set = hot, cold
+	run(b, func() {
+		benchHits += txn.MoveAll(m, src, dst, keys...)
+		src, dst = dst, src
+	})
+	b.StopTimer()
+	stop.Store(true)
+	wg.Wait()
+	b.ReportMetric(float64(reg.Snapshot().Composed[0].FallbackCommits-before)/float64(b.N), "fallbacks/op")
 }
 
 // TestAllocsComposedReadOnly pins the prefix path's bookkeeping at zero: a
