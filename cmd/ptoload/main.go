@@ -1,7 +1,7 @@
 // Command ptoload is ptoserver's load generator: an open-loop driver that
 // models a large session population hammering the service with zipfian key
 // popularity and bursty arrivals, and emits a machine-readable
-// BENCH_serve.json next to BENCH_pto.json.
+// BENCH_serve.json.
 //
 // Open-loop means arrivals are paced by the offered rate, not by the
 // server's responses: when the server falls behind, requests queue against

@@ -54,7 +54,7 @@ import (
 var (
 	addr        = flag.String("addr", ":8350", "serve the op API on this address")
 	shards      = flag.Int("shards", server.DefaultShards, "shard count (each shard owns its own htm domain)")
-	stripes     = flag.Int("stripes", 0, "ownership-record stripes per shard domain (0 = htm default)")
+	stripes     = flag.Int("stripes", 0, "ownership-record stripes per shard domain, fixed at start: a power of two (0 = htm default, 256)")
 	policyName  = flag.String("policy", "fixed", "speculation policy: fixed or adaptive")
 	attempts    = flag.Int("attempts", 0, "composed fast-path attempt budget (0 = default)")
 	readCap     = flag.Int("readcap", 0, "transactional read capacity (0 = default, negative = force fallback)")
@@ -79,6 +79,9 @@ func main() {
 		pol = speculate.Adaptive()
 	default:
 		log.Fatalf("unknown -policy %q (want fixed or adaptive)", *policyName)
+	}
+	if n := *stripes; n < 0 || n&(n-1) != 0 {
+		log.Fatalf("-stripes %d: want a power of two, or 0 for the default", n)
 	}
 
 	reg := telemetry.NewRegistry()

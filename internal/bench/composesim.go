@@ -116,8 +116,7 @@ func AblationComposedMoveSim(scale float64) Figure {
 // number of atomic publications (fast-path commits plus MultiCAS fallbacks)
 // and keys moved. The machine is deterministic, so the counts reproduce
 // bit-for-bit: they pin the batched-Move acceptance claim (fewer prefix
-// transactions per moved key than k independent Moves) in both the test
-// suite and the benchreport artifact.
+// transactions per moved key than k independent Moves) in the test suite.
 func BatchedMoveAmortization(batch int) (publications uint64, moved int) {
 	const keys = 64
 	reg := telemetry.NewRegistry()

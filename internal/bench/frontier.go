@@ -40,41 +40,40 @@ const frontierFitFrac = 0.8
 // FrontierShapePoint is one swept budget of one shape.
 type FrontierShapePoint struct {
 	// SetLines is the per-side budget (BoundedReadLines = BoundedWriteLines).
-	SetLines int `json:"set_lines"`
+	SetLines int
 	// Bounded is ops/ms on the BoundedSet machine.
-	Bounded float64 `json:"bounded"`
+	Bounded float64
 	// BoundedNBTC is ops/ms on the same machine with NBTC publication.
-	BoundedNBTC float64 `json:"bounded_nbtc"`
+	BoundedNBTC float64
 }
 
 // FrontierShape is one composed-footprint shape's sweep.
 type FrontierShape struct {
-	Shape string `json:"shape"`
+	Shape string
 	// Baseline is ops/ms on the default RTM-like machine.
-	Baseline float64              `json:"baseline"`
-	Points   []FrontierShapePoint `json:"points"`
+	Baseline float64
+	Points   []FrontierShapePoint
 	// FitLines is the smallest swept budget where the bounded arm reaches
 	// frontierFitFrac of Baseline (0 = never fits in the sweep) — the
 	// shape's set-size threshold.
-	FitLines int `json:"fit_lines"`
+	FitLines int
 	// NBTCFitLines is the same threshold for the bounded+NBTC arm.
-	NBTCFitLines int `json:"nbtc_fit_lines"`
+	NBTCFitLines int
 }
 
-// FrontierResult is the deterministic A12 sample, shaped for the
-// benchreport artifact.
+// FrontierResult is the deterministic A12 sample.
 type FrontierResult struct {
-	Threads int             `json:"threads"`
-	Shapes  []FrontierShape `json:"shapes"`
+	Threads int
+	Shapes  []FrontierShape
 	// BoundedSetOK: at least one shape both falls behind the RTM baseline
 	// at the smallest budget and recovers at a larger one — the sweep
 	// actually located a set-size threshold.
-	BoundedSetOK bool `json:"bounded_set_ok"`
+	BoundedSetOK bool
 	// NBTCOK: at least one shape where the NBTC arm shifts the threshold to
 	// a smaller budget, or beats the plain bounded arm at a budget below
 	// the threshold — the commit-time batch bought back hardware commits
 	// the body itself could not fit.
-	NBTCOK bool `json:"nbtc_ok"`
+	NBTCOK bool
 }
 
 // FrontierSample runs the modeled sweep and returns the result row.

@@ -20,10 +20,10 @@ import (
 // same domain and structures:
 //
 //   - alias-heavy: single-key Moves across a wide key range on a bucket-rich
-//     hash-table pair, so the working set is ~2k distinct orec words. With a
-//     small stripe table, writers to unrelated buckets share stripes and
-//     in-flight validations abort as false conflicts; a large table makes
-//     the phase embarrassingly parallel.
+//     hash-table pair, so the working set is ~2k distinct Vars on the
+//     domain's 256 stripes: writers to unrelated buckets meet each other's
+//     held stripes. Batch width plays no part; the phase is the same
+//     workload for every arm.
 //
 //   - capacity-heavy: the domain's write capacity drops to a11WriteCap and
 //     the workload switches to batched MoveAll chunks over per-thread
@@ -37,12 +37,11 @@ import (
 //     are strictly better — one composed publication amortizes its
 //     begin/validate/commit overhead over 16 keys instead of 2.
 //
-// The static arms pin (stripes, batch k) to one corner each — "lean" is
-// right for the capacity phase and wrong for the other two, "wide" is the
-// reverse — so neither can win everywhere. The adaptive arm starts from the
-// lean stripe table and a middling batch width and lets the controller
-// steer: law A grows the stripe table under the alias phase's
-// false-conflict rate, law B's AIMD walks k down when capacity aborts
+// Every arm runs on one default stripe table; the static arms pin the batch
+// width k to one corner each — "lean" is right for the capacity phase and
+// wrong for the calm one, "wide" is the reverse — so neither can win
+// everywhere. The adaptive arm starts from a middling batch width and lets
+// the controller steer: law B's AIMD walks k down when capacity aborts
 // appear and back up through the calm phase, law C trims the fast budget
 // while commits collapse. The claim (the adaptive_ok bit): the controller
 // holds every phase near that phase's best static arm and therefore beats
@@ -52,8 +51,8 @@ import (
 //
 // Wall-clock numbers vary with the host, so like A6/A7 this figure is only
 // emitted under -ablations or by ID; the cross-host stable signals
-// (controller_actions, adaptive_ok, the end-state stripe table and batch
-// width) ride the series names and the benchreport self_tune sample.
+// (controller_actions, adaptive_ok, the end-state batch width) ride the
+// series names.
 const (
 	a11Threads = 4
 	// a11WideKeys is the alias phase's key range (on ~2*a11Buckets distinct
@@ -68,11 +67,9 @@ const (
 	// batch (16 keys, 32 writes) overflows while the lean batch fits.
 	a11WriteCap = 12
 	// Static corners: lean = capacity-phase-tuned (no batching at all, the
-	// most footprint-conservative shape), wide = alias/calm-tuned.
-	a11LeanStripes = 64
-	a11WideStripes = 1024
-	a11LeanBatch   = 1
-	a11WideBatch   = 32
+	// most footprint-conservative shape), wide = calm-tuned.
+	a11LeanBatch = 1
+	a11WideBatch = 32
 	// a11StartBatch is the adaptive arm's deliberately-middling start.
 	a11StartBatch = 8
 	// a11PhaseWindow is one phase's wall-clock window at scale 1.0;
@@ -88,9 +85,6 @@ const (
 	// at each phase boundary). The aggregate comparison is strict.
 	a11PhaseTolerance = 0.7
 )
-
-// a11PhaseNames index the phase sequence everywhere below.
-var a11PhaseNames = [3]string{"alias-heavy", "capacity-heavy", "calm"}
 
 // batchKnob is the bench-side BatchSetter (law B's actuation surface
 // outside the server): the MoveAll chunk width the lane workload reads
@@ -125,25 +119,24 @@ func (b *batchKnob) SetBatchK(n int) int {
 // the mean of the phase rates, i.e. the whole-run rate under the equal
 // phase windows the schedule uses.
 type SelfTuneArm struct {
-	Name      string    `json:"name"`
-	PhaseTput []float64 `json:"phase_tput"`
-	Aggregate float64   `json:"aggregate_tput"`
+	Name      string
+	PhaseTput []float64
+	Aggregate float64
 }
 
-// SelfTuneResult is the benchreport self_tune sample: both static corners,
-// the adaptive arm, the controller's final state (stripe table size, batch
-// width, per-law action counts), and the acceptance bit.
+// SelfTuneResult is one A11 run: both static corners, the adaptive arm, the
+// controller's final state (batch width, per-law action counts), and the
+// acceptance bit.
 type SelfTuneResult struct {
-	Phases   [3]string     `json:"phases"`
-	Static   []SelfTuneArm `json:"static"`
-	Adaptive SelfTuneArm   `json:"adaptive"`
+	Static   []SelfTuneArm
+	Adaptive SelfTuneArm
 	// Tune is the adaptive arm's controller snapshot at the end of the run;
 	// Tune.Actions is the controller_actions total the A11 smoke greps.
-	Tune tune.Snapshot `json:"tune"`
+	Tune tune.Snapshot
 	// AdaptiveOK: the controller acted, the adaptive arm reached
 	// a11PhaseTolerance of the best static arm in every phase, and it beat
 	// every static arm on aggregate throughput.
-	AdaptiveOK bool `json:"adaptive_ok"`
+	AdaptiveOK bool
 }
 
 // AblationSelfTune regenerates the A11 table (wall clock; emitted only
@@ -160,9 +153,8 @@ func AblationSelfTune(scale float64) Figure {
 	for i, a := range arms {
 		name := a.Name
 		if i == len(arms)-1 {
-			name = fmt.Sprintf("%s (controller_actions=%d remap=%d batch=%d budget=%d, stripes_end=%d, k_end=%d, adaptive_ok=%v)",
-				a.Name, r.Tune.Actions, r.Tune.RemapActions, r.Tune.BatchActions,
-				r.Tune.BudgetActions, r.Tune.Stripes, r.Tune.BatchK, r.AdaptiveOK)
+			name = fmt.Sprintf("%s (controller_actions=%d batch=%d budget=%d, k_end=%d, adaptive_ok=%v)",
+				a.Name, r.Tune.Actions, r.Tune.BatchActions, r.Tune.BudgetActions, r.Tune.BatchK, r.AdaptiveOK)
 		}
 		s := Series{Name: fmt.Sprintf("%s aggregate=%.1f", name, a.Aggregate)}
 		for p, tput := range a.PhaseTput {
@@ -176,13 +168,10 @@ func AblationSelfTune(scale float64) Figure {
 // SelfTuneSample runs all three arms and computes the acceptance bit.
 func SelfTuneSample(scale float64) SelfTuneResult {
 	var r SelfTuneResult
-	r.Phases = a11PhaseNames
-	lean, _ := runSelfTuneArm(fmt.Sprintf("Static lean (stripes=%d, k=%d)", a11LeanStripes, a11LeanBatch),
-		a11LeanStripes, a11LeanBatch, false, scale)
-	wide, _ := runSelfTuneArm(fmt.Sprintf("Static wide (stripes=%d, k=%d)", a11WideStripes, a11WideBatch),
-		a11WideStripes, a11WideBatch, false, scale)
+	lean, _ := runSelfTuneArm(fmt.Sprintf("Static lean (k=%d)", a11LeanBatch), a11LeanBatch, false, scale)
+	wide, _ := runSelfTuneArm(fmt.Sprintf("Static wide (k=%d)", a11WideBatch), a11WideBatch, false, scale)
 	r.Static = []SelfTuneArm{lean, wide}
-	r.Adaptive, r.Tune = runSelfTuneArm("Adaptive controller", a11LeanStripes, a11StartBatch, true, scale)
+	r.Adaptive, r.Tune = runSelfTuneArm("Adaptive controller", a11StartBatch, true, scale)
 
 	r.AdaptiveOK = r.Tune.Actions > 0
 	for p := range r.Adaptive.PhaseTput {
@@ -216,9 +205,9 @@ type a11Lane struct {
 // adaptive arm) a running controller; the same three-phase schedule for
 // everyone. Returns the arm row and the final controller snapshot (zero for
 // static arms).
-func runSelfTuneArm(name string, stripes, batch int, adaptive bool, scale float64) (SelfTuneArm, tune.Snapshot) {
+func runSelfTuneArm(name string, batch int, adaptive bool, scale float64) (SelfTuneArm, tune.Snapshot) {
 	reg := telemetry.NewRegistry()
-	d := htm.NewDomainStripes(0, 0, stripes)
+	d := htm.NewDomain(0, 0)
 	m := txn.NewIn(d, 0).WithPolicy(realPolicy().WithMetrics(reg)).WithMiddle(0, 0)
 	src := hashtable.NewPTOTableIn(d, a11Buckets, 0)
 	dst := hashtable.NewPTOTableIn(d, a11Buckets, 0)
@@ -247,9 +236,6 @@ func runSelfTuneArm(name string, stripes, batch int, adaptive bool, scale float6
 			Registry:   reg,
 			SitePrefix: "txn/atomic",
 			Interval:   a11TuneInterval,
-			Domain:     d,
-			MinStripes: a11LeanStripes,
-			MaxStripes: a11WideStripes,
 			Batch:      knob,
 			MinBatch:   1,
 			MaxBatch:   a11WideBatch,

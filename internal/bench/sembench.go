@@ -152,37 +152,6 @@ func measureA9(threads, txnsPer int, semantic bool) (tput, wordAborts, semRetrie
 	return
 }
 
-// SemanticComparison is one A9 sample at a fixed thread count, the shape
-// cmd/benchreport folds into BENCH_pto.json. Rates are events per 1000
-// transactions; WordAbortAdvantageOK pins the ablation's claim — the
-// semantic arm pays no more word-level aborts than the stripe-only arm.
-type SemanticComparison struct {
-	Threads              int     `json:"threads"`
-	TxnsPerThread        int     `json:"txns_per_thread"`
-	SemanticTxnsPerMs    float64 `json:"semantic_txns_per_ms"`
-	StripeTxnsPerMs      float64 `json:"stripe_txns_per_ms"`
-	SemanticWordAborts   float64 `json:"semantic_word_aborts_per_1k"`
-	SemanticRetries      float64 `json:"semantic_retries_per_1k"`
-	StripeWordAborts     float64 `json:"stripe_word_aborts_per_1k"`
-	WordAbortAdvantageOK bool    `json:"word_abort_advantage_ok"`
-}
-
-// SemanticVsStripe measures both A9 arms once at the given thread count.
-func SemanticVsStripe(threads, txnsPer int) SemanticComparison {
-	st, sa, sr := measureA9(threads, txnsPer, true)
-	tt, ta, _ := measureA9(threads, txnsPer, false)
-	return SemanticComparison{
-		Threads:              threads,
-		TxnsPerThread:        txnsPer,
-		SemanticTxnsPerMs:    st,
-		StripeTxnsPerMs:      tt,
-		SemanticWordAborts:   sa,
-		SemanticRetries:      sr,
-		StripeWordAborts:     ta,
-		WordAbortAdvantageOK: sa <= ta,
-	}
-}
-
 // AblationSemantic is A9: semantic vs stripe-only validation under the
 // bucket-collision-heavy workload, reporting throughput (txns/ms) and —
 // in the rate series, where the Y value is events per 1000 transactions —

@@ -93,19 +93,19 @@ func AblationThreePath(scale float64) Figure {
 	return f
 }
 
-// ThreePathResult is the deterministic (modeled) slice of A10, shaped for
-// the benchreport artifact: both arms' curves, the helped-descriptor total
+// ThreePathResult is the deterministic (modeled) slice of A10: both arms'
+// curves, the helped-descriptor total
 // of the three-path arm, and the acceptance bit — the middle path beats the
 // fast+slow-only shape under the adversary on at least one thread count.
 type ThreePathResult struct {
-	FastSlow  []Point `json:"fast_slow"`
-	ThreePath []Point `json:"three_path"`
+	FastSlow  []Point
+	ThreePath []Point
 	// Helped is the total helped-descriptor count across the three-path
 	// arm's points (telemetry counter pto_speculation_helped_descs_total).
-	Helped uint64 `json:"helped_descs"`
+	Helped uint64
 	// MiddlePathOK reports ThreePath > FastSlow at ≥ 1 thread count AND
 	// Helped > 0 — the A10 acceptance bit.
-	MiddlePathOK bool `json:"middle_path_ok"`
+	MiddlePathOK bool
 }
 
 // ThreePathSample runs the modeled arms of A10 and returns the

@@ -86,13 +86,13 @@ func (t *PTOTree) WithPolicy(p speculate.Policy) *PTOTree {
 	// Contains runs only the whole-operation (PTO1) level and the
 	// historical loop recorded no statistics for it, hence the nil legacy.
 	t.conSite = p.NewSite("bst/contains", nil,
-		speculate.Level{Name: "pto1", Attempts: t.pto1, RetryOnExplicit: true})
+		speculate.Level{Name: "pto1", Attempts: t.pto1, OnExplicit: speculate.RulePolicy})
 	t.insSite = p.NewSite("bst/insert", t.stats,
 		speculate.Level{Name: "pto1", Attempts: t.pto1},
-		speculate.Level{Name: "pto2", Attempts: t.pto2, RetryOnExplicit: true})
+		speculate.Level{Name: "pto2", Attempts: t.pto2, OnExplicit: speculate.RulePolicy})
 	t.rmSite = p.NewSite("bst/remove", t.stats,
 		speculate.Level{Name: "pto1", Attempts: t.pto1},
-		speculate.Level{Name: "pto2", Attempts: t.pto2, RetryOnExplicit: true})
+		speculate.Level{Name: "pto2", Attempts: t.pto2, OnExplicit: speculate.RulePolicy})
 	return t
 }
 

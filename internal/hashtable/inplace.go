@@ -121,7 +121,7 @@ func NewInplaceTable(buckets, attempts int) *InplaceTable {
 // operation makes exactly `attempts` tries — explicit aborts included — then
 // falls back. Returns t for chaining.
 func (t *InplaceTable) WithPolicy(p speculate.Policy) *InplaceTable {
-	lvl := speculate.Level{Name: "pto", Attempts: t.attempts, RetryOnExplicit: true}
+	lvl := speculate.Level{Name: "pto", Attempts: t.attempts, OnExplicit: speculate.RulePolicy}
 	t.insSite = p.NewSite("inplace/insert", t.stats, lvl)
 	t.rmSite = p.NewSite("inplace/remove", t.stats, lvl)
 	t.conSite = p.NewSite("inplace/contains", t.stats, lvl)

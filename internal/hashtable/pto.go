@@ -62,7 +62,7 @@ func NewPTOTable(buckets, attempts int) *PTOTable {
 // operation makes exactly `attempts` tries — explicit aborts included — then
 // falls back. Returns t for chaining.
 func (t *PTOTable) WithPolicy(p speculate.Policy) *PTOTable {
-	lvl := speculate.Level{Name: "pto", Attempts: t.attempts, RetryOnExplicit: true}
+	lvl := speculate.Level{Name: "pto", Attempts: t.attempts, OnExplicit: speculate.RulePolicy}
 	t.insSite = p.NewSite("hashtable/insert", t.stats, lvl)
 	t.rmSite = p.NewSite("hashtable/remove", t.stats, lvl)
 	t.conSite = p.NewSite("hashtable/contains", t.stats, lvl)

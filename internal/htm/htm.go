@@ -136,14 +136,9 @@ type stripe struct {
 }
 
 // stripeTable is a domain's ownership-record table: a power-of-two count of
-// stripes plus the derived hash shift and bitmap width. A table's shape is
-// immutable after construction, so hot paths read it without
-// synchronization; what can change is WHICH table the domain has installed
-// (ResizeStripes swaps in a new one). Exactly one table is live at a time,
-// by the retirement invariant: ResizeStripes locks every stripe of the old
-// table and never releases them, so holding a stripe of table t proves t is
-// still the installed table, and seeing one unlocked proves t had not been
-// retired at that instant. Nothing else ties a reader or writer to a table.
+// stripes plus the derived hash shift and bitmap width. It is built once per
+// domain and never replaced, and its shape is immutable, so every path reads
+// it without synchronization and a Var hashes to the same stripe for life.
 type stripeTable struct {
 	shift   uint32 // 64 - log2(len(stripes)): the Fibonacci-hash shift
 	words   int    // stripe bitmap size in 64-bit words
@@ -192,13 +187,10 @@ type Domain struct {
 	readCap  atomic.Int64
 	writeCap atomic.Int64
 
-	// stripeCfg is the requested stripe count (0 = DefaultStripes); tbl is
-	// the installed table, built on first use so the zero Domain stays
-	// ready to use. ResizeStripes installs a new table under remapMu.
-	stripeCfg atomic.Int64
-	tbl       atomic.Pointer[stripeTable]
-	remapMu   sync.Mutex
-	remaps    atomic.Uint64
+	// tbl is the domain's stripe table: set by NewDomainStripes, or built
+	// with DefaultStripes on first use so the zero Domain stays ready to
+	// use, and never replaced afterwards.
+	tbl atomic.Pointer[stripeTable]
 }
 
 // Default capacity limits, chosen to approximate an L1-bounded write set and
@@ -217,86 +209,36 @@ func NewDomain(readCap, writeCap int) *Domain {
 }
 
 // NewDomainStripes is NewDomain with an explicit ownership-record stripe
-// count: a power of two (panics otherwise), 0 selecting DefaultStripes.
-// Fewer stripes coarsen the locks — more transactions meet a stripe held for
-// an unrelated Var (false conflicts), same correctness, and completed writes
-// still conflict per Var only — which is the knob the aliasing stress tests
-// and stripe-tuning experiments turn. The table is built here, before the
-// domain is shared.
+// count: a power of two (panics otherwise), 0 selecting DefaultStripes. It is
+// the one place a stripe count is chosen; the table is fixed for the domain's
+// life. Fewer stripes coarsen the locks — more transactions meet a stripe
+// held for an unrelated Var (false conflicts), same correctness, and
+// completed writes still conflict per Var only — which is the knob the
+// aliasing stress tests turn.
 func NewDomainStripes(readCap, writeCap, stripes int) *Domain {
 	d := NewDomain(readCap, writeCap)
-	if stripes != 0 {
-		d.stripeCfg.Store(int64(stripes))
+	if stripes == 0 {
+		stripes = DefaultStripes
 	}
-	d.table()
+	d.tbl.Store(newStripeTable(stripes))
 	return d
 }
 
-// Stripes returns the domain's current ownership-record stripe count.
+// Stripes returns the domain's ownership-record stripe count.
 func (d *Domain) Stripes() int { return len(d.table().stripes) }
 
-// Remaps returns how many stripe-table swaps (ResizeStripes) the domain has
-// completed.
-func (d *Domain) Remaps() uint64 { return d.remaps.Load() }
+// Remaps always returns 0: a domain's stripe table is never swapped. Kept
+// only because benchmark/lib.go:163 reads it.
+func (d *Domain) Remaps() uint64 { return 0 }
 
-// table returns the domain's installed stripe table, building the first one
-// on first use.
+// table returns the domain's stripe table, building the zero Domain's on
+// first use.
 func (d *Domain) table() *stripeTable {
 	if t := d.tbl.Load(); t != nil {
 		return t
 	}
-	n := int(d.stripeCfg.Load())
-	if n == 0 {
-		n = DefaultStripes
-	}
-	d.tbl.CompareAndSwap(nil, newStripeTable(n))
+	d.tbl.CompareAndSwap(nil, newStripeTable(DefaultStripes))
 	return d.tbl.Load()
-}
-
-// remapOwner is the sentinel lock owner under which ResizeStripes retires
-// every stripe of the old table. It is outside the Var id space, so
-// conflicts observed against it classify as stripe-alias (false) conflicts:
-// a resize abort is engine-induced, not a data race.
-const remapOwner = uint64(1) << 62
-
-// ResizeStripes swaps the domain's ownership-record table for a fresh one
-// with n stripes (a power of two; panics otherwise), rehashing every Var's
-// stripe assignment, and reports whether a swap happened (false when n is
-// already the current count). It is the actuation point of the
-// contention-adaptive stripe controller (internal/tune): growing the table
-// dilutes stripe aliasing without touching any Var.
-//
-// The swap retires the old table: it takes every old stripe, ascending (the
-// order every spinning acquirer follows), under the remapOwner sentinel —
-// waiting behind any writer that holds one — never releases them, and
-// installs the new table. By the retirement invariant (see stripeTable) no
-// writer straddles the install. A transaction that began under the old
-// table aborts at its next read, validation or lock attempt as on any busy
-// stripe (classified alias: the owner is the sentinel) and retries under the
-// new table; a read-only one whose reads all preceded the swap still
-// commits at its begin snapshot; spinning acquirers re-resolve.
-//
-// Nothing a snapshot is judged against lives in the table — commit stamps
-// are per Var and survive the swap — so the new stripes simply start
-// unlocked at sequence 0. Concurrent calls serialize; a call waits only for
-// writers already holding a stripe, never for a transaction.
-func (d *Domain) ResizeStripes(n int) bool {
-	if n <= 0 || n&(n-1) != 0 {
-		panic(fmt.Sprintf("htm: stripe count %d is not a power of two", n))
-	}
-	d.remapMu.Lock()
-	defer d.remapMu.Unlock()
-	old := d.table()
-	if len(old.stripes) == n {
-		return false
-	}
-	for i := range old.stripes {
-		// Never gives up: under remapMu nobody else installs a table.
-		d.acquire(old, &old.stripes[i], remapOwner)
-	}
-	d.tbl.Store(newStripeTable(n))
-	d.remaps.Add(1)
-	return true
 }
 
 // SetCapacity changes the domain's footprint limits. Zero selects the
@@ -342,21 +284,15 @@ func (d *Domain) caps() (int, int) {
 	return r, w
 }
 
-// acquire spins until it holds stripe s of table t on behalf of Var owner,
-// returning the stripe's pre-lock word (even: seq<<1) — or gives up,
-// reporting false, once t is no longer the installed table: a retired
-// stripe never unlocks, so the caller must re-resolve against the new
-// table. Only single-stripe writers, the MultiCAS decision and ResizeStripes
-// use it; transactional commits never spin on a stripe (they abort
-// instead), which is what keeps the spin here short.
-func (d *Domain) acquire(t *stripeTable, s *stripe, owner uint64) (uint64, bool) {
+// acquire spins until it holds the stripe on behalf of Var owner, returning
+// the stripe's pre-lock word (even: seq<<1). Only single-stripe writers and
+// the MultiCAS decision use it; transactional commits never spin on a stripe
+// (they abort instead), which is what keeps the spin here short.
+func (s *stripe) acquire(owner uint64) uint64 {
 	for {
 		w := s.word.Load()
 		if w&1 == 0 && s.word.CompareAndSwap(w, owner<<1|1) {
-			return w, true
-		}
-		if d.tbl.Load() != t {
-			return 0, false
+			return w
 		}
 		runtime.Gosched()
 	}
@@ -411,15 +347,11 @@ func (h *varHead) publish(s *stripe, wv uint64) {
 // Init binds an embedded Var to domain d and sets its initial value. It must
 // be called exactly once, before any concurrent access; it is intended for
 // initializing Var fields of freshly allocated nodes. Init assigns the Var
-// its identity — its MultiCAS ordering id, from which a table hashes the
-// Var's conflict-detection stripe. The stripe is deliberately NOT cached on
-// the Var: ResizeStripes swaps the table at runtime, so every access
-// resolves id → stripe against the table it is working in (one multiply and
-// shift).
+// its identity — its MultiCAS ordering id, from which the domain's table
+// hashes the Var's stripe on every access (one multiply and shift).
 func (v *Var[T]) Init(d *Domain, init T) {
 	v.d = d
 	v.id = varIDs.Add(1)
-	d.table() // force the first table before the Var is shared
 	v.p.Store(&cell[T]{val: init})
 }
 
@@ -437,7 +369,7 @@ func (v *Var[T]) Domain() *Domain { return v.d }
 func (v *Var[T]) ID() uint64 { return v.id }
 
 // stripeRec is one stripe a committing transaction writes through: its
-// index in the attempt's table, the id of the first Var written there — the
+// index in the domain's table, the id of the first Var written there — the
 // owner it locks the stripe under — and the stripe's pre-lock word, for
 // rollback.
 type stripeRec struct {
@@ -454,7 +386,7 @@ type stripeRec struct {
 // it publishes. Load, Store and Abort through a recycled Tx panic (live).
 type Tx struct {
 	d  *Domain
-	t  *stripeTable // the table installed at begin; the whole attempt works here
+	t  *stripeTable // the domain's table; nil once the attempt has returned (live)
 	rv uint64       // commit-clock snapshot taken at begin (the TL2 read version)
 
 	reads    int
@@ -504,8 +436,8 @@ type Tx struct {
 var txPool = sync.Pool{New: func() any { return &Tx{writeIdx: make(map[uint64]int)} }}
 
 // recycle returns tx to the pool as a zero Tx with capacity: cleared, so it
-// pins no cell, Var or retired stripe table (the stripe records hold indices,
-// not pointers, and need no clearing), and detached (live).
+// pins no cell, Var or domain (the stripe records hold indices, not
+// pointers, and need no clearing), and detached (live).
 func (tx *Tx) recycle() {
 	clear(tx.readLog)
 	clear(tx.writeLog)
@@ -577,11 +509,10 @@ func (tx *Tx) abort(st Status) {
 // heldByAlias classifies the conflict of meeting a stripe held by someone
 // else, from the lock word observed: true when the holder works on behalf of
 // a Var the attempt has neither read nor written, i.e. the abort is due to
-// stripe aliasing — or to a resize, whose sentinel owner is no Var — rather
-// than to a writer of the attempt's own data. A holder names one Var per
-// stripe, so a writer of several aliased Vars can still pass for an alias; a
-// completed write never does — that is judged by the Var's stamp. It walks
-// the read log, which only an abort path can afford.
+// stripe aliasing rather than to a writer of the attempt's own data. A holder
+// names one Var per stripe, so a writer of several aliased Vars can still
+// pass for an alias; a completed write never does — that is judged by the
+// Var's stamp. It walks the read log, which only an abort path can afford.
 func (tx *Tx) heldByAlias(word uint64) bool {
 	owner := word >> 1
 	if _, ok := tx.writeIdx[owner]; ok {
@@ -629,13 +560,13 @@ func (d *Domain) Atomically(f func(tx *Tx)) Status {
 // AtomicallyClassified is Atomically plus conflict attribution: when the
 // attempt ends in AbortConflict, the second result reports whether the
 // engine classified the conflict as a stripe-alias (false) conflict — the
-// attempt met a stripe held right now on behalf of a Var it never touched
-// (or retired by a resize) — rather than a true data conflict: a Var it read
-// carries a stamp newer than its snapshot, or the holder it met is writing a
-// Var it read or writes. It is always false for the other statuses. Retry
-// policies treat both kinds the same (both are
-// transient); the split exists for telemetry, so tuning can distinguish
-// contention that more stripes would cure from contention that is real.
+// attempt met a stripe held right now on behalf of a Var it never touched —
+// rather than a true data conflict: a Var it read carries a stamp newer than
+// its snapshot, or the holder it met is writing a Var it read or writes. It
+// is always false for the other statuses. Retry policies treat both kinds
+// the same (both are transient); the split exists for telemetry, so tuning
+// can distinguish contention that more stripes would cure from contention
+// that is real.
 func (d *Domain) AtomicallyClassified(f func(tx *Tx)) (Status, bool) {
 	st, alias, _ := d.AtomicallyHelping(0, f)
 	return st, alias
@@ -763,12 +694,10 @@ func (tx *Tx) commit() Status {
 		}
 	}
 
-	// Lock phase: take the written stripes of the attempt's table, ascending
-	// (the one global order every spinning acquirer follows); on a busy
-	// stripe restore those already taken and abort. A retired table's
-	// stripes are busy for good; once one is held the table cannot be
-	// retired under us. The abort is classified from the very word observed
-	// locked: a re-read could find the holder gone.
+	// Lock phase: take the written stripes, ascending (the one global order
+	// every spinning acquirer follows); on a busy stripe restore those
+	// already taken and abort. The abort is classified from the very word
+	// observed locked: a re-read could find the holder gone.
 	recs, wset := tx.writeRecs()
 	perturb()
 	for i := range recs {
@@ -864,18 +793,18 @@ func (tx *Tx) writeRecs() ([]stripeRec, []uint64) {
 	return recs, seen
 }
 
-// lockVar takes the stripe of Var id in the installed table on the Var's own
-// behalf — the lock a single-Var direct writer (Store, CAS, Add) holds — and
-// returns it with its pre-lock word. A table retired mid-spin makes acquire
-// give up, and the loop re-resolves against its successor.
+// stripeOf returns the stripe Var id hashes to.
+func (d *Domain) stripeOf(id uint64) *stripe {
+	t := d.table()
+	return &t.stripes[t.indexOf(id)]
+}
+
+// lockVar takes the stripe of Var id on the Var's own behalf — the lock a
+// single-Var direct writer (Store, CAS, Add) holds — and returns it with its
+// pre-lock word.
 func (d *Domain) lockVar(id uint64) (*stripe, uint64) {
-	for {
-		t := d.table()
-		s := &t.stripes[t.indexOf(id)]
-		if w, ok := d.acquire(t, s, id); ok {
-			return s, w
-		}
-	}
+	s := d.stripeOf(id)
+	return s, s.acquire(id)
 }
 
 // loadWaits is how many times a transactional Load looks again at a stripe
@@ -901,8 +830,6 @@ func Load[T comparable](tx *Tx, v *Var[T]) T {
 		if tx.reads > tx.readCap {
 			tx.abort(AbortCapacity)
 		}
-		// Resolve the stripe in the attempt's table: if that has been
-		// retired the stripe reads locked, for good, and we abort.
 		idx := t.indexOf(v.id)
 		s := &t.stripes[idx]
 		for wait := 0; ; wait++ {
@@ -932,14 +859,8 @@ func Load[T comparable](tx *Tx, v *Var[T]) T {
 			}
 		}
 	}
-	d := v.d
+	s := v.d.stripeOf(v.id)
 	for {
-		// Re-resolve the stripe each try: a retired table's stripes stay
-		// locked, so only the installed table ever yields an unlocked window
-		// — and an unlocked closing word proves every writer up to that
-		// instant went through this very stripe.
-		t := d.table()
-		s := &t.stripes[t.indexOf(v.id)]
 		pre := s.word.Load()
 		if pre&1 != 0 {
 			runtime.Gosched()

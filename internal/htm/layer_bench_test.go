@@ -190,3 +190,24 @@ func TestAllocsPerAttempt(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocsMultiValidate8: a MultiValidate over 8 entries on 8 stripes costs
+// the stripe bitmap plus the growth of its stripe and snapshot lists, built
+// once per call — 9 allocations, what a retry-free call cost before.
+func TestAllocsMultiValidate8(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation pins are meaningless under the race detector")
+	}
+	d := NewDomain(0, 0)
+	ents := make([]Entry, 8)
+	for i, v := range distinctStripeVars(d, 8) {
+		ents[i] = NewUpdate(v, i, i)
+	}
+	if got := testing.AllocsPerRun(200, func() {
+		if !MultiValidate(ents...) {
+			t.Error("validation of unchanged Vars failed")
+		}
+	}); got > 9 {
+		t.Errorf("MultiValidate over 8 entries: %v allocs, want at most 9", got)
+	}
+}

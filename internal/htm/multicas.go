@@ -261,23 +261,10 @@ func (m *MultiDesc) decide() {
 		return
 	}
 	d := m.d
-	// Merge the entries onto the stripes of the installed table and lock
-	// them ascending, the order ResizeStripes follows too.
-	var stripes []decStripe
-resolve:
-	for {
-		t := d.table()
-		stripes = decStripes(t, m.entries)
-		for i := range stripes {
-			w, ok := d.acquire(t, stripes[i].s, stripes[i].varID)
-			if !ok {
-				// t was retired: re-resolve. Nothing is held — only the
-				// first acquire can fail, a held stripe keeps t installed.
-				continue resolve
-			}
-			stripes[i].prev = w
-		}
-		break
+	// Merge the entries onto their stripes and lock them ascending.
+	stripes := decStripes(d.table(), m.entries)
+	for i := range stripes {
+		stripes[i].prev = stripes[i].s.acquire(stripes[i].varID)
 	}
 	// A loser of the status CAS — another helper already decided (and, if it
 	// succeeded, already stamped and published: our pre-lock words are its),
@@ -353,26 +340,20 @@ func MultiValidate(entries ...Entry) bool {
 			panic("htm: MultiValidate entries span domains")
 		}
 	}
+	t := d.table()
+	seen := make([]uint64, t.words)
 	var strps []*stripe
+	for _, e := range entries {
+		i := t.indexOf(e.varID())
+		w, b := i>>6, uint64(1)<<(i&63)
+		if seen[w]&b == 0 {
+			seen[w] |= b
+			strps = append(strps, &t.stripes[i])
+		}
+	}
 	var snaps []uint64
 retry:
 	for {
-		// Resolve the stripes against the installed table each try. No
-		// table re-check closes the window: retired stripes never unlock,
-		// so finding every stripe unlocked and unchanged at the end proves
-		// the table was still installed — and every writer still bumping
-		// it — across the whole window.
-		t := d.table()
-		seen := make([]uint64, t.words)
-		strps = strps[:0]
-		for _, e := range entries {
-			i := t.indexOf(e.varID())
-			w, b := i>>6, uint64(1)<<(i&63)
-			if seen[w]&b == 0 {
-				seen[w] |= b
-				strps = append(strps, &t.stripes[i])
-			}
-		}
 		snaps = snaps[:0]
 		for _, s := range strps {
 			w := s.word.Load()

@@ -28,6 +28,12 @@ func checkFresh(t *testing.T, tx *Tx) {
 			break
 		}
 	}
+	for _, e := range tx.writeLog[:cap(tx.writeLog)] {
+		if e.v != nil || e.cell != nil {
+			t.Errorf("recycled Tx's write log still pins Var %d or its cell", e.varID)
+			break
+		}
+	}
 	if len(tx.readSet) != tx.t.words {
 		t.Errorf("read bitmap has %d words, table has %d", len(tx.readSet), tx.t.words)
 	}
@@ -198,39 +204,35 @@ func TestPoolForeignPanicLeavesNextAttemptClean(t *testing.T) {
 	}
 }
 
-// TestPoolAcrossResize runs attempts on either side of a grow and a shrink
-// of the stripe table: the recycled bitmaps go 4 → 16 → 1 words.
-func TestPoolAcrossResize(t *testing.T) {
-	d := NewDomainStripes(0, 0, 256)
-	vars := make([]*Var[int], 300)
-	for i := range vars {
-		vars[i] = NewVar(d, 0)
-	}
-	round := func(words, want int) {
-		t.Helper()
+// TestPoolAcrossStripeCounts runs attempts on domains of three table sizes in
+// turn: the pool is shared by every domain, so the recycled bitmaps go
+// 4 → 16 → 1 words, and a Tx that served one domain pins none of its cells
+// or Vars when it serves the next (checkFresh).
+func TestPoolAcrossStripeCounts(t *testing.T) {
+	for _, c := range []struct{ stripes, words int }{{256, 4}, {1024, 16}, {64, 1}} {
+		d := NewDomainStripes(0, 0, c.stripes)
+		vars := make([]*Var[int], 300)
+		for i := range vars {
+			vars[i] = NewVar(d, 0)
+		}
 		st := d.Atomically(func(tx *Tx) {
 			checkFresh(t, tx)
-			if len(tx.readSet) != words {
-				t.Errorf("read bitmap = %d words, want %d", len(tx.readSet), words)
+			if len(tx.readSet) != c.words {
+				t.Errorf("read bitmap = %d words, want %d", len(tx.readSet), c.words)
 			}
 			for _, v := range vars {
 				Store(tx, v, Load(tx, v)+1)
 			}
 		})
 		if st != Committed {
-			t.Fatalf("status = %v at %d stripes", st, d.Stripes())
+			t.Fatalf("status = %v at %d stripes", st, c.stripes)
 		}
 		for i, v := range vars {
-			if got := Load(nil, v); got != want {
-				t.Fatalf("vars[%d] = %d at %d stripes, want %d", i, got, d.Stripes(), want)
+			if got := Load(nil, v); got != 1 {
+				t.Fatalf("vars[%d] = %d at %d stripes, want 1", i, got, c.stripes)
 			}
 		}
 	}
-	round(4, 1)
-	d.ResizeStripes(1024)
-	round(16, 2)
-	d.ResizeStripes(64)
-	round(1, 3)
 }
 
 // TestPoolCapacityLimitsExact: a maximal attempt grows every recycled

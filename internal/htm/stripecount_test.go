@@ -1,6 +1,7 @@
 package htm
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -109,5 +110,45 @@ func TestFourStripeAliasingStress(t *testing.T) {
 	// alias; with 8 writers on 4 stripes the classifier must see some.
 	if s.Conflicts > 0 && s.FalseConflicts == 0 {
 		t.Fatalf("stats = %+v: aliased aborts never classified false", s)
+	}
+}
+
+// TestWideMultiCASOnFourStripes races 8-leg MultiCAS publications, each
+// parked between claim and decision, on a 4-stripe table: every decision
+// merges aliased legs onto shared stripes and spins behind the other's, and
+// helpers decide descriptors they did not create. Each success adds exactly
+// 1 to every leg.
+func TestWideMultiCASOnFourStripes(t *testing.T) {
+	d := NewDomainStripes(0, 0, 4)
+	const legs = 8
+	const rounds = 1500
+	vars := make([]*Var[int], legs)
+	for i := range vars {
+		vars[i] = NewVar(d, 0)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for {
+					ents := make([]Entry, legs)
+					for i, v := range vars {
+						x := Load(nil, v)
+						ents[i] = NewUpdate(v, x, x+1)
+					}
+					if MultiCASParked(runtime.Gosched, ents...) {
+						break
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, v := range vars {
+		if got := Load(nil, v); got != 2*rounds {
+			t.Fatalf("leg %d = %d, want %d", i, got, 2*rounds)
+		}
 	}
 }

@@ -5,8 +5,7 @@ import (
 	"testing"
 )
 
-// sidxOf resolves a Var's stripe index in the domain's current table
-// generation (the cached field it replaces went away with ResizeStripes).
+// sidxOf resolves a Var's stripe index in the domain's table.
 func sidxOf[T comparable](d *Domain, v *Var[T]) uint32 {
 	return d.table().indexOf(v.id)
 }
@@ -125,14 +124,9 @@ func TestAliasConflictClassifiedFalse(t *testing.T) {
 
 // holdStripe takes v's stripe by hand on behalf of Var owner and returns the
 // function that puts it back as found.
-func holdStripe[T comparable](t *testing.T, d *Domain, v *Var[T], owner uint64) func() {
-	t.Helper()
-	tb := d.table()
-	s := &tb.stripes[tb.indexOf(v.id)]
-	pre, ok := d.acquire(tb, s, owner)
-	if !ok {
-		t.Fatal("table retired under holdStripe")
-	}
+func holdStripe[T comparable](d *Domain, v *Var[T], owner uint64) func() {
+	s := d.stripeOf(v.id)
+	pre := s.acquire(owner)
 	return func() { s.word.Store(pre) }
 }
 
@@ -150,7 +144,6 @@ func TestHeldStripeAbortsLoad(t *testing.T) {
 		{"aliased owner", func(a, b, c *Var[int]) uint64 { return b.id }, true},
 		{"own Var", func(a, b, c *Var[int]) uint64 { return a.id }, false},
 		{"Var read earlier", func(a, b, c *Var[int]) uint64 { return c.id }, false},
-		{"resize sentinel", func(a, b, c *Var[int]) uint64 { return remapOwner }, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			d := NewDomain(0, 0)
@@ -159,7 +152,7 @@ func TestHeldStripeAbortsLoad(t *testing.T) {
 			var release func()
 			st, alias := d.AtomicallyClassified(func(tx *Tx) {
 				Load(tx, other)
-				release = holdStripe(t, d, a, c.owner(a, b, other))
+				release = holdStripe(d, a, c.owner(a, b, other))
 				Load(tx, a)
 				t.Error("read went through a held stripe")
 			})
@@ -180,7 +173,7 @@ func TestLoadWaitsOutAHolder(t *testing.T) {
 	d := NewDomain(0, 0)
 	a := NewVar(d, 1)
 	b := aliasVar(t, d, a)
-	release := holdStripe(t, d, a, b.id)
+	release := holdStripe(d, a, b.id)
 	go release() // runs at the reader's first yield, if not before
 	if st := d.Atomically(func(tx *Tx) {
 		if Load(tx, a) != 1 {
@@ -263,7 +256,7 @@ func TestHeldStripeFailsValidation(t *testing.T) {
 				Load(tx, a)
 				Store(tx, w, 1)
 				Store(nil, far, 5) // someone else commits: validation will run
-				release = holdStripe(t, d, a, owner)
+				release = holdStripe(d, a, owner)
 			})
 			release()
 			if st != AbortConflict || alias != c.wantAlias {

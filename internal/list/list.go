@@ -211,7 +211,7 @@ func NewPTO(attempts int) *PTOSet {
 // and the original single-CAS / mark-then-snip protocol runs after
 // `attempts` tries. Returns s for chaining.
 func (s *PTOSet) WithPolicy(p speculate.Policy) *PTOSet {
-	lvl := speculate.Level{Name: "pto", Attempts: s.attempts, RetryOnExplicit: true}
+	lvl := speculate.Level{Name: "pto", Attempts: s.attempts, OnExplicit: speculate.RulePolicy}
 	s.insSite = p.NewSite("list/insert", s.stats, lvl)
 	s.rmSite = p.NewSite("list/remove", s.stats, lvl)
 	return s

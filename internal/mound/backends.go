@@ -72,7 +72,7 @@ func newPTOBackendIn(d *htm.Domain, size, attempts int) *ptoBackend {
 
 func (b *ptoBackend) withPolicy(p speculate.Policy) {
 	b.site = p.NewSite("mound/dcas", b.stats,
-		speculate.Level{Name: "pto", Attempts: b.attempts, RetryOnExplicit: true})
+		speculate.Level{Name: "pto", Attempts: b.attempts, OnExplicit: speculate.RulePolicy})
 }
 
 // NewPTO returns an empty PTO-accelerated mound (≤ 0 arguments select the

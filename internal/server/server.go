@@ -28,8 +28,9 @@ type Config struct {
 	// Shards is the shard count; keys spread across shards by hash, and
 	// each shard owns its own htm domain, manager, and structures.
 	Shards int
-	// Stripes is each shard domain's ownership-record stripe count (0
-	// selects the htm default, 256).
+	// Stripes is each shard domain's ownership-record stripe count, fixed
+	// for the server's life: a power of two, or 0 for the htm default, 256
+	// (anything else panics in htm.NewDomainStripes).
 	Stripes int
 	// Policy is the speculation policy of every shard's manager (e.g.
 	// speculate.Adaptive()); its Metrics field is overwritten with the
@@ -55,8 +56,8 @@ type Config struct {
 	AdmitMinAttempts int
 	AdmitInterval    time.Duration
 
-	// TuneInterval is each shard's self-tuning controller cadence (stripe
-	// remapping, batch-size AIMD, speculation-budget retuning; see
+	// TuneInterval is each shard's self-tuning controller cadence
+	// (batch-size AIMD, speculation-budget retuning; see
 	// internal/tune). Zero selects DefaultTuneInterval; negative disables
 	// the background controllers — they are still constructed, so tests
 	// drive Step on their own clock and /statz still reports their state.
@@ -120,18 +121,14 @@ func New(cfg Config) *Server {
 	for i := 0; i < cfg.Shards; i++ {
 		sh := newShard(i, cfg, s.reg)
 		sh.b = newBatcher(sh, cfg.Epoch, cfg.MaxBatch, cfg.batchTick)
-		// One self-tuning controller per shard, steering the shard's own
-		// stripe table, its batcher's chunk size, and its speculation
-		// site's budgets from the shard's own telemetry deltas. The
-		// domain's configured stripe count is the shrink floor: the
-		// controller grows past it under alias pressure and returns to it
-		// after sustained calm, never below provisioned capacity.
+		// One self-tuning controller per shard, steering the shard's
+		// batcher's chunk size and its speculation site's budgets from the
+		// shard's own telemetry deltas.
 		sh.tuner = tune.New(tune.Config{
 			Registry:   s.reg,
 			SitePrefix: siteName(i),
 			Interval:   cfg.TuneInterval,
 			Domain:     sh.m.Domain(),
-			MinStripes: sh.m.Domain().Stripes(),
 			Batch:      sh.b,
 			MaxBatch:   cfg.MaxBatch,
 			Budgets:    sh.m.Site().Actuator(),
@@ -152,8 +149,8 @@ func (s *Server) Registry() *telemetry.Registry { return s.reg }
 // request can race the drain. Safe to call more than once.
 func (s *Server) Close() {
 	s.once.Do(func() {
-		// Tuners stop first so no stripe remap or batch retune lands while
-		// the batchers drain their final epochs.
+		// Tuners stop first so no batch retune lands while the batchers
+		// drain their final epochs.
 		for _, sh := range s.shards {
 			sh.tuner.Stop()
 		}
@@ -194,8 +191,8 @@ type ShardStats struct {
 	BatchedOps uint64                           `json:"batched_ops"`
 	BatchSizes telemetry.WidthHistogramSnapshot `json:"batch_sizes"`
 
-	// Tune is the shard's self-tuning controller state: current stripe
-	// count and batch k, effective speculation budgets, and how many
+	// Tune is the shard's self-tuning controller state: the domain's stripe
+	// count, the current batch k, effective speculation budgets, and how many
 	// actuations each control law has fired.
 	Tune tune.Snapshot `json:"tune"`
 

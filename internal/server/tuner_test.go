@@ -7,56 +7,56 @@ import (
 
 // TestShardTunerWiring drives each shard's tune controller manually
 // (TuneInterval < 0: constructed but not ticking) against a synthetic
-// alias-heavy interval on the shard's own telemetry site, and checks the
-// actuation lands in the shard's domain and surfaces through Stats.
+// capacity-heavy interval on the shard's own telemetry site, and checks the
+// actuation lands in the shard's batcher and surfaces through Stats.
 func TestShardTunerWiring(t *testing.T) {
 	s := New(Config{Shards: 2, Stripes: 64, TuneInterval: -1, AdmitInterval: -1})
 	defer s.Close()
 	sh := s.shards[0]
-	if got := sh.m.Domain().Stripes(); got != 64 {
-		t.Fatalf("provisioned stripes = %d, want 64", got)
+	if got := sh.b.BatchK(); got != DefaultMaxBatch {
+		t.Fatalf("provisioned batch k = %d, want %d", got, DefaultMaxBatch)
 	}
-	// Alias-heavy interval on this shard's site only.
+	// Capacity-heavy interval on this shard's site only.
 	sh.site.Attempts.Add(1000)
-	sh.site.Commits.Add(850)
-	sh.site.Conflicts.Add(100)
-	sh.site.FalseConflicts.Add(100)
+	sh.site.Commits.Add(700)
+	sh.site.Capacity.Add(100)
 	if got := sh.tuner.Step(); got == 0 {
-		t.Fatal("alias-heavy interval fired no actuation")
+		t.Fatal("capacity-heavy interval fired no actuation")
 	}
-	if got := sh.m.Domain().Stripes(); got != 128 {
-		t.Fatalf("shard 0 stripes = %d after alias interval, want 128", got)
+	if got := sh.b.BatchK(); got != DefaultMaxBatch/2 {
+		t.Fatalf("shard 0 batch k = %d after capacity interval, want %d", got, DefaultMaxBatch/2)
 	}
 	// Shard isolation: shard 1 saw no traffic and must be untouched.
-	if got := s.shards[1].m.Domain().Stripes(); got != 64 {
-		t.Fatalf("shard 1 stripes = %d, want untouched 64", got)
+	if got := s.shards[1].b.BatchK(); got != DefaultMaxBatch {
+		t.Fatalf("shard 1 batch k = %d, want untouched %d", got, DefaultMaxBatch)
 	}
 	st := s.Stats()
 	if st.TuneActions == 0 {
 		t.Fatalf("stats = %+v: tune actions missing", st)
 	}
-	if st.Shards[0].Tune.Stripes != 128 || st.Shards[0].Tune.Actions == 0 {
-		t.Fatalf("shard 0 tune stats = %+v", st.Shards[0].Tune)
+	tn := st.Shards[0].Tune
+	if tn.BatchK != DefaultMaxBatch/2 || tn.BatchActions == 0 || tn.Actions == 0 {
+		t.Fatalf("shard 0 tune stats = %+v", tn)
 	}
-	if st.Shards[0].Tune.BatchK != DefaultMaxBatch {
-		t.Fatalf("batch k = %d, want default %d", st.Shards[0].Tune.BatchK, DefaultMaxBatch)
+	if tn.Stripes != 64 {
+		t.Fatalf("stripes = %d in shard tune stats, want the provisioned 64", tn.Stripes)
 	}
-	if len(st.Shards[0].Tune.Budgets) == 0 {
+	if len(tn.Budgets) == 0 {
 		t.Fatal("budget snapshot missing from shard tune stats")
 	}
 }
 
-// TestShardTunerBackground: with a real cadence, synthetic alias pressure
-// is picked up without any manual stepping, and Close stops the loop.
+// TestShardTunerBackground: with a real cadence, synthetic capacity
+// pressure is picked up without any manual stepping, and Close stops the
+// loop.
 func TestShardTunerBackground(t *testing.T) {
 	s := New(Config{Shards: 1, Stripes: 64, TuneInterval: time.Millisecond, AdmitInterval: -1})
 	defer s.Close()
 	sh := s.shards[0]
 	for i := 0; i < 2000; i++ {
 		sh.site.Attempts.Add(100)
-		sh.site.Commits.Add(85)
-		sh.site.Conflicts.Add(10)
-		sh.site.FalseConflicts.Add(10)
+		sh.site.Commits.Add(70)
+		sh.site.Capacity.Add(10)
 		if s.Stats().TuneActions > 0 {
 			return
 		}

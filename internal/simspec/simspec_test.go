@@ -154,10 +154,10 @@ func repeat(o speculate.Outcome, n int) []speculate.Outcome {
 }
 
 func TestCrossDriverDecisionParity(t *testing.T) {
-	single := []speculate.Level{{Name: "pto", Attempts: 3, RetryOnExplicit: true}}
+	single := []speculate.Level{{Name: "pto", Attempts: 3, OnExplicit: speculate.RulePolicy}}
 	twoTier := []speculate.Level{
 		{Name: "pto1", Attempts: 2},
-		{Name: "pto2", Attempts: 4, RetryOnExplicit: true},
+		{Name: "pto2", Attempts: 4, OnExplicit: speculate.RulePolicy},
 	}
 	// The three-path shape: a deferring fast level over a helping middle
 	// (txn/simtxn's composed-publication composition). The wall driver runs
@@ -165,7 +165,7 @@ func TestCrossDriverDecisionParity(t *testing.T) {
 	// AtomicallyHelping, so parity here also pins that the dispatch changes
 	// transaction machinery without changing a single retry decision.
 	threePath := []speculate.Level{
-		{Name: "fast", Attempts: 2, RetryOnExplicit: true},
+		{Name: "fast", Attempts: 2, OnExplicit: speculate.RulePolicy},
 		speculate.MiddleLevel(2, 0),
 	}
 	// A ruled three-tier mixing per-level overrides: a fail-fast-style fast
@@ -175,7 +175,7 @@ func TestCrossDriverDecisionParity(t *testing.T) {
 		{Name: "fast", Attempts: 2, OnExplicit: speculate.RuleExhaust},
 		{Name: "middle", Attempts: 3, Help: true, HelpBudget: 1,
 			OnCapacity: speculate.RuleExhaust, OnExplicit: speculate.RuleRetry},
-		{Name: "pto2", Attempts: 2, RetryOnExplicit: true},
+		{Name: "pto2", Attempts: 2, OnExplicit: speculate.RulePolicy},
 	}
 	policies := map[string]speculate.Policy{
 		"fixed-default":  speculate.Fixed(0),
@@ -231,7 +231,7 @@ func TestCrossDriverDecisionParity(t *testing.T) {
 // attempts the level disables for DefaultSkipOps operations on both
 // substrates.
 func TestCrossDriverAdaptiveDisableParity(t *testing.T) {
-	levels := []speculate.Level{{Name: "pto", Attempts: 3, RetryOnExplicit: true}}
+	levels := []speculate.Level{{Name: "pto", Attempts: 3, OnExplicit: speculate.RulePolicy}}
 	nops := speculate.DefaultWindow + 40
 	ops := make([][]speculate.Outcome, nops)
 	for i := range ops {
@@ -264,7 +264,7 @@ func TestSimBackoffPlacement(t *testing.T) {
 	cfg := sim.DefaultConfig(1)
 	m := sim.New(cfg)
 	pol := speculate.Policy{Backoff: true}
-	site := New("backoff", pol, speculate.Level{Name: "pto", Attempts: 4, RetryOnExplicit: true})
+	site := New("backoff", pol, speculate.Level{Name: "pto", Attempts: 4, OnExplicit: speculate.RulePolicy})
 	m.Run(func(t2 *sim.Thread) {
 		// Baseline: cost of one committed empty attempt with no history.
 		r := site.Begin(t2)
@@ -316,7 +316,7 @@ func TestSimBackoffPlacement(t *testing.T) {
 		// carry-over).
 		site2 := New("backoff2", pol,
 			speculate.Level{Name: "a", Attempts: 1},
-			speculate.Level{Name: "b", Attempts: 1, RetryOnExplicit: true})
+			speculate.Level{Name: "b", Attempts: 1, OnExplicit: speculate.RulePolicy})
 		r4 := site2.Begin(t2)
 		r4.Next(0)
 		r4.w.Record(speculate.OutcomeConflict)
@@ -334,7 +334,7 @@ func TestSimBackoffPlacement(t *testing.T) {
 func TestLaneIsolation(t *testing.T) {
 	m := sim.New(sim.DefaultConfig(2))
 	pol := speculate.Policy{Adapt: true, Window: 8, SkipOps: 16}
-	site := New("lanes", pol, speculate.Level{Name: "pto", Attempts: 1, RetryOnExplicit: true})
+	site := New("lanes", pol, speculate.Level{Name: "pto", Attempts: 1, OnExplicit: speculate.RulePolicy})
 	commits := [2]int{}
 	skips := [2]int{}
 	m.Run(func(t2 *sim.Thread) {

@@ -123,7 +123,7 @@ func (m *Manager) WithPolicy(p speculate.Policy) *Manager {
 // rebuildSite re-registers the speculation site from the manager's current
 // policy and level set (fast alone, or fast + middle after WithMiddle).
 func (m *Manager) rebuildSite() {
-	levels := []speculate.Level{{Name: "fast", Attempts: m.attempts, RetryOnExplicit: true}}
+	levels := []speculate.Level{{Name: "fast", Attempts: m.attempts, OnExplicit: speculate.RulePolicy}}
 	if m.middle.Attempts > 0 {
 		levels = append(levels, m.middle)
 	}

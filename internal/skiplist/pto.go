@@ -72,7 +72,7 @@ func (s *PTOSet) link(n *pnode, succs *[MaxLevel]*pnode) {
 // Returns s for chaining.
 func (s *PTOSet) WithPolicy(p speculate.Policy) *PTOSet {
 	s.insSite = p.NewSite("skiplist/insert", s.insStats,
-		speculate.Level{Name: "pto", Attempts: s.attempts, RetryOnExplicit: true})
+		speculate.Level{Name: "pto", Attempts: s.attempts, OnExplicit: speculate.RulePolicy})
 	s.rmSite = p.NewSite("skiplist/remove", s.rmStats,
 		speculate.Level{Name: "pto", Attempts: s.attempts})
 	return s

@@ -36,31 +36,32 @@ const (
 	OutcomeCapacity
 	// OutcomeExplicit is a self-chosen abort from inside the speculative
 	// body (§2.4 "don't help under speculation"). Whether it burns one
-	// attempt or the whole level is Level.RetryOnExplicit's call; FailFast
-	// additionally short-circuits.
+	// attempt or the whole level is Level.OnExplicit's call.
 	OutcomeExplicit
 )
 
-// Rule is a per-level override of the policy-derived level-exhaustion
-// semantics for one deterministic abort kind (capacity or explicit). The
-// zero value, RuleInherit, resolves the rule from Policy.FailFast and
-// Level.RetryOnExplicit exactly as the engine historically did, so existing
-// level sets keep their decision tables bit for bit; RuleRetry and
-// RuleExhaust pin the level's behavior regardless of the policy. Declaring
-// the rules on the Level is what lets a three-level composition mix
-// semantics — a fail-fast fast level next to a helping middle level whose
-// post-budget explicit aborts merely consume an attempt — where the old
+// Rule says what one deterministic abort kind (capacity or explicit) does
+// to the level it happens at: consume one attempt, or exhaust the level.
+// Declaring the rules on the Level is what lets a three-level composition
+// mix semantics — a fail-fast fast level next to a helping middle level
+// whose post-budget explicit aborts merely consume an attempt — where a
 // two-level walk applied one global FailFast to every tier.
 type Rule uint8
 
 const (
-	// RuleInherit resolves the rule from the policy (the historical
-	// semantics).
-	RuleInherit Rule = iota
-	// RuleRetry makes the abort consume one attempt, keeping the level.
+	// RuleDefault, the zero value, is each kind's default: RulePolicy for a
+	// capacity abort, RuleExhaust for an explicit one (a body that bailed
+	// out will bail out again unless the level says otherwise).
+	RuleDefault Rule = iota
+	// RuleRetry makes the abort consume one attempt, keeping the level,
+	// whatever the policy.
 	RuleRetry
-	// RuleExhaust makes the abort exhaust the level's remaining budget.
+	// RuleExhaust makes the abort exhaust the level's remaining budget,
+	// whatever the policy.
 	RuleExhaust
+	// RulePolicy is RuleExhaust under a fail-fast policy and RuleRetry
+	// otherwise.
+	RulePolicy
 )
 
 // Core binds a Policy to one site's level budgets. The declaration is
@@ -104,34 +105,40 @@ func (c *Core) Budget(level int) int {
 	return c.levels[level].Attempts
 }
 
-// capacityRule resolves the level's capacity-abort rule: the level's own
-// declaration when present, else RuleExhaust under a fail-fast policy
-// (capacity is deterministic for the footprint) and RuleRetry otherwise.
-func (c *Core) capacityRule(level int) Rule {
-	if level < len(c.levels) && c.levels[level].OnCapacity != RuleInherit {
-		return c.levels[level].OnCapacity
+// resolve reduces a declared rule to RuleRetry or RuleExhaust: def stands in
+// for RuleDefault, and RulePolicy follows Policy.FailFast.
+func (c *Core) resolve(r, def Rule) Rule {
+	if r == RuleDefault {
+		r = def
 	}
-	if c.pol.FailFast {
-		return RuleExhaust
+	if r == RulePolicy {
+		if c.pol.FailFast {
+			return RuleExhaust
+		}
+		return RuleRetry
 	}
-	return RuleRetry
+	return r
 }
 
-// explicitRule resolves the level's explicit-abort rule: the level's own
-// declaration when present, else the historical resolution — exhaust under
-// a fail-fast policy or on a non-RetryOnExplicit level, retry otherwise.
+// capacityRule resolves the level's capacity-abort rule (default
+// RulePolicy: capacity is deterministic for the footprint, so a fail-fast
+// policy stops trying).
+func (c *Core) capacityRule(level int) Rule {
+	var r Rule
+	if level < len(c.levels) {
+		r = c.levels[level].OnCapacity
+	}
+	return c.resolve(r, RulePolicy)
+}
+
+// explicitRule resolves the level's explicit-abort rule (default
+// RuleExhaust).
 func (c *Core) explicitRule(level int) Rule {
-	if level >= len(c.levels) {
-		return RuleExhaust
+	var r Rule
+	if level < len(c.levels) {
+		r = c.levels[level].OnExplicit
 	}
-	l := c.levels[level]
-	if l.OnExplicit != RuleInherit {
-		return l.OnExplicit
-	}
-	if c.pol.FailFast || !l.RetryOnExplicit {
-		return RuleExhaust
-	}
-	return RuleRetry
+	return c.resolve(r, RuleExhaust)
 }
 
 // HelpBudget returns how many in-flight fallback descriptors one attempt at

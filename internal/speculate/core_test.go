@@ -61,7 +61,7 @@ func eq(t *testing.T, got, want []string) {
 }
 
 func TestWalkDecisionTables(t *testing.T) {
-	one := Level{Name: "pto", Attempts: 3, RetryOnExplicit: true}
+	one := Level{Name: "pto", Attempts: 3, OnExplicit: RulePolicy}
 	noRetry := Level{Name: "pto1", Attempts: 3}
 	cases := []struct {
 		name   string
@@ -152,8 +152,8 @@ func TestWalkDecisionTables(t *testing.T) {
 			want: []string{"L0:backoff=0:capacity", "L1:backoff=0:commit", "commit"},
 		},
 		{
-			// Explicit RuleRetry on a non-RetryOnExplicit level wins over
-			// both the level flag and the policy.
+			// RuleRetry keeps the level on an explicit abort whatever the
+			// policy.
 			name: "RuleRetry overrides no-retry level and failfast",
 			pol:  Policy{FailFast: true}, levels: []Level{{Name: "m", Attempts: 2, OnExplicit: RuleRetry}},
 			feed: []Outcome{OutcomeExplicit, OutcomeExplicit},

@@ -46,9 +46,9 @@
 //
 //   - AbortExplicit means the speculative body itself chose to bail out
 //     (observed state it would have to help resolve, §2.4). Each Level
-//     declares whether that should burn remaining attempts
-//     (RetryOnExplicit) exactly as the historical loops did; FailFast
-//     additionally short-circuits the level.
+//     declares (OnExplicit) whether that exhausts the level — the default —
+//     or merely consumes an attempt, always or unless the policy is
+//     fail-fast.
 //
 // Adaptive disabling: every attempt outcome feeds a sliding window of
 // Policy.Window attempts, kept per (site, level). When a level's window
@@ -183,17 +183,13 @@ func (p Policy) backoffMax() int {
 // Beyond its attempt budget, a Level declares its capabilities: whether an
 // attempt may cooperate with in-flight fallback descriptors (Help, the
 // three-path template's middle tier) and how deterministic aborts resolve
-// at this tier (OnCapacity/OnExplicit, overriding the global policy).
+// at this tier (OnCapacity/OnExplicit).
 type Level struct {
 	// Name labels the level (e.g. "pto1").
 	Name string
 	// Attempts is the level's default budget; zero disables the level.
 	// Policy.Attempts overrides it when positive.
 	Attempts int
-	// RetryOnExplicit, when false, treats an explicit abort as exhausting
-	// the level (the historical break-on-explicit loops); when true an
-	// explicit abort merely consumes an attempt.
-	RetryOnExplicit bool
 	// Help marks the level as a cooperating (middle) tier: an attempt that
 	// encounters an undecided fallback descriptor helps it to decision
 	// inside the transaction — up to HelpBudget descriptors, then the
@@ -203,9 +199,11 @@ type Level struct {
 	// HelpBudget bounds the helping per attempt; zero selects
 	// DefaultHelpBudget. Ignored unless Help is set.
 	HelpBudget int
-	// OnCapacity and OnExplicit override the policy-derived exhaustion
-	// rules for this level; RuleInherit (the zero value) keeps the
-	// historical resolution from Policy.FailFast / RetryOnExplicit.
+	// OnCapacity and OnExplicit say whether a capacity or an explicit
+	// abort consumes one attempt or exhausts the level (see Rule). Left
+	// zero, capacity follows the policy (RulePolicy) and an explicit abort
+	// exhausts the level; the structures' retry loops that treat an
+	// explicit abort like any other set OnExplicit to RulePolicy.
 	OnCapacity Rule
 	OnExplicit Rule
 }
@@ -222,13 +220,12 @@ func MiddleLevel(attempts, helpBudget int) Level {
 		attempts = 2
 	}
 	return Level{
-		Name:            "middle",
-		Attempts:        attempts,
-		RetryOnExplicit: true,
-		Help:            true,
-		HelpBudget:      helpBudget,
-		OnCapacity:      RuleExhaust,
-		OnExplicit:      RuleRetry,
+		Name:       "middle",
+		Attempts:   attempts,
+		Help:       true,
+		HelpBudget: helpBudget,
+		OnCapacity: RuleExhaust,
+		OnExplicit: RuleRetry,
 	}
 }
 

@@ -80,9 +80,9 @@ func TestExplicitAbortExhaustsLevelByDefault(t *testing.T) {
 		t.Fatalf("tries = %d; explicit abort must break a non-retrying level", tries)
 	}
 
-	// RetryOnExplicit levels burn the whole budget instead.
+	// RulePolicy levels burn the whole budget instead.
 	site = Fixed(0).NewSite("t/explicit-retry", nil,
-		Level{Name: "l0", Attempts: 4, RetryOnExplicit: true})
+		Level{Name: "l0", Attempts: 4, OnExplicit: RulePolicy})
 	r = site.Begin(d)
 	tries = 0
 	for r.Next(0) {
@@ -90,14 +90,14 @@ func TestExplicitAbortExhaustsLevelByDefault(t *testing.T) {
 		tries++
 	}
 	if tries != 4 {
-		t.Fatalf("tries = %d; RetryOnExplicit must consume the budget", tries)
+		t.Fatalf("tries = %d; OnExplicit: RulePolicy must consume the budget", tries)
 	}
 }
 
 func TestFailFastShortCircuitsDeterministicAborts(t *testing.T) {
 	d, _, body := capacityDomain()
 	pol := Policy{FailFast: true}
-	site := pol.NewSite("t/failfast", nil, Level{Name: "l0", Attempts: 8, RetryOnExplicit: true})
+	site := pol.NewSite("t/failfast", nil, Level{Name: "l0", Attempts: 8, OnExplicit: RulePolicy})
 	r := site.Begin(d)
 	tries := 0
 	for r.Next(0) {
@@ -108,7 +108,7 @@ func TestFailFastShortCircuitsDeterministicAborts(t *testing.T) {
 		t.Fatalf("tries = %d; capacity abort must fail fast", tries)
 	}
 
-	// Explicit aborts fail fast too, even on a RetryOnExplicit level.
+	// Explicit aborts fail fast too on a RulePolicy level.
 	r = site.Begin(d)
 	tries = 0
 	for r.Next(0) {

@@ -1,14 +1,7 @@
 // Package tune closes the telemetry→policy loop: a per-domain background
 // controller that reads interval-delta snapshots from a telemetry registry
-// and actuates three control laws against the runtime it observes.
-//
-//   - Stripe remapping (law A): when the interval's stripe-alias rate —
-//     false conflicts per attempt, the striping tax the classifier
-//     attributes to hashing rather than to data — crosses AliasHigh, the
-//     controller doubles the domain's orec stripe table via the table
-//     swap in internal/htm (ResizeStripes). Sustained calm (CalmIntervals intervals
-//     under AliasLow) halves it back, so an alias burst grows the table
-//     once and the table shrinks only after the burst is provably over.
+// and actuates two control laws against the runtime it observes. (There is
+// no law A: a domain's stripe count is fixed at construction.)
 //
 //   - Batch sizing (law B): the epoch batcher's chunk size k follows the
 //     abort mix by AIMD — capacity aborts (deterministic footprint
@@ -45,13 +38,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// StripeTable is the stripe-remap actuation surface (law A);
-// *htm.Domain implements it.
-type StripeTable interface {
-	Stripes() int
-	ResizeStripes(n int) bool
-}
-
 // BatchSetter is the batch-size actuation surface (law B); the server's
 // epoch batcher implements it. SetBatchK clamps and returns the effective
 // value.
@@ -75,19 +61,12 @@ type Config struct {
 	// Step on its own clock.
 	Interval time.Duration
 
-	// Domain is law A's actuation surface; nil disables stripe remapping.
-	Domain StripeTable
-	// AliasHigh is the false-conflicts-per-attempt rate above which the
-	// stripe table doubles (default 0.05).
-	AliasHigh float64
-	// AliasLow is the rate below which an interval counts as calm
-	// (default AliasHigh/8).
-	AliasLow float64
-	// CalmIntervals is how many consecutive calm intervals halve the
-	// table (default 8).
-	CalmIntervals int
-	// MinStripes/MaxStripes bound law A (defaults 64 and 65536).
-	MinStripes, MaxStripes int
+	// Domain, when set, is observed only: its static stripe count is
+	// reported as Snapshot.Stripes (*htm.Domain implements it).
+	Domain interface{ Stripes() int }
+	// MinStripes is ignored; kept only because benchmark/probes.go:488
+	// sets it.
+	MinStripes int
 
 	// Batch is law B's actuation surface; nil disables batch adaptation.
 	Batch BatchSetter
@@ -115,28 +94,13 @@ type Config struct {
 	// law sits out the next Cooldown evaluated intervals (idle intervals
 	// below MinOps don't count), so one pressure spike cannot thrash an
 	// actuator on consecutive ticks while its effect is still propagating.
-	// Each law cools down independently — a remap does not silence the
-	// batch or budget laws. 0 (the default) disables the guard: every
+	// Each law cools down independently — a batch action does not silence
+	// the budget law. 0 (the default) disables the guard: every
 	// interval is eligible, the behavior the law-trajectory tests pin.
 	Cooldown int
 }
 
 func (cfg Config) withDefaults() Config {
-	if cfg.AliasHigh <= 0 {
-		cfg.AliasHigh = 0.05
-	}
-	if cfg.AliasLow <= 0 {
-		cfg.AliasLow = cfg.AliasHigh / 8
-	}
-	if cfg.CalmIntervals <= 0 {
-		cfg.CalmIntervals = 8
-	}
-	if cfg.MinStripes <= 0 {
-		cfg.MinStripes = 64
-	}
-	if cfg.MaxStripes <= 0 {
-		cfg.MaxStripes = 1 << 16
-	}
 	if cfg.CapacityHigh <= 0 {
 		cfg.CapacityHigh = 0.02
 	}
@@ -170,12 +134,10 @@ type Controller struct {
 
 	mu               sync.Mutex // serializes Step; owns the buffers below
 	prev, cur, delta telemetry.Snapshot
-	calm             int
 	// Per-law cooldown counters: a law runs only at 0 and is reset to
 	// cfg.Cooldown when it actuates; non-idle intervals decrement.
-	remapCool, batchCool, budgetCool int
+	batchCool, budgetCool int
 
-	remapActions  atomic.Uint64
 	batchActions  atomic.Uint64
 	budgetActions atomic.Uint64
 
@@ -230,14 +192,14 @@ func (c *Controller) Stop() {
 // interval is one evaluation window's aggregated counters, split by level
 // label the way the speculation drivers register their sites.
 type interval struct {
-	attempts, commits, falseConf uint64
-	capacity, fallbacks, helped  uint64
-	fastAttempts, fastCommits    uint64
-	midAttempts, midHelped       uint64
+	attempts, commits           uint64
+	capacity, fallbacks, helped uint64
+	fastAttempts, fastCommits   uint64
+	midAttempts, midHelped      uint64
 }
 
 // Step evaluates one interval: snapshot, delta against the previous
-// snapshot, apply the three laws. It returns how many actuations fired.
+// snapshot, apply the laws. It returns how many actuations fired.
 func (c *Controller) Step() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -253,7 +215,6 @@ func (c *Controller) Step() int {
 		}
 		iv.attempts += s.Attempts
 		iv.commits += s.Commits
-		iv.falseConf += s.FalseConflicts
 		iv.capacity += s.Capacity
 		iv.fallbacks += s.Fallbacks
 		iv.helped += s.Helped
@@ -270,12 +231,6 @@ func (c *Controller) Step() int {
 		return 0
 	}
 	actions := 0
-	if c.remapCool > 0 {
-		c.remapCool--
-	} else if n := c.lawStripes(iv); n > 0 {
-		c.remapCool = c.cfg.Cooldown
-		actions += n
-	}
 	if c.batchCool > 0 {
 		c.batchCool--
 	} else if n := c.lawBatch(iv); n > 0 {
@@ -289,39 +244,6 @@ func (c *Controller) Step() int {
 		actions += n
 	}
 	return actions
-}
-
-// lawStripes is law A: grow on alias pressure, shrink after sustained calm.
-func (c *Controller) lawStripes(iv interval) int {
-	d := c.cfg.Domain
-	if d == nil {
-		return 0
-	}
-	rate := float64(iv.falseConf) / float64(iv.attempts)
-	switch {
-	case rate > c.cfg.AliasHigh:
-		c.calm = 0
-		n := d.Stripes() * 2
-		if n > c.cfg.MaxStripes || !d.ResizeStripes(n) {
-			return 0
-		}
-		c.remapActions.Add(1)
-		return 1
-	case rate < c.cfg.AliasLow:
-		c.calm++
-		if c.calm < c.cfg.CalmIntervals || d.Stripes() <= c.cfg.MinStripes {
-			return 0
-		}
-		c.calm = 0
-		if !d.ResizeStripes(d.Stripes() / 2) {
-			return 0
-		}
-		c.remapActions.Add(1)
-		return 1
-	default:
-		c.calm = 0
-		return 0
-	}
 }
 
 // lawBatch is law B: AIMD on the epoch batcher's chunk size.
@@ -400,8 +322,10 @@ func (c *Controller) lawBudgets(iv interval) int {
 // Snapshot is the controller's externally visible state, served by the
 // shard server's /statz.
 type Snapshot struct {
-	Stripes       int                               `json:"stripes,omitempty"`
-	BatchK        int                               `json:"batch_k,omitempty"`
+	Stripes int `json:"stripes,omitempty"`
+	BatchK  int `json:"batch_k,omitempty"`
+	// RemapActions is always 0; kept only because benchmark/run.go:637
+	// reads it.
 	RemapActions  uint64                            `json:"remap_actions"`
 	BatchActions  uint64                            `json:"batch_actions"`
 	BudgetActions uint64                            `json:"budget_actions"`
@@ -412,11 +336,10 @@ type Snapshot struct {
 // Snapshot reports the controller's current actuation state and counters.
 func (c *Controller) Snapshot() Snapshot {
 	s := Snapshot{
-		RemapActions:  c.remapActions.Load(),
 		BatchActions:  c.batchActions.Load(),
 		BudgetActions: c.budgetActions.Load(),
 	}
-	s.Actions = s.RemapActions + s.BatchActions + s.BudgetActions
+	s.Actions = s.BatchActions + s.BudgetActions
 	if c.cfg.Domain != nil {
 		s.Stripes = c.cfg.Domain.Stripes()
 	}

@@ -15,83 +15,12 @@ import (
 // reproducible.
 
 // feed bumps the site's counters by one interval's worth of activity.
-func feed(s *telemetry.Site, attempts, commits, falseConf, capacity, fallbacks, helped uint64) {
+func feed(s *telemetry.Site, attempts, commits, capacity, fallbacks, helped uint64) {
 	s.Attempts.Add(attempts)
 	s.Commits.Add(commits)
-	s.Conflicts.Add(falseConf) // every synthetic false conflict is a conflict
-	s.FalseConflicts.Add(falseConf)
 	s.Capacity.Add(capacity)
 	s.Fallbacks.Add(fallbacks)
 	s.Helped.Add(helped)
-}
-
-// TestLawStripesConvergence: an alias burst fires exactly one remap per
-// crossing and then quiesces; sustained calm steps the table back down
-// after CalmIntervals, never below MinStripes.
-func TestLawStripesConvergence(t *testing.T) {
-	r := telemetry.NewRegistry()
-	site := r.Site("shard0/txn")
-	d := htm.NewDomainStripes(0, 0, 64)
-	c := New(Config{
-		Registry: r, SitePrefix: "shard0/", Domain: d,
-		CalmIntervals: 3, MinStripes: 64, MaxStripes: 256,
-	})
-	// Alias-heavy interval: 1000 attempts, 100 false conflicts (rate 0.1).
-	feed(site, 1000, 850, 100, 0, 0, 0)
-	if got := c.Step(); got != 1 {
-		t.Fatalf("alias burst: %d actions, want 1", got)
-	}
-	if d.Stripes() != 128 {
-		t.Fatalf("stripes = %d after burst, want 128", d.Stripes())
-	}
-	// Burst continues: one more doubling, then the MaxStripes wall.
-	feed(site, 1000, 850, 100, 0, 0, 0)
-	c.Step()
-	if d.Stripes() != 256 {
-		t.Fatalf("stripes = %d, want 256", d.Stripes())
-	}
-	feed(site, 1000, 850, 100, 0, 0, 0)
-	if got := c.Step(); got != 0 {
-		t.Fatalf("at MaxStripes: %d actions, want 0 (quiesced)", got)
-	}
-	if d.Stripes() != 256 {
-		t.Fatalf("stripes = %d, MaxStripes exceeded", d.Stripes())
-	}
-	// Calm phase: no shrink until CalmIntervals consecutive calm ticks.
-	for i := 0; i < 2; i++ {
-		feed(site, 1000, 1000, 0, 0, 0, 0)
-		if got := c.Step(); got != 0 {
-			t.Fatalf("calm tick %d acted (%d), want quiet", i, got)
-		}
-	}
-	feed(site, 1000, 1000, 0, 0, 0, 0)
-	if got := c.Step(); got != 1 {
-		t.Fatalf("3rd calm tick: %d actions, want the shrink", got)
-	}
-	if d.Stripes() != 128 {
-		t.Fatalf("stripes = %d after calm, want 128", d.Stripes())
-	}
-	// A fresh alias tick resets the calm counter.
-	feed(site, 1000, 850, 100, 0, 0, 0)
-	c.Step() // grows back to 256
-	feed(site, 1000, 1000, 0, 0, 0, 0)
-	feed2 := func() { feed(site, 1000, 1000, 0, 0, 0, 0) }
-	c.Step()
-	feed2()
-	c.Step()
-	feed2()
-	if got := c.Step(); got != 1 || d.Stripes() != 128 {
-		t.Fatalf("post-reset shrink: actions=%d stripes=%d, want 1, 128", got, d.Stripes())
-	}
-	// Idle intervals (below MinOps) never actuate.
-	feed(site, 10, 1, 9, 0, 0, 0) // tiny but alias-heavy
-	if got := c.Step(); got != 0 {
-		t.Fatalf("idle interval acted (%d)", got)
-	}
-	snap := c.Snapshot()
-	if snap.RemapActions != 5 || snap.Actions != 5 || snap.Stripes != 128 {
-		t.Fatalf("snapshot = %+v, want 5 remaps at 128 stripes", snap)
-	}
 }
 
 // fakeBatch is a BatchSetter recording the AIMD trajectory.
@@ -125,7 +54,7 @@ func TestLawBatchAIMD(t *testing.T) {
 	c := New(Config{Registry: r, Batch: b, MaxBatch: 20})
 	// Three capacity-heavy intervals: 16 → 8 → 4 → 2.
 	for i := 0; i < 3; i++ {
-		feed(site, 1000, 700, 0, 100, 0, 0) // capacity rate 0.1
+		feed(site, 1000, 700, 100, 0, 0) // capacity rate 0.1
 		if got := c.Step(); got != 1 {
 			t.Fatalf("capacity tick %d: %d actions, want 1", i, got)
 		}
@@ -135,13 +64,13 @@ func TestLawBatchAIMD(t *testing.T) {
 	}
 	// Clean intervals: additive increase to the ceiling, then steady.
 	for i := 0; i < 30; i++ {
-		feed(site, 1000, 980, 0, 0, 0, 0)
+		feed(site, 1000, 980, 0, 0, 0)
 		c.Step()
 	}
 	if b.k != 20 {
 		t.Fatalf("k = %d after AI phase, want ceiling 20", b.k)
 	}
-	feed(site, 1000, 980, 0, 0, 0, 0)
+	feed(site, 1000, 980, 0, 0, 0)
 	if got := c.Step(); got != 0 {
 		t.Fatalf("at ceiling: %d actions, want steady state", got)
 	}
@@ -152,7 +81,7 @@ func TestLawBatchAIMD(t *testing.T) {
 		}
 	}
 	// Middling interval (commit ratio below GrowRatio, no capacity): hold.
-	feed(site, 1000, 500, 0, 0, 0, 0)
+	feed(site, 1000, 500, 0, 0, 0)
 	if got := c.Step(); got != 0 || b.k != 20 {
 		t.Fatalf("middling interval: actions=%d k=%d, want hold", got, b.k)
 	}
@@ -175,7 +104,7 @@ func TestLawBudgetsCeilingsAndRetune(t *testing.T) {
 
 	// Collapse: fast ratio 0.1 → attempts step 4 → 3 → 2 → 1, then floor.
 	for i := 0; i < 5; i++ {
-		feed(fast, 1000, 100, 0, 0, 0, 0)
+		feed(fast, 1000, 100, 0, 0, 0)
 		c.Step()
 	}
 	if got := a.Attempts(0); got != 1 {
@@ -183,7 +112,7 @@ func TestLawBudgetsCeilingsAndRetune(t *testing.T) {
 	}
 	// Recovery: ratio 0.95 → restore one per interval up to the static 4.
 	for i := 0; i < 10; i++ {
-		feed(fast, 1000, 950, 0, 0, 0, 0)
+		feed(fast, 1000, 950, 0, 0, 0)
 		c.Step()
 	}
 	if got := a.Attempts(0); got != 4 {
@@ -192,8 +121,8 @@ func TestLawBudgetsCeilingsAndRetune(t *testing.T) {
 	// Helping with no rescue value: middle burns attempts, helped stays 0
 	// → help budget steps 4 → 3 → 2 → 1 → 0 and stays.
 	for i := 0; i < 6; i++ {
-		feed(fast, 1000, 950, 0, 0, 0, 0)
-		feed(mid, 200, 150, 0, 0, 0, 0)
+		feed(fast, 1000, 950, 0, 0, 0)
+		feed(mid, 200, 150, 0, 0, 0)
 		c.Step()
 	}
 	if got := a.HelpBudgetAt(1); got != 0 {
@@ -202,8 +131,8 @@ func TestLawBudgetsCeilingsAndRetune(t *testing.T) {
 	// Rescue value returns under fallback pressure: budget climbs back,
 	// clamped at the static ceiling 4.
 	for i := 0; i < 10; i++ {
-		feed(fast, 1000, 700, 0, 0, 50, 0)
-		feed(mid, 200, 150, 0, 0, 0, 30)
+		feed(fast, 1000, 700, 0, 50, 0)
+		feed(mid, 200, 150, 0, 0, 30)
 		c.Step()
 	}
 	if got := a.HelpBudgetAt(1); got != 4 {
@@ -220,18 +149,19 @@ func TestLawBudgetsCeilingsAndRetune(t *testing.T) {
 	}
 }
 
-// TestControllerBackgroundLoop: the wired form — real ticker, real htm
-// domain — actuates on its own and stops cleanly.
+// TestControllerBackgroundLoop: the wired form — real ticker, real budget
+// actuator — actuates on its own and stops cleanly.
 func TestControllerBackgroundLoop(t *testing.T) {
 	r := telemetry.NewRegistry()
 	site := r.Site("bg/txn")
-	d := htm.NewDomainStripes(0, 0, 64)
-	c := New(Config{Registry: r, SitePrefix: "bg/", Domain: d, Interval: time.Millisecond})
+	core := speculate.Fixed(0).Core(speculate.Level{Name: "fast", Attempts: 4})
+	a := core.EnableActuation()
+	c := New(Config{Registry: r, SitePrefix: "bg/", Budgets: a, Interval: time.Millisecond})
 	c.Start()
 	defer c.Stop()
 	for i := 0; i < 2000; i++ {
-		feed(site, 100, 85, 10, 0, 0, 0)
-		if c.Snapshot().RemapActions > 0 {
+		feed(site, 100, 10, 0, 0, 0) // commit ratio 0.1: law C shrinks the budget
+		if c.Snapshot().BudgetActions > 0 {
 			return
 		}
 		time.Sleep(time.Millisecond)
@@ -248,56 +178,60 @@ func TestStopWithoutStart(t *testing.T) {
 
 // TestCooldownHysteresis: with Cooldown=2 a law that actuates sits out the
 // next two evaluated intervals even under continuous pressure, each law
-// cools independently, and idle intervals don't advance the cooldown —
-// all on the same fake clock as the other law tests, so the action
-// pattern is exact.
+// cools on its own clock, and idle intervals don't advance a cooldown — all
+// on the same fake clock as the other law tests, so the action pattern is
+// exact.
 func TestCooldownHysteresis(t *testing.T) {
 	r := telemetry.NewRegistry()
 	site := r.Site("shard0/txn")
 	d := htm.NewDomainStripes(0, 0, 64)
-	b := &fakeBatch{k: 16, min: 1, max: 20}
+	b := &fakeBatch{k: 64, min: 1, max: 64}
+	core := speculate.Fixed(0).Core(speculate.Level{Name: "fast", Attempts: 8})
+	a := core.EnableActuation()
 	c := New(Config{
-		Registry: r, SitePrefix: "shard0/", Domain: d, Batch: b,
-		MaxStripes: 4096, MaxBatch: 20, Cooldown: 2,
+		Registry: r, SitePrefix: "shard0/", Domain: d, Batch: b, Budgets: a,
+		MaxBatch: 64, Cooldown: 2,
 	})
-	// Continuous pressure on both laws: alias-heavy AND capacity-heavy.
-	// Tick pattern per law: act, cool, cool, act, cool, cool, act.
-	wantActions := []int{2, 0, 0, 2, 0, 0, 2}
-	for i, want := range wantActions {
-		feed(site, 1000, 700, 100, 100, 0, 0) // alias 0.1, capacity 0.1
+	// Capacity-heavy from the first tick (law B), commit collapse from the
+	// second (law C): the two laws run one tick out of phase, each on the
+	// pattern act, cool, cool.
+	feed(site, 1000, 500, 100, 0, 0) // capacity 0.1, commit ratio 0.5
+	if got := c.Step(); got != 1 {
+		t.Fatalf("tick 0: %d actions, want 1 (batch only)", got)
+	}
+	pressure := func() { feed(site, 1000, 100, 100, 0, 0) } // capacity 0.1, commit ratio 0.1
+	for i, want := range []int{1, 0, 1, 1, 0, 1} {
+		pressure()
 		if got := c.Step(); got != want {
-			t.Fatalf("tick %d: %d actions, want %d", i, got, want)
+			t.Fatalf("tick %d: %d actions, want %d", i+1, got, want)
 		}
 	}
-	if d.Stripes() != 512 { // 64 → 128 → 256 → 512: three remaps, not seven
-		t.Fatalf("stripes = %d, want 512 (3 cooled remaps)", d.Stripes())
+	if b.k != 8 { // 64 → 32 → 16 → 8 at ticks 0, 3, 6: three halvings, not seven
+		t.Fatalf("k = %d, want 8 (3 cooled halvings)", b.k)
 	}
-	if b.k != 2 { // 16 → 8 → 4 → 2: three halvings, not seven
-		t.Fatalf("k = %d, want 2 (3 cooled halvings)", b.k)
+	if got := a.Attempts(0); got != 6 { // 8 → 7 → 6 at ticks 1, 4
+		t.Fatalf("fast attempts = %d, want 6 (2 cooled steps)", got)
 	}
-	// Idle intervals (below MinOps) never advance a cooldown: after one
-	// action the law still waits two EVALUATED intervals.
-	feed(site, 1000, 700, 100, 100, 0, 0)
-	if got := c.Step(); got != 0 { // both laws just actuated → cooling
-		t.Fatalf("cooling tick acted (%d)", got)
-	}
+	// Idle intervals (below MinOps) never advance a cooldown: law B, which
+	// has just actuated, still waits two EVALUATED intervals.
 	for i := 0; i < 5; i++ {
-		feed(site, 10, 7, 1, 1, 0, 0) // idle: ignored entirely
+		feed(site, 10, 1, 1, 0, 0) // idle: ignored entirely
 		if got := c.Step(); got != 0 {
 			t.Fatalf("idle tick %d acted (%d)", i, got)
 		}
 	}
-	feed(site, 1000, 700, 100, 100, 0, 0) // second evaluated cooling tick
-	if got := c.Step(); got != 0 {
-		t.Fatalf("still-cooling tick acted (%d)", got)
-	}
-	feed(site, 1000, 700, 100, 100, 0, 0) // cooldown over: both act again
-	if got := c.Step(); got != 2 {
-		t.Fatalf("post-cooldown tick: %d actions, want 2", got)
+	for i, want := range []int{1, 0, 1} { // budget, nothing, batch
+		pressure()
+		if got := c.Step(); got != want {
+			t.Fatalf("post-idle tick %d: %d actions, want %d", i, got, want)
+		}
 	}
 	snap := c.Snapshot()
-	if snap.RemapActions != 4 || snap.BatchActions != 4 {
-		t.Fatalf("snapshot = %+v, want 4 remaps and 4 batch actions", snap)
+	if snap.BatchActions != 4 || snap.BudgetActions != 3 || snap.Actions != 7 {
+		t.Fatalf("snapshot = %+v, want 4 batch and 3 budget actions", snap)
+	}
+	if snap.Stripes != 64 || snap.RemapActions != 0 {
+		t.Fatalf("snapshot = %+v, want the domain's static 64 stripes and no remap", snap)
 	}
 }
 
@@ -309,7 +243,7 @@ func TestCooldownZeroIsEveryInterval(t *testing.T) {
 	b := &fakeBatch{k: 16, min: 1, max: 20}
 	c := New(Config{Registry: r, Batch: b, MaxBatch: 20})
 	for i := 0; i < 3; i++ {
-		feed(site, 1000, 700, 0, 100, 0, 0)
+		feed(site, 1000, 700, 100, 0, 0)
 		if got := c.Step(); got != 1 {
 			t.Fatalf("tick %d: %d actions, want 1 (no cooldown)", i, got)
 		}

@@ -152,7 +152,7 @@ func (m *Manager) WithPolicyAt(p speculate.Policy, site string) *Manager {
 // untouched), or fast + middle when WithMiddle enabled the helping tier
 // (registered per level as name/fast and name/middle with level labels).
 func (m *Manager) rebuildSite() {
-	levels := []speculate.Level{{Name: "fast", Attempts: m.attempts, RetryOnExplicit: true}}
+	levels := []speculate.Level{{Name: "fast", Attempts: m.attempts, OnExplicit: speculate.RulePolicy}}
 	if m.middle.Attempts > 0 {
 		levels = append(levels, m.middle)
 	}

@@ -39,9 +39,9 @@ func jsonKeys(t *testing.T, v any) []string {
 // exports on both substrates: the site-class names the managers register
 // ("txn/atomic" on the runtime, "simtxn/atomic" with level class "fast" on
 // the modeled machine) and the JSON counter names of the per-site and
-// composed snapshots. Dashboards and the benchreport artifact key on these
-// strings, so renames must be deliberate — update this golden alongside
-// every consumer, not as a side effect.
+// composed snapshots. Dashboards key on these strings, so renames must be
+// deliberate — update this golden alongside every consumer, not as a side
+// effect.
 func TestGoldenTelemetryNames(t *testing.T) {
 	// Runtime substrate: one Move through a metrics-backed manager must
 	// surface the "txn/atomic" speculation site and the "txn/atomic"
