@@ -47,7 +47,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
+	"sort"
 	"strings"
 
 	"repro/internal/bench"
@@ -68,6 +70,11 @@ func main() {
 	boundedWrites := flag.Int("bounded-writes", 0, "BoundedSet write budget in lines (0 = sim default; only with -model bounded)")
 	nbtc := flag.Bool("nbtc", false, "publish composed fallbacks via the NBTC commit-time batch on the modeled substrate")
 	flag.Parse()
+
+	if !(*scale > 0) || math.IsInf(*scale, 0) { // NaN fails the comparison too
+		fmt.Fprintf(os.Stderr, "invalid -scale %v (want a positive number)\n", *scale)
+		os.Exit(2)
+	}
 
 	if *model != "" || *boundedReads > 0 || *boundedWrites > 0 || *nbtc {
 		switch *model {
@@ -130,7 +137,12 @@ func main() {
 	} else {
 		for _, id := range strings.Split(*figure, ",") {
 			if _, ok := runners[id]; !ok {
-				fmt.Fprintf(os.Stderr, "unknown figure %q (want one of %v)\n", id, order)
+				known := make([]string, 0, len(runners))
+				for k := range runners {
+					known = append(known, k)
+				}
+				sort.Strings(known)
+				fmt.Fprintf(os.Stderr, "unknown figure %q (want all or one of %v)\n", id, known)
 				os.Exit(2)
 			}
 			selected = append(selected, id)

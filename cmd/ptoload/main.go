@@ -101,23 +101,23 @@ type serverDelta struct {
 
 // scenarioResult is one scenario's measured outcome.
 type scenarioResult struct {
-	Name        string        `json:"name"`
-	Batched     bool          `json:"batched"`
-	OfferedRate float64       `json:"offered_per_s"`
-	DurationSec float64       `json:"duration_s"`
-	Completed    uint64       `json:"completed"`
-	OKs          uint64       `json:"ok"`
-	Sheds429     uint64       `json:"shed_429"`
-	Conflicts409 uint64       `json:"conflict_409,omitempty"`
-	ClientDrops uint64        `json:"client_drops"`
-	Errors      uint64        `json:"errors"`
-	KeysWritten uint64        `json:"keys_written"`
-	Throughput  float64       `json:"throughput_per_s"`
-	KeysPerSec  float64       `json:"keys_per_s"`
-	P50Ms       float64       `json:"p50_ms"`
-	P99Ms       float64       `json:"p99_ms"`
-	Server      serverDelta   `json:"server"`
-	Windows     []windowStats `json:"windows,omitempty"`
+	Name         string        `json:"name"`
+	Batched      bool          `json:"batched"`
+	OfferedRate  float64       `json:"offered_per_s"`
+	DurationSec  float64       `json:"duration_s"`
+	Completed    uint64        `json:"completed"`
+	OKs          uint64        `json:"ok"`
+	Sheds429     uint64        `json:"shed_429"`
+	Conflicts409 uint64        `json:"conflict_409,omitempty"`
+	ClientDrops  uint64        `json:"client_drops"`
+	Errors       uint64        `json:"errors"`
+	KeysWritten  uint64        `json:"keys_written"`
+	Throughput   float64       `json:"throughput_per_s"`
+	KeysPerSec   float64       `json:"keys_per_s"`
+	P50Ms        float64       `json:"p50_ms"`
+	P99Ms        float64       `json:"p99_ms"`
+	Server       serverDelta   `json:"server"`
+	Windows      []windowStats `json:"windows,omitempty"`
 }
 
 // benchFile is the merged BENCH_serve.json shape.

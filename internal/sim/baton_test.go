@@ -189,3 +189,97 @@ func TestPanicInsideAtomicLeavesNoTransaction(t *testing.T) {
 		}
 	}
 }
+
+// A thread whose last event was executed on another goroutine has finished in
+// simulated time although its body has not yet returned, and its SMT sibling
+// must be charged as alone on the core from then on. Threads 0 and 4 share a
+// core; the one with the single long event is the one that finishes early.
+//
+// In the first case thread 0's Work(1000) is executed on thread 4's goroutine
+// (thread 0 becomes replied) and is inflated, thread 4 being live: ⌊(3+1000) ×
+// 1.55⌋ = 1554. All five of thread 4's events come after it in (clock, id)
+// order and must cost the plain 3+100: 515. A baton that executed them while
+// thread 0 was still only replied would inflate each to ⌊103 × 1.55⌋ = 159,
+// 795 in all — this is the case that fails without the sibling rule. In the
+// mirror case thread 4 executes its own long event and finishes on its own
+// goroutine, so it passes with or without the rule: thread 0's first event
+// precedes it (159) and the other four are plain (412).
+func TestRepliedSiblingCountsAsFinished(t *testing.T) {
+	for _, c := range []struct {
+		long         int // the thread with one Work(1000); the other makes five Work(100)
+		want0, want4 uint64
+	}{
+		{long: 0, want0: 1554, want4: 515},
+		{long: 4, want0: 571, want4: 1554},
+	} {
+		m := New(DefaultConfig(5))
+		m.Run(func(th *Thread) {
+			switch th.ID() {
+			case c.long:
+				th.Work(1000)
+			case 4 - c.long:
+				for i := 0; i < 5; i++ {
+					th.Work(100)
+				}
+			}
+		})
+		if got0, got4 := m.Thread(0).Now(), m.Thread(4).Now(); got0 != c.want0 || got4 != c.want4 {
+			t.Errorf("long event on thread %d: clocks %d and %d, want %d and %d", c.long, got0, got4, c.want0, c.want4)
+		}
+	}
+}
+
+// A body may panic when it is resumed long after its last event was executed
+// on another goroutine. Thread 0 watches for thread 1 in that state (the
+// machine's own record, which a body outside this package cannot see) to
+// prove the test exercises it.
+func TestPanicWhileReplied(t *testing.T) {
+	start := runtime.NumGoroutine()
+	m := New(DefaultConfig(2))
+	a := m.Thread(0).Alloc(LineWords)
+	sawReplied, finished := false, false
+	p := runRecovering(m, func(th *Thread) {
+		if th.ID() == 1 {
+			th.Work(1000)
+			th.Work(10)
+			panic("late")
+		}
+		for i := 0; i < 2000; i++ {
+			th.Load(a)
+			sawReplied = sawReplied || m.threads[1].state == replied
+		}
+		finished = true
+	})
+	if p != "sim thread 1: late" {
+		t.Fatalf("Run panicked with %v", p)
+	}
+	if !sawReplied || !finished {
+		t.Fatalf("thread 1 seen replied: %v, thread 0 finished: %v", sawReplied, finished)
+	}
+	settleGoroutines(t, start)
+}
+
+// Every thread but one makes a single event, so the long-running thread keeps
+// meeting threads that are replied and, once resumed, done.
+func TestAllButOneFinishOnFirstEvent(t *testing.T) {
+	start := runtime.NumGoroutine()
+	for long := 0; long < 8; long++ {
+		m := New(DefaultConfig(8))
+		a := m.Thread(0).Alloc(LineWords)
+		m.Run(func(th *Thread) {
+			th.Work(uint64(10 * (1 + th.ID())))
+			if th.ID() == long {
+				for i := 0; i < 200; i++ {
+					th.Store(a, th.Load(a)+1)
+				}
+			}
+		})
+		if got := m.Thread(0).Load(a); got != 200 {
+			t.Fatalf("long thread %d: counter = %d, want 200", long, got)
+		}
+		if s := m.Stats(); s.Loads != 200 || s.Handoffs > 16 {
+			t.Fatalf("long thread %d: stats %+v", long, s)
+		}
+	}
+	settleGoroutines(t, start)
+}

@@ -19,6 +19,23 @@ func BenchmarkDirectLoad(b *testing.B) {
 	}
 }
 
+// One committing setup-mode transaction of two loads, two stores and a CAS.
+func BenchmarkDirectAtomic(b *testing.B) {
+	m := New(DefaultConfig(1))
+	th := m.Thread(0)
+	a := th.Alloc(LineWords)
+	tx := func() {
+		th.Store(a, th.Load(a)+1)
+		th.Store(a+1, th.Load(a))
+		th.CAS(a+2, 0, 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		th.Atomic(tx)
+	}
+}
+
 // benchRun times one Run of per(t, iters) on n threads, iters chosen so that
 // the run makes about b.N units of work in all, and reports the baton's
 // hand-offs per unit.
@@ -33,7 +50,12 @@ func benchRun(b *testing.B, n int, per func(t *Thread, shared Addr, iters int)) 
 }
 
 // eventLoop is four events an iteration: a load and a store on the thread's
-// own line, a CAS on a line every thread shares, and a fence.
+// own line, a CAS on a line every thread shares, and a fence. Every thread
+// makes the same events at the same clocks, which is the baton's worst case:
+// at 8 threads nearly every event finds its SMT sibling replied, and the
+// sibling rule's wake-up delivers one reply and no event (0.84 hand-offs per
+// event here, 3.2 per six-event transaction in BenchmarkTx8T, against 0.46
+// per event over the paper's figures).
 func eventLoop(t *Thread, shared Addr, iters int) {
 	own := t.Alloc(LineWords)
 	for i := 0; i < iters; i += 4 {
@@ -72,6 +94,21 @@ func TestSetupAccessDoesNotAllocate(t *testing.T) {
 		th.CAS(a+1, 0, 1)
 	}); n != 0 {
 		t.Fatalf("setup-mode Load+Store+CAS: %v allocs, want 0", n)
+	}
+	// In steady state (the undo log grown once) nor does a setup-mode
+	// transaction that commits.
+	tx := func() {
+		th.Store(a+2, th.Load(a)+1)
+		th.Store(a+2, th.Load(a+2)+1)
+		th.CAS(a+3, th.Load(a+3), 7)
+	}
+	th.Atomic(tx)
+	if n := testing.AllocsPerRun(100, func() {
+		if st := th.Atomic(tx); st != OK {
+			panic(st)
+		}
+	}); n != 0 {
+		t.Fatalf("setup-mode Atomic: %v allocs, want 0", n)
 	}
 }
 

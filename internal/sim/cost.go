@@ -131,7 +131,7 @@ func DefaultConfig(n int) Config {
 		BoundedReadLines:  16,
 		BoundedWriteLines: 16,
 		CyclesPerMs:       3.4e6,
-		Cost:          DefaultCost(),
-		Seed:          1,
+		Cost:              DefaultCost(),
+		Seed:              1,
 	}
 }

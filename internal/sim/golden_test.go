@@ -11,13 +11,13 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_schedule.txt from this build")
 
-// goldenSchedule runs a seeded 8-thread mix of every event kind — plain and
+// goldenSchedule runs a seeded mix of every event kind — plain and
 // transactional, contended and private, committing, conflicting, overflowing
-// and self-aborting — over two Runs of one machine, and prints each thread's
-// final clock and the machine's event counts. Any change to the event order
-// or to a cost shows up in it.
-func goldenSchedule(model string) string {
-	cfg := DefaultConfig(8)
+// and self-aborting — on up to 8 threads over two Runs of one machine, and
+// prints each thread's final clock and the machine's event counts. Any change
+// to the event order or to a cost shows up in it.
+func goldenSchedule(model string, threads int) (string, Stats) {
+	cfg := DefaultConfig(threads)
 	cfg.Model = model
 	cfg.Seed = 13
 	m := New(cfg)
@@ -85,7 +85,7 @@ func goldenSchedule(model string) string {
 	m.Run(body)
 	var b strings.Builder
 	fmt.Fprintf(&b, "model %s\n", m.Model().Name())
-	for i := 0; i < 8; i++ {
+	for i := 0; i < threads; i++ {
 		fmt.Fprintf(&b, "thread %d clock %d statuses %v\n", i, m.Thread(i).Now(), statuses[i])
 	}
 	s := m.Stats()
@@ -96,16 +96,20 @@ func goldenSchedule(model string) string {
 		sum = sum*31 + setup.Load(shared+Addr(i))
 	}
 	fmt.Fprintf(&b, "memory %d\n", sum)
-	return b.String()
+	return b.String(), s
 }
 
 // TestGoldenSchedule pins the machine's schedule to the one recorded at the
 // commit before the scheduler goroutine was removed (ISSUE 13), on both HTM
-// models and on one and eight Ps: the host's parallelism must not reach the
-// simulated order.
+// models and on one and eight Ps: neither the host's parallelism nor the order
+// in which the baton resumes bodies may reach the simulated order.
 func TestGoldenSchedule(t *testing.T) {
 	const path = "testdata/golden_schedule.txt"
-	gen := func() string { return goldenSchedule(ModelRTM) + goldenSchedule(ModelBoundedSet) }
+	gen := func() string {
+		rtm, _ := goldenSchedule(ModelRTM, 8)
+		bounded, _ := goldenSchedule(ModelBoundedSet, 8)
+		return rtm + bounded
+	}
 	if *updateGolden {
 		if err := os.WriteFile(path, []byte(gen()), 0o644); err != nil {
 			t.Fatal(err)
@@ -122,6 +126,33 @@ func TestGoldenSchedule(t *testing.T) {
 		runtime.GOMAXPROCS(prev)
 		if got != string(want) {
 			t.Errorf("GOMAXPROCS=%d: schedule differs from %s:\n%s\nwant:\n%s", procs, path, got, want)
+		}
+	}
+}
+
+// The baton's wake-ups are as deterministic as the schedule, so they are
+// pinned too. With one thread per core a wake-up delivers a reply to a thread
+// that is the global minimum and therefore executes its next event itself: at
+// most one switch per two events. With SMT siblings the sibling rule resumes
+// threads that are not the minimum, which costs more, but fewer than the one
+// switch per event-off-its-goroutine of the eager baton this one replaced
+// (its count on this workload is the second number).
+func TestGoldenHandoffs(t *testing.T) {
+	for _, c := range []struct {
+		threads      int
+		want, before uint64
+	}{
+		{4, 10301, 24421},
+		{8, 34285, 52141},
+	} {
+		_, s := goldenSchedule(ModelRTM, c.threads)
+		events := s.Loads + s.Stores + s.CASes + s.Fences + s.Allocs + s.Frees // Work and tx boundaries are events too
+		t.Logf("%d threads: %d hand-offs for %d counted events (%.3f)", c.threads, s.Handoffs, events, float64(s.Handoffs)/float64(events))
+		if s.Handoffs != c.want || s.Handoffs >= c.before {
+			t.Errorf("%d threads: %d hand-offs, want %d (eager baton: %d)", c.threads, s.Handoffs, c.want, c.before)
+		}
+		if c.threads <= 4 && 2*s.Handoffs > events {
+			t.Errorf("%d threads, no siblings: %d hand-offs for %d events, want at most one per two", c.threads, s.Handoffs, events)
 		}
 	}
 }

@@ -30,16 +30,47 @@
 // structures.
 //
 // Inside Run each simulated thread's body is a goroutine, but only the one
-// holding the machine's single baton runs; the rest are parked, each with one
-// posted event. There is no scheduler goroutine: the goroutine that posts an
-// event picks the next event itself (Machine.schedule), executes it, and
-// either carries on — the event was its own, no goroutine switch — or wakes
-// the event's owner and parks, one switch (Stats.Handoffs counts them).
-// Threads are started one at a time under the same baton, each when the
-// previous one posts its first event or ends. The one rule this puts on
-// bodies: they communicate only through simulated memory. A body that blocks
-// on a Go channel or mutex until another body acts deadlocks the run, because
-// that other body is not running.
+// holding the machine's single baton runs; the rest are parked. There is no
+// scheduler goroutine: the goroutine that posts an event takes the scheduling
+// decision itself (Machine.schedule). A started, unfinished thread is in one
+// of three states:
+//
+//   - running: its body holds the baton (or has just been sent it);
+//   - pending: it has posted an event that has not been executed;
+//   - replied: its event has been executed, on another goroutine, and its
+//     body has not been resumed to collect the answer.
+//
+// Go code between two events costs no cycles, so a thread's clock is the time
+// of its posted event and equally of the one it will post next. The baton
+// holder therefore looks at the live thread with the smallest (clock, id)
+// whatever its state. If that thread is pending, the holder executes its
+// event on the spot — it carries on if the event was its own, and otherwise
+// marks the thread replied and looks again. If it is replied, only its body
+// can say what comes next: the holder wakes it and parks (Stats.Handoffs
+// counts these wake-ups, one goroutine switch each). A thread woken this way
+// is the global minimum, so it collects its reply and executes its next event
+// without a switch: events are executed in exactly the order above, and while
+// no core is shared a switch pays for two events or more. Threads are started
+// one at a time under the same baton, each when the previous one posts its
+// first event or ends.
+//
+// The sibling rule: the SMT charge asks whether a thread's sibling has
+// finished, and a replied thread may have — its body returns when resumed. So
+// before an event is executed whose thread has a replied sibling, that
+// sibling is resumed first, although it is not the minimum (such a wake-up
+// delivers a reply and no event, so threads in lock-step on shared cores switch
+// more); when the event is charged its sibling is pending or finished, never
+// undecided.
+//
+// Two rules follow for bodies. They communicate only through simulated
+// memory: a body that blocks on a Go channel or mutex until another body acts
+// deadlocks the run, because that other body is not running. And since a
+// replied thread's body is resumed late, the stretches of Go code of
+// different threads do not run in event order: bodies may share Go-side
+// state only if it never influences which events they post. Per-thread slots
+// indexed by Thread.ID and write-only counters read after Run are fine; a
+// shared Go variable that one body writes and another branches on is not —
+// put it in simulated memory, where the event order applies.
 package sim
 
 import "fmt"
@@ -90,8 +121,8 @@ type Stats struct {
 	TxConflicts                  uint64
 	TxCapacity                   uint64
 	TxExplicit                   uint64
-	// Handoffs counts events executed on a goroutine other than their
-	// thread's own, each of which costs the host one goroutine switch.
+	// Handoffs counts the times the baton woke a parked thread, each of
+	// which costs the host one goroutine switch.
 	Handoffs uint64
 }
 
@@ -116,7 +147,7 @@ type request struct {
 	addr   Addr
 	val    uint64 // store value / CAS new / work cycles / alloc words
 	old    uint64 // CAS expected
-	status Status // opTxAbort reason (OK means AbortExplicit)
+	status Status // opTxAbort reason
 }
 
 type reply struct {
@@ -168,14 +199,30 @@ type thread struct {
 	writeBuf   map[Addr]uint64
 	writeOrder []Addr
 
-	// The baton protocol (Run): the thread's posted event, its answer, and
-	// the channel its goroutine parks on until another goroutine has executed
-	// that event.
-	req     request
-	rep     reply
-	pending bool
-	wake    chan struct{}
+	// The baton protocol (Run): the thread's posted event, its answer, where
+	// the two stand (state), and the channel its goroutine parks on until the
+	// baton comes back to it.
+	req   request
+	rep   reply
+	state threadState
+	wake  chan struct{}
 }
+
+// threadState says where a started, unfinished thread stands in the baton
+// protocol (package comment).
+type threadState uint8
+
+const (
+	// running: the body holds the baton, or has been sent it.
+	running threadState = iota
+	// pending: req is posted and not yet executed; the goroutine is parked, or
+	// is the one scheduling.
+	pending
+	// replied: req has been executed into rep on another goroutine and the
+	// body has not been resumed, so its next event — at this same clock — is
+	// not known yet, nor whether there is one.
+	replied
+)
 
 // Machine is the simulated multicore. Create with New, build initial state
 // with direct Thread calls, then measure with Run.
@@ -201,11 +248,10 @@ type Machine struct {
 	panics   []any
 	finished chan struct{}
 
-	// directBuf/directOrder implement write buffering for setup-time
-	// transactions (direct mode), while directTx is set.
-	directTx    bool
-	directBuf   map[Addr]uint64
-	directOrder []Addr
+	// Set-up mode (outside Run): while directTx is set a setup-time
+	// transaction is open and undo holds what its writes overwrote.
+	directTx bool
+	undo     []undoEntry
 }
 
 // New returns a machine with the given configuration. The configuration
@@ -300,7 +346,7 @@ func (m *Machine) dirEntry(l uint64) *dline {
 // one at a time (package comment) and must not wait for each other in Go.
 func (m *Machine) Run(body func(t *Thread)) {
 	for _, t := range m.threads {
-		t.done, t.pending = false, false
+		t.done, t.state = false, running
 	}
 	m.running, m.body, m.started = true, body, 0
 	m.panics = make([]any, len(m.threads))
@@ -335,33 +381,46 @@ func (m *Machine) start() {
 
 // schedule is called by the goroutine holding the baton once its thread self
 // has posted an event or finished, and returns when that event has been
-// executed. Every other started thread is parked with a posted event, so the
-// caller makes the scheduling decision itself: while threads remain unstarted
-// it starts the next one; otherwise it executes the event of the pending
-// thread with the smallest (clock, id) and, unless that thread is self, wakes
-// it. The last thread to finish finds nothing pending and signals Run.
+// executed and the baton is back. It is the protocol of the package comment:
+// while threads remain unstarted it starts the next one; otherwise it takes
+// the live thread with the smallest (clock, id) and executes its event if it
+// is pending — returning if the event was self's own, looking again if not —
+// or wakes it if it is replied, or, sibling rule, wakes the replied sibling of
+// a pending one. The last thread to finish finds nobody live and signals Run.
 func (m *Machine) schedule(self *thread) {
 	park := !self.done // read now: once the baton is passed on, machine state is another goroutine's
 	if m.started < len(m.threads) {
 		m.start()
 	} else {
-		var pick *thread
-		for _, t := range m.threads {
-			if t.pending && (pick == nil || t.clock < pick.clock) {
-				pick = t
+		for {
+			var pick *thread
+			for _, t := range m.threads {
+				if !t.done && (pick == nil || t.clock < pick.clock) {
+					pick = t
+				}
 			}
+			if pick == nil {
+				m.finished <- struct{}{}
+				return
+			}
+			if pick.state == pending {
+				if s := pick.sibling; s == nil || s.state != replied {
+					pick.rep = m.process(pick, &pick.req)
+					if pick == self {
+						self.state = running
+						return
+					}
+					pick.state = replied
+					continue
+				}
+				pick = pick.sibling
+			}
+			// pick is replied: the machine cannot go on until its body has.
+			m.stats.Handoffs++
+			pick.state = running
+			pick.wake <- struct{}{}
+			break
 		}
-		if pick == nil {
-			m.finished <- struct{}{}
-			return
-		}
-		pick.pending = false
-		pick.rep = m.process(pick, &pick.req)
-		if pick == self {
-			return
-		}
-		m.stats.Handoffs++
-		pick.wake <- struct{}{}
 	}
 	if park {
 		<-self.wake
@@ -599,13 +658,8 @@ func (m *Machine) process(t *thread, r *request) reply {
 		m.stats.TxCommits++
 		t.resetTx()
 	case opTxAbort:
-		t.txStatus = AbortExplicit
-		if r.status != OK {
-			t.txStatus = r.status
-		}
-		t.txAborted = true
-		rep := m.finishAbort(t)
-		return rep
+		t.txStatus, t.txAborted = r.status, true
+		return m.finishAbort(t)
 	}
 	m.charge(t, cost)
 	return rep

@@ -25,16 +25,12 @@ func (t *Thread) do(r request) reply {
 	if !t.m.running {
 		if r.kind == opTxAbort {
 			t.inTx = false
-			st := AbortExplicit
-			if r.status != OK {
-				st = r.status
-			}
-			panic(txSignal{status: st})
+			panic(txSignal{status: r.status})
 		}
 		return t.m.direct(&r)
 	}
 	th := t.m.threads[t.id]
-	th.req, th.pending = r, true
+	th.req, th.state = r, pending
 	t.m.schedule(th)
 	t.now = th.clock
 	if th.rep.aborted {
@@ -44,45 +40,32 @@ func (t *Thread) do(r request) reply {
 	return th.rep
 }
 
-// direct executes an event immediately, with functional effects only (no
-// cost, no coherence, no conflicts). Setup-time transactions still buffer
-// their writes so TxAbort discards them correctly.
+// undoEntry is one word a setup-time transaction overwrote, and what it held.
+type undoEntry struct {
+	addr Addr
+	old  uint64
+}
+
+// directWrite is a set-up mode write: in place, and inside a setup-time
+// transaction logged so that an abort can take it back.
+func (m *Machine) directWrite(a Addr, v uint64) {
+	w := m.word(a)
+	if m.directTx {
+		m.undo = append(m.undo, undoEntry{a, *w})
+	}
+	*w = v
+}
+
+// direct executes an event other than a load or a store (Thread.Load and
+// Thread.Store take their own short cut) immediately, with functional effects
+// only: no cost, no coherence, no conflicts.
 func (m *Machine) direct(r *request) reply {
 	switch r.kind {
-	case opLoad:
-		if m.directTx {
-			if v, ok := m.directBuf[r.addr]; ok {
-				return reply{val: v}
-			}
-		}
-		return reply{val: *m.word(r.addr)}
-	case opStore:
-		if m.directTx {
-			if _, ok := m.directBuf[r.addr]; !ok {
-				m.directOrder = append(m.directOrder, r.addr)
-			}
-			m.directBuf[r.addr] = r.val
-			return reply{}
-		}
-		*m.word(r.addr) = r.val
 	case opCAS:
-		cur := *m.word(r.addr)
-		if m.directTx {
-			if v, ok := m.directBuf[r.addr]; ok {
-				cur = v
-			}
-		}
-		if cur != r.old {
+		if *m.word(r.addr) != r.old {
 			return reply{ok: false}
 		}
-		if m.directTx {
-			if _, ok := m.directBuf[r.addr]; !ok {
-				m.directOrder = append(m.directOrder, r.addr)
-			}
-			m.directBuf[r.addr] = r.val
-			return reply{ok: true}
-		}
-		*m.word(r.addr) = r.val
+		m.directWrite(r.addr, r.val)
 		return reply{ok: true}
 	case opAlloc, opAllocLocal:
 		words := (r.val + LineWords - 1) / LineWords * LineWords
@@ -109,12 +92,19 @@ func (t *Thread) Rand() uint64 {
 
 // Load reads the word at a.
 func (t *Thread) Load(a Addr) uint64 {
+	if !t.m.running {
+		return *t.m.word(a)
+	}
 	return t.do(request{kind: opLoad, addr: a}).val
 }
 
 // Store writes v to the word at a. Inside a transaction the write is
-// buffered until commit.
+// invisible to other threads until commit and taken back by an abort.
 func (t *Thread) Store(a Addr, v uint64) {
+	if !t.m.running {
+		t.m.directWrite(a, v)
+		return
+	}
 	t.do(request{kind: opStore, addr: a, val: v})
 }
 
@@ -190,32 +180,7 @@ func (t *Thread) Atomic(body func()) Status {
 		panic("sim: nested Atomic")
 	}
 	if !t.m.running {
-		// Setup is single-threaded; buffer writes so TxAbort rolls back.
-		t.inTx, t.m.directTx = true, true
-		if t.m.directBuf == nil {
-			t.m.directBuf = make(map[Addr]uint64, 8)
-		}
-		defer func() {
-			t.inTx, t.m.directTx = false, false
-			clear(t.m.directBuf)
-			t.m.directOrder = t.m.directOrder[:0]
-		}()
-		return func() (st Status) {
-			defer func() {
-				if r := recover(); r != nil {
-					if sig, ok := r.(txSignal); ok {
-						st = sig.status
-						return
-					}
-					panic(r)
-				}
-			}()
-			body()
-			for _, a := range t.m.directOrder {
-				*t.m.word(a) = t.m.directBuf[a]
-			}
-			return OK
-		}()
+		return t.directAtomic(body)
 	}
 	t.inTx = true
 	defer func() { t.inTx = false }()
@@ -234,4 +199,29 @@ func (t *Thread) Atomic(body func()) Status {
 		t.do(request{kind: opTxEnd})
 		return OK
 	}()
+}
+
+// directAtomic is Atomic in set-up mode, which is single-threaded: writes go
+// in place behind an undo log, and whatever ends body early — TxAbort or a
+// panic of the caller's own — unwinds the log, newest entry first.
+func (t *Thread) directAtomic(body func()) (st Status) {
+	m := t.m
+	t.inTx, m.directTx = true, true
+	defer func() {
+		t.inTx, m.directTx = false, false
+		for i := len(m.undo) - 1; i >= 0; i-- { // empty after a commit
+			*m.word(m.undo[i].addr) = m.undo[i].old
+		}
+		m.undo = m.undo[:0]
+		if r := recover(); r != nil {
+			sig, ok := r.(txSignal)
+			if !ok {
+				panic(r)
+			}
+			st = sig.status
+		}
+	}()
+	body()
+	m.undo = m.undo[:0] // commit
+	return OK
 }

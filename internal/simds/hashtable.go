@@ -70,12 +70,19 @@ type SimHash struct {
 	retirers []*Retirer
 	updSite  *simspec.Site
 	lookSite *simspec.Site
+	scratch  []hashScratch // per thread
 }
+
+// hashScratch is one thread's Go-side buffers, reused from operation to
+// operation so that copying a bucket's values costs the host no allocation.
+// snap backs the values snapshot returns, good until the thread's next
+// snapshot; vals backs the bucket an operation builds from them.
+type hashScratch struct{ snap, vals []uint64 }
 
 // NewSimHash builds an empty table with the given initial bucket count
 // (power of two) using setup thread t.
 func NewSimHash(t *sim.Thread, kind HashKind, buckets, threads int) *SimHash {
-	h := &SimHash{kind: kind, epoch: NewEpoch(t, threads)}
+	h := &SimHash{kind: kind, epoch: NewEpoch(t, threads), scratch: make([]hashScratch, threads)}
 	for i := 0; i < threads; i++ {
 		h.retirers = append(h.retirers, NewRetirer(h.epoch))
 	}
@@ -132,7 +139,8 @@ func hashIndex(key uint64, size uint64) sim.Addr {
 func bucketWordAddr(hn sim.Addr, i sim.Addr) sim.Addr { return hn + hnBuckets + i }
 
 // snapshot reads bucket i consistently (double-checked against the bucket
-// word) and returns the observed word and values; ok=false means retry.
+// word) and returns the observed word and values; ok=false means retry. The
+// values are in the thread's scratch: the next snapshot overwrites them.
 func (h *SimHash) snapshot(t *sim.Thread, hn sim.Addr, i sim.Addr) (w uint64, vals []uint64, live bool, ok bool) {
 	w = t.Load(bucketWordAddr(hn, i))
 	n := hbNode(w)
@@ -141,10 +149,12 @@ func (h *SimHash) snapshot(t *sim.Thread, hn sim.Addr, i sim.Addr) (w uint64, va
 	}
 	live = t.Load(n+fsFlags)&1 == 1
 	ln := t.Load(n + fsLen)
-	vals = make([]uint64, 0, ln)
+	sc := &h.scratch[t.ID()]
+	vals = sc.snap[:0]
 	for j := uint64(0); j < ln; j++ {
 		vals = append(vals, t.Load(n+fsVals+sim.Addr(j)))
 	}
+	sc.snap = vals
 	if h.kind == HashInplace && live {
 		// In-place mutations shift values under a scan; double-check the
 		// (pointer, counter) word.
@@ -162,7 +172,11 @@ func (h *SimHash) initBucket(t *sim.Thread, hn sim.Addr, i sim.Addr) {
 	}
 	size := t.Load(hn + hnSize)
 	pred := sim.Addr(t.Load(hn + hnPred))
-	var vals []uint64
+	// freeze may come back here for a bucket of pred, so the buffer is taken,
+	// not borrowed: the nested call finds none and grows its own.
+	sc := &h.scratch[t.ID()]
+	vals := sc.vals[:0]
+	sc.vals = nil
 	if pred != 0 {
 		psize := t.Load(pred + hnSize)
 		if size == psize*2 {
@@ -178,6 +192,7 @@ func (h *SimHash) initBucket(t *sim.Thread, hn sim.Addr, i sim.Addr) {
 		}
 	}
 	n := h.newNode(t, vals)
+	sc.vals = vals
 	t.CAS(bucketWordAddr(hn, i), hbPack(0, 0), hbPack(n, 1))
 }
 
@@ -305,7 +320,8 @@ func (h *SimHash) applyTx(t *sim.Thread, key uint64, add bool) bool {
 		return true
 	}
 	// Copy-on-write inside the transaction (allocation remains).
-	var vals []uint64
+	sc := &h.scratch[t.ID()]
+	vals := sc.vals[:0]
 	for j := uint64(0); j < ln; j++ {
 		v := t.Load(n + fsVals + sim.Addr(j))
 		if !add && v == key {
@@ -317,6 +333,7 @@ func (h *SimHash) applyTx(t *sim.Thread, key uint64, add bool) bool {
 		vals = append(vals, key)
 	}
 	nn := h.newNode(t, vals)
+	sc.vals = vals
 	t.Store(bucketWordAddr(hn, i), hbPack(nn, hbCtr(w)+1))
 	return true
 }
@@ -349,7 +366,8 @@ func (h *SimHash) applyLF(t *sim.Thread, key uint64, add bool) bool {
 		if add == hasKey {
 			return false
 		}
-		var nv []uint64
+		sc := &h.scratch[t.ID()]
+		nv := sc.vals[:0]
 		if add {
 			nv = append(append(nv, vals...), key)
 		} else {
@@ -360,6 +378,7 @@ func (h *SimHash) applyLF(t *sim.Thread, key uint64, add bool) bool {
 			}
 		}
 		nn := h.newNode(t, nv)
+		sc.vals = nv
 		if t.CAS(bucketWordAddr(hn, i), w, hbPack(nn, hbCtr(w)+1)) {
 			h.retirers[t.ID()].Retire(t, hbNode(w), fsVals+len(vals))
 			h.maybeGrow(t, key, add, true)
