@@ -13,42 +13,45 @@
 //     transactional or not, observes a partial commit.
 //
 // Internally this is a single-version, lazy-versioning STM in the TL2
-// style: a global commit clock per Domain, a commit stamp on every Var (the
-// clock value of the last write to that Var), and a fixed array of striped
-// ownership records (orecs) — stripe locks hashed by Var identity, each
-// padded to its own cache line. Values live in Var[T] cells. A transaction
-// snapshots the commit clock at begin; every transactional read takes the
-// Var's value and stamp inside a window in which the Var's stripe stayed
-// unlocked and unchanged, and aborts if the stamp is newer than the
-// snapshot. Transactional writes are buffered and applied at commit while
-// holding only the written stripes' locks, acquired in ascending stripe
-// order so commits stay deadlock-free; commit re-checks every stamp the
-// attempt read. Non-transactional writes lock only their own stripe, and
-// non-transactional reads validate against their stripe word, so no code
-// path can observe a half-applied commit. Conflicts are detected per
-// location, which is what lets disjoint-footprint operations — different
-// hash buckets, distant skiplist keys, separate BST subtrees — commit
-// concurrently, the way they do under real per-cache-line HTM conflict
-// detection.
+// style: a global commit clock per Domain, one versioned lock word on every
+// Var — the clock value of the last write to that Var, with a top bit a
+// writer sets while its write is in flight — and a fixed array of striped
+// writer mutexes hashed by Var identity, each padded to its own cache line.
+// Values live in Var[T] cells. A transaction snapshots the commit clock at
+// begin; every transactional read looks at the Var's word, takes the value,
+// and looks at the word again: unlocked, unchanged and no newer than the
+// snapshot, or the read waits (for the Var's own writer, boundedly) or
+// aborts. A read touches its Var and nothing else. Transactional writes are
+// buffered and applied at commit while holding the written Vars' stripes,
+// acquired in ascending stripe order so commits stay deadlock-free, and with
+// every written Var's lock bit set before the commit draws its version and
+// before any value moves; commit re-checks every word the attempt read.
+// Non-transactional writes take their Var's stripe and its lock bit, and
+// non-transactional reads use the same per-Var window, so no code path can
+// observe a half-applied commit. Conflicts are detected per location, which
+// is what lets disjoint-footprint operations — different hash buckets,
+// distant skiplist keys, separate BST subtrees — commit concurrently, the
+// way they do under real per-cache-line HTM conflict detection.
 //
-// Versions are per Var; a stripe is a lock and a window. Two Vars that hash
-// to the same stripe exclude each other's writers while one is in flight,
-// and a reader that meets a stripe held on behalf of a Var it never touched
-// aborts on a stripe alias (a false conflict) — but a completed write to an
-// aliased Var aborts nobody: only a stamp newer than the snapshot on a Var
-// the transaction actually read is a conflict, which is the rule PTO's
-// prefix transactions are designed around (§2, §4.6). The engine classifies
-// each conflict abort as true or alias from the stamp or from the owner id
-// in the lock word it met, so telemetry can report the false-conflict rate;
-// see AtomicallyClassified.
+// The Var's word is stamp and lock; a stripe is a writer mutex. Two Vars
+// that hash to the same stripe exclude each other's writers while one is in
+// flight, and a commit whose lock phase meets a stripe held on behalf of a
+// Var the attempt never touched aborts on a stripe alias (a false conflict)
+// — the only one left: readers never look at a stripe, so a write to an
+// aliased Var, in flight or completed, aborts no reader. Only a word that is
+// locked, or newer than the snapshot, on a Var the transaction actually read
+// is a conflict, which is the rule PTO's prefix transactions are designed
+// around (§2, §4.6). The engine classifies each conflict abort as true or
+// alias, so telemetry can report the false-conflict rate; see
+// AtomicallyClassified.
 //
 // The one property of real HTM this emulation cannot preserve is progress of
-// the combined system: the commit path holds stripe locks, so a preempted
-// committer can delay others, whereas real RTM commits in a bounded number of
-// hardware steps. The deterministic machine simulator in internal/sim models
-// true requester-wins HTM and carries the paper's progress and performance
-// claims; this package carries correctness of the PTO code structure under
-// real Go concurrency.
+// the combined system: the commit path holds stripes and lock bits, so a
+// preempted committer can delay others, whereas real RTM commits in a bounded
+// number of hardware steps. The deterministic machine simulator in
+// internal/sim models true requester-wins HTM and carries the paper's
+// progress and performance claims; this package carries correctness of the
+// PTO code structure under real Go concurrency.
 package htm
 
 import (
@@ -109,34 +112,30 @@ type Stats struct {
 	Explicit       uint64
 }
 
-// DefaultStripes is the default ownership-record table size. 256 stripes
-// keep the whole table at 16KB (one cache line each) while making accidental
-// aliasing of a handful of hot Vars unlikely. The count is a per-Domain
-// option (NewDomainStripes): fewer stripes mean coarser locks — a writer in
-// flight is met by more readers and committers of unrelated Vars — and the
-// 4-stripe configuration is the aliasing stress fixture.
+// DefaultStripes is the default stripe table size. 256 stripes keep the
+// whole table at 16KB (one cache line each) while making accidental aliasing
+// of a handful of hot Vars unlikely. The count is a per-Domain option
+// (NewDomainStripes): fewer stripes mean coarser writer mutexes — a writer in
+// flight is met by more committers of unrelated Vars — and the 4-stripe
+// configuration is the aliasing stress fixture.
 const DefaultStripes = 256
 
-// stripe is one ownership record: the lock every writer of a Var that hashes
-// to it holds while it writes, and the sequence word a reader's window is
-// judged by — padded out to its own cache line so stripe traffic does not
-// false-share. It carries no version anyone compares against a snapshot:
-// those are per Var (varHead.ver).
+// stripe is the mutex every writer of a Var that hashes to it holds while it
+// writes, padded out to its own cache line so stripe traffic does not
+// false-share. Only writers touch it: a reader judges a Var by the Var's own
+// word (varHead.ver) and never looks at a stripe.
 type stripe struct {
-	// word, unlocked, packs seq<<1, where seq is the commit-clock value of
-	// the last write released through the stripe: a reader that finds the
-	// same unlocked word on both sides of its reads knows no writer of any
-	// Var of the stripe ran in between. Locked it packs ownerVarID<<1 | 1,
-	// naming the Var on whose behalf a writer (a committing transaction, a
-	// direct store/CAS/Add, or a deciding MultiCAS) holds the stripe, which
-	// is what lets an aborting reader tell a writer of its own data from a
+	// word is 0 while the stripe is free and otherwise the id of the Var on
+	// whose behalf a writer (a committing transaction, a direct
+	// Store/CAS/Add, or a deciding MultiCAS) holds it, which is what lets a
+	// commit that finds the stripe busy tell a writer of its own data from a
 	// stripe alias.
 	word atomic.Uint64
 	_    [56]byte
 }
 
-// stripeTable is a domain's ownership-record table: a power-of-two count of
-// stripes plus the derived hash shift and bitmap width. It is built once per
+// stripeTable is a domain's stripe table: a power-of-two count of stripes
+// plus the derived hash shift and bitmap width. It is built once per
 // domain and never replaced, and its shape is immutable, so every path reads
 // it without synchronization and a Var hashes to the same stripe for life.
 type stripeTable struct {
@@ -156,13 +155,17 @@ func newStripeTable(n int) *stripeTable {
 	}
 }
 
+// fibMul is the Fibonacci-hashing multiplier, 2^64 over the golden ratio: the
+// top bits of id*fibMul spread small sequential ids evenly.
+const fibMul = 0x9E3779B97F4A7C15
+
 // indexOf hashes a Var id onto a stripe index (Fibonacci hashing; the ids
 // are small sequential integers, so multiplicative scrambling is what
 // spreads consecutively allocated Vars across the table). For the default
 // 256-stripe table the shift is 56, reproducing the historical fixed hash
 // bit for bit.
 func (t *stripeTable) indexOf(id uint64) uint32 {
-	return uint32((id * 0x9E3779B97F4A7C15) >> t.shift)
+	return uint32((id * fibMul) >> t.shift)
 }
 
 // Domain is an independent transactional memory. Transactions in different
@@ -208,13 +211,12 @@ func NewDomain(readCap, writeCap int) *Domain {
 	return d
 }
 
-// NewDomainStripes is NewDomain with an explicit ownership-record stripe
-// count: a power of two (panics otherwise), 0 selecting DefaultStripes. It is
-// the one place a stripe count is chosen; the table is fixed for the domain's
-// life. Fewer stripes coarsen the locks — more transactions meet a stripe
-// held for an unrelated Var (false conflicts), same correctness, and
-// completed writes still conflict per Var only — which is the knob the
-// aliasing stress tests turn.
+// NewDomainStripes is NewDomain with an explicit stripe count: a power of two
+// (panics otherwise), 0 selecting DefaultStripes. It is the one place a
+// stripe count is chosen; the table is fixed for the domain's life. Fewer
+// stripes coarsen the writers' mutexes — more commits meet a stripe held for
+// an unrelated Var (false conflicts), same correctness, and reads still
+// conflict per Var only — which is the knob the aliasing stress tests turn.
 func NewDomainStripes(readCap, writeCap, stripes int) *Domain {
 	d := NewDomain(readCap, writeCap)
 	if stripes == 0 {
@@ -224,7 +226,7 @@ func NewDomainStripes(readCap, writeCap, stripes int) *Domain {
 	return d
 }
 
-// Stripes returns the domain's ownership-record stripe count.
+// Stripes returns the domain's stripe count.
 func (d *Domain) Stripes() int { return len(d.table().stripes) }
 
 // Remaps always returns 0: a domain's stripe table is never swapped. Kept
@@ -284,19 +286,18 @@ func (d *Domain) caps() (int, int) {
 	return r, w
 }
 
-// acquire spins until it holds the stripe on behalf of Var owner, returning
-// the stripe's pre-lock word (even: seq<<1). Only single-stripe writers and
-// the MultiCAS decision use it; transactional commits never spin on a stripe
-// (they abort instead), which is what keeps the spin here short.
-func (s *stripe) acquire(owner uint64) uint64 {
-	for {
-		w := s.word.Load()
-		if w&1 == 0 && s.word.CompareAndSwap(w, owner<<1|1) {
-			return w
-		}
+// acquire spins until it holds the stripe on behalf of Var owner. Only
+// single-stripe writers and the MultiCAS decision use it; transactional
+// commits never spin on a stripe (they abort instead), which is what keeps
+// the spin here short.
+func (s *stripe) acquire(owner uint64) {
+	for !s.word.CompareAndSwap(0, owner) {
 		runtime.Gosched()
 	}
 }
+
+// release frees a held stripe.
+func (s *stripe) release() { s.word.Store(0) }
 
 // cell is the immutable box a Var points at. desc == nil means the Var holds
 // the plain value val; otherwise the Var is claimed by an in-flight MultiCAS
@@ -323,32 +324,50 @@ type Var[T comparable] struct {
 }
 
 // varHead is the untyped head of every Var[T], and what a transaction's read
-// log points at: the Var's domain, its identity, and its commit stamp.
+// log points at: the Var's domain, its identity, and its versioned lock.
 type varHead struct {
 	d  *Domain
 	id uint64
-	// ver is the commit-clock value of the last write to this Var (0: never
-	// written since Init). Every writer stores it while holding the Var's
-	// stripe and before releasing it — Tx.commit's install, a direct Store,
-	// a successful CAS or Add, the winning MultiCAS decision for each write
-	// leg — so inside an unlocked-and-unchanged stripe window (value, ver)
-	// is a consistent pair, and ver only ever grows.
+	// ver is the Var's versioned lock: the commit-clock value of the last
+	// write to this Var (0: never written since Init), with verLocked set
+	// while a write is in flight. Only the holder of the Var's stripe stores
+	// it, so plain stores suffice. Every writer — Tx.commit, a direct Store
+	// or Add, a direct CAS about to succeed, a MultiCAS decision for each
+	// write leg — sets the bit before the new value can become visible and
+	// before it draws its commit version, and clears it by storing that
+	// version (or, having written nothing, the old stamp back). A locked
+	// word compares greater than every snapshot, stamps only grow, and so a
+	// reader that finds the same word ≤ its snapshot on both sides of its
+	// read of the cell holds a value no writer was replacing, no newer than
+	// the snapshot, and — the bit preceding the draw — misses no write of a
+	// version the snapshot covers.
 	ver atomic.Uint64
 }
 
-// publish stamps the Var with commit version wv and releases its held
-// stripe s there — the tail of every single-Var direct write.
-func (h *varHead) publish(s *stripe, wv uint64) {
-	h.ver.Store(wv)
+// verLocked is the write-lock bit of varHead.ver.
+const verLocked = 1 << 63
+
+// lockVer sets the Var's write-lock bit. The caller holds the Var's stripe.
+func (h *varHead) lockVer() { h.ver.Store(h.ver.Load() | verLocked) }
+
+// unlockVer clears the write-lock bit of a Var whose value the caller did
+// not change, leaving the stamp as it was.
+func (h *varHead) unlockVer() { h.ver.Store(h.ver.Load() &^ verLocked) }
+
+// publish stamps the locked Var with a fresh commit version, which unlocks
+// it, and releases its held stripe s — the tail of every single-Var direct
+// write.
+func (h *varHead) publish(s *stripe) {
 	perturb()
-	s.word.Store(wv << 1)
+	h.ver.Store(h.d.clock.Add(1))
+	s.release()
 }
 
 // Init binds an embedded Var to domain d and sets its initial value. It must
 // be called exactly once, before any concurrent access; it is intended for
 // initializing Var fields of freshly allocated nodes. Init assigns the Var
 // its identity — its MultiCAS ordering id, from which the domain's table
-// hashes the Var's stripe on every access (one multiply and shift).
+// hashes the Var's stripe on every write (one multiply and shift).
 func (v *Var[T]) Init(d *Domain, init T) {
 	v.d = d
 	v.id = varIDs.Add(1)
@@ -368,14 +387,12 @@ func (v *Var[T]) Domain() *Domain { return v.d }
 // ID returns the Var's identity, unique across all Vars.
 func (v *Var[T]) ID() uint64 { return v.id }
 
-// stripeRec is one stripe a committing transaction writes through: its
-// index in the domain's table, the id of the first Var written there — the
-// owner it locks the stripe under — and the stripe's pre-lock word, for
-// rollback.
+// stripeRec is one stripe a commit or a MultiCAS decision writes through:
+// its index in the domain's table and the id of the Var it holds the stripe
+// for — the first Var a commit writes there.
 type stripeRec struct {
 	idx   uint32
 	varID uint64
-	prev  uint64
 }
 
 // Tx is an in-flight transaction. A Tx is only valid inside the function
@@ -389,22 +406,20 @@ type Tx struct {
 	t  *stripeTable // the domain's table; nil once the attempt has returned (live)
 	rv uint64       // commit-clock snapshot taken at begin (the TL2 read version)
 
-	reads    int
-	readSet  []uint64   // stripes with at least one transactional read
-	readRecs []uint32   // index of each read stripe, first-touch order
-	readLog  []*varHead // one entry per transactional read: the stamps commit re-checks
+	reads   int
+	readLog []*varHead // one entry per transactional read: the words commit re-checks
 
 	// writeLog is the redo log: insertion-ordered so commit write-back
 	// follows program order of first-writes. writeIdx maps a written Var's
-	// id to its log position; written is a 64-bit filter over those ids
-	// (bit id&63), so a Load of a Var the attempt has not written — every
-	// step of a search walk — never touches the map (staged).
+	// id to its log position (logPos); written is a 64-bit filter over
+	// those ids (bit id&63), so a Load of a Var the attempt has not written
+	// — every step of a search walk — mostly stops there (staged).
 	writeLog []writeEntry
-	writeIdx map[uint64]int
+	writeIdx []idxSlot
 	written  uint64
 
-	// lockRecs and lockSet are commit's scratch: the records and the bitmap
-	// of the written stripes (writeRecs).
+	// lockRecs and lockSet are the lock phase's scratch: the records and
+	// the bitmap of the written stripes (writeRecs).
 	lockRecs []stripeRec
 	lockSet  []uint64
 
@@ -432,50 +447,43 @@ type Tx struct {
 }
 
 // txPool recycles Tx values across attempts (and goroutines). A pooled Tx is
-// a zero Tx but for the capacity of its slices and map.
-var txPool = sync.Pool{New: func() any { return &Tx{writeIdx: make(map[uint64]int)} }}
+// a zero Tx but for the capacity of its slices.
+var txPool = sync.Pool{New: func() any { return new(Tx) }}
 
 // recycle returns tx to the pool as a zero Tx with capacity: cleared, so it
 // pins no cell, Var or domain (the stripe records hold indices, not
-// pointers, and need no clearing), and detached (live).
+// pointers, and need no clearing), and detached (live). The write index is
+// cleared over the length this attempt grew it to, so it is all zero, to its
+// capacity, whenever an attempt begins.
 func (tx *Tx) recycle() {
 	clear(tx.readLog)
 	clear(tx.writeLog)
 	clear(tx.writeIdx)
 	*tx = Tx{
-		readSet:  tx.readSet,
-		readRecs: tx.readRecs[:0],
 		readLog:  tx.readLog[:0],
 		writeLog: tx.writeLog[:0],
-		writeIdx: tx.writeIdx,
+		writeIdx: tx.writeIdx[:0],
 		lockRecs: tx.lockRecs[:0],
 		lockSet:  tx.lockSet,
 	}
 	txPool.Put(tx)
 }
 
-// live returns the attempt's stripe table, panicking on a Tx whose attempt
-// has already returned.
-func (tx *Tx) live() *stripeTable {
+// live panics on a Tx whose attempt has already returned.
+func (tx *Tx) live() {
 	if tx.t == nil {
 		panic("htm: Tx used after its attempt returned")
 	}
-	return tx.t
 }
 
-// zeroWords returns buf resized to n zero words, reusing its capacity.
-func zeroWords(buf []uint64, n int) []uint64 {
-	buf = slices.Grow(buf[:0], n)[:n]
-	clear(buf)
-	return buf
-}
-
-// writeTarget is the untyped face of a written Var[T] in the redo log:
-// install publishes c, the *cell[T] staged for the Var, under the Var's
-// stripe lock (storeLocked) and stamps the Var with commit version wv;
-// pendingDesc returns the undecided MultiCAS
-// descriptor claiming the Var's cell, if any, for commit's helping pass.
+// writeTarget is the untyped face of a written Var[T] in the redo log: head
+// is the Var's versioned lock, which commit sets before it draws its
+// version; install publishes c, the *cell[T] staged for the Var, under the
+// Var's stripe (storeLocked) and stamps the Var with commit version wv,
+// which unlocks it; pendingDesc returns the undecided MultiCAS descriptor
+// claiming the Var's cell, if any, for commit's helping pass.
 type writeTarget interface {
+	head() *varHead
 	install(c any, wv uint64)
 	pendingDesc() *MultiDesc
 }
@@ -506,16 +514,15 @@ func (tx *Tx) abort(st Status) {
 	panic(tx)
 }
 
-// heldByAlias classifies the conflict of meeting a stripe held by someone
-// else, from the lock word observed: true when the holder works on behalf of
-// a Var the attempt has neither read nor written, i.e. the abort is due to
-// stripe aliasing rather than to a writer of the attempt's own data. A holder
-// names one Var per stripe, so a writer of several aliased Vars can still
-// pass for an alias; a completed write never does — that is judged by the
-// Var's stamp. It walks the read log, which only an abort path can afford.
-func (tx *Tx) heldByAlias(word uint64) bool {
-	owner := word >> 1
-	if _, ok := tx.writeIdx[owner]; ok {
+// heldByAlias classifies the conflict of a lock phase meeting a stripe held
+// by someone else, from the owner observed in its word: true when the holder
+// works on behalf of a Var the attempt has neither read nor written, i.e.
+// the abort is due to stripe aliasing rather than to a writer of the
+// attempt's own data. A holder names one Var per stripe, so a writer of
+// several aliased Vars can still pass for an alias. It walks the read log,
+// which only an abort path can afford.
+func (tx *Tx) heldByAlias(owner uint64) bool {
+	if tx.logPos(owner) >= 0 {
 		return false
 	}
 	for _, h := range tx.readLog {
@@ -524,19 +531,6 @@ func (tx *Tx) heldByAlias(word uint64) bool {
 		}
 	}
 	return true
-}
-
-// recordRead logs a validated read of h through stripe idx: the Var always
-// (commit re-checks its stamp), the stripe on first touch only (commit
-// checks it once, however many Vars were read through it).
-func (tx *Tx) recordRead(h *varHead, idx uint32) {
-	tx.readLog = append(tx.readLog, h)
-	w, b := idx>>6, uint64(1)<<(idx&63)
-	if tx.readSet[w]&b != 0 {
-		return
-	}
-	tx.readSet[w] |= b
-	tx.readRecs = append(tx.readRecs, idx)
 }
 
 // Atomically runs f as a single transaction attempt against domain d and
@@ -559,14 +553,15 @@ func (d *Domain) Atomically(f func(tx *Tx)) Status {
 
 // AtomicallyClassified is Atomically plus conflict attribution: when the
 // attempt ends in AbortConflict, the second result reports whether the
-// engine classified the conflict as a stripe-alias (false) conflict — the
-// attempt met a stripe held right now on behalf of a Var it never touched —
-// rather than a true data conflict: a Var it read carries a stamp newer than
-// its snapshot, or the holder it met is writing a Var it read or writes. It
-// is always false for the other statuses. Retry policies treat both kinds
-// the same (both are transient); the split exists for telemetry, so tuning
-// can distinguish contention that more stripes would cure from contention
-// that is real.
+// engine classified the conflict as a stripe-alias (false) conflict — its
+// commit's lock phase met a stripe held right now on behalf of a Var the
+// attempt never touched — rather than a true data conflict: a Var it read is
+// locked by a writer or carries a stamp newer than its snapshot, or the
+// holder its lock phase met is writing a Var it read or writes. It is always
+// false for the other statuses. Retry policies treat both kinds the same
+// (both are transient); the split exists for telemetry, so tuning can
+// distinguish contention that more stripes would cure from contention that
+// is real.
 func (d *Domain) AtomicallyClassified(f func(tx *Tx)) (Status, bool) {
 	st, alias, _ := d.AtomicallyHelping(0, f)
 	return st, alias
@@ -617,7 +612,6 @@ func (d *Domain) atomically(helpBudget int, deferPending bool, f func(tx *Tx)) (
 	tx.d, tx.t, tx.rv = d, d.table(), d.clock.Load()
 	tx.readCap, tx.writeCap = d.caps()
 	tx.helpBudget, tx.deferPending = helpBudget, deferPending
-	tx.readSet = zeroWords(tx.readSet, tx.t.words)
 	// A foreign panic out of f unwinds past the recycle: that Tx is dropped.
 	status := d.attempt(tx, f)
 	alias, helped := status == AbortConflict && tx.alias, tx.helped
@@ -654,12 +648,12 @@ func (d *Domain) attempt(tx *Tx, f func(tx *Tx)) (status Status) {
 // commit publishes the write log with the TL2 protocol: lock the written
 // stripes in ascending stripe order (aborting, never spinning, on a busy
 // stripe — deadlock freedom against other committers and MultiCAS
-// decisions), draw a new commit timestamp, validate the read set, apply the
-// log, stamping each written Var with the timestamp, and release the
-// stripes. Read-only transactions commit without any locking or validation
-// at all — every read was already validated against the begin snapshot, so
-// the transaction serializes there — mirroring the cheapness of read-only
-// HTM commits.
+// decisions), set every written Var's lock bit, draw a new commit timestamp,
+// validate the read log, apply the redo log, stamping — and so unlocking —
+// each written Var with the timestamp, and release the stripes. Read-only
+// transactions commit without any locking or validation at all — every read
+// was already validated against the begin snapshot, so the transaction
+// serializes there — mirroring the cheapness of read-only HTM commits.
 func (tx *Tx) commit() Status {
 	if len(tx.writeLog) == 0 {
 		return Committed
@@ -695,45 +689,48 @@ func (tx *Tx) commit() Status {
 	}
 
 	// Lock phase: take the written stripes, ascending (the one global order
-	// every spinning acquirer follows); on a busy stripe restore those
-	// already taken and abort. The abort is classified from the very word
-	// observed locked: a re-read could find the holder gone.
-	recs, wset := tx.writeRecs()
+	// every spinning acquirer follows); on a busy stripe free those already
+	// taken and abort. The abort is classified from the very owner observed:
+	// a re-read could find the holder gone.
+	recs := tx.writeRecs()
 	perturb()
 	for i := range recs {
 		s := &tx.t.stripes[recs[i].idx]
-		w := s.word.Load()
-		for w&1 == 0 && !s.word.CompareAndSwap(w, recs[i].varID<<1|1) {
-			w = s.word.Load()
+		for !s.word.CompareAndSwap(0, recs[i].varID) {
+			if owner := s.word.Load(); owner != 0 {
+				tx.alias = tx.heldByAlias(owner)
+				unlock(tx.t, recs[:i])
+				return AbortConflict
+			}
 		}
-		if w&1 != 0 {
-			return tx.fail(recs[:i], tx.heldByAlias(w))
-		}
-		recs[i].prev = w
+	}
+	// Lock-bit pass: from here on every reader of a written Var waits or
+	// aborts. It comes before the timestamp is drawn — a reader whose
+	// snapshot covers our version must not find one of our Vars still
+	// looking old — and before any value moves.
+	for i := range tx.writeLog {
+		tx.writeLog[i].v.head().lockVer()
 	}
 
 	perturb()
 	wv := d.clock.Add(1)
 	perturb()
-	// Validate the read set unless no one committed since our snapshot (in
-	// which case every read is trivially still current). First no read
-	// stripe may be held by someone else: a holder may have drawn an earlier
-	// timestamp than ours and not have stamped yet. Then — every writer that
-	// released before that look having stamped — no Var we read may carry a
-	// stamp newer than the snapshot. A writer that takes a stripe after the
-	// look draws a later timestamp and serializes behind us.
+	// Validate the read log unless no one drew a version since our snapshot
+	// (every writer of a version the snapshot covers had its lock bits set
+	// before we took it, so every read is trivially still current): no Var
+	// we read may be newer than the snapshot or locked by anyone else. Our
+	// own lock bit on a Var read and then written hides only its old stamp.
+	// A writer that sets its bit after this look draws a later timestamp and
+	// serializes behind us.
 	if wv != tx.rv+1 {
-		for _, idx := range tx.readRecs {
-			if wset[idx>>6]&(1<<(idx&63)) != 0 {
-				continue // ours
-			}
-			if w := tx.t.stripes[idx].word.Load(); w&1 != 0 {
-				return tx.fail(recs, tx.heldByAlias(w))
-			}
-		}
 		for _, h := range tx.readLog {
-			if h.ver.Load() > tx.rv {
-				return tx.fail(recs, false)
+			w := h.ver.Load()
+			if w > tx.rv && (w&^verLocked > tx.rv || tx.logPos(h.id) < 0) {
+				for i := range tx.writeLog {
+					tx.writeLog[i].v.head().unlockVer()
+				}
+				unlock(tx.t, recs)
+				return AbortConflict
 			}
 		}
 	}
@@ -744,29 +741,14 @@ func (tx *Tx) commit() Status {
 		e := &tx.writeLog[i]
 		e.v.install(e.cell, wv)
 	}
-	perturb()
-	tx.unlock(recs, wv<<1)
+	unlock(tx.t, recs)
 	return Committed
 }
 
-// fail ends a commit in AbortConflict: it records the classification and
-// puts the stripes locked so far back as found.
-func (tx *Tx) fail(locked []stripeRec, alias bool) Status {
-	tx.alias = alias
-	tx.unlock(locked, 0)
-	return AbortConflict
-}
-
-// unlock releases the given locked stripe records: to word (the new
-// sequence) when non-zero, or back to each stripe's pre-lock word on abort
-// (an aborted commit wrote nothing).
-func (tx *Tx) unlock(recs []stripeRec, word uint64) {
+// unlock frees the given locked stripe records.
+func unlock(t *stripeTable, recs []stripeRec) {
 	for i := range recs {
-		w := word
-		if w == 0 {
-			w = recs[i].prev
-		}
-		tx.t.stripes[recs[i].idx].word.Store(w)
+		t.stripes[recs[i].idx].release()
 	}
 }
 
@@ -774,10 +756,12 @@ func (tx *Tx) unlock(recs []stripeRec, word uint64) {
 func byIdx(a, b stripeRec) int { return cmp.Compare(a.idx, b.idx) }
 
 // writeRecs returns (in tx's scratch) one record per distinct stripe the
-// write log touches, sorted ascending, and the bitmap of those stripes.
-func (tx *Tx) writeRecs() ([]stripeRec, []uint64) {
+// write log touches, sorted ascending.
+func (tx *Tx) writeRecs() []stripeRec {
 	t := tx.t
-	recs, seen := tx.lockRecs, zeroWords(tx.lockSet, t.words)
+	recs := tx.lockRecs
+	seen := slices.Grow(tx.lockSet[:0], t.words)[:t.words]
+	clear(seen)
 	for i := range tx.writeLog {
 		id := tx.writeLog[i].varID
 		idx := t.indexOf(id)
@@ -790,84 +774,77 @@ func (tx *Tx) writeRecs() ([]stripeRec, []uint64) {
 	}
 	slices.SortFunc(recs, byIdx)
 	tx.lockRecs, tx.lockSet = recs, seen
-	return recs, seen
+	return recs
 }
 
-// stripeOf returns the stripe Var id hashes to.
-func (d *Domain) stripeOf(id uint64) *stripe {
-	t := d.table()
-	return &t.stripes[t.indexOf(id)]
+// lockVar takes the stripe of h's Var on the Var's own behalf — the mutex a
+// single-Var direct writer (Store, CAS, Add) holds — and returns it.
+func (h *varHead) lockVar() *stripe {
+	t := h.d.table()
+	s := &t.stripes[t.indexOf(h.id)]
+	s.acquire(h.id)
+	return s
 }
 
-// lockVar takes the stripe of Var id on the Var's own behalf — the lock a
-// single-Var direct writer (Store, CAS, Add) holds — and returns it with its
-// pre-lock word.
-func (d *Domain) lockVar(id uint64) (*stripe, uint64) {
-	s := d.stripeOf(id)
-	return s, s.acquire(id)
-}
-
-// loadWaits is how many times a transactional Load looks again at a stripe
-// it found held, or found changed under its reads, before it aborts. A reader
+// loadWaits is how many times a transactional Load looks again at a Var it
+// found locked, or found changed under its read, before it aborts. A reader
 // holds no lock, so waiting out a writer's few stores cannot deadlock; that
-// writers hold a stripe at all is an artefact of the emulation, not of HTM.
+// a write has a duration at all is an artefact of the emulation, not of HTM.
 const loadWaits = 16
 
 // Load reads v. With a non-nil tx it is a transactional read: it returns the
-// transaction's own pending write if any, reads v's value and commit stamp
-// inside a window in which v's stripe stayed unlocked and unchanged
-// (aborting if the stripe stays held, or if v has been written since the
-// transaction began), and counts against the read capacity. With tx == nil
-// it is a direct read that never observes a partially applied commit (it
-// retries across the stripe's writer windows).
+// transaction's own pending write if any, and otherwise reads v's cell
+// between two looks at v's word that must agree on an unlocked stamp no newer
+// than the transaction's snapshot — waiting, boundedly, while v's own writer
+// holds the lock bit, and aborting with a true conflict if it keeps it or if
+// v has been written since the transaction began. The read counts against
+// the read capacity and touches nothing but v. With tx == nil it is a direct
+// read through the same window, without the snapshot: it never observes a
+// partially applied commit (it waits out v's writer).
 func Load[T comparable](tx *Tx, v *Var[T]) T {
 	if tx != nil {
-		t := tx.live()
-		if c := staged(tx, v); c != nil {
-			return c.val
+		tx.live()
+		// The filter is tested here as well as in logPos: staged is a call,
+		// and the steps of a search walk should not make it.
+		if tx.written&(1<<(v.id&63)) != 0 {
+			if c := staged(tx, v); c != nil {
+				return c.val
+			}
 		}
 		tx.reads++
 		if tx.reads > tx.readCap {
 			tx.abort(AbortCapacity)
 		}
-		idx := t.indexOf(v.id)
-		s := &t.stripes[idx]
 		for wait := 0; ; wait++ {
-			w := s.word.Load()
-			if w&1 == 0 {
-				x := loadResolved(v)
-				if v.ver.Load() > tx.rv {
-					// A true conflict — and stamps only grow, so it is one
-					// whatever the window did.
-					tx.abort(AbortConflict)
+			w := v.ver.Load()
+			if w <= tx.rv {
+				// The plain cell is read in line: loadResolved is a call, and
+				// this is every step of every search walk.
+				c := v.p.Load()
+				x := c.val
+				if c.desc != nil {
+					x = loadResolved(v)
 				}
-				w2 := s.word.Load()
-				if w2 == w {
-					tx.recordRead(&v.varHead, idx)
+				if v.ver.Load() == w {
+					tx.readLog = append(tx.readLog, &v.varHead)
 					return x
 				}
-				w = w2 // a writer of the stripe passed, or is passing, under our reads
+				continue // v's writer arrived under our read: look at what it left
 			}
-			if wait >= loadWaits {
-				// Still held: whose writer is it? (Or forever changing: not
-				// v's writers, its stamp stands.)
-				tx.alias = w&1 == 0 || w>>1 != v.id && tx.heldByAlias(w)
+			if w&verLocked == 0 || wait >= loadWaits {
 				tx.abort(AbortConflict)
 			}
-			if w&1 != 0 {
-				runtime.Gosched()
-			}
+			runtime.Gosched()
 		}
 	}
-	s := v.d.stripeOf(v.id)
 	for {
-		pre := s.word.Load()
-		if pre&1 != 0 {
+		w := v.ver.Load()
+		if w&verLocked != 0 {
 			runtime.Gosched()
 			continue
 		}
 		x := loadResolved(v)
-		if s.word.Load() == pre {
+		if v.ver.Load() == w {
 			return x
 		}
 	}
@@ -876,8 +853,8 @@ func Load[T comparable](tx *Tx, v *Var[T]) T {
 // loadResolved reads v's cell, finishing the release phase of any completed
 // MultiCAS it encounters. An undecided or failed descriptor is transparent:
 // the claimed cell still carries the logical (old) value, and if the
-// operation later succeeds its decision holds the Var's stripe and stamps
-// its write legs, which the caller's window or stamp check catches.
+// operation later succeeds its decision has locked its write legs' words
+// first, which the caller's second look at the word catches.
 func loadResolved[T comparable](v *Var[T]) T {
 	for {
 		c := v.p.Load()
@@ -890,11 +867,10 @@ func loadResolved[T comparable](v *Var[T]) T {
 }
 
 // storeLocked makes the plain cell nc v's cell. It must be called with v's
-// stripe lock held: an undecided MultiCAS descriptor found on the cell is
-// killed (its decision must acquire this stripe too, so the status CAS
-// cannot race with a commit), and a decided one — whose stripe bump
-// necessarily preceded our lock acquisition — is released before we
-// overwrite.
+// stripe held and v's lock bit set: an undecided MultiCAS descriptor found
+// on the cell is killed (its decision must acquire this stripe too, so the
+// status CAS cannot race with a commit), and a decided one — which let go of
+// the stripe before we took it — is released before we overwrite.
 func storeLocked[T comparable](v *Var[T], nc *cell[T]) {
 	for {
 		c := v.p.Load()
@@ -909,6 +885,8 @@ func storeLocked[T comparable](v *Var[T], nc *cell[T]) {
 	}
 }
 
+func (v *Var[T]) head() *varHead { return &v.varHead }
+
 func (v *Var[T]) install(c any, wv uint64) {
 	storeLocked(v, c.(*cell[T]))
 	v.ver.Store(wv)
@@ -921,20 +899,78 @@ func (v *Var[T]) pendingDesc() *MultiDesc {
 	return nil
 }
 
-// staged returns the cell tx has staged for v, or nil if it has not written
-// v — without a map access unless v's filter bit is set.
-func staged[T comparable](tx *Tx, v *Var[T]) *cell[T] {
-	if tx.written&(1<<(v.id&63)) != 0 {
-		if i, ok := tx.writeIdx[v.id]; ok {
-			return tx.writeLog[i].cell.(*cell[T])
+// idxSlot is one slot of the write index, an open-addressed table from a
+// written Var's id to its position in the write log. Ids start at 1, so the
+// zero slot is an empty one.
+type idxSlot struct {
+	id  uint64
+	pos int
+}
+
+// idxMinLen is the write index's first size: a power of two, as every later
+// one.
+const idxMinLen = 16
+
+// idxHome is id's home slot in a write index of n slots (Fibonacci hashing,
+// like the stripe hash; n a power of two, at least 2).
+func idxHome(id uint64, n int) int {
+	return int(id * fibMul >> bits.LeadingZeros64(uint64(n-1)))
+}
+
+// logPos returns the write-log position of the Var with this id, or -1 if
+// the attempt has not written it.
+func (tx *Tx) logPos(id uint64) int {
+	if tx.written&(1<<(id&63)) == 0 {
+		return -1
+	}
+	idx := tx.writeIdx
+	for i := idxHome(id, len(idx)); idx[i].id != 0; i = (i + 1) & (len(idx) - 1) {
+		if idx[i].id == id {
+			return idx[i].pos
 		}
+	}
+	return -1
+}
+
+// indexWrite enters the Var the write log is about to record, at its end,
+// into the write index, keeping the index at most half full: when it is not,
+// it is doubled and refilled from the log.
+func (tx *Tx) indexWrite(id uint64) {
+	tx.written |= 1 << (id & 63)
+	idx, pos := tx.writeIdx, len(tx.writeLog)
+	if 2*(pos+1) > len(idx) {
+		n := max(2*len(idx), idxMinLen)
+		clear(idx)
+		idx = slices.Grow(idx[:0], n)[:n]
+		tx.writeIdx = idx
+		for i := range tx.writeLog {
+			idxPut(idx, tx.writeLog[i].varID, i)
+		}
+	}
+	idxPut(idx, id, pos)
+}
+
+// idxPut enters an id that idx does not hold yet.
+func idxPut(idx []idxSlot, id uint64, pos int) {
+	i := idxHome(id, len(idx))
+	for idx[i].id != 0 {
+		i = (i + 1) & (len(idx) - 1)
+	}
+	idx[i] = idxSlot{id, pos}
+}
+
+// staged returns the cell tx has staged for v, or nil if it has not written
+// v.
+func staged[T comparable](tx *Tx, v *Var[T]) *cell[T] {
+	if i := tx.logPos(v.id); i >= 0 {
+		return tx.writeLog[i].cell.(*cell[T])
 	}
 	return nil
 }
 
 // Store writes x to v. With a non-nil tx the write is buffered and becomes
 // visible atomically at commit; with tx == nil it is applied immediately
-// under v's stripe lock.
+// under v's stripe and lock bit.
 func Store[T comparable](tx *Tx, v *Var[T], x T) {
 	if tx != nil {
 		tx.live()
@@ -945,15 +981,14 @@ func Store[T comparable](tx *Tx, v *Var[T], x T) {
 		if len(tx.writeLog) >= tx.writeCap {
 			tx.abort(AbortCapacity)
 		}
-		tx.written |= 1 << (v.id & 63)
-		tx.writeIdx[v.id] = len(tx.writeLog)
+		tx.indexWrite(v.id)
 		tx.writeLog = append(tx.writeLog, writeEntry{v: v, varID: v.id, cell: &cell[T]{val: x}})
 		return
 	}
-	d := v.d
-	s, _ := d.lockVar(v.id)
+	s := v.lockVar()
+	v.lockVer()
 	storeLocked(v, &cell[T]{val: x})
-	v.publish(s, d.clock.Add(1))
+	v.publish(s)
 }
 
 // CAS atomically compares v against old and, if equal, replaces it with new,
@@ -961,8 +996,11 @@ func Store[T comparable](tx *Tx, v *Var[T], x T) {
 // to a load, a comparison, and a buffered store — exactly the CAS-to-branch
 // strength reduction of §2.3 — at no extra synchronization cost. Outside a
 // transaction it is a linearizable compare-and-swap. A failed direct CAS
-// neither stamps the Var nor advances the stripe: the logical value did not
-// change, so overlapping transactions have nothing to observe.
+// neither locks nor stamps the Var: the logical value did not change, so
+// overlapping transactions have nothing to observe. The lock bit is set just
+// before the cell CAS that would make the new value visible; a cell CAS lost
+// to a MultiCAS claiming or releasing the cell changed no value either, and
+// the loop comes round with the bit still set.
 //
 // Interplay with MultiCAS descriptors refines the kill-paid-by-commit rule:
 // a direct CAS that finds an undecided descriptor on its cell kills it only
@@ -981,9 +1019,8 @@ func CAS[T comparable](tx *Tx, v *Var[T], old, new T) bool {
 		Store(tx, v, new)
 		return true
 	}
-	d := v.d
-	s, pre := d.lockVar(v.id)
-	ok := false
+	s := v.lockVar()
+	locked, ok := false, false
 	for {
 		c := v.p.Load()
 		if c.desc != nil {
@@ -1006,19 +1043,24 @@ func CAS[T comparable](tx *Tx, v *Var[T], old, new T) bool {
 		if c.val != old {
 			break
 		}
+		if !locked {
+			v.lockVer()
+			locked = true
+		}
 		if v.p.CompareAndSwap(c, &cell[T]{val: new}) {
 			ok = true
 			break
 		}
 	}
 	if ok {
-		v.publish(s, d.clock.Add(1))
-	} else {
-		// The logical value did not change; overlapping readers have
-		// nothing to see.
-		s.word.Store(pre)
+		v.publish(s)
+		return true
 	}
-	return ok
+	if locked {
+		v.unlockVer()
+	}
+	s.release()
+	return false
 }
 
 // Add atomically adds delta to an integer Var and returns the new value.
@@ -1028,8 +1070,8 @@ func Add(tx *Tx, v *Var[uint64], delta uint64) uint64 {
 		Store(tx, v, x)
 		return x
 	}
-	d := v.d
-	s, _ := d.lockVar(v.id)
+	s := v.lockVar()
+	v.lockVer()
 	var x uint64
 	for {
 		c := v.p.Load()
@@ -1043,6 +1085,6 @@ func Add(tx *Tx, v *Var[uint64], delta uint64) uint64 {
 			break
 		}
 	}
-	v.publish(s, d.clock.Add(1))
+	v.publish(s)
 	return x
 }

@@ -2,6 +2,7 @@ package htm
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -24,12 +25,15 @@ import (
 //     stripes of every entry's Var, acquired in ascending stripe order —
 //     the same order committing transactions lock their write stripes, so
 //     the two can never deadlock (and committers abort rather than wait on
-//     a busy stripe anyway). A successful decision bumps the domain commit
-//     clock and stamps each write leg's Var with the new version before it
-//     releases the stripes, which aborts exactly the transactions that read
-//     a Var the MCAS writes. Validation-only legs (Old == New) are not
-//     stamped and leave their stripe as found: their values do not change,
-//     so overlapping readers have nothing to observe.
+//     a busy stripe anyway) — and with the lock bit of every write leg's
+//     Var set: a succeeded descriptor is readable as the new value the
+//     moment its status flips, so the bits come first. A successful
+//     decision then bumps the domain commit clock and stamps each write
+//     leg's Var with the new version, which unlocks it and aborts exactly
+//     the transactions that read a Var the MCAS writes; a decision that
+//     loses the status CAS clears the bits again. Validation-only legs
+//     (Old == New) are neither locked nor stamped: their values do not
+//     change, so overlapping readers have nothing to observe.
 //   - A committing transaction or direct writer that finds an *undecided*
 //     descriptor on a cell it writes kills it (undecided → failed): the
 //     writer holds that cell's stripe, which the descriptor's decision must
@@ -78,8 +82,8 @@ type Entry interface {
 	varID() uint64
 	writes() bool
 	dom() *Domain
+	head() *varHead
 	claim(m *MultiDesc) (claimResult, *MultiDesc)
-	stamp(wv uint64)
 	release(m *MultiDesc, success bool)
 	holds() bool
 }
@@ -113,9 +117,10 @@ func (u *Update[T]) varID() uint64 { return u.v.id }
 func (u *Update[T]) writes() bool  { return u.old != u.new }
 func (u *Update[T]) dom() *Domain  { return u.v.d }
 
-// stamp records commit version wv as the leg's Var's last write; the winning
-// decision calls it, for write legs only, while it holds the Var's stripe.
-func (u *Update[T]) stamp(wv uint64) { u.v.ver.Store(wv) }
+// head is the leg's Var's versioned lock: a decision locks it, and the
+// winning one stamps it, for write legs only, while it holds the Var's
+// stripe; MultiValidate looks at it.
+func (u *Update[T]) head() *varHead { return &u.v.varHead }
 
 func (u *Update[T]) claim(m *MultiDesc) (claimResult, *MultiDesc) {
 	for {
@@ -148,8 +153,8 @@ func (u *Update[T]) release(m *MultiDesc, success bool) {
 }
 
 // holds reports whether the Var currently contains the leg's old value,
-// resolving any completed MultiCAS first. It is only meaningful inside a
-// stable stripe window (see MultiValidate).
+// resolving any completed MultiCAS first. It is only meaningful between two
+// equal looks at the Var's word (see MultiValidate).
 func (u *Update[T]) holds() bool {
 	for {
 		c := u.v.p.Load()
@@ -237,80 +242,72 @@ claim:
 	}
 }
 
-// decStripe is one stripe involved in a MultiCAS decision: a stripe with at
-// least one write leg is a write stripe and is released at the new commit
-// version; a validation-only stripe is restored to its pre-lock word.
-type decStripe struct {
-	s     *stripe
-	idx   uint32
-	varID uint64 // the owner the stripe is locked under: a writing Var of it, if any
-	write bool
-	prev  uint64
-}
-
 // decide moves an undecided descriptor to succeeded while holding the
 // stripes of every entry, acquired in ascending stripe order (deadlock-free
 // against committing transactions, direct writers, and other decisions).
 // Holding the stripes serializes the decision against writers that kill
 // undecided descriptors they collide with; exactly one caller wins the
-// status CAS under the locks, and only the winner bumps the commit clock,
-// stamps the write legs' Vars and releases their stripes at the new version
-// — which aborts precisely the transactions that read a Var it writes.
+// status CAS under them. Every caller that gets that far has set the lock
+// bits of the write legs' Vars first — the flip itself makes the new values
+// readable, and the version is drawn after it; the winner then bumps the
+// commit clock and stamps those Vars, which unlocks them and aborts
+// precisely the transactions that read a Var it writes, and a loser — another
+// helper already decided, and if it succeeded already stamped, or a writer
+// killed the descriptor — takes its bits off again.
 func (m *MultiDesc) decide() {
 	if m.status.Load() != mwUndecided {
 		return
 	}
 	d := m.d
 	// Merge the entries onto their stripes and lock them ascending.
-	stripes := decStripes(d.table(), m.entries)
-	for i := range stripes {
-		stripes[i].prev = stripes[i].s.acquire(stripes[i].varID)
+	t := d.table()
+	recs := decStripes(t, m.entries)
+	for _, r := range recs {
+		t.stripes[r.idx].acquire(r.varID)
 	}
-	// A loser of the status CAS — another helper already decided (and, if it
-	// succeeded, already stamped and published: our pre-lock words are its),
-	// or a writer killed the descriptor — puts every stripe back as found, as
-	// the winner does with its validation-only stripes.
+	for _, e := range m.entries {
+		if e.writes() {
+			e.head().lockVer()
+		}
+	}
 	perturb()
-	var wv uint64
 	won := m.status.CompareAndSwap(mwUndecided, mwSucceeded)
+	var wv uint64
 	if won {
 		wv = d.clock.Add(1)
 		perturb()
-		for _, e := range m.entries {
-			if e.writes() {
-				e.stamp(wv)
+	}
+	for _, e := range m.entries {
+		if e.writes() {
+			if won {
+				e.head().ver.Store(wv)
+			} else {
+				e.head().unlockVer()
 			}
 		}
 	}
-	perturb()
-	for i := range stripes {
-		if ds := &stripes[i]; won && ds.write {
-			ds.s.word.Store(wv << 1)
-		} else {
-			ds.s.word.Store(ds.prev)
-		}
-	}
+	unlock(t, recs)
 }
 
-// decStripes returns one decision record per distinct stripe the entries
-// hash to in table t, sorted ascending.
-func decStripes(t *stripeTable, entries []Entry) []decStripe {
-	var out []decStripe
+// decStripes returns one record per distinct stripe the entries hash to in
+// table t, sorted ascending; a stripe is held under a writing Var of it, if
+// it has one (the owner a commit that meets it classifies its abort by).
+func decStripes(t *stripeTable, entries []Entry) []stripeRec {
+	var out []stripeRec
 merge:
 	for _, e := range entries {
 		idx := t.indexOf(e.varID())
 		for i := range out {
 			if out[i].idx == idx {
-				if e.writes() && !out[i].write {
-					out[i].write = true
+				if e.writes() {
 					out[i].varID = e.varID()
 				}
 				continue merge
 			}
 		}
-		out = append(out, decStripe{s: &t.stripes[idx], idx: idx, varID: e.varID(), write: e.writes()})
+		out = append(out, stripeRec{idx: idx, varID: e.varID()})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].idx < out[j].idx })
+	slices.SortFunc(out, byIdx)
 	return out
 }
 
@@ -324,57 +321,43 @@ func (m *MultiDesc) releaseAll() {
 }
 
 // MultiValidate reports whether every entry holds its old value at a single
-// instant: the checks run inside one window in which every involved stripe
-// stayed unlocked and unchanged, so no writer touched any of the entries'
-// Vars while they ran — but, unlike the old whole-domain even-clock window,
-// writers elsewhere in the domain no longer invalidate the window. It is
-// the read-only commit of the composition layer's fallback path —
-// validation without publication.
+// instant: the checks run between two looks at every entry's Var's word that
+// find it unlocked and unchanged, so no writer touched any of the entries'
+// Vars while they ran — the per-Var window of a direct Load, over several
+// Vars at once; writers elsewhere in the domain, aliased or not, do not
+// disturb it. It is the read-only commit of the composition layer's fallback
+// path — validation without publication.
 func MultiValidate(entries ...Entry) bool {
 	if len(entries) == 0 {
 		return true
 	}
 	d := entries[0].dom()
-	for _, e := range entries {
-		if e.dom() != d {
-			panic("htm: MultiValidate entries span domains")
-		}
-	}
-	t := d.table()
-	seen := make([]uint64, t.words)
-	var strps []*stripe
-	for _, e := range entries {
-		i := t.indexOf(e.varID())
-		w, b := i>>6, uint64(1)<<(i&63)
-		if seen[w]&b == 0 {
-			seen[w] |= b
-			strps = append(strps, &t.stripes[i])
-		}
-	}
-	var snaps []uint64
+	snaps := make([]uint64, len(entries))
 retry:
 	for {
-		snaps = snaps[:0]
-		for _, s := range strps {
-			w := s.word.Load()
-			if w&1 != 0 {
+		for i, e := range entries {
+			if e.dom() != d {
+				panic("htm: MultiValidate entries span domains")
+			}
+			w := e.head().ver.Load()
+			if w&verLocked != 0 {
 				runtime.Gosched()
 				continue retry
 			}
-			snaps = append(snaps, w)
+			snaps[i] = w
 		}
-		ok := true
 		for _, e := range entries {
 			if !e.holds() {
-				ok = false
-				break
+				// Whatever the words did since: at the moment of this look
+				// the entry did not hold.
+				return false
 			}
 		}
-		for i, s := range strps {
-			if s.word.Load() != snaps[i] {
+		for i, e := range entries {
+			if e.head().ver.Load() != snaps[i] {
 				continue retry
 			}
 		}
-		return ok
+		return true
 	}
 }

@@ -7,13 +7,16 @@ import (
 	"runtime"
 )
 
-// perturb marks a phase boundary of a write protocol — Tx.commit's lock /
-// clock bump / validate / install+stamp / unlock, a MultiCAS's claim /
-// decide / stamp / release, a direct writer between stamp and publish. Under
-// the perturb build tag one crossing in sixteen, at random, yields the
-// processor, so a single-CPU host explores the interleavings a preemption
-// there would produce (every crossing would starve the writers behind
-// busy-waiting readers: a yield can cost a scheduler time slice):
+// perturb marks a phase boundary of a write protocol at which a reader can
+// be misled — Tx.commit's stripe locks / lock bits / clock bump / validate /
+// install+stamp, a MultiCAS's claim / lock bits / status flip / stamp, a
+// direct writer between its value and its stamp. Under the perturb build tag
+// one crossing in sixteen, at random, yields the processor, so a single-CPU
+// host explores the interleavings a preemption there would produce (every
+// crossing would starve the writers behind busy-waiting readers: a yield can
+// cost a scheduler time slice — which is also why there is none between a
+// writer's last stamp and its stripe release: no reader waits on a stripe,
+// so nothing there yields back, and such a point only slows the suite):
 //
 //	go test -tags perturb -count=20 ./internal/htm/ ./internal/txn/ ./internal/server/
 func perturb() {

@@ -18,9 +18,15 @@ func checkFresh(t *testing.T, tx *Tx) {
 		t.Errorf("recycled Tx carries a write log: log=%d idx=%d filter=%#x",
 			len(tx.writeLog), len(tx.writeIdx), tx.written)
 	}
-	if tx.reads != 0 || len(tx.readRecs) != 0 || len(tx.readLog) != 0 || len(tx.lockRecs) != 0 {
-		t.Errorf("recycled Tx carries reads=%d readRecs=%d readLog=%d lockRecs=%d",
-			tx.reads, len(tx.readRecs), len(tx.readLog), len(tx.lockRecs))
+	for _, sl := range tx.writeIdx[:cap(tx.writeIdx)] {
+		if sl != (idxSlot{}) {
+			t.Errorf("recycled Tx's write index still holds Var %d at log position %d", sl.id, sl.pos)
+			break
+		}
+	}
+	if tx.reads != 0 || len(tx.readLog) != 0 || len(tx.lockRecs) != 0 {
+		t.Errorf("recycled Tx carries reads=%d readLog=%d lockRecs=%d",
+			tx.reads, len(tx.readLog), len(tx.lockRecs))
 	}
 	for _, h := range tx.readLog[:cap(tx.readLog)] {
 		if h != nil {
@@ -31,15 +37,6 @@ func checkFresh(t *testing.T, tx *Tx) {
 	for _, e := range tx.writeLog[:cap(tx.writeLog)] {
 		if e.v != nil || e.cell != nil {
 			t.Errorf("recycled Tx's write log still pins Var %d or its cell", e.varID)
-			break
-		}
-	}
-	if len(tx.readSet) != tx.t.words {
-		t.Errorf("read bitmap has %d words, table has %d", len(tx.readSet), tx.t.words)
-	}
-	for _, w := range tx.readSet {
-		if w != 0 {
-			t.Errorf("recycled Tx carries a read bitmap: %#x", tx.readSet)
 			break
 		}
 	}
@@ -205,9 +202,12 @@ func TestPoolForeignPanicLeavesNextAttemptClean(t *testing.T) {
 }
 
 // TestPoolAcrossStripeCounts runs attempts on domains of three table sizes in
-// turn: the pool is shared by every domain, so the recycled bitmaps go
-// 4 → 16 → 1 words, and a Tx that served one domain pins none of its cells
-// or Vars when it serves the next (checkFresh).
+// turn: the pool is shared by every domain, and the one thing a Tx still
+// sizes by the table is the lock phase's stripe bitmap (lockSet), which goes
+// 4 → 16 → 1 words — a commit that dedupes its stripes through a bitmap left
+// over from another table would lock too few of them, or index past its end.
+// A Tx that served one domain pins none of its cells or Vars when it serves
+// the next (checkFresh).
 func TestPoolAcrossStripeCounts(t *testing.T) {
 	for _, c := range []struct{ stripes, words int }{{256, 4}, {1024, 16}, {64, 1}} {
 		d := NewDomainStripes(0, 0, c.stripes)
@@ -215,17 +215,19 @@ func TestPoolAcrossStripeCounts(t *testing.T) {
 		for i := range vars {
 			vars[i] = NewVar(d, 0)
 		}
+		var tx0 *Tx
 		st := d.Atomically(func(tx *Tx) {
 			checkFresh(t, tx)
-			if len(tx.readSet) != c.words {
-				t.Errorf("read bitmap = %d words, want %d", len(tx.readSet), c.words)
-			}
+			tx0 = tx
 			for _, v := range vars {
 				Store(tx, v, Load(tx, v)+1)
 			}
 		})
 		if st != Committed {
 			t.Fatalf("status = %v at %d stripes", st, c.stripes)
+		}
+		if len(tx0.lockSet) != c.words {
+			t.Errorf("lock-phase bitmap = %d words at %d stripes, want %d", len(tx0.lockSet), c.stripes, c.words)
 		}
 		for i, v := range vars {
 			if got := Load(nil, v); got != 1 {

@@ -1,15 +1,16 @@
 package htm
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-// The tests in this file pin the per-Var commit stamp: who writes it, who
-// must not, and that judging reads by it — and stripes only as locks and
-// windows — keeps transactions serializable and their bodies opaque however
-// heavily the Vars alias.
+// The tests in this file pin the per-Var versioned lock: who stamps it, who
+// must not, who leaves it as found, and that judging reads by it alone —
+// stripes being the writers' business — keeps transactions serializable and
+// their bodies opaque however heavily the Vars alias.
 
 // elsewhere runs f on another goroutine and waits for it: a writer "from
 // outside" in the middle of a transaction body, without nesting attempts.
@@ -133,13 +134,124 @@ func TestNonWritersDoNotStamp(t *testing.T) {
 	}
 }
 
+// TestFailedWritersLeaveTheWordAsFound: a direct CAS that fails, a decision
+// that loses its status CAS to a kill, and a deferring attempt that aborts on
+// a pending descriptor change no value, and leave every involved Var's word
+// unlocked with the stamp it had, and every stripe free.
+func TestFailedWritersLeaveTheWordAsFound(t *testing.T) {
+	fixture := func(t *testing.T) (*Domain, *Var[int], *Var[int], uint64) {
+		d := NewDomain(0, 0)
+		x := NewVar(d, 0)
+		y := disjointVar(t, d, x)
+		Store(nil, x, 1)
+		Store(nil, y, 1)
+		Store(nil, x, 1) // x and y now carry different, non-zero stamps
+		return d, x, y, d.clock.Load()
+	}
+	check := func(t *testing.T, d *Domain, x, y *Var[int], clock uint64) {
+		t.Helper()
+		checkUnlocked(t, d, clock, x)
+		checkUnlocked(t, d, clock-1, y)
+		if Load(nil, x) != 1 || Load(nil, y) != 1 || d.clock.Load() != clock {
+			t.Errorf("x=%d y=%d clock=%d, want 1, 1, %d", Load(nil, x), Load(nil, y), d.clock.Load(), clock)
+		}
+	}
+
+	t.Run("failed CAS", func(t *testing.T) {
+		d, x, y, clock := fixture(t)
+		if CAS(nil, x, 99, 100) {
+			t.Fatal("CAS against a wrong old value succeeded")
+		}
+		check(t, d, x, y, clock)
+	})
+
+	t.Run("decision loses its status CAS", func(t *testing.T) {
+		d, x, y, clock := fixture(t)
+		m := &MultiDesc{d: d, entries: []Entry{NewUpdate(x, 1, 2), NewUpdate(y, 1, 2)}}
+		m.claimAll()
+		lo, hi := x, y
+		if sidxOf(d, lo) > sidxOf(d, hi) {
+			lo, hi = hi, lo
+		}
+		// The decision passes its first look at the status, takes lo's
+		// stripe and spins on hi's; then the descriptor dies under it.
+		release := holdStripe(d, hi, hi.id)
+		done := make(chan struct{})
+		go func() { defer close(done); m.decide() }()
+		for stripeOf(d, lo).word.Load() == 0 {
+			runtime.Gosched()
+		}
+		if !m.status.CompareAndSwap(mwUndecided, mwFailed) {
+			t.Fatal("the descriptor was decided with a stripe of its held")
+		}
+		release()
+		<-done
+		m.releaseAll()
+		check(t, d, x, y, clock)
+	})
+
+	t.Run("deferring abort", func(t *testing.T) {
+		d, x, y, clock := fixture(t)
+		m := &MultiDesc{d: d, entries: []Entry{NewUpdate(x, 1, 1)}}
+		m.claimAll()
+		if st, _ := d.AtomicallyDeferring(func(tx *Tx) {
+			Store(tx, y, Load(tx, y)+1)
+			Store(tx, x, Load(tx, x)+1)
+		}); st != AbortExplicit {
+			t.Fatalf("status = %v, want an explicit abort on the pending descriptor", st)
+		}
+		if m.status.Load() != mwUndecided {
+			t.Fatal("a deferring attempt harmed the descriptor")
+		}
+		check(t, d, x, y, clock)
+		m.help() // a validation-only leg: the decision draws a version and stamps nothing
+		checkUnlocked(t, d, clock, x)
+		checkUnlocked(t, d, clock-1, y)
+	})
+}
+
+// TestReadThenWrittenVarValidatesOnItsOldStamp: at validation a Var the
+// attempt read and then wrote carries the attempt's own lock bit; it is
+// judged by the stamp under the bit — it passes when that is no newer than
+// the snapshot, and fails, as a true conflict, when a foreign Store landed
+// between the read and the commit.
+func TestReadThenWrittenVarValidatesOnItsOldStamp(t *testing.T) {
+	d := NewDomain(0, 0)
+	a := NewVar(d, 0)
+	far := disjointVar(t, d, a)
+	Store(nil, a, 1) // a non-zero stamp under the snapshot
+	st := d.Atomically(func(tx *Tx) {
+		Store(tx, a, Load(tx, a)+1)
+		Store(nil, far, 5) // someone else commits: validation will run
+	})
+	if st != Committed || Load(nil, a) != 2 {
+		t.Fatalf("status = %v, a = %d, want committed, 2", st, Load(nil, a))
+	}
+	checkUnlocked(t, d, d.clock.Load(), a)
+
+	var foreign uint64
+	st, alias := d.AtomicallyClassified(func(tx *Tx) {
+		Store(tx, a, Load(tx, a)+1)
+		elsewhere(func() { Store(nil, a, 9) })
+		foreign = d.clock.Load()
+	})
+	if st != AbortConflict || alias {
+		t.Fatalf("(status, alias) = (%v, %v), want (conflict, false)", st, alias)
+	}
+	if Load(nil, a) != 9 {
+		t.Fatalf("a = %d, want the foreign 9", Load(nil, a))
+	}
+	checkUnlocked(t, d, foreign, a)
+}
+
 // TestWriteSkew: T1 reads x and writes y, T2 reads y and writes x. Each
 // guards its write on the other's Var being zero, so a serial order sets
 // exactly one of them. With x and y on one stripe the two commits exclude
 // each other and the loser must abort on a stamp although it holds the
 // shared stripe itself at validation; on two stripes both can hold their
 // write stripe at once, each with a timestamp drawn, and what stops the pair
-// is validation refusing a read stripe that someone else holds. First by
+// is validation refusing a read Var that someone else has locked — which is
+// why the lock bits are set before the timestamp is drawn. First by
 // hand — T2 runs whole between T1's read and T1's commit — then hammered
 // (the build tag perturb yields between the phases, which is what lines the
 // two commits up on one CPU).

@@ -1,7 +1,9 @@
 package htm
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -94,12 +96,11 @@ func TestMultiCASDisjointFromTxDoesNotAbort(t *testing.T) {
 	}
 }
 
-// TestAliasConflictClassifiedFalse (the name predates per-Var stamps, when
-// this write aborted the reader with an alias conflict): a completed write to
-// an unrelated Var that shares the read Var's stripe aborts nothing — the
-// later Load of the read Var succeeds, the transaction commits, and no
-// conflict, true or false, is booked.
-func TestAliasConflictClassifiedFalse(t *testing.T) {
+// TestAliasedWriteAbortsNoReader: a completed write to an unrelated Var that
+// shares the read Var's stripe aborts nothing — the later Load of the read
+// Var succeeds, the transaction commits, and no conflict, true or false, is
+// booked.
+func TestAliasedWriteAbortsNoReader(t *testing.T) {
 	d := NewDomain(0, 0)
 	a := NewVar(d, 1)
 	b := aliasVar(t, d, a)
@@ -122,66 +123,110 @@ func TestAliasConflictClassifiedFalse(t *testing.T) {
 	}
 }
 
-// holdStripe takes v's stripe by hand on behalf of Var owner and returns the
-// function that puts it back as found.
-func holdStripe[T comparable](d *Domain, v *Var[T], owner uint64) func() {
-	s := d.stripeOf(v.id)
-	pre := s.acquire(owner)
-	return func() { s.word.Store(pre) }
+// stripeOf returns the stripe v hashes to.
+func stripeOf[T comparable](d *Domain, v *Var[T]) *stripe {
+	return &d.table().stripes[sidxOf(d, v)]
 }
 
-// TestHeldStripeAbortsLoad is the positive twin: what is left of aliasing is
-// meeting a stripe that is held right now. A Load that finds its stripe held
-// (and still held after its bounded wait) aborts, classified from the owner
-// in the lock word: an aliased Var's writer is a false conflict, the read
-// Var's own writer — or the writer of a Var read earlier — a true one.
-func TestHeldStripeAbortsLoad(t *testing.T) {
-	for _, c := range []struct {
-		name      string
-		owner     func(a, b, c *Var[int]) uint64
-		wantAlias bool
-	}{
-		{"aliased owner", func(a, b, c *Var[int]) uint64 { return b.id }, true},
-		{"own Var", func(a, b, c *Var[int]) uint64 { return a.id }, false},
-		{"Var read earlier", func(a, b, c *Var[int]) uint64 { return c.id }, false},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			d := NewDomain(0, 0)
-			a := NewVar(d, 1)
-			b, other := aliasVar(t, d, a), aliasVar(t, d, a)
-			var release func()
-			st, alias := d.AtomicallyClassified(func(tx *Tx) {
-				Load(tx, other)
-				release = holdStripe(d, a, c.owner(a, b, other))
-				Load(tx, a)
-				t.Error("read went through a held stripe")
-			})
-			release()
-			if st != AbortConflict || alias != c.wantAlias {
-				t.Fatalf("(status, alias) = (%v, %v), want (conflict, %v)", st, alias, c.wantAlias)
-			}
-			if s := d.Stats(); s.Conflicts != 1 || (s.FalseConflicts == 1) != c.wantAlias {
-				t.Fatalf("stats = %+v", s)
-			}
-		})
+// holdStripe takes v's stripe by hand on behalf of Var owner and returns the
+// function that frees it.
+func holdStripe[T comparable](d *Domain, v *Var[T], owner uint64) func() {
+	s := stripeOf(d, v)
+	s.acquire(owner)
+	return s.release
+}
+
+// checkUnlocked fails unless each Var's word is unlocked and carries stamp
+// want, and the Var's stripe is free.
+func checkUnlocked(t *testing.T, d *Domain, want uint64, vars ...*Var[int]) {
+	t.Helper()
+	for _, v := range vars {
+		if got := v.ver.Load(); got != want {
+			t.Errorf("Var %d: word %#x, want the unlocked stamp %d", v.id, got, want)
+		}
+		if got := stripeOf(d, v).word.Load(); got != 0 {
+			t.Errorf("Var %d: stripe left held for Var %d", v.id, got)
+		}
 	}
 }
 
-// TestLoadWaitsOutAHolder: a holder that lets go within the bounded wait
-// costs the reader nothing.
-func TestLoadWaitsOutAHolder(t *testing.T) {
+// TestHeldStripeDoesNotAbortLoad: readers never look at a stripe, so one held
+// right now for an aliased Var — a writer of b in flight — costs a reader of
+// a nothing: the attempt commits and no conflict of either kind is booked.
+func TestHeldStripeDoesNotAbortLoad(t *testing.T) {
 	d := NewDomain(0, 0)
 	a := NewVar(d, 1)
 	b := aliasVar(t, d, a)
 	release := holdStripe(d, a, b.id)
-	go release() // runs at the reader's first yield, if not before
-	if st := d.Atomically(func(tx *Tx) {
+	st, alias := d.AtomicallyClassified(func(tx *Tx) {
 		if Load(tx, a) != 1 {
-			t.Error("wrong value after the wait")
+			t.Error("wrong value read under a held stripe")
 		}
-	}); st != Committed {
-		t.Fatalf("status = %v, want commit once the holder released", st)
+	})
+	release()
+	if st != Committed || alias {
+		t.Fatalf("(status, alias) = (%v, %v), want (committed, false)", st, alias)
 	}
+	if Load(nil, a) != 1 {
+		t.Fatal("a direct read under a held stripe went wrong")
+	}
+	if s := d.Stats(); s.Conflicts != 0 || s.FalseConflicts != 0 {
+		t.Fatalf("stats = %+v, want no conflict of either kind", s)
+	}
+}
+
+// TestLockedVarAbortsLoad is the positive twin: what a reader does meet is
+// its Var's own writer. A Load that finds the Var's lock bit set (and still
+// set after its bounded wait) aborts with a true conflict.
+func TestLockedVarAbortsLoad(t *testing.T) {
+	d := NewDomain(0, 0)
+	a := NewVar(d, 1)
+	a.lockVer()
+	st, alias := d.AtomicallyClassified(func(tx *Tx) {
+		Load(tx, a)
+		t.Error("read went through a locked Var")
+	})
+	a.unlockVer()
+	if st != AbortConflict || alias {
+		t.Fatalf("(status, alias) = (%v, %v), want (conflict, false)", st, alias)
+	}
+	if s := d.Stats(); s.Conflicts != 1 || s.FalseConflicts != 0 {
+		t.Fatalf("stats = %+v, want one true conflict", s)
+	}
+	checkUnlocked(t, d, 0, a)
+}
+
+// TestLoadWaitsOutAHolder: a writer that finishes within the bounded wait
+// costs the reader nothing. The writer unlocks only once the read is under
+// way, so an attempt that commits did wait; whether the unlocking goroutine
+// gets to run within sixteen yields is up to the scheduler, so one attempt
+// in a hundred is all that is asked.
+func TestLoadWaitsOutAHolder(t *testing.T) {
+	d := NewDomain(0, 0)
+	a := NewVar(d, 1)
+	for try := 0; try < 100; try++ {
+		a.lockVer()
+		var reading atomic.Bool
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for !reading.Load() {
+				runtime.Gosched()
+			}
+			a.unlockVer()
+		}()
+		st := d.Atomically(func(tx *Tx) {
+			reading.Store(true)
+			if Load(tx, a) != 1 {
+				t.Error("wrong value after the wait")
+			}
+		})
+		<-done
+		if st == Committed {
+			return
+		}
+	}
+	t.Fatal("no attempt in a hundred waited out a writer that unlocked as soon as the read began")
 }
 
 // TestTrueConflictClassifiedTrue: a write to the Var the transaction
@@ -203,12 +248,10 @@ func TestTrueConflictClassifiedTrue(t *testing.T) {
 	}
 }
 
-// TestCommitValidationClassifiesAlias (the name predates per-Var stamps,
-// when this write failed commit validation with an alias conflict): a
-// completed write to an aliased Var that lands after the transaction's last
-// read passes commit validation — only the stamps of the Vars actually read
-// are judged — and books no conflict.
-func TestCommitValidationClassifiesAlias(t *testing.T) {
+// TestAliasedWritePassesValidation: a completed write to an aliased Var that
+// lands after the transaction's last read passes commit validation — only
+// the words of the Vars actually read are judged — and books no conflict.
+func TestAliasedWritePassesValidation(t *testing.T) {
 	d := NewDomain(0, 0)
 	a := NewVar(d, 1)
 	w := disjointVar(t, d, a) // write target on another stripe
@@ -229,45 +272,88 @@ func TestCommitValidationClassifiesAlias(t *testing.T) {
 	}
 }
 
-// TestHeldStripeFailsValidation is the positive twin on the commit path: a
-// read stripe found held by someone else at validation aborts the commit,
-// alias or true by the owner in the lock word. (A commit by someone else in
-// between takes the attempt off the wv == rv+1 shortcut.)
-func TestHeldStripeFailsValidation(t *testing.T) {
+// TestLockedVarFailsValidation is the positive twin on the commit path: a
+// read Var found locked by someone else at validation fails the commit as a
+// true conflict, which publishes nothing and leaves no written Var locked and
+// no stripe held. (A commit by someone else in between takes the attempt off
+// the wv == rv+1 shortcut.) A stripe held over the read Var is no obstacle.
+func TestLockedVarFailsValidation(t *testing.T) {
+	d := NewDomain(0, 0)
+	a := NewVar(d, 1)
+	w, w2, far := disjointVar(t, d, a), disjointVar(t, d, a), disjointVar(t, d, a)
+	b := aliasVar(t, d, a)
+	var release func()
+	st, alias := d.AtomicallyClassified(func(tx *Tx) {
+		Load(tx, a)
+		Store(tx, w, 1)
+		Store(tx, w2, 1)
+		Store(nil, far, 5) // someone else commits: validation will run
+		release = holdStripe(d, a, b.id)
+		a.lockVer()
+	})
+	a.unlockVer()
+	release()
+	if st != AbortConflict || alias {
+		t.Fatalf("(status, alias) = (%v, %v), want (conflict, false)", st, alias)
+	}
+	if Load(nil, w) != 0 || Load(nil, w2) != 0 {
+		t.Fatal("an aborted commit published")
+	}
+	checkUnlocked(t, d, 0, a, w, w2)
+	if s := d.Stats(); s.Conflicts != 1 || s.FalseConflicts != 0 {
+		t.Fatalf("stats = %+v, want one true conflict", s)
+	}
+}
+
+// TestLockPhaseMeetsAliasedStripe is the one alias conflict left: the
+// commit's own lock phase meets a stripe held for a Var the attempt never
+// touched. Held for a Var it wrote or read, the same encounter is a true
+// conflict. Either way the stripes already taken are freed and no written
+// Var is left locked.
+func TestLockPhaseMeetsAliasedStripe(t *testing.T) {
 	for _, c := range []struct {
 		name      string
-		own       bool
+		owner     func(w, b, r *Var[int]) uint64
 		wantAlias bool
 	}{
-		{"aliased owner", false, true},
-		{"own Var", true, false},
+		{"untouched Var", func(w, b, r *Var[int]) uint64 { return b.id }, true},
+		{"written Var", func(w, b, r *Var[int]) uint64 { return w.id }, false},
+		{"read Var", func(w, b, r *Var[int]) uint64 { return r.id }, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			d := NewDomain(0, 0)
-			a := NewVar(d, 1)
-			w, far := disjointVar(t, d, a), disjointVar(t, d, a)
-			b := aliasVar(t, d, a)
-			owner := b.id
-			if c.own {
-				owner = a.id
+			w := NewVar(d, 0)
+			for i := sidxOf(d, w); i == 0 || int(i) == d.Stripes()-1; i = sidxOf(d, w) {
+				w = NewVar(d, 0) // leave room for a stripe on either side
 			}
-			var release func()
+			b, r := aliasVar(t, d, w), aliasVar(t, d, w)
+			// Written stripes are locked ascending: lo's is taken before the
+			// commit meets w's, hi's never.
+			lo, hi := disjointVar(t, d, w), disjointVar(t, d, w)
+			for sidxOf(d, lo) > sidxOf(d, w) {
+				lo = disjointVar(t, d, w)
+			}
+			for sidxOf(d, hi) < sidxOf(d, w) {
+				hi = disjointVar(t, d, w)
+			}
+			release := holdStripe(d, w, c.owner(w, b, r))
 			st, alias := d.AtomicallyClassified(func(tx *Tx) {
-				Load(tx, a)
+				Load(tx, r)
+				Store(tx, lo, 1)
 				Store(tx, w, 1)
-				Store(nil, far, 5) // someone else commits: validation will run
-				release = holdStripe(d, a, owner)
+				Store(tx, hi, 1)
 			})
 			release()
 			if st != AbortConflict || alias != c.wantAlias {
 				t.Fatalf("(status, alias) = (%v, %v), want (conflict, %v)", st, alias, c.wantAlias)
 			}
-			if Load(nil, w) != 0 {
+			if s := d.Stats(); s.Conflicts != 1 || (s.FalseConflicts == 1) != c.wantAlias {
+				t.Fatalf("stats = %+v", s)
+			}
+			if Load(nil, lo) != 0 || Load(nil, w) != 0 || Load(nil, hi) != 0 {
 				t.Fatal("an aborted commit published")
 			}
-			if got := d.table().stripes[sidxOf(d, w)].word.Load(); got&1 != 0 {
-				t.Fatalf("aborted commit left w's stripe locked: %#x", got)
-			}
+			checkUnlocked(t, d, 0, lo, w, hi, r)
 		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"repro/internal/mound"
 	"repro/internal/txn"
 )
 
@@ -125,6 +126,9 @@ func (s *Server) execute(req *Request) (Response, int) {
 		return Response{OK: true, Found: ok, Value: v, Shard: sh.id}, http.StatusOK
 
 	case OpPush:
+		if !validPriority(req.Value) {
+			return priorityRange("value", req.Value)
+		}
 		sh := s.freeShard(req)
 		pq := sh.pq(req.Struct, DefaultPQ)
 		if pq == nil {
@@ -208,6 +212,9 @@ func (s *Server) execute(req *Request) (Response, int) {
 		return resp, http.StatusOK
 
 	case OpMoveToPQ:
+		if !validPriority(req.Key) {
+			return priorityRange("key", req.Key)
+		}
 		sh := s.keyShard(req)
 		src, dst := sh.set(req.Src, DefaultSet), sh.pq(req.Dst, DefaultPQ)
 		if src == nil {
@@ -349,6 +356,22 @@ func (s *Server) groupByShard(keys []int64) map[*shard][]int64 {
 		groups[sh] = append(groups[sh], k)
 	}
 	return groups
+}
+
+// validPriority reports whether v may enter a priority queue. The mound
+// panics on anything else, and nothing reachable from the wire may panic, so
+// every route that feeds one — push, a /v1/txn push op, the key a movetopq
+// moves — checks here first.
+func validPriority(v int64) bool { return v >= 0 && v <= mound.MaxValue }
+
+// priorityRangeErr is the one-line error for a priority outside the range.
+func priorityRangeErr(field string, v int64) string {
+	return fmt.Sprintf("%s %d out of range [0, %d] for a priority queue", field, v, int64(mound.MaxValue))
+}
+
+// priorityRange is the 400 for it.
+func priorityRange(field string, v int64) (Response, int) {
+	return Response{OK: false, Shard: -1, Err: priorityRangeErr(field, v)}, http.StatusBadRequest
 }
 
 // unknownStructure is the 404 for a name the shard's registry doesn't hold.

@@ -3,10 +3,13 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/mound"
 )
 
 // newTestServer starts a server (background admission off: tests that want
@@ -217,5 +220,62 @@ func TestHealthzAndStatz(t *testing.T) {
 	}
 	if len(st.Shards) != 2 || st.Publications == 0 {
 		t.Fatalf("statz: %+v", st)
+	}
+}
+
+// TestPriorityOutOfRangeIs400: a priority the mound would panic on — negative,
+// or past mound.MaxValue — is refused at the boundary on every route that can
+// feed a priority queue, on the transactional fast path and on the forced
+// fallback alike: 400 with one line naming the field, nothing pushed, and the
+// set a movetopq would have taken the key from still holding it.
+func TestPriorityOutOfRangeIs400(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"default", Config{Shards: 2}},
+		{"forced fallback", Config{Shards: 2, ReadCap: -1, WriteCap: -1}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, ts := newTestServer(t, c.cfg)
+			pin := 0
+			for _, v := range []int64{-1, math.MinInt64, math.MaxInt64} {
+				resp, code := doOp(t, ts, Request{Op: OpPush, Shard: &pin, Value: v})
+				if code != http.StatusBadRequest || resp.OK || !strings.Contains(resp.Err, "value") {
+					t.Errorf("push %d: got %d ok=%v err=%q, want 400 naming the value", v, code, resp.OK, resp.Err)
+				}
+				tresp, code := doTxn(t, ts, TxnRequest{Shard: &pin, Ops: []TxnOp{
+					{Op: OpPut, Key: 77},
+					{Op: OpPush, Value: v},
+				}})
+				if code != http.StatusBadRequest || tresp.OK || !strings.Contains(tresp.Err, "op 1: value") {
+					t.Errorf("txn push %d: got %d ok=%v err=%q, want 400 naming op 1's value", v, code, tresp.OK, tresp.Err)
+				}
+			}
+			if resp, _ := doOp(t, ts, Request{Op: OpGet, Shard: &pin, Key: 77}); resp.Found {
+				t.Error("a refused transaction published its put")
+			}
+
+			if resp, code := doOp(t, ts, Request{Op: OpPut, Shard: &pin, Key: -5}); code != http.StatusOK || !resp.Changed {
+				t.Fatalf("put -5: got %d changed=%v", code, resp.Changed)
+			}
+			resp, code := doOp(t, ts, Request{Op: OpMoveToPQ, Shard: &pin, Key: -5})
+			if code != http.StatusBadRequest || resp.OK || !strings.Contains(resp.Err, "key") {
+				t.Errorf("movetopq -5: got %d ok=%v err=%q, want 400 naming the key", code, resp.OK, resp.Err)
+			}
+			if resp, _ := doOp(t, ts, Request{Op: OpGet, Shard: &pin, Key: -5}); !resp.Found {
+				t.Error("the refused movetopq took the key out of its set")
+			}
+			if resp, _ := doOp(t, ts, Request{Op: OpPopMin, Shard: &pin}); resp.Found {
+				t.Errorf("the priority queue holds %d after three refused routes", resp.Value)
+			}
+
+			// The edges of the range are served.
+			for _, v := range []int64{0, mound.MaxValue} {
+				if resp, code := doOp(t, ts, Request{Op: OpPush, Shard: &pin, Value: v}); code != http.StatusOK || !resp.OK {
+					t.Errorf("push %d: got %d ok=%v, want 200", v, code, resp.OK)
+				}
+			}
+		})
 	}
 }

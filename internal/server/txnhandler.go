@@ -106,6 +106,10 @@ func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request) {
 			fail(http.StatusBadRequest, "op %d: unknown op %q", i, op.Op)
 			return
 		}
+		if op.Op == OpPush && !validPriority(op.Value) {
+			fail(http.StatusBadRequest, "op %d: %s", i, priorityRangeErr("value", op.Value))
+			return
+		}
 		var known bool
 		switch def {
 		case DefaultSet:

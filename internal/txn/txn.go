@@ -24,9 +24,9 @@
 //     analogue — see DESIGN.md).
 //
 //   - Read-only validation: a captured body that staged no writes commits by
-//     htm.MultiValidate — one stable-stripe window over the read set's
-//     ownership records, no publication at all — mirroring the cheapness of
-//     read-only HTM commits.
+//     htm.MultiValidate — two looks at the versioned lock word of every Var
+//     of the read set, the values checked in between, no publication at
+//     all — mirroring the cheapness of read-only HTM commits.
 //
 // Structures participate through small adapter methods (TxContains,
 // TxInsert, TxRemove, TxEnqueue, TxDequeue) written once against the Ctx
@@ -381,7 +381,7 @@ func (m *Manager) atomic(c *Ctx, body func(c *Ctx)) {
 // ReadOnly runs body as a composed snapshot: identical to Atomic but the
 // body must not Write (it panics if it does). A read-only body commits
 // without any publication — a read-only HTM transaction on the fast path,
-// a MultiValidate stripe window in the fallback.
+// a MultiValidate window over the read Vars' own words in the fallback.
 func (m *Manager) ReadOnly(body func(c *Ctx)) {
 	m.Atomic(func(c *Ctx) {
 		body(c)
