@@ -10,7 +10,7 @@ func park(t *testing.T, d *Domain, entries ...Entry) *MultiDesc {
 	t.Helper()
 	m := &MultiDesc{d: d, entries: entries}
 	for _, e := range entries {
-		res, _ := e.claim(m)
+		res, _ := m.claim(e)
 		if res != claimOK {
 			t.Fatalf("park: claim result %d", res)
 		}

@@ -17,11 +17,18 @@
 // Var — the clock value of the last write to that Var, with a top bit a
 // writer sets while its write is in flight — and a fixed array of striped
 // writer mutexes hashed by Var identity, each padded to its own cache line.
-// Values live in Var[T] cells. A transaction snapshots the commit clock at
-// begin; every transactional read looks at the Var's word, takes the value,
-// and looks at the word again: unlocked, unchanged and no newer than the
-// snapshot, or the read waits (for the Var's own writer, boundedly) or
-// aborts. A read touches its Var and nothing else. Transactional writes are
+// A Var holds its value: the word next to the versioned lock is the value
+// itself when T is a pointer type — every link of every structure here — and
+// otherwise points at an immutable box of T. Only a writer that holds the
+// Var's stripe and its lock bit stores that word, so whenever the lock word
+// is unlocked the value word is the logical value, and that is all a reader
+// knows: a transaction snapshots the commit clock at begin; every
+// transactional read looks at the Var's word, takes the value, and looks at
+// the word again: unlocked, unchanged and no newer than the snapshot, or the
+// read waits (for the Var's own writer, boundedly) or aborts. A read touches
+// its Var and nothing else — no box for a pointer, no descriptor ever: a
+// MultiCAS claims a Var through a slot of its own (multicas.go), which only
+// writers and other MultiCASes look at. Transactional writes are
 // buffered and applied at commit while holding the written Vars' stripes,
 // acquired in ascending stripe order so commits stay deadlock-free, and with
 // every written Var's lock bit set before the commit draws its version and
@@ -58,10 +65,12 @@ import (
 	"cmp"
 	"fmt"
 	"math/bits"
+	"reflect"
 	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Status reports how a transaction attempt ended. It mirrors the RTM status
@@ -299,18 +308,15 @@ func (s *stripe) acquire(owner uint64) {
 // release frees a held stripe.
 func (s *stripe) release() { s.word.Store(0) }
 
-// cell is the immutable box a Var points at. desc == nil means the Var holds
-// the plain value val; otherwise the Var is claimed by an in-flight MultiCAS
-// and val is the (already validated) old value, which remains the logical
-// value until the operation decides. Mirrors the box of internal/mcas.
-type cell[T comparable] struct {
-	val  T
-	desc *MultiDesc
-}
-
 // varIDs issues Var identities: the global order MultiCAS claims follow and
 // the input of the stripe hash.
 var varIDs atomic.Uint64
+
+// idInline marks, in a Var's id, a Var whose value word is the value itself
+// (T is a pointer type) rather than a pointer to a box of T. It is part of
+// the identity — set once by Init, hashed and ordered like the rest of the id
+// — so the word a read already holds says how to decode the value it took.
+const idInline = 1 << 63
 
 // Var is a transactional cell holding a value of comparable type T. Vars must
 // be created by Init (or NewVar) so they are bound to a Domain; the zero
@@ -318,13 +324,17 @@ var varIDs atomic.Uint64
 // take an optional transaction: a nil *Tx selects the direct, non-speculative
 // path used by fallback code. Vars additionally participate in MultiCAS, the
 // lock-free multi-Var publication primitive of the composition layer.
+//
+// A Var is its five-word head and nothing else: T only decides how the value
+// word is read (decode) and made (encode).
 type Var[T comparable] struct {
 	varHead
-	p atomic.Pointer[cell[T]]
 }
 
-// varHead is the untyped head of every Var[T], and what a transaction's read
-// log points at: the Var's domain, its identity, and its versioned lock.
+// varHead is every Var[T] without its type, and what a transaction's read
+// and write logs point at: the Var's domain, its identity, its versioned
+// lock, its value word and its MultiCAS claim slot — 40 bytes, the three
+// words a read touches next to each other.
 type varHead struct {
 	d  *Domain
 	id uint64
@@ -332,16 +342,30 @@ type varHead struct {
 	// write to this Var (0: never written since Init), with verLocked set
 	// while a write is in flight. Only the holder of the Var's stripe stores
 	// it, so plain stores suffice. Every writer — Tx.commit, a direct Store
-	// or Add, a direct CAS about to succeed, a MultiCAS decision for each
-	// write leg — sets the bit before the new value can become visible and
+	// or Add, a direct CAS about to succeed, the winner of a MultiCAS
+	// decision for each write leg — sets the bit before it stores p and
 	// before it draws its commit version, and clears it by storing that
 	// version (or, having written nothing, the old stamp back). A locked
 	// word compares greater than every snapshot, stamps only grow, and so a
 	// reader that finds the same word ≤ its snapshot on both sides of its
-	// read of the cell holds a value no writer was replacing, no newer than
-	// the snapshot, and — the bit preceding the draw — misses no write of a
+	// read of p holds a value no writer was replacing, no newer than the
+	// snapshot, and — the bit preceding the draw — misses no write of a
 	// version the snapshot covers.
 	ver atomic.Uint64
+	// p is the value word: the value itself (id&idInline != 0) or a pointer
+	// to an immutable box holding it. Only a holder of the Var's stripe and
+	// lock bit stores it, so under an unlocked ver it is the Var's logical
+	// value, whatever claim says. Accessed atomically (loadP, storeP) after
+	// Init.
+	p unsafe.Pointer
+	// claim is the MultiCAS descriptor claiming the Var, or nil. Readers
+	// never look at it. An undecided descriptor in it asserts that the Var
+	// still holds that operation's old value, and a writer makes the
+	// assertion true the only way it can: it kills the descriptor (kill)
+	// after it has set the lock bit and before it stores p. A decided
+	// descriptor in it is stale and means nothing; its helpers clear it
+	// (release) or the next claimer overwrites it.
+	claim atomic.Pointer[MultiDesc]
 }
 
 // verLocked is the write-lock bit of varHead.ver.
@@ -354,24 +378,103 @@ func (h *varHead) lockVer() { h.ver.Store(h.ver.Load() | verLocked) }
 // not change, leaving the stamp as it was.
 func (h *varHead) unlockVer() { h.ver.Store(h.ver.Load() &^ verLocked) }
 
-// publish stamps the locked Var with a fresh commit version, which unlocks
-// it, and releases its held stripe s — the tail of every single-Var direct
-// write.
-func (h *varHead) publish(s *stripe) {
+func (h *varHead) loadP() unsafe.Pointer   { return atomic.LoadPointer(&h.p) }
+func (h *varHead) storeP(p unsafe.Pointer) { atomic.StorePointer(&h.p, p) }
+
+// read returns the Var's value word from between two looks at its lock word
+// that find it unlocked and unchanged, waiting out a writer in flight: the
+// window of every reader that has no snapshot to judge by — a direct Load, a
+// MultiCAS helper's look at a claimed Var.
+func (h *varHead) read() unsafe.Pointer {
+	for {
+		w := h.ver.Load()
+		if w&verLocked != 0 {
+			runtime.Gosched()
+			continue
+		}
+		p := h.loadP()
+		if h.ver.Load() == w {
+			return p
+		}
+	}
+}
+
+// kill fails the undecided MultiCAS claiming the Var, if there is one. The
+// caller holds the Var's stripe and lock bit and is about to store p: the
+// descriptor's decision needs this stripe too, so the status CAS cannot race
+// with it, and a helper that claims or looks from now on finds the lock bit
+// and, after it, the new value. A decided descriptor is left in the slot.
+func (h *varHead) kill() {
+	if m := h.claim.Load(); m != nil {
+		m.status.CompareAndSwap(mwUndecided, mwFailed)
+	}
+}
+
+// pendingDesc returns the undecided MultiCAS descriptor claiming the Var, if
+// any, for commit's helping pass.
+func (h *varHead) pendingDesc() *MultiDesc {
+	if m := h.claim.Load(); m != nil && m.status.Load() == mwUndecided {
+		return m
+	}
+	return nil
+}
+
+// write is a single-Var direct writer's store: with the Var's stripe s held,
+// set the lock bit, kill the claim, store the value word, stamp the Var with
+// a fresh commit version, which unlocks it, and release the stripe.
+func (h *varHead) write(s *stripe, p unsafe.Pointer) {
+	h.lockVer()
+	h.kill()
+	h.storeP(p)
 	perturb()
 	h.ver.Store(h.d.clock.Add(1))
 	s.release()
+}
+
+// decode returns the value a value word of v stands for. A box is immutable
+// once a Var points at it, so a word taken inside a read window can be
+// decoded after it.
+func (v *Var[T]) decode(p unsafe.Pointer) T {
+	if v.id&idInline != 0 {
+		return *(*T)(unsafe.Pointer(&p))
+	}
+	return *(*T)(p)
+}
+
+// encode returns a value word for x: x itself for an inline Var, else a
+// fresh box.
+func (v *Var[T]) encode(x T) unsafe.Pointer {
+	if v.id&idInline != 0 {
+		return *(*unsafe.Pointer)(unsafe.Pointer(&x))
+	}
+	b := new(T)
+	*b = x
+	return unsafe.Pointer(b)
+}
+
+// reencode returns a value word for x given p, one of v's that no Var points
+// at yet: its box, if it has one, is overwritten rather than replaced.
+func (v *Var[T]) reencode(p unsafe.Pointer, x T) unsafe.Pointer {
+	if v.id&idInline != 0 {
+		return v.encode(x)
+	}
+	*(*T)(p) = x
+	return p
 }
 
 // Init binds an embedded Var to domain d and sets its initial value. It must
 // be called exactly once, before any concurrent access; it is intended for
 // initializing Var fields of freshly allocated nodes. Init assigns the Var
 // its identity — its MultiCAS ordering id, from which the domain's table
-// hashes the Var's stripe on every write (one multiply and shift).
+// hashes the Var's stripe on every write (one multiply and shift) — and
+// decides, once, whether the value word holds T itself.
 func (v *Var[T]) Init(d *Domain, init T) {
 	v.d = d
 	v.id = varIDs.Add(1)
-	v.p.Store(&cell[T]{val: init})
+	if reflect.TypeFor[T]().Kind() == reflect.Pointer {
+		v.id |= idInline
+	}
+	v.p = v.encode(init)
 }
 
 // NewVar allocates a Var bound to domain d holding init.
@@ -399,8 +502,9 @@ type stripeRec struct {
 // passed to Atomically and must not be retained, shared between goroutines,
 // or used after that function returns: attempts take their Tx from a pool
 // and recycle it when they end, so its sets, log and commit scratch keep
-// their capacity and a steady-state attempt allocates nothing but the cells
-// it publishes. Load, Store and Abort through a recycled Tx panic (live).
+// their capacity and a steady-state attempt allocates nothing but the boxes
+// it publishes — none for a Var of pointer type. Load, Store and Abort
+// through a recycled Tx panic (live).
 type Tx struct {
 	d  *Domain
 	t  *stripeTable // the domain's table; nil once the attempt has returned (live)
@@ -413,7 +517,7 @@ type Tx struct {
 	// follows program order of first-writes. writeIdx maps a written Var's
 	// id to its log position (logPos); written is a 64-bit filter over
 	// those ids (bit id&63), so a Load of a Var the attempt has not written
-	// — every step of a search walk — mostly stops there (staged).
+	// — every step of a search walk — mostly stops there.
 	writeLog []writeEntry
 	writeIdx []idxSlot
 	written  uint64
@@ -434,7 +538,7 @@ type Tx struct {
 	// helpBudget and helped implement the three-path template's middle
 	// tier: a transaction run with a positive budget (AtomicallyHelping)
 	// drives up to helpBudget undecided MultiCAS descriptors claiming its
-	// written cells to decision at commit — instead of killing them or
+	// written Vars to decision at commit — instead of killing them or
 	// aborting on sight — then aborts explicitly (HelpExhausted). The fast
 	// path runs with budget 0 and is untouched. deferPending is the
 	// budget-0 variant for the fast level of a three-path site
@@ -451,7 +555,7 @@ type Tx struct {
 var txPool = sync.Pool{New: func() any { return new(Tx) }}
 
 // recycle returns tx to the pool as a zero Tx with capacity: cleared, so it
-// pins no cell, Var or domain (the stripe records hold indices, not
+// pins no value, Var or domain (the stripe records hold indices, not
 // pointers, and need no clearing), and detached (live). The write index is
 // cleared over the length this attempt grew it to, so it is all zero, to its
 // capacity, whenever an attempt begins.
@@ -476,26 +580,14 @@ func (tx *Tx) live() {
 	}
 }
 
-// writeTarget is the untyped face of a written Var[T] in the redo log: head
-// is the Var's versioned lock, which commit sets before it draws its
-// version; install publishes c, the *cell[T] staged for the Var, under the
-// Var's stripe (storeLocked) and stamps the Var with commit version wv,
-// which unlocks it; pendingDesc returns the undecided MultiCAS descriptor
-// claiming the Var's cell, if any, for commit's helping pass.
-type writeTarget interface {
-	head() *varHead
-	install(c any, wv uint64)
-	pendingDesc() *MultiDesc
-}
-
-// writeEntry is one redo-log record: the written Var and the cell commit
-// will install for it, allocated by the first Store to the Var and private
-// to the attempt until then (write-after-write mutates it, read-own-write
-// reads it): a write costs one allocation, the box the Var must point at.
+// writeEntry is one redo-log record: the written Var and the value word
+// commit will store in it, made by the first Store to the Var and private to
+// the attempt until then (write-after-write re-encodes it, read-own-write
+// decodes it): a write costs the box the Var must point
+// at, and nothing when the word is the value.
 type writeEntry struct {
-	v     writeTarget
-	varID uint64
-	cell  any // *cell[T]
+	h *varHead
+	p unsafe.Pointer
 }
 
 // Abort aborts the running transaction with AbortExplicit (the analogue of
@@ -580,11 +672,11 @@ const HelpExhausted = -2
 
 // AtomicallyHelping is AtomicallyClassified with a helping budget: the
 // three-path template's middle tier. A transaction run with helpBudget > 0
-// does not treat an undecided MultiCAS descriptor on a written cell as an
-// obstacle to kill (storeLocked's rule) — at commit, before taking any
-// stripe lock, it drives up to helpBudget such descriptors to decision via
-// their own lock-free protocol, then locks, validates, and publishes as
-// usual. Budget exhausted mid-pass aborts the attempt explicitly with code
+// does not treat an undecided MultiCAS descriptor on a written Var as an
+// obstacle to kill (the writers' rule, varHead.kill) — at commit, before
+// taking any stripe lock, it drives up to helpBudget such descriptors to
+// decision via their own lock-free protocol, then locks, validates, and
+// publishes as usual. Budget exhausted mid-pass aborts the attempt explicitly with code
 // HelpExhausted, leaving the remaining descriptors unharmed. The third
 // result reports how many descriptors this attempt helped to decision
 // (counted even when the attempt subsequently aborts: decisions are real,
@@ -597,10 +689,10 @@ func (d *Domain) AtomicallyHelping(helpBudget int, f func(tx *Tx)) (Status, bool
 // AtomicallyDeferring is AtomicallyClassified for the fast level of a
 // three-path site: a budget-0 transaction that, at commit, aborts explicitly
 // (code HelpExhausted) when an undecided MultiCAS descriptor sits on any
-// written cell — instead of killing it, the two-path kill-paid-by-commit
+// written Var — instead of killing it, the two-path kill-paid-by-commit
 // rule. The abort leaves the descriptor alive for the helping middle tier
 // below (speculate.Core.DefersAt derives when this variant applies).
-// Descriptors that land on written cells after the commit-time check are
+// Descriptors that land on written Vars after the commit-time check are
 // still killed under the stripe lock, the unconditional backstop.
 func (d *Domain) AtomicallyDeferring(f func(tx *Tx)) (Status, bool) {
 	st, alias, _ := d.atomically(0, true, f)
@@ -649,8 +741,9 @@ func (d *Domain) attempt(tx *Tx, f func(tx *Tx)) (status Status) {
 // stripes in ascending stripe order (aborting, never spinning, on a busy
 // stripe — deadlock freedom against other committers and MultiCAS
 // decisions), set every written Var's lock bit, draw a new commit timestamp,
-// validate the read log, apply the redo log, stamping — and so unlocking —
-// each written Var with the timestamp, and release the stripes. Read-only
+// validate the read log, apply the redo log — kill the Var's claim, store
+// its value word, stamp and so unlock it with the timestamp, Var by Var —
+// and release the stripes. Read-only
 // transactions commit without any locking or validation at all — every read
 // was already validated against the begin snapshot, so the transaction
 // serializes there — mirroring the cheapness of read-only HTM commits.
@@ -661,11 +754,11 @@ func (tx *Tx) commit() Status {
 	d := tx.d
 
 	// Helping pass (middle path): a budgeted transaction drives undecided
-	// MultiCAS descriptors claiming its written cells to decision before
+	// MultiCAS descriptors claiming its written Vars to decision before
 	// taking any stripe lock — a decision acquires its own stripes with a
 	// spinning protocol, so helping while holding locks could deadlock
-	// against it. Descriptors that land on our cells after this pass are
-	// still killed by storeLocked under the stripe lock, the historical
+	// against it. Descriptors that land on our Vars after this pass are
+	// still killed under the stripe lock and lock bit, the historical
 	// kill-paid-by-commit backstop; the pass just makes the common
 	// encounter cooperative instead of destructive. Budget 0 skips the
 	// pass entirely on the kill-semantics fast path; a deferring attempt
@@ -673,9 +766,9 @@ func (tx *Tx) commit() Status {
 	// pending descriptor and abort without harming it.
 	if tx.helpBudget > 0 || tx.deferPending {
 		for i := range tx.writeLog {
-			e := &tx.writeLog[i]
+			h := tx.writeLog[i].h
 			for {
-				m := e.v.pendingDesc()
+				m := h.pendingDesc()
 				if m == nil {
 					break
 				}
@@ -709,7 +802,7 @@ func (tx *Tx) commit() Status {
 	// snapshot covers our version must not find one of our Vars still
 	// looking old — and before any value moves.
 	for i := range tx.writeLog {
-		tx.writeLog[i].v.head().lockVer()
+		tx.writeLog[i].h.lockVer()
 	}
 
 	perturb()
@@ -727,7 +820,7 @@ func (tx *Tx) commit() Status {
 			w := h.ver.Load()
 			if w > tx.rv && (w&^verLocked > tx.rv || tx.logPos(h.id) < 0) {
 				for i := range tx.writeLog {
-					tx.writeLog[i].v.head().unlockVer()
+					tx.writeLog[i].h.unlockVer()
 				}
 				unlock(tx.t, recs)
 				return AbortConflict
@@ -735,11 +828,14 @@ func (tx *Tx) commit() Status {
 		}
 	}
 
-	// Apply the redo log, stamping as we go, and release the stripes.
+	// Apply the redo log, stamping as we go, and release the stripes. The
+	// commit is certain from here, so the kills are paid for.
 	perturb()
 	for i := range tx.writeLog {
 		e := &tx.writeLog[i]
-		e.v.install(e.cell, wv)
+		e.h.kill()
+		e.h.storeP(e.p)
+		e.h.ver.Store(wv)
 	}
 	unlock(tx.t, recs)
 	return Committed
@@ -763,7 +859,7 @@ func (tx *Tx) writeRecs() []stripeRec {
 	seen := slices.Grow(tx.lockSet[:0], t.words)[:t.words]
 	clear(seen)
 	for i := range tx.writeLog {
-		id := tx.writeLog[i].varID
+		id := tx.writeLog[i].h.id
 		idx := t.indexOf(id)
 		w, b := idx>>6, uint64(1)<<(idx&63)
 		if seen[w]&b != 0 {
@@ -793,110 +889,57 @@ func (h *varHead) lockVar() *stripe {
 const loadWaits = 16
 
 // Load reads v. With a non-nil tx it is a transactional read: it returns the
-// transaction's own pending write if any, and otherwise reads v's cell
-// between two looks at v's word that must agree on an unlocked stamp no newer
-// than the transaction's snapshot — waiting, boundedly, while v's own writer
-// holds the lock bit, and aborting with a true conflict if it keeps it or if
-// v has been written since the transaction began. The read counts against
-// the read capacity and touches nothing but v. With tx == nil it is a direct
-// read through the same window, without the snapshot: it never observes a
-// partially applied commit (it waits out v's writer).
+// transaction's own pending write if any, and otherwise takes v's value word
+// between two looks at v's lock word that must agree on an unlocked stamp no
+// newer than the transaction's snapshot — waiting, boundedly, while v's own
+// writer holds the lock bit, and aborting with a true conflict if it keeps it
+// or if v has been written since the transaction began. The read counts
+// against the read capacity and touches nothing but v. With tx == nil it is
+// a direct read through the same window, without the snapshot: it never
+// observes a partially applied commit (it waits out v's writer).
 func Load[T comparable](tx *Tx, v *Var[T]) T {
-	if tx != nil {
-		tx.live()
-		// The filter is tested here as well as in logPos: staged is a call,
-		// and the steps of a search walk should not make it.
-		if tx.written&(1<<(v.id&63)) != 0 {
-			if c := staged(tx, v); c != nil {
-				return c.val
-			}
-		}
-		tx.reads++
-		if tx.reads > tx.readCap {
-			tx.abort(AbortCapacity)
-		}
-		for wait := 0; ; wait++ {
-			w := v.ver.Load()
-			if w <= tx.rv {
-				// The plain cell is read in line: loadResolved is a call, and
-				// this is every step of every search walk.
-				c := v.p.Load()
-				x := c.val
-				if c.desc != nil {
-					x = loadResolved(v)
-				}
-				if v.ver.Load() == w {
-					tx.readLog = append(tx.readLog, &v.varHead)
-					return x
-				}
-				continue // v's writer arrived under our read: look at what it left
-			}
-			if w&verLocked == 0 || wait >= loadWaits {
-				tx.abort(AbortConflict)
-			}
-			runtime.Gosched()
+	if tx == nil {
+		return v.decode(v.read())
+	}
+	tx.live()
+	// The filter is tested here as well as in logPos: that is a call, and
+	// the steps of a search walk should not make it.
+	if tx.written&(1<<(v.id&63)) != 0 {
+		if i := tx.logPos(v.id); i >= 0 {
+			return v.decode(tx.writeLog[i].p)
 		}
 	}
-	for {
+	tx.reads++
+	if tx.reads > tx.readCap {
+		tx.abort(AbortCapacity)
+	}
+	tx.own(&v.varHead)
+	for wait := 0; ; wait++ {
 		w := v.ver.Load()
-		if w&verLocked != 0 {
-			runtime.Gosched()
-			continue
+		if w <= tx.rv {
+			p := v.loadP()
+			if v.ver.Load() == w {
+				tx.readLog = append(tx.readLog, &v.varHead)
+				return v.decode(p)
+			}
+			continue // v's writer arrived under our read: look at what it left
 		}
-		x := loadResolved(v)
-		if v.ver.Load() == w {
-			return x
+		if w&verLocked == 0 || wait >= loadWaits {
+			tx.abort(AbortConflict)
 		}
+		runtime.Gosched()
 	}
 }
 
-// loadResolved reads v's cell, finishing the release phase of any completed
-// MultiCAS it encounters. An undecided or failed descriptor is transparent:
-// the claimed cell still carries the logical (old) value, and if the
-// operation later succeeds its decision has locked its write legs' words
-// first, which the caller's second look at the word catches.
-func loadResolved[T comparable](v *Var[T]) T {
-	for {
-		c := v.p.Load()
-		if c.desc != nil && c.desc.status.Load() == mwSucceeded {
-			c.desc.releaseAll()
-			continue
-		}
-		return c.val
+// own panics unless h's Var is bound to the transaction's domain. A Var of
+// another domain has writers that lock that domain's stripes and stamps that
+// mean that domain's clock: a transaction that logged it would validate and
+// publish against neither. It is checked where a Var enters the read log or
+// the write log; d is on the line the access is about to touch anyway.
+func (tx *Tx) own(h *varHead) {
+	if h.d != tx.d {
+		panic("htm: transaction Vars span domains")
 	}
-}
-
-// storeLocked makes the plain cell nc v's cell. It must be called with v's
-// stripe held and v's lock bit set: an undecided MultiCAS descriptor found
-// on the cell is killed (its decision must acquire this stripe too, so the
-// status CAS cannot race with a commit), and a decided one — which let go of
-// the stripe before we took it — is released before we overwrite.
-func storeLocked[T comparable](v *Var[T], nc *cell[T]) {
-	for {
-		c := v.p.Load()
-		if c.desc != nil {
-			c.desc.status.CompareAndSwap(mwUndecided, mwFailed)
-			c.desc.releaseAll()
-			continue
-		}
-		if v.p.CompareAndSwap(c, nc) {
-			return
-		}
-	}
-}
-
-func (v *Var[T]) head() *varHead { return &v.varHead }
-
-func (v *Var[T]) install(c any, wv uint64) {
-	storeLocked(v, c.(*cell[T]))
-	v.ver.Store(wv)
-}
-
-func (v *Var[T]) pendingDesc() *MultiDesc {
-	if c := v.p.Load(); c.desc != nil && c.desc.status.Load() == mwUndecided {
-		return c.desc
-	}
-	return nil
 }
 
 // idxSlot is one slot of the write index, an open-addressed table from a
@@ -944,7 +987,7 @@ func (tx *Tx) indexWrite(id uint64) {
 		idx = slices.Grow(idx[:0], n)[:n]
 		tx.writeIdx = idx
 		for i := range tx.writeLog {
-			idxPut(idx, tx.writeLog[i].varID, i)
+			idxPut(idx, tx.writeLog[i].h.id, i)
 		}
 	}
 	idxPut(idx, id, pos)
@@ -959,58 +1002,47 @@ func idxPut(idx []idxSlot, id uint64, pos int) {
 	idx[i] = idxSlot{id, pos}
 }
 
-// staged returns the cell tx has staged for v, or nil if it has not written
-// v.
-func staged[T comparable](tx *Tx, v *Var[T]) *cell[T] {
-	if i := tx.logPos(v.id); i >= 0 {
-		return tx.writeLog[i].cell.(*cell[T])
-	}
-	return nil
-}
-
 // Store writes x to v. With a non-nil tx the write is buffered and becomes
 // visible atomically at commit; with tx == nil it is applied immediately
 // under v's stripe and lock bit.
 func Store[T comparable](tx *Tx, v *Var[T], x T) {
-	if tx != nil {
-		tx.live()
-		if c := staged(tx, v); c != nil {
-			c.val = x
-			return
-		}
-		if len(tx.writeLog) >= tx.writeCap {
-			tx.abort(AbortCapacity)
-		}
-		tx.indexWrite(v.id)
-		tx.writeLog = append(tx.writeLog, writeEntry{v: v, varID: v.id, cell: &cell[T]{val: x}})
+	if tx == nil {
+		p := v.encode(x)
+		v.write(v.lockVar(), p)
 		return
 	}
-	s := v.lockVar()
-	v.lockVer()
-	storeLocked(v, &cell[T]{val: x})
-	v.publish(s)
+	tx.live()
+	if i := tx.logPos(v.id); i >= 0 {
+		tx.writeLog[i].p = v.reencode(tx.writeLog[i].p, x)
+		return
+	}
+	if len(tx.writeLog) >= tx.writeCap {
+		tx.abort(AbortCapacity)
+	}
+	tx.own(&v.varHead)
+	tx.indexWrite(v.id)
+	tx.writeLog = append(tx.writeLog, writeEntry{h: &v.varHead, p: v.encode(x)})
 }
 
 // CAS atomically compares v against old and, if equal, replaces it with new,
 // reporting whether the swap happened. Inside a transaction this degenerates
 // to a load, a comparison, and a buffered store — exactly the CAS-to-branch
 // strength reduction of §2.3 — at no extra synchronization cost. Outside a
-// transaction it is a linearizable compare-and-swap. A failed direct CAS
-// neither locks nor stamps the Var: the logical value did not change, so
-// overlapping transactions have nothing to observe. The lock bit is set just
-// before the cell CAS that would make the new value visible; a cell CAS lost
-// to a MultiCAS claiming or releasing the cell changed no value either, and
-// the loop comes round with the bit still set.
+// transaction it is a linearizable compare-and-swap: under v's stripe no one
+// else stores the value word, so the comparison needs no window. A failed
+// direct CAS neither locks nor stamps the Var: the logical value did not
+// change, so overlapping transactions have nothing to observe.
 //
 // Interplay with MultiCAS descriptors refines the kill-paid-by-commit rule:
-// a direct CAS that finds an undecided descriptor on its cell kills it only
-// when the CAS is itself going to succeed — the cell's logical value matches
-// old, so the swap proceeds and its commit pays for the kill. When the
-// logical value already disagrees, the CAS fails WITHOUT killing: it aborts
-// its own operation and defers to the in-flight descriptor instead of
-// spinning on (or destroying) it. Every structure's direct CAS leans on
-// this: a fallback retry loop that lost anyway re-reads and tries again, and
-// no unpaid kill ever degrades a concurrent composed operation's progress.
+// a direct CAS kills an undecided descriptor claiming its Var only when the
+// CAS is itself going to succeed — the value matches old, so the swap
+// proceeds and its commit pays for the kill. When the value already
+// disagrees, the CAS fails WITHOUT killing (it does not even look at the
+// claim): it aborts its own operation and defers to the in-flight descriptor
+// instead of spinning on (or destroying) it. Every structure's direct CAS
+// leans on this: a fallback retry loop that lost anyway re-reads and tries
+// again, and no unpaid kill ever degrades a concurrent composed operation's
+// progress.
 func CAS[T comparable](tx *Tx, v *Var[T], old, new T) bool {
 	if tx != nil {
 		if Load(tx, v) != old {
@@ -1020,47 +1052,12 @@ func CAS[T comparable](tx *Tx, v *Var[T], old, new T) bool {
 		return true
 	}
 	s := v.lockVar()
-	locked, ok := false, false
-	for {
-		c := v.p.Load()
-		if c.desc != nil {
-			if c.desc.status.Load() != mwUndecided {
-				c.desc.releaseAll()
-				continue
-			}
-			if c.val != old {
-				// Undecided claim and the logical value already disagrees:
-				// fail without killing (abort-and-defer). The descriptor's
-				// outcome cannot change our answer — its decision needs this
-				// stripe, which we hold — and a kill here would be paid for
-				// by nothing.
-				break
-			}
-			c.desc.status.CompareAndSwap(mwUndecided, mwFailed)
-			c.desc.releaseAll()
-			continue
-		}
-		if c.val != old {
-			break
-		}
-		if !locked {
-			v.lockVer()
-			locked = true
-		}
-		if v.p.CompareAndSwap(c, &cell[T]{val: new}) {
-			ok = true
-			break
-		}
+	if v.decode(v.loadP()) != old {
+		s.release()
+		return false
 	}
-	if ok {
-		v.publish(s)
-		return true
-	}
-	if locked {
-		v.unlockVer()
-	}
-	s.release()
-	return false
+	v.write(s, v.encode(new))
+	return true
 }
 
 // Add atomically adds delta to an integer Var and returns the new value.
@@ -1071,20 +1068,7 @@ func Add(tx *Tx, v *Var[uint64], delta uint64) uint64 {
 		return x
 	}
 	s := v.lockVar()
-	v.lockVer()
-	var x uint64
-	for {
-		c := v.p.Load()
-		if c.desc != nil {
-			c.desc.status.CompareAndSwap(mwUndecided, mwFailed)
-			c.desc.releaseAll()
-			continue
-		}
-		x = c.val + delta
-		if v.p.CompareAndSwap(c, &cell[uint64]{val: x}) {
-			break
-		}
-	}
-	v.publish(s)
+	x := v.decode(v.loadP()) + delta
+	v.write(s, v.encode(x))
 	return x
 }

@@ -2,6 +2,7 @@ package htm
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,7 +13,8 @@ import (
 // The benchmarks in this file are the engine's own layer of the runtime
 // clock (ROADMAP perf-ledger (b)): one attempt of each basic shape, single
 // goroutine, no conflicts. TestAllocsPerAttempt pins what they report with
-// -benchmem: an attempt allocates the cells it publishes and nothing else.
+// -benchmem: an attempt allocates the boxes it publishes and nothing else,
+// and a Var of pointer type has no box.
 
 var benchSink int
 
@@ -137,8 +139,9 @@ func BenchmarkReadWalk2000(b *testing.B) {
 
 // BenchmarkDirectLoad, BenchmarkDirectStore and BenchmarkDirectCAS are the
 // per-word cost of the non-transactional path: two looks at the Var's word
-// around the cell; and a stripe, the lock bit, a cell, a clock bump and a
-// stamp — the writer-side price of keeping readers off the stripes.
+// around its value; and a stripe, the lock bit, a look at the claim slot, the
+// value (a box: these are Var[int]), a clock bump and a stamp — the
+// writer-side price of keeping readers off the stripes.
 func BenchmarkDirectLoad(b *testing.B) {
 	d := NewDomain(0, 0)
 	vars := benchVars(d, 64)
@@ -211,6 +214,27 @@ func BenchmarkMultiValidate8(b *testing.B) {
 	}
 }
 
+// bytesPerRun is testing.AllocsPerRun for bytes. The counter it reads is the
+// whole process's, so it reports the least of three measurements: the
+// runtime's own allocations come and go, f's are there every time.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	least := ^uint64(0)
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, (after.TotalAlloc-before.TotalAlloc)/uint64(runs))
+	}
+	return least
+}
+
+type benchNode struct{ k int }
+
 func TestAllocsPerAttempt(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation pins are meaningless under the race detector")
@@ -226,46 +250,138 @@ func TestAllocsPerAttempt(t *testing.T) {
 			})
 		}
 	}
+	// The same on Vars of pointer type, swapping two nodes.
+	nodes := [2]*benchNode{{0}, {1}}
+	links := make([]*Var[*benchNode], 8)
+	for i := range links {
+		links[i] = NewVar(d, nodes[0])
+	}
+	other := func(n *benchNode) *benchNode { return nodes[1-n.k] }
+	rwLinks := func(n int) func() {
+		return func() {
+			d.Atomically(func(tx *Tx) {
+				for _, v := range links[:n] {
+					Store(tx, v, other(Load(tx, v)))
+				}
+			})
+		}
+	}
+	word := NewVar(d, uint64(0))
 	for _, c := range []struct {
-		name string
-		want float64
-		f    func()
+		name  string
+		want  float64
+		bytes uint64
+		f     func()
 	}{
-		{"empty", 0, func() { d.Atomically(emptyTxn) }},
-		{"read walk 200", 0, func() {
+		{"empty", 0, 0, func() { d.Atomically(emptyTxn) }},
+		{"read walk 200", 0, 0, func() {
 			d.Atomically(func(tx *Tx) {
 				for _, v := range vars {
 					benchSink += Load(tx, v)
 				}
 			})
 		}},
-		{"explicit abort", 0, func() { d.Atomically(func(tx *Tx) { tx.Abort(1) }) }},
-		{"rw 1", 1, rw(1)},
-		{"rw 8", 8, rw(8)},
-		{"rw 200", 200, rw(200)},
+		{"explicit abort", 0, 0, func() { d.Atomically(func(tx *Tx) { tx.Abort(1) }) }},
+		{"rw 1", 1, 8, rw(1)},
+		{"rw 8", 8, 64, rw(8)},
+		{"rw 200", 200, 1600, rw(200)},
+		{"rw 1, pointers", 0, 0, rwLinks(1)},
+		{"rw 8, pointers", 0, 0, rwLinks(8)},
+		{"direct Store, pointer", 0, 0, func() { Store(nil, links[0], other(Load(nil, links[0]))) }},
+		{"direct CAS, pointer", 0, 0, func() {
+			if n := Load(nil, links[0]); !CAS(nil, links[0], n, other(n)) {
+				t.Error("uncontended CAS failed")
+			}
+		}},
+		{"direct Store, uint64", 1, 8, func() { Store(nil, word, Load(nil, word)+1) }},
+		{"direct CAS, uint64", 1, 8, func() {
+			if x := Load(nil, word); !CAS(nil, word, x, x+1) {
+				t.Error("uncontended CAS failed")
+			}
+		}},
+		{"direct Add", 1, 8, func() { Add(nil, word, 1) }},
+		{"failed direct CAS", 0, 0, func() { CAS(nil, word, ^uint64(0), 0) }},
 	} {
 		if got := testing.AllocsPerRun(200, c.f); got != c.want {
-			t.Errorf("%s attempt: %v allocs, want %v", c.name, got, c.want)
+			t.Errorf("%s: %v allocs, want %v", c.name, got, c.want)
+		}
+		if got := bytesPerRun(200, c.f); got != c.bytes {
+			t.Errorf("%s: %d bytes allocated, want %d", c.name, got, c.bytes)
 		}
 	}
 }
 
-// TestAllocsMultiValidate8: a MultiValidate over 8 entries costs the list of
-// the words it saw, and nothing per stripe: it looks at none.
+// TestAllocsMultiCAS: a MultiCAS over entries its caller built allocates its
+// descriptor and a box per write leg whose Var needs one — nothing for
+// sorting the entries, nothing per stripe, per claim or per release, up to
+// stackLegs entries.
+func TestAllocsMultiCAS(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation pins are meaningless under the race detector")
+	}
+	d := NewDomain(0, 0)
+	nodes := [2]*benchNode{{0}, {1}}
+	// A leg is a Var of its own with the entry that moves it from state 0 to
+	// state 1 and the one that moves it back.
+	pointerLeg := func() [2]Entry {
+		v := NewVar(d, nodes[0])
+		return [2]Entry{NewUpdate(v, nodes[0], nodes[1]), NewUpdate(v, nodes[1], nodes[0])}
+	}
+	wordLeg := func() [2]Entry {
+		v := NewVar(d, uint64(0))
+		return [2]Entry{NewUpdate(v, uint64(0), uint64(1)), NewUpdate(v, uint64(1), uint64(0))}
+	}
+	// flip returns a MultiCAS over n legs, there and, the next time, back.
+	flip := func(n int, leg func() [2]Entry) func() {
+		var legs [2][]Entry
+		for i := 0; i < n; i++ {
+			l := leg()
+			legs[0], legs[1] = append(legs[0], l[0]), append(legs[1], l[1])
+		}
+		state := 0
+		return func() {
+			// Descending ids, so the sort has work to do.
+			slices.Reverse(legs[state])
+			if !MultiCAS(legs[state]...) {
+				t.Error("uncontended MultiCAS failed")
+			}
+			state = 1 - state
+		}
+	}
+	for _, c := range []struct {
+		name string
+		want float64
+		f    func()
+	}{
+		{"MultiCAS, 8 pointer legs", 1, flip(8, pointerLeg)},
+		{"MultiCAS, 16 pointer legs", 1, flip(stackLegs, pointerLeg)},
+		{"MultiCAS, 8 uint64 legs", 1 + 8, flip(8, wordLeg)},
+	} {
+		if got := testing.AllocsPerRun(200, c.f); got != c.want {
+			t.Errorf("%s: %v allocs, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestAllocsMultiValidate8: a MultiValidate over 8 entries, or stackLegs of
+// them, keeps the words it saw on its stack, and costs nothing per stripe: it
+// looks at none.
 func TestAllocsMultiValidate8(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation pins are meaningless under the race detector")
 	}
 	d := NewDomain(0, 0)
-	ents := make([]Entry, 8)
-	for i, v := range distinctStripeVars(d, 8) {
+	ents := make([]Entry, stackLegs)
+	for i, v := range distinctStripeVars(d, stackLegs) {
 		ents[i] = NewUpdate(v, i, i)
 	}
-	if got := testing.AllocsPerRun(200, func() {
-		if !MultiValidate(ents...) {
-			t.Error("validation of unchanged Vars failed")
+	for _, n := range []int{8, stackLegs} {
+		if got := testing.AllocsPerRun(200, func() {
+			if !MultiValidate(ents[:n]...) {
+				t.Error("validation of unchanged Vars failed")
+			}
+		}); got != 0 {
+			t.Errorf("MultiValidate over %d entries: %v allocs, want 0", n, got)
 		}
-	}); got > 1 {
-		t.Errorf("MultiValidate over 8 entries: %v allocs, want at most 1", got)
 	}
 }

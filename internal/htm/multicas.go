@@ -1,13 +1,13 @@
 package htm
 
 import (
+	"cmp"
 	"runtime"
 	"slices"
-	"sort"
 	"sync/atomic"
 )
 
-// This file implements a lock-free multi-word CAS over Var cells — the
+// This file implements a lock-free multi-word CAS over Vars — the
 // internal/mcas algorithm (Harris-Fraser-Pratt style claims with helping)
 // lifted from raw 64-bit words to typed transactional Vars, and made
 // interoperable with the striped-orec STM. It is the publication primitive
@@ -15,35 +15,53 @@ import (
 // path is unavailable, a composed operation's validated read-set and staged
 // write-set are installed in one MultiCAS.
 //
-// Interoperation protocol with the STM (the part raw MCAS does not need):
+// A Var's value word never holds anything but its value, so the fast path
+// carries none of this: a MultiCAS claims a Var through the slot beside the
+// value (varHead.claim), which readers do not look at. The protocol, and how
+// it meets the STM's writers:
 //
-//   - Claim phase is fully lock-free: each entry's cell is CASed from
-//     {val: old} to {val: old, desc} in global Var-id order, helping any
-//     foreign descriptor encountered. A claimed cell still carries the old
-//     value, so readers never block on an undecided operation.
+//   - Claim phase, fully lock-free, in global Var-id order: put the
+//     descriptor in the Var's claim slot (a CAS from nil, or over a decided
+//     descriptor's stale claim; an undecided foreign one is helped first),
+//     THEN look at the value, inside a window of the Var's lock word like any
+//     direct read. Claim and look are two steps, so a claim vouches for
+//     nothing: every helper makes the look for itself on every leg, whoever
+//     placed the claim, and fails the descriptor if the value is not the
+//     leg's old value. A helper that has looked at every leg knows each held
+//     its old value at some moment after it was claimed.
+//   - A committing transaction or direct writer kills (undecided → failed)
+//     the descriptor it finds in the slot of a Var it writes, after it has
+//     set the Var's lock bit and before it stores the value. Lock bit then
+//     slot on one side, slot then lock word on the other: a helper whose
+//     look found the word unlocked had its claim seen by every writer that
+//     locked later, so a value cannot change under an undecided claim that
+//     somebody looked under — the writer kills it first — and a helper that
+//     finds the word locked waits for what the writer leaves. The writer
+//     holds the Var's stripe, which the descriptor's decision must also
+//     acquire, so the kill cannot race with the decision; the failed MCAS
+//     re-captures and retries. Every kill is paid for by a successful
+//     commit, so the system as a whole remains lock-free (the Theorem 2
+//     analogue for composition).
 //   - The decision (undecided → succeeded) happens while holding the
 //     stripes of every entry's Var, acquired in ascending stripe order —
 //     the same order committing transactions lock their write stripes, so
 //     the two can never deadlock (and committers abort rather than wait on
 //     a busy stripe anyway) — and with the lock bit of every write leg's
-//     Var set: a succeeded descriptor is readable as the new value the
-//     moment its status flips, so the bits come first. A successful
-//     decision then bumps the domain commit clock and stamps each write
-//     leg's Var with the new version, which unlocks it and aborts exactly
-//     the transactions that read a Var the MCAS writes; a decision that
-//     loses the status CAS clears the bits again. Validation-only legs
-//     (Old == New) are neither locked nor stamped: their values do not
-//     change, so overlapping readers have nothing to observe.
-//   - A committing transaction or direct writer that finds an *undecided*
-//     descriptor on a cell it writes kills it (undecided → failed): the
-//     writer holds that cell's stripe, which the descriptor's decision must
-//     also acquire, so the kill cannot race with a concurrent decision, and
-//     the failed MCAS simply re-captures and retries. Every kill is paid
-//     for by a successful commit, so the system as a whole remains
-//     lock-free (the Theorem 2 analogue for composition).
-//   - Readers (transactional or direct) that find a *succeeded* descriptor
-//     finish its release phase and re-read; undecided and failed descriptors
-//     are transparent (the cell's value is still the logical value).
+//     Var set: the operation has succeeded, for everyone who asks the
+//     descriptor, the moment its status flips, so from then until the values
+//     are in place no reader may get past those Vars. The winner of the
+//     status CAS moves the values itself, there and then — stores each write
+//     leg's new value word, draws a commit version, and stamps each write
+//     leg's Var, which unlocks it and aborts exactly the transactions that
+//     read a Var the MCAS writes; a decision that loses the status CAS clears
+//     the bits again. Validation-only legs (Old == New) are neither locked
+//     nor stamped: their values do not change, so overlapping readers have
+//     nothing to observe.
+//   - Release only empties the claim slots that still hold the descriptor.
+//     No value depends on it, readers never waited for it, and a claim it
+//     has not got to yet — or that a late helper puts back — is a decided
+//     descriptor's: transparent to pendingDesc, harmless to kill, overwritten
+//     by the next claimer.
 //
 // On real RTM none of this is needed — the fallback MCAS and hardware
 // transactions conflict through the cache-coherence protocol. The stripe
@@ -67,8 +85,8 @@ const (
 	claimMismatch
 )
 
-// MultiDesc is the descriptor for an in-flight MultiCAS. Cells claimed by the
-// operation point at it until the release phase returns them to plain values.
+// MultiDesc is the descriptor for an in-flight MultiCAS. Vars claimed by the
+// operation hold it in their claim slot until the release phase empties it.
 type MultiDesc struct {
 	status  atomic.Uint32
 	d       *Domain
@@ -78,14 +96,13 @@ type MultiDesc struct {
 // Entry is one leg of a MultiCAS: a typed Var, the value it must still hold,
 // and the value to install. Entries are created with NewUpdate; Old == New
 // makes the leg a pure validation (a DCSS read-guard generalized to N legs).
+// The protocol runs on the Var's untyped head; an Entry adds the two things
+// that need T: whether the Var holds the old value, and storing the new one.
 type Entry interface {
-	varID() uint64
-	writes() bool
-	dom() *Domain
 	head() *varHead
-	claim(m *MultiDesc) (claimResult, *MultiDesc)
-	release(m *MultiDesc, success bool)
+	writes() bool
 	holds() bool
+	move()
 }
 
 // Update is the concrete Entry for a Var[T]. The exported accessors exist for
@@ -113,57 +130,40 @@ func (u *Update[T]) SetNew(x T) { u.new = x }
 // IsWrite reports whether the leg changes the value.
 func (u *Update[T]) IsWrite() bool { return u.old != u.new }
 
-func (u *Update[T]) varID() uint64 { return u.v.id }
-func (u *Update[T]) writes() bool  { return u.old != u.new }
-func (u *Update[T]) dom() *Domain  { return u.v.d }
-
-// head is the leg's Var's versioned lock: a decision locks it, and the
-// winning one stamps it, for write legs only, while it holds the Var's
-// stripe; MultiValidate looks at it.
 func (u *Update[T]) head() *varHead { return &u.v.varHead }
+func (u *Update[T]) writes() bool   { return u.old != u.new }
 
-func (u *Update[T]) claim(m *MultiDesc) (claimResult, *MultiDesc) {
+// holds reports whether the leg's Var holds the leg's old value, by a direct
+// read: it waits out a writer in flight.
+func (u *Update[T]) holds() bool { return u.v.decode(u.v.read()) == u.old }
+
+// move stores the leg's new value. It is the decision's winner's, which
+// holds the Var's stripe and lock bit.
+func (u *Update[T]) move() { u.v.storeP(u.v.encode(u.new)) }
+
+// claim puts m in the claim slot of e's Var, unless an undecided foreign
+// descriptor is there (the caller helps it and comes again), and then — also
+// when m was there already — looks at the Var's value: each helper must see
+// for itself that the leg holds.
+func (m *MultiDesc) claim(e Entry) (claimResult, *MultiDesc) {
+	h := e.head()
 	for {
-		c := u.v.p.Load()
-		if c.desc == m {
-			return claimOK, nil
+		c := h.claim.Load()
+		if c == m {
+			break
 		}
-		if c.desc != nil {
-			return claimForeign, c.desc
+		if c != nil && c.status.Load() == mwUndecided {
+			return claimForeign, c
 		}
-		if c.val != u.old {
-			return claimMismatch, nil
-		}
-		if u.v.p.CompareAndSwap(c, &cell[T]{val: u.old, desc: m}) {
-			return claimOK, nil
+		if h.claim.CompareAndSwap(c, m) { // free, or a decided descriptor's leftover
+			break
 		}
 	}
-}
-
-func (u *Update[T]) release(m *MultiDesc, success bool) {
-	c := u.v.p.Load()
-	if c.desc != m {
-		return
+	perturb()
+	if !e.holds() {
+		return claimMismatch, nil
 	}
-	val := u.old
-	if success {
-		val = u.new
-	}
-	u.v.p.CompareAndSwap(c, &cell[T]{val: val})
-}
-
-// holds reports whether the Var currently contains the leg's old value,
-// resolving any completed MultiCAS first. It is only meaningful between two
-// equal looks at the Var's word (see MultiValidate).
-func (u *Update[T]) holds() bool {
-	for {
-		c := u.v.p.Load()
-		if c.desc != nil && c.desc.status.Load() == mwSucceeded {
-			c.desc.releaseAll()
-			continue
-		}
-		return c.val == u.old
-	}
+	return claimOK, nil
 }
 
 // MultiCAS atomically installs every entry's new value provided every entry
@@ -188,13 +188,13 @@ func MultiCASParked(park func(), entries ...Entry) bool {
 	if len(entries) == 0 {
 		return true
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].varID() < entries[j].varID() })
-	d := entries[0].dom()
+	slices.SortFunc(entries, func(a, b Entry) int { return cmp.Compare(a.head().id, b.head().id) })
+	d := entries[0].head().d
 	for i, e := range entries {
-		if e.dom() != d {
+		if e.head().d != d {
 			panic("htm: MultiCAS entries span domains")
 		}
-		if i > 0 && e.varID() == entries[i-1].varID() {
+		if i > 0 && e.head() == entries[i-1].head() {
 			panic("htm: duplicate Var in MultiCAS entry set")
 		}
 	}
@@ -218,8 +218,9 @@ func (m *MultiDesc) help() {
 	m.releaseAll()
 }
 
-// claimAll is the claim phase: claim each cell in Var-id order, helping
-// foreign descriptors met along the way; a value mismatch decides failure.
+// claimAll is the claim phase: claim and look at each Var in Var-id order,
+// helping foreign descriptors met along the way; a value mismatch decides
+// failure.
 func (m *MultiDesc) claimAll() {
 claim:
 	for _, e := range m.entries {
@@ -227,7 +228,7 @@ claim:
 			if m.status.Load() != mwUndecided {
 				break claim
 			}
-			res, foreign := e.claim(m)
+			res, foreign := m.claim(e)
 			switch res {
 			case claimOK:
 			case claimForeign:
@@ -248,20 +249,21 @@ claim:
 // Holding the stripes serializes the decision against writers that kill
 // undecided descriptors they collide with; exactly one caller wins the
 // status CAS under them. Every caller that gets that far has set the lock
-// bits of the write legs' Vars first — the flip itself makes the new values
-// readable, and the version is drawn after it; the winner then bumps the
-// commit clock and stamps those Vars, which unlocks them and aborts
-// precisely the transactions that read a Var it writes, and a loser — another
-// helper already decided, and if it succeeded already stamped, or a writer
-// killed the descriptor — takes its bits off again.
+// bits of the write legs' Vars first — whoever sees the status flipped may
+// report success and go on to read those Vars, and must wait there until the
+// values are in. The winner stores them, then draws the commit version and
+// stamps those Vars, which unlocks them and aborts precisely the
+// transactions that read a Var it writes; a loser — another helper already
+// decided, and if it succeeded already moved and stamped, or a writer killed
+// the descriptor — takes its bits off again.
 func (m *MultiDesc) decide() {
 	if m.status.Load() != mwUndecided {
 		return
 	}
-	d := m.d
 	// Merge the entries onto their stripes and lock them ascending.
-	t := d.table()
-	recs := decStripes(t, m.entries)
+	t := m.d.table()
+	var buf [stackLegs]stripeRec
+	recs := decStripes(t, m.entries, buf[:0])
 	for _, r := range recs {
 		t.stripes[r.idx].acquire(r.varID)
 	}
@@ -274,7 +276,14 @@ func (m *MultiDesc) decide() {
 	won := m.status.CompareAndSwap(mwUndecided, mwSucceeded)
 	var wv uint64
 	if won {
-		wv = d.clock.Add(1)
+		perturb()
+		for _, e := range m.entries {
+			if e.writes() {
+				e.move()
+			}
+		}
+		perturb()
+		wv = m.d.clock.Add(1)
 		perturb()
 	}
 	for _, e := range m.entries {
@@ -289,34 +298,40 @@ func (m *MultiDesc) decide() {
 	unlock(t, recs)
 }
 
-// decStripes returns one record per distinct stripe the entries hash to in
-// table t, sorted ascending; a stripe is held under a writing Var of it, if
-// it has one (the owner a commit that meets it classifies its abort by).
-func decStripes(t *stripeTable, entries []Entry) []stripeRec {
-	var out []stripeRec
+// stackLegs is how many legs' worth of scratch a decision and a
+// MultiValidate keep on their stacks; wider entry sets spill to the heap.
+const stackLegs = 16
+
+// decStripes appends to out one record per distinct stripe the entries hash
+// to in table t and returns them sorted ascending; a stripe is held under a
+// writing Var of it, if it has one (the owner a commit that meets it
+// classifies its abort by).
+func decStripes(t *stripeTable, entries []Entry, out []stripeRec) []stripeRec {
 merge:
 	for _, e := range entries {
-		idx := t.indexOf(e.varID())
+		id := e.head().id
+		idx := t.indexOf(id)
 		for i := range out {
 			if out[i].idx == idx {
 				if e.writes() {
-					out[i].varID = e.varID()
+					out[i].varID = id
 				}
 				continue merge
 			}
 		}
-		out = append(out, stripeRec{idx: idx, varID: e.varID()})
+		out = append(out, stripeRec{idx: idx, varID: id})
 	}
 	slices.SortFunc(out, byIdx)
 	return out
 }
 
-// releaseAll returns every claimed cell to a plain value: the new value if
-// the operation succeeded, the old value otherwise. Idempotent.
+// releaseAll empties the claim slots that still hold m. Idempotent; m is
+// decided.
 func (m *MultiDesc) releaseAll() {
-	success := m.status.Load() == mwSucceeded
 	for _, e := range m.entries {
-		e.release(m, success)
+		if h := e.head(); h.claim.Load() == m {
+			h.claim.CompareAndSwap(m, nil)
+		}
 	}
 }
 
@@ -331,15 +346,20 @@ func MultiValidate(entries ...Entry) bool {
 	if len(entries) == 0 {
 		return true
 	}
-	d := entries[0].dom()
-	snaps := make([]uint64, len(entries))
+	d := entries[0].head().d
+	var buf [stackLegs]uint64
+	snaps := buf[:]
+	if len(entries) > len(snaps) {
+		snaps = make([]uint64, len(entries))
+	}
 retry:
 	for {
 		for i, e := range entries {
-			if e.dom() != d {
+			h := e.head()
+			if h.d != d {
 				panic("htm: MultiValidate entries span domains")
 			}
-			w := e.head().ver.Load()
+			w := h.ver.Load()
 			if w&verLocked != 0 {
 				runtime.Gosched()
 				continue retry

@@ -66,7 +66,7 @@ func TestCommitKillsUndecidedDescriptor(t *testing.T) {
 	ua, ub := NewUpdate(a, 1, 10), NewUpdate(b, 2, 20)
 	m := &MultiDesc{d: d, entries: []Entry{ua, ub}}
 	for _, e := range m.entries {
-		if res, _ := e.claim(m); res != claimOK {
+		if res, _ := m.claim(e); res != claimOK {
 			t.Fatal("staging claim failed")
 		}
 	}
@@ -94,7 +94,7 @@ func TestDirectStoreKillsUndecidedDescriptor(t *testing.T) {
 	ua, ub := NewUpdate(a, 1, 10), NewUpdate(b, 2, 20)
 	m := &MultiDesc{d: d, entries: []Entry{ua, ub}}
 	for _, e := range m.entries {
-		if res, _ := e.claim(m); res != claimOK {
+		if res, _ := m.claim(e); res != claimOK {
 			t.Fatal("staging claim failed")
 		}
 	}
@@ -107,22 +107,117 @@ func TestDirectStoreKillsUndecidedDescriptor(t *testing.T) {
 	}
 }
 
-func TestLoadResolvesDecidedDescriptor(t *testing.T) {
+// spyEntry is a leg that reports to the test when the protocol asks it
+// whether it writes and when the protocol moves its value.
+type spyEntry struct {
+	*Update[int]
+	onWrites, onMove func()
+}
+
+func (s spyEntry) writes() bool { s.onWrites(); return s.Update.writes() }
+func (s spyEntry) move()        { s.onMove(); s.Update.move() }
+
+// TestDecisionMovesValues: the values move at the decision — by its winner,
+// after the status flips, under the lock bits and before the commit version
+// is drawn, so they are in place when the stamp unlocks the Vars — and the
+// release phase touches no value: it only empties the claim slots. The bits
+// are up before the flip: once the descriptor says succeeded, whoever
+// handles a write leg (the spy sees every such moment) finds its Var locked
+// until its own stamp, so a helper that reports the success cannot be
+// followed by a read of the old value.
+func TestDecisionMovesValues(t *testing.T) {
 	d := NewDomain(0, 0)
-	a, b := NewVar(d, 1), NewVar(d, 2)
-	ua, ub := NewUpdate(a, 1, 10), NewUpdate(b, 2, 20)
-	m := &MultiDesc{d: d, entries: []Entry{ua, ub}}
-	for _, e := range m.entries {
-		if res, _ := e.claim(m); res != claimOK {
-			t.Fatal("staging claim failed")
-		}
+	a, b, guard := NewVar(d, 1), NewVar(d, 2), NewVar(d, 3)
+	Store(nil, guard, 3) // a stamp to keep
+	clock := d.clock.Load()
+	m := &MultiDesc{d: d}
+	moves := 0
+	spy := func(u *Update[int]) Entry {
+		return spyEntry{u, func() {
+			if m.status.Load() == mwSucceeded && u.IsWrite() && u.v.ver.Load()&verLocked == 0 {
+				t.Errorf("Var %d: unlocked, unstamped, under a succeeded descriptor", u.v.id)
+			}
+		}, func() {
+			moves++
+			if m.status.Load() != mwSucceeded {
+				t.Error("a value moved before the status flipped")
+			}
+			if d.clock.Load() != clock {
+				t.Error("a value moved after the commit version was drawn")
+			}
+			for _, v := range []*Var[int]{a, b} {
+				if v.ver.Load() != verLocked {
+					t.Errorf("Var %d: word %#x while values move, want locked, unstamped", v.id, v.ver.Load())
+				}
+			}
+			if guard.ver.Load() != clock {
+				t.Error("a validation-only leg was locked")
+			}
+		}}
+	}
+	m.entries = []Entry{spy(NewUpdate(a, 1, 10)), spy(NewUpdate(b, 2, 20)), spy(NewUpdate(guard, 3, 3))}
+	m.claimAll()
+	if m.status.Load() != mwUndecided || Load(nil, a) != 1 || Load(nil, b) != 2 {
+		t.Fatal("claiming decided the descriptor or moved a value")
 	}
 	m.decide() // succeeded, but release phase not yet run
-	if got := Load(nil, a); got != 10 {
-		t.Fatalf("a = %d, want 10 (reader must resolve decided MCAS)", got)
+	if moves != 2 {
+		t.Fatalf("%d values moved, want the two write legs", moves)
 	}
-	if got := Load(nil, b); got != 20 {
-		t.Fatalf("b = %d, want 20", got)
+	if Load(nil, a) != 10 || Load(nil, b) != 20 || Load(nil, guard) != 3 {
+		t.Fatalf("after the decision: a=%d b=%d guard=%d, want 10, 20, 3", Load(nil, a), Load(nil, b), Load(nil, guard))
+	}
+	checkUnlocked(t, d, clock+1, a, b)
+	checkUnlocked(t, d, clock, guard)
+	pa, pb := a.loadP(), b.loadP()
+	for _, v := range []*Var[int]{a, b, guard} {
+		if v.claim.Load() != m {
+			t.Fatalf("Var %d: the decision touched the claim slot", v.id)
+		}
+	}
+	m.releaseAll()
+	for _, v := range []*Var[int]{a, b, guard} {
+		if v.claim.Load() != nil {
+			t.Errorf("Var %d: still claimed after release", v.id)
+		}
+	}
+	if a.loadP() != pa || b.loadP() != pb {
+		t.Error("release stored a value word")
+	}
+	checkUnlocked(t, d, clock+1, a, b)
+}
+
+// TestClaimWaitsOutAWriter: a writer that looked at the claim slot before a
+// claim was placed does not kill the descriptor, so the claimer's look must
+// not take the value from under the writer's lock bit — the old one, about to
+// be replaced. It waits, finds the new value and fails; a claimer that read
+// under the bit would go on to decide, and install over a value it never
+// compared.
+func TestClaimWaitsOutAWriter(t *testing.T) {
+	d := NewDomain(0, 0)
+	a := NewVar(d, 1)
+	// A direct Store of 2 by hand, stopped after its look at the empty slot.
+	s := a.lockVar()
+	a.lockVer()
+	a.kill()
+	m := &MultiDesc{d: d, entries: []Entry{NewUpdate(a, 1, 10)}}
+	done := make(chan struct{})
+	go func() { defer close(done); m.help() }()
+	for a.claim.Load() != m {
+		runtime.Gosched()
+	}
+	for i := 0; i < 100; i++ {
+		runtime.Gosched() // the claimer is at its look, or past it
+	}
+	a.storeP(a.encode(2))
+	a.ver.Store(d.clock.Add(1))
+	s.release()
+	<-done
+	if got := m.status.Load(); got != mwFailed {
+		t.Errorf("descriptor status = %d, want failed (%d)", got, mwFailed)
+	}
+	if got := Load(nil, a); got != 2 {
+		t.Errorf("a = %d, want the writer's 2", got)
 	}
 }
 

@@ -9,8 +9,9 @@ import (
 
 // perturb marks a phase boundary of a write protocol at which a reader can
 // be misled — Tx.commit's stripe locks / lock bits / clock bump / validate /
-// install+stamp, a MultiCAS's claim / lock bits / status flip / stamp, a
-// direct writer between its value and its stamp. Under the perturb build tag
+// kill+store+stamp, a MultiCAS's claim placed / value look, its lock bits /
+// status flip / values moved / clock bump / stamp, a direct writer between its
+// value and its stamp. Under the perturb build tag
 // one crossing in sixteen, at random, yields the processor, so a single-CPU
 // host explores the interleavings a preemption there would produce (every
 // crossing would starve the writers behind busy-waiting readers: a yield can

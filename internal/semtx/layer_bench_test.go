@@ -48,15 +48,15 @@ func BenchmarkRun4Op(b *testing.B) {
 }
 
 // TestAllocsRun4Op bounds what the four-op transaction allocates: semtx's
-// own items and staging, the enqueued node and the published cells (27
-// today). The bound is loose on purpose — what it catches is the layers
-// beneath going back to allocating per attempt (59 before their Tx and Ctx
+// own items and staging, the enqueued node and the boxes of the values it
+// publishes that are not pointers — 24, which is what it reads today (27
+// while every published value had a box, 59 before the Tx and Ctx beneath
 // were pooled).
 func TestAllocsRun4Op(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation pins are meaningless under the race detector")
 	}
-	if got := testing.AllocsPerRun(200, run4Op(benchEnv())); got > 32 {
-		t.Errorf("four-op open transaction: %v allocs, want at most 32", got)
+	if got := testing.AllocsPerRun(200, run4Op(benchEnv())); got > 24 {
+		t.Errorf("four-op open transaction: %v allocs, want at most 24", got)
 	}
 }

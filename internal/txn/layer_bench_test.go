@@ -150,6 +150,28 @@ func BenchmarkMoveAll16Contended(b *testing.B) {
 	b.ReportMetric(float64(freg.Snapshot().Composed[0].FallbackCommits)/float64(b.N), "flipfallbacks/op")
 }
 
+// TestAllocsAtomic1Op pins a composed one-op update, an insert and a remove
+// in turn. On the prefix path all 3 allocations per op are the hash table's,
+// which builds its bucket anew; publishing the link to it costs nothing, the
+// link is its Var's value word (4 while every published value had a box).
+// On the forced fallback, 8 (17 while every claim and every release made a
+// box too).
+func TestAllocsAtomic1Op(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation pins are meaningless under the race detector")
+	}
+	for _, c := range []struct {
+		name     string
+		fallback bool
+		want     float64
+	}{{"prefix path", false, 3}, {"MultiCAS fallback", true, 8}} {
+		m, hot, _ := benchSets(c.fallback)
+		if got := testing.AllocsPerRun(200, flip(m, hot, 701)); got > c.want {
+			t.Errorf("composed one-op Atomic, %s: %v allocs, want at most %v", c.name, got, c.want)
+		}
+	}
+}
+
 // TestAllocsComposedReadOnly pins the prefix path's bookkeeping at zero: a
 // composed lookup that commits read-only takes its Ctx and its Tx from
 // their pools and publishes nothing.
