@@ -309,6 +309,57 @@ func TestWriteSkew(t *testing.T) {
 	}
 }
 
+// TestWriteSkewAgainstGuardedMultiCAS is the write skew with a MultiCAS for
+// one side: T reads y and, finding 0, writes x = 1; M installs y = 1 guarded
+// by a validation-only leg on x still being 0, retried while it is. A serial
+// order sets exactly one of x and y. What keeps the pair apart is that M's
+// decision and T's commit exclude each other on x, which M does not write: a
+// decision that flips between T's validation and T's kill of the claim on x,
+// and moves y while T stores x, sets both. A third goroutine's direct Stores
+// elsewhere keep drawing versions, so T's commits validate instead of taking
+// the wv == rv+1 shortcut; the build tag perturb yields between the phases,
+// which is what lines decision and commit up on one CPU.
+func TestWriteSkewAgainstGuardedMultiCAS(t *testing.T) {
+	d := NewDomain(0, 0)
+	x, y, far := NewVar(d, 0), NewVar(d, 0), NewVar(d, 0)
+	var stop atomic.Bool
+	var bg sync.WaitGroup
+	bg.Add(1)
+	go func() {
+		defer bg.Done()
+		for i := 0; !stop.Load(); i++ {
+			Store(nil, far, i)
+			runtime.Gosched()
+		}
+	}()
+	defer bg.Wait()
+	defer stop.Store(true)
+	for round := 0; round < 20000; round++ {
+		Store(nil, x, 0)
+		Store(nil, y, 0)
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for d.Atomically(func(tx *Tx) {
+				if Load(tx, y) == 0 {
+					Store(tx, x, 1)
+				}
+			}) != Committed {
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for Load(nil, x) == 0 && !MultiCAS(NewUpdate(x, 0, 0), NewUpdate(y, 0, 1)) {
+			}
+		}()
+		wg.Wait()
+		if gx, gy := Load(nil, x), Load(nil, y); gx+gy != 1 {
+			t.Fatalf("round %d: x=%d y=%d: the commit that read y=0 and the MultiCAS guarded by x=0 both took effect, or neither", round, gx, gy)
+		}
+	}
+}
+
 // TestOneStripeOpacity hammers a domain with a single stripe — every Var
 // aliases every other — with transfers between a and b by transaction and by
 // MultiCAS, plus direct writes to unrelated Vars. A transaction body that has
