@@ -36,7 +36,7 @@
 // occupied-fallback adversary, with deterministic modeled arms and
 // wall-clock arms. A11 is the self-tuning controller (internal/tune) vs
 // static batch-k corners under a phase-changing adversary
-// (alias-heavy → capacity-heavy → calm), wall clock. A12 is the hardware
+// (capacity-heavy → calm), wall clock. A12 is the hardware
 // frontier: BoundedSet set-size budgets × composed-footprint shapes vs
 // the RTM-like baseline, with and without NBTC, deterministic.
 //

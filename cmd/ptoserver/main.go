@@ -1,7 +1,7 @@
 // Command ptoserver serves the transactional composition layer over HTTP:
 // a sharded key-value + priority-scheduling service where every operation
 // is one composed PTO transaction (internal/server). Each shard owns its
-// own htm domain (own ownership-record stripe table), its own txn.Manager
+// own htm domain (own commit clock), its own txn.Manager
 // and speculation policy, and its own epoch batcher that coalesces
 // single-key writes into one publication per epoch (Silo-style group
 // commit). An admission layer sheds mutating load with 429 when a shard's
@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	ptoserver [-addr :8350] [-shards 4] [-stripes 256]
+//	ptoserver [-addr :8350] [-shards 4]
 //	          [-policy fixed|adaptive] [-attempts 4]
 //	          [-readcap N] [-writecap N]
 //	          [-epoch 500us] [-maxbatch 64]
@@ -54,7 +54,6 @@ import (
 var (
 	addr        = flag.String("addr", ":8350", "serve the op API on this address")
 	shards      = flag.Int("shards", server.DefaultShards, "shard count (each shard owns its own htm domain)")
-	stripes     = flag.Int("stripes", 0, "ownership-record stripes per shard domain, fixed at start: a power of two (0 = htm default, 256)")
 	policyName  = flag.String("policy", "fixed", "speculation policy: fixed or adaptive")
 	attempts    = flag.Int("attempts", 0, "composed fast-path attempt budget (0 = default)")
 	readCap     = flag.Int("readcap", 0, "transactional read capacity (0 = default, negative = force fallback)")
@@ -80,14 +79,10 @@ func main() {
 	default:
 		log.Fatalf("unknown -policy %q (want fixed or adaptive)", *policyName)
 	}
-	if n := *stripes; n < 0 || n&(n-1) != 0 {
-		log.Fatalf("-stripes %d: want a power of two, or 0 for the default", n)
-	}
 
 	reg := telemetry.NewRegistry()
 	srv := server.New(server.Config{
 		Shards:           *shards,
-		Stripes:          *stripes,
 		Policy:           pol,
 		Attempts:         *attempts,
 		ReadCap:          *readCap,

@@ -596,13 +596,13 @@ func buildPolicy() (speculate.Policy, bool) {
 
 // printMetricsTable renders the per-site telemetry in a fixed-width table.
 func printMetricsTable(snap telemetry.Snapshot) {
-	fmt.Fprintf(out, "\n  %-22s %10s %10s %7s %9s %9s %9s %9s %9s %8s %8s\n",
+	fmt.Fprintf(out, "\n  %-22s %10s %10s %7s %9s %9s %9s %9s %8s %8s\n",
 		"site", "attempts", "commits", "ratio",
-		"conflict", "false", "capacity", "explicit", "fallback", "disables", "skipped")
+		"conflict", "capacity", "explicit", "fallback", "disables", "skipped")
 	for _, s := range snap.Sites {
-		fmt.Fprintf(out, "  %-22s %10d %10d %7.3f %9d %9d %9d %9d %9d %8d %8d\n",
+		fmt.Fprintf(out, "  %-22s %10d %10d %7.3f %9d %9d %9d %9d %8d %8d\n",
 			s.Name, s.Attempts, s.Commits, s.CommitRatio(),
-			s.Conflicts, s.FalseConflicts, s.Capacity, s.Explicit,
+			s.Conflicts, s.Capacity, s.Explicit,
 			s.Fallbacks, s.Disables, s.Skipped)
 	}
 	if len(snap.Composed) > 0 {

@@ -16,31 +16,23 @@ import (
 )
 
 // Ablation A11: the self-tuning controller (internal/tune) against a
-// phase-changing adversary. One run visits three regimes in sequence on the
-// same domain and structures:
+// phase-changing adversary. One run visits two regimes in sequence on the
+// same domain and structures, batched MoveAll chunks over per-thread
+// disjoint key lanes in both:
 //
-//   - alias-heavy: single-key Moves across a wide key range on a bucket-rich
-//     hash-table pair, so the working set is ~2k distinct Vars on the
-//     domain's 256 stripes: writers to unrelated buckets meet each other's
-//     held stripes. Batch width plays no part; the phase is the same
-//     workload for every arm.
+//   - capacity-heavy: the domain's write capacity drops to a11WriteCap. A
+//     chunk wider than the capacity allows aborts deterministically on
+//     footprint overflow and pays the slow MultiCAS fallback for the whole
+//     batch; a chunk that fits commits on the fast path. No key is shared
+//     between threads, so capacity is the only failure mode.
 //
-//   - capacity-heavy: the domain's write capacity drops to a11WriteCap and
-//     the workload switches to batched MoveAll chunks over per-thread
-//     disjoint key lanes. A chunk wider than the capacity allows aborts
-//     deterministically on footprint overflow and pays the slow MultiCAS
-//     fallback for the whole batch; a chunk that fits commits on the fast
-//     path. No key is shared between threads, so capacity is the only
-//     failure mode.
+//   - calm: full capacity restored. Now wide batches are strictly better —
+//     one composed publication amortizes its begin/validate/commit overhead
+//     over 16 keys instead of 2.
 //
-//   - calm: full capacity restored, same lane workload. Now wide batches
-//     are strictly better — one composed publication amortizes its
-//     begin/validate/commit overhead over 16 keys instead of 2.
-//
-// Every arm runs on one default stripe table; the static arms pin the batch
-// width k to one corner each — "lean" is right for the capacity phase and
-// wrong for the calm one, "wide" is the reverse — so neither can win
-// everywhere. The adaptive arm starts from a middling batch width and lets
+// The static arms pin the batch width k to one corner each — "lean" is right
+// for the capacity phase and wrong for the calm one, "wide" is the reverse —
+// so neither can win everywhere. The adaptive arm starts from a middling batch width and lets
 // the controller steer: law B's AIMD walks k down when capacity aborts
 // appear and back up through the calm phase, law C trims the fast budget
 // while commits collapse. The claim (the adaptive_ok bit): the controller
@@ -55,12 +47,8 @@ import (
 // series names.
 const (
 	a11Threads = 4
-	// a11WideKeys is the alias phase's key range (on ~2*a11Buckets distinct
-	// bucket words across the two tables).
-	a11WideKeys = 1024
-	a11Buckets  = 512
-	// a11LaneKeys is each thread's private lane length for the batched
-	// phases.
+	a11Buckets = 512
+	// a11LaneKeys is each thread's private lane length.
 	a11LaneKeys = 64
 	// a11WriteCap is the capacity phase's write-footprint ceiling: a
 	// hash-table move costs two bucket-word writes per key, so the wide
@@ -113,11 +101,10 @@ func (b *batchKnob) SetBatchK(n int) int {
 	return n
 }
 
-// SelfTuneArm is one arm's measured row: work-units per millisecond for
-// each phase (alias counts completed Moves, the batched phases count moved
-// keys; each row is the median of three sub-windows) and the aggregate —
-// the mean of the phase rates, i.e. the whole-run rate under the equal
-// phase windows the schedule uses.
+// SelfTuneArm is one arm's measured row: moved keys per millisecond for each
+// phase (the median of three sub-windows) and the aggregate — the mean of
+// the phase rates, i.e. the whole-run rate under the equal phase windows the
+// schedule uses.
 type SelfTuneArm struct {
 	Name      string
 	PhaseTput []float64
@@ -146,7 +133,7 @@ func AblationSelfTune(scale float64) Figure {
 	f := Figure{
 		ID:     "Ablation A11",
 		Title:  "Self-tuning controller vs static corners under a phase-changing adversary (wall clock)",
-		XLabel: "phase (1=alias-heavy 2=capacity-heavy 3=calm)",
+		XLabel: "phase (1=capacity-heavy 2=calm)",
 		YLabel: "work/ms",
 	}
 	arms := append(append([]SelfTuneArm{}, r.Static...), r.Adaptive)
@@ -202,7 +189,7 @@ type a11Lane struct {
 }
 
 // runSelfTuneArm measures one arm: fresh domain, tables, and (for the
-// adaptive arm) a running controller; the same three-phase schedule for
+// adaptive arm) a running controller; the same two-phase schedule for
 // everyone. Returns the arm row and the final controller snapshot (zero for
 // static arms).
 func runSelfTuneArm(name string, batch int, adaptive bool, scale float64) (SelfTuneArm, tune.Snapshot) {
@@ -211,16 +198,7 @@ func runSelfTuneArm(name string, batch int, adaptive bool, scale float64) (SelfT
 	m := txn.NewIn(d, 0).WithPolicy(realPolicy().WithMetrics(reg)).WithMiddle(0, 0)
 	src := hashtable.NewPTOTableIn(d, a11Buckets, 0)
 	dst := hashtable.NewPTOTableIn(d, a11Buckets, 0)
-	// Alias-phase keys alternate sides so roughly half the random Moves
-	// find their key; lane keys (disjoint, above the wide range) all start
-	// on src.
-	for k := int64(1); k <= a11WideKeys; k++ {
-		t, kk := src, k
-		if k&1 == 0 {
-			t = dst
-		}
-		m.Atomic(func(c *txn.Ctx) { t.TxInsert(c, kk) })
-	}
+	// Lane keys all start on src.
 	lanes := make([]a11Lane, a11Threads)
 	for g := 0; g < a11Threads; g++ {
 		for i := 0; i < a11LaneKeys; i++ {
@@ -249,12 +227,8 @@ func runSelfTuneArm(name string, batch int, adaptive bool, scale float64) (SelfT
 		window = a11PhaseFloor
 	}
 	arm := SelfTuneArm{Name: name}
-	for phase := 0; phase < 3; phase++ {
-		if phase == 1 {
-			d.SetCapacity(0, a11WriteCap)
-		} else {
-			d.SetCapacity(0, 0)
-		}
+	for _, writeCap := range []int{a11WriteCap, 0} {
+		d.SetCapacity(0, writeCap)
 		// The COW tables allocate on every move, so the collector runs
 		// throughout; flush it at the phase boundary and take the median of
 		// three sub-windows so one badly-sampled pause cannot swing an
@@ -262,12 +236,12 @@ func runSelfTuneArm(name string, batch int, adaptive bool, scale float64) (SelfT
 		runtime.GC()
 		var rates []float64
 		for rep := 0; rep < 3; rep++ {
-			work, ms := runA11Phase(phase, window/3, m, src, dst, knob, lanes)
+			work, ms := runA11Phase(window/3, m, src, dst, knob, lanes)
 			rates = append(rates, work/ms)
 		}
 		sort.Float64s(rates)
 		arm.PhaseTput = append(arm.PhaseTput, rates[1])
-		arm.Aggregate += rates[1] / 3
+		arm.Aggregate += rates[1] / 2
 	}
 	var snap tune.Snapshot
 	if ctrl != nil {
@@ -278,18 +252,15 @@ func runSelfTuneArm(name string, batch int, adaptive bool, scale float64) (SelfT
 }
 
 func a11LaneKey(g, i int) int64 {
-	return int64(a11WideKeys + g*a11LaneKeys + i + 1)
+	return int64(g*a11LaneKeys + i + 1)
 }
 
-// runA11Phase runs one phase's workload for the window and returns (work
-// units, elapsed ms). Phase 0 is the alias adversary: random single-key
-// Moves across the wide range, one work unit per completed Move op (found
-// or not — a miss still pays the composed read-only commit). Phases 1 and 2
-// are the batched lane workload: each thread bounces its private lane
-// between the tables in chunks of the knob's current width, one work unit
-// per moved key. Every worker yields once per op so conflict windows
-// actually interleave on small hosts (same harness choice as A10).
-func runA11Phase(phase int, window time.Duration, m *txn.Manager,
+// runA11Phase runs the lane workload for the window and returns (moved keys,
+// elapsed ms): each thread bounces its private lane between the tables in
+// chunks of the knob's current width. Every worker yields once per op so
+// the threads actually interleave on small hosts (same harness choice as
+// A10).
+func runA11Phase(window time.Duration, m *txn.Manager,
 	src, dst *hashtable.PTOTable, knob *batchKnob, lanes []a11Lane) (float64, float64) {
 	var stop atomic.Bool
 	var total atomic.Int64
@@ -300,40 +271,26 @@ func runA11Phase(phase int, window time.Duration, m *txn.Manager,
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			rnd := uint64(g)*0x9E3779B97F4A7C15 + 1
 			chunk := make([]int64, 0, a11WideBatch)
 			ready.Done()
 			start.Wait()
 			n := int64(0)
 			for !stop.Load() {
-				rnd ^= rnd << 13
-				rnd ^= rnd >> 7
-				rnd ^= rnd << 17
-				if phase == 0 {
-					k := int64(rnd%a11WideKeys) + 1
-					if rnd&(1<<40) != 0 {
-						txn.Move(m, src, dst, k)
-					} else {
-						txn.Move(m, dst, src, k)
-					}
-					n++
-				} else {
-					ln := &lanes[g]
-					k := knob.BatchK()
-					chunk = chunk[:0]
-					for i := 0; i < k && ln.pos+i < a11LaneKeys; i++ {
-						chunk = append(chunk, a11LaneKey(g, ln.pos+i))
-					}
-					from, to := src, dst
-					if ln.onDst {
-						from, to = dst, src
-					}
-					n += int64(txn.MoveAll(m, from, to, chunk...))
-					ln.pos += len(chunk)
-					if ln.pos >= a11LaneKeys {
-						ln.pos = 0
-						ln.onDst = !ln.onDst
-					}
+				ln := &lanes[g]
+				k := knob.BatchK()
+				chunk = chunk[:0]
+				for i := 0; i < k && ln.pos+i < a11LaneKeys; i++ {
+					chunk = append(chunk, a11LaneKey(g, ln.pos+i))
+				}
+				from, to := src, dst
+				if ln.onDst {
+					from, to = dst, src
+				}
+				n += int64(txn.MoveAll(m, from, to, chunk...))
+				ln.pos += len(chunk)
+				if ln.pos >= a11LaneKeys {
+					ln.pos = 0
+					ln.onDst = !ln.onDst
 				}
 				runtime.Gosched()
 			}

@@ -12,11 +12,11 @@ import (
 	"repro/internal/txn"
 )
 
-// Ablation A9: what the semantic layer buys over word-level (stripe)
-// validation alone, on the workload built to punish the latter — a
+// Ablation A9: what the semantic layer buys over word-level validation
+// alone, on the workload built to punish the latter — a
 // 4-bucket hash table under a 64-key churn, so nearly every pair of
 // concurrent operations collides on a bucket word while almost none
-// collide on a key. The stripe-only arm runs each k-op body as one
+// collide on a key. The word-level arm runs each k-op body as one
 // composed atomic operation: any concurrent same-bucket insert dirties a
 // word in its footprint and aborts the whole body, though semantically
 // nothing the body observed changed. The semantic arm runs the same bodies
@@ -26,7 +26,7 @@ import (
 
 // a9Body is the shared transaction shape: reads + mutations per body, and
 // the modeled computation between ops (a9Work xorshift rounds each). The
-// work is what separates the arms: the stripe arm must hold its
+// work is what separates the arms: the word-level arm must hold its
 // speculative window open across all of it, so concurrent bucket writes
 // land inside the window and abort it; the semantic arm's probes and
 // commit are each brief, and the work runs outside any window.
@@ -62,7 +62,7 @@ func a9Spin(seed uint64) uint64 {
 func measureA9(threads, txnsPer int, semantic bool) (tput, wordAborts, semRetries float64) {
 	reg := telemetry.NewRegistry()
 	pol := realPolicy().WithMetrics(reg)
-	siteName := "a9/stripe"
+	siteName := "a9/word"
 	if semantic {
 		siteName = "a9/semantic"
 	}
@@ -152,10 +152,10 @@ func measureA9(threads, txnsPer int, semantic bool) (tput, wordAborts, semRetrie
 	return
 }
 
-// AblationSemantic is A9: semantic vs stripe-only validation under the
+// AblationSemantic is A9: semantic vs word-level validation under the
 // bucket-collision-heavy workload, reporting throughput (txns/ms) and —
 // in the rate series, where the Y value is events per 1000 transactions —
-// how often each arm paid an abort. The stripe arm's word-level aborts are
+// how often each arm paid an abort. The word-level arm's aborts are
 // almost entirely semantic false positives here (different keys, same
 // bucket); the semantic arm's sem-retry series counts the only aborts that
 // survive the predicate check, and its word-abort series shrinks with the
@@ -167,14 +167,14 @@ func AblationSemantic(scale float64) Figure {
 	}
 	f := Figure{
 		ID:     "Ablation A9",
-		Title:  "Semantic vs stripe-only validation, 4-bucket hash table (wall clock; rates per 1k txns)",
+		Title:  "Semantic vs word-level validation, 4-bucket hash table (wall clock; rates per 1k txns)",
 		YLabel: "txns/ms | events/1k",
 	}
 	sem := Series{Name: "Semantic open txns (txns/ms)"}
-	str := Series{Name: "Stripe-only composed (txns/ms)"}
+	str := Series{Name: "Word-level composed (txns/ms)"}
 	semAborts := Series{Name: "Semantic word-aborts /1k txns"}
 	semRetr := Series{Name: "Semantic sem-retries /1k txns"}
-	strAborts := Series{Name: "Stripe word-aborts /1k txns"}
+	strAborts := Series{Name: "Word-level word-aborts /1k txns"}
 	for _, threads := range []int{2, 4, 8} {
 		st, sa, sr := measureA9(threads, txnsPer, true)
 		tt, ta, _ := measureA9(threads, txnsPer, false)

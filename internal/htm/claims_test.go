@@ -72,7 +72,7 @@ func TestHelperChecksAClaimItDidNotPlace(t *testing.T) {
 	if a.claim.Load() != nil || b.claim.Load() != nil {
 		t.Error("the helper left the failed descriptor's claims behind")
 	}
-	checkUnlocked(t, d, 0, a, b)
+	checkUnlocked(t, 0, a, b)
 }
 
 // TestStaleClaimIsTransparent: a decided descriptor's claim — left by a
@@ -98,7 +98,7 @@ func TestStaleClaimIsTransparent(t *testing.T) {
 			if !MultiValidate(NewUpdate(a, 1, 1)) {
 				t.Error("MultiValidate through a stale claim failed")
 			}
-			if st, _ := d.AtomicallyDeferring(func(tx *Tx) { Store(tx, a, 2) }); st != Committed {
+			if st := d.AtomicallyDeferring(func(tx *Tx) { Store(tx, a, 2) }); st != Committed {
 				t.Errorf("a deferring writer met a stale claim: %v, want committed", st)
 			}
 			Store(nil, a, 3)
@@ -118,10 +118,10 @@ func TestStaleClaimIsTransparent(t *testing.T) {
 	}
 }
 
-// TestTransactionsDoNotSpanDomains: a Var bound to another domain is locked
-// through that domain's stripes and stamped from that domain's clock, so a
-// transaction that logged it would exclude none of its writers and stamp it
-// with a version its own readers cannot judge. Reading or writing one
+// TestTransactionsDoNotSpanDomains: a Var bound to another domain is stamped
+// from that domain's clock, so a transaction that logged it would judge it by
+// the wrong snapshot and stamp it with a version its own readers cannot
+// judge. Reading or writing one
 // panics, as MultiCAS and MultiValidate do, and leaves both domains as they
 // were.
 func TestTransactionsDoNotSpanDomains(t *testing.T) {

@@ -35,7 +35,7 @@ func TestMiddleHelpsParkedDescriptor(t *testing.T) {
 	z := NewVar(d, 1)
 	m := park(t, d, NewUpdate(x, 5, 6), NewUpdate(z, 1, 2))
 
-	st, _, helped := d.AtomicallyHelping(4, func(tx *Tx) {
+	st, helped := d.AtomicallyHelping(4, func(tx *Tx) {
 		Store(tx, x, 7)
 	})
 	if st != Committed {
@@ -66,7 +66,7 @@ func TestFastKillsParkedDescriptor(t *testing.T) {
 	z := NewVar(d, 1)
 	m := park(t, d, NewUpdate(x, 5, 6), NewUpdate(z, 1, 2))
 
-	st, _ := d.AtomicallyClassified(func(tx *Tx) {
+	st := d.Atomically(func(tx *Tx) {
 		Store(tx, x, 7)
 	})
 	if st != Committed {
@@ -94,7 +94,7 @@ func TestHelpBudgetExhaustionAborts(t *testing.T) {
 	m1 := park(t, d, NewUpdate(x, 10, 11))
 	m2 := park(t, d, NewUpdate(y, 20, 21))
 
-	st, _, helped := d.AtomicallyHelping(1, func(tx *Tx) {
+	st, helped := d.AtomicallyHelping(1, func(tx *Tx) {
 		Store(tx, x, 30)
 		Store(tx, y, 40)
 	})
@@ -133,7 +133,7 @@ func TestDeferringAbortsWithoutKill(t *testing.T) {
 	z := NewVar(d, 1)
 	m := park(t, d, NewUpdate(x, 5, 6), NewUpdate(z, 1, 2))
 
-	st, _ := d.AtomicallyDeferring(func(tx *Tx) {
+	st := d.AtomicallyDeferring(func(tx *Tx) {
 		Store(tx, x, 7)
 	})
 	if st != AbortExplicit {
@@ -147,7 +147,7 @@ func TestDeferringAbortsWithoutKill(t *testing.T) {
 	}
 	// The deferred-to middle tier can still complete the parked operation:
 	// the descriptor survived intact.
-	st2, _, helped := d.AtomicallyHelping(1, func(tx *Tx) {
+	st2, helped := d.AtomicallyHelping(1, func(tx *Tx) {
 		Store(tx, x, 9)
 	})
 	if st2 != Committed || helped != 1 {
@@ -175,12 +175,12 @@ func TestHelpingStressDeterministic(t *testing.T) {
 		// The parked operation moves a+1 into a and b+1 into b; the
 		// transaction blind-writes a (overlapping the descriptor, so the
 		// commit's helping pass fires) and independently bumps c. The write
-		// to a must be blind: reading a would put its stripe — which the
-		// help bumps — in the read set and correctly conflict-abort the
-		// helper's own attempt.
+		// to a must be blind: reading a would put it — which the help stamps
+		// — in the read set and correctly conflict-abort the helper's own
+		// attempt.
 		m := park(t, d, NewUpdate(a, av, av+1), NewUpdate(b, bv, bv+1))
 		want := (i + 1) * 10
-		st, _, helped := d.AtomicallyHelping(2, func(tx *Tx) {
+		st, helped := d.AtomicallyHelping(2, func(tx *Tx) {
 			Store(tx, a, want)
 			Store(tx, c, Load(tx, c)+1)
 		})

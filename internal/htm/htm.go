@@ -13,52 +13,46 @@
 //     transactional or not, observes a partial commit.
 //
 // Internally this is a single-version, lazy-versioning STM in the TL2
-// style: a global commit clock per Domain, one versioned lock word on every
-// Var — the clock value of the last write to that Var, with a top bit a
-// writer sets while its write is in flight — and a fixed array of striped
-// writer mutexes hashed by Var identity, each padded to its own cache line.
-// A Var holds its value: the word next to the versioned lock is the value
-// itself when T is a pointer type — every link of every structure here — and
-// otherwise points at an immutable box of T. Only a writer that holds the
-// Var's stripe and its lock bit stores that word, so whenever the lock word
-// is unlocked the value word is the logical value, and that is all a reader
-// knows: a transaction snapshots the commit clock at begin; every
-// transactional read looks at the Var's word, takes the value, and looks at
-// the word again: unlocked, unchanged and no newer than the snapshot, or the
-// read waits (for the Var's own writer, boundedly) or aborts. A read touches
-// its Var and nothing else — no box for a pointer, no descriptor ever: a
-// MultiCAS claims a Var through a slot of its own (multicas.go), which only
-// writers and other MultiCASes look at. Transactional writes are
-// buffered and applied at commit while holding the written Vars' stripes,
-// acquired in ascending stripe order so commits stay deadlock-free, and with
-// every written Var's lock bit set before the commit draws its version and
-// before any value moves; commit re-checks every word the attempt read.
-// Non-transactional writes take their Var's stripe and its lock bit, and
+// style: a global commit clock per Domain and one versioned lock word on
+// every Var — the clock value of the last write to that Var, with a top bit
+// a writer sets, by compare-and-swap, while its write is in flight. That bit
+// is the only lock there is: a writer locks the Var it writes and nothing
+// else. A Var holds its value: the word next to the versioned lock is the
+// value itself when T is a pointer type — every link of every structure here
+// — and otherwise points at an immutable box of T. Only the holder of the
+// Var's lock bit stores that word, so whenever the lock word is unlocked the
+// value word is the logical value, and that is all a reader knows: a
+// transaction snapshots the commit clock at begin; every transactional read
+// looks at the Var's word, takes the value, and looks at the word again:
+// unlocked, unchanged and no newer than the snapshot, or the read waits (for
+// the Var's writer, boundedly) or aborts. A read touches its Var and nothing
+// else — no box for a pointer, no descriptor ever: a MultiCAS claims a Var
+// through a slot of its own (multicas.go), which only writers and other
+// MultiCASes look at. Transactional writes are buffered and applied at
+// commit: the commit takes the lock bit of every written Var, in ascending
+// Var-id order and aborting — never waiting — on one that is taken, before it
+// draws its version and before any value moves, re-checks every word the
+// attempt read, and stamps each written Var with the version, which unlocks
+// it. Non-transactional writes wait for their Var's bit, and
 // non-transactional reads use the same per-Var window, so no code path can
-// observe a half-applied commit. Conflicts are detected per location, which
-// is what lets disjoint-footprint operations — different hash buckets,
-// distant skiplist keys, separate BST subtrees — commit concurrently, the
-// way they do under real per-cache-line HTM conflict detection.
+// observe a half-applied commit.
 //
-// The Var's word is stamp and lock; a stripe is a writer mutex. Two Vars
-// that hash to the same stripe exclude each other's writers while one is in
-// flight, and a commit whose lock phase meets a stripe held on behalf of a
-// Var the attempt never touched aborts on a stripe alias (a false conflict)
-// — the only one left: readers never look at a stripe, so a write to an
-// aliased Var, in flight or completed, aborts no reader. Only a word that is
-// locked, or newer than the snapshot, on a Var the transaction actually read
-// is a conflict, which is the rule PTO's prefix transactions are designed
-// around (§2, §4.6). The engine classifies each conflict abort as true or
-// alias, so telemetry can report the false-conflict rate; see
-// AtomicallyClassified.
+// Conflicts are detected per location and only there: a transaction aborts
+// when a Var it read or writes is locked by another writer, or a Var it read
+// carries a stamp newer than its snapshot — the rule PTO's prefix
+// transactions are designed around (§2, §4.6). Two writers of different Vars
+// never meet, which is what lets disjoint-footprint operations — different
+// hash buckets, distant skiplist keys, separate BST subtrees — commit
+// concurrently, the way they do under real per-cache-line HTM conflict
+// detection.
 //
 // The one property of real HTM this emulation cannot preserve is progress of
-// the combined system: the commit path holds stripes and lock bits, so a
-// preempted committer can delay others, whereas real RTM commits in a bounded
-// number of hardware steps. The deterministic machine simulator in
-// internal/sim models true requester-wins HTM and carries the paper's
-// progress and performance claims; this package carries correctness of the
-// PTO code structure under real Go concurrency.
+// the combined system: the commit path holds lock bits, so a preempted
+// committer can delay readers and writers of the Vars it writes, whereas real
+// RTM commits in a bounded number of hardware steps. The deterministic machine
+// simulator in internal/sim models true requester-wins HTM and carries the
+// paper's progress and performance claims; this package carries correctness
+// of the PTO code structure under real Go concurrency.
 package htm
 
 import (
@@ -111,70 +105,14 @@ func (s Status) String() string {
 }
 
 // Stats counts transaction outcomes for a Domain. All fields are cumulative.
-// FalseConflicts is the subset of Conflicts the engine attributed to stripe
-// aliasing rather than a true data conflict (see AtomicallyClassified).
 type Stats struct {
-	Commits        uint64
-	Conflicts      uint64
+	Commits   uint64
+	Conflicts uint64
+	// FalseConflicts is always 0: every conflict is a Var's own.
+	// Kept only because benchmark/run.go:604 fills and subtracts it.
 	FalseConflicts uint64
 	Capacity       uint64
 	Explicit       uint64
-}
-
-// DefaultStripes is the default stripe table size. 256 stripes keep the
-// whole table at 16KB (one cache line each) while making accidental aliasing
-// of a handful of hot Vars unlikely. The count is a per-Domain option
-// (NewDomainStripes): fewer stripes mean coarser writer mutexes — a writer in
-// flight is met by more committers of unrelated Vars — and the 4-stripe
-// configuration is the aliasing stress fixture.
-const DefaultStripes = 256
-
-// stripe is the mutex every writer of a Var that hashes to it holds while it
-// writes, padded out to its own cache line so stripe traffic does not
-// false-share. Only writers touch it: a reader judges a Var by the Var's own
-// word (varHead.ver) and never looks at a stripe.
-type stripe struct {
-	// word is 0 while the stripe is free and otherwise the id of the Var on
-	// whose behalf a writer (a committing transaction, a direct
-	// Store/CAS/Add, or a deciding MultiCAS) holds it, which is what lets a
-	// commit that finds the stripe busy tell a writer of its own data from a
-	// stripe alias.
-	word atomic.Uint64
-	_    [56]byte
-}
-
-// stripeTable is a domain's stripe table: a power-of-two count of stripes
-// plus the derived hash shift and bitmap width. It is built once per
-// domain and never replaced, and its shape is immutable, so every path reads
-// it without synchronization and a Var hashes to the same stripe for life.
-type stripeTable struct {
-	shift   uint32 // 64 - log2(len(stripes)): the Fibonacci-hash shift
-	words   int    // stripe bitmap size in 64-bit words
-	stripes []stripe
-}
-
-func newStripeTable(n int) *stripeTable {
-	if n <= 0 || n&(n-1) != 0 {
-		panic(fmt.Sprintf("htm: stripe count %d is not a power of two", n))
-	}
-	return &stripeTable{
-		shift:   uint32(64 - bits.TrailingZeros(uint(n))),
-		words:   (n + 63) / 64,
-		stripes: make([]stripe, n),
-	}
-}
-
-// fibMul is the Fibonacci-hashing multiplier, 2^64 over the golden ratio: the
-// top bits of id*fibMul spread small sequential ids evenly.
-const fibMul = 0x9E3779B97F4A7C15
-
-// indexOf hashes a Var id onto a stripe index (Fibonacci hashing; the ids
-// are small sequential integers, so multiplicative scrambling is what
-// spreads consecutively allocated Vars across the table). For the default
-// 256-stripe table the shift is 56, reproducing the historical fixed hash
-// bit for bit.
-func (t *stripeTable) indexOf(id uint64) uint32 {
-	return uint32((id * fibMul) >> t.shift)
 }
 
 // Domain is an independent transactional memory. Transactions in different
@@ -187,22 +125,16 @@ type Domain struct {
 	// written since the transaction began.
 	clock atomic.Uint64
 
-	commits        atomic.Uint64
-	conflicts      atomic.Uint64
-	falseConflicts atomic.Uint64
-	capacity       atomic.Uint64
-	explicit       atomic.Uint64
+	commits   atomic.Uint64
+	conflicts atomic.Uint64
+	capacity  atomic.Uint64
+	explicit  atomic.Uint64
 
 	// readCap and writeCap bound the transactional footprint; zero means the
 	// package defaults. They model HTM capacity limits and are stored
 	// atomically so they can be retuned while transactions are in flight.
 	readCap  atomic.Int64
 	writeCap atomic.Int64
-
-	// tbl is the domain's stripe table: set by NewDomainStripes, or built
-	// with DefaultStripes on first use so the zero Domain stays ready to
-	// use, and never replaced afterwards.
-	tbl atomic.Pointer[stripeTable]
 }
 
 // Default capacity limits, chosen to approximate an L1-bounded write set and
@@ -220,37 +152,16 @@ func NewDomain(readCap, writeCap int) *Domain {
 	return d
 }
 
-// NewDomainStripes is NewDomain with an explicit stripe count: a power of two
-// (panics otherwise), 0 selecting DefaultStripes. It is the one place a
-// stripe count is chosen; the table is fixed for the domain's life. Fewer
-// stripes coarsen the writers' mutexes — more commits meet a stripe held for
-// an unrelated Var (false conflicts), same correctness, and reads still
-// conflict per Var only — which is the knob the aliasing stress tests turn.
-func NewDomainStripes(readCap, writeCap, stripes int) *Domain {
-	d := NewDomain(readCap, writeCap)
-	if stripes == 0 {
-		stripes = DefaultStripes
-	}
-	d.tbl.Store(newStripeTable(stripes))
-	return d
-}
+// NewDomainStripes is NewDomain; the third argument is ignored.
+// Kept only because benchmark/lib.go:47, probes.go:216 and serve.go:356 call it.
+func NewDomainStripes(readCap, writeCap, _ int) *Domain { return NewDomain(readCap, writeCap) }
 
-// Stripes returns the domain's stripe count.
-func (d *Domain) Stripes() int { return len(d.table().stripes) }
+// Stripes always returns 0.
+// Kept only because benchmark/probes.go:488 reads it.
+func (d *Domain) Stripes() int { return 0 }
 
-// Remaps always returns 0: a domain's stripe table is never swapped. Kept
-// only because benchmark/lib.go:163 reads it.
+// Remaps always returns 0. Kept only because benchmark/lib.go:163 reads it.
 func (d *Domain) Remaps() uint64 { return 0 }
-
-// table returns the domain's stripe table, building the zero Domain's on
-// first use.
-func (d *Domain) table() *stripeTable {
-	if t := d.tbl.Load(); t != nil {
-		return t
-	}
-	d.tbl.CompareAndSwap(nil, newStripeTable(DefaultStripes))
-	return d.tbl.Load()
-}
 
 // SetCapacity changes the domain's footprint limits. Zero selects the
 // package default; a negative value selects a zero-capacity domain in which
@@ -270,11 +181,10 @@ func (d *Domain) SetCapacity(readCap, writeCap int) {
 // Stats returns a snapshot of the domain's cumulative transaction outcomes.
 func (d *Domain) Stats() Stats {
 	return Stats{
-		Commits:        d.commits.Load(),
-		Conflicts:      d.conflicts.Load(),
-		FalseConflicts: d.falseConflicts.Load(),
-		Capacity:       d.capacity.Load(),
-		Explicit:       d.explicit.Load(),
+		Commits:   d.commits.Load(),
+		Conflicts: d.conflicts.Load(),
+		Capacity:  d.capacity.Load(),
+		Explicit:  d.explicit.Load(),
 	}
 }
 
@@ -295,27 +205,14 @@ func (d *Domain) caps() (int, int) {
 	return r, w
 }
 
-// acquire spins until it holds the stripe on behalf of Var owner. Only
-// single-stripe writers and the MultiCAS decision use it; transactional
-// commits never spin on a stripe (they abort instead), which is what keeps
-// the spin here short.
-func (s *stripe) acquire(owner uint64) {
-	for !s.word.CompareAndSwap(0, owner) {
-		runtime.Gosched()
-	}
-}
-
-// release frees a held stripe.
-func (s *stripe) release() { s.word.Store(0) }
-
-// varIDs issues Var identities: the global order MultiCAS claims follow and
-// the input of the stripe hash.
+// varIDs issues Var identities: the global order in which commits and
+// MultiCAS decisions take lock bits, and MultiCAS claims are placed.
 var varIDs atomic.Uint64
 
 // idInline marks, in a Var's id, a Var whose value word is the value itself
 // (T is a pointer type) rather than a pointer to a box of T. It is part of
-// the identity — set once by Init, hashed and ordered like the rest of the id
-// — so the word a read already holds says how to decode the value it took.
+// the identity — set once by Init, ordered like the rest of the id — so the
+// word a read already holds says how to decode the value it took.
 const idInline = 1 << 63
 
 // Var is a transactional cell holding a value of comparable type T. Vars must
@@ -340,29 +237,28 @@ type varHead struct {
 	id uint64
 	// ver is the Var's versioned lock: the commit-clock value of the last
 	// write to this Var (0: never written since Init), with verLocked set
-	// while a write is in flight. Only the holder of the Var's stripe stores
-	// it, so plain stores suffice. Every writer — Tx.commit, a direct Store
-	// or Add, a direct CAS about to succeed, the winner of a MultiCAS
-	// decision for each write leg — sets the bit before it stores p and
-	// before it draws its commit version, and clears it by storing that
-	// version (or, having written nothing, the old stamp back). A locked
-	// word compares greater than every snapshot, stamps only grow, and so a
-	// reader that finds the same word ≤ its snapshot on both sides of its
-	// read of p holds a value no writer was replacing, no newer than the
-	// snapshot, and — the bit preceding the draw — misses no write of a
-	// version the snapshot covers.
+	// while a write is in flight. The bit is taken by compare-and-swap on the
+	// unlocked word (tryLock) and only its holder stores the word after
+	// that. Every writer — Tx.commit, a direct Store or Add, a direct CAS
+	// about to succeed, a MultiCAS decision for every leg — holds the bit
+	// before it stores p and before it draws its commit version, and gives
+	// it up by storing that version (or, having written nothing, the old
+	// stamp back). A locked word compares greater than every snapshot,
+	// stamps only grow, and so a reader that finds the same word ≤ its
+	// snapshot on both sides of its read of p holds a value no writer was
+	// replacing, no newer than the snapshot, and — the bit preceding the
+	// draw — misses no write of a version the snapshot covers.
 	ver atomic.Uint64
 	// p is the value word: the value itself (id&idInline != 0) or a pointer
-	// to an immutable box holding it. Only a holder of the Var's stripe and
-	// lock bit stores it, so under an unlocked ver it is the Var's logical
-	// value, whatever claim says. Accessed atomically (loadP, storeP) after
-	// Init.
+	// to an immutable box holding it. Only the holder of the Var's lock bit
+	// stores it, so under an unlocked ver it is the Var's logical value,
+	// whatever claim says. Accessed atomically (loadP, storeP) after Init.
 	p unsafe.Pointer
 	// claim is the MultiCAS descriptor claiming the Var, or nil. Readers
 	// never look at it. An undecided descriptor in it asserts that the Var
 	// still holds that operation's old value, and a writer makes the
 	// assertion true the only way it can: it kills the descriptor (kill)
-	// after it has set the lock bit and before it stores p. A decided
+	// after it has taken the lock bit and before it gives it up. A decided
 	// descriptor in it is stale and means nothing; its helpers clear it
 	// (release) or the next claimer overwrites it.
 	claim atomic.Pointer[MultiDesc]
@@ -371,21 +267,33 @@ type varHead struct {
 // verLocked is the write-lock bit of varHead.ver.
 const verLocked = 1 << 63
 
-// lockVer sets the Var's write-lock bit. The caller holds the Var's stripe.
-func (h *varHead) lockVer() { h.ver.Store(h.ver.Load() | verLocked) }
+// tryLock takes the Var's write-lock bit unless a writer holds it, or gets to
+// the word between the look and the compare-and-swap.
+func (h *varHead) tryLock() bool {
+	w := h.ver.Load()
+	return w&verLocked == 0 && h.ver.CompareAndSwap(w, w|verLocked)
+}
 
-// unlockVer clears the write-lock bit of a Var whose value the caller did
+// lock waits for the Var's write-lock bit: a direct Store or Add, which holds
+// no other bit while it waits and so cannot be part of a cycle.
+func (h *varHead) lock() {
+	for !h.tryLock() {
+		runtime.Gosched()
+	}
+}
+
+// unlockVer gives up the write-lock bit of a Var whose value the caller did
 // not change, leaving the stamp as it was.
 func (h *varHead) unlockVer() { h.ver.Store(h.ver.Load() &^ verLocked) }
 
 func (h *varHead) loadP() unsafe.Pointer   { return atomic.LoadPointer(&h.p) }
 func (h *varHead) storeP(p unsafe.Pointer) { atomic.StorePointer(&h.p, p) }
 
-// read returns the Var's value word from between two looks at its lock word
-// that find it unlocked and unchanged, waiting out a writer in flight: the
-// window of every reader that has no snapshot to judge by — a direct Load, a
-// MultiCAS helper's look at a claimed Var.
-func (h *varHead) read() unsafe.Pointer {
+// window returns the Var's lock word and its value word, the second from
+// between two looks at the first that find it unlocked and unchanged, waiting
+// out a writer in flight: what every reader without a snapshot to judge by
+// sees — a direct Load or CAS, a MultiCAS helper's look at a claimed Var.
+func (h *varHead) window() (uint64, unsafe.Pointer) {
 	for {
 		w := h.ver.Load()
 		if w&verLocked != 0 {
@@ -394,16 +302,25 @@ func (h *varHead) read() unsafe.Pointer {
 		}
 		p := h.loadP()
 		if h.ver.Load() == w {
-			return p
+			return w, p
 		}
 	}
 }
 
+// read returns the value word of a window.
+func (h *varHead) read() unsafe.Pointer {
+	_, p := h.window()
+	return p
+}
+
 // kill fails the undecided MultiCAS claiming the Var, if there is one. The
-// caller holds the Var's stripe and lock bit and is about to store p: the
-// descriptor's decision needs this stripe too, so the status CAS cannot race
-// with it, and a helper that claims or looks from now on finds the lock bit
-// and, after it, the new value. A decided descriptor is left in the slot.
+// caller holds the Var's lock bit and has not stamped yet: a decision holds
+// the bit of every leg while it flips the status, so the status CAS cannot
+// race with this one, and a helper that claims or looks from now on finds the
+// lock bit and, after it, the new value. The kill comes before the stamp
+// because the stamp is the unlock: a decision waiting for the bit takes it
+// the moment the word is stamped, and must find the descriptor dead. A
+// decided descriptor is left in the slot.
 func (h *varHead) kill() {
 	if m := h.claim.Load(); m != nil {
 		m.status.CompareAndSwap(mwUndecided, mwFailed)
@@ -419,16 +336,15 @@ func (h *varHead) pendingDesc() *MultiDesc {
 	return nil
 }
 
-// write is a single-Var direct writer's store: with the Var's stripe s held,
-// set the lock bit, kill the claim, store the value word, stamp the Var with
-// a fresh commit version, which unlocks it, and release the stripe.
-func (h *varHead) write(s *stripe, p unsafe.Pointer) {
-	h.lockVer()
+// write is a single-Var direct writer's store, the Var's lock bit held: kill
+// the claim, store the value word, and stamp the Var with a fresh commit
+// version, which unlocks it.
+func (h *varHead) write(p unsafe.Pointer) {
 	h.kill()
 	h.storeP(p)
-	perturb()
+	perturb(directStored)
 	h.ver.Store(h.d.clock.Add(1))
-	s.release()
+	perturb(directStamped)
 }
 
 // decode returns the value a value word of v stands for. A box is immutable
@@ -465,9 +381,8 @@ func (v *Var[T]) reencode(p unsafe.Pointer, x T) unsafe.Pointer {
 // Init binds an embedded Var to domain d and sets its initial value. It must
 // be called exactly once, before any concurrent access; it is intended for
 // initializing Var fields of freshly allocated nodes. Init assigns the Var
-// its identity — its MultiCAS ordering id, from which the domain's table
-// hashes the Var's stripe on every write (one multiply and shift) — and
-// decides, once, whether the value word holds T itself.
+// its identity — its place in the lock order — and decides, once, whether
+// the value word holds T itself.
 func (v *Var[T]) Init(d *Domain, init T) {
 	v.d = d
 	v.id = varIDs.Add(1)
@@ -490,14 +405,6 @@ func (v *Var[T]) Domain() *Domain { return v.d }
 // ID returns the Var's identity, unique across all Vars.
 func (v *Var[T]) ID() uint64 { return v.id }
 
-// stripeRec is one stripe a commit or a MultiCAS decision writes through:
-// its index in the domain's table and the id of the Var it holds the stripe
-// for — the first Var a commit writes there.
-type stripeRec struct {
-	idx   uint32
-	varID uint64
-}
-
 // Tx is an in-flight transaction. A Tx is only valid inside the function
 // passed to Atomically and must not be retained, shared between goroutines,
 // or used after that function returns: attempts take their Tx from a pool
@@ -506,34 +413,28 @@ type stripeRec struct {
 // it publishes — none for a Var of pointer type. Load, Store and Abort
 // through a recycled Tx panic (live).
 type Tx struct {
-	d  *Domain
-	t  *stripeTable // the domain's table; nil once the attempt has returned (live)
-	rv uint64       // commit-clock snapshot taken at begin (the TL2 read version)
+	d  *Domain // nil once the attempt has returned (live)
+	rv uint64  // commit-clock snapshot taken at begin (the TL2 read version)
 
 	reads   int
 	readLog []*varHead // one entry per transactional read: the words commit re-checks
 
-	// writeLog is the redo log: insertion-ordered so commit write-back
-	// follows program order of first-writes. writeIdx maps a written Var's
-	// id to its log position (logPos); written is a 64-bit filter over
-	// those ids (bit id&63), so a Load of a Var the attempt has not written
-	// — every step of a search walk — mostly stops there.
+	// writeLog is the redo log, in order of first writes while the body runs.
+	// writeIdx maps a written Var's id to its log position (logPos); written
+	// is a 64-bit filter over those ids (bit id&63), so a Load of a Var the
+	// attempt has not written — every step of a search walk — mostly stops
+	// there. commit sorts the log in place into the lock order: from then on
+	// the positions in writeIdx are stale, and commit asks logPos only
+	// whether a Var was written (the sign).
 	writeLog []writeEntry
 	writeIdx []idxSlot
 	written  uint64
 
-	// lockRecs and lockSet are the lock phase's scratch: the records and
-	// the bitmap of the written stripes (writeRecs).
-	lockRecs []stripeRec
-	lockSet  []uint64
-
 	readCap  int
 	writeCap int
 	// aborted is the status of an attempt that unwound out of its body
-	// (abort); alias, whether the conflict that ended the attempt, there or
-	// in commit, was attributed to stripe aliasing.
+	// (abort).
 	aborted Status
-	alias   bool
 
 	// helpBudget and helped implement the three-path template's middle
 	// tier: a transaction run with a positive budget (AtomicallyHelping)
@@ -555,8 +456,7 @@ type Tx struct {
 var txPool = sync.Pool{New: func() any { return new(Tx) }}
 
 // recycle returns tx to the pool as a zero Tx with capacity: cleared, so it
-// pins no value, Var or domain (the stripe records hold indices, not
-// pointers, and need no clearing), and detached (live). The write index is
+// pins no value, Var or domain, and detached (live). The write index is
 // cleared over the length this attempt grew it to, so it is all zero, to its
 // capacity, whenever an attempt begins.
 func (tx *Tx) recycle() {
@@ -567,15 +467,13 @@ func (tx *Tx) recycle() {
 		readLog:  tx.readLog[:0],
 		writeLog: tx.writeLog[:0],
 		writeIdx: tx.writeIdx[:0],
-		lockRecs: tx.lockRecs[:0],
-		lockSet:  tx.lockSet,
 	}
 	txPool.Put(tx)
 }
 
 // live panics on a Tx whose attempt has already returned.
 func (tx *Tx) live() {
-	if tx.t == nil {
+	if tx.d == nil {
 		panic("htm: Tx used after its attempt returned")
 	}
 }
@@ -606,25 +504,6 @@ func (tx *Tx) abort(st Status) {
 	panic(tx)
 }
 
-// heldByAlias classifies the conflict of a lock phase meeting a stripe held
-// by someone else, from the owner observed in its word: true when the holder
-// works on behalf of a Var the attempt has neither read nor written, i.e.
-// the abort is due to stripe aliasing rather than to a writer of the
-// attempt's own data. A holder names one Var per stripe, so a writer of
-// several aliased Vars can still pass for an alias. It walks the read log,
-// which only an abort path can afford.
-func (tx *Tx) heldByAlias(owner uint64) bool {
-	if tx.logPos(owner) >= 0 {
-		return false
-	}
-	for _, h := range tx.readLog {
-		if h.id == owner {
-			return false
-		}
-	}
-	return true
-}
-
 // Atomically runs f as a single transaction attempt against domain d and
 // reports how it ended. It makes exactly one attempt: retry policy is the
 // caller's responsibility (see internal/speculate), mirroring the paper's
@@ -639,24 +518,8 @@ func (tx *Tx) heldByAlias(owner uint64) bool {
 //
 // Nesting is not supported: f must not call Atomically.
 func (d *Domain) Atomically(f func(tx *Tx)) Status {
-	st, _ := d.AtomicallyClassified(f)
+	st, _ := d.atomically(0, false, f)
 	return st
-}
-
-// AtomicallyClassified is Atomically plus conflict attribution: when the
-// attempt ends in AbortConflict, the second result reports whether the
-// engine classified the conflict as a stripe-alias (false) conflict — its
-// commit's lock phase met a stripe held right now on behalf of a Var the
-// attempt never touched — rather than a true data conflict: a Var it read is
-// locked by a writer or carries a stamp newer than its snapshot, or the
-// holder its lock phase met is writing a Var it read or writes. It is always
-// false for the other statuses. Retry policies treat both kinds the same
-// (both are transient); the split exists for telemetry, so tuning can
-// distinguish contention that more stripes would cure from contention that
-// is real.
-func (d *Domain) AtomicallyClassified(f func(tx *Tx)) (Status, bool) {
-	st, alias, _ := d.AtomicallyHelping(0, f)
-	return st, alias
 }
 
 // HelpExhausted is the abort code of a helping (middle-level) transaction
@@ -670,58 +533,54 @@ func (d *Domain) AtomicallyClassified(f func(tx *Tx)) (Status, bool) {
 // same code on the first pending descriptor it finds, having helped none.
 const HelpExhausted = -2
 
-// AtomicallyHelping is AtomicallyClassified with a helping budget: the
-// three-path template's middle tier. A transaction run with helpBudget > 0
-// does not treat an undecided MultiCAS descriptor on a written Var as an
-// obstacle to kill (the writers' rule, varHead.kill) — at commit, before
-// taking any stripe lock, it drives up to helpBudget such descriptors to
-// decision via their own lock-free protocol, then locks, validates, and
-// publishes as usual. Budget exhausted mid-pass aborts the attempt explicitly with code
-// HelpExhausted, leaving the remaining descriptors unharmed. The third
-// result reports how many descriptors this attempt helped to decision
-// (counted even when the attempt subsequently aborts: decisions are real,
-// externally visible progress). helpBudget <= 0 is exactly
-// AtomicallyClassified.
-func (d *Domain) AtomicallyHelping(helpBudget int, f func(tx *Tx)) (Status, bool, int) {
+// AtomicallyHelping is Atomically with a helping budget: the three-path
+// template's middle tier. A transaction run with helpBudget > 0 does not
+// treat an undecided MultiCAS descriptor on a written Var as an obstacle to
+// kill (the writers' rule, varHead.kill) — at commit, before taking any lock
+// bit, it drives up to helpBudget such descriptors to decision via their own
+// lock-free protocol, then locks, validates, and publishes as usual. Budget
+// exhausted mid-pass aborts the attempt explicitly with code HelpExhausted,
+// leaving the remaining descriptors unharmed. The second result reports how
+// many descriptors this attempt helped to decision (counted even when the
+// attempt subsequently aborts: decisions are real, externally visible
+// progress). helpBudget <= 0 is exactly Atomically.
+func (d *Domain) AtomicallyHelping(helpBudget int, f func(tx *Tx)) (Status, int) {
 	return d.atomically(helpBudget, false, f)
 }
 
-// AtomicallyDeferring is AtomicallyClassified for the fast level of a
-// three-path site: a budget-0 transaction that, at commit, aborts explicitly
-// (code HelpExhausted) when an undecided MultiCAS descriptor sits on any
-// written Var — instead of killing it, the two-path kill-paid-by-commit
-// rule. The abort leaves the descriptor alive for the helping middle tier
-// below (speculate.Core.DefersAt derives when this variant applies).
-// Descriptors that land on written Vars after the commit-time check are
-// still killed under the stripe lock, the unconditional backstop.
-func (d *Domain) AtomicallyDeferring(f func(tx *Tx)) (Status, bool) {
-	st, alias, _ := d.atomically(0, true, f)
-	return st, alias
+// AtomicallyDeferring is Atomically for the fast level of a three-path site:
+// a budget-0 transaction that, at commit, aborts explicitly (code
+// HelpExhausted) when an undecided MultiCAS descriptor sits on any written
+// Var — instead of killing it, the two-path kill-paid-by-commit rule. The
+// abort leaves the descriptor alive for the helping middle tier below
+// (speculate.Core.DefersAt derives when this variant applies). Descriptors
+// that land on written Vars after the commit-time check are still killed
+// under the lock bit, the unconditional backstop.
+func (d *Domain) AtomicallyDeferring(f func(tx *Tx)) Status {
+	st, _ := d.atomically(0, true, f)
+	return st
 }
 
-func (d *Domain) atomically(helpBudget int, deferPending bool, f func(tx *Tx)) (Status, bool, int) {
+func (d *Domain) atomically(helpBudget int, deferPending bool, f func(tx *Tx)) (Status, int) {
 	tx := txPool.Get().(*Tx)
-	tx.d, tx.t, tx.rv = d, d.table(), d.clock.Load()
+	tx.d, tx.rv = d, d.clock.Load()
 	tx.readCap, tx.writeCap = d.caps()
 	tx.helpBudget, tx.deferPending = helpBudget, deferPending
 	// A foreign panic out of f unwinds past the recycle: that Tx is dropped.
 	status := d.attempt(tx, f)
-	alias, helped := status == AbortConflict && tx.alias, tx.helped
+	helped := tx.helped
 	tx.recycle()
 	switch status {
 	case Committed:
 		d.commits.Add(1)
 	case AbortConflict:
 		d.conflicts.Add(1)
-		if alias {
-			d.falseConflicts.Add(1)
-		}
 	case AbortCapacity:
 		d.capacity.Add(1)
 	case AbortExplicit:
 		d.explicit.Add(1)
 	}
-	return status, alias, helped
+	return status, helped
 }
 
 func (d *Domain) attempt(tx *Tx, f func(tx *Tx)) (status Status) {
@@ -737,36 +596,36 @@ func (d *Domain) attempt(tx *Tx, f func(tx *Tx)) (status Status) {
 	return tx.commit()
 }
 
-// commit publishes the write log with the TL2 protocol: lock the written
-// stripes in ascending stripe order (aborting, never spinning, on a busy
-// stripe — deadlock freedom against other committers and MultiCAS
-// decisions), set every written Var's lock bit, draw a new commit timestamp,
-// validate the read log, apply the redo log — kill the Var's claim, store
-// its value word, stamp and so unlock it with the timestamp, Var by Var —
-// and release the stripes. Read-only
-// transactions commit without any locking or validation at all — every read
-// was already validated against the begin snapshot, so the transaction
-// serializes there — mirroring the cheapness of read-only HTM commits.
+// commit publishes the write log with the TL2 protocol: take the lock bit of
+// every written Var, in ascending Var-id order and aborting — never waiting —
+// on one a writer holds (so a committer is never part of a cycle, and of two
+// commits with crossed write sets the one that loses the first Var aborts
+// with no bit taken), draw a new commit timestamp, validate the read log,
+// and apply the redo log — kill the Var's claim, store its value word, stamp
+// and so unlock it with the timestamp, Var by Var. Read-only transactions
+// commit without any locking or validation at all — every read was already
+// validated against the begin snapshot, so the transaction serializes there
+// — mirroring the cheapness of read-only HTM commits.
 func (tx *Tx) commit() Status {
-	if len(tx.writeLog) == 0 {
+	log := tx.writeLog
+	if len(log) == 0 {
 		return Committed
 	}
 	d := tx.d
 
 	// Helping pass (middle path): a budgeted transaction drives undecided
 	// MultiCAS descriptors claiming its written Vars to decision before
-	// taking any stripe lock — a decision acquires its own stripes with a
-	// spinning protocol, so helping while holding locks could deadlock
-	// against it. Descriptors that land on our Vars after this pass are
-	// still killed under the stripe lock and lock bit, the historical
-	// kill-paid-by-commit backstop; the pass just makes the common
+	// taking any lock bit — a decision waits for the bits of its legs, so
+	// helping while holding one could deadlock against it. Descriptors that
+	// land on our Vars after this pass are still killed under the lock bit,
+	// the kill-paid-by-commit backstop; the pass just makes the common
 	// encounter cooperative instead of destructive. Budget 0 skips the
 	// pass entirely on the kill-semantics fast path; a deferring attempt
 	// (AtomicallyDeferring, budget 0) runs the pass only to detect a
 	// pending descriptor and abort without harming it.
 	if tx.helpBudget > 0 || tx.deferPending {
-		for i := range tx.writeLog {
-			h := tx.writeLog[i].h
+		for i := range log {
+			h := log[i].h
 			for {
 				m := h.pendingDesc()
 				if m == nil {
@@ -781,33 +640,29 @@ func (tx *Tx) commit() Status {
 		}
 	}
 
-	// Lock phase: take the written stripes, ascending (the one global order
-	// every spinning acquirer follows); on a busy stripe free those already
-	// taken and abort. The abort is classified from the very owner observed:
-	// a re-read could find the holder gone.
-	recs := tx.writeRecs()
-	perturb()
-	for i := range recs {
-		s := &tx.t.stripes[recs[i].idx]
-		for !s.word.CompareAndSwap(0, recs[i].varID) {
-			if owner := s.word.Load(); owner != 0 {
-				tx.alias = tx.heldByAlias(owner)
-				unlock(tx.t, recs[:i])
-				return AbortConflict
-			}
+	// Lock phase: one look and one compare-and-swap per written Var, in the
+	// one global order; on a Var someone else holds, give back the bits taken
+	// so far and abort. From its bit on, every reader of a written Var waits
+	// or aborts. The bits come before the timestamp is drawn — a reader whose
+	// snapshot covers our version must not find one of our Vars still looking
+	// old — and before any value moves.
+	if len(log) > 1 {
+		slices.SortFunc(log, func(a, b writeEntry) int { return cmp.Compare(a.h.id, b.h.id) })
+	}
+	perturb(commitSorted)
+	for i := range log {
+		if i > 0 {
+			perturb(commitLockedVar)
+		}
+		if !log[i].h.tryLock() {
+			unlockVers(log[:i])
+			return AbortConflict
 		}
 	}
-	// Lock-bit pass: from here on every reader of a written Var waits or
-	// aborts. It comes before the timestamp is drawn — a reader whose
-	// snapshot covers our version must not find one of our Vars still
-	// looking old — and before any value moves.
-	for i := range tx.writeLog {
-		tx.writeLog[i].h.lockVer()
-	}
 
-	perturb()
+	perturb(commitLocked)
 	wv := d.clock.Add(1)
-	perturb()
+	perturb(commitDrawn)
 	// Validate the read log unless no one drew a version since our snapshot
 	// (every writer of a version the snapshot covers had its lock bits set
 	// before we took it, so every read is trivially still current): no Var
@@ -819,67 +674,31 @@ func (tx *Tx) commit() Status {
 		for _, h := range tx.readLog {
 			w := h.ver.Load()
 			if w > tx.rv && (w&^verLocked > tx.rv || tx.logPos(h.id) < 0) {
-				for i := range tx.writeLog {
-					tx.writeLog[i].h.unlockVer()
-				}
-				unlock(tx.t, recs)
+				unlockVers(log)
 				return AbortConflict
 			}
 		}
 	}
 
-	// Apply the redo log, stamping as we go, and release the stripes. The
-	// commit is certain from here, so the kills are paid for.
-	perturb()
-	for i := range tx.writeLog {
-		e := &tx.writeLog[i]
+	// Apply the redo log, stamping as we go. The commit is certain from here,
+	// so the kills are paid for; each comes before its Var's stamp, which
+	// hands the Var to whoever waits for it (kill).
+	perturb(commitValidated)
+	for i := range log {
+		e := &log[i]
 		e.h.kill()
 		e.h.storeP(e.p)
 		e.h.ver.Store(wv)
 	}
-	unlock(tx.t, recs)
+	perturb(commitStamped)
 	return Committed
 }
 
-// unlock frees the given locked stripe records.
-func unlock(t *stripeTable, recs []stripeRec) {
-	for i := range recs {
-		t.stripes[recs[i].idx].release()
+// unlockVers gives back the lock bits an aborting commit took.
+func unlockVers(log []writeEntry) {
+	for i := range log {
+		log[i].h.unlockVer()
 	}
-}
-
-// byIdx orders stripe records by stripe index, the lock order.
-func byIdx(a, b stripeRec) int { return cmp.Compare(a.idx, b.idx) }
-
-// writeRecs returns (in tx's scratch) one record per distinct stripe the
-// write log touches, sorted ascending.
-func (tx *Tx) writeRecs() []stripeRec {
-	t := tx.t
-	recs := tx.lockRecs
-	seen := slices.Grow(tx.lockSet[:0], t.words)[:t.words]
-	clear(seen)
-	for i := range tx.writeLog {
-		id := tx.writeLog[i].h.id
-		idx := t.indexOf(id)
-		w, b := idx>>6, uint64(1)<<(idx&63)
-		if seen[w]&b != 0 {
-			continue
-		}
-		seen[w] |= b
-		recs = append(recs, stripeRec{idx: idx, varID: id})
-	}
-	slices.SortFunc(recs, byIdx)
-	tx.lockRecs, tx.lockSet = recs, seen
-	return recs
-}
-
-// lockVar takes the stripe of h's Var on the Var's own behalf — the mutex a
-// single-Var direct writer (Store, CAS, Add) holds — and returns it.
-func (h *varHead) lockVar() *stripe {
-	t := h.d.table()
-	s := &t.stripes[t.indexOf(h.id)]
-	s.acquire(h.id)
-	return s
 }
 
 // loadWaits is how many times a transactional Load looks again at a Var it
@@ -932,10 +751,10 @@ func Load[T comparable](tx *Tx, v *Var[T]) T {
 }
 
 // own panics unless h's Var is bound to the transaction's domain. A Var of
-// another domain has writers that lock that domain's stripes and stamps that
-// mean that domain's clock: a transaction that logged it would validate and
-// publish against neither. It is checked where a Var enters the read log or
-// the write log; d is on the line the access is about to touch anyway.
+// another domain carries stamps that mean that domain's clock: a transaction
+// that logged it would validate and publish against the wrong one. It is
+// checked where a Var enters the read log or the write log; d is on the line
+// the access is about to touch anyway.
 func (tx *Tx) own(h *varHead) {
 	if h.d != tx.d {
 		panic("htm: transaction Vars span domains")
@@ -943,8 +762,9 @@ func (tx *Tx) own(h *varHead) {
 }
 
 // idxSlot is one slot of the write index, an open-addressed table from a
-// written Var's id to its position in the write log. Ids start at 1, so the
-// zero slot is an empty one.
+// written Var's id to its position in the write log as the body wrote it
+// (Tx.writeLog: commit's sort leaves the positions stale). Ids start at 1, so
+// the zero slot is an empty one.
 type idxSlot struct {
 	id  uint64
 	pos int
@@ -954,8 +774,12 @@ type idxSlot struct {
 // one.
 const idxMinLen = 16
 
-// idxHome is id's home slot in a write index of n slots (Fibonacci hashing,
-// like the stripe hash; n a power of two, at least 2).
+// fibMul is the Fibonacci-hashing multiplier, 2^64 over the golden ratio: the
+// top bits of id*fibMul spread small sequential ids evenly.
+const fibMul = 0x9E3779B97F4A7C15
+
+// idxHome is id's home slot in a write index of n slots (Fibonacci hashing:
+// the ids are small sequential integers; n a power of two, at least 2).
 func idxHome(id uint64, n int) int {
 	return int(id * fibMul >> bits.LeadingZeros64(uint64(n-1)))
 }
@@ -1004,11 +828,12 @@ func idxPut(idx []idxSlot, id uint64, pos int) {
 
 // Store writes x to v. With a non-nil tx the write is buffered and becomes
 // visible atomically at commit; with tx == nil it is applied immediately
-// under v's stripe and lock bit.
+// under v's lock bit, waiting for it if need be.
 func Store[T comparable](tx *Tx, v *Var[T], x T) {
 	if tx == nil {
 		p := v.encode(x)
-		v.write(v.lockVar(), p)
+		v.lock()
+		v.write(p)
 		return
 	}
 	tx.live()
@@ -1028,10 +853,12 @@ func Store[T comparable](tx *Tx, v *Var[T], x T) {
 // reporting whether the swap happened. Inside a transaction this degenerates
 // to a load, a comparison, and a buffered store — exactly the CAS-to-branch
 // strength reduction of §2.3 — at no extra synchronization cost. Outside a
-// transaction it is a linearizable compare-and-swap: under v's stripe no one
-// else stores the value word, so the comparison needs no window. A failed
-// direct CAS neither locks nor stamps the Var: the logical value did not
-// change, so overlapping transactions have nothing to observe.
+// transaction it is a linearizable compare-and-swap: it compares inside a
+// window of v's lock word and then takes the lock bit on the very word the
+// window saw — stamps only grow, so a word that is still the same has had no
+// writer since — and looks again if it is not. A failed direct CAS neither
+// locks nor stamps the Var: the logical value did not change, so overlapping
+// transactions have nothing to observe.
 //
 // Interplay with MultiCAS descriptors refines the kill-paid-by-commit rule:
 // a direct CAS kills an undecided descriptor claiming its Var only when the
@@ -1051,13 +878,17 @@ func CAS[T comparable](tx *Tx, v *Var[T], old, new T) bool {
 		Store(tx, v, new)
 		return true
 	}
-	s := v.lockVar()
-	if v.decode(v.loadP()) != old {
-		s.release()
-		return false
+	for {
+		w, p := v.window()
+		if v.decode(p) != old {
+			return false
+		}
+		np := v.encode(new)
+		if v.ver.CompareAndSwap(w, w|verLocked) {
+			v.write(np)
+			return true
+		}
 	}
-	v.write(s, v.encode(new))
-	return true
 }
 
 // Add atomically adds delta to an integer Var and returns the new value.
@@ -1067,8 +898,8 @@ func Add(tx *Tx, v *Var[uint64], delta uint64) uint64 {
 		Store(tx, v, x)
 		return x
 	}
-	s := v.lockVar()
+	v.lock()
 	x := v.decode(v.loadP()) + delta
-	v.write(s, v.encode(x))
+	v.write(v.encode(x))
 	return x
 }

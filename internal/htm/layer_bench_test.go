@@ -62,26 +62,11 @@ func benchRW(b *testing.B, n int) {
 func BenchmarkRW1(b *testing.B) { benchRW(b, 1) }
 func BenchmarkRW8(b *testing.B) { benchRW(b, 8) }
 
-// distinctStripeVars returns n Vars of d no two of which share a stripe.
-func distinctStripeVars(d *Domain, n int) []*Var[int] {
-	t := d.table()
-	taken := make(map[uint32]bool, n)
-	var vars []*Var[int]
-	for len(vars) < n {
-		v := NewVar(d, len(vars))
-		if idx := t.indexOf(v.id); !taken[idx] {
-			taken[idx] = true
-			vars = append(vars, v)
-		}
-	}
-	return vars
-}
-
 // BenchmarkReadWalk200 is a search path: 200 reads of 200 Vars, each logged
 // for commit to re-check.
 func BenchmarkReadWalk200(b *testing.B) {
-	d := NewDomainStripes(0, 0, 1024)
-	vars := distinctStripeVars(d, 200)
+	d := NewDomain(0, 0)
+	vars := benchVars(d, 200)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -93,14 +78,11 @@ func BenchmarkReadWalk200(b *testing.B) {
 	}
 }
 
-// BenchmarkReadWalk2000 is a 16-key MoveAll's read set — 2000 Vars, so every
-// stripe of the default table several times over — walked while a second
-// goroutine keeps writing one Var the walk never reads. aborts/op is the
-// share of walks that writer aborted, and it must be zero: a read touches
-// its Var and nothing else, so a writer of a Var the walk never reads — held
-// stripe, aliased or not — cannot be met. (It was about one per walk while a
-// read was judged by its stripe's version, and 0.07 while a reader still
-// looked at the stripe to see whether it was held.)
+// BenchmarkReadWalk2000 is a 16-key MoveAll's read set — 2000 Vars — walked
+// while a second goroutine keeps writing one Var the walk never reads.
+// aborts/op is the share of walks that writer aborted, and it must be zero: a
+// read touches its Var and nothing else, so a writer of a Var the walk never
+// reads cannot be met.
 func BenchmarkReadWalk2000(b *testing.B) {
 	d := NewDomain(0, 0)
 	vars := benchVars(d, 2000)
@@ -112,7 +94,7 @@ func BenchmarkReadWalk2000(b *testing.B) {
 		defer wg.Done()
 		for i := 0; !stop.Load(); i++ {
 			Store(nil, w, i)
-			for spin := 0; spin < 1000; spin++ { // a few stores per walk, the stripe mostly free
+			for spin := 0; spin < 1000; spin++ { // a few stores per walk
 				runtime.KeepAlive(spin)
 			}
 			runtime.Gosched()
@@ -139,9 +121,8 @@ func BenchmarkReadWalk2000(b *testing.B) {
 
 // BenchmarkDirectLoad, BenchmarkDirectStore and BenchmarkDirectCAS are the
 // per-word cost of the non-transactional path: two looks at the Var's word
-// around its value; and a stripe, the lock bit, a look at the claim slot, the
-// value (a box: these are Var[int]), a clock bump and a stamp — the
-// writer-side price of keeping readers off the stripes.
+// around its value; and the lock bit, a look at the claim slot, the value (a
+// box: these are Var[int]), a clock bump and a stamp.
 func BenchmarkDirectLoad(b *testing.B) {
 	d := NewDomain(0, 0)
 	vars := benchVars(d, 64)
@@ -178,11 +159,11 @@ func BenchmarkDirectCAS(b *testing.B) {
 }
 
 // BenchmarkMultiCAS8 and BenchmarkMultiValidate8 are an 8-leg fallback
-// publication (claims, stripes, lock bits, decision, stamps, release) and an
+// publication (claims, lock bits, decision, stamps, release) and an
 // 8-leg read-only fallback commit (two looks at eight words).
 func BenchmarkMultiCAS8(b *testing.B) {
 	d := NewDomain(0, 0)
-	vars := distinctStripeVars(d, 8)
+	vars := benchVars(d, 8)
 	for _, v := range vars {
 		Store(nil, v, 0)
 	}
@@ -202,7 +183,7 @@ func BenchmarkMultiCAS8(b *testing.B) {
 func BenchmarkMultiValidate8(b *testing.B) {
 	d := NewDomain(0, 0)
 	ents := make([]Entry, 8)
-	for i, v := range distinctStripeVars(d, 8) {
+	for i, v := range benchVars(d, 8) {
 		ents[i] = NewUpdate(v, i, i)
 	}
 	b.ReportAllocs()
@@ -239,8 +220,8 @@ func TestAllocsPerAttempt(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation pins are meaningless under the race detector")
 	}
-	d := NewDomainStripes(0, 0, 1024)
-	vars := distinctStripeVars(d, 200)
+	d := NewDomain(0, 0)
+	vars := benchVars(d, 200)
 	rw := func(n int) func() {
 		return func() {
 			d.Atomically(func(tx *Tx) {
@@ -313,8 +294,7 @@ func TestAllocsPerAttempt(t *testing.T) {
 
 // TestAllocsMultiCAS: a MultiCAS over entries its caller built allocates its
 // descriptor and a box per write leg whose Var needs one — nothing for
-// sorting the entries, nothing per stripe, per claim or per release, up to
-// stackLegs entries.
+// sorting the entries, nothing per lock bit, per claim or per release.
 func TestAllocsMultiCAS(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation pins are meaningless under the race detector")
@@ -364,15 +344,14 @@ func TestAllocsMultiCAS(t *testing.T) {
 }
 
 // TestAllocsMultiValidate8: a MultiValidate over 8 entries, or stackLegs of
-// them, keeps the words it saw on its stack, and costs nothing per stripe: it
-// looks at none.
+// them, keeps the words it saw on its stack.
 func TestAllocsMultiValidate8(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation pins are meaningless under the race detector")
 	}
 	d := NewDomain(0, 0)
 	ents := make([]Entry, stackLegs)
-	for i, v := range distinctStripeVars(d, stackLegs) {
+	for i, v := range benchVars(d, stackLegs) {
 		ents[i] = NewUpdate(v, i, i)
 	}
 	for _, n := range []int{8, stackLegs} {

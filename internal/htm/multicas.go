@@ -10,10 +10,10 @@ import (
 // This file implements a lock-free multi-word CAS over Vars — the
 // internal/mcas algorithm (Harris-Fraser-Pratt style claims with helping)
 // lifted from raw 64-bit words to typed transactional Vars, and made
-// interoperable with the striped-orec STM. It is the publication primitive
-// for the transactional composition layer (internal/txn): when the HTM fast
-// path is unavailable, a composed operation's validated read-set and staged
-// write-set are installed in one MultiCAS.
+// interoperable with the STM's per-Var versioned locks. It is the publication
+// primitive for the transactional composition layer (internal/txn): when the
+// HTM fast path is unavailable, a composed operation's validated read-set and
+// staged write-set are installed in one MultiCAS.
 //
 // A Var's value word never holds anything but its value, so the fast path
 // carries none of this: a MultiCAS claims a Var through the slot beside the
@@ -31,32 +31,34 @@ import (
 //     its old value at some moment after it was claimed.
 //   - A committing transaction or direct writer kills (undecided → failed)
 //     the descriptor it finds in the slot of a Var it writes, after it has
-//     set the Var's lock bit and before it stores the value. Lock bit then
+//     taken the Var's lock bit and before it stamps the Var. Lock bit then
 //     slot on one side, slot then lock word on the other: a helper whose
 //     look found the word unlocked had its claim seen by every writer that
 //     locked later, so a value cannot change under an undecided claim that
 //     somebody looked under — the writer kills it first — and a helper that
-//     finds the word locked waits for what the writer leaves. The writer
-//     holds the Var's stripe, which the descriptor's decision must also
-//     acquire, so the kill cannot race with the decision; the failed MCAS
-//     re-captures and retries. Every kill is paid for by a successful
+//     finds the word locked waits for what the writer leaves. The failed
+//     MCAS re-captures and retries. Every kill is paid for by a successful
 //     commit, so the system as a whole remains lock-free (the Theorem 2
 //     analogue for composition).
-//   - The decision (undecided → succeeded) happens while holding the
-//     stripes of every entry's Var, acquired in ascending stripe order —
-//     the same order committing transactions lock their write stripes, so
-//     the two can never deadlock (and committers abort rather than wait on
-//     a busy stripe anyway) — and with the lock bit of every write leg's
-//     Var set: the operation has succeeded, for everyone who asks the
-//     descriptor, the moment its status flips, so from then until the values
-//     are in place no reader may get past those Vars. The winner of the
-//     status CAS moves the values itself, there and then — stores each write
-//     leg's new value word, draws a commit version, and stamps each write
-//     leg's Var, which unlocks it and aborts exactly the transactions that
-//     read a Var the MCAS writes; a decision that loses the status CAS clears
-//     the bits again. Validation-only legs (Old == New) are neither locked
-//     nor stamped: their values do not change, so overlapping readers have
-//     nothing to observe.
+//   - The decision (undecided → succeeded) happens while holding the lock
+//     bit of every leg's Var, validation-only legs (Old == New) included,
+//     waited for in Var-id order — the order committing transactions take
+//     theirs, and they abort rather than wait, so nothing can deadlock. A
+//     writer of any leg and the decision therefore exclude each other: the
+//     writer's kill lands before the flip or the flip before the writer's
+//     lock, never between a committer's validation and its kill — a
+//     transaction that read one leg and writes a validation-only one would
+//     otherwise commit beside a MultiCAS that assumed the old value of the
+//     leg it wrote (a write skew; TestWriteSkewAgainstGuardedMultiCAS). And
+//     the operation has succeeded, for everyone who asks the descriptor, the
+//     moment its status flips, so from then until the values are in place no
+//     reader may get past those Vars. The winner of the status CAS moves the
+//     values itself, there and then — stores each write leg's new value word,
+//     draws a commit version, and stamps each write leg's Var, which unlocks
+//     it and aborts exactly the transactions that read a Var the MCAS writes.
+//     A validation-only leg gets its old stamp back, as does every leg of a
+//     decision that lost the status CAS: their values did not change, so a
+//     reader that waited out the bit has nothing more to observe.
 //   - Release only empties the claim slots that still hold the descriptor.
 //     No value depends on it, readers never waited for it, and a claim it
 //     has not got to yet — or that a late helper puts back — is a decided
@@ -64,10 +66,10 @@ import (
 //     by the next claimer.
 //
 // On real RTM none of this is needed — the fallback MCAS and hardware
-// transactions conflict through the cache-coherence protocol. The stripe
+// transactions conflict through the cache-coherence protocol. The lock-bit
 // choreography is the software-emulation analogue, and it inherits the
-// package's documented caveat that a preempted stripe holder can delay
-// (but not block) the decision of concurrent MCASes.
+// package's documented caveat that a preempted holder of a lock bit can
+// delay (but not block) the decision of concurrent MCASes.
 
 // MultiCAS descriptor statuses.
 const (
@@ -138,7 +140,7 @@ func (u *Update[T]) writes() bool   { return u.old != u.new }
 func (u *Update[T]) holds() bool { return u.v.decode(u.v.read()) == u.old }
 
 // move stores the leg's new value. It is the decision's winner's, which
-// holds the Var's stripe and lock bit.
+// holds the Var's lock bit.
 func (u *Update[T]) move() { u.v.storeP(u.v.encode(u.new)) }
 
 // claim puts m in the claim slot of e's Var, unless an undecided foreign
@@ -159,7 +161,7 @@ func (m *MultiDesc) claim(e Entry) (claimResult, *MultiDesc) {
 			break
 		}
 	}
-	perturb()
+	perturb(claimPlaced)
 	if !e.holds() {
 		return claimMismatch, nil
 	}
@@ -203,9 +205,9 @@ func MultiCASParked(park func(), entries ...Entry) bool {
 	if park != nil && m.status.Load() == mwUndecided {
 		park()
 	}
-	perturb()
+	perturb(mcasClaimed)
 	m.decide()
-	perturb()
+	perturb(mcasDecided)
 	m.releaseAll()
 	return m.status.Load() == mwSucceeded
 }
@@ -243,87 +245,70 @@ claim:
 	}
 }
 
-// decide moves an undecided descriptor to succeeded while holding the
-// stripes of every entry, acquired in ascending stripe order (deadlock-free
-// against committing transactions, direct writers, and other decisions).
-// Holding the stripes serializes the decision against writers that kill
-// undecided descriptors they collide with; exactly one caller wins the
-// status CAS under them. Every caller that gets that far has set the lock
-// bits of the write legs' Vars first — whoever sees the status flipped may
-// report success and go on to read those Vars, and must wait there until the
+// decide moves an undecided descriptor to succeeded while holding the lock
+// bit of every entry's Var, write leg or not, each waited for in the entries'
+// Var-id order (deadlock-free against other decisions; committing
+// transactions abort and direct writers hold one bit, so neither waits for a
+// second). The bits are the decision's mutual exclusion with the writers
+// that kill undecided descriptors they collide with — whoever writes a leg,
+// a validation-only one too, either killed the descriptor before the flip or
+// locks after the values are in place — and exactly one caller wins the
+// status CAS under them. A caller that finds the descriptor decided while it
+// waits gives its bits back and leaves. Whoever sees the status flipped may
+// report success and go on to read the legs' Vars, and waits there until the
 // values are in. The winner stores them, then draws the commit version and
-// stamps those Vars, which unlocks them and aborts precisely the
-// transactions that read a Var it writes; a loser — another helper already
-// decided, and if it succeeded already moved and stamped, or a writer killed
-// the descriptor — takes its bits off again.
+// stamps the write legs' Vars, which unlocks them and aborts precisely the
+// transactions that read a Var it writes; every other leg — a validation-only
+// one, or any leg of a loser: another helper already decided, and if it
+// succeeded already moved and stamped, or a writer killed the descriptor —
+// gets its old stamp back.
 func (m *MultiDesc) decide() {
 	if m.status.Load() != mwUndecided {
 		return
 	}
-	// Merge the entries onto their stripes and lock them ascending.
-	t := m.d.table()
-	var buf [stackLegs]stripeRec
-	recs := decStripes(t, m.entries, buf[:0])
-	for _, r := range recs {
-		t.stripes[r.idx].acquire(r.varID)
-	}
-	for _, e := range m.entries {
-		if e.writes() {
-			e.head().lockVer()
+	for i, e := range m.entries {
+		h := e.head()
+		for !h.tryLock() {
+			perturb(decideWaits)
+			if m.status.Load() != mwUndecided {
+				unlockLegs(m.entries[:i], 0)
+				return
+			}
+			runtime.Gosched()
 		}
 	}
-	perturb()
-	won := m.status.CompareAndSwap(mwUndecided, mwSucceeded)
+	perturb(decideLocked)
 	var wv uint64
-	if won {
-		perturb()
+	if m.status.CompareAndSwap(mwUndecided, mwSucceeded) {
+		perturb(decideWon)
 		for _, e := range m.entries {
 			if e.writes() {
 				e.move()
 			}
 		}
-		perturb()
+		perturb(decideMoved)
 		wv = m.d.clock.Add(1)
-		perturb()
+		perturb(decideDrawn)
 	}
-	for _, e := range m.entries {
-		if e.writes() {
-			if won {
-				e.head().ver.Store(wv)
-			} else {
-				e.head().unlockVer()
-			}
-		}
-	}
-	unlock(t, recs)
+	unlockLegs(m.entries, wv)
 }
 
-// stackLegs is how many legs' worth of scratch a decision and a
-// MultiValidate keep on their stacks; wider entry sets spill to the heap.
+// unlockLegs gives up the lock bits of the given legs: with wv != 0 — the
+// version the decision's winner drew — by stamping the write legs, and
+// otherwise, and for every other leg, by putting the old stamp back.
+func unlockLegs(legs []Entry, wv uint64) {
+	for _, e := range legs {
+		if wv != 0 && e.writes() {
+			e.head().ver.Store(wv)
+		} else {
+			e.head().unlockVer()
+		}
+	}
+}
+
+// stackLegs is how many legs' worth of scratch a MultiValidate keeps on its
+// stack; wider entry sets spill to the heap.
 const stackLegs = 16
-
-// decStripes appends to out one record per distinct stripe the entries hash
-// to in table t and returns them sorted ascending; a stripe is held under a
-// writing Var of it, if it has one (the owner a commit that meets it
-// classifies its abort by).
-func decStripes(t *stripeTable, entries []Entry, out []stripeRec) []stripeRec {
-merge:
-	for _, e := range entries {
-		id := e.head().id
-		idx := t.indexOf(id)
-		for i := range out {
-			if out[i].idx == idx {
-				if e.writes() {
-					out[i].varID = id
-				}
-				continue merge
-			}
-		}
-		out = append(out, stripeRec{idx: idx, varID: id})
-	}
-	slices.SortFunc(out, byIdx)
-	return out
-}
 
 // releaseAll empties the claim slots that still hold m. Idempotent; m is
 // decided.
@@ -339,9 +324,9 @@ func (m *MultiDesc) releaseAll() {
 // instant: the checks run between two looks at every entry's Var's word that
 // find it unlocked and unchanged, so no writer touched any of the entries'
 // Vars while they ran — the per-Var window of a direct Load, over several
-// Vars at once; writers elsewhere in the domain, aliased or not, do not
-// disturb it. It is the read-only commit of the composition layer's fallback
-// path — validation without publication.
+// Vars at once; writers elsewhere in the domain do not disturb it. It is the
+// read-only commit of the composition layer's fallback path — validation
+// without publication.
 func MultiValidate(entries ...Entry) bool {
 	if len(entries) == 0 {
 		return true

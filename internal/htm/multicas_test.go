@@ -121,10 +121,12 @@ func (s spyEntry) move()        { s.onMove(); s.Update.move() }
 // after the status flips, under the lock bits and before the commit version
 // is drawn, so they are in place when the stamp unlocks the Vars — and the
 // release phase touches no value: it only empties the claim slots. The bits
-// are up before the flip: once the descriptor says succeeded, whoever
-// handles a write leg (the spy sees every such moment) finds its Var locked
-// until its own stamp, so a helper that reports the success cannot be
-// followed by a read of the old value.
+// are up before the flip, on every leg: once the descriptor says succeeded,
+// whoever handles a write leg (the spy sees every such moment) finds its Var
+// locked until its own stamp, so a helper that reports the success cannot be
+// followed by a read of the old value; and the validation-only leg is locked
+// too while the values move — no writer of it can be between its validation
+// and its kill — and has its own old stamp back afterwards.
 func TestDecisionMovesValues(t *testing.T) {
 	d := NewDomain(0, 0)
 	a, b, guard := NewVar(d, 1), NewVar(d, 2), NewVar(d, 3)
@@ -150,8 +152,8 @@ func TestDecisionMovesValues(t *testing.T) {
 					t.Errorf("Var %d: word %#x while values move, want locked, unstamped", v.id, v.ver.Load())
 				}
 			}
-			if guard.ver.Load() != clock {
-				t.Error("a validation-only leg was locked")
+			if guard.ver.Load() != clock|verLocked {
+				t.Errorf("the validation-only leg's word is %#x while values move, want locked over its stamp %d", guard.ver.Load(), clock)
 			}
 		}}
 	}
@@ -167,8 +169,8 @@ func TestDecisionMovesValues(t *testing.T) {
 	if Load(nil, a) != 10 || Load(nil, b) != 20 || Load(nil, guard) != 3 {
 		t.Fatalf("after the decision: a=%d b=%d guard=%d, want 10, 20, 3", Load(nil, a), Load(nil, b), Load(nil, guard))
 	}
-	checkUnlocked(t, d, clock+1, a, b)
-	checkUnlocked(t, d, clock, guard)
+	checkUnlocked(t, clock+1, a, b)
+	checkUnlocked(t, clock, guard)
 	pa, pb := a.loadP(), b.loadP()
 	for _, v := range []*Var[int]{a, b, guard} {
 		if v.claim.Load() != m {
@@ -184,7 +186,7 @@ func TestDecisionMovesValues(t *testing.T) {
 	if a.loadP() != pa || b.loadP() != pb {
 		t.Error("release stored a value word")
 	}
-	checkUnlocked(t, d, clock+1, a, b)
+	checkUnlocked(t, clock+1, a, b)
 }
 
 // TestClaimWaitsOutAWriter: a writer that looked at the claim slot before a
@@ -197,8 +199,7 @@ func TestClaimWaitsOutAWriter(t *testing.T) {
 	d := NewDomain(0, 0)
 	a := NewVar(d, 1)
 	// A direct Store of 2 by hand, stopped after its look at the empty slot.
-	s := a.lockVar()
-	a.lockVer()
+	a.lock()
 	a.kill()
 	m := &MultiDesc{d: d, entries: []Entry{NewUpdate(a, 1, 10)}}
 	done := make(chan struct{})
@@ -211,7 +212,6 @@ func TestClaimWaitsOutAWriter(t *testing.T) {
 	}
 	a.storeP(a.encode(2))
 	a.ver.Store(d.clock.Add(1))
-	s.release()
 	<-done
 	if got := m.status.Load(); got != mwFailed {
 		t.Errorf("descriptor status = %d, want failed (%d)", got, mwFailed)

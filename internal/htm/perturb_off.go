@@ -2,6 +2,6 @@
 
 package htm
 
-// perturb marks a phase boundary of a write protocol; see perturb_on.go.
+// perturb marks a named crossing of a write protocol; see perturb_on.go.
 // Without the perturb build tag it is empty and inlines to nothing.
-func perturb() {}
+func perturb(crossing) {}

@@ -24,9 +24,8 @@ func checkFresh(t *testing.T, tx *Tx) {
 			break
 		}
 	}
-	if tx.reads != 0 || len(tx.readLog) != 0 || len(tx.lockRecs) != 0 {
-		t.Errorf("recycled Tx carries reads=%d readLog=%d lockRecs=%d",
-			tx.reads, len(tx.readLog), len(tx.lockRecs))
+	if tx.reads != 0 || len(tx.readLog) != 0 {
+		t.Errorf("recycled Tx carries reads=%d readLog=%d", tx.reads, len(tx.readLog))
 	}
 	for _, h := range tx.readLog[:cap(tx.readLog)] {
 		if h != nil {
@@ -40,8 +39,8 @@ func checkFresh(t *testing.T, tx *Tx) {
 			break
 		}
 	}
-	if tx.helped != 0 || tx.alias {
-		t.Errorf("recycled Tx carries helped=%d alias=%v", tx.helped, tx.alias)
+	if tx.helped != 0 {
+		t.Errorf("recycled Tx carries helped=%d", tx.helped)
 	}
 }
 
@@ -202,42 +201,6 @@ func TestPoolForeignPanicLeavesNextAttemptClean(t *testing.T) {
 	})
 	if st != Committed || Load(nil, x) != 2 {
 		t.Fatalf("after a foreign panic: status=%v x=%d, want committed/2", st, Load(nil, x))
-	}
-}
-
-// TestPoolAcrossStripeCounts runs attempts on domains of three table sizes in
-// turn: the pool is shared by every domain, and the one thing a Tx still
-// sizes by the table is the lock phase's stripe bitmap (lockSet), which goes
-// 4 → 16 → 1 words — a commit that dedupes its stripes through a bitmap left
-// over from another table would lock too few of them, or index past its end.
-// A Tx that served one domain pins none of its values or Vars when it serves
-// the next (checkFresh).
-func TestPoolAcrossStripeCounts(t *testing.T) {
-	for _, c := range []struct{ stripes, words int }{{256, 4}, {1024, 16}, {64, 1}} {
-		d := NewDomainStripes(0, 0, c.stripes)
-		vars := make([]*Var[int], 300)
-		for i := range vars {
-			vars[i] = NewVar(d, 0)
-		}
-		var tx0 *Tx
-		st := d.Atomically(func(tx *Tx) {
-			checkFresh(t, tx)
-			tx0 = tx
-			for _, v := range vars {
-				Store(tx, v, Load(tx, v)+1)
-			}
-		})
-		if st != Committed {
-			t.Fatalf("status = %v at %d stripes", st, c.stripes)
-		}
-		if len(tx0.lockSet) != c.words {
-			t.Errorf("lock-phase bitmap = %d words at %d stripes, want %d", len(tx0.lockSet), c.stripes, c.words)
-		}
-		for i, v := range vars {
-			if got := Load(nil, v); got != 1 {
-				t.Fatalf("vars[%d] = %d at %d stripes, want 1", i, got, c.stripes)
-			}
-		}
 	}
 }
 

@@ -8,9 +8,8 @@ import (
 )
 
 // The tests in this file pin the per-Var versioned lock: who stamps it, who
-// must not, who leaves it as found, and that judging reads by it alone —
-// stripes being the writers' business — keeps transactions serializable and
-// their bodies opaque however heavily the Vars alias.
+// must not, who leaves it as found, and that judging reads and writes by it
+// alone keeps transactions serializable and their bodies opaque.
 
 // elsewhere runs f on another goroutine and waits for it: a writer "from
 // outside" in the middle of a transaction body, without nesting attempts.
@@ -39,8 +38,8 @@ var stampingWriters = []struct {
 
 // TestWritersStampTheVar: after each kind of write the Var's stamp is the
 // commit clock, a transaction that read the Var before the write aborts with
-// a true conflict at its next read of it, and one that does not read it
-// again fails commit validation the same way.
+// a conflict at its next read of it, and one that does not read it again
+// fails commit validation the same way.
 func TestWritersStampTheVar(t *testing.T) {
 	for _, w := range stampingWriters {
 		t.Run(w.name, func(t *testing.T) {
@@ -49,14 +48,14 @@ func TestWritersStampTheVar(t *testing.T) {
 			if a.ver.Load() != 0 {
 				t.Fatalf("fresh Var stamped %d", a.ver.Load())
 			}
-			st, alias := d.AtomicallyClassified(func(tx *Tx) {
+			st := d.Atomically(func(tx *Tx) {
 				Load(tx, a)
 				w.write(d, a, side)
 				Load(tx, a)
 				t.Error("read survived a write to the same Var")
 			})
-			if st != AbortConflict || alias {
-				t.Fatalf("at the read: (status, alias) = (%v, %v), want (conflict, false)", st, alias)
+			if st != AbortConflict {
+				t.Fatalf("at the read: status = %v, want conflict", st)
 			}
 			if got, clock := a.ver.Load(), d.clock.Load(); got != clock || got == 0 {
 				t.Fatalf("stamp = %d, commit clock = %d", got, clock)
@@ -66,19 +65,19 @@ func TestWritersStampTheVar(t *testing.T) {
 			}
 
 			Store(nil, a, 1)
-			st, alias = d.AtomicallyClassified(func(tx *Tx) {
+			st = d.Atomically(func(tx *Tx) {
 				Load(tx, a)
 				Store(tx, out, 1)
 				w.write(d, a, side) // found by commit validation only
 			})
-			if st != AbortConflict || alias {
-				t.Fatalf("at commit: (status, alias) = (%v, %v), want (conflict, false)", st, alias)
+			if st != AbortConflict {
+				t.Fatalf("at commit: status = %v, want conflict", st)
 			}
 			if Load(nil, out) != 0 {
 				t.Fatal("an aborted commit published")
 			}
-			if s := d.Stats(); s.Conflicts != 2 || s.FalseConflicts != 0 {
-				t.Fatalf("stats = %+v, want two true conflicts", s)
+			if s := d.Stats(); s.Conflicts != 2 {
+				t.Fatalf("stats = %+v, want two conflicts", s)
 			}
 		})
 	}
@@ -137,12 +136,11 @@ func TestNonWritersDoNotStamp(t *testing.T) {
 // TestFailedWritersLeaveTheWordAsFound: a direct CAS that fails, a decision
 // that loses its status CAS to a kill, and a deferring attempt that aborts on
 // a pending descriptor change no value, and leave every involved Var's word
-// unlocked with the stamp it had, and every stripe free.
+// unlocked with the stamp it had.
 func TestFailedWritersLeaveTheWordAsFound(t *testing.T) {
 	fixture := func(t *testing.T) (*Domain, *Var[int], *Var[int], uint64) {
 		d := NewDomain(0, 0)
-		x := NewVar(d, 0)
-		y := disjointVar(t, d, x)
+		x, y := NewVar(d, 0), NewVar(d, 0)
 		Store(nil, x, 1)
 		Store(nil, y, 1)
 		Store(nil, x, 1) // x and y now carry different, non-zero stamps
@@ -150,8 +148,8 @@ func TestFailedWritersLeaveTheWordAsFound(t *testing.T) {
 	}
 	check := func(t *testing.T, d *Domain, x, y *Var[int], clock uint64) {
 		t.Helper()
-		checkUnlocked(t, d, clock, x)
-		checkUnlocked(t, d, clock-1, y)
+		checkUnlocked(t, clock, x)
+		checkUnlocked(t, clock-1, y)
 		if Load(nil, x) != 1 || Load(nil, y) != 1 || d.clock.Load() != clock {
 			t.Errorf("x=%d y=%d clock=%d, want 1, 1, %d", Load(nil, x), Load(nil, y), d.clock.Load(), clock)
 		}
@@ -169,23 +167,22 @@ func TestFailedWritersLeaveTheWordAsFound(t *testing.T) {
 		d, x, y, clock := fixture(t)
 		m := &MultiDesc{d: d, entries: []Entry{NewUpdate(x, 1, 2), NewUpdate(y, 1, 2)}}
 		m.claimAll()
-		lo, hi := x, y
-		if sidxOf(d, lo) > sidxOf(d, hi) {
-			lo, hi = hi, lo
-		}
-		// The decision passes its first look at the status, takes lo's
-		// stripe and spins on hi's; then the descriptor dies under it.
-		release := holdStripe(d, hi, hi.id)
+		// The decision passes its first look at the status, takes x's bit and
+		// waits for y's; then the descriptor dies under it.
+		y.lock()
 		done := make(chan struct{})
 		go func() { defer close(done); m.decide() }()
-		for stripeOf(d, lo).word.Load() == 0 {
+		for x.ver.Load()&verLocked == 0 {
 			runtime.Gosched()
 		}
 		if !m.status.CompareAndSwap(mwUndecided, mwFailed) {
-			t.Fatal("the descriptor was decided with a stripe of its held")
+			t.Fatal("the descriptor was decided with a bit of its held by someone else")
 		}
-		release()
 		<-done
+		if y.ver.Load() != clock-1|verLocked {
+			t.Fatalf("y's word is %#x: a decision that left touched a bit it did not hold", y.ver.Load())
+		}
+		y.unlockVer()
 		m.releaseAll()
 		check(t, d, x, y, clock)
 	})
@@ -194,7 +191,7 @@ func TestFailedWritersLeaveTheWordAsFound(t *testing.T) {
 		d, x, y, clock := fixture(t)
 		m := &MultiDesc{d: d, entries: []Entry{NewUpdate(x, 1, 1)}}
 		m.claimAll()
-		if st, _ := d.AtomicallyDeferring(func(tx *Tx) {
+		if st := d.AtomicallyDeferring(func(tx *Tx) {
 			Store(tx, y, Load(tx, y)+1)
 			Store(tx, x, Load(tx, x)+1)
 		}); st != AbortExplicit {
@@ -205,20 +202,19 @@ func TestFailedWritersLeaveTheWordAsFound(t *testing.T) {
 		}
 		check(t, d, x, y, clock)
 		m.help() // a validation-only leg: the decision draws a version and stamps nothing
-		checkUnlocked(t, d, clock, x)
-		checkUnlocked(t, d, clock-1, y)
+		checkUnlocked(t, clock, x)
+		checkUnlocked(t, clock-1, y)
 	})
 }
 
 // TestReadThenWrittenVarValidatesOnItsOldStamp: at validation a Var the
 // attempt read and then wrote carries the attempt's own lock bit; it is
 // judged by the stamp under the bit — it passes when that is no newer than
-// the snapshot, and fails, as a true conflict, when a foreign Store landed
-// between the read and the commit.
+// the snapshot, and fails when a foreign Store landed between the read and
+// the commit.
 func TestReadThenWrittenVarValidatesOnItsOldStamp(t *testing.T) {
 	d := NewDomain(0, 0)
-	a := NewVar(d, 0)
-	far := disjointVar(t, d, a)
+	a, far := NewVar(d, 0), NewVar(d, 0)
 	Store(nil, a, 1) // a non-zero stamp under the snapshot
 	st := d.Atomically(func(tx *Tx) {
 		Store(tx, a, Load(tx, a)+1)
@@ -227,85 +223,71 @@ func TestReadThenWrittenVarValidatesOnItsOldStamp(t *testing.T) {
 	if st != Committed || Load(nil, a) != 2 {
 		t.Fatalf("status = %v, a = %d, want committed, 2", st, Load(nil, a))
 	}
-	checkUnlocked(t, d, d.clock.Load(), a)
+	checkUnlocked(t, d.clock.Load(), a)
 
 	var foreign uint64
-	st, alias := d.AtomicallyClassified(func(tx *Tx) {
+	st = d.Atomically(func(tx *Tx) {
 		Store(tx, a, Load(tx, a)+1)
 		elsewhere(func() { Store(nil, a, 9) })
 		foreign = d.clock.Load()
 	})
-	if st != AbortConflict || alias {
-		t.Fatalf("(status, alias) = (%v, %v), want (conflict, false)", st, alias)
+	if st != AbortConflict {
+		t.Fatalf("status = %v, want conflict", st)
 	}
 	if Load(nil, a) != 9 {
 		t.Fatalf("a = %d, want the foreign 9", Load(nil, a))
 	}
-	checkUnlocked(t, d, foreign, a)
+	checkUnlocked(t, foreign, a)
 }
 
 // TestWriteSkew: T1 reads x and writes y, T2 reads y and writes x. Each
 // guards its write on the other's Var being zero, so a serial order sets
-// exactly one of them. With x and y on one stripe the two commits exclude
-// each other and the loser must abort on a stamp although it holds the
-// shared stripe itself at validation; on two stripes both can hold their
-// write stripe at once, each with a timestamp drawn, and what stops the pair
-// is validation refusing a read Var that someone else has locked — which is
-// why the lock bits are set before the timestamp is drawn. First by
-// hand — T2 runs whole between T1's read and T1's commit — then hammered
-// (the build tag perturb yields between the phases, which is what lines the
-// two commits up on one CPU).
+// exactly one of them. Both can hold their written Var's lock bit at once,
+// each with a timestamp drawn, and what stops the pair is validation refusing
+// a read Var that someone else has locked — which is why the lock bits are
+// taken before the timestamp is drawn. First by hand — T2 runs whole between
+// T1's read and T1's commit — then hammered (the build tag perturb yields
+// between the phases, which is what lines the two commits up on one CPU).
 func TestWriteSkew(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		pair func(t *testing.T, d *Domain, x *Var[int]) *Var[int]
-	}{
-		{"aliased", aliasVar},
-		{"disjoint", disjointVar},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			d := NewDomain(0, 0)
-			x := NewVar(d, 0)
-			y := c.pair(t, d, x)
-			guarded := func(read, write *Var[int], between func()) Status {
-				return d.Atomically(func(tx *Tx) {
-					if Load(tx, read) == 0 {
-						if between != nil {
-							between()
-						}
-						Store(tx, write, 1)
-					}
-				})
-			}
-			st := guarded(x, y, func() {
-				elsewhere(func() {
-					if st := guarded(y, x, nil); st != Committed {
-						t.Errorf("T2 alone: %v", st)
-					}
-				})
-			})
-			if st != AbortConflict || Load(nil, x) != 1 || Load(nil, y) != 0 {
-				t.Fatalf("T1 = %v with x=%d y=%d, want a conflict abort and x=1 y=0", st, Load(nil, x), Load(nil, y))
-			}
-
-			for round := 0; round < 2000; round++ {
-				Store(nil, x, 0)
-				Store(nil, y, 0)
-				var wg sync.WaitGroup
-				for _, p := range [][2]*Var[int]{{x, y}, {y, x}} {
-					wg.Add(1)
-					go func(read, write *Var[int]) {
-						defer wg.Done()
-						for guarded(read, write, nil) != Committed {
-						}
-					}(p[0], p[1])
+	d := NewDomain(0, 0)
+	x, y := NewVar(d, 0), NewVar(d, 0)
+	guarded := func(read, write *Var[int], between func()) Status {
+		return d.Atomically(func(tx *Tx) {
+			if Load(tx, read) == 0 {
+				if between != nil {
+					between()
 				}
-				wg.Wait()
-				if gx, gy := Load(nil, x), Load(nil, y); gx+gy != 1 {
-					t.Fatalf("round %d: x=%d y=%d: both or neither of a write-skew pair committed its write", round, gx, gy)
-				}
+				Store(tx, write, 1)
 			}
 		})
+	}
+	st := guarded(x, y, func() {
+		elsewhere(func() {
+			if st := guarded(y, x, nil); st != Committed {
+				t.Errorf("T2 alone: %v", st)
+			}
+		})
+	})
+	if st != AbortConflict || Load(nil, x) != 1 || Load(nil, y) != 0 {
+		t.Fatalf("T1 = %v with x=%d y=%d, want a conflict abort and x=1 y=0", st, Load(nil, x), Load(nil, y))
+	}
+
+	for round := 0; round < 2000; round++ {
+		Store(nil, x, 0)
+		Store(nil, y, 0)
+		var wg sync.WaitGroup
+		for _, p := range [][2]*Var[int]{{x, y}, {y, x}} {
+			wg.Add(1)
+			go func(read, write *Var[int]) {
+				defer wg.Done()
+				for guarded(read, write, nil) != Committed {
+				}
+			}(p[0], p[1])
+		}
+		wg.Wait()
+		if gx, gy := Load(nil, x), Load(nil, y); gx+gy != 1 {
+			t.Fatalf("round %d: x=%d y=%d: both or neither of a write-skew pair committed its write", round, gx, gy)
+		}
 	}
 }
 
@@ -360,14 +342,14 @@ func TestWriteSkewAgainstGuardedMultiCAS(t *testing.T) {
 	}
 }
 
-// TestOneStripeOpacity hammers a domain with a single stripe — every Var
-// aliases every other — with transfers between a and b by transaction and by
-// MultiCAS, plus direct writes to unrelated Vars. A transaction body that has
-// read both a and b must never see their sum broken, not even in an attempt
-// that is going to abort; direct reads that pass MultiValidate likewise.
-func TestOneStripeOpacity(t *testing.T) {
+// TestOpacityUnderEveryWriter hammers a and b with transfers by transaction
+// and by MultiCAS, plus direct writes to unrelated Vars. A transaction body
+// that has read both a and b must never see their sum broken, not even in an
+// attempt that is going to abort; direct reads that pass MultiValidate
+// likewise.
+func TestOpacityUnderEveryWriter(t *testing.T) {
 	const total = 1000
-	d := NewDomainStripes(0, 0, 1)
+	d := NewDomain(0, 0)
 	a, b, c := NewVar(d, total), NewVar(d, 0), NewVar(d, 0)
 	var stop atomic.Bool
 	var writers, readers sync.WaitGroup
@@ -397,7 +379,7 @@ func TestOneStripeOpacity(t *testing.T) {
 			}
 		}
 	})
-	spawn(&writers, func(i int) { Store(nil, c, i) }) // aliased, unrelated
+	spawn(&writers, func(i int) { Store(nil, c, i) }) // read beside a and b, unrelated
 	spawn(&writers, func(i int) { Add(nil, NewVar(d, uint64(0)), 1) })
 	for r := 0; r < 2; r++ {
 		readers.Add(1)

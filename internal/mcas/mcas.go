@@ -7,9 +7,9 @@
 //
 // The lock-free baseline Mound is this package's only importer. The
 // transactional composition layer publishes with htm.MultiCAS, the same
-// algorithm lifted onto transactional Vars; that one decides under stripe
-// locks, which is why the baseline keeps this genuinely lock-free
-// implementation over raw words (see DESIGN.md §7).
+// algorithm lifted onto transactional Vars; that one decides while it holds
+// the lock bits of its Vars, which is why the baseline keeps this genuinely
+// lock-free implementation over raw words (see DESIGN.md §7).
 //
 // Words are boxed behind unique heap cells, which rules out ABA on the
 // descriptor-installation CASes. A word temporarily holds a pointer to an

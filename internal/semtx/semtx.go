@@ -33,10 +33,10 @@
 // committed transaction is linearizable at its commit operation even though
 // its execution-time reads were not mutually consistent; a body that
 // observed a torn view simply fails validation and re-runs. And because the
-// items are semantic rather than word-level, commits that would collide in
-// the orec stripe table — two inserts into one hash bucket, say — validate
-// and commit concurrently save for the short apply window, which is what
-// ablation A9 measures against stripe-only validation.
+// items are semantic rather than word-level, commits that would collide on
+// a word — two inserts into one hash bucket, say — validate and commit
+// concurrently save for the short apply window, which is what ablation A9
+// measures against word-level validation.
 //
 // The same generic code runs on both substrates: Manager is parameterized
 // over the txnops.Ctx capability interfaces, so a runtime manager

@@ -28,10 +28,6 @@ type Config struct {
 	// Shards is the shard count; keys spread across shards by hash, and
 	// each shard owns its own htm domain, manager, and structures.
 	Shards int
-	// Stripes is each shard domain's ownership-record stripe count, fixed
-	// for the server's life: a power of two, or 0 for the htm default, 256
-	// (anything else panics in htm.NewDomainStripes).
-	Stripes int
 	// Policy is the speculation policy of every shard's manager (e.g.
 	// speculate.Adaptive()); its Metrics field is overwritten with the
 	// server's registry.
@@ -128,7 +124,6 @@ func New(cfg Config) *Server {
 			Registry:   s.reg,
 			SitePrefix: siteName(i),
 			Interval:   cfg.TuneInterval,
-			Domain:     sh.m.Domain(),
 			Batch:      sh.b,
 			MaxBatch:   cfg.MaxBatch,
 			Budgets:    sh.m.Site().Actuator(),
@@ -161,8 +156,8 @@ func (s *Server) Close() {
 	})
 }
 
-// shardFor routes a key to its owning shard (Fibonacci hash, like the
-// stripe table's Var mapping — adjacent keys spread apart).
+// shardFor routes a key to its owning shard (Fibonacci hash: adjacent keys
+// spread apart).
 func (s *Server) shardFor(key int64) *shard {
 	h := uint64(key) * 0x9E3779B97F4A7C15
 	return s.shards[(h>>32)%uint64(len(s.shards))]
@@ -191,9 +186,9 @@ type ShardStats struct {
 	BatchedOps uint64                           `json:"batched_ops"`
 	BatchSizes telemetry.WidthHistogramSnapshot `json:"batch_sizes"`
 
-	// Tune is the shard's self-tuning controller state: the domain's stripe
-	// count, the current batch k, effective speculation budgets, and how many
-	// actuations each control law has fired.
+	// Tune is the shard's self-tuning controller state: the current batch k,
+	// effective speculation budgets, and how many actuations each control law
+	// has fired.
 	Tune tune.Snapshot `json:"tune"`
 
 	// Open-transaction counters (/v1/txn): committed transactions, commits

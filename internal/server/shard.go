@@ -4,11 +4,10 @@
 // later hot-path win in the substrate shows up as user-visible throughput.
 //
 // The architecture is N independent shards. Each shard owns its own
-// htm.Domain (its own ownership-record stripe table, built with
-// htm.NewDomainStripes), its own txn.Manager driven by its own
+// htm.Domain (its own commit clock), its own txn.Manager driven by its own
 // speculate policy site, and its own registry of structures — so shards
-// never share a conflict-detection table, never validate each other's
-// footprints, and scale like separate instances of the paper's machine.
+// never share a commit clock, never validate each other's footprints, and
+// scale like separate instances of the paper's machine.
 // Cross-structure composed operations (move, transfer, moveall) therefore
 // stay within one shard: the composition layer's atomicity is a
 // single-domain property (MultiCAS panics on cross-domain entry sets), and
@@ -71,7 +70,7 @@ func siteName(id int) string { return fmt.Sprintf("shard%d/txn", id) }
 
 // newShard builds shard id under cfg, registering its telemetry in reg.
 func newShard(id int, cfg Config, reg *telemetry.Registry) *shard {
-	d := htm.NewDomainStripes(0, 0, cfg.Stripes)
+	d := htm.NewDomain(0, 0)
 	if cfg.ReadCap != 0 || cfg.WriteCap != 0 {
 		// Negative values pass through: they force every composed operation
 		// down the MultiCAS fallback (the ptostress -readcap/-writecap idiom).

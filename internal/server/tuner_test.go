@@ -10,7 +10,7 @@ import (
 // capacity-heavy interval on the shard's own telemetry site, and checks the
 // actuation lands in the shard's batcher and surfaces through Stats.
 func TestShardTunerWiring(t *testing.T) {
-	s := New(Config{Shards: 2, Stripes: 64, TuneInterval: -1, AdmitInterval: -1})
+	s := New(Config{Shards: 2, TuneInterval: -1, AdmitInterval: -1})
 	defer s.Close()
 	sh := s.shards[0]
 	if got := sh.b.BatchK(); got != DefaultMaxBatch {
@@ -38,9 +38,6 @@ func TestShardTunerWiring(t *testing.T) {
 	if tn.BatchK != DefaultMaxBatch/2 || tn.BatchActions == 0 || tn.Actions == 0 {
 		t.Fatalf("shard 0 tune stats = %+v", tn)
 	}
-	if tn.Stripes != 64 {
-		t.Fatalf("stripes = %d in shard tune stats, want the provisioned 64", tn.Stripes)
-	}
 	if len(tn.Budgets) == 0 {
 		t.Fatal("budget snapshot missing from shard tune stats")
 	}
@@ -50,7 +47,7 @@ func TestShardTunerWiring(t *testing.T) {
 // pressure is picked up without any manual stepping, and Close stops the
 // loop.
 func TestShardTunerBackground(t *testing.T) {
-	s := New(Config{Shards: 1, Stripes: 64, TuneInterval: time.Millisecond, AdmitInterval: -1})
+	s := New(Config{Shards: 1, TuneInterval: time.Millisecond, AdmitInterval: -1})
 	defer s.Close()
 	sh := s.shards[0]
 	for i := 0; i < 2000; i++ {

@@ -1,7 +1,6 @@
 package simspec
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -12,9 +11,6 @@ import (
 // substrates' abort taxonomies: the simulator's Status strings and the
 // runtime telemetry's Prometheus reason labels must stay identical, or
 // dashboards joining modeled and wall-clock abort mixes silently split.
-// The stripe-alias label is runtime-only (the simulator has no stripes to
-// alias), so it must NOT collide with any simulator status string — it is
-// a refinement of ReasonConflict, not a fourth machine-level reason.
 func TestAbortReasonLabelParity(t *testing.T) {
 	golden := []struct {
 		status sim.Status
@@ -29,16 +25,8 @@ func TestAbortReasonLabelParity(t *testing.T) {
 			t.Errorf("sim status %d renders %q, telemetry label is %q", int(g.status), got, g.label)
 		}
 	}
-	for _, g := range golden {
-		if g.status.String() == telemetry.ReasonConflictAlias {
-			t.Errorf("runtime-only alias label %q collides with sim status %d", telemetry.ReasonConflictAlias, int(g.status))
-		}
-	}
-	if !strings.HasPrefix(telemetry.ReasonConflictAlias, telemetry.ReasonConflict) {
-		t.Errorf("alias label %q is not a refinement of %q", telemetry.ReasonConflictAlias, telemetry.ReasonConflict)
-	}
 	// "ok" is a status, not an abort reason: no reason label may claim it.
-	for _, label := range []string{telemetry.ReasonConflict, telemetry.ReasonConflictAlias, telemetry.ReasonCapacity, telemetry.ReasonExplicit} {
+	for _, label := range []string{telemetry.ReasonConflict, telemetry.ReasonCapacity, telemetry.ReasonExplicit} {
 		if label == sim.OK.String() {
 			t.Errorf("abort reason label %q collides with the commit status", label)
 		}

@@ -56,9 +56,9 @@ func (s *PTOSet) newPNode(key int64, top int) *pnode {
 
 // link points every level of the still-private node n at succs. Nobody can
 // see n until a commit or a CAS publishes a predecessor's link to it, so its
-// own links are set by (re-)Init: a direct Store would take a stripe lock
-// and bump the domain's commit clock once per level for memory no
-// transaction can have read.
+// own links are set by (re-)Init: a direct Store would lock the link and
+// bump the domain's commit clock once per level for memory no transaction
+// can have read.
 func (s *PTOSet) link(n *pnode, succs *[MaxLevel]*pnode) {
 	for l := range n.next {
 		n.next[l].Init(s.domain, &pbox{n: succs[l]})

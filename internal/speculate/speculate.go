@@ -460,14 +460,13 @@ func (r *Run) Try(body func(tx *htm.Tx)) htm.Status {
 	}
 	level := r.w.Level()
 	var st htm.Status
-	var alias bool
 	var helped int
 	if hb := s.c.HelpBudget(level); hb > 0 {
-		st, alias, helped = r.d.AtomicallyHelping(hb, body)
+		st, helped = r.d.AtomicallyHelping(hb, body)
 	} else if s.c.DefersAt(level) {
-		st, alias = r.d.AtomicallyDeferring(body)
+		st = r.d.AtomicallyDeferring(body)
 	} else {
-		st, alias = r.d.AtomicallyClassified(body)
+		st = r.d.Atomically(body)
 	}
 	r.w.Record(outcomeOf(st))
 	s.recordAttempt(level, st == htm.Committed)
@@ -481,9 +480,6 @@ func (r *Run) Try(body func(tx *htm.Tx)) htm.Status {
 			t.Commits.Add(1)
 		case htm.AbortConflict:
 			t.Conflicts.Add(1)
-			if alias {
-				t.FalseConflicts.Add(1)
-			}
 		case htm.AbortCapacity:
 			t.Capacity.Add(1)
 		case htm.AbortExplicit:

@@ -186,7 +186,7 @@ func TestConflictAbortRetriesWithBackoff(t *testing.T) {
 	d := htm.NewDomain(0, 0)
 	v := htm.NewVar(d, 0)
 	// The body writes the Var non-transactionally before its transactional
-	// read of the same Var, so the stripe validation always fails: a
+	// read of the same Var, whose stamp is then newer than the snapshot: a
 	// deterministic conflict abort.
 	conflict := func(tx *htm.Tx) {
 		htm.Store(nil, v, 1)

@@ -48,15 +48,11 @@ const (
 // ReasonConflict, ReasonCapacity, and ReasonExplicit mirror the simulated
 // machine's abort Status strings one-for-one (a golden test in
 // internal/simspec pins the parity), so dashboards can join modeled and
-// runtime abort mixes by label. ReasonConflictAlias is the runtime-only
-// stripe-alias attribution: the engine splits total conflict aborts into
-// ReasonConflict (true data races) and ReasonConflictAlias (false sharing
-// on a stripe word), which sum to the simulator's single conflict count.
+// runtime abort mixes by label.
 const (
-	ReasonConflict      = "conflict"
-	ReasonConflictAlias = "conflict_alias"
-	ReasonCapacity      = "capacity"
-	ReasonExplicit      = "explicit"
+	ReasonConflict = "conflict"
+	ReasonCapacity = "capacity"
+	ReasonExplicit = "explicit"
 )
 
 // siteLabels renders a site snapshot's label set, without braces: the site
@@ -88,11 +84,7 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "# HELP %s Aborted speculative attempts per site, by abort reason.\n", MetricAborts)
 	fmt.Fprintf(w, "# TYPE %s counter\n", MetricAborts)
 	for _, s := range snap {
-		// Conflicts are split by the engine's attribution: "conflict" is
-		// true data conflicts, "conflict_alias" the stripe-alias (false)
-		// share, so the two sum to the total conflict aborts.
-		fmt.Fprintf(w, "%s{%s,reason=%q} %d\n", MetricAborts, siteLabels(s), ReasonConflict, s.Conflicts-s.FalseConflicts)
-		fmt.Fprintf(w, "%s{%s,reason=%q} %d\n", MetricAborts, siteLabels(s), ReasonConflictAlias, s.FalseConflicts)
+		fmt.Fprintf(w, "%s{%s,reason=%q} %d\n", MetricAborts, siteLabels(s), ReasonConflict, s.Conflicts)
 		fmt.Fprintf(w, "%s{%s,reason=%q} %d\n", MetricAborts, siteLabels(s), ReasonCapacity, s.Capacity)
 		fmt.Fprintf(w, "%s{%s,reason=%q} %d\n", MetricAborts, siteLabels(s), ReasonExplicit, s.Explicit)
 	}

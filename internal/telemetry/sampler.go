@@ -81,9 +81,9 @@ func logDelta(d Snapshot, elapsed time.Duration, logf func(format string, args .
 		if s.Attempts == 0 && s.Fallbacks == 0 {
 			continue
 		}
-		logf("site %-24s attempts/s %8.0f commit-ratio %5.3f aborts/s %8.0f (conflict %d false %d capacity %d explicit %d) fallbacks/s %7.0f",
+		logf("site %-24s attempts/s %8.0f commit-ratio %5.3f aborts/s %8.0f (conflict %d capacity %d explicit %d) fallbacks/s %7.0f",
 			s.Name, float64(s.Attempts)/secs, s.CommitRatio(), float64(aborts)/secs,
-			s.Conflicts, s.FalseConflicts, s.Capacity, s.Explicit, float64(s.Fallbacks)/secs)
+			s.Conflicts, s.Capacity, s.Explicit, float64(s.Fallbacks)/secs)
 	}
 	for _, c := range d.Composed {
 		if c.Ops == 0 {

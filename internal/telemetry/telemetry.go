@@ -114,13 +114,6 @@ type Site struct {
 	Conflicts atomic.Uint64
 	Capacity  atomic.Uint64
 	Explicit  atomic.Uint64
-	// FalseConflicts is the subset of Conflicts the engine attributed to
-	// stripe aliasing — two unrelated Vars sharing an ownership record —
-	// rather than a true data conflict. Only the real-concurrency htm
-	// substrate produces them; the simulator's conflict detection is exact,
-	// so its sites report zero.
-	FalseConflicts atomic.Uint64
-
 	// Fallbacks counts operations completed by the nonblocking fallback.
 	Fallbacks atomic.Uint64
 	// Disables counts adaptive-disable events (a site's commit ratio fell
@@ -148,37 +141,38 @@ func (s *Site) Level() string { return s.level }
 
 // SiteSnapshot is a plain-value copy of a Site's counters.
 type SiteSnapshot struct {
-	Name           string            `json:"site"`
-	Level          string            `json:"level,omitempty"`
-	Attempts       uint64            `json:"attempts"`
-	Commits        uint64            `json:"commits"`
-	Conflicts      uint64            `json:"conflicts"`
-	FalseConflicts uint64            `json:"false_conflicts"`
-	Capacity       uint64            `json:"capacity"`
-	Explicit       uint64            `json:"explicit"`
-	Fallbacks      uint64            `json:"fallbacks"`
-	Disables       uint64            `json:"adaptive_disables"`
-	Skipped        uint64            `json:"skipped_ops"`
-	Helped         uint64            `json:"helped_descs"`
-	SpecNanos      HistogramSnapshot `json:"spec_latency"`
+	Name      string            `json:"site"`
+	Level     string            `json:"level,omitempty"`
+	Attempts  uint64            `json:"attempts"`
+	Commits   uint64            `json:"commits"`
+	Conflicts uint64            `json:"conflicts"`
+	Capacity  uint64            `json:"capacity"`
+	Explicit  uint64            `json:"explicit"`
+	Fallbacks uint64            `json:"fallbacks"`
+	Disables  uint64            `json:"adaptive_disables"`
+	Skipped   uint64            `json:"skipped_ops"`
+	Helped    uint64            `json:"helped_descs"`
+	SpecNanos HistogramSnapshot `json:"spec_latency"`
+	// FalseConflicts is always 0.
+	// Kept only because benchmark/run.go:553 sums it.
+	FalseConflicts uint64 `json:"-"`
 }
 
 // Snapshot copies the site's counters.
 func (s *Site) Snapshot() SiteSnapshot {
 	return SiteSnapshot{
-		Name:           s.name,
-		Level:          s.level,
-		Attempts:       s.Attempts.Load(),
-		Commits:        s.Commits.Load(),
-		Conflicts:      s.Conflicts.Load(),
-		FalseConflicts: s.FalseConflicts.Load(),
-		Capacity:       s.Capacity.Load(),
-		Explicit:       s.Explicit.Load(),
-		Fallbacks:      s.Fallbacks.Load(),
-		Disables:       s.Disables.Load(),
-		Skipped:        s.Skipped.Load(),
-		Helped:         s.Helped.Load(),
-		SpecNanos:      s.SpecNanos.Snapshot(),
+		Name:      s.name,
+		Level:     s.level,
+		Attempts:  s.Attempts.Load(),
+		Commits:   s.Commits.Load(),
+		Conflicts: s.Conflicts.Load(),
+		Capacity:  s.Capacity.Load(),
+		Explicit:  s.Explicit.Load(),
+		Fallbacks: s.Fallbacks.Load(),
+		Disables:  s.Disables.Load(),
+		Skipped:   s.Skipped.Load(),
+		Helped:    s.Helped.Load(),
+		SpecNanos: s.SpecNanos.Snapshot(),
 	}
 }
 
@@ -186,19 +180,18 @@ func (s *Site) Snapshot() SiteSnapshot {
 // be of the same site.
 func (s SiteSnapshot) Delta(prev SiteSnapshot) SiteSnapshot {
 	return SiteSnapshot{
-		Name:           s.Name,
-		Level:          s.Level,
-		Attempts:       s.Attempts - prev.Attempts,
-		Commits:        s.Commits - prev.Commits,
-		Conflicts:      s.Conflicts - prev.Conflicts,
-		FalseConflicts: s.FalseConflicts - prev.FalseConflicts,
-		Capacity:       s.Capacity - prev.Capacity,
-		Explicit:       s.Explicit - prev.Explicit,
-		Fallbacks:      s.Fallbacks - prev.Fallbacks,
-		Disables:       s.Disables - prev.Disables,
-		Skipped:        s.Skipped - prev.Skipped,
-		Helped:         s.Helped - prev.Helped,
-		SpecNanos:      s.SpecNanos.Delta(prev.SpecNanos),
+		Name:      s.Name,
+		Level:     s.Level,
+		Attempts:  s.Attempts - prev.Attempts,
+		Commits:   s.Commits - prev.Commits,
+		Conflicts: s.Conflicts - prev.Conflicts,
+		Capacity:  s.Capacity - prev.Capacity,
+		Explicit:  s.Explicit - prev.Explicit,
+		Fallbacks: s.Fallbacks - prev.Fallbacks,
+		Disables:  s.Disables - prev.Disables,
+		Skipped:   s.Skipped - prev.Skipped,
+		Helped:    s.Helped - prev.Helped,
+		SpecNanos: s.SpecNanos.Delta(prev.SpecNanos),
 	}
 }
 

@@ -1,7 +1,6 @@
 // Package tune closes the telemetry→policy loop: a per-domain background
 // controller that reads interval-delta snapshots from a telemetry registry
-// and actuates two control laws against the runtime it observes. (There is
-// no law A: a domain's stripe count is fixed at construction.)
+// and actuates two control laws against the runtime it observes.
 //
 //   - Batch sizing (law B): the epoch batcher's chunk size k follows the
 //     abort mix by AIMD — capacity aborts (deterministic footprint
@@ -61,11 +60,9 @@ type Config struct {
 	// Step on its own clock.
 	Interval time.Duration
 
-	// Domain, when set, is observed only: its static stripe count is
-	// reported as Snapshot.Stripes (*htm.Domain implements it).
-	Domain interface{ Stripes() int }
-	// MinStripes is ignored; kept only because benchmark/probes.go:488
-	// sets it.
+	// Domain and MinStripes are ignored.
+	// Kept only because benchmark/probes.go:488 sets them.
+	Domain     interface{ Stripes() int }
 	MinStripes int
 
 	// Batch is law B's actuation surface; nil disables batch adaptation.
@@ -322,10 +319,10 @@ func (c *Controller) lawBudgets(iv interval) int {
 // Snapshot is the controller's externally visible state, served by the
 // shard server's /statz.
 type Snapshot struct {
-	Stripes int `json:"stripes,omitempty"`
-	BatchK  int `json:"batch_k,omitempty"`
-	// RemapActions is always 0; kept only because benchmark/run.go:637
-	// reads it.
+	BatchK int `json:"batch_k,omitempty"`
+	// Stripes and RemapActions are always 0.
+	// Kept only because benchmark/run.go:637 and run.go:640 read them.
+	Stripes       int                               `json:"-"`
 	RemapActions  uint64                            `json:"remap_actions"`
 	BatchActions  uint64                            `json:"batch_actions"`
 	BudgetActions uint64                            `json:"budget_actions"`
@@ -340,9 +337,6 @@ func (c *Controller) Snapshot() Snapshot {
 		BudgetActions: c.budgetActions.Load(),
 	}
 	s.Actions = s.BatchActions + s.BudgetActions
-	if c.cfg.Domain != nil {
-		s.Stripes = c.cfg.Domain.Stripes()
-	}
 	if c.cfg.Batch != nil {
 		s.BatchK = c.cfg.Batch.BatchK()
 	}

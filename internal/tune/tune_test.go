@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/htm"
 	"repro/internal/speculate"
 	"repro/internal/telemetry"
 )
@@ -184,12 +183,11 @@ func TestStopWithoutStart(t *testing.T) {
 func TestCooldownHysteresis(t *testing.T) {
 	r := telemetry.NewRegistry()
 	site := r.Site("shard0/txn")
-	d := htm.NewDomainStripes(0, 0, 64)
 	b := &fakeBatch{k: 64, min: 1, max: 64}
 	core := speculate.Fixed(0).Core(speculate.Level{Name: "fast", Attempts: 8})
 	a := core.EnableActuation()
 	c := New(Config{
-		Registry: r, SitePrefix: "shard0/", Domain: d, Batch: b, Budgets: a,
+		Registry: r, SitePrefix: "shard0/", Batch: b, Budgets: a,
 		MaxBatch: 64, Cooldown: 2,
 	})
 	// Capacity-heavy from the first tick (law B), commit collapse from the
@@ -229,9 +227,6 @@ func TestCooldownHysteresis(t *testing.T) {
 	snap := c.Snapshot()
 	if snap.BatchActions != 4 || snap.BudgetActions != 3 || snap.Actions != 7 {
 		t.Fatalf("snapshot = %+v, want 4 batch and 3 budget actions", snap)
-	}
-	if snap.Stripes != 64 || snap.RemapActions != 0 {
-		t.Fatalf("snapshot = %+v, want the domain's static 64 stripes and no remap", snap)
 	}
 }
 

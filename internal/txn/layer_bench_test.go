@@ -104,17 +104,11 @@ func BenchmarkMoveAll16(b *testing.B) {
 // BenchmarkMoveAll16Contended is BenchmarkMoveAll16 with a second goroutine
 // flipping keys of two other sets in the same domain, through a manager of
 // its own so that each side's fallbacks are counted apart. The flipper writes
-// no Var a move reads, so every fallback is a false one. fallbacks/op, the
-// mover's, was 0.9 while a read was judged by its stripe's version (a move
-// reads every stripe) and is 0.0002 since; what is left is a move's lock
-// phase meeting a stripe the flipper holds for an aliased Var.
-// flipfallbacks/op is the other direction, per move (a move lasts about 40
-// flips): a move holds some 60 stripes while it validates 2000 reads, and a
-// flip whose lock phase meets one aborts at once. While readers still looked
-// at stripes a flip met the held stripe at a read, where it waits, and
-// mostly sat the move out (0.002); now it runs into it only at its commit,
-// where it does not wait, and spends its attempts (0.12, three flips in a
-// thousand). ROADMAP item 5's follow-up removes the encounter.
+// no Var a move reads or writes and the mover none of the flipper's, so the
+// two must never meet: a read touches its Var and nothing else, a writer
+// locks the Var it writes and nothing else. fallbacks/op, the mover's, is 0;
+// flipfallbacks/op, the flipper's per move (a move lasts about 40 flips),
+// reads 0.00003 — one fallback in a run of 30 000 moves.
 func BenchmarkMoveAll16Contended(b *testing.B) {
 	m, hot, cold := benchSets(false)
 	reg := telemetry.NewRegistry()

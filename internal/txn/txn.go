@@ -108,10 +108,9 @@ func New(attempts int) *Manager {
 }
 
 // NewIn is New against an existing domain, for callers that configure the
-// domain themselves (stripe count, capacity) before handing it over — e.g.
-// a server shard building its domain with htm.NewDomainStripes. The caller
-// must not share d with another manager's structures: MultiCAS panics on
-// cross-domain entry sets.
+// domain themselves (capacity) before handing it over — e.g. a server shard.
+// The caller must not share d with another manager's structures: MultiCAS
+// panics on cross-domain entry sets.
 func NewIn(d *htm.Domain, attempts int) *Manager {
 	if attempts <= 0 {
 		attempts = DefaultAttempts

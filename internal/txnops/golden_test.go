@@ -126,7 +126,7 @@ func TestGoldenTelemetryNames(t *testing.T) {
 	// partition and the composed-path counter block.
 	wantSite := []string{
 		"adaptive_disables", "attempts", "capacity", "commits", "conflicts",
-		"explicit", "fallbacks", "false_conflicts", "helped_descs", "site",
+		"explicit", "fallbacks", "helped_descs", "site",
 		"skipped_ops", "spec_latency",
 	}
 	if got := jsonKeys(t, telemetry.SiteSnapshot{}); !reflect.DeepEqual(got, wantSite) {
