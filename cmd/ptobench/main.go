@@ -34,11 +34,9 @@
 // adds a simulated-skiplist pair arm and the same batched sweep. A10 is the
 // three-path speculation shape (fast / helping-middle / slow) under the
 // occupied-fallback adversary, with deterministic modeled arms and
-// wall-clock arms. A11 is the self-tuning controller (internal/tune) vs
-// static batch-k corners under a phase-changing adversary
-// (capacity-heavy → calm), wall clock. A12 is the hardware
-// frontier: BoundedSet set-size budgets × composed-footprint shapes vs
-// the RTM-like baseline, with and without NBTC, deterministic.
+// wall-clock arms. A12 is the hardware frontier: BoundedSet set-size
+// budgets × composed-footprint shapes vs the RTM-like baseline, with and
+// without NBTC, deterministic.
 //
 // -scale shrinks or stretches the simulated measurement window (1.0 is the
 // duration used for EXPERIMENTS.md). Runs are deterministic.
@@ -58,10 +56,10 @@ import (
 )
 
 func main() {
-	figure := flag.String("figure", "all", "which figure to regenerate (paper figures or ablations a1..a12)")
+	figure := flag.String("figure", "all", "which figure to regenerate (paper figures, ablations a1..a10 and a12, extensions e1 e2)")
 	scale := flag.Float64("scale", 1.0, "measurement window scale factor")
 	csv := flag.Bool("csv", false, "emit CSV instead of tables")
-	ablations := flag.Bool("ablations", false, "also run the ablation tables (A1-A12; A6, A7, A9, A11, and A10's wall arms are wall-clock)")
+	ablations := flag.Bool("ablations", false, "also run the ablation tables (A1-A10, A12; A6, A7, A9 and A10's wall arms are wall-clock)")
 	extensions := flag.Bool("extensions", false, "also run the extension tables (E1-E2)")
 	policy := flag.String("policy", "", "speculation policy for both substrates: adaptive or fixed (empty = per-substrate default)")
 	attempts := flag.Int("attempts", 0, "override every speculation attempt budget (0 = per-structure defaults; implies -policy fixed if unset)")
@@ -123,7 +121,6 @@ func main() {
 		"a8":  bench.AblationComposedMoveSim,
 		"a9":  bench.AblationSemantic,
 		"a10": bench.AblationThreePath,
-		"a11": bench.AblationSelfTune,
 		"a12": bench.AblationFrontier,
 		"e1":  func(s float64) bench.Figure { return bench.ExtList(34, s) },
 		"e2":  bench.ExtQueue,

@@ -59,7 +59,7 @@ var (
 	readCap     = flag.Int("readcap", 0, "transactional read capacity (0 = default, negative = force fallback)")
 	writeCap    = flag.Int("writecap", 0, "transactional write capacity (0 = default, negative = force fallback)")
 	epoch       = flag.Duration("epoch", server.DefaultEpoch, "batcher epoch window")
-	maxBatch    = flag.Int("maxbatch", server.DefaultMaxBatch, "max ops per batched publication and per request key list")
+	maxBatch    = flag.Int("maxbatch", server.DefaultMaxBatch, "max ops per publication: a batcher chunk, a request's key list, a transfer's n, a /v1/txn body")
 	admitFloor  = flag.Float64("admit-floor", server.DefaultAdmitFloor, "live commit ratio under which a shard sheds writes")
 	admitMin    = flag.Int("admit-min", server.DefaultAdmitMin, "min attempts per interval before shedding can trigger")
 	admitEvery  = flag.Duration("admit-every", server.DefaultAdmitEvery, "admission evaluation interval (negative disables shedding)")

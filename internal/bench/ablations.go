@@ -184,7 +184,6 @@ func Ablations(scale float64) []Figure {
 		AblationComposedMoveSim(scale),
 		AblationSemantic(scale),
 		AblationThreePath(scale),
-		AblationSelfTune(scale),
 		AblationFrontier(scale),
 	}
 }

@@ -27,12 +27,8 @@ import (
 // eventually resolves, and close() drains whatever is pending before the
 // goroutine exits (the graceful-shutdown guarantee).
 type batcher struct {
-	sh *shard
-	// maxBatch is atomic because the tune controller steers it online (law
-	// B: AIMD on the abort mix) while submitters and the flusher read it.
-	// staticMax is the configured value — the ceiling for SetBatchK.
-	maxBatch  atomic.Int64
-	staticMax int
+	sh       *shard
+	maxBatch int // Config.MaxBatch: the cap on one publication's op count
 
 	mu      sync.Mutex
 	pending []batchOp
@@ -67,14 +63,13 @@ type batchOp struct {
 // the wall-clock ticker — the fake clock of the deterministic tests.
 func newBatcher(sh *shard, window time.Duration, maxBatch int, tick <-chan time.Time) *batcher {
 	b := &batcher{
-		sh:        sh,
-		staticMax: maxBatch,
-		tick:      tick,
-		kick:      make(chan struct{}, 1),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
+		sh:       sh,
+		maxBatch: maxBatch,
+		tick:     tick,
+		kick:     make(chan struct{}, 1),
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
-	b.maxBatch.Store(int64(maxBatch))
 	if b.tick == nil {
 		b.ticker = time.NewTicker(window)
 		b.tick = b.ticker.C
@@ -96,7 +91,7 @@ func (b *batcher) submit(insert bool, set txn.Set, key int64) <-chan bool {
 		return nil
 	}
 	b.pending = append(b.pending, op)
-	full := len(b.pending) >= b.BatchK()
+	full := len(b.pending) >= b.maxBatch
 	b.mu.Unlock()
 	if full {
 		select {
@@ -139,30 +134,10 @@ func (b *batcher) flush() {
 	b.pending = nil
 	b.mu.Unlock()
 	for len(ops) > 0 {
-		n := len(ops)
-		if k := b.BatchK(); n > k {
-			n = k
-		}
+		n := min(len(ops), b.maxBatch)
 		b.commit(ops[:n])
 		ops = ops[n:]
 	}
-}
-
-// BatchK returns the current epoch chunk size (tune.BatchSetter).
-func (b *batcher) BatchK() int { return int(b.maxBatch.Load()) }
-
-// SetBatchK steers the chunk size online, clamped to [1, configured
-// MaxBatch] so the controller can never push a chunk past the size the
-// substrate was provisioned for (tune.BatchSetter).
-func (b *batcher) SetBatchK(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	if n > b.staticMax {
-		n = b.staticMax
-	}
-	b.maxBatch.Store(int64(n))
-	return n
 }
 
 // commit runs one chunk as a single composed operation and resolves every

@@ -57,6 +57,10 @@ func (s *Server) handleOp(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "batch of %d keys exceeds max %d", len(req.Keys), s.cfg.MaxBatch)
 		return
 	}
+	if req.N > s.cfg.MaxBatch {
+		httpError(w, http.StatusBadRequest, "n of %d exceeds max %d", req.N, s.cfg.MaxBatch)
+		return
+	}
 	if req.Shard != nil && (*req.Shard < 0 || *req.Shard >= len(s.shards)) {
 		httpError(w, http.StatusBadRequest, "shard %d out of range [0,%d)", *req.Shard, len(s.shards))
 		return

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -89,7 +90,7 @@ func TestHandlerRejectsUnknownStructure(t *testing.T) {
 }
 
 func TestHandlerRejectsOversizedBatch(t *testing.T) {
-	_, ts := newTestServer(t, Config{Shards: 2, MaxBatch: 8})
+	srv, ts := newTestServer(t, Config{Shards: 2, MaxBatch: 8})
 	keys := make([]int64, 9)
 	for i := range keys {
 		keys[i] = int64(i)
@@ -103,6 +104,24 @@ func TestHandlerRejectsOversizedBatch(t *testing.T) {
 	// At the limit it is accepted.
 	if resp, code := doOp(t, ts, Request{Op: OpPut, Keys: keys[:8]}); code != http.StatusOK || !resp.OK {
 		t.Fatalf("put of exactly MaxBatch keys: got %d ok=%v, want 200", code, resp.OK)
+	}
+
+	// A transfer's n sizes its publication too: over the limit it is a 400
+	// naming the field and moves nothing, at the limit it drains the queue.
+	pin := 0
+	for v := int64(1); v <= 3; v++ {
+		doOp(t, ts, Request{Op: OpEnqueue, Shard: &pin, Value: v})
+	}
+	before := srv.Stats().Publications
+	resp, code := doOp(t, ts, Request{Op: OpTransfer, Shard: &pin, N: 9})
+	if code != http.StatusBadRequest || resp.OK || !strings.Contains(resp.Err, "n of 9") {
+		t.Errorf("transfer n=9 (max 8): got %d ok=%v err=%q, want 400 naming n", code, resp.OK, resp.Err)
+	}
+	if got := srv.Stats().Publications; got != before {
+		t.Errorf("refused transfer published %d times", got-before)
+	}
+	if resp, code := doOp(t, ts, Request{Op: OpTransfer, Shard: &pin, N: 8}); code != http.StatusOK || resp.Moved != 3 {
+		t.Errorf("transfer n=8 of a 3-deep queue: got %d moved=%d, want 200 moved=3", code, resp.Moved)
 	}
 }
 
@@ -214,12 +233,28 @@ func TestHealthzAndStatz(t *testing.T) {
 		t.Fatalf("statz: %v", err)
 	}
 	defer hr.Body.Close()
+	body, err := io.ReadAll(hr.Body)
+	if err != nil {
+		t.Fatalf("statz read: %v", err)
+	}
 	var st Stats
-	if err := json.NewDecoder(hr.Body).Decode(&st); err != nil {
+	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatalf("statz decode: %v", err)
 	}
 	if len(st.Shards) != 2 || st.Publications == 0 {
 		t.Fatalf("statz: %+v", st)
+	}
+	// The payload's shape: the keys ptoload and CI read are there, and no
+	// controller state is (the "tune" object is the benchmark's inert zero).
+	for _, key := range []string{`"batch_sizes"`, `"open_txns"`, `"total_publications"`, `"tune"`} {
+		if !bytes.Contains(body, []byte(key)) {
+			t.Errorf("statz lacks %s: %s", key, body)
+		}
+	}
+	for _, key := range []string{`"total_tune_actions"`, `"budgets"`, `"batch_k"`} {
+		if bytes.Contains(body, []byte(key)) {
+			t.Errorf("statz still carries %s: %s", key, body)
+		}
 	}
 }
 

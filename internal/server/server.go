@@ -13,13 +13,12 @@ import (
 
 // Defaults for Config's zero values.
 const (
-	DefaultShards       = 4
-	DefaultEpoch        = 500 * time.Microsecond
-	DefaultMaxBatch     = 64
-	DefaultAdmitFloor   = 0.2 // mirrors speculate.DefaultMinCommitRatio
-	DefaultAdmitMin     = 32
-	DefaultAdmitEvery   = 100 * time.Millisecond
-	DefaultTuneInterval = 50 * time.Millisecond
+	DefaultShards     = 4
+	DefaultEpoch      = 500 * time.Microsecond
+	DefaultMaxBatch   = 64
+	DefaultAdmitFloor = 0.2 // mirrors speculate.DefaultMinCommitRatio
+	DefaultAdmitMin   = 32
+	DefaultAdmitEvery = 100 * time.Millisecond
 )
 
 // Config parameterizes a Server. The zero value is a working 4-shard
@@ -39,7 +38,8 @@ type Config struct {
 	ReadCap, WriteCap int
 
 	// Epoch is the batcher's commit window; MaxBatch caps one publication's
-	// op count and is also the per-request key-list limit.
+	// op count: the batcher's chunk, and at the wire a request's key list, a
+	// transfer's n and a /v1/txn body's ops (400 past it).
 	Epoch    time.Duration
 	MaxBatch int
 
@@ -51,13 +51,6 @@ type Config struct {
 	AdmitFloor       float64
 	AdmitMinAttempts int
 	AdmitInterval    time.Duration
-
-	// TuneInterval is each shard's self-tuning controller cadence
-	// (batch-size AIMD, speculation-budget retuning; see
-	// internal/tune). Zero selects DefaultTuneInterval; negative disables
-	// the background controllers — they are still constructed, so tests
-	// drive Step on their own clock and /statz still reports their state.
-	TuneInterval time.Duration
 
 	// Registry receives every shard's telemetry (nil: a fresh registry).
 	// Expose it with telemetry's existing expvar/Prometheus exporters.
@@ -88,9 +81,6 @@ func (c Config) withDefaults() Config {
 	if c.AdmitInterval == 0 {
 		c.AdmitInterval = DefaultAdmitEvery
 	}
-	if c.TuneInterval == 0 {
-		c.TuneInterval = DefaultTuneInterval
-	}
 	if c.Registry == nil {
 		c.Registry = telemetry.NewRegistry()
 	}
@@ -117,18 +107,6 @@ func New(cfg Config) *Server {
 	for i := 0; i < cfg.Shards; i++ {
 		sh := newShard(i, cfg, s.reg)
 		sh.b = newBatcher(sh, cfg.Epoch, cfg.MaxBatch, cfg.batchTick)
-		// One self-tuning controller per shard, steering the shard's
-		// batcher's chunk size and its speculation site's budgets from the
-		// shard's own telemetry deltas.
-		sh.tuner = tune.New(tune.Config{
-			Registry:   s.reg,
-			SitePrefix: siteName(i),
-			Interval:   cfg.TuneInterval,
-			Batch:      sh.b,
-			MaxBatch:   cfg.MaxBatch,
-			Budgets:    sh.m.Site().Actuator(),
-		})
-		sh.tuner.Start()
 		s.shards = append(s.shards, sh)
 	}
 	s.adm = newAdmission(s.shards, cfg.AdmitFloor, cfg.AdmitMinAttempts, cfg.AdmitInterval)
@@ -144,11 +122,6 @@ func (s *Server) Registry() *telemetry.Registry { return s.reg }
 // request can race the drain. Safe to call more than once.
 func (s *Server) Close() {
 	s.once.Do(func() {
-		// Tuners stop first so no batch retune lands while the batchers
-		// drain their final epochs.
-		for _, sh := range s.shards {
-			sh.tuner.Stop()
-		}
 		for _, sh := range s.shards {
 			sh.b.close()
 		}
@@ -186,9 +159,8 @@ type ShardStats struct {
 	BatchedOps uint64                           `json:"batched_ops"`
 	BatchSizes telemetry.WidthHistogramSnapshot `json:"batch_sizes"`
 
-	// Tune is the shard's self-tuning controller state: the current batch k,
-	// effective speculation budgets, and how many actuations each control law
-	// has fired.
+	// Tune is always zero.
+	// Kept only because benchmark/run.go:636 subtracts its counters.
 	Tune tune.Snapshot `json:"tune"`
 
 	// Open-transaction counters (/v1/txn): committed transactions, commits
@@ -211,7 +183,6 @@ type Stats struct {
 	Batches      uint64       `json:"total_batches"`
 	BatchedOps   uint64       `json:"total_batched_ops"`
 	OpenTxns     uint64       `json:"total_open_txns"`
-	TuneActions  uint64       `json:"total_tune_actions"`
 }
 
 // Stats snapshots every shard.
@@ -236,7 +207,6 @@ func (s *Server) Stats() Stats {
 			Batches:         sh.b.batches.Load(),
 			BatchedOps:      sh.b.batchedOps.Load(),
 			BatchSizes:      sh.b.sizes.Snapshot(),
-			Tune:            sh.tuner.Snapshot(),
 			OpenTxns:        open.Txns,
 			OpenRetries:     open.SemRetries,
 			OpenUserAborts:  open.UserAborts,
@@ -247,7 +217,6 @@ func (s *Server) Stats() Stats {
 		out.Batches += st.Batches
 		out.BatchedOps += st.BatchedOps
 		out.OpenTxns += st.OpenTxns
-		out.TuneActions += st.Tune.Actions
 	}
 	return out
 }

@@ -41,21 +41,19 @@ import (
 	"repro/internal/semtx"
 	"repro/internal/skiplist"
 	"repro/internal/telemetry"
-	"repro/internal/tune"
 	"repro/internal/txn"
 )
 
 // shard is one independently transactional slice of the service: its own
 // domain, manager, structures, batcher, and admission state.
 type shard struct {
-	id    int
-	m     *txn.Manager
-	sem   *semtx.Manager[*txn.Ctx, int64] // open multi-op transactions (/v1/txn)
-	b     *batcher
-	tuner *tune.Controller    // the shard's self-tuning loop (set by Server.New)
-	site  *telemetry.Site     // the shard's speculation counters ("shardN/txn")
-	comp  *telemetry.Composed // the shard's composed-op counters (same name)
-	open  *telemetry.Open     // the shard's open-transaction counters (same name)
+	id   int
+	m    *txn.Manager
+	sem  *semtx.Manager[*txn.Ctx, int64] // open multi-op transactions (/v1/txn)
+	b    *batcher
+	site *telemetry.Site     // the shard's speculation counters ("shardN/txn")
+	comp *telemetry.Composed // the shard's composed-op counters (same name)
+	open *telemetry.Open     // the shard's open-transaction counters (same name)
 
 	// Admission state (written by the controller, read by the handler).
 	shedding  atomic.Bool

@@ -119,14 +119,8 @@ func New(name string, p speculate.Policy, levels ...speculate.Level) *Site {
 			s.tel[i] = p.Metrics.Site(n)
 		}
 	}
-	s.c.EnableActuation()
 	return s
 }
-
-// Actuator returns the site's online-tuning overlay (see
-// speculate.Actuator); the modeled driver shares the wall-clock driver's
-// actuation seam so A11 can retune both substrates identically.
-func (s *Site) Actuator() *speculate.Actuator { return s.c.Actuator() }
 
 // WithBackoffUnit sets the modeled cycles charged per backoff unit and
 // returns the site.

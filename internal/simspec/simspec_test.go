@@ -333,12 +333,15 @@ func TestSimBackoffPlacement(t *testing.T) {
 // keeps no shared mutable policy state between simulated threads.
 func TestLaneIsolation(t *testing.T) {
 	m := sim.New(sim.DefaultConfig(2))
-	pol := speculate.Policy{Adapt: true, Window: 8, SkipOps: 16}
+	pol := speculate.Policy{Adapt: true}
 	site := New("lanes", pol, speculate.Level{Name: "pto", Attempts: 1, OnExplicit: speculate.RulePolicy})
+	// One attempt per op: the failing lane's window closes after
+	// DefaultWindow ops and the rest of its ops are skipped.
+	const ops = speculate.DefaultWindow + 16
 	commits := [2]int{}
 	skips := [2]int{}
 	m.Run(func(t2 *sim.Thread) {
-		for i := 0; i < 40; i++ {
+		for i := 0; i < ops; i++ {
 			r := site.Begin(t2)
 			if !r.Next(0) {
 				skips[t2.ID()]++
@@ -357,10 +360,10 @@ func TestLaneIsolation(t *testing.T) {
 			}
 		}
 	})
-	if commits[0] != 40 || skips[0] != 0 {
+	if commits[0] != ops || skips[0] != 0 {
 		t.Errorf("healthy lane throttled: commits=%d skips=%d", commits[0], skips[0])
 	}
-	if skips[1] == 0 {
-		t.Errorf("failing lane never disabled (commits=%d)", commits[1])
+	if skips[1] != ops-speculate.DefaultWindow {
+		t.Errorf("failing lane skipped %d ops, want %d (commits=%d)", skips[1], ops-speculate.DefaultWindow, commits[1])
 	}
 }

@@ -67,14 +67,10 @@ const (
 // Core binds a Policy to one site's level budgets. The declaration is
 // immutable after construction and safe to share; per-operation state lives
 // in Walk, and cross-operation adaptive state lives in the drivers (which
-// consult ShouldDisable / WindowSize / DisableOps for the thresholds). The
-// one mutable seam is act — an optional atomic overlay a background
-// controller steers within the declared budgets (see actuator.go); nil for
-// Cores that never call EnableActuation.
+// consult ShouldDisable / WindowSize / DisableOps for the thresholds).
 type Core struct {
 	pol    Policy
 	levels []Level
-	act    *Actuator
 }
 
 // Core binds the policy to a PTO composition's tiers, outermost first.
@@ -88,16 +84,11 @@ func (c *Core) Policy() Policy { return c.pol }
 // Levels returns the bound level descriptors, outermost first.
 func (c *Core) Levels() []Level { return c.levels }
 
-// Budget returns the attempt budget of the given level: the actuator's
-// override when one is set (always within the static budget), else
-// Policy.Attempts when positive, else the level's own default; zero past
-// the last level.
+// Budget returns the attempt budget of the given level: Policy.Attempts
+// when positive, else the level's own default; zero past the last level.
 func (c *Core) Budget(level int) int {
 	if level >= len(c.levels) {
 		return 0
-	}
-	if c.act != nil {
-		return c.act.Attempts(level)
 	}
 	if c.pol.Attempts > 0 {
 		return c.pol.Attempts
@@ -150,9 +141,6 @@ func (c *Core) HelpBudget(level int) int {
 	if level >= len(c.levels) || !c.levels[level].Help {
 		return 0
 	}
-	if c.act != nil {
-		return c.act.HelpBudgetAt(level)
-	}
 	if c.levels[level].HelpBudget > 0 {
 		return c.levels[level].HelpBudget
 	}
@@ -181,17 +169,17 @@ func (c *Core) DefersAt(level int) bool {
 // window accounting entirely when it is off.
 func (c *Core) Adaptive() bool { return c.pol.Adapt }
 
-// WindowSize is the resolved adaptation window, in attempts.
-func (c *Core) WindowSize() uint64 { return c.pol.window() }
+// WindowSize is the adaptation window, in attempts.
+func (c *Core) WindowSize() uint64 { return DefaultWindow }
 
-// DisableOps is the resolved length of a disable period, in level entries.
-func (c *Core) DisableOps() int64 { return c.pol.skipOps() }
+// DisableOps is the length of a disable period, in level entries.
+func (c *Core) DisableOps() int64 { return DefaultSkipOps }
 
 // ShouldDisable is the adaptation threshold: given a closed window of
 // attempts observations of which commits committed, it reports whether the
 // level should be disabled for the next DisableOps entries.
 func (c *Core) ShouldDisable(attempts, commits uint64) bool {
-	return float64(commits) < c.pol.minRatio()*float64(attempts)
+	return float64(commits) < DefaultMinCommitRatio*float64(attempts)
 }
 
 // BackoffSpan converts pending backoff units into a concrete jittered span
@@ -290,8 +278,8 @@ func (w *Walk) Record(o Outcome) {
 	case OutcomeConflict:
 		if w.c.pol.Backoff {
 			if w.backoff == 0 {
-				w.backoff = w.c.pol.backoffBase()
-			} else if w.backoff < w.c.pol.backoffMax() {
+				w.backoff = DefaultBackoffBase
+			} else if w.backoff < DefaultBackoffMax {
 				w.backoff *= 2
 			}
 		}

@@ -177,16 +177,16 @@ func TestWalkDecisionTables(t *testing.T) {
 }
 
 func TestWalkBackoffCap(t *testing.T) {
-	pol := Policy{Attempts: 32, Backoff: true, BackoffBase: 2, BackoffMax: 16}
+	pol := Policy{Attempts: 32, Backoff: true}
 	c := pol.Core(Level{Name: "l", Attempts: 1})
 	w := c.Begin()
 	w.Enter(0)
 	var seq []int
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 10; i++ {
 		seq = append(seq, w.Backoff())
 		w.Record(OutcomeConflict)
 	}
-	want := []int{0, 2, 4, 8, 16, 16, 16, 16}
+	want := []int{0, 1, 2, 4, 8, 16, 32, DefaultBackoffMax, DefaultBackoffMax, DefaultBackoffMax}
 	for i := range want {
 		if seq[i] != want[i] {
 			t.Fatalf("backoff progression %v, want %v", seq, want)
@@ -234,6 +234,36 @@ func TestShouldDisableThreshold(t *testing.T) {
 	}
 	if c.WindowSize() != DefaultWindow || c.DisableOps() != DefaultSkipOps {
 		t.Fatal("default window resolution changed")
+	}
+}
+
+// TestBudgetResolution pins the static resolution of both budgets: nothing
+// but the policy and the level declaration decides them.
+func TestBudgetResolution(t *testing.T) {
+	fast := Level{Name: "fast", Attempts: 3}
+	cases := []struct {
+		name             string
+		pol              Policy
+		levels           []Level
+		level            int
+		attempts, helped int
+	}{
+		{"level default", Fixed(0), []Level{fast}, 0, 3, 0},
+		{"Policy.Attempts over the level default", Fixed(5), []Level{fast}, 0, 5, 0},
+		{"Policy.Attempts over a zero-budget level", Fixed(5), []Level{{Name: "off"}}, 0, 5, 0},
+		{"helping level naming no budget", Fixed(0), []Level{fast, MiddleLevel(0, 0)}, 1, 2, DefaultHelpBudget},
+		{"helping level naming its budget", Fixed(5), []Level{fast, MiddleLevel(4, 7)}, 1, 5, 7},
+		{"HelpBudget without Help", Fixed(0), []Level{{Name: "l", Attempts: 1, HelpBudget: 7}}, 0, 1, 0},
+		{"past the last level", Fixed(5), []Level{fast, MiddleLevel(0, 0)}, 2, 0, 0},
+	}
+	for _, tc := range cases {
+		c := tc.pol.Core(tc.levels...)
+		if got := c.Budget(tc.level); got != tc.attempts {
+			t.Errorf("%s: Budget(%d) = %d, want %d", tc.name, tc.level, got, tc.attempts)
+		}
+		if got := c.HelpBudget(tc.level); got != tc.helped {
+			t.Errorf("%s: HelpBudget(%d) = %d, want %d", tc.name, tc.level, got, tc.helped)
+		}
 	}
 }
 

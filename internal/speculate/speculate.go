@@ -51,9 +51,9 @@
 //     fail-fast.
 //
 // Adaptive disabling: every attempt outcome feeds a sliding window of
-// Policy.Window attempts, kept per (site, level). When a level's window
-// closes with a commit ratio below Policy.MinCommitRatio, that level is
-// disabled for the next Policy.SkipOps operations — Next hands those to the
+// DefaultWindow attempts, kept per (site, level). When a level's window
+// closes with a commit ratio below DefaultMinCommitRatio, that level is
+// disabled for the next DefaultSkipOps operations — Next hands those to the
 // next level or the fallback — then re-probes with a fresh window. This is
 // the glibc lock-elision adaptation scheme applied per PTO tier, so a BST
 // whose whole-operation PTO1 transactions keep overflowing capacity can stop
@@ -99,11 +99,9 @@ type Policy struct {
 	Attempts int
 
 	// Backoff enables exponential jittered backoff before retrying a
-	// conflict-aborted attempt. BackoffBase/BackoffMax bound the spin in
-	// scheduler-yield units; zero selects the package defaults.
-	Backoff     bool
-	BackoffBase int
-	BackoffMax  int
+	// conflict-aborted attempt; DefaultBackoffBase/DefaultBackoffMax bound
+	// the spin in scheduler-yield units.
+	Backoff bool
 
 	// FailFast skips a level's remaining attempts after a capacity or
 	// explicit abort: both are deterministic for the observed state, so
@@ -111,13 +109,10 @@ type Policy struct {
 	FailFast bool
 
 	// Adapt enables per-site adaptive disabling: when a sliding window of
-	// Window attempts closes with a commit ratio below MinCommitRatio, the
-	// next SkipOps operations bypass speculation entirely, then the site
-	// re-probes. Zero values select the package defaults.
-	Adapt          bool
-	Window         int
-	MinCommitRatio float64
-	SkipOps        int
+	// DefaultWindow attempts closes with a commit ratio below
+	// DefaultMinCommitRatio, the next DefaultSkipOps operations bypass
+	// speculation entirely, then the site re-probes.
+	Adapt bool
 
 	// Metrics, when non-nil, is the registry sites record into. Leave nil
 	// to keep the hot path free of telemetry entirely.
@@ -140,42 +135,6 @@ func Adaptive() Policy {
 func (p Policy) WithMetrics(r *telemetry.Registry) Policy {
 	p.Metrics = r
 	return p
-}
-
-// window returns the resolved adaptation window size.
-func (p Policy) window() uint64 {
-	if p.Window > 0 {
-		return uint64(p.Window)
-	}
-	return DefaultWindow
-}
-
-func (p Policy) minRatio() float64 {
-	if p.MinCommitRatio > 0 {
-		return p.MinCommitRatio
-	}
-	return DefaultMinCommitRatio
-}
-
-func (p Policy) skipOps() int64 {
-	if p.SkipOps > 0 {
-		return int64(p.SkipOps)
-	}
-	return DefaultSkipOps
-}
-
-func (p Policy) backoffBase() int {
-	if p.BackoffBase > 0 {
-		return p.BackoffBase
-	}
-	return DefaultBackoffBase
-}
-
-func (p Policy) backoffMax() int {
-	if p.BackoffMax > 0 {
-		return p.BackoffMax
-	}
-	return DefaultBackoffMax
 }
 
 // Level describes one speculative tier of a site's PTO composition,
@@ -306,14 +265,14 @@ func (p Policy) NewSite(name string, stats *Stats, levels ...Level) *Site {
 		}
 	}
 	s.rng.Store(0x9E3779B97F4A7C15)
-	s.c.EnableActuation()
 	return s
 }
 
-// Actuator returns the site's online-tuning overlay: the handle the tune
-// controller mutates to retune per-level budgets within their declared
-// static ceilings.
-func (s *Site) Actuator() *Actuator { return s.c.Actuator() }
+// Actuator is an empty type and Site.Actuator returns nil.
+// Kept only because benchmark/probes.go:488 passes it to tune.Config.
+type Actuator struct{}
+
+func (s *Site) Actuator() *Actuator { return nil }
 
 // Core returns the site's bound decision core (read-only: level
 // descriptors, resolved budgets). Drivers that run the walk themselves —

@@ -192,7 +192,7 @@ func TestConflictAbortRetriesWithBackoff(t *testing.T) {
 		htm.Store(nil, v, 1)
 		htm.Load(tx, v)
 	}
-	pol := Policy{Backoff: true, BackoffBase: 1, BackoffMax: 4}
+	pol := Policy{Backoff: true}
 	site := pol.NewSite("t/conflict", nil, Level{Name: "l0", Attempts: 5})
 	r := site.Begin(d)
 	tries := 0
@@ -210,11 +210,16 @@ func TestConflictAbortRetriesWithBackoff(t *testing.T) {
 func TestAdaptiveDisableAndReprobe(t *testing.T) {
 	d, _, body := capacityDomain()
 	reg := telemetry.NewRegistry()
-	pol := Policy{Adapt: true, Window: 8, MinCommitRatio: 0.5, SkipOps: 5, FailFast: false}
+	pol := Policy{Adapt: true}
 	site := pol.WithMetrics(reg).NewSite("t/adapt", nil, Level{Name: "l0", Attempts: 2})
 
+	// Two attempts an op, none committing: the first window closes after
+	// DefaultWindow/2 ops, the next DefaultSkipOps ops skip, and the last
+	// reprobe ops speculate again without filling a second window.
+	const reprobe = 8
+	const ops = DefaultWindow/2 + DefaultSkipOps + reprobe
 	speculated, skipped := 0, 0
-	for op := 0; op < 50; op++ {
+	for op := 0; op < ops; op++ {
 		r := site.Begin(d)
 		any := false
 		for r.Next(0) {
@@ -229,22 +234,17 @@ func TestAdaptiveDisableAndReprobe(t *testing.T) {
 		}
 	}
 	ts := reg.Site("t/adapt").Snapshot()
-	if ts.Disables == 0 {
-		t.Fatalf("0%% commit ratio never tripped the adaptive disable: %+v", ts)
+	if ts.Disables != 1 {
+		t.Fatalf("0%% commit ratio tripped the adaptive disable %d times, want 1: %+v", ts.Disables, ts)
 	}
-	if ts.Skipped == 0 || skipped == 0 {
-		t.Fatalf("no operation skipped speculation: %+v", ts)
+	if ts.Skipped != DefaultSkipOps || skipped != DefaultSkipOps {
+		t.Fatalf("skipped %d ops (telemetry %d), want the whole disable period %d", skipped, ts.Skipped, DefaultSkipOps)
 	}
-	if speculated == 0 {
-		t.Fatal("site never re-probed after a disable period")
+	if speculated != DefaultWindow/2+reprobe {
+		t.Fatalf("speculated on %d ops, want %d: the site must re-probe after the disable period", speculated, DefaultWindow/2+reprobe)
 	}
-	if ts.Fallbacks != 50 {
-		t.Fatalf("fallbacks = %d, want 50", ts.Fallbacks)
-	}
-	// Every disable period must skip exactly SkipOps operations, so the
-	// skip count is a multiple bounded by the op count.
-	if ts.Skipped%5 != 0 && ts.Skipped < 45 {
-		t.Logf("skipped = %d (tail period may be in progress)", ts.Skipped)
+	if ts.Fallbacks != ops {
+		t.Fatalf("fallbacks = %d, want %d", ts.Fallbacks, ops)
 	}
 }
 
@@ -252,7 +252,6 @@ func TestHealthySiteNeverDisables(t *testing.T) {
 	d := htm.NewDomain(0, 0)
 	reg := telemetry.NewRegistry()
 	pol := Adaptive().WithMetrics(reg)
-	pol.Window = 8
 	site := pol.NewSite("t/healthy", nil, Level{Name: "l0", Attempts: 3})
 	for op := 0; op < 100; op++ {
 		r := site.Begin(d)
@@ -279,7 +278,7 @@ func TestHealthySiteNeverDisables(t *testing.T) {
 func TestPerLevelAdaptiveIndependence(t *testing.T) {
 	d, _, capBody := capacityDomain()
 	reg := telemetry.NewRegistry()
-	pol := Policy{Adapt: true, Window: 8, MinCommitRatio: 0.5, SkipOps: 1000}
+	pol := Policy{Adapt: true}
 	site := pol.WithMetrics(reg).NewSite("t/perlevel", nil,
 		Level{Name: "pto1", Attempts: 2},
 		Level{Name: "pto2", Attempts: 2},
@@ -319,8 +318,9 @@ func TestPerLevelAdaptiveIndependence(t *testing.T) {
 	if l0.Disables == 0 {
 		t.Fatalf("no adaptive disable recorded at level 0: %+v", l0)
 	}
-	// A healthy level 1 must never be the one disabled: with SkipOps huge,
-	// had level 1 been disabled the commits above would have stopped.
+	// A healthy level 1 must never be the one disabled: a disable period
+	// outlasts the test, so had level 1 been disabled the commits above
+	// would have stopped.
 	if l1.Disables != 0 {
 		t.Fatalf("healthy level 1 was disabled: %+v", l1)
 	}

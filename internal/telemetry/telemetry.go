@@ -336,11 +336,10 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 }
 
 // SnapshotInto refills *dst with the current counters, reusing its slices.
-// Steady-state callers on a tight cadence — the sampler's tick loop, the
-// tune controller at a 10ms interval — allocate nothing once dst's slices
-// have grown to the registry's size: every snapshot element is a plain
-// value (fixed-array histograms included), so truncate-and-append recycles
-// the backing arrays.
+// A steady-state caller on a tight cadence — the sampler's tick loop —
+// allocates nothing once dst's slices have grown to the registry's size:
+// every snapshot element is a plain value (fixed-array histograms
+// included), so truncate-and-append recycles the backing arrays.
 func (r *Registry) SnapshotInto(dst *Snapshot) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

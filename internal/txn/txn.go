@@ -198,10 +198,10 @@ func (m *Manager) FallbackPark(f func()) *Manager {
 // participating structures and for capacity experiments.
 func (m *Manager) Domain() *htm.Domain { return m.d }
 
-// Site exposes the manager's speculation site. The tune controller reaches
-// through it (Site().Actuator()) to retune per-level attempt and help
-// budgets online; note WithPolicy/WithMiddle rebuild the site, so take the
-// handle only after the manager is fully configured.
+// Site exposes the manager's speculation site (its level budgets and
+// per-level telemetry); its one caller is benchmark/probes.go:488.
+// WithPolicy/WithMiddle rebuild the site, so take the handle only after the
+// manager is fully configured.
 func (m *Manager) Site() *speculate.Site { return m.site }
 
 // Structures is the manager's registration surface: drivers register each
