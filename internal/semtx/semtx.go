@@ -48,6 +48,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/telemetry"
 	"repro/internal/txnops"
@@ -75,6 +76,11 @@ type Manager[C txnops.Ctx, K cmp.Ordered] struct {
 	reg   *txnops.Registry[C, K]
 	tel   *telemetry.Open
 	stamp func(C) uint64
+
+	// pool recycles this manager's Tx values across transactions (and
+	// goroutines). It is the manager's own because a pooled Tx keeps the
+	// structures it has resolved from reg.
+	pool sync.Pool
 }
 
 // New returns a manager running bodies through x against the structures of
@@ -114,20 +120,21 @@ func (m *Manager[C, K]) Run(body func(tx *Tx[C, K]) error) (uint64, error) {
 // substrate, where each machine thread binds its own Exec
 // (simtxn.Manager.On) but all threads share one semtx.Manager.
 func (m *Manager[C, K]) RunOn(x txnops.Exec[C], body func(tx *Tx[C, K]) error) (seq uint64, err error) {
+	tx := m.begin(x)
 	defer func() {
 		if r := recover(); r != nil {
 			v, ok := r.(*Violation)
 			if !ok {
-				panic(r)
+				panic(r) // a foreign panic unwinds past the recycle: that Tx is dropped
 			}
 			if m.tel != nil {
 				m.tel.UserAborts.Add(1)
 			}
 			seq, err = 0, v
 		}
+		tx.recycle()
 	}()
 	for {
-		tx := &Tx[C, K]{m: m, x: x}
 		if err := body(tx); err != nil {
 			if m.tel != nil {
 				m.tel.UserAborts.Add(1)
@@ -145,46 +152,74 @@ func (m *Manager[C, K]) RunOn(x txnops.Exec[C], body func(tx *Tx[C, K]) error) (
 		if m.tel != nil {
 			m.tel.SemRetries.Add(1)
 		}
+		tx.reset()
 	}
 }
 
-// Tx is one attempt of an open transaction: the recorded semantic items and
-// the buffered writes. A Tx is confined to the body invocation it is passed
-// to; it is not safe for concurrent use.
+// Tx is one open transaction: the semantic items its current attempt has
+// recorded and the writes it has buffered. A Tx is valid only inside the
+// body it is passed to and is not safe for concurrent use. It comes from
+// its manager's pool and goes back when Run returns, so a retained Tx is
+// somebody else's transaction; its methods panic on one (live).
+//
+// What a Tx keeps between attempts and between transactions is capacity and
+// bindings, never contents: its slices and key indexes are emptied (reset),
+// and the name → structure bindings it has resolved stay, because a
+// registry binding never changes (Add* panics on a duplicate and nothing
+// removes). A steady-state transaction so allocates only what its commit
+// publishes.
 type Tx[C txnops.Ctx, K cmp.Ordered] struct {
 	m   *Manager[C, K]
-	x   txnops.Exec[C]
+	x   txnops.Exec[C] // nil once the transaction has returned (live)
 	ops int
 
+	// Every structure this Tx has resolved, by name; kept for the life of
+	// the Tx.
 	sets   map[string]*setState[C, K]
 	queues map[string]*queueState[C, K]
 	pqs    map[string]*pqState[C, K]
 
-	// First-touch order, so validation and apply visit structures in the
-	// deterministic order the body introduced them.
-	setOrder   []string
-	queueOrder []string
-	pqOrder    []string
+	// The structures this attempt has touched, in first-touch order, so
+	// validation and apply visit them in the deterministic order the body
+	// introduced them.
+	setOrder   []*setState[C, K]
+	queueOrder []*queueState[C, K]
+	pqOrder    []*pqState[C, K]
+
+	// The four bodies a Tx hands to Exec.Atomic, bound once when the Tx is
+	// made: the call crosses an interface, so a closure made per probe
+	// would be a heap allocation per probe. They take their arguments from
+	// the fields below and leave their results there.
+	probeSetOp, probeFrontOp, probeMinOp, commitOp func(C)
+
+	probedSet   *setState[C, K] // probeSet: its newest item is the one to fill in
+	probedQueue *queueState[C, K]
+	probedPQ    *pqState[C, K]
+	seq         uint64 // commitBody's results
+	semOK       bool
 }
 
-// keyItem is the per-key record of a set: the observed structural presence
-// (the semantic item revalidated at commit) and the buffered final presence.
-type keyItem struct {
-	observed bool // a structural probe recorded present
-	present  bool // ... and saw this presence
-	written  bool // the body buffered a final presence
-	final    bool // ... of this value
+// keyItem is the per-key record of a set: the structural presence its first
+// touch observed (the semantic item revalidated at commit) and the buffered
+// final presence.
+type keyItem[K cmp.Ordered] struct {
+	key     K
+	present bool // what the probe saw
+	written bool // the body buffered a final presence
+	final   bool // ... of this value
 }
 
 type setState[C txnops.Ctx, K cmp.Ordered] struct {
-	s     txnops.Set[C, K]
-	keys  []K // first-touch order
-	items map[K]*keyItem
+	s       txnops.Set[C, K]
+	touched bool         // in setOrder
+	items   []keyItem[K] // first-touch order
+	index   map[K]int32  // key → position in items
 }
 
 type queueState[C txnops.Ctx, K cmp.Ordered] struct {
-	q  txnops.Queue[C, K]
-	fq txnops.FrontQueue[C, K]
+	q       txnops.Queue[C, K]
+	fq      txnops.FrontQueue[C, K]
+	touched bool // in queueOrder
 
 	// The head item: one structural front observation (value or emptiness).
 	observed bool
@@ -197,8 +232,9 @@ type queueState[C txnops.Ctx, K cmp.Ordered] struct {
 }
 
 type pqState[C txnops.Ctx, K cmp.Ordered] struct {
-	p  txnops.PQ[C, K]
-	mp txnops.MinPQ[C, K]
+	p       txnops.PQ[C, K]
+	mp      txnops.MinPQ[C, K]
+	touched bool // in pqOrder
 
 	// The min item: one structural minimum observation (value or emptiness).
 	observed bool
@@ -213,87 +249,155 @@ type pqState[C txnops.Ctx, K cmp.Ordered] struct {
 	postPush []K
 }
 
+// begin takes a Tx from m's pool, or makes one, and attaches it to x.
+func (m *Manager[C, K]) begin(x txnops.Exec[C]) *Tx[C, K] {
+	t, _ := m.pool.Get().(*Tx[C, K])
+	if t == nil {
+		t = &Tx[C, K]{
+			m:      m,
+			sets:   make(map[string]*setState[C, K]),
+			queues: make(map[string]*queueState[C, K]),
+			pqs:    make(map[string]*pqState[C, K]),
+		}
+		t.probeSetOp, t.probeFrontOp, t.probeMinOp, t.commitOp = t.probeSet, t.probeFront, t.probeMin, t.commitBody
+	}
+	t.x = x
+	return t
+}
+
+// reset empties t for the body's next run: no ops, no items, no buffered
+// writes, no flags, nothing touched. Slices and indexes keep their capacity
+// but are cleared, so a pooled Tx pins none of a body's keys (the states the
+// order slices and the probe arguments point at are the Tx's own).
+func (t *Tx[C, K]) reset() {
+	t.ops = 0
+	for _, st := range t.setOrder {
+		clear(st.index)
+		clear(st.items)
+		st.items, st.touched = st.items[:0], false
+	}
+	for _, qs := range t.queueOrder {
+		clear(qs.enq)
+		*qs = queueState[C, K]{q: qs.q, fq: qs.fq, enq: qs.enq[:0]}
+	}
+	for _, ps := range t.pqOrder {
+		clear(ps.buf)
+		clear(ps.prePush)
+		clear(ps.postPush)
+		*ps = pqState[C, K]{p: ps.p, mp: ps.mp, buf: ps.buf[:0], prePush: ps.prePush[:0], postPush: ps.postPush[:0]}
+	}
+	t.setOrder, t.queueOrder, t.pqOrder = t.setOrder[:0], t.queueOrder[:0], t.pqOrder[:0]
+}
+
+// recycle returns t to its manager's pool, emptied and detached (live).
+func (t *Tx[C, K]) recycle() {
+	t.reset()
+	t.x = nil
+	t.m.pool.Put(t)
+}
+
+// live panics on a Tx whose transaction has already returned.
+func (t *Tx[C, K]) live() {
+	if t.x == nil {
+		panic("semtx: Tx used after its transaction returned")
+	}
+}
+
 func (t *Tx[C, K]) set(name string) *setState[C, K] {
-	if st, ok := t.sets[name]; ok {
-		return st
+	st := t.sets[name]
+	if st == nil {
+		s := t.m.reg.Set(name)
+		if s == nil {
+			panic(fmt.Sprintf("semtx: unknown set %q", name))
+		}
+		st = &setState[C, K]{s: s, index: make(map[K]int32)}
+		t.sets[name] = st
 	}
-	s := t.m.reg.Set(name)
-	if s == nil {
-		panic(fmt.Sprintf("semtx: unknown set %q", name))
+	if !st.touched {
+		st.touched = true
+		t.setOrder = append(t.setOrder, st)
 	}
-	if t.sets == nil {
-		t.sets = make(map[string]*setState[C, K])
-	}
-	st := &setState[C, K]{s: s, items: make(map[K]*keyItem)}
-	t.sets[name] = st
-	t.setOrder = append(t.setOrder, name)
 	return st
 }
 
 func (t *Tx[C, K]) queue(name string) *queueState[C, K] {
-	if qs, ok := t.queues[name]; ok {
-		return qs
+	qs := t.queues[name]
+	if qs == nil {
+		q := t.m.reg.Queue(name)
+		if q == nil {
+			panic(fmt.Sprintf("semtx: unknown queue %q", name))
+		}
+		fq, ok := q.(txnops.FrontQueue[C, K])
+		if !ok {
+			panic(fmt.Sprintf("semtx: queue %q does not implement txnops.FrontQueue (TxFront)", name))
+		}
+		qs = &queueState[C, K]{q: q, fq: fq}
+		t.queues[name] = qs
 	}
-	q := t.m.reg.Queue(name)
-	if q == nil {
-		panic(fmt.Sprintf("semtx: unknown queue %q", name))
+	if !qs.touched {
+		qs.touched = true
+		t.queueOrder = append(t.queueOrder, qs)
 	}
-	fq, ok := q.(txnops.FrontQueue[C, K])
-	if !ok {
-		panic(fmt.Sprintf("semtx: queue %q does not implement txnops.FrontQueue (TxFront)", name))
-	}
-	if t.queues == nil {
-		t.queues = make(map[string]*queueState[C, K])
-	}
-	qs := &queueState[C, K]{q: q, fq: fq}
-	t.queues[name] = qs
-	t.queueOrder = append(t.queueOrder, name)
 	return qs
 }
 
 func (t *Tx[C, K]) pq(name string) *pqState[C, K] {
-	if ps, ok := t.pqs[name]; ok {
-		return ps
+	ps := t.pqs[name]
+	if ps == nil {
+		p := t.m.reg.PQ(name)
+		if p == nil {
+			panic(fmt.Sprintf("semtx: unknown pq %q", name))
+		}
+		mp, ok := p.(txnops.MinPQ[C, K])
+		if !ok {
+			panic(fmt.Sprintf("semtx: pq %q does not implement txnops.MinPQ (TxMin)", name))
+		}
+		ps = &pqState[C, K]{p: p, mp: mp}
+		t.pqs[name] = ps
 	}
-	p := t.m.reg.PQ(name)
-	if p == nil {
-		panic(fmt.Sprintf("semtx: unknown pq %q", name))
+	if !ps.touched {
+		ps.touched = true
+		t.pqOrder = append(t.pqOrder, ps)
 	}
-	mp, ok := p.(txnops.MinPQ[C, K])
-	if !ok {
-		panic(fmt.Sprintf("semtx: pq %q does not implement txnops.MinPQ (TxMin)", name))
-	}
-	if t.pqs == nil {
-		t.pqs = make(map[string]*pqState[C, K])
-	}
-	ps := &pqState[C, K]{p: p, mp: mp}
-	t.pqs[name] = ps
-	t.pqOrder = append(t.pqOrder, name)
 	return ps
 }
 
 // item returns key's record in st, probing the structure for its current
 // presence on first touch — every set operation's answer rests on an
 // observed presence, so every first touch records the semantic item the
-// commit will revalidate.
-func (t *Tx[C, K]) item(st *setState[C, K], key K) *keyItem {
-	if it, ok := st.items[key]; ok {
-		return it
+// commit will revalidate. The record is good until st's next first touch.
+func (t *Tx[C, K]) item(st *setState[C, K], key K) *keyItem[K] {
+	if i, ok := st.index[key]; ok {
+		return &st.items[i]
 	}
-	var present bool
-	t.x.Atomic(func(c C) {
-		present = st.s.TxContains(c, key)
-	})
-	it := &keyItem{observed: true, present: present}
-	st.items[key] = it
-	st.keys = append(st.keys, key)
-	return it
+	st.index[key] = int32(len(st.items))
+	st.items = append(st.items, keyItem[K]{key: key})
+	t.probedSet = st
+	t.x.Atomic(t.probeSetOp)
+	return &st.items[len(st.items)-1]
+}
+
+func (t *Tx[C, K]) probeSet(c C) {
+	st := t.probedSet
+	it := &st.items[len(st.items)-1]
+	it.present = st.s.TxContains(c, it.key)
+}
+
+func (t *Tx[C, K]) probeFront(c C) {
+	qs := t.probedQueue
+	qs.front, qs.present = qs.fq.TxFront(c)
+}
+
+func (t *Tx[C, K]) probeMin(c C) {
+	ps := t.probedPQ
+	ps.min, ps.present = ps.mp.TxMin(c)
 }
 
 // Get reports whether key is in the named set, as of this transaction: the
 // buffered final presence if the body wrote the key, otherwise the observed
 // (and commit-revalidated) structural presence.
 func (t *Tx[C, K]) Get(name string, key K) bool {
+	t.live()
 	t.ops++
 	it := t.item(t.set(name), key)
 	if it.written {
@@ -305,6 +409,7 @@ func (t *Tx[C, K]) Get(name string, key K) bool {
 // Put adds key to the named set, reporting whether the set changed (key was
 // absent). The write is buffered until commit.
 func (t *Tx[C, K]) Put(name string, key K) bool {
+	t.live()
 	t.ops++
 	it := t.item(t.set(name), key)
 	was := it.present
@@ -318,6 +423,7 @@ func (t *Tx[C, K]) Put(name string, key K) bool {
 // Delete removes key from the named set, reporting whether the set changed
 // (key was present). The write is buffered until commit.
 func (t *Tx[C, K]) Delete(name string, key K) bool {
+	t.live()
 	t.ops++
 	it := t.item(t.set(name), key)
 	was := it.present
@@ -330,6 +436,7 @@ func (t *Tx[C, K]) Delete(name string, key K) bool {
 
 // Enqueue appends v to the named queue. The write is buffered until commit.
 func (t *Tx[C, K]) Enqueue(name string, v K) {
+	t.live()
 	t.ops++
 	qs := t.queue(name)
 	qs.enq = append(qs.enq, v)
@@ -343,6 +450,7 @@ func (t *Tx[C, K]) Enqueue(name string, v K) {
 // queue's next front is unknowable until the first pop publishes — so a
 // second Dequeue after a structural one panics with *Violation.
 func (t *Tx[C, K]) Dequeue(name string) (K, bool) {
+	t.live()
 	t.ops++
 	qs := t.queue(name)
 	var zero K
@@ -350,9 +458,8 @@ func (t *Tx[C, K]) Dequeue(name string) (K, bool) {
 		panic(&Violation{Struct: name, Op: "Dequeue", Reason: "second structural dequeue in one transaction"})
 	}
 	if !qs.observed {
-		t.x.Atomic(func(c C) {
-			qs.front, qs.present = qs.fq.TxFront(c)
-		})
+		t.probedQueue = qs
+		t.x.Atomic(t.probeFrontOp)
 		qs.observed = true
 	}
 	if qs.present {
@@ -371,6 +478,7 @@ func (t *Tx[C, K]) Dequeue(name string) (K, bool) {
 // Push adds v to the named priority queue. The write is buffered until
 // commit.
 func (t *Tx[C, K]) Push(name string, v K) {
+	t.live()
 	t.ops++
 	ps := t.pq(name)
 	ps.buf = append(ps.buf, v)
@@ -384,13 +492,13 @@ func (t *Tx[C, K]) Push(name string, v K) {
 // TxPopMin bound); a second PopMin after a structural one panics with
 // *Violation.
 func (t *Tx[C, K]) PopMin(name string) (K, bool) {
+	t.live()
 	t.ops++
 	ps := t.pq(name)
 	var zero K
 	if !ps.observed {
-		t.x.Atomic(func(c C) {
-			ps.min, ps.present = ps.mp.TxMin(c)
-		})
+		t.probedPQ = ps
+		t.x.Atomic(t.probeMinOp)
 		ps.observed = true
 	}
 	bi := -1 // index of the smallest buffered push, if any
@@ -401,7 +509,7 @@ func (t *Tx[C, K]) PopMin(name string) (K, bool) {
 	}
 	serveBuf := func() (K, bool) {
 		v := ps.buf[bi]
-		ps.buf = append(ps.buf[:bi], ps.buf[bi+1:]...)
+		ps.buf = slices.Delete(ps.buf, bi, bi+1)
 		return v, true
 	}
 	switch {
@@ -428,7 +536,10 @@ func (t *Tx[C, K]) PopMin(name string) (K, bool) {
 
 // Ops returns the number of structure operations the body has issued so
 // far on this attempt.
-func (t *Tx[C, K]) Ops() int { return t.ops }
+func (t *Tx[C, K]) Ops() int {
+	t.live()
+	return t.ops
+}
 
 // commit runs the transaction's single commit operation: revalidate every
 // semantic item, and only if all hold, apply the buffered writes and the
@@ -448,12 +559,10 @@ func (t *Tx[C, K]) commit() (uint64, bool) {
 	// mound's TxPush accepts dirty, instead of under a dirty parent whose
 	// clean-parent guard would retry without bound against our own
 	// speculative dirt.
-	for _, name := range t.pqOrder {
-		ps := t.pqs[name]
+	for _, ps := range t.pqOrder {
 		if !ps.popped {
 			continue
 		}
-		ps.prePush, ps.postPush = ps.prePush[:0], ps.postPush[:0]
 		for _, v := range ps.buf {
 			if v > ps.min {
 				ps.prePush = append(ps.prePush, v)
@@ -463,98 +572,93 @@ func (t *Tx[C, K]) commit() (uint64, bool) {
 		}
 		slices.SortFunc(ps.postPush, func(a, b K) int { return cmp.Compare(b, a) })
 	}
-	var seq uint64
-	semOK := true
-	t.x.Atomic(func(c C) {
-		seq, semOK = 0, true
+	t.x.Atomic(t.commitOp)
+	return t.seq, t.semOK
+}
 
-		// Validate phase: read-only, in first-touch order. Any mismatch
-		// returns before a single write is staged.
-		for _, name := range t.setOrder {
-			st := t.sets[name]
-			for _, key := range st.keys {
-				it := st.items[key]
-				if it.observed && st.s.TxContains(c, key) != it.present {
-					semOK = false
-					return
-				}
-			}
-		}
-		for _, name := range t.queueOrder {
-			qs := t.queues[name]
-			if qs.observed {
-				v, ok := qs.fq.TxFront(c)
-				if ok != qs.present || (ok && v != qs.front) {
-					semOK = false
-					return
-				}
-			}
-		}
-		for _, name := range t.pqOrder {
-			ps := t.pqs[name]
-			if ps.observed {
-				v, ok := ps.mp.TxMin(c)
-				if ok != ps.present || (ok && v != ps.min) {
-					semOK = false
-					return
-				}
-			}
-		}
+// commitBody is the body of the commit operation. It may run many attempts,
+// so it reads the Tx and writes only seq and semOK.
+func (t *Tx[C, K]) commitBody(c C) {
+	t.seq, t.semOK = 0, true
 
-		// Apply phase: the validated items pin the structural state, so
-		// each adapter call below must agree with them; a disagreement
-		// means this attempt's view tore mid-body — restart the attempt
-		// (not the body).
-		for _, name := range t.setOrder {
-			st := t.sets[name]
-			for _, key := range st.keys {
-				it := st.items[key]
-				if !it.written || it.final == it.present {
-					continue
-				}
-				if it.final {
-					if !st.s.TxInsert(c, key) {
-						c.Retry()
-					}
-				} else {
-					if !st.s.TxRemove(c, key) {
-						c.Retry()
-					}
-				}
+	// Validate phase: read-only, in first-touch order. Any mismatch
+	// returns before a single write is staged.
+	for _, st := range t.setOrder {
+		for i := range st.items {
+			if it := &st.items[i]; st.s.TxContains(c, it.key) != it.present {
+				t.semOK = false
+				return
 			}
 		}
-		for _, name := range t.queueOrder {
-			qs := t.queues[name]
-			if qs.popped {
-				if v, ok := qs.q.TxDequeue(c); !ok || v != qs.front {
+	}
+	for _, qs := range t.queueOrder {
+		if qs.observed {
+			v, ok := qs.fq.TxFront(c)
+			if ok != qs.present || (ok && v != qs.front) {
+				t.semOK = false
+				return
+			}
+		}
+	}
+	for _, ps := range t.pqOrder {
+		if ps.observed {
+			v, ok := ps.mp.TxMin(c)
+			if ok != ps.present || (ok && v != ps.min) {
+				t.semOK = false
+				return
+			}
+		}
+	}
+
+	// Apply phase: the validated items pin the structural state, so
+	// each adapter call below must agree with them; a disagreement
+	// means this attempt's view tore mid-body — restart the attempt
+	// (not the body).
+	for _, st := range t.setOrder {
+		for i := range st.items {
+			it := &st.items[i]
+			if !it.written || it.final == it.present {
+				continue
+			}
+			if it.final {
+				if !st.s.TxInsert(c, it.key) {
+					c.Retry()
+				}
+			} else {
+				if !st.s.TxRemove(c, it.key) {
 					c.Retry()
 				}
 			}
-			for _, v := range qs.enq[qs.served:] {
-				qs.q.TxEnqueue(c, v)
-			}
 		}
-		for _, name := range t.pqOrder {
-			ps := t.pqs[name]
-			if !ps.popped {
-				for _, v := range ps.buf {
-					ps.p.TxPush(c, v)
-				}
-				continue
-			}
-			for _, v := range ps.prePush {
-				ps.p.TxPush(c, v)
-			}
-			if v, ok := ps.p.TxPopMin(c); !ok || v != ps.min {
+	}
+	for _, qs := range t.queueOrder {
+		if qs.popped {
+			if v, ok := qs.q.TxDequeue(c); !ok || v != qs.front {
 				c.Retry()
 			}
-			for _, v := range ps.postPush {
+		}
+		for _, v := range qs.enq[qs.served:] {
+			qs.q.TxEnqueue(c, v)
+		}
+	}
+	for _, ps := range t.pqOrder {
+		if !ps.popped {
+			for _, v := range ps.buf {
 				ps.p.TxPush(c, v)
 			}
+			continue
 		}
-		if t.m.stamp != nil {
-			seq = t.m.stamp(c)
+		for _, v := range ps.prePush {
+			ps.p.TxPush(c, v)
 		}
-	})
-	return seq, semOK
+		if v, ok := ps.p.TxPopMin(c); !ok || v != ps.min {
+			c.Retry()
+		}
+		for _, v := range ps.postPush {
+			ps.p.TxPush(c, v)
+		}
+	}
+	if t.m.stamp != nil {
+		t.seq = t.m.stamp(c)
+	}
 }

@@ -1,8 +1,10 @@
 package txnops_test
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/hashtable"
@@ -79,5 +81,51 @@ func TestRegistryNamesSorted(t *testing.T) {
 	reg.AddPQ("ap", mound.NewPTOIn(m.Domain(), 8, 0))
 	if got, want := reg.PQNames(), []string{"ap", "zp"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("PQNames = %v, want %v", got, want)
+	}
+}
+
+// TestRegistryLookupDuringAdd pins the snapshot rule: a lookup takes no lock
+// and never sees a half-made registry — a name is either not there yet or
+// bound to the structure it was registered with, and a name registered
+// before the lookups began is there throughout. Run it under -race.
+func TestRegistryLookupDuringAdd(t *testing.T) {
+	m := txn.New(0)
+	reg := m.Structures()
+	first := hashtable.NewPTOTableIn(m.Domain(), 4, 0)
+	reg.AddSet("s0", first)
+	const adds = 64
+	names := make([]string, adds)
+	tables := make([]*hashtable.PTOTable, adds)
+	for i := range names {
+		names[i], tables[i] = fmt.Sprintf("t%d", i), hashtable.NewPTOTableIn(m.Domain(), 4, 0)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for reg.Set(names[adds-1]) == nil {
+				if reg.Set("s0") != first {
+					t.Error("a set registered before the lookups began went missing")
+					return
+				}
+				for i, n := range names {
+					if s := reg.Set(n); s != nil && s != tables[i] {
+						t.Errorf("set %q bound to another structure", n)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i, n := range names {
+		reg.AddSet(n, tables[i])
+		if reg.Set(n) != tables[i] {
+			t.Errorf("set %q not visible after AddSet returned", n)
+		}
+	}
+	wg.Wait()
+	if got := len(reg.SetNames()); got != adds+1 {
+		t.Errorf("%d sets registered, want %d", got, adds+1)
 	}
 }
