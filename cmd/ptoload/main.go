@@ -1,7 +1,6 @@
 // Command ptoload is ptoserver's load generator: an open-loop driver that
 // models a large session population hammering the service with zipfian key
-// popularity and bursty arrivals, and emits a machine-readable
-// BENCH_serve.json.
+// popularity, and emits a machine-readable BENCH_serve.json.
 //
 // Open-loop means arrivals are paced by the offered rate, not by the
 // server's responses: when the server falls behind, requests queue against
@@ -20,15 +19,9 @@
 //     publication per shard touched. BENCH_serve.json reports keys/s for
 //     both and their ratio (summary.batched_speedup).
 //
-//   - shed: the backpressure probe. Bursty open-loop writes (bursts of
-//     -burst x the base rate, alternating with calm periods, ending in a
-//     forced calm tail) against zipf-contended keys; per-window 429 counts
-//     show the admission layer engaging under the burst and re-admitting in
-//     the tail (summary.shed_engaged / summary.shed_recovered).
-//
-//   - mix: a general op mix (reads, direct and epoch-batched writes,
-//     cross-structure moves, queue and PQ traffic) for headline throughput
-//     and latency percentiles.
+//   - mix: a general op mix (reads, single-key writes, cross-structure
+//     moves, queue and PQ traffic) for headline throughput and latency
+//     percentiles.
 //
 //   - txn: declarative multi-op bodies against POST /v1/txn, each one open
 //     transaction with semantic validation on its shard. Claim/release
@@ -37,10 +30,14 @@
 //     server's open-transaction counters land in summary.txn_committed and
 //     the scenario's server delta.
 //
+// A reply is a 200, a 409 (an assert clause of a /v1/txn body lost its race)
+// or an error: the server refuses nothing for load, so any other status —
+// and any transport failure — fails summary.completed_ok.
+//
 // Results merge into -out: scenarios already present in the file are
 // replaced by name, others are kept, and the summary is recomputed over the
-// merged set — so compare and shed runs against differently configured
-// servers can accumulate into one artifact.
+// merged set — so runs against differently configured servers can
+// accumulate into one artifact.
 package main
 
 import (
@@ -63,7 +60,7 @@ import (
 
 var (
 	addr      = flag.String("addr", "127.0.0.1:8350", "ptoserver address (host:port)")
-	scenarios = flag.String("scenario", "mix", "comma-separated: compare, shed, mix, txn")
+	scenarios = flag.String("scenario", "mix", "comma-separated: compare, mix, txn")
 	duration  = flag.Duration("duration", 5*time.Second, "duration per scenario phase")
 	rate      = flag.Float64("rate", 3000, "offered ops/s (key-writes/s for compare)")
 	inflight  = flag.Int("inflight", 256, "max in-flight requests (the open-loop window)")
@@ -71,8 +68,6 @@ var (
 	zipfS     = flag.Float64("zipf", 1.1, "zipfian exponent for key popularity (>1)")
 	sessions  = flag.Int64("sessions", 1_000_000, "modeled session population")
 	batchK    = flag.Int("batch", 8, "keys per multi-key put in the batched phase")
-	burst     = flag.Float64("burst", 4, "burst multiplier over the base rate (shed scenario)")
-	burstLen  = flag.Duration("burst-period", 500*time.Millisecond, "burst/calm alternation period")
 	seed      = flag.Int64("seed", 1, "RNG seed")
 	out       = flag.String("out", "BENCH_serve.json", "output JSON (merged with existing scenarios)")
 )
@@ -81,43 +76,29 @@ var (
 // in-flight window so connection churn never pollutes the latency numbers.
 var client *http.Client
 
-// windowStats is one time slice of a scenario, for the shed trace.
-type windowStats struct {
-	OK    uint64 `json:"ok"`
-	Shed  uint64 `json:"shed_429"`
-	Drops uint64 `json:"client_drops"`
-}
-
 // serverDelta is the /statz movement a scenario caused.
 type serverDelta struct {
-	Publications uint64    `json:"publications"`
-	Batches      uint64    `json:"batches"`
-	BatchedOps   uint64    `json:"batched_ops"`
-	Sheds        uint64    `json:"sheds"`
-	OpenTxns     uint64    `json:"open_txns,omitempty"`
-	BatchSizes   []uint64  `json:"batch_sizes"`
-	CommitRatios []float64 `json:"commit_ratios"`
+	Publications uint64 `json:"publications"`
+	OpenTxns     uint64 `json:"open_txns,omitempty"`
 }
 
 // scenarioResult is one scenario's measured outcome.
 type scenarioResult struct {
-	Name         string        `json:"name"`
-	Batched      bool          `json:"batched"`
-	OfferedRate  float64       `json:"offered_per_s"`
-	DurationSec  float64       `json:"duration_s"`
-	Completed    uint64        `json:"completed"`
-	OKs          uint64        `json:"ok"`
-	Sheds429     uint64        `json:"shed_429"`
-	Conflicts409 uint64        `json:"conflict_409,omitempty"`
-	ClientDrops  uint64        `json:"client_drops"`
-	Errors       uint64        `json:"errors"`
-	KeysWritten  uint64        `json:"keys_written"`
-	Throughput   float64       `json:"throughput_per_s"`
-	KeysPerSec   float64       `json:"keys_per_s"`
-	P50Ms        float64       `json:"p50_ms"`
-	P99Ms        float64       `json:"p99_ms"`
-	Server       serverDelta   `json:"server"`
-	Windows      []windowStats `json:"windows,omitempty"`
+	Name         string      `json:"name"`
+	Batched      bool        `json:"batched"`
+	OfferedRate  float64     `json:"offered_per_s"`
+	DurationSec  float64     `json:"duration_s"`
+	Completed    uint64      `json:"completed"`
+	OKs          uint64      `json:"ok"`
+	Conflicts409 uint64      `json:"conflict_409,omitempty"`
+	ClientDrops  uint64      `json:"client_drops"`
+	Errors       uint64      `json:"errors"`
+	KeysWritten  uint64      `json:"keys_written"`
+	Throughput   float64     `json:"throughput_per_s"`
+	KeysPerSec   float64     `json:"keys_per_s"`
+	P50Ms        float64     `json:"p50_ms"`
+	P99Ms        float64     `json:"p99_ms"`
+	Server       serverDelta `json:"server"`
 }
 
 // benchFile is the merged BENCH_serve.json shape.
@@ -146,8 +127,6 @@ func main() {
 		switch strings.TrimSpace(sc) {
 		case "compare":
 			results = append(results, runCompareUnbatched(), runCompareBatched())
-		case "shed":
-			results = append(results, runShed())
 		case "mix":
 			results = append(results, runMix())
 		case "txn":
@@ -195,28 +174,10 @@ func fetchStats() server.Stats {
 }
 
 func statsDelta(before, after server.Stats) serverDelta {
-	d := serverDelta{
+	return serverDelta{
 		Publications: after.Publications - before.Publications,
-		Batches:      after.Batches - before.Batches,
-		BatchedOps:   after.BatchedOps - before.BatchedOps,
-		Sheds:        after.Sheds - before.Sheds,
 		OpenTxns:     after.OpenTxns - before.OpenTxns,
 	}
-	for i, sh := range after.Shards {
-		var cur, prev [17]uint64
-		cur = sh.BatchSizes.Buckets
-		if i < len(before.Shards) {
-			prev = before.Shards[i].BatchSizes.Buckets
-		}
-		if d.BatchSizes == nil {
-			d.BatchSizes = make([]uint64, len(cur))
-		}
-		for b := range cur {
-			d.BatchSizes[b] += cur[b] - prev[b]
-		}
-		d.CommitRatios = append(d.CommitRatios, sh.CommitRatio)
-	}
-	return d
 }
 
 // opSpec is one generated arrival: a /v1/op envelope, or a /v1/txn body
@@ -230,26 +191,16 @@ type opSpec struct {
 // gen produces arrivals for a scenario: nil return = skip this slot.
 type gen func(r *rand.Rand, zipf *rand.Zipf) opSpec
 
-// engine runs one open-loop phase: arrivals at rateFn(t) ops/s, bounded
-// in-flight window, per-window accounting, latency reservoir.
-func engine(name string, batched bool, dur time.Duration, rateFn func(elapsed time.Duration) float64, g gen) scenarioResult {
+// engine runs one open-loop phase: arrivals at r ops/s, bounded in-flight
+// window, latency reservoir.
+func engine(name string, batched bool, dur time.Duration, r float64, g gen) scenarioResult {
 	res := scenarioResult{Name: name, Batched: batched, DurationSec: dur.Seconds()}
 	before := fetchStats()
 
 	const maxSamples = 1 << 18
 	samples := make([]int64, maxSamples)
 	var nSamples atomic.Int64
-	var completed, oks, sheds, conflicts, drops, errs, keysWritten atomic.Uint64
-
-	const nWindows = 12
-	windows := make([]struct{ ok, shed, drop atomic.Uint64 }, nWindows)
-	windowOf := func(elapsed time.Duration) int {
-		w := int(elapsed * nWindows / dur)
-		if w >= nWindows {
-			w = nWindows - 1
-		}
-		return w
-	}
+	var completed, oks, conflicts, drops, errs, keysWritten atomic.Uint64
 
 	sem := make(chan struct{}, *inflight)
 	var wg sync.WaitGroup
@@ -263,28 +214,24 @@ func engine(name string, batched bool, dur time.Duration, rateFn func(elapsed ti
 	ticker := time.NewTicker(step)
 	defer ticker.Stop()
 	for now := range ticker.C {
-		elapsed := now.Sub(start)
-		if elapsed >= dur {
+		if now.Sub(start) >= dur {
 			break
 		}
-		r := rateFn(elapsed)
 		tokens += r * step.Seconds()
 		offered += r * step.Seconds()
 		for tokens >= 1 {
 			tokens--
 			spec := g(rnd, zipf)
-			w := windowOf(elapsed)
 			select {
 			case sem <- struct{}{}:
 			default:
 				// Open-loop overflow: the in-flight window is full, the
 				// arrival is lost, and that loss is the datum.
 				drops.Add(1)
-				windows[w].drop.Add(1)
 				continue
 			}
 			wg.Add(1)
-			go func(spec opSpec, w int) {
+			go func(spec opSpec) {
 				defer wg.Done()
 				defer func() { <-sem }()
 				t0 := time.Now()
@@ -294,14 +241,10 @@ func engine(name string, batched bool, dur time.Duration, rateFn func(elapsed ti
 				switch status {
 				case http.StatusOK:
 					oks.Add(1)
-					windows[w].ok.Add(1)
 					keysWritten.Add(uint64(spec.keys))
 					if i := nSamples.Add(1) - 1; i < maxSamples {
 						samples[i] = lat
 					}
-				case http.StatusTooManyRequests:
-					sheds.Add(1)
-					windows[w].shed.Add(1)
 				case http.StatusConflict:
 					// An assert clause lost its race — expected traffic for
 					// the txn scenario, not an error.
@@ -309,7 +252,7 @@ func engine(name string, batched bool, dur time.Duration, rateFn func(elapsed ti
 				default:
 					errs.Add(1)
 				}
-			}(spec, w)
+			}(spec)
 		}
 	}
 	wg.Wait()
@@ -318,7 +261,6 @@ func engine(name string, batched bool, dur time.Duration, rateFn func(elapsed ti
 	res.OfferedRate = offered / elapsed
 	res.Completed = completed.Load()
 	res.OKs = oks.Load()
-	res.Sheds429 = sheds.Load()
 	res.Conflicts409 = conflicts.Load()
 	res.ClientDrops = drops.Load()
 	res.Errors = errs.Load()
@@ -327,15 +269,8 @@ func engine(name string, batched bool, dur time.Duration, rateFn func(elapsed ti
 	res.KeysPerSec = float64(res.KeysWritten) / elapsed
 	res.P50Ms, res.P99Ms = percentiles(samples, nSamples.Load())
 	res.Server = statsDelta(before, fetchStats())
-	for i := range windows {
-		res.Windows = append(res.Windows, windowStats{
-			OK:    windows[i].ok.Load(),
-			Shed:  windows[i].shed.Load(),
-			Drops: windows[i].drop.Load(),
-		})
-	}
-	log.Printf("ptoload: %-16s offered %7.0f/s ok %7d (%.0f/s, %.0f keys/s) shed %d drops %d errs %d p50 %.2fms p99 %.2fms",
-		name, res.OfferedRate, res.OKs, res.Throughput, res.KeysPerSec, res.Sheds429, res.ClientDrops, res.Errors, res.P50Ms, res.P99Ms)
+	log.Printf("ptoload: %-16s offered %7.0f/s ok %7d (%.0f/s, %.0f keys/s) drops %d errs %d p50 %.2fms p99 %.2fms",
+		name, res.OfferedRate, res.OKs, res.Throughput, res.KeysPerSec, res.ClientDrops, res.Errors, res.P50Ms, res.P99Ms)
 	return res
 }
 
@@ -380,13 +315,12 @@ func sessionKey(r *rand.Rand, zipf *rand.Zipf) int64 {
 }
 
 // hotKey draws from the unrotated zipf ranking — maximum cross-session
-// contention, for the shed scenario.
+// contention, for the txn scenario's assert clauses.
 func hotKey(zipf *rand.Zipf) int64 { return int64(zipf.Uint64()) }
 
 // runCompareUnbatched: R single-key writes/s, put/del 50/50.
 func runCompareUnbatched() scenarioResult {
-	flat := func(time.Duration) float64 { return *rate }
-	return engine("put_unbatched", false, *duration, flat, func(r *rand.Rand, zipf *rand.Zipf) opSpec {
+	return engine("put_unbatched", false, *duration, *rate, func(r *rand.Rand, zipf *rand.Zipf) opSpec {
 		op := server.OpPut
 		if r.Intn(2) == 0 {
 			op = server.OpDel
@@ -399,8 +333,7 @@ func runCompareUnbatched() scenarioResult {
 // request rate R/k, each request one composed publication per shard.
 func runCompareBatched() scenarioResult {
 	k := *batchK
-	flat := func(time.Duration) float64 { return *rate / float64(k) }
-	return engine("put_batched", true, *duration, flat, func(r *rand.Rand, zipf *rand.Zipf) opSpec {
+	return engine("put_batched", true, *duration, *rate/float64(k), func(r *rand.Rand, zipf *rand.Zipf) opSpec {
 		ks := make([]int64, k)
 		for i := range ks {
 			ks[i] = sessionKey(r, zipf)
@@ -413,46 +346,16 @@ func runCompareBatched() scenarioResult {
 	})
 }
 
-// runShed: bursty writes on maximally contended zipf keys; the last
-// quarter is a forced calm tail so recovery is observable in the windows.
-func runShed() scenarioResult {
-	rateFn := func(elapsed time.Duration) float64 {
-		if elapsed >= *duration*3/4 {
-			return *rate / 8 // the recovery tail
-		}
-		if (elapsed/(*burstLen))%2 == 0 {
-			return *rate * *burst
-		}
-		return *rate / 4
-	}
-	return engine("shed_zipf", false, *duration, rateFn, func(r *rand.Rand, zipf *rand.Zipf) opSpec {
-		// put/del 50/50 so every write genuinely mutates its hot key
-		// (repeated puts of a present key stage nothing and commit
-		// read-only, which would hide the contention).
-		switch r.Intn(5) {
-		case 0:
-			return opSpec{req: server.Request{Op: server.OpGet, Key: hotKey(zipf)}}
-		case 1, 2:
-			return opSpec{req: server.Request{Op: server.OpPut, Key: hotKey(zipf)}, keys: 1}
-		default:
-			return opSpec{req: server.Request{Op: server.OpDel, Key: hotKey(zipf)}, keys: 1}
-		}
-	})
-}
-
-// runMix: the general scenario — reads, direct and epoch-batched writes,
-// cross-structure moves, queue and PQ traffic.
+// runMix: the general scenario — reads, single-key writes, cross-structure
+// moves, queue and PQ traffic.
 func runMix() scenarioResult {
-	flat := func(time.Duration) float64 { return *rate }
-	return engine("mix", false, *duration, flat, func(r *rand.Rand, zipf *rand.Zipf) opSpec {
+	return engine("mix", false, *duration, *rate, func(r *rand.Rand, zipf *rand.Zipf) opSpec {
 		k := sessionKey(r, zipf)
 		switch p := r.Intn(100); {
 		case p < 50:
 			return opSpec{req: server.Request{Op: server.OpGet, Key: k}}
-		case p < 60:
-			return opSpec{req: server.Request{Op: server.OpPut, Key: k}, keys: 1}
 		case p < 70:
-			return opSpec{req: server.Request{Op: server.OpPut, Key: k, Batch: true}, keys: 1}
+			return opSpec{req: server.Request{Op: server.OpPut, Key: k}, keys: 1}
 		case p < 75:
 			return opSpec{req: server.Request{Op: server.OpDel, Key: k}, keys: 1}
 		case p < 85:
@@ -480,9 +383,8 @@ func runMix() scenarioResult {
 // under zipf contention a fraction land 409 — the conflict_409 count and
 // the open-txn server counters are the scenario's point.
 func runTxnScenario() scenarioResult {
-	flat := func(time.Duration) float64 { return *rate }
 	f, tr := false, true
-	return engine("txn", false, *duration, flat, func(r *rand.Rand, zipf *rand.Zipf) opSpec {
+	return engine("txn", false, *duration, *rate, func(r *rand.Rand, zipf *rand.Zipf) opSpec {
 		k := hotKey(zipf)
 		switch p := r.Intn(100); {
 		case p < 30: // claim: CAS-like insert + enqueue, one round trip
@@ -558,14 +460,16 @@ func writeMerged(results []scenarioResult) {
 
 func summarize(scs []scenarioResult) map[string]any {
 	sum := map[string]any{}
-	var total uint64
+	var total, errs uint64
 	byName := map[string]scenarioResult{}
 	for _, s := range scs {
 		total += s.OKs
+		errs += s.Errors
 		byName[s.Name] = s
 	}
 	sum["total_completed"] = total
-	sum["completed_ok"] = total > 0
+	sum["total_errors"] = errs
+	sum["completed_ok"] = total > 0 && errs == 0
 	if ub, ok := byName["put_unbatched"]; ok {
 		if b, ok := byName["put_batched"]; ok && ub.KeysPerSec > 0 {
 			speedup := b.KeysPerSec / ub.KeysPerSec
@@ -577,17 +481,6 @@ func summarize(scs []scenarioResult) map[string]any {
 		sum["txn_committed"] = tx.OKs
 		sum["txn_conflicts_409"] = tx.Conflicts409
 		sum["txn_ok"] = tx.OKs > 0 && tx.Errors == 0
-	}
-	if sh, ok := byName["shed_zipf"]; ok && len(sh.Windows) > 0 {
-		engaged := false
-		for _, w := range sh.Windows {
-			if w.Shed > 0 {
-				engaged = true
-			}
-		}
-		last := sh.Windows[len(sh.Windows)-1]
-		sum["shed_engaged"] = engaged
-		sum["shed_recovered"] = last.Shed == 0 && last.OK > 0
 	}
 	return sum
 }

@@ -1,36 +1,36 @@
 // Command ptoserver serves the transactional composition layer over HTTP:
 // a sharded key-value + priority-scheduling service where every operation
 // is one composed PTO transaction (internal/server). Each shard owns its
-// own htm domain (own commit clock), its own txn.Manager
-// and speculation policy, and its own epoch batcher that coalesces
-// single-key writes into one publication per epoch (Silo-style group
-// commit). An admission layer sheds mutating load with 429 when a shard's
-// live speculation commit ratio drops under the floor.
+// own htm domain (own commit clock), its own txn.Manager and speculation
+// policy, and its own structures. A request commits on the goroutine
+// net/http gave it; the server runs no background loop and refuses no
+// request for load.
 //
 // Usage:
 //
 //	ptoserver [-addr :8350] [-shards 4]
 //	          [-policy fixed|adaptive] [-attempts 4]
-//	          [-readcap N] [-writecap N]
-//	          [-epoch 500us] [-maxbatch 64]
-//	          [-admit-floor 0.2] [-admit-min 32] [-admit-every 100ms]
+//	          [-readcap N] [-writecap N] [-maxbatch 64]
 //	          [-metrics-addr :8351] [-sample 1s]
 //
 // The API is POST /v1/op with a JSON envelope (op: get/put/del, enqueue/
-// dequeue, push/popmin, move/moveall/transfer/movemin/movetopq), plus
-// GET /healthz and GET /statz (shard/batcher/admission stats). Telemetry is
-// the existing internal/telemetry export, mounted unchanged: /metrics
-// (Prometheus text format) and /debug/vars (expvar) on the main mux, and on
-// -metrics-addr too when given (the ptostress convention, so a scraper can
-// stay off the serving port). -readcap/-writecap retune every shard
-// domain's transactional capacity; negative values force every composed
-// operation down the MultiCAS fallback; small positive values crush the
-// fast path into capacity aborts — the deliberate-degradation knob the
-// admission experiments use. -sample logs interval-rate telemetry deltas.
+// dequeue, push/popmin, move/moveall/transfer/movemin/movetopq; put, del
+// and moveall take a key list and commit it as one publication per shard),
+// POST /v1/txn (a multi-op body run as one open transaction), plus
+// GET /healthz and GET /statz (per-shard commit and open-transaction
+// counters). Telemetry is the existing internal/telemetry export, mounted
+// unchanged: /metrics (Prometheus text format) and /debug/vars (expvar) on
+// the main mux, and on -metrics-addr too when given (the ptostress
+// convention, so a scraper can stay off the serving port).
+// -readcap/-writecap retune every shard domain's transactional capacity;
+// negative values force every composed operation down the MultiCAS
+// fallback; small positive values crush the fast path into capacity aborts
+// (slower, never refused: the fallback keeps the original's progress).
+// -sample logs interval-rate telemetry deltas.
 //
 // On SIGINT/SIGTERM the server drains: the listener stops accepting, in-
-// flight requests (including writes waiting on an epoch batch) complete,
-// every batcher flushes its pending epoch, and the sampler emits one final
+// flight requests complete (http.Server.Shutdown — a request holds nothing
+// that outlives its handler), and the sampler emits one final
 // partial-interval delta before exit.
 package main
 
@@ -58,11 +58,7 @@ var (
 	attempts    = flag.Int("attempts", 0, "composed fast-path attempt budget (0 = default)")
 	readCap     = flag.Int("readcap", 0, "transactional read capacity (0 = default, negative = force fallback)")
 	writeCap    = flag.Int("writecap", 0, "transactional write capacity (0 = default, negative = force fallback)")
-	epoch       = flag.Duration("epoch", server.DefaultEpoch, "batcher epoch window")
-	maxBatch    = flag.Int("maxbatch", server.DefaultMaxBatch, "max ops per publication: a batcher chunk, a request's key list, a transfer's n, a /v1/txn body")
-	admitFloor  = flag.Float64("admit-floor", server.DefaultAdmitFloor, "live commit ratio under which a shard sheds writes")
-	admitMin    = flag.Int("admit-min", server.DefaultAdmitMin, "min attempts per interval before shedding can trigger")
-	admitEvery  = flag.Duration("admit-every", server.DefaultAdmitEvery, "admission evaluation interval (negative disables shedding)")
+	maxBatch    = flag.Int("maxbatch", server.DefaultMaxBatch, "max ops per publication: a request's key list, a transfer's n, a /v1/txn body")
 	metricsAddr = flag.String("metrics-addr", "", "additionally serve /metrics and /debug/vars on this address")
 	sample      = flag.Duration("sample", 0, "log interval-rate telemetry deltas at this period (0 = off)")
 )
@@ -82,17 +78,13 @@ func main() {
 
 	reg := telemetry.NewRegistry()
 	srv := server.New(server.Config{
-		Shards:           *shards,
-		Policy:           pol,
-		Attempts:         *attempts,
-		ReadCap:          *readCap,
-		WriteCap:         *writeCap,
-		Epoch:            *epoch,
-		MaxBatch:         *maxBatch,
-		AdmitFloor:       *admitFloor,
-		AdmitMinAttempts: *admitMin,
-		AdmitInterval:    *admitEvery,
-		Registry:         reg,
+		Shards:   *shards,
+		Policy:   pol,
+		Attempts: *attempts,
+		ReadCap:  *readCap,
+		WriteCap: *writeCap,
+		MaxBatch: *maxBatch,
+		Registry: reg,
 	})
 
 	// Reuse the existing telemetry exporters, unchanged: Prometheus text
@@ -121,8 +113,8 @@ func main() {
 	httpSrv := &http.Server{Addr: *addr, Handler: mux}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	log.Printf("ptoserver: %d shards (policy %s, epoch %v, maxbatch %d, admit floor %.2f) on %s",
-		*shards, *policyName, *epoch, *maxBatch, *admitFloor, *addr)
+	log.Printf("ptoserver: %d shards (policy %s, maxbatch %d) on %s",
+		*shards, *policyName, *maxBatch, *addr)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
@@ -133,20 +125,16 @@ func main() {
 		log.Fatalf("ptoserver: listener failed: %v", err)
 	}
 
-	// Drain order: stop the listener first (in-flight handlers, including
-	// writes parked on an epoch batch, run to completion while the batchers
-	// are still alive), then flush and stop the batchers and admission,
+	// Drain: stop the listener and let in-flight handlers run to completion,
 	// then the sampler's final partial-interval delta.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(ctx); err != nil {
 		log.Printf("ptoserver: shutdown: %v", err)
 	}
-	srv.Close()
 	if sampler != nil {
 		sampler.Stop()
 	}
 	st := srv.Stats()
-	fmt.Printf("ptoserver: drained. publications=%d batches=%d batched_ops=%d sheds=%d\n",
-		st.Publications, st.Batches, st.BatchedOps, st.Sheds)
+	fmt.Printf("ptoserver: drained. publications=%d open_txns=%d\n", st.Publications, st.OpenTxns)
 }

@@ -39,10 +39,10 @@ const (
 // Keyed ops (get/put/del/move/movetopq) route by Key; moveall groups Keys
 // by owning shard and runs one batched publication per shard. Keyless ops
 // (dequeue/popmin/transfer/movemin) rotate across shards unless Shard pins
-// one. Put with Batch set rides the shard's epoch batcher: the reply
-// arrives when the batch it joined commits. Put with Keys set is a
-// multi-key put — all keys on their shard commit in one composed
-// publication, the request-path analogue of MoveAll's amortization.
+// one. Put with Keys set is a multi-key put — all keys on their shard
+// commit in one composed publication, the request-path analogue of
+// MoveAll's amortization. Fields the envelope does not name are ignored,
+// the retired "batch" among them: such a write runs as any other.
 type Request struct {
 	Op     string  `json:"op"`
 	Struct string  `json:"struct,omitempty"` // target for single-structure ops
@@ -53,7 +53,6 @@ type Request struct {
 	Value  int64   `json:"value,omitempty"`
 	N      int     `json:"n,omitempty"`     // transfer count
 	Shard  *int    `json:"shard,omitempty"` // pin a keyless op to a shard
-	Batch  bool    `json:"batch,omitempty"` // ride the epoch batcher (put/del)
 }
 
 // Response is the JSON reply of /v1/op. Err is set (with a non-200 status)
@@ -112,17 +111,4 @@ type TxnResponse struct {
 	Results  []TxnOpResult `json:"results,omitempty"`
 	FailedOp *int          `json:"failed_op,omitempty"`
 	Err      string        `json:"error,omitempty"`
-}
-
-// mutates reports whether the op writes shard state — the class the
-// admission layer sheds when a shard's live commit ratio is underwater.
-// Reads stay admitted: they are cheap, validate-only, and keeping them
-// flowing is what lets the shard's ratio recover while writes back off.
-func mutates(op string) bool {
-	switch op {
-	case OpGet:
-		return false
-	default:
-		return true
-	}
 }

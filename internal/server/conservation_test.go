@@ -7,7 +7,7 @@ import (
 )
 
 // TestCrossShardConservation hammers the full op surface — single-key and
-// batched writes, cross-structure moves, queue transfers, PQ scheduling —
+// multi-key writes, cross-structure moves, queue transfers, PQ scheduling —
 // across shards through the HTTP API, then verifies total element counts
 // against a sequential model built from the responses. Every composed
 // operation reports exactly what it did (Changed/Moved/Found), so summing
@@ -22,7 +22,7 @@ func TestCrossShardConservation(t *testing.T) {
 		workers = 6
 		opsPer  = 120
 	)
-	srv, ts := newTestServer(t, Config{Shards: shards, MaxBatch: 16})
+	_, ts := newTestServer(t, Config{Shards: shards, MaxBatch: 16})
 
 	// Seed every key into the hot sets via multi-key puts.
 	var seeded int64
@@ -79,8 +79,8 @@ func TestCrossShardConservation(t *testing.T) {
 						req.Src, req.Dst = DefaultSpill, DefaultSet
 					}
 					doOp(t, ts, req)
-				case 3: // put: direct or via the epoch batcher
-					resp, _ := doOp(t, ts, Request{Op: OpPut, Key: k, Batch: fwd})
+				case 3: // single-key put
+					resp, _ := doOp(t, ts, Request{Op: OpPut, Key: k})
 					if resp.Changed {
 						setDelta.Add(1)
 					}
@@ -88,8 +88,8 @@ func TestCrossShardConservation(t *testing.T) {
 					ks := []int64{k, (k + 5) % keys, (k + 23) % keys}
 					resp, _ := doOp(t, ts, Request{Op: OpPut, Keys: ks})
 					setDelta.Add(int64(resp.Moved))
-				case 5: // del, batched half the time
-					resp, _ := doOp(t, ts, Request{Op: OpDel, Key: k, Batch: fwd})
+				case 5: // single-key del
+					resp, _ := doOp(t, ts, Request{Op: OpDel, Key: k})
 					if resp.Changed {
 						setDelta.Add(-1)
 					}
@@ -201,11 +201,5 @@ func TestCrossShardConservation(t *testing.T) {
 	}
 	if pqRemaining != pqDelta.Load() {
 		t.Errorf("pq conservation: drained %d values, model says %d", pqRemaining, pqDelta.Load())
-	}
-
-	// The epoch batcher must actually have coalesced something: the Batch
-	// puts/dels above rode it.
-	if srv.Stats().Batches == 0 {
-		t.Error("no batches committed; the Batch=true writes never rode the epoch batcher")
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 
 	"repro/internal/mound"
@@ -40,8 +41,8 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 	json.NewEncoder(w).Encode(Response{OK: false, Shard: -1, Err: fmt.Sprintf(format, args...)})
 }
 
-// handleOp decodes one envelope, routes it to its shard(s), applies the
-// admission decision, executes, and replies.
+// handleOp decodes one envelope, routes it to its shard(s), executes, and
+// replies.
 func (s *Server) handleOp(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
@@ -57,37 +58,29 @@ func (s *Server) handleOp(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "batch of %d keys exceeds max %d", len(req.Keys), s.cfg.MaxBatch)
 		return
 	}
-	if req.N > s.cfg.MaxBatch {
-		httpError(w, http.StatusBadRequest, "n of %d exceeds max %d", req.N, s.cfg.MaxBatch)
+	if req.N < 0 || req.N > s.cfg.MaxBatch {
+		httpError(w, http.StatusBadRequest, "n of %d outside [0, %d]", req.N, s.cfg.MaxBatch)
 		return
 	}
 	if req.Shard != nil && (*req.Shard < 0 || *req.Shard >= len(s.shards)) {
 		httpError(w, http.StatusBadRequest, "shard %d out of range [0,%d)", *req.Shard, len(s.shards))
 		return
 	}
+	if !validKey(req.Key) {
+		httpError(w, http.StatusBadRequest, "%s", keyRangeErr(req.Key))
+		return
+	}
+	for _, k := range req.Keys {
+		if !validKey(k) {
+			httpError(w, http.StatusBadRequest, "%s", keyRangeErr(k))
+			return
+		}
+	}
 
 	resp, status := s.execute(&req)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(resp)
-}
-
-// admit applies the admission decision for one op on one shard: mutating
-// ops on a shedding shard are rejected. Returns false (and counts the shed)
-// when the caller must 429.
-func admit(sh *shard, op string) bool {
-	if mutates(op) && sh.shedding.Load() {
-		sh.sheds.Add(1)
-		return false
-	}
-	return true
-}
-
-// shedResponse is the 429 body; Retry-After semantics live in the status
-// code choice, the admission interval is the natural retry horizon.
-func shedResponse(sh *shard) (Response, int) {
-	return Response{OK: false, Shard: sh.id, Err: "shedding: shard commit ratio under admission floor"},
-		http.StatusTooManyRequests
 }
 
 // execute runs one validated envelope and returns the response + status.
@@ -111,9 +104,6 @@ func (s *Server) execute(req *Request) (Response, int) {
 		if q == nil {
 			return unknownStructure(sh, req.Struct)
 		}
-		if !admit(sh, req.Op) {
-			return shedResponse(sh)
-		}
 		sh.enqueue(q, req.Value)
 		return Response{OK: true, Shard: sh.id}, http.StatusOK
 
@@ -122,9 +112,6 @@ func (s *Server) execute(req *Request) (Response, int) {
 		q := sh.queue(req.Struct, DefaultQueue)
 		if q == nil {
 			return unknownStructure(sh, req.Struct)
-		}
-		if !admit(sh, req.Op) {
-			return shedResponse(sh)
 		}
 		v, ok := sh.dequeue(q)
 		return Response{OK: true, Found: ok, Value: v, Shard: sh.id}, http.StatusOK
@@ -138,9 +125,6 @@ func (s *Server) execute(req *Request) (Response, int) {
 		if pq == nil {
 			return unknownStructure(sh, req.Struct)
 		}
-		if !admit(sh, req.Op) {
-			return shedResponse(sh)
-		}
 		sh.push(pq, req.Value)
 		return Response{OK: true, Shard: sh.id}, http.StatusOK
 
@@ -149,9 +133,6 @@ func (s *Server) execute(req *Request) (Response, int) {
 		pq := sh.pq(req.Struct, DefaultPQ)
 		if pq == nil {
 			return unknownStructure(sh, req.Struct)
-		}
-		if !admit(sh, req.Op) {
-			return shedResponse(sh)
 		}
 		v, ok := sh.popMin(pq)
 		return Response{OK: true, Found: ok, Value: v, Shard: sh.id}, http.StatusOK
@@ -164,9 +145,6 @@ func (s *Server) execute(req *Request) (Response, int) {
 		}
 		if dst == nil {
 			return unknownStructure(sh, req.Dst)
-		}
-		if !admit(sh, req.Op) {
-			return shedResponse(sh)
 		}
 		moved := 0
 		if txn.Move(sh.m, src, dst, req.Key) {
@@ -186,11 +164,8 @@ func (s *Server) execute(req *Request) (Response, int) {
 		if dst == nil {
 			return unknownStructure(sh, req.Dst)
 		}
-		if !admit(sh, req.Op) {
-			return shedResponse(sh)
-		}
 		n := req.N
-		if n <= 0 {
+		if n == 0 {
 			n = 1
 		}
 		moved := txn.Transfer(sh.m, src, dst, n)
@@ -204,9 +179,6 @@ func (s *Server) execute(req *Request) (Response, int) {
 		}
 		if dst == nil {
 			return unknownStructure(sh, req.Dst)
-		}
-		if !admit(sh, req.Op) {
-			return shedResponse(sh)
 		}
 		v, moved := txn.MoveMin(sh.m, src, dst)
 		resp := Response{OK: true, Value: v, Found: moved, Shard: sh.id}
@@ -227,9 +199,6 @@ func (s *Server) execute(req *Request) (Response, int) {
 		if dst == nil {
 			return unknownStructure(sh, req.Dst)
 		}
-		if !admit(sh, req.Op) {
-			return shedResponse(sh)
-		}
 		moved := 0
 		if txn.MoveToPQ(sh.m, src, dst, req.Key) {
 			moved = 1
@@ -242,8 +211,8 @@ func (s *Server) execute(req *Request) (Response, int) {
 	}
 }
 
-// executeWrite handles put/del: single-key direct, single-key through the
-// epoch batcher (Batch), or multi-key as one publication per owning shard.
+// executeWrite handles put/del: single-key as one publication, multi-key as
+// one publication per owning shard.
 func (s *Server) executeWrite(req *Request) (Response, int) {
 	insert := req.Op == OpPut
 	if len(req.Keys) > 0 {
@@ -253,9 +222,6 @@ func (s *Server) executeWrite(req *Request) (Response, int) {
 		for sh := range groups {
 			if sh.set(req.Struct, DefaultSet) == nil {
 				return unknownStructure(sh, req.Struct)
-			}
-			if !admit(sh, req.Op) {
-				return shedResponse(sh)
 			}
 		}
 		changed := 0
@@ -275,16 +241,6 @@ func (s *Server) executeWrite(req *Request) (Response, int) {
 	set := sh.set(req.Struct, DefaultSet)
 	if set == nil {
 		return unknownStructure(sh, req.Struct)
-	}
-	if !admit(sh, req.Op) {
-		return shedResponse(sh)
-	}
-	if req.Batch {
-		// Ride the shard's epoch: the reply comes when the batch commits.
-		if ch := sh.b.submit(insert, set, req.Key); ch != nil {
-			return Response{OK: true, Changed: <-ch, Shard: sh.id, Batched: true}, http.StatusOK
-		}
-		// Batcher draining for shutdown: fall through to the direct path.
 	}
 	var changed bool
 	if insert {
@@ -308,9 +264,6 @@ func (s *Server) executeMoveAll(req *Request) (Response, int) {
 		}
 		if sh.set(req.Dst, DefaultSpill) == nil {
 			return unknownStructure(sh, req.Dst)
-		}
-		if !admit(sh, req.Op) {
-			return shedResponse(sh)
 		}
 	}
 	moved := 0
@@ -360,6 +313,17 @@ func (s *Server) groupByShard(keys []int64) map[*shard][]int64 {
 		groups[sh] = append(groups[sh], k)
 	}
 	return groups
+}
+
+// validKey reports whether k may be a set's key. The skiplist keeps its head
+// and tail sentinels under the two extreme values: it answers "present" for
+// the tail's key and a del of it unlinks the tail, after which every walk of
+// that set dereferences nil. So neither crosses the boundary, on any route.
+func validKey(k int64) bool { return k != math.MinInt64 && k != math.MaxInt64 }
+
+// keyRangeErr is the one-line error for such a key.
+func keyRangeErr(k int64) string {
+	return fmt.Sprintf("key %d out of range [%d, %d] for a set", k, int64(math.MinInt64+1), int64(math.MaxInt64-1))
 }
 
 // validPriority reports whether v may enter a priority queue. The mound

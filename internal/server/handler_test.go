@@ -7,25 +7,21 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/mound"
 )
 
-// newTestServer starts a server (background admission off: tests that want
-// shedding drive the evaluator directly) behind httptest.
+// newTestServer starts a server behind httptest.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	if cfg.AdmitInterval == 0 {
-		cfg.AdmitInterval = -1
-	}
 	srv := New(cfg)
 	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-	})
+	t.Cleanup(ts.Close)
 	return srv, ts
 }
 
@@ -120,6 +116,14 @@ func TestHandlerRejectsOversizedBatch(t *testing.T) {
 	if got := srv.Stats().Publications; got != before {
 		t.Errorf("refused transfer published %d times", got-before)
 	}
+	// A negative n is refused the same way (it used to run as n = 1).
+	resp, code = doOp(t, ts, Request{Op: OpTransfer, Shard: &pin, N: -1})
+	if code != http.StatusBadRequest || resp.OK || !strings.Contains(resp.Err, "n of -1") {
+		t.Errorf("transfer n=-1: got %d ok=%v err=%q, want 400 naming n", code, resp.OK, resp.Err)
+	}
+	if got := srv.Stats().Publications; got != before {
+		t.Errorf("refused transfers published %d times", got-before)
+	}
 	if resp, code := doOp(t, ts, Request{Op: OpTransfer, Shard: &pin, N: 8}); code != http.StatusOK || resp.Moved != 3 {
 		t.Errorf("transfer n=8 of a 3-deep queue: got %d moved=%d, want 200 moved=3", code, resp.Moved)
 	}
@@ -152,10 +156,6 @@ func TestHandlerKVRoundtrip(t *testing.T) {
 	}
 	if resp, _ := doOp(t, ts, Request{Op: OpGet, Key: 7}); !resp.Found {
 		t.Fatalf("get after put: %+v", resp)
-	}
-	// Batched single-key writes resolve when their epoch commits.
-	if resp, _ := doOp(t, ts, Request{Op: OpPut, Key: 8, Batch: true}); !resp.Changed || !resp.Batched {
-		t.Fatalf("batched put: %+v", resp)
 	}
 	if resp, _ := doOp(t, ts, Request{Op: OpDel, Key: 7}); !resp.Changed {
 		t.Fatalf("del: %+v", resp)
@@ -244,17 +244,124 @@ func TestHealthzAndStatz(t *testing.T) {
 	if len(st.Shards) != 2 || st.Publications == 0 {
 		t.Fatalf("statz: %+v", st)
 	}
-	// The payload's shape: the keys ptoload and CI read are there, and no
-	// controller state is (the "tune" object is the benchmark's inert zero).
-	for _, key := range []string{`"batch_sizes"`, `"open_txns"`, `"total_publications"`, `"tune"`} {
-		if !bytes.Contains(body, []byte(key)) {
-			t.Errorf("statz lacks %s: %s", key, body)
+	// The payload's shape, member for member: what ptoload and the frozen
+	// benchmark read, and no state of a control loop. Three per-shard counters
+	// are the benchmark's inert zeros (so is the "tune" object).
+	var raw struct {
+		Shards []map[string]any
+	}
+	var top map[string]any
+	if err := json.Unmarshal(body, &top); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(body, &raw); err != nil {
+		t.Fatal(err)
+	}
+	members := func(m map[string]any) string {
+		var names []string
+		for name := range m {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		return strings.Join(names, " ")
+	}
+	if got, want := members(top), "shards structures total_open_txns total_publications"; got != want {
+		t.Errorf("statz members:\n got  %s\n want %s", got, want)
+	}
+	if got, want := members(raw.Shards[0]), "batched_ops batches fallback_commits fast_commits open_retries "+
+		"open_txns open_user_aborts publications shard sheds tune"; got != want {
+		t.Errorf("statz shard members:\n got  %s\n want %s", got, want)
+	}
+	for _, sh := range raw.Shards {
+		for _, zero := range []string{"sheds", "batches", "batched_ops"} {
+			if sh[zero] != 0.0 {
+				t.Errorf("shard %v: %s = %v, want the constant 0", sh["shard"], zero, sh[zero])
+			}
 		}
 	}
-	for _, key := range []string{`"total_tune_actions"`, `"budgets"`, `"batch_k"`} {
-		if bytes.Contains(body, []byte(key)) {
-			t.Errorf("statz still carries %s: %s", key, body)
+}
+
+// TestNewStartsNoGoroutine: a Server is its shards and a router. Every
+// request commits on the goroutine net/http gave it, so New starts nothing
+// that Close (a no-op the frozen benchmark calls) would have to stop.
+func TestNewStartsNoGoroutine(t *testing.T) {
+	// Earlier tests' keep-alive connections close asynchronously: take the
+	// baseline once the count has stopped moving.
+	before := runtime.NumGoroutine()
+	for same := 0; same < 5; {
+		time.Sleep(2 * time.Millisecond)
+		if n := runtime.NumGoroutine(); n == before {
+			same++
+		} else {
+			before, same = n, 0
 		}
+	}
+	srv := New(Config{})
+	if got := runtime.NumGoroutine(); got != before {
+		t.Errorf("New started %d goroutines, want 0", got-before)
+	}
+	srv.Close()
+	if got := runtime.NumGoroutine(); got != before {
+		t.Errorf("%d goroutines after Close, %d before New", got, before)
+	}
+}
+
+// TestBatchFieldIsADirectWrite: the wire's retired "batch" member is
+// ignored. The write it decorates is one publication of its own and its
+// reply is byte for byte the reply to the same request without it.
+func TestBatchFieldIsADirectWrite(t *testing.T) {
+	post := func(srv *Server, body string) (int, string) {
+		w := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/op", strings.NewReader(body)))
+		return w.Code, w.Body.String()
+	}
+	with, without := New(Config{Shards: 2}), New(Config{Shards: 2})
+	before := with.Stats().Publications
+	code, got := post(with, `{"op":"put","key":8,"batch":true}`)
+	if code != http.StatusOK || !strings.Contains(got, `"changed":true`) {
+		t.Fatalf(`put with "batch": got %d %s, want 200 and changed`, code, got)
+	}
+	if pubs := with.Stats().Publications - before; pubs != 1 {
+		t.Errorf(`put with "batch" took %d publications, want 1`, pubs)
+	}
+	if _, want := post(without, `{"op":"put","key":8}`); got != want {
+		t.Errorf("replies differ:\n with    %s without %s", got, want)
+	}
+	if _, got := post(with, `{"op":"get","key":8}`); !strings.Contains(got, `"found":true`) {
+		t.Errorf("key 8 not visible after the reply: %s", got)
+	}
+}
+
+// TestSentinelKeyIs400: the two keys the skiplist keeps its sentinels under
+// are refused on every route that names a key — a del of the tail's key used
+// to unlink the tail and leave the shard's cold set panicking on every later
+// walk — and the set still serves afterwards.
+func TestSentinelKeyIs400(t *testing.T) {
+	_, ts := newTestServer(t, Config{Shards: 1})
+	for _, k := range []int64{math.MinInt64, math.MaxInt64} {
+		for _, req := range []Request{
+			{Op: OpGet, Struct: DefaultSpill, Key: k},
+			{Op: OpPut, Struct: DefaultSpill, Key: k},
+			{Op: OpDel, Struct: DefaultSpill, Key: k},
+			{Op: OpDel, Struct: DefaultSpill, Keys: []int64{1, k}},
+			{Op: OpMove, Key: k},
+			{Op: OpMoveAll, Keys: []int64{k}},
+		} {
+			resp, code := doOp(t, ts, req)
+			if code != http.StatusBadRequest || resp.OK || !strings.Contains(resp.Err, "key") {
+				t.Errorf("%s %d: got %d ok=%v err=%q, want 400 naming the key", req.Op, k, code, resp.OK, resp.Err)
+			}
+		}
+		tresp, code := doTxn(t, ts, TxnRequest{Ops: []TxnOp{{Op: OpPut, Key: 1}, {Op: OpDel, Struct: DefaultSpill, Key: k}}})
+		if code != http.StatusBadRequest || tresp.OK || !strings.Contains(tresp.Err, "op 1: key") {
+			t.Errorf("txn del %d: got %d ok=%v err=%q, want 400 naming op 1's key", k, code, tresp.OK, tresp.Err)
+		}
+	}
+	if resp, code := doOp(t, ts, Request{Op: OpPut, Struct: DefaultSpill, Key: 5}); code != http.StatusOK || !resp.Changed {
+		t.Fatalf("put on cold after the refusals: got %d changed=%v", code, resp.Changed)
+	}
+	if resp, _ := doOp(t, ts, Request{Op: OpGet, Struct: DefaultSpill, Key: 5}); !resp.Found {
+		t.Fatal("cold lost key 5")
 	}
 }
 

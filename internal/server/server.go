@@ -2,7 +2,6 @@ package server
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -13,12 +12,8 @@ import (
 
 // Defaults for Config's zero values.
 const (
-	DefaultShards     = 4
-	DefaultEpoch      = 500 * time.Microsecond
-	DefaultMaxBatch   = 64
-	DefaultAdmitFloor = 0.2 // mirrors speculate.DefaultMinCommitRatio
-	DefaultAdmitMin   = 32
-	DefaultAdmitEvery = 100 * time.Millisecond
+	DefaultShards   = 4
+	DefaultMaxBatch = 64
 )
 
 // Config parameterizes a Server. The zero value is a working 4-shard
@@ -37,28 +32,17 @@ type Config struct {
 	// 0 keeps the defaults, negative forces the MultiCAS fallback.
 	ReadCap, WriteCap int
 
-	// Epoch is the batcher's commit window; MaxBatch caps one publication's
-	// op count: the batcher's chunk, and at the wire a request's key list, a
-	// transfer's n and a /v1/txn body's ops (400 past it).
-	Epoch    time.Duration
+	// MaxBatch caps one publication's op count at the wire: a request's key
+	// list, a transfer's n and a /v1/txn body's ops (400 past it).
 	MaxBatch int
 
-	// AdmitFloor is the live commit ratio below which a shard sheds
-	// mutating requests; AdmitMinAttempts is the evidence threshold (an
-	// interval with fewer attempts never sheds); AdmitInterval is the
-	// evaluation period. AdmitInterval < 0 disables the background
-	// evaluator (tests drive it directly).
-	AdmitFloor       float64
-	AdmitMinAttempts int
-	AdmitInterval    time.Duration
+	// AdmitInterval is ignored: there is no admission evaluator.
+	// Kept only because benchmark/serve.go:54 sets it on the forced-fallback server.
+	AdmitInterval time.Duration
 
 	// Registry receives every shard's telemetry (nil: a fresh registry).
 	// Expose it with telemetry's existing expvar/Prometheus exporters.
 	Registry *telemetry.Registry
-
-	// batchTick, when non-nil, replaces every shard batcher's wall-clock
-	// epoch ticker — the deterministic tests' fake clock.
-	batchTick <-chan time.Time
 }
 
 // withDefaults resolves zero values.
@@ -66,20 +50,8 @@ func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = DefaultShards
 	}
-	if c.Epoch <= 0 {
-		c.Epoch = DefaultEpoch
-	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = DefaultMaxBatch
-	}
-	if c.AdmitFloor <= 0 {
-		c.AdmitFloor = DefaultAdmitFloor
-	}
-	if c.AdmitMinAttempts <= 0 {
-		c.AdmitMinAttempts = DefaultAdmitMin
-	}
-	if c.AdmitInterval == 0 {
-		c.AdmitInterval = DefaultAdmitEvery
 	}
 	if c.Registry == nil {
 		c.Registry = telemetry.NewRegistry()
@@ -87,47 +59,33 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the sharded front-end: N shards, their batchers, and the
-// admission controller. Construct with New, serve Handler, stop with
-// Close.
+// Server is the sharded front-end: N shards behind one router. It owns no
+// goroutine: every request runs to its commit on the goroutine net/http
+// gave it, so stopping the HTTP listener (http.Server.Shutdown) is the whole
+// of a graceful shutdown. Construct with New, serve Handler.
 type Server struct {
 	cfg    Config
 	reg    *telemetry.Registry
 	shards []*shard
-	adm    *admission
 	rr     atomic.Uint64 // rotates keyless ops across shards
-	once   sync.Once
 }
 
-// New builds and starts a server (batcher goroutines and the admission
-// evaluator begin immediately; the HTTP listener is the caller's).
+// New builds a server; the HTTP listener is the caller's.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{cfg: cfg, reg: cfg.Registry}
 	for i := 0; i < cfg.Shards; i++ {
-		sh := newShard(i, cfg, s.reg)
-		sh.b = newBatcher(sh, cfg.Epoch, cfg.MaxBatch, cfg.batchTick)
-		s.shards = append(s.shards, sh)
+		s.shards = append(s.shards, newShard(i, cfg, s.reg))
 	}
-	s.adm = newAdmission(s.shards, cfg.AdmitFloor, cfg.AdmitMinAttempts, cfg.AdmitInterval)
 	return s
 }
 
 // Registry returns the telemetry registry every shard records into.
 func (s *Server) Registry() *telemetry.Registry { return s.reg }
 
-// Close drains and stops the server's background work: every batcher
-// flushes its pending epoch (no submitted op is dropped) and the admission
-// evaluator halts. Stop the HTTP listener before calling Close so no new
-// request can race the drain. Safe to call more than once.
-func (s *Server) Close() {
-	s.once.Do(func() {
-		for _, sh := range s.shards {
-			sh.b.close()
-		}
-		s.adm.close()
-	})
-}
+// Close does nothing: a Server has no background work to stop.
+// Kept only because benchmark/serve.go:260 and :332 call it.
+func (s *Server) Close() {}
 
 // shardFor routes a key to its owning shard (Fibonacci hash: adjacent keys
 // spread apart).
@@ -141,13 +99,10 @@ func (s *Server) nextShard() *shard {
 	return s.shards[s.rr.Add(1)%uint64(len(s.shards))]
 }
 
-// ShardStats is one shard's externally visible state: admission, commit
-// pipeline, and batcher counters.
+// ShardStats is one shard's externally visible state: its commit pipeline's
+// and its open transactions' counters.
 type ShardStats struct {
-	Shard       int     `json:"shard"`
-	Shedding    bool    `json:"shedding"`
-	Sheds       uint64  `json:"sheds"`
-	CommitRatio float64 `json:"commit_ratio"`
+	Shard int `json:"shard"`
 
 	// Publications counts completed composed operations — each one prefix
 	// transaction or one MultiCAS, however many keys it carried.
@@ -155,9 +110,15 @@ type ShardStats struct {
 	FastCommits     uint64 `json:"fast_commits"`
 	FallbackCommits uint64 `json:"fallback_commits"`
 
-	Batches    uint64                           `json:"batches"`
-	BatchedOps uint64                           `json:"batched_ops"`
-	BatchSizes telemetry.WidthHistogramSnapshot `json:"batch_sizes"`
+	// Sheds is always zero: no request is refused for load.
+	// Kept only because benchmark/run.go:635 subtracts it.
+	Sheds uint64 `json:"sheds"`
+	// Batches is always zero: a single-key write is its own publication.
+	// Kept only because benchmark/run.go:633 subtracts it.
+	Batches uint64 `json:"batches"`
+	// BatchedOps is always zero.
+	// Kept only because benchmark/run.go:634 subtracts it.
+	BatchedOps uint64 `json:"batched_ops"`
 
 	// Tune is always zero.
 	// Kept only because benchmark/run.go:636 subtracts its counters.
@@ -178,10 +139,7 @@ type Stats struct {
 	// sorted order — deterministic output however the registry iterates.
 	Structures   []string     `json:"structures"`
 	Shards       []ShardStats `json:"shards"`
-	Sheds        uint64       `json:"total_sheds"`
 	Publications uint64       `json:"total_publications"`
-	Batches      uint64       `json:"total_batches"`
-	BatchedOps   uint64       `json:"total_batched_ops"`
 	OpenTxns     uint64       `json:"total_open_txns"`
 }
 
@@ -198,24 +156,15 @@ func (s *Server) Stats() Stats {
 		open := sh.open.Snapshot()
 		st := ShardStats{
 			Shard:           sh.id,
-			Shedding:        sh.shedding.Load(),
-			Sheds:           sh.sheds.Load(),
-			CommitRatio:     sh.lastRatio(),
 			Publications:    comp.Ops,
 			FastCommits:     comp.FastCommits,
 			FallbackCommits: comp.FallbackCommits,
-			Batches:         sh.b.batches.Load(),
-			BatchedOps:      sh.b.batchedOps.Load(),
-			BatchSizes:      sh.b.sizes.Snapshot(),
 			OpenTxns:        open.Txns,
 			OpenRetries:     open.SemRetries,
 			OpenUserAborts:  open.UserAborts,
 		}
 		out.Shards = append(out.Shards, st)
-		out.Sheds += st.Sheds
 		out.Publications += st.Publications
-		out.Batches += st.Batches
-		out.BatchedOps += st.BatchedOps
 		out.OpenTxns += st.OpenTxns
 	}
 	return out

@@ -14,25 +14,18 @@
 // the router keeps that invariant by construction — a key's shard owns
 // every structure the key can occupy.
 //
-// On top of each shard sit two server-side mechanisms borrowed from the
-// exemplars named in the roadmap:
-//
-//   - an epoch batcher (batcher.go) in the style of Silo's group commit:
-//     single-key writes arriving within an epoch window coalesce into one
-//     composed publication, riding MoveAll's one-publication-per-k-keys
-//     amortization on the request path;
-//
-//   - an admission layer (admission.go) keyed off the telemetry the
-//     substrate already emits: when a shard's live speculation commit
-//     ratio drops below a floor, the shard sheds mutating requests with
-//     429 until the ratio recovers — backpressure from existing counters,
-//     no new sensors.
+// A request is decoded, routed to its shard(s), and run to its commit on the
+// goroutine net/http gave it: a single-key write is one txn.Atomic, a
+// multi-key envelope one composed publication per owning shard, a /v1/txn
+// body one open transaction. The server starts no goroutine and refuses no
+// request for load: the MultiCAS fallback is the original nonblocking code
+// and keeps its progress (the paper's Theorems 2–3), so an overloaded shard
+// gets slower, never unavailable. What amortizes a commit over several keys
+// is what the client says in one request — a key list or a /v1/txn body.
 package server
 
 import (
 	"fmt"
-	"math"
-	"sync/atomic"
 
 	"repro/internal/hashtable"
 	"repro/internal/htm"
@@ -45,25 +38,18 @@ import (
 )
 
 // shard is one independently transactional slice of the service: its own
-// domain, manager, structures, batcher, and admission state.
+// domain, manager and structures.
 type shard struct {
 	id   int
 	m    *txn.Manager
 	sem  *semtx.Manager[*txn.Ctx, int64] // open multi-op transactions (/v1/txn)
-	b    *batcher
-	site *telemetry.Site     // the shard's speculation counters ("shardN/txn")
-	comp *telemetry.Composed // the shard's composed-op counters (same name)
-	open *telemetry.Open     // the shard's open-transaction counters (same name)
-
-	// Admission state (written by the controller, read by the handler).
-	shedding  atomic.Bool
-	sheds     atomic.Uint64 // mutating requests rejected with 429
-	ratioBits atomic.Uint64 // last evaluated commit ratio, as float64 bits
+	comp *telemetry.Composed             // the shard's composed-op counters ("shardN/txn")
+	open *telemetry.Open                 // the shard's open-transaction counters (same name)
 }
 
 // siteName returns the telemetry site name of shard id. One registry serves
-// the whole server; per-shard names keep the shards distinguishable both
-// for the admission controller and on the /metrics export.
+// the whole server; per-shard names keep the shards distinguishable on the
+// /metrics export.
 func siteName(id int) string { return fmt.Sprintf("shard%d/txn", id) }
 
 // newShard builds shard id under cfg, registering its telemetry in reg.
@@ -87,22 +73,10 @@ func newShard(id int, cfg Config, reg *telemetry.Registry) *shard {
 		id:   id,
 		m:    m,
 		sem:  semtx.New(m, r).WithTelemetry(open),
-		site: reg.Site(siteName(id)),
 		comp: reg.Composed(siteName(id)),
 		open: open,
 	}
 }
-
-// lastRatio returns the commit ratio the admission controller last
-// evaluated for this shard (1 before the first evaluation: idle is healthy).
-func (s *shard) lastRatio() float64 {
-	if b := s.ratioBits.Load(); b != 0 {
-		return math.Float64frombits(b)
-	}
-	return 1
-}
-
-func (s *shard) setRatio(r float64) { s.ratioBits.Store(math.Float64bits(r)) }
 
 // set/queue/pq resolve a structure name on this shard, "" selecting the
 // op's default. A nil return means the name is unknown (the handler's 404).
@@ -185,9 +159,5 @@ func (s *shard) popMin(pq txn.PQ) (int64, bool) {
 	s.m.Atomic(func(c *txn.Ctx) { v, ok = pq.TxPopMin(c) })
 	return v, ok
 }
-
-// Speculation-site probes used by the admission controller and stats.
-
-func (s *shard) siteSnapshot() telemetry.SiteSnapshot { return s.site.Snapshot() }
 
 func (s *shard) composedSnapshot() telemetry.ComposedSnapshot { return s.comp.Snapshot() }

@@ -43,8 +43,7 @@ func txnDefault(op string) (string, bool) {
 // the shard's structures with semantic footprint recording, and commit
 // revalidates the footprint and publishes all buffered writes in one
 // composed publication. Status mapping: 200 committed, 400 malformed body
-// or restriction violation, 404 unknown structure, 409 assert mismatch,
-// 429 shed by admission.
+// or restriction violation, 404 unknown structure, 409 assert mismatch.
 func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request) {
 	reply := func(status int, resp TxnResponse) {
 		w.Header().Set("Content-Type", "application/json")
@@ -99,11 +98,14 @@ func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request) {
 
 	// Pre-resolve every op's structure so name errors are clean HTTP errors,
 	// not panics out of the transaction body.
-	mutating := false
 	for i, op := range req.Ops {
 		def, ok := txnDefault(op.Op)
 		if !ok {
 			fail(http.StatusBadRequest, "op %d: unknown op %q", i, op.Op)
+			return
+		}
+		if def == DefaultSet && !validKey(op.Key) {
+			fail(http.StatusBadRequest, "op %d: %s", i, keyRangeErr(op.Key))
 			return
 		}
 		if op.Op == OpPush && !validPriority(op.Value) {
@@ -124,14 +126,6 @@ func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request) {
 			reply(status, TxnResponse{OK: false, Shard: resp.Shard, Err: resp.Err})
 			return
 		}
-		if mutates(op.Op) {
-			mutating = true
-		}
-	}
-	if mutating && !admit(sh, OpPut) {
-		resp, status := shedResponse(sh)
-		reply(status, TxnResponse{OK: false, Shard: resp.Shard, Err: resp.Err})
-		return
 	}
 
 	results := make([]TxnOpResult, 0, len(req.Ops))
