@@ -111,6 +111,15 @@ type benchFile struct {
 
 func main() {
 	flag.Parse()
+	// A misspelt or retired scenario fails before anything is sent, not after
+	// the scenarios named ahead of it have run.
+	for _, sc := range strings.Split(*scenarios, ",") {
+		switch strings.TrimSpace(sc) {
+		case "compare", "mix", "txn", "":
+		default:
+			log.Fatalf("ptoload: unknown scenario %q (compare, mix, txn)", sc)
+		}
+	}
 	client = &http.Client{
 		Timeout: 30 * time.Second,
 		Transport: &http.Transport{
@@ -131,9 +140,6 @@ func main() {
 			results = append(results, runMix())
 		case "txn":
 			results = append(results, runTxnScenario())
-		case "":
-		default:
-			log.Fatalf("ptoload: unknown scenario %q", sc)
 		}
 	}
 	writeMerged(results)
