@@ -16,6 +16,8 @@ import (
 	"sync/atomic"
 
 	"repro/internal/msqueue"
+	"repro/internal/speculate"
+	"repro/internal/telemetry"
 )
 
 const (
@@ -27,8 +29,10 @@ const (
 )
 
 func main() {
-	raw := msqueue.NewPTO(0)    // source -> parser
-	parsed := msqueue.NewPTO(0) // parser -> aggregator
+	// One registry per queue: both register the same site names.
+	rawReg, parsedReg := telemetry.NewRegistry(), telemetry.NewRegistry()
+	raw := msqueue.NewPTO(0).WithPolicy(speculate.Fixed(0).WithMetrics(rawReg))       // source -> parser
+	parsed := msqueue.NewPTO(0).WithPolicy(speculate.Fixed(0).WithMetrics(parsedReg)) // parser -> aggregator
 
 	var wg sync.WaitGroup
 
@@ -89,10 +93,10 @@ func main() {
 	fmt.Printf("events: %d processed (want %d); aggregate %d (want %d) — exact: %v\n",
 		count.Load(), totalEvents, sum.Load(), want, sum.Load() == want)
 
-	for name, q := range map[string]*msqueue.PTOQueue{"raw": raw, "parsed": parsed} {
-		ec, ef, ea := q.EnqueueStats().Snapshot()
-		dc, df, da := q.DequeueStats().Snapshot()
+	for name, reg := range map[string]*telemetry.Registry{"raw": rawReg, "parsed": parsedReg} {
+		e := reg.Site("msqueue/enqueue").Snapshot()
+		d := reg.Site("msqueue/dequeue").Snapshot()
 		fmt.Printf("%s queue: enq tx=%d fb=%d ab=%d | deq tx=%d fb=%d ab=%d\n",
-			name, ec[0], ef, ea, dc[0], df, da)
+			name, e.Commits, e.Fallbacks, e.Attempts-e.Commits, d.Commits, d.Fallbacks, d.Attempts-d.Commits)
 	}
 }

@@ -17,6 +17,8 @@ import (
 	"sync/atomic"
 
 	"repro/internal/hashtable"
+	"repro/internal/speculate"
+	"repro/internal/telemetry"
 )
 
 const (
@@ -31,7 +33,8 @@ func sessionID(node int, slot int64) int64 {
 }
 
 func main() {
-	reg := hashtable.NewInplaceTable(64, 0)
+	metrics := telemetry.NewRegistry()
+	reg := hashtable.NewInplaceTable(64, 0).WithPolicy(speculate.Fixed(0).WithMetrics(metrics))
 
 	// Phase 1: mass registration from several nodes.
 	var regWG sync.WaitGroup
@@ -101,8 +104,11 @@ func main() {
 	fmt.Printf("churn: %d joins, %d leaves; population now %d\n",
 		joined.Load(), left.Load(), reg.Len())
 	fmt.Printf("probes served concurrently: %d (%d hits)\n", probes.Load(), hits.Load())
-	commits, fallbacks, aborts := reg.Stats().Snapshot()
+	var commits, fallbacks, aborts uint64 // over insert, remove and contains
+	for _, s := range metrics.Snapshot().Sites {
+		commits, fallbacks, aborts = commits+s.Commits, fallbacks+s.Fallbacks, aborts+s.Attempts-s.Commits
+	}
 	fmt.Printf("speculative commits=%d fallbacks=%d aborted attempts=%d\n",
-		commits[0], fallbacks, aborts)
+		commits, fallbacks, aborts)
 	fmt.Printf("updates committed with zero allocation (in place): %d\n", reg.InplaceHits())
 }

@@ -16,6 +16,8 @@ import (
 	"sync/atomic"
 
 	"repro/internal/mound"
+	"repro/internal/speculate"
+	"repro/internal/telemetry"
 )
 
 const (
@@ -26,7 +28,8 @@ const (
 )
 
 func main() {
-	q := mound.NewPTO(14, 0)
+	reg := telemetry.NewRegistry()
+	q := mound.NewPTO(14, 0).WithPolicy(speculate.Fixed(0).WithMetrics(reg))
 
 	var submitted, executed atomic.Int64
 	var lateness atomic.Int64 // counts inversions observed by each worker
@@ -97,11 +100,11 @@ func main() {
 	fmt.Printf("submitted=%d executed=%d (all jobs dispatched exactly once: %v)\n",
 		submitted.Load(), executed.Load(), submitted.Load() == executed.Load())
 	fmt.Printf("large priority inversions observed: %d\n", lateness.Load())
-	commits, fallbacks, aborts := q.Stats().Snapshot()
-	total := commits[0] + fallbacks
+	s := reg.Site("mound/dcas").Snapshot()
+	total := s.Commits + s.Fallbacks
 	fmt.Printf("DCAS/DCSS operations: %d transactional, %d software-descriptor fallbacks, %d aborted attempts\n",
-		commits[0], fallbacks, aborts)
+		s.Commits, s.Fallbacks, s.Attempts-s.Commits)
 	if total > 0 {
-		fmt.Printf("speculation success rate: %.1f%%\n", 100*float64(commits[0])/float64(total))
+		fmt.Printf("speculation success rate: %.1f%%\n", 100*float64(s.Commits)/float64(total))
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"repro/internal/bst"
 	"repro/internal/htm"
 	"repro/internal/speculate"
+	"repro/internal/telemetry"
 )
 
 // counterPair keeps two counters whose difference is invariant: a toy
@@ -27,15 +28,14 @@ import (
 type counterPair struct {
 	domain *htm.Domain
 	a, b   *htm.Var[uint64]
-	stats  *speculate.Stats
 	site   *speculate.Site
 }
 
-func newCounterPair() *counterPair {
+// newCounterPair records the site's outcomes into reg.
+func newCounterPair(reg *telemetry.Registry) *counterPair {
 	d := htm.NewDomain(0, 0)
-	c := &counterPair{domain: d, a: htm.NewVar(d, uint64(0)),
-		b: htm.NewVar(d, uint64(0)), stats: speculate.NewStats(1)}
-	c.site = speculate.Fixed(0).NewSite("quickstart/bump", c.stats,
+	c := &counterPair{domain: d, a: htm.NewVar(d, uint64(0)), b: htm.NewVar(d, uint64(0))}
+	c.site = speculate.Fixed(0).WithMetrics(reg).Site("quickstart/bump", 1,
 		speculate.Level{Name: "pto", Attempts: 3})
 	return c
 }
@@ -71,7 +71,8 @@ func (c *counterPair) bump() {
 
 func main() {
 	fmt.Println("== The PTO pattern ==")
-	c := newCounterPair()
+	reg := telemetry.NewRegistry()
+	c := newCounterPair(reg)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -83,17 +84,18 @@ func main() {
 		}()
 	}
 	wg.Wait()
-	commits, fallbacks, aborts := c.stats.Snapshot()
+	s := reg.Site("quickstart/bump").Snapshot()
 	fmt.Printf("counters: a=%d b=%d (want 20000 each)\n",
 		htm.Load(nil, c.a), htm.Load(nil, c.b))
 	fmt.Printf("speculative commits=%d fallbacks=%d aborted attempts=%d\n\n",
-		commits[0], fallbacks, aborts)
+		s.Commits, s.Fallbacks, s.Attempts-s.Commits)
 
 	fmt.Println("== PTO-accelerated binary search tree (Ellen et al.) ==")
 	// The composed variant: whole-operation transactions (2 attempts), then
 	// update-phase transactions (16 attempts), then the original lock-free
 	// protocol — the paper's §4.4 tuning.
-	t := bst.NewPTO12()
+	treg := telemetry.NewRegistry()
+	t := bst.NewPTO12().WithPolicy(speculate.Fixed(0).WithMetrics(treg))
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -109,9 +111,19 @@ func main() {
 	wg.Wait()
 	fmt.Printf("tree size: %d (want %d)\n", t.Len(), 4*1000)
 	fmt.Printf("contains(44)=%v (kept), contains(40)=%v (removed)\n", t.Contains(44), t.Contains(40))
-	tc, tf, ta := t.Stats().Snapshot()
+	var pto1, pto2, fallbacks, aborts uint64
+	for _, s := range treg.Snapshot().Sites {
+		switch s.Level {
+		case "pto1":
+			pto1 += s.Commits
+		case "pto2":
+			pto2 += s.Commits
+		}
+		fallbacks += s.Fallbacks
+		aborts += s.Attempts - s.Commits
+	}
 	fmt.Printf("PTO1 commits=%d PTO2 commits=%d fallbacks=%d aborts=%d\n",
-		tc[0], tc[1], tf, ta)
+		pto1, pto2, fallbacks, aborts)
 	fmt.Println("\nNext: run `go run ./cmd/ptobench -figure 2a` to regenerate")
 	fmt.Println("the paper's figures on the simulated 4-core/8-thread machine.")
 }

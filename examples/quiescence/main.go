@@ -17,6 +17,8 @@ import (
 	"sync/atomic"
 
 	"repro/internal/mindicator"
+	"repro/internal/speculate"
+	"repro/internal/telemetry"
 )
 
 const (
@@ -25,7 +27,8 @@ const (
 )
 
 func main() {
-	mind := mindicator.NewPTO(64, 0)
+	reg := telemetry.NewRegistry()
+	mind := mindicator.NewPTO(64, 0).WithPolicy(speculate.Fixed(0).WithMetrics(reg))
 
 	var nextEpoch atomic.Int64
 	var freed atomic.Int64
@@ -117,7 +120,7 @@ func main() {
 	if _, ok := mind.Query(); !ok {
 		fmt.Println("mindicator is empty at shutdown (all writers departed)")
 	}
-	commits, fallbacks, aborts := mind.Stats().Snapshot()
+	s := reg.Site("mindicator/update").Snapshot()
 	fmt.Printf("arrive/depart operations: %d transactional, %d lock-free fallbacks, %d aborted attempts\n",
-		commits[0], fallbacks, aborts)
+		s.Commits, s.Fallbacks, s.Attempts-s.Commits)
 }

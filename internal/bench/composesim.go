@@ -146,7 +146,7 @@ func BatchedMoveAmortization(batch int) (publications uint64, moved int) {
 			moved += simtxn.MoveAll(mgr, th, b, h, ks...)
 		}
 	})
-	s := reg.Site("simtxn/atomic/fast").Snapshot()
+	s := reg.Site("simtxn/atomic").Snapshot()
 	return s.Commits + s.Fallbacks, moved
 }
 

@@ -7,6 +7,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/speculate"
+	"repro/internal/telemetry"
 )
 
 type setIface interface {
@@ -239,8 +242,23 @@ func TestTreeShapeInvariant(t *testing.T) {
 	check(s.root, -1<<62, inf2)
 }
 
+// ptoCounts reads a tree's outcomes from its registry: commits per level,
+// fallbacks and aborted attempts of insert and remove.
+func ptoCounts(reg *telemetry.Registry) (commits [2]uint64, fallbacks, aborts uint64) {
+	for _, op := range []string{"bst/insert/", "bst/remove/"} {
+		for i, lv := range []string{"pto1", "pto2"} {
+			s := reg.Site(op + lv).Snapshot()
+			commits[i] += s.Commits
+			fallbacks += s.Fallbacks
+			aborts += s.Attempts - s.Commits
+		}
+	}
+	return commits, fallbacks, aborts
+}
+
 func TestPTOStatsDistribution(t *testing.T) {
-	s := NewPTO12()
+	reg := telemetry.NewRegistry()
+	s := NewPTO12().WithPolicy(speculate.Fixed(0).WithMetrics(reg))
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -258,7 +276,7 @@ func TestPTOStatsDistribution(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	commits, fallbacks, aborts := s.Stats().Snapshot()
+	commits, fallbacks, aborts := ptoCounts(reg)
 	t.Logf("pto1=%d pto2=%d fallbacks=%d aborts=%d", commits[0], commits[1], fallbacks, aborts)
 	if commits[0] == 0 {
 		t.Error("PTO1 never committed")

@@ -4,6 +4,9 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"repro/internal/speculate"
+	"repro/internal/telemetry"
 )
 
 // Fallback-path tests: crushing the transactional read capacity makes every
@@ -12,7 +15,8 @@ import (
 // quiet tests rarely reach because the software TM seldom aborts.
 
 func TestFallbackPathsForced(t *testing.T) {
-	s := NewPTO12()
+	reg := telemetry.NewRegistry()
+	s := NewPTO12().WithPolicy(speculate.Fixed(0).WithMetrics(reg))
 	s.Domain().SetCapacity(1, 1)
 	model := make(map[int64]bool)
 	rnd := rand.New(rand.NewSource(42))
@@ -38,7 +42,7 @@ func TestFallbackPathsForced(t *testing.T) {
 	if s.Len() != len(model) {
 		t.Fatalf("len = %d, model %d", s.Len(), len(model))
 	}
-	_, fallbacks, _ := s.Stats().Snapshot()
+	_, fallbacks, _ := ptoCounts(reg)
 	if fallbacks < 1000 {
 		t.Fatalf("capacity crush did not force fallbacks (%d)", fallbacks)
 	}
@@ -77,7 +81,8 @@ func TestFallbackConcurrentHelping(t *testing.T) {
 // TestZeroBudgetTreeIsPureFallback: NewPTO(0,0) disables both levels, so
 // the tree is exactly the original algorithm over transactional Vars.
 func TestZeroBudgetTreeIsPureFallback(t *testing.T) {
-	s := NewPTO(0, 0)
+	reg := telemetry.NewRegistry()
+	s := NewPTO(0, 0).WithPolicy(speculate.Fixed(0).WithMetrics(reg))
 	for k := int64(0); k < 100; k++ {
 		if !s.Insert(k) {
 			t.Fatalf("insert %d failed", k)
@@ -91,7 +96,7 @@ func TestZeroBudgetTreeIsPureFallback(t *testing.T) {
 	if s.Len() != 50 {
 		t.Fatalf("len = %d, want 50", s.Len())
 	}
-	commits, _, _ := s.Stats().Snapshot()
+	commits, _, _ := ptoCounts(reg)
 	if commits[0]+commits[1] != 0 {
 		t.Fatal("zero-budget tree committed a transaction")
 	}

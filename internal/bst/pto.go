@@ -66,7 +66,6 @@ type PTOTree struct {
 	root   *pnode
 	pto1   int
 	pto2   int
-	stats  *speculate.Stats
 
 	conSite *speculate.Site
 	insSite *speculate.Site
@@ -83,14 +82,13 @@ func NewPTO(pto1, pto2 int) *PTOTree {
 // WithPolicy installs the speculation policy governing the tree's attempt
 // loops. Call before the tree is shared between goroutines.
 func (t *PTOTree) WithPolicy(p speculate.Policy) *PTOTree {
-	// Contains runs only the whole-operation (PTO1) level and the
-	// historical loop recorded no statistics for it, hence the nil legacy.
-	t.conSite = p.NewSite("bst/contains", nil,
+	// Contains runs only the whole-operation (PTO1) level.
+	t.conSite = p.Site("bst/contains", 1,
 		speculate.Level{Name: "pto1", Attempts: t.pto1, OnExplicit: speculate.RulePolicy})
-	t.insSite = p.NewSite("bst/insert", t.stats,
+	t.insSite = p.Site("bst/insert", 1,
 		speculate.Level{Name: "pto1", Attempts: t.pto1},
 		speculate.Level{Name: "pto2", Attempts: t.pto2, OnExplicit: speculate.RulePolicy})
-	t.rmSite = p.NewSite("bst/remove", t.stats,
+	t.rmSite = p.Site("bst/remove", 1,
 		speculate.Level{Name: "pto1", Attempts: t.pto1},
 		speculate.Level{Name: "pto2", Attempts: t.pto2, OnExplicit: speculate.RulePolicy})
 	return t
@@ -104,9 +102,6 @@ func NewPTO2() *PTOTree { return NewPTO(0, DefaultPTO2Attempts) }
 
 // NewPTO12 returns the composed variant (PTO1 then PTO2 then fallback).
 func NewPTO12() *PTOTree { return NewPTO(-1, -1) }
-
-// Stats exposes the PTO outcome counters: level 0 is PTO1, level 1 is PTO2.
-func (t *PTOTree) Stats() *speculate.Stats { return t.stats }
 
 // Domain exposes the transactional domain (for tests).
 func (t *PTOTree) Domain() *htm.Domain { return t.domain }

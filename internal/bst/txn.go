@@ -31,7 +31,7 @@ func NewPTOIn(d *htm.Domain, pto1, pto2 int) *PTOTree {
 	if pto2 < 0 {
 		pto2 = DefaultPTO2Attempts
 	}
-	t := &PTOTree{domain: d, pto1: pto1, pto2: pto2, stats: speculate.NewStats(2)}
+	t := &PTOTree{domain: d, pto1: pto1, pto2: pto2}
 	t.WithPolicy(speculate.Fixed(0))
 	t.root = t.newInternal(inf2, t.newLeaf(inf1), t.newLeaf(inf2))
 	return t

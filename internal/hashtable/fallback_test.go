@@ -39,12 +39,13 @@ func modelCheck(t *testing.T, h tableIface, seed int64) {
 }
 
 func TestPTOTableFallbackForced(t *testing.T) {
-	h := NewPTOTable(2, 0)
+	pol, reg := metered()
+	h := NewPTOTable(2, 0).WithPolicy(pol)
 	h.Domain().SetCapacity(1, 1)
 	modelCheck(t, h, 11)
-	commits, fallbacks, _ := h.Stats().Snapshot()
-	if commits[0] != 0 || fallbacks == 0 {
-		t.Fatalf("expected pure fallback: commits=%d fallbacks=%d", commits[0], fallbacks)
+	commits, fallbacks, _ := totals(reg)
+	if commits != 0 || fallbacks == 0 {
+		t.Fatalf("expected pure fallback: commits=%d fallbacks=%d", commits, fallbacks)
 	}
 	if h.Resizes() == 0 {
 		t.Error("fallback path never resized")
@@ -52,12 +53,13 @@ func TestPTOTableFallbackForced(t *testing.T) {
 }
 
 func TestInplaceTableFallbackForced(t *testing.T) {
-	h := NewInplaceTable(2, 0)
+	pol, reg := metered()
+	h := NewInplaceTable(2, 0).WithPolicy(pol)
 	h.Domain().SetCapacity(1, 1)
 	modelCheck(t, h, 13)
-	commits, fallbacks, _ := h.Stats().Snapshot()
-	if commits[0] != 0 || fallbacks == 0 {
-		t.Fatalf("expected pure fallback: commits=%d fallbacks=%d", commits[0], fallbacks)
+	commits, fallbacks, _ := totals(reg)
+	if commits != 0 || fallbacks == 0 {
+		t.Fatalf("expected pure fallback: commits=%d fallbacks=%d", commits, fallbacks)
 	}
 	if h.InplaceHits() != 0 {
 		t.Error("in-place commit happened with transactions disabled")

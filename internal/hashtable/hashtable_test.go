@@ -7,6 +7,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/speculate"
+	"repro/internal/telemetry"
 )
 
 type tableIface interface {
@@ -260,8 +263,27 @@ func TestInplaceCommitsWithoutAllocation(t *testing.T) {
 	}
 }
 
+// metered returns the policy recording into a fresh registry, and the
+// registry.
+func metered() (speculate.Policy, *telemetry.Registry) {
+	reg := telemetry.NewRegistry()
+	return speculate.Fixed(0).WithMetrics(reg), reg
+}
+
+// totals sums the outcomes of every site in reg: a table's insert, remove
+// and contains together.
+func totals(reg *telemetry.Registry) (commits, fallbacks, aborts uint64) {
+	for _, s := range reg.Snapshot().Sites {
+		commits += s.Commits
+		fallbacks += s.Fallbacks
+		aborts += s.Attempts - s.Commits
+	}
+	return commits, fallbacks, aborts
+}
+
 func TestPTOStatsAccounting(t *testing.T) {
-	h := NewPTOTable(16, 0)
+	pol, reg := metered()
+	h := NewPTOTable(16, 0).WithPolicy(pol)
 	var wg sync.WaitGroup
 	for i := 0; i < 6; i++ {
 		wg.Add(1)
@@ -282,9 +304,9 @@ func TestPTOStatsAccounting(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	commits, fallbacks, aborts := h.Stats().Snapshot()
-	t.Logf("commits=%d fallbacks=%d aborts=%d", commits[0], fallbacks, aborts)
-	if commits[0] == 0 {
+	commits, fallbacks, aborts := totals(reg)
+	t.Logf("commits=%d fallbacks=%d aborts=%d", commits, fallbacks, aborts)
+	if commits == 0 {
 		t.Error("no operation ever committed speculatively")
 	}
 }

@@ -32,7 +32,6 @@ type InplaceTable struct {
 	mgr      *epoch.Manager
 	handles  sync.Pool
 	attempts int
-	stats    *speculate.Stats
 	resizes  atomic.Uint64
 	// inplaceHits counts updates that committed without allocation.
 	inplaceHits atomic.Uint64
@@ -107,8 +106,7 @@ func NewInplaceTable(buckets, attempts int) *InplaceTable {
 	if attempts <= 0 {
 		attempts = DefaultAttempts
 	}
-	t := &InplaceTable{domain: htm.NewDomain(0, 0), mgr: epoch.NewManager(),
-		attempts: attempts, stats: speculate.NewStats(1)}
+	t := &InplaceTable{domain: htm.NewDomain(0, 0), mgr: epoch.NewManager(), attempts: attempts}
 	t.handles.New = func() any { return t.mgr.Register() }
 	t.WithPolicy(speculate.Fixed(0))
 	t.head.Init(t.domain, nil)
@@ -122,14 +120,11 @@ func NewInplaceTable(buckets, attempts int) *InplaceTable {
 // falls back. Returns t for chaining.
 func (t *InplaceTable) WithPolicy(p speculate.Policy) *InplaceTable {
 	lvl := speculate.Level{Name: "pto", Attempts: t.attempts, OnExplicit: speculate.RulePolicy}
-	t.insSite = p.NewSite("inplace/insert", t.stats, lvl)
-	t.rmSite = p.NewSite("inplace/remove", t.stats, lvl)
-	t.conSite = p.NewSite("inplace/contains", t.stats, lvl)
+	t.insSite = p.Site("inplace/insert", 1, lvl)
+	t.rmSite = p.Site("inplace/remove", 1, lvl)
+	t.conSite = p.Site("inplace/contains", 1, lvl)
 	return t
 }
-
-// Stats exposes PTO outcome counters.
-func (t *InplaceTable) Stats() *speculate.Stats { return t.stats }
 
 // Domain exposes the transactional domain (for tests and diagnostics).
 func (t *InplaceTable) Domain() *htm.Domain { return t.domain }

@@ -24,7 +24,6 @@ type PTOTable struct {
 	mgr      *epoch.Manager
 	handles  sync.Pool
 	attempts int
-	stats    *speculate.Stats
 	resizes  atomic.Uint64
 
 	insSite *speculate.Site
@@ -63,14 +62,11 @@ func NewPTOTable(buckets, attempts int) *PTOTable {
 // falls back. Returns t for chaining.
 func (t *PTOTable) WithPolicy(p speculate.Policy) *PTOTable {
 	lvl := speculate.Level{Name: "pto", Attempts: t.attempts, OnExplicit: speculate.RulePolicy}
-	t.insSite = p.NewSite("hashtable/insert", t.stats, lvl)
-	t.rmSite = p.NewSite("hashtable/remove", t.stats, lvl)
-	t.conSite = p.NewSite("hashtable/contains", t.stats, lvl)
+	t.insSite = p.Site("hashtable/insert", 1, lvl)
+	t.rmSite = p.Site("hashtable/remove", 1, lvl)
+	t.conSite = p.Site("hashtable/contains", 1, lvl)
 	return t
 }
-
-// Stats exposes PTO outcome counters.
-func (t *PTOTable) Stats() *speculate.Stats { return t.stats }
 
 // Domain exposes the transactional domain (for tests and diagnostics).
 func (t *PTOTable) Domain() *htm.Domain { return t.domain }

@@ -35,8 +35,7 @@ func NewPTOTableIn(d *htm.Domain, buckets, attempts int) *PTOTable {
 	if attempts <= 0 {
 		attempts = DefaultAttempts
 	}
-	t := &PTOTable{domain: d, mgr: epoch.NewManager(),
-		attempts: attempts, stats: speculate.NewStats(1)}
+	t := &PTOTable{domain: d, mgr: epoch.NewManager(), attempts: attempts}
 	t.handles.New = func() any { return t.mgr.Register() }
 	t.WithPolicy(speculate.Fixed(0))
 	t.head.Init(t.domain, nil)

@@ -4,13 +4,16 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 // Crushing the transactional read capacity forces the PTO list onto its
 // fallback paths: the original single-CAS link and two-phase mark-then-snip.
 
 func TestFallbackPathsForced(t *testing.T) {
-	s := NewPTO(0)
+	reg := telemetry.NewRegistry()
+	s := metered(reg)
 	s.Domain().SetCapacity(1, 1)
 	model := make(map[int64]bool)
 	rnd := rand.New(rand.NewSource(9))
@@ -39,7 +42,7 @@ func TestFallbackPathsForced(t *testing.T) {
 	// Insert's transaction validates a single predecessor box (one read),
 	// so inserts still commit under the crushed capacity; removals need two
 	// reads and must all fall back.
-	_, fallbacks, _ := s.Stats().Snapshot()
+	_, fallbacks, _ := totals(reg)
 	if fallbacks < 500 {
 		t.Fatalf("capacity crush forced too few fallbacks: %d", fallbacks)
 	}

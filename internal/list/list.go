@@ -183,7 +183,6 @@ type PTOSet struct {
 	domain   *htm.Domain
 	head     *pnode
 	attempts int
-	stats    *speculate.Stats
 
 	insSite *speculate.Site
 	rmSite  *speculate.Site
@@ -212,13 +211,10 @@ func NewPTO(attempts int) *PTOSet {
 // `attempts` tries. Returns s for chaining.
 func (s *PTOSet) WithPolicy(p speculate.Policy) *PTOSet {
 	lvl := speculate.Level{Name: "pto", Attempts: s.attempts, OnExplicit: speculate.RulePolicy}
-	s.insSite = p.NewSite("list/insert", s.stats, lvl)
-	s.rmSite = p.NewSite("list/remove", s.stats, lvl)
+	s.insSite = p.Site("list/insert", 1, lvl)
+	s.rmSite = p.Site("list/remove", 1, lvl)
 	return s
 }
-
-// Stats exposes the PTO outcome counters.
-func (s *PTOSet) Stats() *speculate.Stats { return s.stats }
 
 // Domain exposes the transactional domain (for tests and diagnostics).
 func (s *PTOSet) Domain() *htm.Domain { return s.domain }

@@ -7,6 +7,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/speculate"
+	"repro/internal/telemetry"
 )
 
 type setIface interface {
@@ -163,8 +166,25 @@ func TestConcurrentContention(t *testing.T) {
 	}
 }
 
+// metered returns a PTO set recording into reg.
+func metered(reg *telemetry.Registry) *PTOSet {
+	return NewPTO(0).WithPolicy(speculate.Fixed(0).WithMetrics(reg))
+}
+
+// totals sums the outcomes of every site in reg: a set's insert and remove
+// together.
+func totals(reg *telemetry.Registry) (commits, fallbacks, aborts uint64) {
+	for _, s := range reg.Snapshot().Sites {
+		commits += s.Commits
+		fallbacks += s.Fallbacks
+		aborts += s.Attempts - s.Commits
+	}
+	return commits, fallbacks, aborts
+}
+
 func TestPTOStats(t *testing.T) {
-	s := NewPTO(0)
+	reg := telemetry.NewRegistry()
+	s := metered(reg)
 	var wg sync.WaitGroup
 	for i := 0; i < 6; i++ {
 		wg.Add(1)
@@ -182,11 +202,11 @@ func TestPTOStats(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	commits, fallbacks, aborts := s.Stats().Snapshot()
-	if commits[0] == 0 {
+	commits, fallbacks, aborts := totals(reg)
+	if commits == 0 {
 		t.Error("no operation ever committed speculatively")
 	}
-	t.Logf("commits=%d fallbacks=%d aborts=%d", commits[0], fallbacks, aborts)
+	t.Logf("commits=%d fallbacks=%d aborts=%d", commits, fallbacks, aborts)
 }
 
 func TestSentinelsRejected(t *testing.T) {

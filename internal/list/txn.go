@@ -24,7 +24,7 @@ func NewPTOIn(d *htm.Domain, attempts int) *PTOSet {
 	if attempts <= 0 {
 		attempts = DefaultAttempts
 	}
-	s := &PTOSet{domain: d, attempts: attempts, stats: speculate.NewStats(1)}
+	s := &PTOSet{domain: d, attempts: attempts}
 	s.WithPolicy(speculate.Fixed(0))
 	tail := &pnode{key: tailKey}
 	tail.next.Init(d, &pbox{})

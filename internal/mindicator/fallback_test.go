@@ -10,7 +10,8 @@ import (
 // its fallback: the original mark-up/validate-down protocol over Vars.
 
 func TestFallbackForced(t *testing.T) {
-	p := NewPTO(16, 0)
+	pol, reg := metered()
+	p := NewPTO(16, 0).WithPolicy(pol)
 	p.Domain().SetCapacity(1, 1)
 	var wg sync.WaitGroup
 	final := make([]int32, 16)
@@ -37,9 +38,9 @@ func TestFallbackForced(t *testing.T) {
 	if got, ok := p.Query(); !ok || got != want {
 		t.Fatalf("query = %d,%v, want %d", got, ok, want)
 	}
-	commits, fallbacks, _ := p.Stats().Snapshot()
-	if fallbacks == 0 || fallbacks < commits[0] {
-		t.Fatalf("fallbacks did not dominate: commits=%d fallbacks=%d", commits[0], fallbacks)
+	s := reg.Site("mindicator/update").Snapshot()
+	if s.Fallbacks == 0 || s.Fallbacks < s.Commits {
+		t.Fatalf("fallbacks did not dominate: commits=%d fallbacks=%d", s.Commits, s.Fallbacks)
 	}
 	for s := 0; s < 16; s++ {
 		p.Depart(s)

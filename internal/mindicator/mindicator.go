@@ -182,7 +182,6 @@ type PTO struct {
 	domain  *htm.Domain
 	leaves  int
 	nodes   []htm.Var[uint64]
-	stats   *speculate.Stats
 	retries int
 	site    *speculate.Site
 }
@@ -204,7 +203,6 @@ func NewPTO(leaves, attempts int) *PTO {
 		domain:  htm.NewDomain(0, 0),
 		leaves:  leaves,
 		nodes:   make([]htm.Var[uint64], 2*leaves-1),
-		stats:   speculate.NewStats(1),
 		retries: attempts,
 	}
 	p.WithPolicy(speculate.Fixed(0))
@@ -219,16 +217,13 @@ func NewPTO(leaves, attempts int) *PTO {
 // up to `attempts` tries, then the baseline fallback. Returns p for
 // chaining.
 func (p *PTO) WithPolicy(pol speculate.Policy) *PTO {
-	p.site = pol.NewSite("mindicator/update", p.stats,
+	p.site = pol.Site("mindicator/update", 1,
 		speculate.Level{Name: "pto", Attempts: p.retries})
 	return p
 }
 
 // Leaves returns the number of slots.
 func (p *PTO) Leaves() int { return p.leaves }
-
-// Stats exposes commit/fallback counters for diagnostics and tests.
-func (p *PTO) Stats() *speculate.Stats { return p.stats }
 
 // Domain exposes the transactional domain (for tests).
 func (p *PTO) Domain() *htm.Domain { return p.domain }
@@ -347,7 +342,6 @@ type TLE struct {
 	leaves  int
 	lock    htm.Var[uint64]
 	nodes   []htm.Var[uint64] // sequential representation: encoded values only
-	stats   *speculate.Stats
 	retries int
 	site    *speculate.Site
 }
@@ -364,7 +358,6 @@ func NewTLE(leaves, attempts int) *TLE {
 		domain:  htm.NewDomain(0, 0),
 		leaves:  leaves,
 		nodes:   make([]htm.Var[uint64], 2*leaves-1),
-		stats:   speculate.NewStats(1),
 		retries: attempts,
 	}
 	t.WithPolicy(speculate.Fixed(0))
@@ -380,13 +373,10 @@ func NewTLE(leaves, attempts int) *TLE {
 // up to `attempts` tries — stopping early when the lock is observed held —
 // then the lock is acquired. Returns t for chaining.
 func (t *TLE) WithPolicy(pol speculate.Policy) *TLE {
-	t.site = pol.NewSite("mindicator-tle/update", t.stats,
+	t.site = pol.Site("mindicator-tle/update", 1,
 		speculate.Level{Name: "elide", Attempts: t.retries})
 	return t
 }
-
-// Stats exposes commit/fallback counters.
-func (t *TLE) Stats() *speculate.Stats { return t.stats }
 
 func (t *TLE) seqUpdate(tx *htm.Tx, slot int, val uint32) {
 	i := t.leaves - 1 + slot

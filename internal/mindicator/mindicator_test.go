@@ -6,6 +6,9 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/speculate"
+	"repro/internal/telemetry"
 )
 
 // minder abstracts the three variants so the semantic tests run against all.
@@ -222,9 +225,17 @@ func TestSelfVisibility(t *testing.T) {
 	}
 }
 
+// metered returns the policy recording into a fresh registry, and the
+// registry.
+func metered() (speculate.Policy, *telemetry.Registry) {
+	reg := telemetry.NewRegistry()
+	return speculate.Fixed(0).WithMetrics(reg), reg
+}
+
 func TestPTOFallbackAccounting(t *testing.T) {
 	const leaves = 8
-	p := NewPTO(leaves, 0)
+	pol, reg := metered()
+	p := NewPTO(leaves, 0).WithPolicy(pol)
 	const perSlot = 300
 	var wg sync.WaitGroup
 	for s := 0; s < leaves; s++ {
@@ -238,12 +249,11 @@ func TestPTOFallbackAccounting(t *testing.T) {
 		}(s)
 	}
 	wg.Wait()
-	commits, fallbacks, _ := p.Stats().Snapshot()
-	total := commits[0] + fallbacks
-	if want := uint64(leaves * perSlot * 2); total != want {
-		t.Fatalf("commits+fallbacks = %d, want %d", total, want)
+	s := reg.Site("mindicator/update").Snapshot()
+	if want := uint64(leaves * perSlot * 2); s.Commits+s.Fallbacks != want {
+		t.Fatalf("commits+fallbacks = %d, want %d", s.Commits+s.Fallbacks, want)
 	}
-	if commits[0] == 0 {
+	if s.Commits == 0 {
 		t.Error("no operation ever committed speculatively")
 	}
 }
@@ -251,7 +261,8 @@ func TestPTOFallbackAccounting(t *testing.T) {
 func TestTLEFallbackStillCorrect(t *testing.T) {
 	// Zero-attempt TLE is illegal; instead force contention so the lock path
 	// runs, and verify the result is still exact.
-	tle := NewTLE(8, 1)
+	pol, reg := metered()
+	tle := NewTLE(8, 1).WithPolicy(pol)
 	var wg sync.WaitGroup
 	for s := 0; s < 8; s++ {
 		wg.Add(1)
@@ -267,8 +278,7 @@ func TestTLEFallbackStillCorrect(t *testing.T) {
 	if _, ok := tle.Query(); ok {
 		t.Fatal("tree non-empty after all departs")
 	}
-	_, fallbacks, _ := tle.Stats().Snapshot()
-	t.Logf("tle fallbacks: %d", fallbacks)
+	t.Logf("tle fallbacks: %d", reg.Site("mindicator-tle/update").Snapshot().Fallbacks)
 }
 
 func TestInvalidLeafCount(t *testing.T) {

@@ -49,7 +49,6 @@ type ptoBackend struct {
 	domain   *htm.Domain
 	words    []htm.Var[uint64]
 	attempts int
-	stats    *speculate.Stats
 	site     *speculate.Site
 }
 
@@ -61,8 +60,7 @@ func newPTOBackendIn(d *htm.Domain, size, attempts int) *ptoBackend {
 	if attempts <= 0 {
 		attempts = DefaultAttempts
 	}
-	b := &ptoBackend{domain: d, words: make([]htm.Var[uint64], size),
-		attempts: attempts, stats: speculate.NewStats(1)}
+	b := &ptoBackend{domain: d, words: make([]htm.Var[uint64], size), attempts: attempts}
 	b.withPolicy(speculate.Fixed(0))
 	for i := range b.words {
 		b.words[i].Init(b.domain, 0)
@@ -71,7 +69,7 @@ func newPTOBackendIn(d *htm.Domain, size, attempts int) *ptoBackend {
 }
 
 func (b *ptoBackend) withPolicy(p speculate.Policy) {
-	b.site = p.NewSite("mound/dcas", b.stats,
+	b.site = p.Site("mound/dcas", 1,
 		speculate.Level{Name: "pto", Attempts: b.attempts, OnExplicit: speculate.RulePolicy})
 }
 
@@ -93,15 +91,6 @@ func (m *Mound) WithPolicy(p speculate.Policy) *Mound {
 		b.withPolicy(p)
 	}
 	return m
-}
-
-// Stats exposes the PTO outcome counters of a PTO-backed mound, or nil for
-// the baseline.
-func (m *Mound) Stats() *speculate.Stats {
-	if b, ok := m.be.(*ptoBackend); ok {
-		return b.stats
-	}
-	return nil
 }
 
 // Domain exposes the transactional domain of a PTO-backed mound, or nil for

@@ -12,7 +12,8 @@ import (
 // transactional words — for every multi-word update.
 
 func TestFallbackDCASForced(t *testing.T) {
-	m := NewPTO(12, 0)
+	pol, reg := metered()
+	m := NewPTO(12, 0).WithPolicy(pol)
 	m.Domain().SetCapacity(1, 1)
 	in := make([]int64, 0, 600)
 	rnd := rand.New(rand.NewSource(3))
@@ -28,9 +29,9 @@ func TestFallbackDCASForced(t *testing.T) {
 			t.Fatalf("pop %d = %d,%v, want %d", i, v, ok, want)
 		}
 	}
-	commits, fallbacks, _ := m.Stats().Snapshot()
-	if fallbacks == 0 || fallbacks < commits[0] {
-		t.Fatalf("fallbacks did not dominate: commits=%d fallbacks=%d", commits[0], fallbacks)
+	s := reg.Site("mound/dcas").Snapshot()
+	if s.Fallbacks == 0 || s.Fallbacks < s.Commits {
+		t.Fatalf("fallbacks did not dominate: commits=%d fallbacks=%d", s.Commits, s.Fallbacks)
 	}
 }
 

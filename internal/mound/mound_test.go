@@ -7,6 +7,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/speculate"
+	"repro/internal/telemetry"
 )
 
 func variants() map[string]*Mound {
@@ -230,10 +233,19 @@ func TestConcurrentMixed(t *testing.T) {
 	}
 }
 
+// metered returns the policy recording into a fresh registry, and the
+// registry.
+func metered() (speculate.Policy, *telemetry.Registry) {
+	reg := telemetry.NewRegistry()
+	return speculate.Fixed(0).WithMetrics(reg), reg
+}
+
 func TestPTOStats(t *testing.T) {
-	m := NewPTO(8, 0)
-	if New(8).Stats() != nil {
-		t.Error("baseline mound reported PTO stats")
+	pol, reg := metered()
+	m := NewPTO(8, 0).WithPolicy(pol)
+	basePol, baseReg := metered()
+	if New(8).WithPolicy(basePol); len(baseReg.Sites()) != 0 {
+		t.Error("baseline mound registered a speculation site")
 	}
 	var wg sync.WaitGroup
 	for p := 0; p < 6; p++ {
@@ -251,9 +263,9 @@ func TestPTOStats(t *testing.T) {
 		}(p)
 	}
 	wg.Wait()
-	commits, fallbacks, aborts := m.Stats().Snapshot()
-	t.Logf("dcas commits=%d fallbacks=%d aborts=%d", commits[0], fallbacks, aborts)
-	if commits[0] == 0 {
+	s := reg.Site("mound/dcas").Snapshot()
+	t.Logf("dcas commits=%d fallbacks=%d aborts=%d", s.Commits, s.Fallbacks, s.Attempts-s.Commits)
+	if s.Commits == 0 {
 		t.Error("no DCAS ever committed speculatively")
 	}
 }

@@ -11,7 +11,7 @@ import (
 // helping (enqueueFallback, dequeueFallback).
 
 func TestFallbackFIFOForced(t *testing.T) {
-	q := NewPTO(0)
+	q, reg := metered()
 	q.Domain().SetCapacity(1, 1)
 	for i := int64(0); i < 200; i++ {
 		q.Enqueue(i)
@@ -22,8 +22,8 @@ func TestFallbackFIFOForced(t *testing.T) {
 			t.Fatalf("dequeue %d = %d,%v", i, v, ok)
 		}
 	}
-	_, ef, _ := q.EnqueueStats().Snapshot()
-	_, df, _ := q.DequeueStats().Snapshot()
+	ef := reg.Site("msqueue/enqueue").Snapshot().Fallbacks
+	df := reg.Site("msqueue/dequeue").Snapshot().Fallbacks
 	if ef == 0 || df == 0 {
 		t.Fatalf("capacity crush did not force fallbacks: enq=%d deq=%d", ef, df)
 	}

@@ -109,8 +109,6 @@ type PTOQueue struct {
 	head     htm.Var[*pnode]
 	tail     htm.Var[*pnode]
 	attempts int
-	enqStats *speculate.Stats
-	deqStats *speculate.Stats
 
 	enqSite *speculate.Site
 	deqSite *speculate.Site
@@ -132,21 +130,15 @@ func NewPTO(attempts int) *PTOQueue {
 // `attempts` tries, stopping early on an explicit (lagging-tail) abort, then
 // the original two-CAS protocol. Returns q for chaining.
 func (q *PTOQueue) WithPolicy(p speculate.Policy) *PTOQueue {
-	q.enqSite = p.NewSite("msqueue/enqueue", q.enqStats,
+	q.enqSite = p.Site("msqueue/enqueue", 1,
 		speculate.Level{Name: "pto", Attempts: q.attempts})
-	q.deqSite = p.NewSite("msqueue/dequeue", q.deqStats,
+	q.deqSite = p.Site("msqueue/dequeue", 1,
 		speculate.Level{Name: "pto", Attempts: q.attempts})
 	return q
 }
 
-// EnqueueStats and DequeueStats expose PTO outcome counters.
-func (q *PTOQueue) EnqueueStats() *speculate.Stats { return q.enqStats }
-
 // Domain exposes the transactional domain (for tests and diagnostics).
 func (q *PTOQueue) Domain() *htm.Domain { return q.domain }
-
-// DequeueStats exposes PTO outcome counters for dequeues.
-func (q *PTOQueue) DequeueStats() *speculate.Stats { return q.deqStats }
 
 // Enqueue appends v. The prefix transaction links the node and swings the
 // tail in one atomic step: no double-checks, no lagging-tail state.

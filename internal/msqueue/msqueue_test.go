@@ -5,6 +5,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/speculate"
+	"repro/internal/telemetry"
 )
 
 type queueIface interface {
@@ -180,8 +183,15 @@ func TestPerProducerOrder(t *testing.T) {
 	}
 }
 
+// metered returns a PTO queue recording into a fresh registry, and the
+// registry.
+func metered() (*PTOQueue, *telemetry.Registry) {
+	reg := telemetry.NewRegistry()
+	return NewPTO(0).WithPolicy(speculate.Fixed(0).WithMetrics(reg)), reg
+}
+
 func TestPTOStats(t *testing.T) {
-	q := NewPTO(0)
+	q, reg := metered()
 	var wg sync.WaitGroup
 	for w := 0; w < 6; w++ {
 		wg.Add(1)
@@ -197,12 +207,12 @@ func TestPTOStats(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	ec, ef, _ := q.EnqueueStats().Snapshot()
-	dc, df, _ := q.DequeueStats().Snapshot()
-	if ec[0] == 0 || dc[0] == 0 {
-		t.Errorf("no speculative commits: enq=%d deq=%d", ec[0], dc[0])
+	e := reg.Site("msqueue/enqueue").Snapshot()
+	d := reg.Site("msqueue/dequeue").Snapshot()
+	if e.Commits == 0 || d.Commits == 0 {
+		t.Errorf("no speculative commits: enq=%d deq=%d", e.Commits, d.Commits)
 	}
-	t.Logf("enq commits=%d fallbacks=%d; deq commits=%d fallbacks=%d", ec[0], ef, dc[0], df)
+	t.Logf("enq commits=%d fallbacks=%d; deq commits=%d fallbacks=%d", e.Commits, e.Fallbacks, d.Commits, d.Fallbacks)
 }
 
 func TestBaselineHelpingHappens(t *testing.T) {

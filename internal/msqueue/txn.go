@@ -20,8 +20,7 @@ func NewPTOIn(d *htm.Domain, attempts int) *PTOQueue {
 	if attempts <= 0 {
 		attempts = DefaultAttempts
 	}
-	q := &PTOQueue{domain: d, attempts: attempts,
-		enqStats: speculate.NewStats(1), deqStats: speculate.NewStats(1)}
+	q := &PTOQueue{domain: d, attempts: attempts}
 	q.WithPolicy(speculate.Fixed(0))
 	dummy := &pnode{}
 	dummy.next.Init(d, nil)

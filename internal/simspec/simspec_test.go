@@ -7,6 +7,7 @@ import (
 	"repro/internal/htm"
 	"repro/internal/sim"
 	"repro/internal/speculate"
+	"repro/internal/telemetry"
 )
 
 // The cross-driver parity tests are the determinism lock the resumable
@@ -15,7 +16,9 @@ import (
 // package's modeled-cycles driver (Site over sim.Thread), and the two
 // decision traces — which level attempted, with which outcome, and where
 // the operation fell back — must be identical, for Fixed(N) and Adaptive
-// alike. Conflict outcomes are excluded from the scripts (neither
+// alike, and so must the telemetry each driver books into its own registry:
+// site names and every counter, the latency histogram by its observation
+// count (nanoseconds and cycles differ). Conflict outcomes are excluded from the scripts (neither
 // substrate can stage a data conflict deterministically from one thread);
 // the conflict→backoff progression is shared Walk code, pinned by the
 // tables in speculate's core_test.go and by TestSimBackoffPlacement below.
@@ -32,11 +35,12 @@ func label(o speculate.Outcome) string {
 	return "conflict"
 }
 
-// realTrace drives the scripted per-op feeds through the wall-clock driver.
-func realTrace(pol speculate.Policy, levels []speculate.Level, ops [][]speculate.Outcome) []string {
+// realTrace drives the scripted per-op feeds through the wall-clock driver,
+// recording into reg.
+func realTrace(pol speculate.Policy, reg *telemetry.Registry, levels []speculate.Level, ops [][]speculate.Outcome) []string {
 	d := htm.NewDomain(0, 0)
 	v := htm.NewVar[uint64](d, 0)
-	site := pol.NewSite("parity", nil, levels...)
+	site := pol.WithMetrics(reg).Site("parity", 1, levels...)
 	var out []string
 	for _, feed := range ops {
 		i := 0
@@ -88,12 +92,12 @@ func realTrace(pol speculate.Policy, levels []speculate.Level, ops [][]speculate
 // simTrace drives the same feeds through the modeled-cycles driver on a
 // one-thread machine whose write-set capacity is a single line, so a
 // two-line transactional write stages a genuine capacity abort.
-func simTrace(pol speculate.Policy, levels []speculate.Level, ops [][]speculate.Outcome) []string {
+func simTrace(pol speculate.Policy, reg *telemetry.Registry, levels []speculate.Level, ops [][]speculate.Outcome) []string {
 	cfg := sim.DefaultConfig(1)
 	cfg.WriteSetLines = 1
 	m := sim.New(cfg)
 	base := m.Thread(0).Alloc(3 * sim.LineWords)
-	site := New("parity", pol, levels...)
+	site := New("parity", pol.WithMetrics(reg), levels...)
 	var out []string
 	m.Run(func(t *sim.Thread) {
 		for _, feed := range ops {
@@ -153,8 +157,41 @@ func repeat(o speculate.Outcome, n int) []speculate.Outcome {
 	return f
 }
 
+// parity runs the feeds through both drivers, fails the test unless their
+// decision traces and telemetry agree, and returns the wall-clock trace.
+func parity(t *testing.T, pol speculate.Policy, levels []speculate.Level, ops [][]speculate.Outcome) []string {
+	t.Helper()
+	realReg, simReg := telemetry.NewRegistry(), telemetry.NewRegistry()
+	real := realTrace(pol, realReg, levels, ops)
+	mod := simTrace(pol, simReg, levels, ops)
+	if len(real) != len(mod) {
+		t.Fatalf("trace length: real %v\nsim %v", real, mod)
+	}
+	for i := range real {
+		if real[i] != mod[i] {
+			t.Fatalf("decision %d: real %q sim %q\nreal %v\nsim %v", i, real[i], mod[i], real, mod)
+		}
+	}
+	rs, ms := realReg.Snapshot().Sites, simReg.Snapshot().Sites
+	if len(rs) != len(ms) {
+		t.Fatalf("sites: real %v\nsim %v", rs, ms)
+	}
+	for i := range rs {
+		r, m := rs[i], ms[i]
+		r.SpecNanos = telemetry.HistogramSnapshot{Count: r.SpecNanos.Count}
+		m.SpecNanos = telemetry.HistogramSnapshot{Count: m.SpecNanos.Count}
+		if r != m {
+			t.Fatalf("telemetry of site %d:\nreal %+v\nsim  %+v", i, r, m)
+		}
+	}
+	return real
+}
+
 func TestCrossDriverDecisionParity(t *testing.T) {
 	single := []speculate.Level{{Name: "pto", Attempts: 3, OnExplicit: speculate.RulePolicy}}
+	// A single level named like the composition layer's fast level: both
+	// drivers register it under the bare site name.
+	singleFast := []speculate.Level{{Name: "fast", Attempts: 3, OnExplicit: speculate.RulePolicy}}
 	twoTier := []speculate.Level{
 		{Name: "pto1", Attempts: 2},
 		{Name: "pto2", Attempts: 4, OnExplicit: speculate.RulePolicy},
@@ -200,6 +237,7 @@ func TestCrossDriverDecisionParity(t *testing.T) {
 		levels []speculate.Level
 	}{
 		{"single", single},
+		{"single-fast", singleFast},
 		{"two-tier", twoTier},
 		{"three-path", threePath},
 		{"ruled-three", ruledThree},
@@ -207,18 +245,7 @@ func TestCrossDriverDecisionParity(t *testing.T) {
 		for pname, pol := range policies {
 			for fname, ops := range feeds {
 				name := lv.name + "/" + pname + "/" + fname
-				t.Run(name, func(t *testing.T) {
-					real := realTrace(pol, lv.levels, ops)
-					mod := simTrace(pol, lv.levels, ops)
-					if len(real) != len(mod) {
-						t.Fatalf("trace length: real %v\nsim %v", real, mod)
-					}
-					for i := range real {
-						if real[i] != mod[i] {
-							t.Fatalf("decision %d: real %q sim %q\nreal %v\nsim %v", i, real[i], mod[i], real, mod)
-						}
-					}
-				})
+				t.Run(name, func(t *testing.T) { parity(t, pol, lv.levels, ops) })
 			}
 		}
 	}
@@ -237,16 +264,7 @@ func TestCrossDriverAdaptiveDisableParity(t *testing.T) {
 	for i := range ops {
 		ops[i] = repeat(speculate.OutcomeExplicit, 4)
 	}
-	real := realTrace(speculate.Adaptive(), levels, ops)
-	mod := simTrace(speculate.Adaptive(), levels, ops)
-	if len(real) != len(mod) {
-		t.Fatalf("trace length: real %d sim %d", len(real), len(mod))
-	}
-	for i := range real {
-		if real[i] != mod[i] {
-			t.Fatalf("decision %d: real %q sim %q", i, real[i], mod[i])
-		}
-	}
+	real := parity(t, speculate.Adaptive(), levels, ops)
 	// Sanity: the tail of the trace must be pure fallbacks (disabled site),
 	// not attempt/fallback pairs.
 	last := real[len(real)-2:]
@@ -277,7 +295,7 @@ func TestSimBackoffPlacement(t *testing.T) {
 		// just saw activity.
 		r2 := site.Begin(t2)
 		r2.Next(0)
-		if b := r2.w.Backoff(); b != 0 {
+		if b := r2.Backoff(); b != 0 {
 			t.Errorf("fresh run owes backoff %d", b)
 		}
 
@@ -285,9 +303,9 @@ func TestSimBackoffPlacement(t *testing.T) {
 		// must charge it as Work before attempting. With 8 pending units the
 		// jittered span is at least 4 units, so the charge is unambiguous.
 		for i := 0; i < 4; i++ {
-			r2.w.Record(speculate.OutcomeConflict)
+			r2.Book(speculate.OutcomeConflict, 0)
 		}
-		if b := r2.w.Backoff(); b != 8 {
+		if b := r2.Backoff(); b != 8 {
 			t.Fatalf("want 8 pending backoff units, got %d", b)
 		}
 		before = t2.Now()
@@ -301,9 +319,9 @@ func TestSimBackoffPlacement(t *testing.T) {
 		// not charge the pending backoff.
 		r3 := site.Begin(t2)
 		for r3.Next(0) {
-			r3.w.Record(speculate.OutcomeConflict)
+			r3.Book(speculate.OutcomeConflict, 0)
 		}
-		if b := r3.w.Backoff(); b == 0 {
+		if b := r3.Backoff(); b == 0 {
 			t.Fatal("exhausted run should still hold pending backoff state")
 		}
 		before = t2.Now()
@@ -319,9 +337,9 @@ func TestSimBackoffPlacement(t *testing.T) {
 			speculate.Level{Name: "b", Attempts: 1, OnExplicit: speculate.RulePolicy})
 		r4 := site2.Begin(t2)
 		r4.Next(0)
-		r4.w.Record(speculate.OutcomeConflict)
+		r4.Book(speculate.OutcomeConflict, 0)
 		r4.Next(1)
-		if b := r4.w.Backoff(); b != 0 {
+		if b := r4.Backoff(); b != 0 {
 			t.Errorf("level change carried backoff %d", b)
 		}
 	})

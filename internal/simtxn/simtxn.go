@@ -6,7 +6,8 @@
 //
 //   - Fast path: the whole body runs inside one modeled prefix transaction
 //     (sim.Thread.Atomic), driven by the same speculation engine as every
-//     simds structure — a simspec.Site around a speculate.Core — so attempt
+//     simds structure — a simspec.Site, the shared speculate.Site with one
+//     adaptive-window lane per hardware thread — so attempt
 //     budgets, conflict backoff, and adaptive disabling follow whatever
 //     speculate.Policy the Manager carries.
 //

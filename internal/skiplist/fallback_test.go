@@ -11,7 +11,8 @@ import (
 // CAS protocols (insertFallback, removeFallback, popFallback).
 
 func TestSetFallbackPathsForced(t *testing.T) {
-	s := NewPTOSet(0)
+	pol, reg := metered()
+	s := NewPTOSet(0).WithPolicy(pol)
 	s.Domain().SetCapacity(1, 1)
 	model := make(map[int64]bool)
 	rnd := rand.New(rand.NewSource(7))
@@ -39,9 +40,9 @@ func TestSetFallbackPathsForced(t *testing.T) {
 	}
 	// Single-level inserts need only one validation read, so a few still
 	// commit under the crushed capacity; the bulk must fall back.
-	ic, ifb, _ := s.InsertStats().Snapshot()
-	if ifb == 0 || ifb < ic[0] {
-		t.Fatalf("fallbacks did not dominate: commits=%d fallbacks=%d", ic[0], ifb)
+	ins := reg.Site("skiplist/insert").Snapshot()
+	if ins.Fallbacks == 0 || ins.Fallbacks < ins.Commits {
+		t.Fatalf("fallbacks did not dominate: commits=%d fallbacks=%d", ins.Commits, ins.Fallbacks)
 	}
 }
 
@@ -75,7 +76,8 @@ func TestSetFallbackConcurrent(t *testing.T) {
 
 func TestQueueFallbackPathsForced(t *testing.T) {
 	q := NewPTOQueue(0)
-	q.Set().Domain().SetCapacity(1, 1)
+	pol, reg := metered()
+	q.Set().WithPolicy(pol).Domain().SetCapacity(1, 1)
 	for i := 0; i < 300; i++ {
 		q.Push(int64(i % 50))
 	}
@@ -90,8 +92,8 @@ func TestQueueFallbackPathsForced(t *testing.T) {
 	if _, ok := q.Pop(); ok {
 		t.Fatal("residue after drain")
 	}
-	rc, rfb, _ := q.Set().RemoveStats().Snapshot()
-	if rfb == 0 || rfb < rc[0] {
-		t.Fatalf("fallbacks did not dominate pops: commits=%d fallbacks=%d", rc[0], rfb)
+	pop := reg.Site("skiplist/pop").Snapshot()
+	if pop.Fallbacks == 0 || pop.Fallbacks < pop.Commits {
+		t.Fatalf("fallbacks did not dominate pops: commits=%d fallbacks=%d", pop.Commits, pop.Fallbacks)
 	}
 }

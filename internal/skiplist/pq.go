@@ -99,7 +99,7 @@ func NewPTOQueue(attempts int) *PTOQueue {
 	return &PTOQueue{set: NewPTOSet(attempts)}
 }
 
-// Set exposes the underlying PTO set (for stats in tests and benchmarks).
+// Set exposes the underlying PTO set (for its domain and policy in tests).
 func (q *PTOQueue) Set() *PTOSet { return q.set }
 
 // Push inserts a value with the given priority; duplicates are allowed.
@@ -118,10 +118,11 @@ func (q *PTOQueue) Push(prio int64) {
 // Pop removes and returns the minimum priority, reporting false when empty.
 func (q *PTOQueue) Pop() (int64, bool) {
 	s := q.set
-	for attempt := 0; attempt < s.attempts; attempt++ {
+	r := s.popSite.Begin(s.domain)
+	for r.Next(0) {
 		var key int64
 		empty := false
-		st := s.domain.Atomically(func(tx *htm.Tx) {
+		st := r.Try(func(tx *htm.Tx) {
 			first := htm.Load(tx, &s.head.next[0])
 			curr := first.n
 			if curr == s.tail {
@@ -148,15 +149,13 @@ func (q *PTOQueue) Pop() (int64, bool) {
 			key = curr.key
 		})
 		if st == htm.Committed {
-			s.rmStats.CommitsByLevel[0].Add(1)
 			if empty {
 				return 0, false
 			}
 			return key >> SeqBits, true
 		}
-		s.rmStats.Aborts.Add(1)
 	}
-	s.rmStats.Fallbacks.Add(1)
+	r.Fallback()
 	return q.popFallback()
 }
 

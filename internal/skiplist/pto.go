@@ -31,11 +31,10 @@ type PTOSet struct {
 	tail     *pnode
 	rstate   atomic.Uint64
 	attempts int
-	insStats *speculate.Stats
-	rmStats  *speculate.Stats
 
 	insSite *speculate.Site
 	rmSite  *speculate.Site
+	popSite *speculate.Site // PTOQueue.Pop's
 }
 
 // DefaultAttempts is the per-operation transaction retry budget for the
@@ -71,21 +70,19 @@ func (s *PTOSet) link(n *pnode, succs *[MaxLevel]*pnode) {
 // retrying on explicit aborts, both fall back after `attempts` tries.
 // Returns s for chaining.
 func (s *PTOSet) WithPolicy(p speculate.Policy) *PTOSet {
-	s.insSite = p.NewSite("skiplist/insert", s.insStats,
+	s.insSite = p.Site("skiplist/insert", 1,
 		speculate.Level{Name: "pto", Attempts: s.attempts, OnExplicit: speculate.RulePolicy})
-	s.rmSite = p.NewSite("skiplist/remove", s.rmStats,
+	s.rmSite = p.Site("skiplist/remove", 1,
 		speculate.Level{Name: "pto", Attempts: s.attempts})
+	// PTOQueue.Pop keeps its historical loop whatever the policy — every
+	// abort retries until the budget is spent — and takes only the registry.
+	s.popSite = speculate.Fixed(0).WithMetrics(p.Metrics).Site("skiplist/pop", 1,
+		speculate.Level{Name: "pto", Attempts: s.attempts, OnCapacity: speculate.RuleRetry, OnExplicit: speculate.RuleRetry})
 	return s
 }
 
 // Domain exposes the transactional domain (for tests).
 func (s *PTOSet) Domain() *htm.Domain { return s.domain }
-
-// InsertStats and RemoveStats expose PTO outcome counters.
-func (s *PTOSet) InsertStats() *speculate.Stats { return s.insStats }
-
-// RemoveStats exposes PTO outcome counters for removals.
-func (s *PTOSet) RemoveStats() *speculate.Stats { return s.rmStats }
 
 func (s *PTOSet) randomLevel() int {
 	x := s.rstate.Add(0x9E3779B97F4A7C15)

@@ -7,6 +7,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/speculate"
+	"repro/internal/telemetry"
 )
 
 // setIface abstracts the two set variants for shared semantic tests.
@@ -186,8 +189,16 @@ func TestConcurrentInsertRemoveContention(t *testing.T) {
 	}
 }
 
+// metered returns the policy recording into a fresh registry, and the
+// registry.
+func metered() (speculate.Policy, *telemetry.Registry) {
+	reg := telemetry.NewRegistry()
+	return speculate.Fixed(0).WithMetrics(reg), reg
+}
+
 func TestPTOSetUsesTransactionsAndFallbacks(t *testing.T) {
-	s := NewPTOSet(0)
+	pol, reg := metered()
+	s := NewPTOSet(0).WithPolicy(pol)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -205,8 +216,7 @@ func TestPTOSetUsesTransactionsAndFallbacks(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	ic, _, _ := s.InsertStats().Snapshot()
-	if ic[0] == 0 {
+	if reg.Site("skiplist/insert").Snapshot().Commits == 0 {
 		t.Error("no insert ever committed speculatively")
 	}
 	d := s.Domain().Stats()
@@ -351,6 +361,8 @@ func TestQueueQuiescentMinimality(t *testing.T) {
 
 func TestPTOQueueStats(t *testing.T) {
 	q := NewPTOQueue(0)
+	pol, reg := metered()
+	q.Set().WithPolicy(pol)
 	var wg sync.WaitGroup
 	for p := 0; p < 6; p++ {
 		wg.Add(1)
@@ -367,8 +379,7 @@ func TestPTOQueueStats(t *testing.T) {
 		}(p)
 	}
 	wg.Wait()
-	rc, _, _ := q.Set().RemoveStats().Snapshot()
-	if rc[0] == 0 {
+	if reg.Site("skiplist/pop").Snapshot().Commits == 0 {
 		t.Error("no pop ever committed speculatively")
 	}
 }

@@ -26,8 +26,7 @@ func NewPTOSetIn(d *htm.Domain, attempts int) *PTOSet {
 	if attempts <= 0 {
 		attempts = DefaultAttempts
 	}
-	s := &PTOSet{domain: d, attempts: attempts,
-		insStats: speculate.NewStats(1), rmStats: speculate.NewStats(1)}
+	s := &PTOSet{domain: d, attempts: attempts}
 	s.WithPolicy(speculate.Fixed(0))
 	s.tail = s.newPNode(tailKey, MaxLevel-1)
 	s.head = s.newPNode(headKey, MaxLevel-1)

@@ -2,22 +2,23 @@
 // attempt/backoff/fail-fast decision machine, extracted so that more than
 // one execution substrate can drive it. Two drivers exist today:
 //
-//   - Site/Run in this package — the wall-clock driver for the real
+//   - Run in this package — the wall-clock driver for the real
 //     concurrency runtime (internal/htm). Backoff units are scheduler
 //     yields, the abort feed is htm.Status, latency is nanoseconds.
 //
-//   - simspec.Site/Run — the modeled-cycles driver for the discrete-event
+//   - simspec.Run — the modeled-cycles driver for the discrete-event
 //     simulator (internal/sim). Backoff units are simulated cycles charged
 //     with Thread.Work, the abort feed is sim.Status from Thread.Atomic,
 //     latency is simulated cycles.
 //
 // Everything that decides *whether* and *when* to attempt again lives here
-// (Core, Walk); everything that knows *how* to attempt — run a transaction,
-// spin, read a clock, update shared adaptive windows — lives in the
-// drivers. A Walk is strictly per-operation state: it holds no atomics and
-// is never shared, so both drivers get identical decision sequences from
-// identical abort feeds. That identity is what the cross-driver tests in
-// simspec pin down.
+// (Core, Walk); what is recorded about each decision — adaptive windows,
+// telemetry, latency — lives in Site and Op (speculate.go), shared by both
+// drivers; only *how* to attempt — run a transaction, wait out a backoff,
+// read a clock — lives in the drivers. A Walk is strictly per-operation
+// state: it holds no atomics and is never shared, so both drivers get
+// identical decision sequences from identical abort feeds. That identity is
+// what the cross-driver tests in simspec pin down.
 package speculate
 
 // Outcome is a transport-neutral attempt result. The drivers map their
@@ -66,8 +67,8 @@ const (
 
 // Core binds a Policy to one site's level budgets. The declaration is
 // immutable after construction and safe to share; per-operation state lives
-// in Walk, and cross-operation adaptive state lives in the drivers (which
-// consult ShouldDisable / WindowSize / DisableOps for the thresholds).
+// in Walk, and cross-operation adaptive state lives in Site (which consults
+// ShouldDisable / WindowSize / DisableOps for the thresholds).
 type Core struct {
 	pol    Policy
 	levels []Level
@@ -165,8 +166,8 @@ func (c *Core) DefersAt(level int) bool {
 	return false
 }
 
-// Adaptive reports whether the policy adapts at all; drivers skip their
-// window accounting entirely when it is off.
+// Adaptive reports whether the policy adapts at all; Site skips its window
+// accounting entirely when it is off.
 func (c *Core) Adaptive() bool { return c.pol.Adapt }
 
 // WindowSize is the adaptation window, in attempts.

@@ -14,9 +14,9 @@
 //     default — while Adaptive() enables the full runtime.
 //
 //   - Site is the per-(structure, operation) instantiation of a Policy: the
-//     level budgets of the PTO composition, the adaptive state, and hooks
-//     into telemetry (internal/telemetry) and the structure's own Stats
-//     counters.
+//     level budgets of the PTO composition and the record-keeping both
+//     substrates share — the adaptive windows, the per-level telemetry and
+//     the booking of every attempt, fallback and latency.
 //
 //   - Run is the per-operation iterator a structure drives instead of its
 //     own for-loop:
@@ -51,7 +51,7 @@
 //     fail-fast.
 //
 // Adaptive disabling: every attempt outcome feeds a sliding window of
-// DefaultWindow attempts, kept per (site, level). When a level's window
+// DefaultWindow attempts, kept per (site, lane, level). When a level's window
 // closes with a commit ratio below DefaultMinCommitRatio, that level is
 // disabled for the next DefaultSkipOps operations — Next hands those to the
 // next level or the fallback — then re-probes with a fresh window. This is
@@ -188,72 +188,47 @@ func MiddleLevel(attempts, helpBudget int) Level {
 	}
 }
 
-// levelState is one level's adaptive window: winAttempts/winCommits fill the
+// window is one (lane, level) adaptive window: attempts/commits fill the
 // current window; skip counts down the level entries remaining in a disable
-// period. The counters are racy by design — adjacent windows may bleed a few
-// attempts into each other under contention — which only perturbs *when*
-// adaptation triggers, never correctness.
-type levelState struct {
-	winAttempts atomic.Uint64
-	winCommits  atomic.Uint64
-	skip        atomic.Int64
+// period. On a lane shared by goroutines the counters are racy by design —
+// adjacent windows may bleed a few attempts into each other — which only
+// perturbs *when* adaptation triggers, never correctness. A lane touched by
+// one simulated thread only sees its own sequence, so it stays replayable.
+type window struct {
+	attempts atomic.Uint64
+	commits  atomic.Uint64
+	skip     atomic.Int64
 }
 
-// Site is the per-(structure instance, operation kind) speculation state:
-// the wall-clock driver over a policy Core — the operation's level budgets
-// plus the shared state a Walk cannot hold (adaptive windows, the jitter
-// stream) and the site's metric destinations.
+// Site is one named speculation call site, shared by every driver: the
+// policy Core bound to the operation's level budgets, the adaptive windows
+// (per lane and level), the per-level telemetry, and the jitter stream of
+// the wall-clock driver's backoff.
 type Site struct {
-	c     Core
-	stats *Stats // the structure's own counters; may be nil
+	c Core
 
 	// tel holds one metric destination per level (empty when the policy has
-	// no registry). Single-level sites register under the site name alone,
-	// exactly as they historically did; multi-level sites register one
-	// telemetry site per tier as name/levelName with the level label set,
-	// so per-level attempt/commit/helped counters survive aggregation.
+	// no registry). A single-level site registers under the site name alone;
+	// a multi-level site registers one telemetry site per tier as
+	// name/levelName with the level label set, so per-level
+	// attempt/commit/helped counters survive aggregation.
 	tel []*telemetry.Site
 
-	// adapt holds one adaptive window per level, so each tier of the PTO
-	// composition disables and re-probes independently.
-	adapt []levelState
+	// win holds one adaptive window per (lane, level), lane-major, so each
+	// tier of the PTO composition disables and re-probes independently.
+	win []window
 
-	// rng seeds the backoff jitter.
+	// rng seeds the wall-clock driver's backoff jitter.
 	rng atomic.Uint64
 }
 
-// Stats aggregates the outcomes of one operation kind of one structure
-// instance (telemetry sites are shared by name across instances). Counters
-// are updated atomically and may be read concurrently.
-type Stats struct {
-	// CommitsByLevel[i] counts operations completed by level i's transaction.
-	CommitsByLevel []atomic.Uint64
-	// Fallbacks counts operations that ran the nonblocking fallback.
-	Fallbacks atomic.Uint64
-	// Aborts counts individual aborted attempts across all levels.
-	Aborts atomic.Uint64
-}
-
-// NewStats returns a Stats sized for the given number of levels.
-func NewStats(levels int) *Stats {
-	return &Stats{CommitsByLevel: make([]atomic.Uint64, levels)}
-}
-
-// Snapshot returns a plain-value copy of the counters.
-func (s *Stats) Snapshot() (commits []uint64, fallbacks, aborts uint64) {
-	commits = make([]uint64, len(s.CommitsByLevel))
-	for i := range s.CommitsByLevel {
-		commits[i] = s.CommitsByLevel[i].Load()
-	}
-	return commits, s.Fallbacks.Load(), s.Aborts.Load()
-}
-
-// NewSite binds the policy to one speculation site. name keys the site's
-// telemetry (shared across instances registering the same name); stats is
-// the structure's own Stats to keep updated (may be nil); levels are the PTO
-// composition's tiers, outermost first.
-func (p Policy) NewSite(name string, stats *Stats, levels ...Level) *Site {
-	s := &Site{c: p.Core(levels...), stats: stats, adapt: make([]levelState, len(levels))}
+// Site binds the policy to one speculation site with the PTO composition's
+// tiers, outermost first. name keys the site's telemetry (shared across
+// instances registering the same name). lanes is the number of independent
+// adaptive-window sets: the runtime shares one lane between goroutines,
+// the modeled machine gives each hardware thread its own.
+func (p Policy) Site(name string, lanes int, levels ...Level) *Site {
+	s := &Site{c: p.Core(levels...), win: make([]window, max(lanes, 1)*len(levels))}
 	if p.Metrics != nil {
 		s.tel = make([]*telemetry.Site, len(levels))
 		for i, l := range levels {
@@ -266,6 +241,12 @@ func (p Policy) NewSite(name string, stats *Stats, levels ...Level) *Site {
 	}
 	s.rng.Store(0x9E3779B97F4A7C15)
 	return s
+}
+
+// NewSite is Site with one lane.
+// Kept only because benchmark/probes.go:193 passes nil for the deleted speculate.Stats argument.
+func (p Policy) NewSite(name string, _ *struct{}, levels ...Level) *Site {
+	return p.Site(name, 1, levels...)
 }
 
 // Actuator is an empty type and Site.Actuator returns nil.
@@ -284,65 +265,65 @@ func (s *Site) Core() *Core { return &s.c }
 // the policy carries no registry. Out-of-range levels clamp to the last
 // registered site, so fallback accounting recorded at the innermost level
 // always lands somewhere.
-func (s *Site) Telemetry(level int) *telemetry.Site { return s.telAt(level) }
-
-func (s *Site) telAt(level int) *telemetry.Site {
+func (s *Site) Telemetry(level int) *telemetry.Site {
 	if len(s.tel) == 0 {
 		return nil
 	}
-	if level >= len(s.tel) {
-		level = len(s.tel) - 1
-	}
-	if level < 0 {
-		level = 0
-	}
-	return s.tel[level]
+	return s.tel[min(max(level, 0), len(s.tel)-1)]
 }
 
-// recordAttempt feeds one attempt outcome into the level's adaptive window
+// windowAt returns the lane's adaptive window of the level, or nil when the
+// policy does not adapt or the level is past the composition.
+func (s *Site) windowAt(lane, level int) *window {
+	n := len(s.c.levels)
+	if !s.c.Adaptive() || level >= n {
+		return nil
+	}
+	return &s.win[lane*n+level]
+}
+
+// disabled consumes one skip credit of the lane's disable period for the
+// level, reporting whether this entry to the level should bypass
+// speculation.
+func (s *Site) disabled(lane, level int) bool {
+	w := s.windowAt(lane, level)
+	if w == nil || w.skip.Load() <= 0 || w.skip.Add(-1) < 0 {
+		return false
+	}
+	if t := s.Telemetry(level); t != nil {
+		t.Skipped.Add(1)
+	}
+	return true
+}
+
+// record feeds one attempt outcome into the lane's window for the level
 // and, on window close, disables the level if the core's threshold says the
 // commit ratio fell too low.
-func (s *Site) recordAttempt(level int, committed bool) {
-	if !s.c.Adaptive() || level >= len(s.adapt) {
+func (s *Site) record(lane, level int, committed bool) {
+	w := s.windowAt(lane, level)
+	if w == nil {
 		return
 	}
-	ls := &s.adapt[level]
 	if committed {
-		ls.winCommits.Add(1)
+		w.commits.Add(1)
 	}
-	a := ls.winAttempts.Add(1)
+	a := w.attempts.Add(1)
 	if a < s.c.WindowSize() {
 		return
 	}
-	c := ls.winCommits.Load()
+	c := w.commits.Load()
 	// One closer wins the CAS and resets the window; concurrent attempts
 	// simply land in the next window.
-	if !ls.winAttempts.CompareAndSwap(a, 0) {
+	if !w.attempts.CompareAndSwap(a, 0) {
 		return
 	}
-	ls.winCommits.Store(0)
+	w.commits.Store(0)
 	if s.c.ShouldDisable(a, c) {
-		ls.skip.Store(s.c.DisableOps())
-		if t := s.telAt(level); t != nil {
+		w.skip.Store(s.c.DisableOps())
+		if t := s.Telemetry(level); t != nil {
 			t.Disables.Add(1)
 		}
 	}
-}
-
-// levelDisabled consumes one skip credit of the level's disable period,
-// reporting whether this entry to the level should bypass speculation.
-func (s *Site) levelDisabled(level int) bool {
-	if !s.c.Adaptive() || level >= len(s.adapt) {
-		return false
-	}
-	ls := &s.adapt[level]
-	if ls.skip.Load() > 0 && ls.skip.Add(-1) >= 0 {
-		if t := s.telAt(level); t != nil {
-			t.Skipped.Add(1)
-		}
-		return true
-	}
-	return false
 }
 
 // jitter advances the site's xorshift state and returns a pseudo-random
@@ -355,106 +336,156 @@ func (s *Site) jitter() uint64 {
 	return x
 }
 
-// Run tracks one operation's passage through a site's attempt loop. It is a
-// value type created by Site.Begin; it must not be shared between
-// goroutines. The retry decisions themselves live in the embedded Walk
-// (core.go); Run contributes the wall-clock substrate — Gosched backoff,
-// htm transactions, nanosecond latency — and the site's shared adaptive
-// windows.
-type Run struct {
-	s       *Site
-	d       *htm.Domain
-	w       Walk
-	startNs int64 // telemetry only; 0 when disabled
+// Clock is a driver's time source for the latency histogram: wall
+// nanoseconds on the runtime, modeled cycles on the simulator.
+type Clock interface{ Now() uint64 }
+
+// Op is one operation's passage through a Site on one lane: the Walk that
+// decides (core.go) plus what booking its outcomes needs. Both drivers' Run
+// types embed it and add only how an attempt runs and how a backoff waits
+// on their substrate. It is a value type created by Site.Start; it must not
+// be shared between goroutines.
+type Op struct {
+	s      *Site
+	w      Walk
+	lane   int
+	clk    Clock
+	start  uint64 // clk at Start; meaningful only while timing
+	timing bool
 }
 
-// Begin starts one operation at the site against domain d.
-func (s *Site) Begin(d *htm.Domain) Run {
-	r := Run{s: s, d: d, w: s.c.Begin()}
+// Start begins one operation at the site on the given lane. clk is read
+// only when the site records telemetry.
+func (s *Site) Start(lane int, clk Clock) Op {
+	o := Op{s: s, w: s.c.Begin(), lane: lane, clk: clk}
 	if len(s.tel) > 0 {
-		r.startNs = time.Now().UnixNano()
+		o.start, o.timing = clk.Now(), true
 	}
-	return r
+	return o
 }
 
 // Next reports whether another speculative attempt is allowed at the given
 // level (levels are tried outermost-first; moving to a new level resets the
-// attempt count). On first entry to a level it consults that level's
-// adaptive-disable state, so an adaptively disabled outer tier still lets
-// the run attempt the inner tiers. It consumes no budget itself: budget is
-// spent by Try and Skip.
-func (r *Run) Next(level int) bool {
-	if r.w.Enter(level) && r.s.levelDisabled(level) {
-		r.w.Disable()
+// attempt count). On first entry to a level it consults the lane's
+// adaptive-disable state for that level, so an adaptively disabled outer
+// tier still lets the operation attempt the inner tiers. It consumes no
+// budget itself: budget is spent by Book and Skip.
+func (o *Op) Next(level int) bool {
+	if o.w.Enter(level) && o.s.disabled(o.lane, level) {
+		o.w.Disable()
 	}
-	return r.w.More()
+	return o.w.More()
 }
 
 // Skip burns one attempt of the current level without running a
 // transaction. Structures use it when per-attempt preparation observed a
 // state not worth speculating on (e.g. a flagged node, §2.4).
-func (r *Run) Skip() { r.w.Skip() }
+func (o *Op) Skip() { o.w.Skip() }
+
+// Backoff returns the backoff units owed before the next attempt; the
+// driver waits them out in its own unit.
+func (o *Op) Backoff() int { return o.w.Backoff() }
+
+// Book records one attempt of the current level: the walk's decision, the
+// lane's adaptive window, the level's telemetry (helped counts the fallback
+// descriptors the attempt drove to decision) and, on a commit, the
+// operation's latency. Drivers call it once per attempt they ran.
+func (o *Op) Book(out Outcome, helped int) {
+	level := o.w.Level()
+	o.w.Record(out)
+	o.s.record(o.lane, level, out == OutcomeCommit)
+	if t := o.s.Telemetry(level); t != nil {
+		t.Attempts.Add(1)
+		if helped > 0 {
+			t.Helped.Add(uint64(helped))
+		}
+		switch out {
+		case OutcomeCommit:
+			t.Commits.Add(1)
+		case OutcomeConflict:
+			t.Conflicts.Add(1)
+		case OutcomeCapacity:
+			t.Capacity.Add(1)
+		case OutcomeExplicit:
+			t.Explicit.Add(1)
+		}
+	}
+	if out == OutcomeCommit {
+		o.observe()
+	}
+}
+
+// Fallback records that the operation is completing on the nonblocking
+// fallback path; the count lands on the innermost level the walk reached,
+// the tier the fallback exits. Call it exactly once, where the historical
+// loops fell through.
+func (o *Op) Fallback() {
+	if t := o.s.Telemetry(o.w.Level()); t != nil {
+		t.Fallbacks.Add(1)
+	}
+	o.observe()
+}
+
+// observe closes the speculative phase in the latency histogram of the
+// current level.
+func (o *Op) observe() {
+	if !o.timing {
+		return
+	}
+	o.timing = false
+	if now := o.clk.Now(); now >= o.start {
+		o.s.Telemetry(o.w.Level()).SpecNanos.Observe(now - o.start)
+	}
+}
+
+// wallClock is the runtime's Clock: wall-clock nanoseconds.
+type wallClock struct{}
+
+func (wallClock) Now() uint64 { return uint64(time.Now().UnixNano()) }
+
+// Run is the wall-clock driver over an Op: attempts are htm transactions
+// against the Run's domain, backoff is scheduler yields, latency is
+// nanoseconds, and every goroutine shares the site's one lane.
+type Run struct {
+	Op
+	d *htm.Domain
+}
+
+// Begin starts one operation at the site against domain d.
+func (s *Site) Begin(d *htm.Domain) Run {
+	return Run{Op: s.Start(0, wallClock{}), d: d}
+}
 
 // Try runs one speculative attempt of the current level: waits out any
 // pending backoff, executes body as a transaction against the Run's
-// domain, and records the outcome in the site's adaptive window, its
-// telemetry, and the structure's own counters. At a helping level the
-// transaction carries the level's helping budget (htm.AtomicallyHelping):
-// undecided MultiCAS descriptors its writes collide with are helped to
-// decision at commit instead of killing the attempt or the descriptor. At a
-// non-helping level with a helping tier below it (Core.DefersAt) the attempt
-// defers instead (htm.AtomicallyDeferring): an undecided descriptor on the
-// write set aborts the attempt explicitly, leaving the descriptor alive for
-// the middle tier. Only a level with no cooperating tier beneath it applies
-// the historical kill-paid-by-commit rule. The caller is responsible for
-// acting on the returned status (returning the operation's result on
+// domain, and books the outcome. At a helping level the transaction carries
+// the level's helping budget (htm.AtomicallyHelping): undecided MultiCAS
+// descriptors its writes collide with are helped to decision at commit
+// instead of killing the attempt or the descriptor. At a non-helping level
+// with a helping tier below it (Core.DefersAt) the attempt defers instead
+// (htm.AtomicallyDeferring): an undecided descriptor on the write set
+// aborts the attempt explicitly, leaving the descriptor alive for the
+// middle tier. Only a level with no cooperating tier beneath it applies the
+// historical kill-paid-by-commit rule. The caller is responsible for acting
+// on the returned status (returning the operation's result on
 // htm.Committed).
 func (r *Run) Try(body func(tx *htm.Tx)) htm.Status {
-	s := r.s
 	if b := r.w.Backoff(); b > 0 {
-		spins := BackoffSpan(b, s.jitter())
-		for i := 0; i < spins; i++ {
+		for i := BackoffSpan(b, r.s.jitter()); i > 0; i-- {
 			runtime.Gosched()
 		}
 	}
 	level := r.w.Level()
 	var st htm.Status
 	var helped int
-	if hb := s.c.HelpBudget(level); hb > 0 {
+	if hb := r.s.c.HelpBudget(level); hb > 0 {
 		st, helped = r.d.AtomicallyHelping(hb, body)
-	} else if s.c.DefersAt(level) {
+	} else if r.s.c.DefersAt(level) {
 		st = r.d.AtomicallyDeferring(body)
 	} else {
 		st = r.d.Atomically(body)
 	}
-	r.w.Record(outcomeOf(st))
-	s.recordAttempt(level, st == htm.Committed)
-	if t := s.telAt(level); t != nil {
-		t.Attempts.Add(1)
-		if helped > 0 {
-			t.Helped.Add(uint64(helped))
-		}
-		switch st {
-		case htm.Committed:
-			t.Commits.Add(1)
-		case htm.AbortConflict:
-			t.Conflicts.Add(1)
-		case htm.AbortCapacity:
-			t.Capacity.Add(1)
-		case htm.AbortExplicit:
-			t.Explicit.Add(1)
-		}
-	}
-	if st == htm.Committed {
-		if s.stats != nil && level < len(s.stats.CommitsByLevel) {
-			s.stats.CommitsByLevel[level].Add(1)
-		}
-		r.observeLatency()
-		return st
-	}
-	if s.stats != nil {
-		s.stats.Aborts.Add(1)
-	}
+	r.Book(outcomeOf(st), helped)
 	return st
 }
 
@@ -470,32 +501,4 @@ func outcomeOf(st htm.Status) Outcome {
 	default:
 		return OutcomeConflict
 	}
-}
-
-// Fallback records that the operation is completing on the nonblocking
-// fallback path. Call it exactly once, at the point the historical loops
-// counted a fallback.
-func (r *Run) Fallback() {
-	if r.s.stats != nil {
-		r.s.stats.Fallbacks.Add(1)
-	}
-	// Recorded at the innermost level the walk reached, mirroring the sim
-	// driver: the fallback is the exit of that tier.
-	if t := r.s.telAt(r.w.Level()); t != nil {
-		t.Fallbacks.Add(1)
-	}
-	r.observeLatency()
-}
-
-// observeLatency closes the speculative phase in the latency histogram.
-func (r *Run) observeLatency() {
-	if r.startNs == 0 {
-		return
-	}
-	if t := r.s.telAt(r.w.Level()); t != nil {
-		if d := time.Now().UnixNano() - r.startNs; d >= 0 {
-			t.SpecNanos.Observe(uint64(d))
-		}
-	}
-	r.startNs = 0
 }

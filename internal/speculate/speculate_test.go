@@ -21,8 +21,8 @@ func capacityDomain() (*htm.Domain, *htm.Var[int], func(tx *htm.Tx)) {
 
 func TestFixedBudgetAndFallbackCounting(t *testing.T) {
 	d, _, body := capacityDomain()
-	legacy := NewStats(1)
-	site := Fixed(0).NewSite("t/fixed", legacy, Level{Name: "l0", Attempts: 3})
+	reg := telemetry.NewRegistry()
+	site := Fixed(0).WithMetrics(reg).Site("t/fixed", 1, Level{Name: "l0", Attempts: 3})
 	r := site.Begin(d)
 	tries := 0
 	for r.Next(0) {
@@ -35,15 +35,14 @@ func TestFixedBudgetAndFallbackCounting(t *testing.T) {
 	if tries != 3 {
 		t.Fatalf("tries = %d, want 3", tries)
 	}
-	commits, fallbacks, aborts := legacy.Snapshot()
-	if commits[0] != 0 || fallbacks != 1 || aborts != 3 {
-		t.Fatalf("legacy stats: commits=%v fallbacks=%d aborts=%d", commits, fallbacks, aborts)
+	if s := reg.Site("t/fixed").Snapshot(); s.Commits != 0 || s.Fallbacks != 1 || s.Capacity != 3 {
+		t.Fatalf("telemetry: %+v", s)
 	}
 }
 
 func TestAttemptsOverride(t *testing.T) {
 	d, _, body := capacityDomain()
-	site := Fixed(5).NewSite("t/override", nil, Level{Name: "l0", Attempts: 2})
+	site := Fixed(5).Site("t/override", 1, Level{Name: "l0", Attempts: 2})
 	r := site.Begin(d)
 	tries := 0
 	for r.Next(0) {
@@ -57,7 +56,7 @@ func TestAttemptsOverride(t *testing.T) {
 
 func TestZeroBudgetLevelNeverSpeculates(t *testing.T) {
 	d, _, _ := capacityDomain()
-	site := Fixed(0).NewSite("t/zero", nil, Level{Name: "l0", Attempts: 0})
+	site := Fixed(0).Site("t/zero", 1, Level{Name: "l0", Attempts: 0})
 	r := site.Begin(d)
 	if r.Next(0) {
 		t.Fatal("zero-budget level yielded an attempt")
@@ -67,7 +66,7 @@ func TestZeroBudgetLevelNeverSpeculates(t *testing.T) {
 func TestExplicitAbortExhaustsLevelByDefault(t *testing.T) {
 	d := htm.NewDomain(0, 0)
 	explicit := func(tx *htm.Tx) { tx.Abort(7) }
-	site := Fixed(0).NewSite("t/explicit", nil, Level{Name: "l0", Attempts: 4})
+	site := Fixed(0).Site("t/explicit", 1, Level{Name: "l0", Attempts: 4})
 	r := site.Begin(d)
 	tries := 0
 	for r.Next(0) {
@@ -81,7 +80,7 @@ func TestExplicitAbortExhaustsLevelByDefault(t *testing.T) {
 	}
 
 	// RulePolicy levels burn the whole budget instead.
-	site = Fixed(0).NewSite("t/explicit-retry", nil,
+	site = Fixed(0).Site("t/explicit-retry", 1,
 		Level{Name: "l0", Attempts: 4, OnExplicit: RulePolicy})
 	r = site.Begin(d)
 	tries = 0
@@ -97,7 +96,7 @@ func TestExplicitAbortExhaustsLevelByDefault(t *testing.T) {
 func TestFailFastShortCircuitsDeterministicAborts(t *testing.T) {
 	d, _, body := capacityDomain()
 	pol := Policy{FailFast: true}
-	site := pol.NewSite("t/failfast", nil, Level{Name: "l0", Attempts: 8, OnExplicit: RulePolicy})
+	site := pol.Site("t/failfast", 1, Level{Name: "l0", Attempts: 8, OnExplicit: RulePolicy})
 	r := site.Begin(d)
 	tries := 0
 	for r.Next(0) {
@@ -122,9 +121,8 @@ func TestFailFastShortCircuitsDeterministicAborts(t *testing.T) {
 
 func TestMultiLevelCompositionAndCommitAccounting(t *testing.T) {
 	d, _, capBody := capacityDomain()
-	legacy := NewStats(2)
 	reg := telemetry.NewRegistry()
-	site := Fixed(0).WithMetrics(reg).NewSite("t/levels", legacy,
+	site := Fixed(0).WithMetrics(reg).Site("t/levels", 1,
 		Level{Name: "pto1", Attempts: 2},
 		Level{Name: "pto2", Attempts: 3})
 
@@ -142,10 +140,6 @@ func TestMultiLevelCompositionAndCommitAccounting(t *testing.T) {
 	if !committed {
 		t.Fatal("empty transaction failed to commit at level 1")
 	}
-	commits, fallbacks, aborts := legacy.Snapshot()
-	if commits[0] != 0 || commits[1] != 1 || fallbacks != 0 || aborts != 2 {
-		t.Fatalf("legacy stats: commits=%v fallbacks=%d aborts=%d", commits, fallbacks, aborts)
-	}
 	// Multi-level sites register one telemetry site per tier, labeled with
 	// the level name, so attempts/commits attribute to the level they ran at.
 	l0 := reg.Site("t/levels/pto1").Snapshot()
@@ -156,7 +150,7 @@ func TestMultiLevelCompositionAndCommitAccounting(t *testing.T) {
 	if l0.Attempts != 2 || l0.Capacity != 2 || l0.Commits != 0 {
 		t.Fatalf("level-0 telemetry: %+v", l0)
 	}
-	if l1.Attempts != 1 || l1.Commits != 1 {
+	if l1.Attempts != 1 || l1.Commits != 1 || l0.Fallbacks+l1.Fallbacks != 0 {
 		t.Fatalf("level-1 telemetry: %+v", l1)
 	}
 	if got := l0.SpecNanos.Count + l1.SpecNanos.Count; got != 1 {
@@ -167,7 +161,7 @@ func TestMultiLevelCompositionAndCommitAccounting(t *testing.T) {
 func TestSkipBurnsBudgetWithoutTransaction(t *testing.T) {
 	d := htm.NewDomain(0, 0)
 	reg := telemetry.NewRegistry()
-	site := Fixed(0).WithMetrics(reg).NewSite("t/skip", nil, Level{Name: "l0", Attempts: 3})
+	site := Fixed(0).WithMetrics(reg).Site("t/skip", 1, Level{Name: "l0", Attempts: 3})
 	r := site.Begin(d)
 	iters := 0
 	for r.Next(0) {
@@ -193,7 +187,7 @@ func TestConflictAbortRetriesWithBackoff(t *testing.T) {
 		htm.Load(tx, v)
 	}
 	pol := Policy{Backoff: true}
-	site := pol.NewSite("t/conflict", nil, Level{Name: "l0", Attempts: 5})
+	site := pol.Site("t/conflict", 1, Level{Name: "l0", Attempts: 5})
 	r := site.Begin(d)
 	tries := 0
 	for r.Next(0) {
@@ -211,7 +205,7 @@ func TestAdaptiveDisableAndReprobe(t *testing.T) {
 	d, _, body := capacityDomain()
 	reg := telemetry.NewRegistry()
 	pol := Policy{Adapt: true}
-	site := pol.WithMetrics(reg).NewSite("t/adapt", nil, Level{Name: "l0", Attempts: 2})
+	site := pol.WithMetrics(reg).Site("t/adapt", 1, Level{Name: "l0", Attempts: 2})
 
 	// Two attempts an op, none committing: the first window closes after
 	// DefaultWindow/2 ops, the next DefaultSkipOps ops skip, and the last
@@ -252,7 +246,7 @@ func TestHealthySiteNeverDisables(t *testing.T) {
 	d := htm.NewDomain(0, 0)
 	reg := telemetry.NewRegistry()
 	pol := Adaptive().WithMetrics(reg)
-	site := pol.NewSite("t/healthy", nil, Level{Name: "l0", Attempts: 3})
+	site := pol.Site("t/healthy", 1, Level{Name: "l0", Attempts: 3})
 	for op := 0; op < 100; op++ {
 		r := site.Begin(d)
 		for r.Next(0) {
@@ -279,7 +273,7 @@ func TestPerLevelAdaptiveIndependence(t *testing.T) {
 	d, _, capBody := capacityDomain()
 	reg := telemetry.NewRegistry()
 	pol := Policy{Adapt: true}
-	site := pol.WithMetrics(reg).NewSite("t/perlevel", nil,
+	site := pol.WithMetrics(reg).Site("t/perlevel", 1,
 		Level{Name: "pto1", Attempts: 2},
 		Level{Name: "pto2", Attempts: 2},
 	)
@@ -326,5 +320,45 @@ func TestPerLevelAdaptiveIndependence(t *testing.T) {
 	}
 	if l1.Commits < 100 {
 		t.Fatalf("level-1 commits = %d, want >= 100", l1.Commits)
+	}
+}
+
+// TestAllocsSiteRun pins the package doc's promise that a Run adds no
+// per-operation garbage: Begin, Next, Try and Fallback around a pre-built
+// body allocate exactly what a bare d.Atomically of that body allocates,
+// with no policy and with adaptation and telemetry on. The body aborts
+// explicitly on every other call, so half the operations end in Fallback;
+// a 50% commit ratio keeps the adaptive window from disabling the level.
+func TestAllocsSiteRun(t *testing.T) {
+	d := htm.NewDomain(0, 0)
+	n := 0
+	body := func(tx *htm.Tx) {
+		if n++; n%2 == 1 {
+			tx.Abort(1)
+		}
+	}
+	bare := testing.AllocsPerRun(1000, func() { d.Atomically(body) })
+	for name, pol := range map[string]Policy{
+		"fixed":            Fixed(0),
+		"adaptive+metrics": Adaptive().WithMetrics(telemetry.NewRegistry()),
+	} {
+		site := pol.Site("t/allocs", 1, Level{Name: "l0", Attempts: 3})
+		op := func() {
+			r := site.Begin(d)
+			for r.Next(0) {
+				if r.Try(body) == htm.Committed {
+					return
+				}
+			}
+			r.Fallback()
+		}
+		if got := testing.AllocsPerRun(1000, op); got != bare {
+			t.Errorf("%s: a Run allocates %.1f objects, a bare Atomically %.1f", name, got, bare)
+		}
+		if pol.Metrics != nil {
+			if s := pol.Metrics.Site("t/allocs").Snapshot(); s.Fallbacks == 0 || s.Commits == 0 || s.Disables != 0 {
+				t.Errorf("%s: the run did not cover both exits: %+v", name, s)
+			}
+		}
 	}
 }

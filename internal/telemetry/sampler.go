@@ -32,12 +32,8 @@ func StartSampler(r *Registry, interval time.Duration, logf func(format string, 
 	s := &Sampler{stop: make(chan struct{}), done: make(chan struct{})}
 	// The baseline is taken before returning, so activity between
 	// StartSampler and the goroutine's first run lands in the first
-	// interval instead of silently joining the baseline. The three snapshot
-	// buffers rotate for the sampler's lifetime — SnapshotInto/DeltaInto
-	// reuse their slices, so the hot loop is allocation-free at steady
-	// state even on a controller-grade cadence (see TestSamplerHotLoopAllocs).
-	var prev, cur, delta Snapshot
-	r.SnapshotInto(&prev)
+	// interval instead of silently joining the baseline.
+	prev := r.Snapshot()
 	prevAt := time.Now()
 	go func() {
 		defer close(s.done)
@@ -47,16 +43,12 @@ func StartSampler(r *Registry, interval time.Duration, logf func(format string, 
 			select {
 			case <-s.stop:
 				// Final flush: whatever accumulated since the last tick.
-				r.SnapshotInto(&cur)
-				cur.DeltaInto(&prev, &delta)
-				logDelta(delta, time.Since(prevAt), logf)
+				logDelta(r.Snapshot().Delta(prev), time.Since(prevAt), logf)
 				return
 			case now := <-t.C:
-				r.SnapshotInto(&cur)
-				cur.DeltaInto(&prev, &delta)
-				logDelta(delta, now.Sub(prevAt), logf)
-				prev, cur = cur, prev
-				prevAt = now
+				cur := r.Snapshot()
+				logDelta(cur.Delta(prev), now.Sub(prevAt), logf)
+				prev, prevAt = cur, now
 			}
 		}
 	}()

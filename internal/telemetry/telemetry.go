@@ -228,10 +228,6 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Default is the process-wide registry used when no explicit registry is
-// configured.
-var Default = NewRegistry()
-
 // Site returns the site registered under name, creating it on first use.
 // Two structures registering the same name share counters (aggregation
 // across instances is usually what a fleet-wide view wants).
@@ -333,89 +329,6 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 		}
 	}
 	return out
-}
-
-// SnapshotInto refills *dst with the current counters, reusing its slices.
-// A steady-state caller on a tight cadence — the sampler's tick loop —
-// allocates nothing once dst's slices have grown to the registry's size:
-// every snapshot element is a plain value (fixed-array histograms
-// included), so truncate-and-append recycles the backing arrays.
-func (r *Registry) SnapshotInto(dst *Snapshot) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	dst.Sites = dst.Sites[:0]
-	for _, s := range r.order {
-		dst.Sites = append(dst.Sites, s.Snapshot())
-	}
-	dst.Composed = dst.Composed[:0]
-	for _, c := range r.corder {
-		dst.Composed = append(dst.Composed, c.Snapshot())
-	}
-	dst.Open = dst.Open[:0]
-	for _, o := range r.oorder {
-		dst.Open = append(dst.Open, o.Snapshot())
-	}
-}
-
-// DeltaInto computes s − prev into *dst, reusing dst's slices; dst must not
-// alias s or prev. Because registration order is append-only, two snapshots
-// of the same registry agree positionally on their common prefix; that fast
-// path is allocation-free, and the by-name map fallback of Delta runs only
-// when the prefix check fails (snapshots from different registries).
-func (s *Snapshot) DeltaInto(prev, dst *Snapshot) {
-	if sitesAligned(s, prev) {
-		dst.Sites = dst.Sites[:0]
-		for i := range s.Sites {
-			if i < len(prev.Sites) {
-				dst.Sites = append(dst.Sites, s.Sites[i].Delta(prev.Sites[i]))
-			} else {
-				dst.Sites = append(dst.Sites, s.Sites[i])
-			}
-		}
-		dst.Composed = dst.Composed[:0]
-		for i := range s.Composed {
-			if i < len(prev.Composed) {
-				dst.Composed = append(dst.Composed, s.Composed[i].Delta(prev.Composed[i]))
-			} else {
-				dst.Composed = append(dst.Composed, s.Composed[i])
-			}
-		}
-		dst.Open = dst.Open[:0]
-		for i := range s.Open {
-			if i < len(prev.Open) {
-				dst.Open = append(dst.Open, s.Open[i].Delta(prev.Open[i]))
-			} else {
-				dst.Open = append(dst.Open, s.Open[i])
-			}
-		}
-		return
-	}
-	*dst = s.Delta(*prev)
-}
-
-// sitesAligned reports whether prev's entries are a positional prefix of
-// s's in every section — always true for two snapshots of one registry
-// taken prev-first, since registration only appends.
-func sitesAligned(s, prev *Snapshot) bool {
-	if len(prev.Sites) > len(s.Sites) || len(prev.Composed) > len(s.Composed) || len(prev.Open) > len(s.Open) {
-		return false
-	}
-	for i := range prev.Sites {
-		if s.Sites[i].Name != prev.Sites[i].Name {
-			return false
-		}
-	}
-	for i := range prev.Composed {
-		if s.Composed[i].Name != prev.Composed[i].Name {
-			return false
-		}
-	}
-	for i := range prev.Open {
-		if s.Open[i].Name != prev.Open[i].Name {
-			return false
-		}
-	}
-	return true
 }
 
 // PublishExpvar publishes the registry under the given expvar name; each

@@ -155,7 +155,7 @@ func (m *Manager) rebuildSite() {
 	if m.middle.Attempts > 0 {
 		levels = append(levels, m.middle)
 	}
-	m.site = m.pol.NewSite(m.siteName, nil, levels...)
+	m.site = m.pol.Site(m.siteName, 1, levels...)
 }
 
 // WithMiddle enables the three-path shape: between the fast level and the

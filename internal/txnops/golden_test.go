@@ -37,8 +37,7 @@ func jsonKeys(t *testing.T, v any) []string {
 
 // TestGoldenTelemetryNames pins the telemetry surface the composition layer
 // exports on both substrates: the site-class names the managers register
-// ("txn/atomic" on the runtime, "simtxn/atomic" with level class "fast" on
-// the modeled machine) and the JSON counter names of the per-site and
+// ("txn/atomic" on the runtime, "simtxn/atomic" on the modeled machine) and the JSON counter names of the per-site and
 // composed snapshots. Dashboards key on these strings, so renames must be
 // deliberate — update this golden alongside every consumer, not as a side
 // effect.
@@ -71,8 +70,9 @@ func TestGoldenTelemetryNames(t *testing.T) {
 		t.Errorf("runtime composed classes %v missing %q", keysOf(composedNames), "txn/atomic")
 	}
 
-	// Modeled substrate: the same traffic must surface the per-level site
-	// class "simtxn/atomic/fast" (site × level, simspec's naming scheme).
+	// Modeled substrate: the same traffic must surface the site class
+	// "simtxn/atomic" (a single-level site takes the bare name, as on the
+	// runtime).
 	sreg := telemetry.NewRegistry()
 	machine := sim.New(sim.DefaultConfig(1))
 	setup := machine.Thread(0)
@@ -91,8 +91,8 @@ func TestGoldenTelemetryNames(t *testing.T) {
 	for _, s := range ssnap.Sites {
 		simNames[s.Name] = true
 	}
-	if !simNames["simtxn/atomic/fast"] {
-		t.Errorf("modeled site classes %v missing %q", keysOf(simNames), "simtxn/atomic/fast")
+	if !simNames["simtxn/atomic"] {
+		t.Errorf("modeled site classes %v missing %q", keysOf(simNames), "simtxn/atomic")
 	}
 
 	// Three-path managers (WithMiddle) register one site class per level on
