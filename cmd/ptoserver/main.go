@@ -20,8 +20,8 @@
 // GET /healthz and GET /statz (per-shard commit and open-transaction
 // counters). Telemetry is the existing internal/telemetry export, mounted
 // unchanged: /metrics (Prometheus text format) and /debug/vars (expvar) on
-// the main mux, and on -metrics-addr too when given (the ptostress
-// convention, so a scraper can stay off the serving port).
+// the main mux, and on -metrics-addr too when given, so a scraper can stay
+// off the serving port.
 // -readcap/-writecap retune every shard domain's transactional capacity;
 // negative values force every composed operation down the MultiCAS
 // fallback; small positive values crush the fast path into capacity aborts

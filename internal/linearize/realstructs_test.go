@@ -9,6 +9,7 @@ import (
 	"repro/internal/hashtable"
 	"repro/internal/list"
 	"repro/internal/skiplist"
+	"repro/internal/txn"
 )
 
 // These tests record small concurrent histories against the real-concurrency
@@ -88,4 +89,43 @@ func TestLinearizableRealSkiplist(t *testing.T) {
 func TestLinearizableRealList(t *testing.T) {
 	checkRealSet(t, "list-lockfree", func() realSet { return list.New() })
 	checkRealSet(t, "list-pto", func() realSet { return list.NewPTO(0) })
+}
+
+// txnSet runs a composable set's operations through the composition layer:
+// Insert and Remove as txn.Atomic, Contains as txn.ReadOnly.
+type txnSet struct {
+	m *txn.Manager
+	s txn.Set
+}
+
+func (t txnSet) Insert(k int64) (ok bool) {
+	t.m.Atomic(func(c *txn.Ctx) { ok = t.s.TxInsert(c, k) })
+	return ok
+}
+
+func (t txnSet) Remove(k int64) (ok bool) {
+	t.m.Atomic(func(c *txn.Ctx) { ok = t.s.TxRemove(c, k) })
+	return ok
+}
+
+func (t txnSet) Contains(k int64) (ok bool) {
+	t.m.ReadOnly(func(c *txn.Ctx) { ok = t.s.TxContains(c, k) })
+	return ok
+}
+
+// TestLinearizableRealTxn checks a BST driven through txn, on the HTM fast
+// path and with capacity forced to zero (every operation a MultiCAS
+// publication or a MultiValidate snapshot).
+func TestLinearizableRealTxn(t *testing.T) {
+	mk := func(fallback bool) func() realSet {
+		return func() realSet {
+			m := txn.New(0)
+			if fallback {
+				m.Domain().SetCapacity(-1, -1)
+			}
+			return txnSet{m, bst.NewPTOIn(m.Domain(), -1, -1)}
+		}
+	}
+	checkRealSet(t, "txn-bst-fast", mk(false))
+	checkRealSet(t, "txn-bst-fallback", mk(true))
 }

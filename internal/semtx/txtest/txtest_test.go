@@ -35,7 +35,7 @@ func TestTwinReplayRuntimeHot(t *testing.T) {
 }
 
 func TestTwinReplaySim(t *testing.T) {
-	txns := 400
+	txns := 500
 	if testing.Short() {
 		txns = 100
 	}

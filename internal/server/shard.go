@@ -57,7 +57,7 @@ func newShard(id int, cfg Config, reg *telemetry.Registry) *shard {
 	d := htm.NewDomain(0, 0)
 	if cfg.ReadCap != 0 || cfg.WriteCap != 0 {
 		// Negative values pass through: they force every composed operation
-		// down the MultiCAS fallback (the ptostress -readcap/-writecap idiom).
+		// down the MultiCAS fallback (htm.Domain.SetCapacity).
 		d.SetCapacity(cfg.ReadCap, cfg.WriteCap)
 	}
 	pol := cfg.Policy.WithMetrics(reg)

@@ -10,9 +10,10 @@ import (
 // counters into an interval-rate time series: every interval it takes a
 // Snapshot, Deltas it against the previous one, and logs one line per active
 // site with the interval's commit ratio, abort rate, and fallback rate.
-// This is the long-stress-run companion of ptostress -hold: cumulative
-// counters hide phase changes (a site that degrades after ten minutes still
-// shows a healthy lifetime ratio), while interval deltas surface them.
+// This is the long-run companion of a cumulative /metrics scrape (ptoserver
+// -sample): cumulative counters hide phase changes (a site that degrades
+// after ten minutes still shows a healthy lifetime ratio), while interval
+// deltas surface them.
 type Sampler struct {
 	stop chan struct{}
 	done chan struct{}

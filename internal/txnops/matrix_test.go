@@ -7,6 +7,7 @@
 package txnops_test
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bst"
@@ -18,6 +19,8 @@ import (
 	"repro/internal/simds"
 	"repro/internal/simtxn"
 	"repro/internal/skiplist"
+	"repro/internal/speculate"
+	"repro/internal/telemetry"
 	"repro/internal/txn"
 	"repro/internal/txnops"
 )
@@ -54,16 +57,38 @@ func splitmix(x uint64) uint64 {
 
 // TestConservationFuzzRuntime drives random Move/MoveAll/Transfer traffic
 // over random pairs drawn from every runtime set adapter, all sharing one
-// HTM domain, and verifies at quiescence that each key lives in exactly one
-// set and each queue value in exactly one queue. The sets are enumerated
-// through the manager's Registry — the fuzz has no per-structure code.
+// HTM domain. Composed read-only snapshots during the churn must find each
+// sampled key in exactly one set, and at quiescence each key lives in
+// exactly one set and each queue value in exactly one queue. The sets are
+// enumerated through the manager's Registry — the fuzz has no per-structure
+// code. It runs on the fast path and again with capacity forced to zero,
+// where every composed operation must commit through the MultiCAS fallback.
 func TestConservationFuzzRuntime(t *testing.T) {
+	t.Run("fast", func(t *testing.T) {
+		if cs := conservationFuzzRuntime(t, false); cs.FastCommits == 0 {
+			t.Errorf("fast path recorded no fast commits: %+v", cs)
+		}
+	})
+	t.Run("fallback", func(t *testing.T) {
+		if cs := conservationFuzzRuntime(t, true); cs.FastCommits != 0 || cs.MCASAttempts == 0 {
+			t.Errorf("zero capacity must commit via MultiCAS only: %+v", cs)
+		}
+	})
+}
+
+// conservationFuzzRuntime runs the fuzz and returns the manager's composed
+// telemetry.
+func conservationFuzzRuntime(t *testing.T, fallback bool) telemetry.ComposedSnapshot {
 	const (
 		keyRange = 48
 		threads  = 6
 		opsPer   = 300
 	)
-	m := txn.New(0)
+	metrics := telemetry.NewRegistry()
+	m := txn.New(0).WithPolicy(speculate.Fixed(0).WithMetrics(metrics))
+	if fallback {
+		m.Domain().SetCapacity(-1, -1)
+	}
 	reg := m.Structures()
 	reg.AddSet("bst", bst.NewPTOIn(m.Domain(), -1, -1))
 	reg.AddSet("hashtable", hashtable.NewPTOTableIn(m.Domain(), 16, 0))
@@ -84,6 +109,19 @@ func TestConservationFuzzRuntime(t *testing.T) {
 		m.Atomic(func(c *txn.Ctx) { q1.TxEnqueue(c, v) })
 	}
 
+	homes := func(k int64) (n int) {
+		m.ReadOnly(func(c *txn.Ctx) {
+			n = 0
+			for _, s := range sets {
+				if s.TxContains(c, k) {
+					n++
+				}
+			}
+		})
+		return n
+	}
+
+	var split atomic.Int64 // snapshots that saw a key in zero or several sets
 	done := make(chan struct{})
 	for g := 0; g < threads; g++ {
 		go func(g int) {
@@ -95,17 +133,21 @@ func TestConservationFuzzRuntime(t *testing.T) {
 				src := sets[x%uint64(len(sets))]
 				dst := sets[(x>>8)%uint64(len(sets))]
 				k := int64(x >> 16 % keyRange)
-				switch x >> 32 % 4 {
+				switch x >> 32 % 5 {
 				case 0, 1:
 					txn.Move(m, src, dst, k)
 				case 2:
 					ks := []int64{k, (k + 7) % keyRange, (k + 29) % keyRange}
 					txn.MoveAll(m, src, dst, ks...)
-				default:
+				case 3:
 					if x>>40&1 == 0 {
 						txn.Transfer(m, q1, q2, 1+int(x>>48%3))
 					} else {
 						txn.Transfer(m, q2, q1, 1+int(x>>48%3))
+					}
+				default:
+					if homes(k) != 1 {
+						split.Add(1)
 					}
 				}
 			}
@@ -115,18 +157,12 @@ func TestConservationFuzzRuntime(t *testing.T) {
 		<-done
 	}
 
+	if n := split.Load(); n != 0 {
+		t.Errorf("%d snapshots during the churn saw a key in zero or several sets", n)
+	}
 	for k := int64(0); k < keyRange; k++ {
-		homes := 0
-		m.ReadOnly(func(c *txn.Ctx) {
-			homes = 0
-			for _, s := range sets {
-				if s.TxContains(c, k) {
-					homes++
-				}
-			}
-		})
-		if homes != 1 {
-			t.Errorf("key %d lives in %d sets, want 1", k, homes)
+		if n := homes(k); n != 1 {
+			t.Errorf("key %d lives in %d sets, want 1", k, n)
 		}
 	}
 	seen := make([]int, keyRange)
@@ -146,6 +182,7 @@ func TestConservationFuzzRuntime(t *testing.T) {
 			t.Errorf("queue value %d seen %d times, want 1", v, n)
 		}
 	}
+	return metrics.Snapshot().Composed[0]
 }
 
 // TestConservationFuzzSim is the same fuzz on the modeled substrate: random

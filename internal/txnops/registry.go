@@ -10,8 +10,8 @@ import (
 
 // Registry is the registration surface of one composition layer: every
 // structure participating in composed operations is registered once, under a
-// name, with its capability. Drivers (the stress harness, the conservation
-// fuzzers, benchmark arms) then enumerate structures generically — "every
+// name, with its capability. Drivers (the conservation fuzzers, benchmark
+// arms) then enumerate structures generically — "every
 // registered set pair", "a PQ and a set" — instead of hard-wiring one code
 // path per structure. Registration is not required for correctness (the
 // algorithms take interfaces directly); it exists so that adding a structure

@@ -24,7 +24,7 @@
 //     serves both substrates — the bit-for-bit regression bar for the
 //     deterministic figures.
 //
-//   - Registry is the registration surface: drivers (stress, bench, fuzz)
+//   - Registry is the registration surface: drivers (bench, fuzz)
 //     register each structure once per substrate under a name and then
 //     enumerate pairs generically, instead of each driver growing its own
 //     per-structure plumbing.
