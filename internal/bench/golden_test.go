@@ -2,6 +2,7 @@ package bench
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -12,14 +13,26 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_*.csv fro
 // goldenScale is the benchmark's sim-figures scale (benchmark/simfig.go).
 const goldenScale = 0.05
 
-// goldenCSV regenerates the sim-figures set — Fig 2a, 2b, 3(b), 4(b), A8 — on
-// the default hardware, then A8 once more on ModelBoundedSet + NBTC, so both
-// HTM models and both composed commit modes are in the file.
+// goldenCSV regenerates every modeled table on the default hardware — the
+// sim-figures set (Fig 2a, 2b, 3(b), 4(b), A8), the rest of the paper's
+// figures, A1–A5, E1, E2 and A10's modeled arms — then A8 once more on
+// ModelBoundedSet + NBTC, so both HTM models and both composed commit modes
+// are in the file.
 func goldenCSV() string {
 	var b strings.Builder
+	tp := ThreePathSample(goldenScale)
 	for _, f := range []Figure{
 		Fig2a(goldenScale), Fig2b(goldenScale), Fig3(34, goldenScale), Fig4(80, goldenScale),
 		AblationComposedMoveSim(goldenScale),
+		Fig3(0, goldenScale), Fig3(100, goldenScale), Fig4(0, goldenScale), Fig4(100, goldenScale),
+		Fig5a(goldenScale), Fig5b(goldenScale), Fig5c(goldenScale),
+		AblationMindicatorRetries(goldenScale), AblationMoundRetries(goldenScale),
+		AblationBSTBudgets(goldenScale), AblationCapacity(goldenScale), AblationSMT(goldenScale),
+		ExtList(34, goldenScale), ExtQueue(goldenScale),
+		{ID: "Ablation A10 modeled", Series: []Series{
+			{Name: "Fast+slow only", Points: tp.FastSlow},
+			{Name: fmt.Sprintf("Three-path helping middle (helped_descs=%d)", tp.Helped), Points: tp.ThreePath},
+		}},
 	} {
 		b.WriteString(CSV(f))
 	}
