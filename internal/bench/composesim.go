@@ -27,7 +27,7 @@ import (
 // deterministic modeled cycles, so the fast-path-over-fallback gap — the
 // paper's acceleration claim lifted to composition — is pinned by a test
 // rather than eyeballed. Both composed arms drive the same speculation
-// engine (speculate.Core through a simspec.Site) as every simds structure,
+// engine (speculate.Site through a simspec.Site) as every simds structure,
 // and surface the same telemetry counters under the "simtxn/atomic" site.
 func AblationComposedMoveSim(scale float64) Figure {
 	w := scaled(windowSet, scale)

@@ -31,10 +31,10 @@ import (
 //     descriptors).
 //
 //   - Three-path (WithMiddle): the fast level defers instead of killing
-//     (speculate.Core.DefersAt), and the middle level's attempts drive the
-//     parked descriptor to decision — at commit time on the real runtime
-//     (htm.AtomicallyHelping's pre-lock pass), between attempts on the
-//     modeled substrate — bounded by the level's helping budget, so the
+//     (speculate.Run.Try derives it from the shape), and the middle
+//     level's attempts drive the parked descriptor to decision — at commit
+//     time on the real runtime (htm.AtomicallyHelping's pre-lock pass),
+//     between attempts on the modeled substrate — bounded by the level's helping budget, so the
 //     adversary's publication completes and the speculator commits right
 //     behind it.
 //

@@ -84,13 +84,13 @@ func NewPTO(pto1, pto2 int) *PTOTree {
 func (t *PTOTree) WithPolicy(p speculate.Policy) *PTOTree {
 	// Contains runs only the whole-operation (PTO1) level.
 	t.conSite = p.Site("bst/contains", 1,
-		speculate.Level{Name: "pto1", Attempts: t.pto1, OnExplicit: speculate.RulePolicy})
+		speculate.Level{Name: "pto1", Attempts: t.pto1, RetryExplicit: true})
 	t.insSite = p.Site("bst/insert", 1,
 		speculate.Level{Name: "pto1", Attempts: t.pto1},
-		speculate.Level{Name: "pto2", Attempts: t.pto2, OnExplicit: speculate.RulePolicy})
+		speculate.Level{Name: "pto2", Attempts: t.pto2, RetryExplicit: true})
 	t.rmSite = p.Site("bst/remove", 1,
 		speculate.Level{Name: "pto1", Attempts: t.pto1},
-		speculate.Level{Name: "pto2", Attempts: t.pto2, OnExplicit: speculate.RulePolicy})
+		speculate.Level{Name: "pto2", Attempts: t.pto2, RetryExplicit: true})
 	return t
 }
 

@@ -119,7 +119,7 @@ func NewInplaceTable(buckets, attempts int) *InplaceTable {
 // operation makes exactly `attempts` tries — explicit aborts included — then
 // falls back. Returns t for chaining.
 func (t *InplaceTable) WithPolicy(p speculate.Policy) *InplaceTable {
-	lvl := speculate.Level{Name: "pto", Attempts: t.attempts, OnExplicit: speculate.RulePolicy}
+	lvl := speculate.Level{Name: "pto", Attempts: t.attempts, RetryExplicit: true}
 	t.insSite = p.Site("inplace/insert", 1, lvl)
 	t.rmSite = p.Site("inplace/remove", 1, lvl)
 	t.conSite = p.Site("inplace/contains", 1, lvl)

@@ -61,7 +61,7 @@ func NewPTOTable(buckets, attempts int) *PTOTable {
 // operation makes exactly `attempts` tries — explicit aborts included — then
 // falls back. Returns t for chaining.
 func (t *PTOTable) WithPolicy(p speculate.Policy) *PTOTable {
-	lvl := speculate.Level{Name: "pto", Attempts: t.attempts, OnExplicit: speculate.RulePolicy}
+	lvl := speculate.Level{Name: "pto", Attempts: t.attempts, RetryExplicit: true}
 	t.insSite = p.Site("hashtable/insert", 1, lvl)
 	t.rmSite = p.Site("hashtable/remove", 1, lvl)
 	t.conSite = p.Site("hashtable/contains", 1, lvl)

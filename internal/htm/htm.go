@@ -553,7 +553,7 @@ func (d *Domain) AtomicallyHelping(helpBudget int, f func(tx *Tx)) (Status, int)
 // HelpExhausted) when an undecided MultiCAS descriptor sits on any written
 // Var — instead of killing it, the two-path kill-paid-by-commit rule. The
 // abort leaves the descriptor alive for the helping middle tier below
-// (speculate.Core.DefersAt derives when this variant applies). Descriptors
+// (speculate.Run.Try picks it for a level above a Help level). Descriptors
 // that land on written Vars after the commit-time check are still killed
 // under the lock bit, the unconditional backstop.
 func (d *Domain) AtomicallyDeferring(f func(tx *Tx)) Status {

@@ -210,7 +210,7 @@ func NewPTO(attempts int) *PTOSet {
 // and the original single-CAS / mark-then-snip protocol runs after
 // `attempts` tries. Returns s for chaining.
 func (s *PTOSet) WithPolicy(p speculate.Policy) *PTOSet {
-	lvl := speculate.Level{Name: "pto", Attempts: s.attempts, OnExplicit: speculate.RulePolicy}
+	lvl := speculate.Level{Name: "pto", Attempts: s.attempts, RetryExplicit: true}
 	s.insSite = p.Site("list/insert", 1, lvl)
 	s.rmSite = p.Site("list/remove", 1, lvl)
 	return s

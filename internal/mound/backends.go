@@ -70,7 +70,7 @@ func newPTOBackendIn(d *htm.Domain, size, attempts int) *ptoBackend {
 
 func (b *ptoBackend) withPolicy(p speculate.Policy) {
 	b.site = p.Site("mound/dcas", 1,
-		speculate.Level{Name: "pto", Attempts: b.attempts, OnExplicit: speculate.RulePolicy})
+		speculate.Level{Name: "pto", Attempts: b.attempts, RetryExplicit: true})
 }
 
 // NewPTO returns an empty PTO-accelerated mound (≤ 0 arguments select the

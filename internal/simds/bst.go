@@ -139,7 +139,7 @@ func (b *SimBST) WithBudgets(a1, a2 int) *SimBST {
 func (b *SimBST) WithPolicy(p speculate.Policy) *SimBST {
 	b.pol = p
 	lv1 := speculate.Level{Name: "pto1", Attempts: b.pto1}
-	lv2 := speculate.Level{Name: "pto2", Attempts: b.pto2, OnExplicit: speculate.RulePolicy}
+	lv2 := speculate.Level{Name: "pto2", Attempts: b.pto2, RetryExplicit: true}
 	b.conSite = simspec.New("simbst/contains", p, lv1, lv2)
 	b.insSite = simspec.New("simbst/insert", p, lv1, lv2)
 	b.rmSite = simspec.New("simbst/remove", p, lv1, lv2)

@@ -104,7 +104,7 @@ func NewSimHash(t *sim.Thread, kind HashKind, buckets, threads int) *SimHash {
 // transient slow-path state another thread resolves quickly, so the level
 // retries on explicit. Set before use.
 func (h *SimHash) WithPolicy(p speculate.Policy) *SimHash {
-	lv := speculate.Level{Name: "pto", Attempts: 3, OnExplicit: speculate.RulePolicy}
+	lv := speculate.Level{Name: "pto", Attempts: 3, RetryExplicit: true}
 	h.updSite = simspec.New("simhash/update", p, lv)
 	h.lookSite = simspec.New("simhash/lookup", p, lv)
 	return h

@@ -53,16 +53,7 @@ func NewSimList(t *sim.Thread, pto bool, threads int) *SimList {
 	l.head = t.Alloc(listNodeWords)
 	t.Store(l.head, 0)
 	t.Store(l.head+1, uint64(l.tail))
-	return l.WithPolicy(listPolicy())
-}
-
-// listPolicy is the list's default: the shared simulator policy plus
-// fail-fast — a whole-operation traversal that overflows capacity will
-// overflow again, so the historical loop broke straight to the fallback.
-func listPolicy() speculate.Policy {
-	p := simspec.DefaultPolicy()
-	p.FailFast = true
-	return p
+	return l.WithPolicy(simspec.DefaultPolicy())
 }
 
 // WithPolicy installs the speculation policy for the list's three sites

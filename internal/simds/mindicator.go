@@ -64,7 +64,7 @@ func (m *Mindicator) WithPolicy(p speculate.Policy) *Mindicator {
 	// Both an eliding transaction's lock-held abort (explicit) and a data
 	// conflict are transient here, so the level retries on explicit.
 	m.site = simspec.New("simmind/update", p,
-		speculate.Level{Name: name, Attempts: 3, OnExplicit: speculate.RulePolicy})
+		speculate.Level{Name: name, Attempts: 3, RetryExplicit: true})
 	return m
 }
 

@@ -90,7 +90,7 @@ func NewSimMound(t *sim.Thread, pto, keepFences bool, maxDepth int) *SimMound {
 // so the level retries on explicit. Set before use.
 func (m *SimMound) WithPolicy(p speculate.Policy) *SimMound {
 	m.site = simspec.New("simmound/dcas", p,
-		speculate.Level{Name: "pto", Attempts: 4, OnExplicit: speculate.RulePolicy}).
+		speculate.Level{Name: "pto", Attempts: 4, RetryExplicit: true}).
 		WithBackoffUnit(simspec.ShortBackoffCycles)
 	return m
 }

@@ -34,17 +34,7 @@ func NewSimMSQueue(t *sim.Thread, pto bool) *SimMSQueue {
 	q.tail = t.Alloc(1)
 	t.Store(q.head, uint64(dummy))
 	t.Store(q.tail, uint64(dummy))
-	return q.WithPolicy(queuePolicy())
-}
-
-// queuePolicy is the queue's default: the shared simulator policy plus
-// fail-fast, because its explicit abort (a lagging tail) is best resolved
-// by the fallback's helping rather than by retrying, exactly as the
-// historical break-on-explicit loop behaved.
-func queuePolicy() speculate.Policy {
-	p := simspec.DefaultPolicy()
-	p.FailFast = true
-	return p
+	return q.WithPolicy(simspec.DefaultPolicy())
 }
 
 // WithPolicy installs the speculation policy for both queue sites. The

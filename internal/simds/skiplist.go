@@ -65,7 +65,7 @@ func NewSimSkip(t *sim.Thread, pto bool, threads int) *SimSkip {
 // its single attempt, with the abort itself serving as backoff (§2.4).
 // Set before use.
 func (s *SimSkip) WithPolicy(p speculate.Policy) *SimSkip {
-	lv := speculate.Level{Name: "pto", Attempts: 3, OnExplicit: speculate.RulePolicy}
+	lv := speculate.Level{Name: "pto", Attempts: 3, RetryExplicit: true}
 	s.insSite = simspec.New("simskip/insert", p, lv)
 	s.rmSite = simspec.New("simskip/remove", p, lv)
 	s.popSite = simspec.New("simskipq/pop", p, speculate.Level{Name: "pto", Attempts: 1})

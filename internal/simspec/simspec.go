@@ -1,13 +1,13 @@
 // Package simspec is the simulator-side driver of the shared speculation
 // engine: the same speculate.Site that powers the real runtime's attempt
-// loops — policy core, adaptive windows, telemetry — re-driven on top of the
+// loops — decisions, adaptive windows, telemetry — re-driven on top of the
 // discrete-event machine in internal/sim. Where the wall-clock driver spins
 // scheduler yields and runs htm transactions, this driver charges modeled
 // cycles with Thread.Work and runs Thread.Atomic attempts; the abort feed
-// is sim.Status, whose four-way split maps one-to-one onto the core's
-// Outcome. Every simds structure routes its retries through a Site from
-// this package instead of a hand-rolled attempt loop, so the A-series
-// ablations and the adaptive-policy ablation exercise one policy
+// is sim.Status, whose four-way split maps one-to-one onto
+// speculate.Outcome. Every simds structure routes its retries through a
+// Site from this package instead of a hand-rolled attempt loop, so the
+// A-series ablations and the adaptive-policy ablation exercise one policy
 // implementation across both substrates.
 //
 // Determinism: the simulator orders events, not the Go code between them
@@ -34,8 +34,8 @@ import (
 	"repro/internal/speculate"
 )
 
-// Backoff unit sizes in modeled cycles. One pending backoff unit of the
-// policy core becomes roughly one unit of Work: the jittered span is
+// Backoff unit sizes in modeled cycles. One pending backoff unit of a
+// speculate.Op becomes roughly one unit of Work: the jittered span is
 // BackoffSpan(units) * unit cycles, reproducing the magnitude of the
 // historical hand-rolled backoffs (128..512 cycles doubling per attempt
 // for the long form, 24..72 for the short form used by the queues and the
@@ -145,7 +145,7 @@ func (r *Run) backoffCycles(b int) uint64 {
 	return uint64(speculate.BackoffSpan(b, r.t.Rand()))*r.unit + r.t.Rand()%r.unit
 }
 
-// outcomeOf maps a sim status onto the core's transport-neutral outcome.
+// outcomeOf maps a sim status onto the transport-neutral outcome.
 func outcomeOf(st sim.Status) speculate.Outcome {
 	switch st {
 	case sim.OK:

@@ -20,8 +20,8 @@ import (
 // site names and every counter, the latency histogram by its observation
 // count (nanoseconds and cycles differ). Conflict outcomes are excluded from the scripts (neither
 // substrate can stage a data conflict deterministically from one thread);
-// the conflict→backoff progression is shared Walk code, pinned by the
-// tables in speculate's core_test.go and by TestSimBackoffPlacement below.
+// the conflict→backoff progression is shared speculate.Op code, pinned by the
+// tables in speculate's op_test.go and by TestSimBackoffPlacement below.
 
 func label(o speculate.Outcome) string {
 	switch o {
@@ -188,13 +188,13 @@ func parity(t *testing.T, pol speculate.Policy, levels []speculate.Level, ops []
 }
 
 func TestCrossDriverDecisionParity(t *testing.T) {
-	single := []speculate.Level{{Name: "pto", Attempts: 3, OnExplicit: speculate.RulePolicy}}
+	single := []speculate.Level{{Name: "pto", Attempts: 3, RetryExplicit: true}}
 	// A single level named like the composition layer's fast level: both
 	// drivers register it under the bare site name.
-	singleFast := []speculate.Level{{Name: "fast", Attempts: 3, OnExplicit: speculate.RulePolicy}}
+	singleFast := []speculate.Level{{Name: "fast", Attempts: 3, RetryExplicit: true}}
 	twoTier := []speculate.Level{
 		{Name: "pto1", Attempts: 2},
-		{Name: "pto2", Attempts: 4, OnExplicit: speculate.RulePolicy},
+		{Name: "pto2", Attempts: 4, RetryExplicit: true},
 	}
 	// The three-path shape: a deferring fast level over a helping middle
 	// (txn/simtxn's composed-publication composition). The wall driver runs
@@ -202,17 +202,17 @@ func TestCrossDriverDecisionParity(t *testing.T) {
 	// AtomicallyHelping, so parity here also pins that the dispatch changes
 	// transaction machinery without changing a single retry decision.
 	threePath := []speculate.Level{
-		{Name: "fast", Attempts: 2, OnExplicit: speculate.RulePolicy},
+		{Name: "fast", Attempts: 2, RetryExplicit: true},
 		speculate.MiddleLevel(2, 0),
 	}
-	// A ruled three-tier mixing per-level overrides: a fail-fast-style fast
-	// level, a helping middle whose explicit aborts merely consume an
-	// attempt, and a retrying inner tier.
+	// One level of each kind, so every policy below meets all three abort
+	// rules: a plain fast level (an explicit abort exhausts it), a helping
+	// middle (a capacity abort exhausts it, an explicit one consumes an
+	// attempt) and a RetryExplicit inner tier (both follow the policy).
 	ruledThree := []speculate.Level{
-		{Name: "fast", Attempts: 2, OnExplicit: speculate.RuleExhaust},
-		{Name: "middle", Attempts: 3, Help: true, HelpBudget: 1,
-			OnCapacity: speculate.RuleExhaust, OnExplicit: speculate.RuleRetry},
-		{Name: "pto2", Attempts: 2, OnExplicit: speculate.RulePolicy},
+		{Name: "fast", Attempts: 2},
+		{Name: "middle", Attempts: 3, Help: true, HelpBudget: 1},
+		{Name: "pto2", Attempts: 2, RetryExplicit: true},
 	}
 	policies := map[string]speculate.Policy{
 		"fixed-default":  speculate.Fixed(0),
@@ -258,7 +258,7 @@ func TestCrossDriverDecisionParity(t *testing.T) {
 // attempts the level disables for DefaultSkipOps operations on both
 // substrates.
 func TestCrossDriverAdaptiveDisableParity(t *testing.T) {
-	levels := []speculate.Level{{Name: "pto", Attempts: 3, OnExplicit: speculate.RulePolicy}}
+	levels := []speculate.Level{{Name: "pto", Attempts: 3, RetryExplicit: true}}
 	nops := speculate.DefaultWindow + 40
 	ops := make([][]speculate.Outcome, nops)
 	for i := range ops {
@@ -282,7 +282,7 @@ func TestSimBackoffPlacement(t *testing.T) {
 	cfg := sim.DefaultConfig(1)
 	m := sim.New(cfg)
 	pol := speculate.Policy{Backoff: true}
-	site := New("backoff", pol, speculate.Level{Name: "pto", Attempts: 4, OnExplicit: speculate.RulePolicy})
+	site := New("backoff", pol, speculate.Level{Name: "pto", Attempts: 4, RetryExplicit: true})
 	m.Run(func(t2 *sim.Thread) {
 		// Baseline: cost of one committed empty attempt with no history.
 		r := site.Begin(t2)
@@ -334,7 +334,7 @@ func TestSimBackoffPlacement(t *testing.T) {
 		// carry-over).
 		site2 := New("backoff2", pol,
 			speculate.Level{Name: "a", Attempts: 1},
-			speculate.Level{Name: "b", Attempts: 1, OnExplicit: speculate.RulePolicy})
+			speculate.Level{Name: "b", Attempts: 1, RetryExplicit: true})
 		r4 := site2.Begin(t2)
 		r4.Next(0)
 		r4.Book(speculate.OutcomeConflict, 0)
@@ -352,7 +352,7 @@ func TestSimBackoffPlacement(t *testing.T) {
 func TestLaneIsolation(t *testing.T) {
 	m := sim.New(sim.DefaultConfig(2))
 	pol := speculate.Policy{Adapt: true}
-	site := New("lanes", pol, speculate.Level{Name: "pto", Attempts: 1, OnExplicit: speculate.RulePolicy})
+	site := New("lanes", pol, speculate.Level{Name: "pto", Attempts: 1, RetryExplicit: true})
 	// One attempt per op: the failing lane's window closes after
 	// DefaultWindow ops and the rest of its ops are skipped.
 	const ops = speculate.DefaultWindow + 16

@@ -124,7 +124,7 @@ func (m *Manager) WithPolicy(p speculate.Policy) *Manager {
 // rebuildSite re-registers the speculation site from the manager's current
 // policy and level set (fast alone, or fast + middle after WithMiddle).
 func (m *Manager) rebuildSite() {
-	levels := []speculate.Level{{Name: "fast", Attempts: m.attempts, OnExplicit: speculate.RulePolicy}}
+	levels := []speculate.Level{{Name: "fast", Attempts: m.attempts, RetryExplicit: true}}
 	if m.middle.Attempts > 0 {
 		levels = append(levels, m.middle)
 	}
@@ -418,9 +418,8 @@ func resolve(t *sim.Thread, a sim.Addr) uint64 {
 func (m *Manager) Atomic(t *sim.Thread, body func(c *Ctx)) {
 	if !m.force {
 		r := m.site.Begin(t)
-		core := m.site.Core()
-		for lv := 0; lv < len(core.Levels()); lv++ {
-			hb := core.HelpBudget(lv)
+		for lv := 0; lv < m.site.Levels(); lv++ {
+			hb := m.site.HelpBudget(lv)
 			helped := 0
 			for r.Next(lv) {
 				c := &Ctx{t: t, fast: true, readCap: m.readCap, writeCap: m.writeCap, helpBudget: hb - helped}

@@ -71,13 +71,13 @@ func (s *PTOSet) link(n *pnode, succs *[MaxLevel]*pnode) {
 // Returns s for chaining.
 func (s *PTOSet) WithPolicy(p speculate.Policy) *PTOSet {
 	s.insSite = p.Site("skiplist/insert", 1,
-		speculate.Level{Name: "pto", Attempts: s.attempts, OnExplicit: speculate.RulePolicy})
+		speculate.Level{Name: "pto", Attempts: s.attempts, RetryExplicit: true})
 	s.rmSite = p.Site("skiplist/remove", 1,
 		speculate.Level{Name: "pto", Attempts: s.attempts})
 	// PTOQueue.Pop keeps its historical loop whatever the policy — every
 	// abort retries until the budget is spent — and takes only the registry.
 	s.popSite = speculate.Fixed(0).WithMetrics(p.Metrics).Site("skiplist/pop", 1,
-		speculate.Level{Name: "pto", Attempts: s.attempts, OnCapacity: speculate.RuleRetry, OnExplicit: speculate.RuleRetry})
+		speculate.Level{Name: "pto", Attempts: s.attempts, RetryExplicit: true})
 	return s
 }
 

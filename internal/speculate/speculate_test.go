@@ -79,9 +79,9 @@ func TestExplicitAbortExhaustsLevelByDefault(t *testing.T) {
 		t.Fatalf("tries = %d; explicit abort must break a non-retrying level", tries)
 	}
 
-	// RulePolicy levels burn the whole budget instead.
+	// RetryExplicit levels burn the whole budget instead.
 	site = Fixed(0).Site("t/explicit-retry", 1,
-		Level{Name: "l0", Attempts: 4, OnExplicit: RulePolicy})
+		Level{Name: "l0", Attempts: 4, RetryExplicit: true})
 	r = site.Begin(d)
 	tries = 0
 	for r.Next(0) {
@@ -89,14 +89,14 @@ func TestExplicitAbortExhaustsLevelByDefault(t *testing.T) {
 		tries++
 	}
 	if tries != 4 {
-		t.Fatalf("tries = %d; OnExplicit: RulePolicy must consume the budget", tries)
+		t.Fatalf("tries = %d; RetryExplicit: true must consume the budget", tries)
 	}
 }
 
 func TestFailFastShortCircuitsDeterministicAborts(t *testing.T) {
 	d, _, body := capacityDomain()
 	pol := Policy{FailFast: true}
-	site := pol.Site("t/failfast", 1, Level{Name: "l0", Attempts: 8, OnExplicit: RulePolicy})
+	site := pol.Site("t/failfast", 1, Level{Name: "l0", Attempts: 8, RetryExplicit: true})
 	r := site.Begin(d)
 	tries := 0
 	for r.Next(0) {
@@ -107,7 +107,7 @@ func TestFailFastShortCircuitsDeterministicAborts(t *testing.T) {
 		t.Fatalf("tries = %d; capacity abort must fail fast", tries)
 	}
 
-	// Explicit aborts fail fast too on a RulePolicy level.
+	// Explicit aborts fail fast too on a RetryExplicit level.
 	r = site.Begin(d)
 	tries = 0
 	for r.Next(0) {
@@ -320,6 +320,24 @@ func TestPerLevelAdaptiveIndependence(t *testing.T) {
 	}
 	if l1.Commits < 100 {
 		t.Fatalf("level-1 commits = %d, want >= 100", l1.Commits)
+	}
+}
+
+// BenchmarkSiteEmptyTry times the attempt's fixed cost: Begin, Next(0) and
+// Try of an empty body on a Fixed(0) site, the shape the benchmark's
+// speculate.empty_try_ns probe times. Subtract a bare empty Atomically
+// (htm's BenchmarkEmptyTxn) for the engine's own share.
+func BenchmarkSiteEmptyTry(b *testing.B) {
+	d := htm.NewDomain(0, 0)
+	site := Fixed(0).Site("b/empty", 1, Level{Name: "pto", Attempts: 3})
+	body := func(tx *htm.Tx) {}
+	for i := 0; i < b.N; i++ {
+		r := site.Begin(d)
+		for r.Next(0) {
+			if r.Try(body) == htm.Committed {
+				break
+			}
+		}
 	}
 }
 

@@ -67,8 +67,12 @@ func siteLabels(s SiteSnapshot) string {
 // WritePrometheus renders every site of the registry in Prometheus text
 // exposition format (version 0.0.4). Sites are emitted in name order so the
 // output is stable for diffing and scraping tests.
+//
+// Every metric family comes from one Snapshot, so the families describe the
+// same instant.
 func (r *Registry) WritePrometheus(w io.Writer) {
-	snap := r.Snapshot().Sites
+	all := r.Snapshot()
+	snap := all.Sites
 	sort.Slice(snap, func(i, j int) bool { return snap[i].Name < snap[j].Name })
 
 	fmt.Fprintf(w, "# HELP %s Speculative transaction attempts per site.\n", MetricAttempts)
@@ -124,9 +128,9 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 		fmt.Fprintf(w, "%s_count{%s} %d\n", MetricLatency, siteLabels(s), s.SpecNanos.Count)
 	}
 
-	comp := r.Snapshot().Composed
+	comp := all.Composed
 	if len(comp) == 0 {
-		r.writePrometheusOpen(w)
+		writePrometheusOpen(w, all.Open)
 		return
 	}
 	sort.Slice(comp, func(i, j int) bool { return comp[i].Name < comp[j].Name })
@@ -171,12 +175,11 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 		fmt.Fprintf(w, "%s_sum{site=%q} %d\n", MetricComposedWidth, c.Name, c.Width.Sum)
 		fmt.Fprintf(w, "%s_count{site=%q} %d\n", MetricComposedWidth, c.Name, c.Width.Count)
 	}
-	r.writePrometheusOpen(w)
+	writePrometheusOpen(w, all.Open)
 }
 
 // writePrometheusOpen renders the open-transaction sites, in name order.
-func (r *Registry) writePrometheusOpen(w io.Writer) {
-	open := r.Snapshot().Open
+func writePrometheusOpen(w io.Writer, open []OpenSnapshot) {
 	if len(open) == 0 {
 		return
 	}

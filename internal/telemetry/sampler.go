@@ -9,7 +9,9 @@ import (
 // Sampler is a background goroutine that turns the registry's cumulative
 // counters into an interval-rate time series: every interval it takes a
 // Snapshot, Deltas it against the previous one, and logs one line per active
-// site with the interval's commit ratio, abort rate, and fallback rate.
+// site: a speculation site's commit ratio, abort and fallback rates, a
+// composed site's operation and fallback rates, an open site's transaction,
+// retry and abandon rates.
 // This is the long-run companion of a cumulative /metrics scrape (ptoserver
 // -sample): cumulative counters hide phase changes (a site that degrades
 // after ten minutes still shows a healthy lifetime ratio), while interval
@@ -21,11 +23,12 @@ type Sampler struct {
 }
 
 // StartSampler begins sampling r every interval, writing lines through logf
-// (nil selects log.Printf). Idle sites — no attempts, composed ops, or
-// fallbacks in the interval — are elided. Stop the sampler with Stop; Stop
-// flushes one final partial-interval delta before returning, so a run that
-// ends (or a server that drains on SIGTERM) between ticks still reports its
-// last interval instead of dropping it.
+// (nil selects log.Printf). Idle sites — no attempts, fallbacks, composed
+// ops, or open transactions committed, retried or abandoned in the
+// interval — are elided. Stop the sampler with Stop; Stop flushes one final
+// partial-interval delta before returning, so a run that ends (or a server
+// that drains on SIGTERM) between ticks still reports its last interval
+// instead of dropping it.
 func StartSampler(r *Registry, interval time.Duration, logf func(format string, args ...any)) *Sampler {
 	if logf == nil {
 		logf = log.Printf
@@ -63,7 +66,8 @@ func (s *Sampler) Stop() {
 	<-s.done
 }
 
-// logDelta writes one line per active site of an interval delta.
+// logDelta writes one line per active site of an interval delta:
+// speculation, composed and open sites alike.
 func logDelta(d Snapshot, elapsed time.Duration, logf func(format string, args ...any)) {
 	secs := elapsed.Seconds()
 	if secs <= 0 {
@@ -89,5 +93,16 @@ func logDelta(d Snapshot, elapsed time.Duration, logf func(format string, args .
 		logf("composed %-20s ops/s %8.0f fast-ratio %5.3f fallback/s %7.0f mcas-fail/s %6.0f restarts/s %6.0f mean-width %.1f",
 			c.Name, float64(c.Ops)/secs, c.FastRatio(), float64(c.FallbackCommits)/secs,
 			float64(c.MCASFailures)/secs, float64(c.Restarts)/secs, meanWidth)
+	}
+	for _, o := range d.Open {
+		if o.Txns == 0 && o.SemRetries == 0 && o.UserAborts == 0 {
+			continue
+		}
+		meanOps := 0.0
+		if o.OpsPerTxn.Count > 0 {
+			meanOps = float64(o.OpsPerTxn.Sum) / float64(o.OpsPerTxn.Count)
+		}
+		logf("open %-24s txns/s %8.0f sem-retries/s %6.0f user-aborts/s %6.0f mean-ops %.1f",
+			o.Name, float64(o.Txns)/secs, float64(o.SemRetries)/secs, float64(o.UserAborts)/secs, meanOps)
 	}
 }

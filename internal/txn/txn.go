@@ -151,7 +151,7 @@ func (m *Manager) WithPolicyAt(p speculate.Policy, site string) *Manager {
 // untouched), or fast + middle when WithMiddle enabled the helping tier
 // (registered per level as name/fast and name/middle with level labels).
 func (m *Manager) rebuildSite() {
-	levels := []speculate.Level{{Name: "fast", Attempts: m.attempts, OnExplicit: speculate.RulePolicy}}
+	levels := []speculate.Level{{Name: "fast", Attempts: m.attempts, RetryExplicit: true}}
 	if m.middle.Attempts > 0 {
 		levels = append(levels, m.middle)
 	}
@@ -350,8 +350,7 @@ func (m *Manager) Atomic(body func(c *Ctx)) {
 func (m *Manager) atomic(c *Ctx, body func(c *Ctx)) {
 	if !m.force {
 		r := m.site.Begin(m.d)
-		levels := len(m.site.Core().Levels())
-		for lv := 0; lv < levels; lv++ {
+		for lv := 0; lv < m.site.Levels(); lv++ {
 			for r.Next(lv) {
 				st := r.Try(func(tx *htm.Tx) {
 					c.htx = tx
