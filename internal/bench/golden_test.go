@@ -15,9 +15,9 @@ const goldenScale = 0.05
 
 // goldenCSV regenerates every modeled table on the default hardware — the
 // sim-figures set (Fig 2a, 2b, 3(b), 4(b), A8), the rest of the paper's
-// figures, A1–A5, E1, E2 and A10's modeled arms — then A8 once more on
-// ModelBoundedSet + NBTC, so both HTM models and both composed commit modes
-// are in the file.
+// figures, A1–A5, E1, E2, A10's modeled arms and A12's hardware sweep —
+// then A8 once more on ModelBoundedSet + NBTC, so both HTM models and both
+// composed commit modes are in the file.
 func goldenCSV() string {
 	var b strings.Builder
 	tp := ThreePathSample(goldenScale)
@@ -33,6 +33,7 @@ func goldenCSV() string {
 			{Name: "Fast+slow only", Points: tp.FastSlow},
 			{Name: fmt.Sprintf("Three-path helping middle (helped_descs=%d)", tp.Helped), Points: tp.ThreePath},
 		}},
+		AblationFrontier(goldenScale),
 	} {
 		b.WriteString(CSV(f))
 	}
