@@ -3,9 +3,11 @@ package telemetry
 import (
 	"encoding/json"
 	"expvar"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -182,12 +184,17 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 }
 
+// expvarRuns numbers TestPublishExpvar's runs: expvar names live for the
+// process, so each run under -count publishes under a fresh one.
+var expvarRuns atomic.Int32
+
 func TestPublishExpvar(t *testing.T) {
+	name := fmt.Sprintf("telemetry_test_registry_%d", expvarRuns.Add(1))
 	r := NewRegistry()
 	r.Site("x").Commits.Add(3)
-	r.PublishExpvar("telemetry_test_registry")
-	r.PublishExpvar("telemetry_test_registry") // idempotent, must not panic
-	v := expvar.Get("telemetry_test_registry")
+	r.PublishExpvar(name)
+	r.PublishExpvar(name) // idempotent, must not panic
+	v := expvar.Get(name)
 	if v == nil {
 		t.Fatal("registry not published")
 	}
