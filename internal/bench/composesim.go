@@ -47,7 +47,7 @@ func AblationComposedMoveSim(scale float64) Figure {
 	for _, m := range modes {
 		s := Series{Name: m.name}
 		for _, threads := range []int{2, 4, 8} {
-			tput := measure(threads, w, buildComposedMoveSim(m.mode, 0))
+			tput := measure(threads, w, buildComposedMoveSim(newSimManager, m.mode, 0))
 			s.Points = append(s.Points, Point{Threads: threads, Throughput: tput})
 		}
 		f.Series = append(f.Series, s)
@@ -61,7 +61,7 @@ func AblationComposedMoveSim(scale float64) Figure {
 	for _, caps := range []int{4, 16, 64} {
 		s := Series{Name: fmt.Sprintf("Composed (caps %d words)", caps)}
 		for _, threads := range []int{2, 4, 8} {
-			tput := measure(threads, w, buildComposedMoveSim(composeFast, caps))
+			tput := measure(threads, w, buildComposedMoveSim(newSimManager, composeFast, caps))
 			s.Points = append(s.Points, Point{Threads: threads, Throughput: tput})
 		}
 		f.Series = append(f.Series, s)
@@ -91,7 +91,7 @@ func AblationComposedMoveSim(scale float64) Figure {
 	for _, k := range []int{4, 16} {
 		s := Series{Name: fmt.Sprintf("Composed batched MoveAll (k=%d)", k)}
 		for _, threads := range []int{2, 4, 8} {
-			tput := measure(threads, w, buildComposedMoveAllSim(k)) * float64(k)
+			tput := measure(threads, w, buildComposedMoveAllSim(newSimManager, k)) * float64(k)
 			s.Points = append(s.Points, Point{Threads: threads, Throughput: tput})
 		}
 		f.Series = append(f.Series, s)
@@ -103,7 +103,7 @@ func AblationComposedMoveSim(scale float64) Figure {
 	// bit-for-bit.
 	nbtcArm := Series{Name: "Composed (NBTC fallback)"}
 	for _, threads := range []int{2, 4, 8} {
-		tput := measure(threads, w, buildComposedMoveSim(composeNBTC, 0))
+		tput := measure(threads, w, buildComposedMoveSim(newSimManager, composeNBTC, 0))
 		nbtcArm.Points = append(nbtcArm.Points, Point{Threads: threads, Throughput: tput})
 	}
 	f.Series = append(f.Series, nbtcArm)
@@ -155,8 +155,9 @@ func BatchedMoveAmortization(batch int) (publications uint64, moved int) {
 // the closed world the simtxn adapters require: while the machine runs, the
 // two structures are mutated only through the composition layer. caps > 0
 // bounds the fast path's modeled read- and write-set footprint in distinct
-// words; 0 leaves it machine-limited.
-func buildComposedMoveSim(mode composeMode, caps int) buildFunc {
+// words; 0 leaves it machine-limited. newMgr builds the composed arms'
+// manager: newSimManager for A8, frontierMgr for A12's sweep.
+func buildComposedMoveSim(newMgr func() *simtxn.Manager, mode composeMode, caps int) buildFunc {
 	const keyRange = 256
 	return func(m *sim.Machine, setup *sim.Thread) func(t *sim.Thread) {
 		if mode == composeLocked {
@@ -192,7 +193,7 @@ func buildComposedMoveSim(mode composeMode, caps int) buildFunc {
 				t.Store(muB, 0)
 			}
 		}
-		mgr := newSimManager()
+		mgr := newMgr()
 		if mode == composeFallback || mode == composeNBTC {
 			mgr.ForceFallback(true)
 		}
@@ -272,10 +273,10 @@ func buildComposedSkipQMoveSim() buildFunc {
 // one MoveAll over k keys derived deterministically from the thread's random
 // draw. The measure() figure counts composed ops; the caller scales by k to
 // report key-move attempts.
-func buildComposedMoveAllSim(k int) buildFunc {
+func buildComposedMoveAllSim(newMgr func() *simtxn.Manager, k int) buildFunc {
 	const keyRange = 256
 	return func(m *sim.Machine, setup *sim.Thread) func(t *sim.Thread) {
-		mgr := newSimManager()
+		mgr := newMgr()
 		b := simds.NewSimBST(setup, simds.BSTPTO12, false, m.Config().Threads).WithPolicy(simPolicy())
 		h := simds.NewSimHash(setup, simds.HashPTO, 64, m.Config().Threads).WithPolicy(simPolicy())
 		h.Stabilize(setup)
