@@ -4,6 +4,9 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"repro/internal/speculate"
+	"repro/internal/telemetry"
 )
 
 // Crushing the transactional read capacity forces every prefix transaction
@@ -95,5 +98,25 @@ func TestQueueFallbackPathsForced(t *testing.T) {
 	pop := reg.Site("skiplist/pop").Snapshot()
 	if pop.Fallbacks == 0 || pop.Fallbacks < pop.Commits {
 		t.Fatalf("fallbacks did not dominate pops: commits=%d fallbacks=%d", pop.Commits, pop.Fallbacks)
+	}
+}
+
+// TestPopFollowsAdaptivePolicy: the pop site is built from the policy the
+// set is given, so under the adaptive policy with crushed capacity every pop
+// aborts and the site's commit-ratio window switches speculation off.
+func TestPopFollowsAdaptivePolicy(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	q := NewPTOQueue(0)
+	q.Set().WithPolicy(speculate.Adaptive().WithMetrics(reg)).Domain().SetCapacity(1, 1)
+	for i := 0; i < 500; i++ {
+		q.Push(int64(i % 50))
+	}
+	for i := 0; i < 500; i++ {
+		if _, ok := q.Pop(); !ok {
+			t.Fatalf("pop %d found the queue empty", i)
+		}
+	}
+	if pop := reg.Site("skiplist/pop").Snapshot(); pop.Disables == 0 {
+		t.Fatalf("pop site never disabled speculation under crushed capacity: %+v", pop)
 	}
 }

@@ -66,17 +66,15 @@ func (s *PTOSet) link(n *pnode, succs *[MaxLevel]*pnode) {
 
 // WithPolicy replaces the speculation policy governing the retry loops. The
 // default, speculate.Fixed(0), reproduces the historical behavior: Insert
-// retries explicit (view-changed) aborts with a fresh search, Remove stops
-// retrying on explicit aborts, both fall back after `attempts` tries.
-// Returns s for chaining.
+// and PTOQueue.Pop retry explicit aborts (a changed view, a pop mid-removal)
+// with a fresh look, Remove stops retrying on explicit aborts, all fall back
+// after `attempts` tries. Returns s for chaining.
 func (s *PTOSet) WithPolicy(p speculate.Policy) *PTOSet {
 	s.insSite = p.Site("skiplist/insert", 1,
 		speculate.Level{Name: "pto", Attempts: s.attempts, RetryExplicit: true})
 	s.rmSite = p.Site("skiplist/remove", 1,
 		speculate.Level{Name: "pto", Attempts: s.attempts})
-	// PTOQueue.Pop keeps its historical loop whatever the policy — every
-	// abort retries until the budget is spent — and takes only the registry.
-	s.popSite = speculate.Fixed(0).WithMetrics(p.Metrics).Site("skiplist/pop", 1,
+	s.popSite = p.Site("skiplist/pop", 1,
 		speculate.Level{Name: "pto", Attempts: s.attempts, RetryExplicit: true})
 	return s
 }
