@@ -8,9 +8,10 @@ import (
 	"testing"
 )
 
-// The wire's two decoders under go test's fuzzer. Every input meets a fresh
-// server holding the same small population, so a failure reproduces from its
-// input alone. The invariant, for any body at all: the handler does not
+// The wire's two decoders under go test's fuzzer. Every input meets two
+// fresh servers holding the same small population — one on the default
+// capacity, one whose capacity forces every composed operation down the
+// MultiCAS fallback — so a failure reproduces from its input alone. The invariant, for any body at all: the handler does not
 // panic, the status is one the API documents (never a 5xx), the reply decodes
 // as the route's response type and says ok exactly when the status is 200 —
 // and afterwards the structures hold what the population and the reply add up
@@ -47,9 +48,21 @@ const (
 	fuzzColdKeys = 16 // odd keys 33..63 on cold, likewise
 )
 
+// fuzzConfig is one of the servers every input meets.
+type fuzzConfig struct {
+	name string
+	cfg  Config
+}
+
+// fuzzConfigs: the fast path, and the forced MultiCAS fallback.
+var fuzzConfigs = []fuzzConfig{
+	{"fast", Config{Shards: fuzzShards}},
+	{"forced fallback", Config{Shards: fuzzShards, ReadCap: -1, WriteCap: -1}},
+}
+
 // fuzzServer builds the populated server and says what it holds.
-func fuzzServer() (*Server, population) {
-	srv := New(Config{Shards: fuzzShards})
+func fuzzServer(cfg Config) (*Server, population) {
+	srv := New(cfg)
 	var p population
 	for k := int64(0); k < fuzzHotKeys; k++ {
 		sh := srv.shardFor(k)
@@ -184,37 +197,45 @@ func FuzzOpEnvelope(f *testing.F) {
 	f.Add([]byte(`{"op":"put","keys":[-9223372036854775807,9223372036854775806]} trailing`))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		srv, want := fuzzServer()
-		var resp Response
-		code := serve(t, srv, "/v1/op", body, &resp)
-		if resp.OK != (code == http.StatusOK) || (!resp.OK && resp.Err == "") {
-			t.Fatalf("%q: status %d with reply %+v", body, code, resp)
-		}
-		var req Request
-		if code == http.StatusOK {
-			// The handler decoded it, so this does: what the reply says happened.
-			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
-				t.Fatalf("%q: 200 for a body that does not decode: %v", body, err)
-			}
-			changed := b2i(resp.Changed)
-			if len(req.Keys) > 0 {
-				changed = resp.Moved
-			}
-			switch req.Op {
-			case OpMoveMin:
-				want.scheduled -= resp.Moved
-				want.keys += resp.Moved
-			case OpMoveToPQ:
-				want.keys -= resp.Moved
-				want.scheduled += resp.Moved
-			default: // the other moves conserve each kind
-				want.apply(req.Op, changed, resp.Found)
-			}
-		}
-		if got := count(srv, append(req.Keys, req.Key, req.Value)); got != want {
-			t.Fatalf("%q → %d %+v: the structures hold %+v, the reply adds up to %+v", body, code, resp, got, want)
+		for _, c := range fuzzConfigs {
+			fuzzOp(t, c, body)
 		}
 	})
+}
+
+// fuzzOp serves one /v1/op body to a fresh server under c and checks the
+// reply against what the structures hold afterwards.
+func fuzzOp(t *testing.T, c fuzzConfig, body []byte) {
+	srv, want := fuzzServer(c.cfg)
+	var resp Response
+	code := serve(t, srv, "/v1/op", body, &resp)
+	if resp.OK != (code == http.StatusOK) || (!resp.OK && resp.Err == "") {
+		t.Fatalf("%s: %q: status %d with reply %+v", c.name, body, code, resp)
+	}
+	var req Request
+	if code == http.StatusOK {
+		// The handler decoded it, so this does: what the reply says happened.
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			t.Fatalf("%s: %q: 200 for a body that does not decode: %v", c.name, body, err)
+		}
+		changed := b2i(resp.Changed)
+		if len(req.Keys) > 0 {
+			changed = resp.Moved
+		}
+		switch req.Op {
+		case OpMoveMin:
+			want.scheduled -= resp.Moved
+			want.keys += resp.Moved
+		case OpMoveToPQ:
+			want.keys -= resp.Moved
+			want.scheduled += resp.Moved
+		default: // the other moves conserve each kind
+			want.apply(req.Op, changed, resp.Found)
+		}
+	}
+	if got := count(srv, append(req.Keys, req.Key, req.Value)); got != want {
+		t.Fatalf("%s: %q → %d %+v: the structures hold %+v, the reply adds up to %+v", c.name, body, code, resp, got, want)
+	}
 }
 
 func FuzzTxnBody(f *testing.F) {
@@ -257,28 +278,36 @@ func FuzzTxnBody(f *testing.F) {
 	f.Add([]byte(`{"ops":[{"op":"put","key":1,"assert":null},{"op":"push","value":4611686018427387904}]}`))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		srv, want := fuzzServer()
-		var resp TxnResponse
-		code := serve(t, srv, "/v1/txn", body, &resp)
-		if resp.OK != (code == http.StatusOK) || (!resp.OK && resp.Err == "") {
-			t.Fatalf("%q: status %d with reply %+v", body, code, resp)
-		}
-		var req TxnRequest
-		var named []int64
-		if code == http.StatusOK {
-			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
-				t.Fatalf("%q: 200 for a body that does not decode: %v", body, err)
-			}
-			if len(resp.Results) != len(req.Ops) {
-				t.Fatalf("%q: %d results for %d ops", body, len(resp.Results), len(req.Ops))
-			}
-			for i, op := range req.Ops {
-				named = append(named, op.Key, op.Value)
-				want.apply(op.Op, b2i(resp.Results[i].Changed), resp.Results[i].Found)
-			}
-		}
-		if got := count(srv, named); got != want {
-			t.Fatalf("%q → %d %+v: the structures hold %+v, the reply adds up to %+v", body, code, resp, got, want)
+		for _, c := range fuzzConfigs {
+			fuzzTxn(t, c, body)
 		}
 	})
+}
+
+// fuzzTxn serves one /v1/txn body to a fresh server under c and checks the
+// reply against what the structures hold afterwards.
+func fuzzTxn(t *testing.T, c fuzzConfig, body []byte) {
+	srv, want := fuzzServer(c.cfg)
+	var resp TxnResponse
+	code := serve(t, srv, "/v1/txn", body, &resp)
+	if resp.OK != (code == http.StatusOK) || (!resp.OK && resp.Err == "") {
+		t.Fatalf("%s: %q: status %d with reply %+v", c.name, body, code, resp)
+	}
+	var req TxnRequest
+	var named []int64
+	if code == http.StatusOK {
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			t.Fatalf("%s: %q: 200 for a body that does not decode: %v", c.name, body, err)
+		}
+		if len(resp.Results) != len(req.Ops) {
+			t.Fatalf("%s: %q: %d results for %d ops", c.name, body, len(resp.Results), len(req.Ops))
+		}
+		for i, op := range req.Ops {
+			named = append(named, op.Key, op.Value)
+			want.apply(op.Op, b2i(resp.Results[i].Changed), resp.Results[i].Found)
+		}
+	}
+	if got := count(srv, named); got != want {
+		t.Fatalf("%s: %q → %d %+v: the structures hold %+v, the reply adds up to %+v", c.name, body, code, resp, got, want)
+	}
 }

@@ -11,7 +11,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/mound"
 )
@@ -244,8 +243,8 @@ func TestHealthzAndStatz(t *testing.T) {
 	if len(st.Shards) != 2 || st.Publications == 0 {
 		t.Fatalf("statz: %+v", st)
 	}
-	// The payload's shape, member for member: what ptoload and the frozen
-	// benchmark read, and no state of a control loop. Three per-shard counters
+	// The payload's shape, member for member: what the frozen benchmark
+	// reads, and no state of a control loop. Three per-shard counters
 	// are the benchmark's inert zeros (so is the "tune" object).
 	var raw struct {
 		Shards []map[string]any
@@ -285,17 +284,7 @@ func TestHealthzAndStatz(t *testing.T) {
 // request commits on the goroutine net/http gave it, so New starts nothing
 // that Close (a no-op the frozen benchmark calls) would have to stop.
 func TestNewStartsNoGoroutine(t *testing.T) {
-	// Earlier tests' keep-alive connections close asynchronously: take the
-	// baseline once the count has stopped moving.
-	before := runtime.NumGoroutine()
-	for same := 0; same < 5; {
-		time.Sleep(2 * time.Millisecond)
-		if n := runtime.NumGoroutine(); n == before {
-			same++
-		} else {
-			before, same = n, 0
-		}
-	}
+	before := settledGoroutines()
 	srv := New(Config{})
 	if got := runtime.NumGoroutine(); got != before {
 		t.Errorf("New started %d goroutines, want 0", got-before)

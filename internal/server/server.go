@@ -132,8 +132,8 @@ type ShardStats struct {
 	OpenUserAborts uint64 `json:"open_user_aborts"`
 }
 
-// Stats is the /statz payload: per-shard detail plus the totals the load
-// generator deltas between phases.
+// Stats is the /statz payload: per-shard detail plus the totals the
+// benchmark deltas between phases (benchmark/run.go).
 type Stats struct {
 	// Structures lists the structure names every shard's registry holds, in
 	// sorted order — deterministic output however the registry iterates.

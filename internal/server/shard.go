@@ -11,8 +11,12 @@
 // Cross-structure composed operations (move, transfer, moveall) therefore
 // stay within one shard: the composition layer's atomicity is a
 // single-domain property (MultiCAS panics on cross-domain entry sets), and
-// the router keeps that invariant by construction — a key's shard owns
-// every structure the key can occupy.
+// the router keeps that invariant by construction — every composed
+// operation resolves all its structures on one shard. Where a key lives is
+// not part of the contract: a key routes to its owning shard, but a pinned
+// request, a /v1/txn body (every keyed op on its first keyed op's shard)
+// and movemin (a PQ value into its own shard's cold set) can leave it on
+// another, and a pin is how a client reaches it there.
 //
 // A request is decoded, routed to its shard(s), and run to its commit on the
 // goroutine net/http gave it: a single-key write is one txn.Atomic, a
