@@ -98,7 +98,7 @@ func TestGoldenTelemetryNames(t *testing.T) {
 	// Three-path managers (WithMiddle) register one site class per level on
 	// both substrates — the fast tier moves from the bare site name to
 	// name/fast, and the helping tier appears as name/middle. The A10
-	// harness and the CI smoke grep key on these.
+	// harness (internal/bench/threepath.go) reads its helped count there.
 	treg := telemetry.NewRegistry()
 	txn.New(0).WithPolicy(speculate.Fixed(0).WithMetrics(treg)).WithMiddle(0, 0)
 	threeNames := map[string]bool{}
