@@ -3,19 +3,23 @@
 //
 // Usage:
 //
-//	ptobench [-figure all|2a|2b|3a|3b|3c|4a|4b|4c|5a|5b|5c|a1..a12|e1|e2] [-scale 1.0] [-csv]
+//	ptobench [-figure all|2a|2b|3a|3b|3c|4a|4b|4c|5a|5b|5c|a1..a6|a8..a10|a12|e1|e2] [-scale 1.0] [-csv]
 //	         [-policy adaptive|fixed] [-attempts N]
 //	         [-model rtm|bounded] [-bounded-reads N] [-bounded-writes N] [-nbtc]
 //
-// -figure also accepts individual ablation (a1..a12) and extension (e1, e2)
-// IDs; -ablations / -extensions run each full set. -policy/-attempts build ONE speculation policy (speculate.Policy)
-// installed on every structure the benchmarks construct, on both substrates:
-// the real runtime (wall-clock ablations A6/A7) and the simulated machine
-// (everything else) run the same attempt/backoff/fallback engine, so one
-// flag steers both. -model/-bounded-reads/-bounded-writes select the
-// simulated HTM design (sim.HTMModel) under every modeled figure, and
-// -nbtc publishes composed fallbacks through the commit-time NBTC batch;
-// ablation A12 ignores these overrides and sweeps hardware explicitly.
+// -figure also accepts individual ablation (a1..a6, a8..a10, a12) and
+// extension (e1, e2) IDs; -ablations / -extensions run each full set.
+// -policy/-attempts build ONE speculation policy (speculate.Policy)
+// installed on every structure the benchmarks construct, on both
+// substrates: the real runtime (the wall-clock ablations A6, A9 and A10's
+// wall arms) and the simulated machine (everything else) run the same
+// attempt/backoff/fallback engine, so one flag steers both.
+// -model/-bounded-reads/-bounded-writes select the simulated HTM design
+// (sim.HTMModel) under every modeled figure, and -nbtc publishes composed
+// fallbacks through the commit-time NBTC batch; ablation A12 ignores these
+// overrides and sweeps hardware explicitly. A negative -attempts or
+// budget, or a budget without -model bounded, is refused (exit 2) rather
+// than ignored.
 //
 // Figures (Liu, Zhou, Spear, SPAA 2015):
 //
@@ -27,12 +31,12 @@
 //	5b  Fence elimination on the Mound
 //	5c  Fence elimination on the BST
 //
-// The composed-layer ablations carry the full structure×substrate matrix of
-// the shared adapter contract: A7 (wall clock) adds a Harris-list pair arm,
-// a mound+list MoveMin/MoveToPQ arm (raw moundify DCAS racing composed
-// publications), and a batched-MoveAll sweep (k=4, 16); A8 (deterministic)
-// adds a simulated-skiplist pair arm and the same batched sweep. A10 is the
-// three-path speculation shape (fast / helping-middle / slow) under the
+// The composed-layer ablation A8 (deterministic) carries the structure ×
+// substrate matrix of the shared adapter contract: a simulated-skiplist pair
+// arm, a skipq+skiplist MoveMin/MoveToPQ arm and a batched-MoveAll sweep
+// (k=4, 16). The same fast-path-over-fallback claim on the Go runtime is the
+// benchmark's lib-compose workload (its pto_speedup). A10 is the three-path
+// speculation shape (fast / helping-middle / slow) under the
 // occupied-fallback adversary, with deterministic modeled arms and
 // wall-clock arms. A12 is the hardware frontier: BoundedSet set-size
 // budgets × composed-footprint shapes vs the RTM-like baseline, with and
@@ -56,10 +60,10 @@ import (
 )
 
 func main() {
-	figure := flag.String("figure", "all", "which figure to regenerate (paper figures, ablations a1..a10 and a12, extensions e1 e2)")
+	figure := flag.String("figure", "all", "which figure to regenerate (paper figures, ablations a1..a6, a8..a10 and a12, extensions e1 e2)")
 	scale := flag.Float64("scale", 1.0, "measurement window scale factor")
 	csv := flag.Bool("csv", false, "emit CSV instead of tables")
-	ablations := flag.Bool("ablations", false, "also run the ablation tables (A1-A10, A12; A6, A7, A9 and A10's wall arms are wall-clock)")
+	ablations := flag.Bool("ablations", false, "also run the ablation tables (A1-A6, A8-A10, A12; A6, A9 and A10's wall arms are wall-clock)")
 	extensions := flag.Bool("extensions", false, "also run the extension tables (E1-E2)")
 	policy := flag.String("policy", "", "speculation policy for both substrates: adaptive or fixed (empty = per-substrate default)")
 	attempts := flag.Int("attempts", 0, "override every speculation attempt budget (0 = per-structure defaults; implies -policy fixed if unset)")
@@ -70,16 +74,23 @@ func main() {
 	flag.Parse()
 
 	if !(*scale > 0) || math.IsInf(*scale, 0) { // NaN fails the comparison too
-		fmt.Fprintf(os.Stderr, "invalid -scale %v (want a positive number)\n", *scale)
-		os.Exit(2)
+		refuse("invalid -scale %v (want a positive number)", *scale)
+	}
+	if *attempts < 0 {
+		refuse("invalid -attempts %d (want 0 for the per-structure defaults or a positive budget)", *attempts)
+	}
+	if *boundedReads < 0 || *boundedWrites < 0 {
+		refuse("invalid -bounded-reads %d / -bounded-writes %d (want 0 for the sim default or a positive budget)", *boundedReads, *boundedWrites)
+	}
+	if (*boundedReads > 0 || *boundedWrites > 0) && *model != sim.ModelBoundedSet {
+		refuse("-bounded-reads and -bounded-writes need -model %s", sim.ModelBoundedSet)
 	}
 
-	if *model != "" || *boundedReads > 0 || *boundedWrites > 0 || *nbtc {
+	if *model != "" || *nbtc {
 		switch *model {
 		case "", sim.ModelRTM, sim.ModelBoundedSet:
 		default:
-			fmt.Fprintf(os.Stderr, "unknown model %q (want %q or %q)\n", *model, sim.ModelRTM, sim.ModelBoundedSet)
-			os.Exit(2)
+			refuse("unknown model %q (want %q or %q)", *model, sim.ModelRTM, sim.ModelBoundedSet)
 		}
 		bench.SetHardware(*model, *boundedReads, *boundedWrites, *nbtc)
 	}
@@ -93,8 +104,7 @@ func main() {
 			p = speculate.Adaptive()
 			p.Attempts = *attempts
 		default:
-			fmt.Fprintf(os.Stderr, "unknown policy %q (want adaptive or fixed)\n", *policy)
-			os.Exit(2)
+			refuse("unknown policy %q (want adaptive or fixed)", *policy)
 		}
 		bench.SetPolicy(p)
 	}
@@ -117,7 +127,6 @@ func main() {
 		"a4":  bench.AblationCapacity,
 		"a5":  bench.AblationSMT,
 		"a6":  bench.AblationAdaptivePolicy,
-		"a7":  bench.AblationComposedMove,
 		"a8":  bench.AblationComposedMoveSim,
 		"a9":  bench.AblationSemantic,
 		"a10": bench.AblationThreePath,
@@ -139,8 +148,7 @@ func main() {
 					known = append(known, k)
 				}
 				sort.Strings(known)
-				fmt.Fprintf(os.Stderr, "unknown figure %q (want all or one of %v)\n", id, known)
-				os.Exit(2)
+				refuse("unknown figure %q (want all or one of %v)", id, known)
 			}
 			selected = append(selected, id)
 		}
@@ -172,4 +180,11 @@ func main() {
 			}
 		}
 	}
+}
+
+// refuse reports an unusable argument on one line of stderr and exits 2,
+// before anything is printed to stdout.
+func refuse(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
+	os.Exit(2)
 }

@@ -180,7 +180,6 @@ func Ablations(scale float64) []Figure {
 		AblationCapacity(scale),
 		AblationSMT(scale),
 		AblationAdaptivePolicy(scale),
-		AblationComposedMove(scale),
 		AblationComposedMoveSim(scale),
 		AblationSemantic(scale),
 		AblationThreePath(scale),

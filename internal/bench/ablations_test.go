@@ -1,7 +1,9 @@
 package bench
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -110,8 +112,7 @@ func TestAblationComposedMoveSim(t *testing.T) {
 	fast := byName(f, "Composed (modeled fast path)")
 	fb := byName(f, "Composed (MultiCAS fallback)")
 	// The modeled machine is deterministic, so the composition claim — the
-	// fast path's gap over the MultiCAS fallback — is pinned here, where
-	// A7's wall-clock version can only eyeball it.
+	// fast path's gap over the MultiCAS fallback — is pinned here.
 	for _, threads := range []int{2, 4} {
 		if at(fast, threads) <= at(fb, threads) {
 			t.Errorf("fast path not above MultiCAS fallback at %d threads: %v vs %v",
@@ -154,6 +155,38 @@ func TestAblationAdaptivePolicy(t *testing.T) {
 		if len(s.Points) != 3 {
 			t.Fatalf("series %q: %d points, want 3", s.Name, len(s.Points))
 		}
+	}
+}
+
+func TestAblationSemantic(t *testing.T) {
+	f := AblationSemantic(ablationTestScale)
+	// Two throughput series and three rate series, at 2, 4 and 8 threads.
+	// No relation assertions: A9 is wall-clock and this may be a single-CPU
+	// box, where a rate may well be 0.
+	if len(f.Series) != 5 {
+		t.Fatalf("unexpected table shape: %+v", f)
+	}
+	throughputs := 0
+	for _, s := range f.Series {
+		if len(s.Points) != 3 {
+			t.Fatalf("series %q: %d points, want 3", s.Name, len(s.Points))
+		}
+		tput := strings.HasSuffix(s.Name, "(txns/ms)")
+		if tput {
+			throughputs++
+		}
+		for i, p := range s.Points {
+			if want := []int{2, 4, 8}[i]; p.Threads != want {
+				t.Fatalf("series %q: point %d at %d threads, want %d", s.Name, i, p.Threads, want)
+			}
+			if !(p.Throughput >= 0) || math.IsInf(p.Throughput, 0) || tput && p.Throughput == 0 {
+				t.Errorf("%q at %d threads: %v, want finite and >= 0 (> 0 for throughput)",
+					s.Name, p.Threads, p.Throughput)
+			}
+		}
+	}
+	if throughputs != 2 {
+		t.Fatalf("%d throughput series, want 2", throughputs)
 	}
 }
 

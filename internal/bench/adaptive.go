@@ -1,19 +1,14 @@
 package bench
 
 import (
-	"sync"
-	"sync/atomic"
-	"time"
-
 	"repro/internal/bst"
 	"repro/internal/speculate"
 )
 
 // AblationAdaptivePolicy (A6) compares the static fixed-budget speculation
 // policy against the adaptive runtime (backoff, fail-fast, glibc-style
-// commit-ratio disable) on the real-concurrency BST — the one ablation
-// measured in wall-clock time rather than on the simulated machine, so its
-// numbers vary run to run and it is only emitted under -ablations.
+// commit-ratio disable) on the real-concurrency BST, measured in wall-clock
+// time (wallRun) rather than on the simulated machine.
 //
 // Under ample HTM capacity the two policies should be indistinguishable:
 // speculation almost always commits, so the adaptive machinery never
@@ -65,42 +60,17 @@ func measureRealBST(threads, opsPer int, pol speculate.Policy, crushed bool) flo
 	for i := 0; i < keyRange/2; i++ {
 		t.Insert(int64(splitmixRand(uint64(i)) % keyRange))
 	}
-	var wg sync.WaitGroup
-	var ready, start sync.WaitGroup
-	ready.Add(threads)
-	start.Add(1)
-	var total atomic.Int64
-	for g := 0; g < threads; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rnd := uint64(g)*0x9E3779B97F4A7C15 + 1
-			ready.Done()
-			start.Wait()
-			for i := 0; i < opsPer; i++ {
-				rnd ^= rnd << 13
-				rnd ^= rnd >> 7
-				rnd ^= rnd << 17
-				k := int64(rnd % keyRange)
-				switch rnd >> 60 % 3 {
-				case 0:
-					t.Insert(k)
-				case 1:
-					t.Remove(k)
-				default:
-					t.Contains(k)
-				}
-			}
-			total.Add(int64(opsPer))
-		}(g)
-	}
-	ready.Wait()
-	begin := time.Now()
-	start.Done()
-	wg.Wait()
-	elapsed := time.Since(begin)
-	if elapsed <= 0 {
-		elapsed = time.Nanosecond
-	}
-	return float64(total.Load()) / (float64(elapsed.Nanoseconds()) / 1e6)
+	w := &wallRun{threads: threads, ops: opsPer}
+	return w.run(func(_ int, rnd uint64) int64 {
+		k := int64(rnd % keyRange)
+		switch rnd >> 60 % 3 {
+		case 0:
+			t.Insert(k)
+		case 1:
+			t.Remove(k)
+		default:
+			t.Contains(k)
+		}
+		return 1
+	})
 }

@@ -10,9 +10,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// AblationComposedMoveSim (A8) is A7's experiment replayed on the modeled
-// machine: concurrent cross-structure Moves between a simulated BST and a
-// simulated hash table, completed three different ways.
+// AblationComposedMoveSim (A8) measures the transactional composition layer
+// on the modeled machine: concurrent cross-structure Moves between a
+// simulated BST and a simulated hash table, completed three different ways.
 //
 //   - "Composed (modeled fast path)": each Move commits inside one modeled
 //     prefix transaction spanning both structures (simtxn's fast path).
@@ -23,10 +23,10 @@ import (
 //   - "Two-spinlock locking": each structure guarded by a test-and-set spin
 //     lock in simulated memory, a Move holding both in a fixed global order.
 //
-// Where A7 reports wall-clock numbers that vary run to run, A8 reports
-// deterministic modeled cycles, so the fast-path-over-fallback gap — the
-// paper's acceleration claim lifted to composition — is pinned by a test
-// rather than eyeballed. Both composed arms drive the same speculation
+// A8 reports deterministic modeled cycles, so the fast-path-over-fallback
+// gap — the paper's acceleration claim lifted to composition — is pinned by
+// a test; the benchmark's lib-compose workload measures the same gap on the
+// Go runtime (its pto_speedup). Both composed arms drive the same speculation
 // engine (speculate.Site through a simspec.Site) as every simds structure,
 // and surface the same telemetry counters under the "simtxn/atomic" site.
 func AblationComposedMoveSim(scale float64) Figure {
@@ -75,10 +75,10 @@ func AblationComposedMoveSim(scale float64) Figure {
 		skip.Points = append(skip.Points, Point{Threads: threads, Throughput: tput})
 	}
 	f.Series = append(f.Series, skip)
-	// PQ arm: the modeled twin of A7's mound+list MoveMin/MoveToPQ series,
-	// over the simulated skip-based priority queue and a skiplist set — the
-	// last pair A7 covered that A8 did not. Appended after the historical
-	// series so their figures stay bit-for-bit.
+	// PQ arm: MoveMin/MoveToPQ over the simulated skip-based priority queue
+	// and a skiplist set, the priority-queue corner of the adapter matrix.
+	// Appended after the historical series so their figures stay
+	// bit-for-bit.
 	pqArm := Series{Name: "Composed skipq+skiplist MoveMin/MoveToPQ (modeled fast path)"}
 	for _, threads := range []int{2, 4, 8} {
 		tput := measure(threads, w, buildComposedSkipQMoveSim())
@@ -149,6 +149,18 @@ func BatchedMoveAmortization(batch int) (publications uint64, moved int) {
 	s := reg.Site("simtxn/atomic").Snapshot()
 	return s.Commits + s.Fallbacks, moved
 }
+
+// composeMode is how a composed arm completes its Moves.
+type composeMode int
+
+const (
+	composeFast composeMode = iota
+	composeFallback
+	composeLocked
+	// composeNBTC is forced fallback with NBTC commit-time batch
+	// publication (simtxn.WithNBTC).
+	composeNBTC
+)
 
 // buildComposedMoveSim prefills half the key range into the tree and runs
 // random-direction Moves between tree and hash table. The composed arms keep

@@ -9,7 +9,8 @@ import (
 // one speculate.Policy when the caller installs one (cmd/ptobench's
 // -policy/-attempts flags). With no override each substrate keeps its own
 // default: speculate.Fixed(0) for the real runtime, simspec.DefaultPolicy
-// (which honors PTO_SIM_POLICY) for the simulator.
+// for the simulator. Nothing in the environment changes either, so a
+// modeled figure depends only on the build and the flags.
 
 var (
 	basePol speculate.Policy

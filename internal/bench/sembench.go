@@ -2,9 +2,6 @@ package bench
 
 import (
 	"runtime"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/hashtable"
 	"repro/internal/semtx"
@@ -78,75 +75,52 @@ func measureA9(threads, txnsPer int, semantic bool) (tput, wordAborts, semRetrie
 	sm := semtx.New(m, r).WithTelemetry(open)
 	before := reg.Site(siteName).Snapshot()
 
-	var wg sync.WaitGroup
-	var ready, start sync.WaitGroup
-	ready.Add(threads)
-	start.Add(1)
-	var total atomic.Int64
-	for g := 0; g < threads; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rnd := uint64(g)*0x9E3779B97F4A7C15 + 1
-			next := func() uint64 {
-				rnd ^= rnd << 13
-				rnd ^= rnd >> 7
-				rnd ^= rnd << 17
-				return rnd
-			}
-			ready.Done()
-			start.Wait()
-			for i := 0; i < txnsPer; i++ {
-				if semantic {
-					sm.Run(func(tx *semtx.Tx[*txn.Ctx, int64]) error {
-						for j := 0; j < a9Reads; j++ {
-							tx.Get("hot", int64(next()%a9Keys))
-							rnd ^= a9Spin(rnd)
-						}
-						for j := 0; j < a9Writes; j++ {
-							k := int64(next() % a9Keys)
-							if next()&1 == 0 {
-								tx.Put("hot", k)
-							} else {
-								tx.Delete("hot", k)
-							}
-							rnd ^= a9Spin(rnd)
-						}
-						return nil
-					})
-				} else {
-					m.Atomic(func(c *txn.Ctx) {
-						for j := 0; j < a9Reads; j++ {
-							h.TxContains(c, int64(next()%a9Keys))
-							rnd ^= a9Spin(rnd)
-						}
-						for j := 0; j < a9Writes; j++ {
-							k := int64(next() % a9Keys)
-							if next()&1 == 0 {
-								h.TxInsert(c, k)
-							} else {
-								h.TxRemove(c, k)
-							}
-							rnd ^= a9Spin(rnd)
-						}
-					})
+	w := &wallRun{threads: threads, ops: txnsPer}
+	tput = w.run(func(_ int, rnd uint64) int64 {
+		next := func() uint64 {
+			rnd ^= rnd << 13
+			rnd ^= rnd >> 7
+			rnd ^= rnd << 17
+			return rnd
+		}
+		if semantic {
+			sm.Run(func(tx *semtx.Tx[*txn.Ctx, int64]) error {
+				for j := 0; j < a9Reads; j++ {
+					tx.Get("hot", int64(next()%a9Keys))
+					rnd ^= a9Spin(rnd)
 				}
-			}
-			total.Add(int64(txnsPer))
-		}(g)
-	}
-	ready.Wait()
-	begin := time.Now()
-	start.Done()
-	wg.Wait()
-	elapsed := time.Since(begin)
-	if elapsed <= 0 {
-		elapsed = time.Nanosecond
-	}
-
-	txns := float64(total.Load())
+				for j := 0; j < a9Writes; j++ {
+					k := int64(next() % a9Keys)
+					if next()&1 == 0 {
+						tx.Put("hot", k)
+					} else {
+						tx.Delete("hot", k)
+					}
+					rnd ^= a9Spin(rnd)
+				}
+				return nil
+			})
+		} else {
+			m.Atomic(func(c *txn.Ctx) {
+				for j := 0; j < a9Reads; j++ {
+					h.TxContains(c, int64(next()%a9Keys))
+					rnd ^= a9Spin(rnd)
+				}
+				for j := 0; j < a9Writes; j++ {
+					k := int64(next() % a9Keys)
+					if next()&1 == 0 {
+						h.TxInsert(c, k)
+					} else {
+						h.TxRemove(c, k)
+					}
+					rnd ^= a9Spin(rnd)
+				}
+			})
+		}
+		return 1
+	})
+	txns := float64(threads * txnsPer)
 	delta := reg.Site(siteName).Snapshot().Delta(before)
-	tput = txns / (float64(elapsed.Nanoseconds()) / 1e6)
 	wordAborts = float64(delta.Conflicts) / txns * 1000
 	semRetries = float64(open.SemRetries.Load()) / txns * 1000
 	return

@@ -3,8 +3,6 @@ package bench
 import (
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/htm"
@@ -42,9 +40,10 @@ import (
 // claim under test is that helping turns the adversary's wasted retries
 // into finished operations without costing the speculators theirs. The
 // modeled arms are deterministic; the wall-clock arms vary with the host
-// (emitted like A7, only under -ablations or by ID). The three-path series
-// names carry the helped-descriptor totals ("helped_descs=N") as the
-// middle-path witness: N > 0 proves the helping tier actually ran.
+// (emitted, like A6 and A9, only under -ablations or by ID). The
+// three-path series names carry the helped-descriptor totals
+// ("helped_descs=N") as the middle-path witness: N > 0 proves the helping
+// tier actually ran.
 const (
 	a10HotKeys = 8
 	// a10WallWindow is the wall-clock measurement window per point at scale
@@ -197,11 +196,6 @@ func scaledWall(scale float64) time.Duration {
 // millisecond across all threads, plus the helped-descriptor count when the
 // middle tier is on.
 func measureOccupiedReal(threads int, window time.Duration, middle bool) (float64, uint64) {
-	tput, helped, _ := measureOccupiedRealReg(threads, window, middle)
-	return tput, helped
-}
-
-func measureOccupiedRealReg(threads int, window time.Duration, middle bool) (float64, uint64, *telemetry.Registry) {
 	const prefill = a10HotKeys
 	// Small fast budget in BOTH arms: under the adversary the fast level
 	// mostly defer-aborts (three-path) or kills (two-path), so a long fast
@@ -214,13 +208,13 @@ func measureOccupiedRealReg(threads int, window time.Duration, middle bool) (flo
 	if middle {
 		spec.WithMiddle(0, 0)
 	}
-	var stop atomic.Bool
+	w := &wallRun{threads: threads, window: window}
 	adv := txn.NewIn(d, 0).ForceFallback(true).FallbackPark(func() {
 		// A few yields, not one: the window must span enough scheduler
 		// slots for a speculator to actually run inside it. Once the
 		// measurement ends the window closes immediately, so an adversary
 		// whose publications keep getting killed still drains and exits.
-		for i := 0; i < 8 && !stop.Load(); i++ {
+		for i := 0; i < 8 && !w.stop.Load(); i++ {
 			runtime.Gosched()
 		}
 	})
@@ -233,61 +227,33 @@ func measureOccupiedRealReg(threads int, window time.Duration, middle bool) (flo
 		hot = append(hot, kk)
 	}
 
-	var total atomic.Int64
-	var wg sync.WaitGroup
-	var ready, start sync.WaitGroup
-	ready.Add(threads)
-	start.Add(1)
-	for g := 0; g < threads; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rnd := uint64(g)*0x9E3779B97F4A7C15 + 1
-			ready.Done()
-			start.Wait()
-			n := int64(0)
-			for !stop.Load() {
-				rnd ^= rnd << 13
-				rnd ^= rnd >> 7
-				rnd ^= rnd << 17
-				if g == 0 {
-					// The adversary publishes WIDE: one MultiCAS over every
-					// hot key it can move. A killed publication therefore
-					// wastes a whole batch's capture and claim work, and a
-					// helped one completes a whole batch — the contrast the
-					// ablation measures. Completed Moves count per key.
-					if rnd&(1<<40) != 0 {
-						n += int64(txn.MoveAll(adv, src, dst, hot...))
-					} else {
-						n += int64(txn.MoveAll(adv, dst, src, hot...))
-					}
-				} else {
-					k := int64(rnd%a10HotKeys) + 1
-					if rnd&(1<<40) != 0 {
-						txn.Move(spec, src, dst, k)
-					} else {
-						txn.Move(spec, dst, src, k)
-					}
-					n++
-				}
-				runtime.Gosched()
+	tput := w.run(func(g int, rnd uint64) int64 {
+		n := int64(1)
+		if g == 0 {
+			// The adversary publishes WIDE: one MultiCAS over every hot
+			// key it can move. A killed publication therefore wastes a
+			// whole batch's capture and claim work, and a helped one
+			// completes a whole batch — the contrast the ablation
+			// measures. Completed Moves count per key.
+			if rnd&(1<<40) != 0 {
+				n = int64(txn.MoveAll(adv, src, dst, hot...))
+			} else {
+				n = int64(txn.MoveAll(adv, dst, src, hot...))
 			}
-			total.Add(n)
-		}(g)
-	}
-	ready.Wait()
-	begin := time.Now()
-	start.Done()
-	time.Sleep(window)
-	stop.Store(true)
-	wg.Wait()
-	elapsed := time.Since(begin)
-	if elapsed <= 0 {
-		elapsed = time.Nanosecond
-	}
+		} else {
+			k := int64(rnd%a10HotKeys) + 1
+			if rnd&(1<<40) != 0 {
+				txn.Move(spec, src, dst, k)
+			} else {
+				txn.Move(spec, dst, src, k)
+			}
+		}
+		runtime.Gosched()
+		return n
+	})
 	var helped uint64
 	if middle {
 		helped = reg.Site("txn/atomic/middle").Snapshot().Helped
 	}
-	return float64(total.Load()) / (float64(elapsed.Nanoseconds()) / 1e6), helped, reg
+	return tput, helped
 }

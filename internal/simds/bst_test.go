@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/speculate"
 )
 
 func bstKinds() map[string]BSTKind {
@@ -49,45 +50,47 @@ func TestSimBSTSingleThread(t *testing.T) {
 }
 
 func TestSimBSTConcurrentBalance(t *testing.T) {
-	for name, kind := range bstKinds() {
-		m := sim.New(sim.DefaultConfig(8))
-		b := NewSimBST(m.Thread(0), kind, false, 8)
-		const keys = 64
-		var ins, rem [8][keys]int
-		m.Run(func(t *sim.Thread) {
-			for i := 0; i < 150; i++ {
-				k := t.Rand() % keys
-				switch t.Rand() % 3 {
-				case 0:
-					if b.Insert(t, k+1) {
-						ins[t.ID()][k]++
+	forPolicies(t, func(t *testing.T, pol speculate.Policy) {
+		for name, kind := range bstKinds() {
+			m := sim.New(sim.DefaultConfig(8))
+			b := NewSimBST(m.Thread(0), kind, false, 8).WithPolicy(pol)
+			const keys = 64
+			var ins, rem [8][keys]int
+			m.Run(func(t *sim.Thread) {
+				for i := 0; i < 150; i++ {
+					k := t.Rand() % keys
+					switch t.Rand() % 3 {
+					case 0:
+						if b.Insert(t, k+1) {
+							ins[t.ID()][k]++
+						}
+					case 1:
+						if b.Remove(t, k+1) {
+							rem[t.ID()][k]++
+						}
+					default:
+						b.Contains(t, k+1)
 					}
-				case 1:
-					if b.Remove(t, k+1) {
-						rem[t.ID()][k]++
-					}
-				default:
-					b.Contains(t, k+1)
+				}
+			})
+			setup := m.Thread(0)
+			for k := 0; k < keys; k++ {
+				bal := 0
+				for tid := 0; tid < 8; tid++ {
+					bal += ins[tid][k] - rem[tid][k]
+				}
+				if bal != 0 && bal != 1 {
+					t.Fatalf("%s: key %d balance %d", name, k, bal)
+				}
+				if (bal == 1) != setupContains(setup, b, uint64(k+1)) {
+					t.Fatalf("%s: key %d presence disagrees with balance %d", name, k, bal)
 				}
 			}
-		})
-		setup := m.Thread(0)
-		for k := 0; k < keys; k++ {
-			bal := 0
-			for tid := 0; tid < 8; tid++ {
-				bal += ins[tid][k] - rem[tid][k]
-			}
-			if bal != 0 && bal != 1 {
-				t.Fatalf("%s: key %d balance %d", name, k, bal)
-			}
-			if (bal == 1) != setupContains(setup, b, uint64(k+1)) {
-				t.Fatalf("%s: key %d presence disagrees with balance %d", name, k, bal)
+			if kind != BSTLockfree && m.Stats().TxCommits == 0 {
+				t.Errorf("%s: no transaction ever committed", name)
 			}
 		}
-		if kind != BSTLockfree && m.Stats().TxCommits == 0 {
-			t.Errorf("%s: no transaction ever committed", name)
-		}
-	}
+	})
 }
 
 // setupContains checks membership via the quiescent traversal (the Contains

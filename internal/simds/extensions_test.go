@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/speculate"
 )
 
 func TestSimListSingleThread(t *testing.T) {
@@ -35,46 +36,48 @@ func TestSimListSingleThread(t *testing.T) {
 }
 
 func TestSimListConcurrentBalance(t *testing.T) {
-	for _, pto := range []bool{false, true} {
-		m := sim.New(sim.DefaultConfig(8))
-		l := NewSimList(m.Thread(0), pto, 8)
-		const keys = 32
-		var ins, rem [8][keys]int
-		m.Run(func(t *sim.Thread) {
-			for i := 0; i < 120; i++ {
-				x := t.Rand()
-				k := x % keys
-				if x>>8&1 == 0 {
-					if l.Insert(t, k+1) {
-						ins[t.ID()][k]++
-					}
-				} else {
-					if l.Remove(t, k+1) {
-						rem[t.ID()][k]++
+	forPolicies(t, func(t *testing.T, pol speculate.Policy) {
+		for _, pto := range []bool{false, true} {
+			m := sim.New(sim.DefaultConfig(8))
+			l := NewSimList(m.Thread(0), pto, 8).WithPolicy(pol)
+			const keys = 32
+			var ins, rem [8][keys]int
+			m.Run(func(t *sim.Thread) {
+				for i := 0; i < 120; i++ {
+					x := t.Rand()
+					k := x % keys
+					if x>>8&1 == 0 {
+						if l.Insert(t, k+1) {
+							ins[t.ID()][k]++
+						}
+					} else {
+						if l.Remove(t, k+1) {
+							rem[t.ID()][k]++
+						}
 					}
 				}
+			})
+			present := map[uint64]bool{}
+			for _, k := range l.Keys(m.Thread(0)) {
+				present[k] = true
 			}
-		})
-		present := map[uint64]bool{}
-		for _, k := range l.Keys(m.Thread(0)) {
-			present[k] = true
+			for k := 0; k < keys; k++ {
+				bal := 0
+				for tid := 0; tid < 8; tid++ {
+					bal += ins[tid][k] - rem[tid][k]
+				}
+				if bal != 0 && bal != 1 {
+					t.Fatalf("pto=%v: key %d balance %d", pto, k, bal)
+				}
+				if (bal == 1) != present[uint64(k+1)] {
+					t.Fatalf("pto=%v: key %d presence disagrees with balance", pto, k)
+				}
+			}
+			if pto && m.Stats().TxCommits == 0 {
+				t.Error("pto list never committed a transaction")
+			}
 		}
-		for k := 0; k < keys; k++ {
-			bal := 0
-			for tid := 0; tid < 8; tid++ {
-				bal += ins[tid][k] - rem[tid][k]
-			}
-			if bal != 0 && bal != 1 {
-				t.Fatalf("pto=%v: key %d balance %d", pto, k, bal)
-			}
-			if (bal == 1) != present[uint64(k+1)] {
-				t.Fatalf("pto=%v: key %d presence disagrees with balance", pto, k)
-			}
-		}
-		if pto && m.Stats().TxCommits == 0 {
-			t.Error("pto list never committed a transaction")
-		}
-	}
+	})
 }
 
 func TestLinearizableSimList(t *testing.T) {
@@ -137,42 +140,44 @@ func TestSimMSQueueFIFO(t *testing.T) {
 }
 
 func TestSimMSQueueConcurrentConservation(t *testing.T) {
-	for _, pto := range []bool{false, true} {
-		m := sim.New(sim.DefaultConfig(8))
-		q := NewSimMSQueue(m.Thread(0), pto)
-		var deq [8][]uint64
-		const per = 80
-		m.Run(func(t *sim.Thread) {
-			for i := 0; i < per; i++ {
-				q.Enqueue(t, uint64(t.ID()*per+i))
-				if i%2 == 1 {
-					if v, ok := q.Dequeue(t); ok {
-						deq[t.ID()] = append(deq[t.ID()], v)
+	forPolicies(t, func(t *testing.T, pol speculate.Policy) {
+		for _, pto := range []bool{false, true} {
+			m := sim.New(sim.DefaultConfig(8))
+			q := NewSimMSQueue(m.Thread(0), pto).WithPolicy(pol)
+			var deq [8][]uint64
+			const per = 80
+			m.Run(func(t *sim.Thread) {
+				for i := 0; i < per; i++ {
+					q.Enqueue(t, uint64(t.ID()*per+i))
+					if i%2 == 1 {
+						if v, ok := q.Dequeue(t); ok {
+							deq[t.ID()] = append(deq[t.ID()], v)
+						}
 					}
 				}
+			})
+			seen := map[uint64]int{}
+			total := 0
+			for _, vs := range deq {
+				for _, v := range vs {
+					seen[v]++
+					total++
+				}
 			}
-		})
-		seen := map[uint64]int{}
-		total := 0
-		for _, vs := range deq {
-			for _, v := range vs {
+			for _, v := range q.Drain(m.Thread(0)) {
 				seen[v]++
 				total++
 			}
-		}
-		for _, v := range q.Drain(m.Thread(0)) {
-			seen[v]++
-			total++
-		}
-		if total != 8*per {
-			t.Fatalf("pto=%v: %d values, want %d", pto, total, 8*per)
-		}
-		for v, c := range seen {
-			if c != 1 {
-				t.Fatalf("pto=%v: value %d seen %d times", pto, v, c)
+			if total != 8*per {
+				t.Fatalf("pto=%v: %d values, want %d", pto, total, 8*per)
+			}
+			for v, c := range seen {
+				if c != 1 {
+					t.Fatalf("pto=%v: value %d seen %d times", pto, v, c)
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestSimMSQueuePerProducerOrder drains with one thread and checks each

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/speculate"
 )
 
 func hashKinds() map[string]HashKind {
@@ -73,52 +74,54 @@ func TestSimHashGrowth(t *testing.T) {
 }
 
 func TestSimHashConcurrentBalance(t *testing.T) {
-	for name, kind := range hashKinds() {
-		m := sim.New(sim.DefaultConfig(8))
-		h := NewSimHash(m.Thread(0), kind, 8, 8)
-		const keys = 128
-		var ins, rem [8][keys]int
-		m.Run(func(t *sim.Thread) {
-			for i := 0; i < 150; i++ {
-				k := t.Rand() % keys
-				switch t.Rand() % 3 {
-				case 0:
-					if h.Insert(t, k+1) {
-						ins[t.ID()][k]++
+	forPolicies(t, func(t *testing.T, pol speculate.Policy) {
+		for name, kind := range hashKinds() {
+			m := sim.New(sim.DefaultConfig(8))
+			h := NewSimHash(m.Thread(0), kind, 8, 8).WithPolicy(pol)
+			const keys = 128
+			var ins, rem [8][keys]int
+			m.Run(func(t *sim.Thread) {
+				for i := 0; i < 150; i++ {
+					k := t.Rand() % keys
+					switch t.Rand() % 3 {
+					case 0:
+						if h.Insert(t, k+1) {
+							ins[t.ID()][k]++
+						}
+					case 1:
+						if h.Remove(t, k+1) {
+							rem[t.ID()][k]++
+						}
+					default:
+						h.Contains(t, k+1)
 					}
-				case 1:
-					if h.Remove(t, k+1) {
-						rem[t.ID()][k]++
-					}
-				default:
-					h.Contains(t, k+1)
+				}
+			})
+			setup := m.Thread(0)
+			present := make(map[uint64]bool)
+			for _, k := range h.Keys(setup) {
+				if present[k] {
+					t.Fatalf("%s: key %d present twice", name, k)
+				}
+				present[k] = true
+			}
+			for k := 0; k < keys; k++ {
+				bal := 0
+				for tid := 0; tid < 8; tid++ {
+					bal += ins[tid][k] - rem[tid][k]
+				}
+				if bal != 0 && bal != 1 {
+					t.Fatalf("%s: key %d balance %d", name, k, bal)
+				}
+				if (bal == 1) != present[uint64(k+1)] {
+					t.Fatalf("%s: key %d presence disagrees with balance %d", name, k, bal)
 				}
 			}
-		})
-		setup := m.Thread(0)
-		present := make(map[uint64]bool)
-		for _, k := range h.Keys(setup) {
-			if present[k] {
-				t.Fatalf("%s: key %d present twice", name, k)
-			}
-			present[k] = true
-		}
-		for k := 0; k < keys; k++ {
-			bal := 0
-			for tid := 0; tid < 8; tid++ {
-				bal += ins[tid][k] - rem[tid][k]
-			}
-			if bal != 0 && bal != 1 {
-				t.Fatalf("%s: key %d balance %d", name, k, bal)
-			}
-			if (bal == 1) != present[uint64(k+1)] {
-				t.Fatalf("%s: key %d presence disagrees with balance %d", name, k, bal)
+			if kind != HashLF && m.Stats().TxCommits == 0 {
+				t.Errorf("%s: no transaction ever committed", name)
 			}
 		}
-		if kind != HashLF && m.Stats().TxCommits == 0 {
-			t.Errorf("%s: no transaction ever committed", name)
-		}
-	}
+	})
 }
 
 func TestSimHashInplaceAvoidsAllocation(t *testing.T) {

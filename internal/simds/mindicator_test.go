@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/speculate"
 )
 
 func mindKinds() map[string]MindKind {
@@ -42,23 +43,25 @@ func TestSimMindicatorSingleThread(t *testing.T) {
 }
 
 func TestSimMindicatorConcurrentQuiescent(t *testing.T) {
-	for name, kind := range mindKinds() {
-		m := sim.New(sim.DefaultConfig(8))
-		setup := m.Thread(0)
-		mi := NewMindicator(setup, kind, 64)
-		m.Run(func(t *sim.Thread) {
-			for i := 0; i < 50; i++ {
-				mi.Arrive(t, t.ID(), int32(t.Rand()%1000))
-				mi.Depart(t, t.ID())
+	forPolicies(t, func(t *testing.T, pol speculate.Policy) {
+		for name, kind := range mindKinds() {
+			m := sim.New(sim.DefaultConfig(8))
+			setup := m.Thread(0)
+			mi := NewMindicator(setup, kind, 64).WithPolicy(pol)
+			m.Run(func(t *sim.Thread) {
+				for i := 0; i < 50; i++ {
+					mi.Arrive(t, t.ID(), int32(t.Rand()%1000))
+					mi.Depart(t, t.ID())
+				}
+			})
+			if got := mi.Query(setup); got != mindInf {
+				t.Errorf("%s: root = %x after all departs, want inf", name, got)
 			}
-		})
-		if got := mi.Query(setup); got != mindInf {
-			t.Errorf("%s: root = %x after all departs, want inf", name, got)
+			if kind == MindPTO && m.Stats().TxCommits == 0 {
+				t.Errorf("%s: no transaction ever committed", name)
+			}
 		}
-		if kind == MindPTO && m.Stats().TxCommits == 0 {
-			t.Errorf("%s: no transaction ever committed", name)
-		}
-	}
+	})
 }
 
 func TestSimMindicatorConcurrentMinVisible(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/speculate"
 )
 
 func simMounds(t *sim.Thread) map[string]*SimMound {
@@ -39,45 +40,47 @@ func TestSimMoundSingleThread(t *testing.T) {
 }
 
 func TestSimMoundConcurrentConservation(t *testing.T) {
-	for _, pto := range []bool{false, true} {
-		m := sim.New(sim.DefaultConfig(8))
-		q := NewSimMound(m.Thread(0), pto, false, 12)
-		const per = 60
-		var popped [8][]uint64
-		m.Run(func(t *sim.Thread) {
-			for i := 0; i < per; i++ {
-				q.Insert(t, uint64(t.ID()*per+i))
-				if i%2 == 1 {
-					if v, ok := q.RemoveMin(t); ok {
-						popped[t.ID()] = append(popped[t.ID()], v)
+	forPolicies(t, func(t *testing.T, pol speculate.Policy) {
+		for _, pto := range []bool{false, true} {
+			m := sim.New(sim.DefaultConfig(8))
+			q := NewSimMound(m.Thread(0), pto, false, 12).WithPolicy(pol)
+			const per = 60
+			var popped [8][]uint64
+			m.Run(func(t *sim.Thread) {
+				for i := 0; i < per; i++ {
+					q.Insert(t, uint64(t.ID()*per+i))
+					if i%2 == 1 {
+						if v, ok := q.RemoveMin(t); ok {
+							popped[t.ID()] = append(popped[t.ID()], v)
+						}
 					}
 				}
+			})
+			seen := make(map[uint64]int)
+			total := 0
+			for _, vs := range popped {
+				for _, v := range vs {
+					seen[v]++
+					total++
+				}
 			}
-		})
-		seen := make(map[uint64]int)
-		total := 0
-		for _, vs := range popped {
-			for _, v := range vs {
+			for _, v := range q.Drain(m.Thread(0)) {
 				seen[v]++
 				total++
 			}
-		}
-		for _, v := range q.Drain(m.Thread(0)) {
-			seen[v]++
-			total++
-		}
-		if total != 8*per {
-			t.Fatalf("pto=%v: popped+drained %d values, want %d", pto, total, 8*per)
-		}
-		for v, c := range seen {
-			if c != 1 {
-				t.Fatalf("pto=%v: value %d seen %d times", pto, v, c)
+			if total != 8*per {
+				t.Fatalf("pto=%v: popped+drained %d values, want %d", pto, total, 8*per)
+			}
+			for v, c := range seen {
+				if c != 1 {
+					t.Fatalf("pto=%v: value %d seen %d times", pto, v, c)
+				}
+			}
+			if pto && m.Stats().TxCommits == 0 {
+				t.Error("pto mound never committed a transaction")
 			}
 		}
-		if pto && m.Stats().TxCommits == 0 {
-			t.Error("pto mound never committed a transaction")
-		}
-	}
+	})
 }
 
 func TestSimMoundQuiescentOrdering(t *testing.T) {

@@ -27,9 +27,6 @@
 package simspec
 
 import (
-	"os"
-	"sync"
-
 	"repro/internal/sim"
 	"repro/internal/speculate"
 )
@@ -51,25 +48,12 @@ const (
 // maxThreads mirrors the simulator's hardware thread limit.
 const maxThreads = 16
 
-var defaultPolicyOnce = sync.OnceValue(func() speculate.Policy {
-	switch os.Getenv("PTO_SIM_POLICY") {
-	case "adaptive":
-		return speculate.Adaptive()
-	case "fixed":
-		return speculate.Fixed(0)
-	}
-	return speculate.Policy{Backoff: true, Adapt: true}
-})
-
 // DefaultPolicy is the simulator structures' default tuning: jittered
 // exponential backoff after conflict aborts plus per-thread adaptive
 // disabling — the successor of the hand-rolled retryBackoff helpers and
-// the per-thread throttle the structures used to carry. The environment
-// variable PTO_SIM_POLICY overrides it process-wide ("adaptive" selects
-// speculate.Adaptive(), "fixed" selects speculate.Fixed(0)); CI uses that
-// hook to run the whole simds suite under the adaptive policy without a
-// second copy of every test.
-func DefaultPolicy() speculate.Policy { return defaultPolicyOnce() }
+// the per-thread throttle the structures used to carry. Tests that cover
+// the structures under another policy take it as table input.
+func DefaultPolicy() speculate.Policy { return speculate.Policy{Backoff: true, Adapt: true} }
 
 // Site is one named speculation call site on the simulated machine: a
 // speculate.Site with one lane per hardware thread, plus the modeled cycles

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/simspec"
+	"repro/internal/speculate"
 )
 
 // mcasOn is the test driver for one modeled MultiCAS over the given
@@ -48,8 +50,23 @@ func TestMCASBasic(t *testing.T) {
 // TestMCASConservation hammers overlapping two-word transfers from every
 // thread: each success moves one unit between two of eight counters, so the
 // total is conserved exactly iff each MultiCAS was atomic and helping never
-// double-applied or lost an update.
+// double-applied or lost an update. Odd threads make their transfers
+// through a speculating manager under the policy at hand, so fast-path
+// commits (and the fallbacks a crowded fast path falls to) meet the raw
+// descriptors of the even threads.
 func TestMCASConservation(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		pol  speculate.Policy
+	}{
+		{"default", simspec.DefaultPolicy()},
+		{"adaptive", speculate.Adaptive()},
+	} {
+		t.Run(c.name, func(t *testing.T) { checkMCASConservation(t, c.pol) })
+	}
+}
+
+func checkMCASConservation(t *testing.T, pol speculate.Policy) {
 	const threads = 8
 	const words = 8
 	const opsPer = 300
@@ -61,6 +78,7 @@ func TestMCASConservation(t *testing.T) {
 	for i := 0; i < words; i++ {
 		setup.Store(base+sim.Addr(i), initVal)
 	}
+	mgr := New(0).WithPolicy(pol)
 	m.Run(func(th *sim.Thread) {
 		for i := 0; i < opsPer; i++ {
 			x := th.Rand()
@@ -68,6 +86,13 @@ func TestMCASConservation(t *testing.T) {
 			bi := sim.Addr(x >> 8 % words)
 			if ai == bi {
 				bi = (bi + 1) % words
+			}
+			if th.ID()%2 == 1 {
+				mgr.Atomic(th, func(c *Ctx) {
+					c.Write(base+ai, c.Read(base+ai)+1)
+					c.Write(base+bi, c.Read(base+bi)-1)
+				})
+				continue
 			}
 			for {
 				av := resolve(th, base+ai)
@@ -91,6 +116,9 @@ func TestMCASConservation(t *testing.T) {
 	}
 	if sum != words*initVal {
 		t.Errorf("total drifted: got %d, want %d", sum, words*initVal)
+	}
+	if m.Stats().TxCommits == 0 {
+		t.Error("no transfer committed on the fast path")
 	}
 }
 
