@@ -122,42 +122,69 @@ func (t *PTOTree) newInternal(key int64, left, right *pnode) *pnode {
 	return n
 }
 
-// search descends to key's leaf using the given transaction context (nil for
-// the direct path). Update fields are read before the child pointers, as in
-// the original algorithm.
-func (t *PTOTree) search(tx *htm.Tx, key int64) (gp, p, l *pnode, pupd, gpupd *pupdate) {
+// search descends to key's leaf on the direct path. Update fields are read
+// before the child pointers, as in the original algorithm.
+func (t *PTOTree) search(key int64) (gp, p, l *pnode, pupd, gpupd *pupdate) {
 	p = t.root
-	pupd = htm.Load(tx, &p.update)
-	l = htm.Load(tx, &p.left)
+	pupd = htm.Load(nil, &p.update)
+	l = htm.Load(nil, &p.left)
 	for !l.leaf {
 		gp, gpupd = p, pupd
 		p = l
-		pupd = htm.Load(tx, &p.update)
-		if key < p.key {
-			l = htm.Load(tx, &p.left)
-		} else {
-			l = htm.Load(tx, &p.right)
-		}
+		pupd = htm.Load(nil, &p.update)
+		l = htm.Load(nil, childVar(p, key))
 	}
 	return
 }
 
+// descend is search inside a transaction. The transaction's reads form one
+// snapshot, so the per-node update reads that pair each child with its
+// parent's state are the double-checks stage 2 removes: descend reads child
+// links only, and the caller loads the update words its answer needs, once,
+// at the end (the twin's searchTx).
+func (t *PTOTree) descend(tx *htm.Tx, key int64) (gp, p, l *pnode) {
+	p = t.root
+	l = htm.Load(tx, &p.left)
+	for !l.leaf {
+		gp, p = p, l
+		l = htm.Load(tx, childVar(p, key))
+	}
+	return
+}
+
+// childVar returns the child slot of p the search for key descends through.
+func childVar(p *pnode, key int64) *htm.Var[*pnode] {
+	if key < p.key {
+		return &p.left
+	}
+	return &p.right
+}
+
+// siblingVar returns p's other child slot.
+func siblingVar(p *pnode, key int64) *htm.Var[*pnode] {
+	if key < p.key {
+		return &p.right
+	}
+	return &p.left
+}
+
 // Contains reports whether key is in the set. PTO1 runs the whole lookup in
-// a read-only transaction (eliding the double-checks the original needs);
-// on abort it falls back to the plain wait-free traversal.
+// a read-only transaction (eliding the double-checks the original needs, and
+// reading no update word: the leaf alone is the answer); on abort it falls
+// back to the plain wait-free traversal.
 func (t *PTOTree) Contains(key int64) bool {
 	r := t.conSite.Begin(t.domain)
 	for r.Next(0) {
 		var found bool
 		if r.Try(func(tx *htm.Tx) {
-			_, _, l, _, _ := t.search(tx, key)
+			_, _, l := t.descend(tx, key)
 			found = l.key == key
 		}) == htm.Committed {
 			return found
 		}
 	}
 	r.Fallback()
-	_, _, l, _, _ := t.search(nil, key)
+	_, _, l, _, _ := t.search(key)
 	return l.key == key
 }
 
@@ -174,15 +201,6 @@ func (t *PTOTree) buildInsert(key int64, l *pnode) *pnode {
 	return t.newInternal(max(key, l.key), left, right)
 }
 
-// storeChild stores new into whichever child slot of parent holds old.
-func storeChild(tx *htm.Tx, parent, old, new *pnode) {
-	if htm.Load(tx, &parent.left) == old {
-		htm.Store(tx, &parent.left, new)
-	} else {
-		htm.Store(tx, &parent.right, new)
-	}
-}
-
 // Insert adds key, reporting false if already present.
 func (t *PTOTree) Insert(key int64) bool {
 	if key > MaxKey {
@@ -193,16 +211,16 @@ func (t *PTOTree) Insert(key int64) bool {
 	for r.Next(0) {
 		var result bool
 		if r.Try(func(tx *htm.Tx) {
-			_, p, l, pu, _ := t.search(tx, key)
+			_, p, l := t.descend(tx, key)
 			if l.key == key {
 				result = false
 				return
 			}
-			if pu.state != stateClean {
+			if htm.Load(tx, &p.update).state != stateClean {
 				tx.Abort(abortWouldHelp)
 			}
 			ni := t.buildInsert(key, l)
-			storeChild(tx, p, l, ni)
+			htm.Store(tx, childVar(p, key), ni)
 			// Refresh the update box: no descriptor, state stays clean, but
 			// the new identity preserves the "children change ⇒ update
 			// changes" invariant the fallback protocol validates against.
@@ -214,7 +232,7 @@ func (t *PTOTree) Insert(key int64) bool {
 	}
 	// PTO2: non-transactional search, transactional update phase.
 	for r.Next(1) {
-		_, p, l, pupd, _ := t.search(nil, key)
+		_, p, l, pupd, _ := t.search(key)
 		if l.key == key {
 			return false
 		}
@@ -227,16 +245,11 @@ func (t *PTOTree) Insert(key int64) bool {
 			if htm.Load(tx, &p.update) != pupd {
 				tx.Abort(abortWouldHelp)
 			}
-			var cur *pnode
-			if key < p.key {
-				cur = htm.Load(tx, &p.left)
-			} else {
-				cur = htm.Load(tx, &p.right)
-			}
-			if cur != l {
+			cv := childVar(p, key)
+			if htm.Load(tx, cv) != l {
 				tx.Abort(abortWouldHelp)
 			}
-			storeChild(tx, p, l, ni)
+			htm.Store(tx, cv, ni)
 			htm.Store(tx, &p.update, &pupdate{state: stateClean})
 		}) == htm.Committed {
 			return true
@@ -256,15 +269,15 @@ func (t *PTOTree) Remove(key int64) bool {
 	for r.Next(0) {
 		var result bool
 		if r.Try(func(tx *htm.Tx) {
-			gp, p, l, pu, gpu := t.search(tx, key)
+			gp, p, l := t.descend(tx, key)
 			if l.key != key {
 				result = false
 				return
 			}
-			if gpu.state != stateClean || pu.state != stateClean {
+			if htm.Load(tx, &gp.update).state != stateClean || htm.Load(tx, &p.update).state != stateClean {
 				tx.Abort(abortWouldHelp)
 			}
-			t.txSplice(tx, gp, p, l)
+			t.txSplice(tx, gp, p, key)
 			result = true
 		}) == htm.Committed {
 			return result
@@ -272,7 +285,7 @@ func (t *PTOTree) Remove(key int64) bool {
 	}
 	// PTO2: non-transactional search, transactional update phase.
 	for r.Next(1) {
-		gp, p, l, pupd, gpupd := t.search(nil, key)
+		gp, p, l, pupd, gpupd := t.search(key)
 		if l.key != key {
 			return false
 		}
@@ -284,25 +297,10 @@ func (t *PTOTree) Remove(key int64) bool {
 			if htm.Load(tx, &gp.update) != gpupd || htm.Load(tx, &p.update) != pupd {
 				tx.Abort(abortWouldHelp)
 			}
-			var curP *pnode
-			if key < gp.key {
-				curP = htm.Load(tx, &gp.left)
-			} else {
-				curP = htm.Load(tx, &gp.right)
-			}
-			if curP != p {
+			if htm.Load(tx, childVar(gp, key)) != p || htm.Load(tx, childVar(p, key)) != l {
 				tx.Abort(abortWouldHelp)
 			}
-			var curL *pnode
-			if key < p.key {
-				curL = htm.Load(tx, &p.left)
-			} else {
-				curL = htm.Load(tx, &p.right)
-			}
-			if curL != l {
-				tx.Abort(abortWouldHelp)
-			}
-			t.txSplice(tx, gp, p, l)
+			t.txSplice(tx, gp, p, key)
 		})
 		if st == htm.Committed {
 			return true
@@ -312,18 +310,14 @@ func (t *PTOTree) Remove(key int64) bool {
 	return t.removeFallback(key)
 }
 
-// txSplice performs the entire removal inside a transaction: mark p with the
-// static dummy descriptor, swing gp's child to l's sibling, and refresh gp's
+// txSplice performs the entire removal inside a transaction whose search
+// for key led through gp and p to a leaf: mark p with the static dummy
+// descriptor, swing gp's child to the leaf's sibling, and refresh gp's
 // update box.
-func (t *PTOTree) txSplice(tx *htm.Tx, gp, p, l *pnode) {
-	var other *pnode
-	if htm.Load(tx, &p.right) == l {
-		other = htm.Load(tx, &p.left)
-	} else {
-		other = htm.Load(tx, &p.right)
-	}
+func (t *PTOTree) txSplice(tx *htm.Tx, gp, p *pnode, key int64) {
+	other := htm.Load(tx, siblingVar(p, key))
 	htm.Store(tx, &p.update, &pupdate{state: stateMark, info: dummyInfo})
-	storeChild(tx, gp, p, other)
+	htm.Store(tx, childVar(gp, key), other)
 	htm.Store(tx, &gp.update, &pupdate{state: stateClean})
 }
 
@@ -332,7 +326,7 @@ func (t *PTOTree) txSplice(tx *htm.Tx, gp, p, l *pnode) {
 
 func (t *PTOTree) insertFallback(key int64) bool {
 	for {
-		_, p, l, pupd, _ := t.search(nil, key)
+		_, p, l, pupd, _ := t.search(key)
 		if l.key == key {
 			return false
 		}
@@ -353,7 +347,7 @@ func (t *PTOTree) insertFallback(key int64) bool {
 
 func (t *PTOTree) removeFallback(key int64) bool {
 	for {
-		gp, p, l, pupd, gpupd := t.search(nil, key)
+		gp, p, l, pupd, gpupd := t.search(key)
 		if l.key != key {
 			return false
 		}

@@ -11,8 +11,8 @@ import (
 // accessors so the same body serves the composed HTM fast path and the
 // capture/MultiCAS fallback.
 //
-// The validation window is the PTO2 window of pto.go: the search runs on
-// Peek (unrecorded in capture mode), then the operation re-reads — through
+// In capture mode the validation window is the PTO2 window of pto.go: the
+// search runs on Peek (unrecorded), then the operation re-reads — through
 // Read, which records — the leaf's parent update box and child pointer (and,
 // for a removal, the grandparent's). The window is sound for the same
 // reason PTO2's is: an internal node spliced out of the tree is first
@@ -20,6 +20,11 @@ import (
 // parent's update box; so "update box unchanged and clean, child pointer
 // unchanged" implies the parent is still reachable and the leaf is still
 // its current child.
+//
+// On the fast path every read is a transactional load and the body's reads
+// form one snapshot, so there is no window to re-read: the search reads
+// child links only (PTO1's descend), and each update word the operation
+// needs is read once, after it.
 
 // NewPTOIn returns an empty PTO tree living in the shared domain d, so it
 // can participate in composed transactions with other structures in d.
@@ -38,31 +43,48 @@ func NewPTOIn(d *htm.Domain, pto1, pto2 int) *PTOTree {
 }
 
 // ctxSearch mirrors search over the Ctx accessors, using Peek so the
-// traversal stays out of the capture buffer; update fields are read before
-// child pointers, as in the original algorithm.
+// traversal stays out of the capture buffer. In capture mode update fields
+// are read before child pointers, as in the original algorithm, and
+// returned for ctxWindow to re-read; on the fast path only child links are
+// read and pupd, gpupd are nil.
 func (t *PTOTree) ctxSearch(c *txn.Ctx, key int64) (gp, p, l *pnode, pupd, gpupd *pupdate) {
+	capture := !c.Speculative()
 	p = t.root
-	pupd = txn.Peek(c, &p.update)
+	if capture {
+		pupd = txn.Peek(c, &p.update)
+	}
 	l = txn.Peek(c, &p.left)
 	for !l.leaf {
 		gp, gpupd = p, pupd
 		p = l
-		pupd = txn.Peek(c, &p.update)
-		if key < p.key {
-			l = txn.Peek(c, &p.left)
-		} else {
-			l = txn.Peek(c, &p.right)
+		if capture {
+			pupd = txn.Peek(c, &p.update)
 		}
+		l = txn.Peek(c, childVar(p, key))
 	}
 	return
 }
 
-// childVar returns the child slot of p the search for key descends through.
-func childVar(p *pnode, key int64) *htm.Var[*pnode] {
-	if key < p.key {
-		return &p.left
+// ctxWindow establishes that p's update word is clean and that l is p's
+// child on key's side, and returns that child slot. pu is what ctxSearch
+// returned for p. On the fast path the word is read here, once, and the
+// slot not again; in capture mode both are re-read through Read, which
+// records them for the MultiCAS.
+func (t *PTOTree) ctxWindow(c *txn.Ctx, p, l *pnode, pu *pupdate, key int64) *htm.Var[*pnode] {
+	cv := childVar(p, key)
+	if c.Speculative() {
+		if pu = txn.Read(c, &p.update); pu.state != stateClean {
+			t.ctxStuck(c, pu)
+		}
+		return cv
 	}
-	return &p.right
+	if pu.state != stateClean {
+		t.ctxStuck(c, pu)
+	}
+	if txn.Read(c, &p.update) != pu || txn.Read(c, cv) != l {
+		c.Retry()
+	}
+	return cv
 }
 
 // ctxStuck handles an update box that is not clean: on the fast path the
@@ -79,15 +101,7 @@ func (t *PTOTree) ctxStuck(c *txn.Ctx, u *pupdate) {
 // transaction.
 func (t *PTOTree) TxContains(c *txn.Ctx, key int64) bool {
 	_, p, l, pu, _ := t.ctxSearch(c, key)
-	if pu.state != stateClean {
-		t.ctxStuck(c, pu)
-	}
-	if txn.Read(c, &p.update) != pu {
-		c.Retry()
-	}
-	if txn.Read(c, childVar(p, key)) != l {
-		c.Retry()
-	}
+	t.ctxWindow(c, p, l, pu, key)
 	return l.key == key
 }
 
@@ -98,16 +112,7 @@ func (t *PTOTree) TxInsert(c *txn.Ctx, key int64) bool {
 		panic("bst: key out of range")
 	}
 	_, p, l, pu, _ := t.ctxSearch(c, key)
-	if pu.state != stateClean {
-		t.ctxStuck(c, pu)
-	}
-	if txn.Read(c, &p.update) != pu {
-		c.Retry()
-	}
-	cv := childVar(p, key)
-	if txn.Read(c, cv) != l {
-		c.Retry()
-	}
+	cv := t.ctxWindow(c, p, l, pu, key)
 	if l.key == key {
 		return false
 	}
@@ -125,37 +130,14 @@ func (t *PTOTree) TxRemove(c *txn.Ctx, key int64) bool {
 		return false // sentinels are never removable
 	}
 	gp, p, l, pu, gpu := t.ctxSearch(c, key)
-	if pu.state != stateClean {
-		t.ctxStuck(c, pu)
-	}
-	if txn.Read(c, &p.update) != pu {
-		c.Retry()
-	}
-	cv := childVar(p, key)
-	if txn.Read(c, cv) != l {
-		c.Retry()
-	}
+	t.ctxWindow(c, p, l, pu, key)
 	if l.key != key {
 		return false
 	}
 	// A leaf holding a real key always has a grandparent (the root plus the
 	// internal node its insertion created), so gp is non-nil here.
-	if gpu.state != stateClean {
-		t.ctxStuck(c, gpu)
-	}
-	if txn.Read(c, &gp.update) != gpu {
-		c.Retry()
-	}
-	gcv := childVar(gp, key)
-	if txn.Read(c, gcv) != p {
-		c.Retry()
-	}
-	var other *pnode
-	if txn.Read(c, &p.right) == l {
-		other = txn.Read(c, &p.left)
-	} else {
-		other = txn.Read(c, &p.right)
-	}
+	gcv := t.ctxWindow(c, gp, p, gpu, key)
+	other := txn.Read(c, siblingVar(p, key))
 	txn.Write(c, &p.update, &pupdate{state: stateMark, info: dummyInfo})
 	txn.Write(c, gcv, other)
 	txn.Write(c, &gp.update, &pupdate{state: stateClean})

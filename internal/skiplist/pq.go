@@ -61,13 +61,13 @@ restart:
 				continue restart
 			}
 			s.casOps.Add(1)
-			if curr.next[0].CompareAndSwap(b, &box{n: b.n, marked: true}) {
+			if curr.next[0].CompareAndSwap(b, &b.n.inMarked) {
 				// Claimed. Mark the remaining levels and physically unlink.
 				for l := curr.top; l >= 1; l-- {
 					hb := curr.next[l].Load()
 					for !hb.marked {
 						s.casOps.Add(1)
-						curr.next[l].CompareAndSwap(hb, &box{n: hb.n, marked: true})
+						curr.next[l].CompareAndSwap(hb, &hb.n.inMarked)
 						hb = curr.next[l].Load()
 					}
 				}
@@ -141,10 +141,10 @@ func (q *PTOQueue) Pop() (int64, bool) {
 				hb := htm.Load(tx, &s.head.next[l])
 				if hb.n == curr {
 					cb := htm.Load(tx, &curr.next[l])
-					htm.Store(tx, &s.head.next[l], &pbox{n: cb.n})
+					htm.Store(tx, &s.head.next[l], &cb.n.in)
 				}
 				cb := htm.Load(tx, &curr.next[l])
-				htm.Store(tx, &curr.next[l], &pbox{n: cb.n, marked: true})
+				htm.Store(tx, &curr.next[l], &cb.n.inMarked)
 			}
 			key = curr.key
 		})
@@ -170,11 +170,11 @@ restart:
 			if b.marked {
 				continue restart
 			}
-			if htm.CAS(nil, &curr.next[0], b, &pbox{n: b.n, marked: true}) {
+			if htm.CAS(nil, &curr.next[0], b, &b.n.inMarked) {
 				for l := curr.top; l >= 1; l-- {
 					hb := htm.Load(nil, &curr.next[l])
 					for !hb.marked {
-						htm.CAS(nil, &curr.next[l], hb, &pbox{n: hb.n, marked: true})
+						htm.CAS(nil, &curr.next[l], hb, &hb.n.inMarked)
 						hb = htm.Load(nil, &curr.next[l])
 					}
 				}

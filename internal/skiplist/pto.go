@@ -1,23 +1,42 @@
 package skiplist
 
 import (
-	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/htm"
 	"repro/internal/speculate"
 )
 
-// pbox is the PTO variant's immutable (successor, marked) pair.
+// pbox is the PTO variant's immutable (successor, marked) pair, identified
+// by its value: every node embeds the two boxes that can point at it, so a
+// link to x holds &x.in or &x.inMarked, and only the tail's links hold a
+// box of their own. Changing a link allocates nothing.
+//
+// Value identity is enough because every comparison of a link — the direct
+// CAS, the prefix transaction's check against the search's box, a composed
+// Read window, a MultiCAS old value — compares the pair (successor, mark),
+// and what each one proves depends only on the link's current pair, not on
+// its history: a CAS from (x, unmarked) finds the link's owner unmarked and
+// x after it, whatever the link held in between; x's key never changes; a
+// marked link never changes again, so a snip from (x, unmarked) to x's
+// marked successor is right whenever the pair still matches. In a garbage-
+// collected heap x is not reused while a search holds it, so equal pairs
+// name the same node. That is Harris's argument for mark-bit words, and the
+// representation the simulated twin uses (simds packs the mark into the
+// address word). TestValueIdentityReusesBoxes stages the one history that
+// box identity used to rule out: a link leaves a box and comes back to it.
 type pbox struct {
 	n      *pnode
 	marked bool
 }
 
 type pnode struct {
-	key  int64
-	top  int
-	next []htm.Var[*pbox]
+	key int64
+	// in and inMarked are the boxes of the links that point at this node;
+	// they sit beside key, so a hop reads the next Var and then one line.
+	in, inMarked pbox
+	top          int
+	next         []htm.Var[*pbox]
 }
 
 // PTOSet is the PTO-accelerated skiplist set. Per §3.1, PTO is applied
@@ -30,6 +49,7 @@ type PTOSet struct {
 	head     *pnode
 	tail     *pnode
 	rstate   atomic.Uint64
+	height   atomic.Int32 // highest level any node has; only grows
 	attempts int
 
 	insSite *speculate.Site
@@ -50,7 +70,10 @@ func NewPTOSet(attempts int) *PTOSet {
 // newPNode allocates a node whose links are not yet bound to the domain:
 // every caller Inits each level before the node is published.
 func (s *PTOSet) newPNode(key int64, top int) *pnode {
-	return &pnode{key: key, top: top, next: make([]htm.Var[*pbox], top+1)}
+	n := &pnode{key: key, top: top, next: make([]htm.Var[*pbox], top+1)}
+	n.in = pbox{n: n}
+	n.inMarked = pbox{n: n, marked: true}
+	return n
 }
 
 // link points every level of the still-private node n at succs. Nobody can
@@ -60,7 +83,7 @@ func (s *PTOSet) newPNode(key int64, top int) *pnode {
 // can have read.
 func (s *PTOSet) link(n *pnode, succs *[MaxLevel]*pnode) {
 	for l := range n.next {
-		n.next[l].Init(s.domain, &pbox{n: succs[l]})
+		n.next[l].Init(s.domain, &succs[l].in)
 	}
 }
 
@@ -82,21 +105,21 @@ func (s *PTOSet) WithPolicy(p speculate.Policy) *PTOSet {
 // Domain exposes the transactional domain (for tests).
 func (s *PTOSet) Domain() *htm.Domain { return s.domain }
 
+// randomLevel is Set.randomLevel: it raises s.height before the caller can
+// link a node that tall.
 func (s *PTOSet) randomLevel() int {
-	x := s.rstate.Add(0x9E3779B97F4A7C15)
-	x ^= x >> 33
-	x *= 0xFF51AFD7ED558CCD
-	x ^= x >> 33
-	return bits.TrailingZeros64(x | (1 << (MaxLevel - 1)))
+	l := drawLevel(&s.rstate)
+	raise(&s.height, l)
+	return l
 }
 
 // find mirrors Set.find over transactional Vars, using the direct (non-
-// speculative) access path.
+// speculative) access path. Levels above s.height are left untouched.
 func (s *PTOSet) find(key int64, preds, succs []*pnode, predBoxes []*pbox) bool {
 retry:
 	for {
 		pred := s.head
-		for level := MaxLevel - 1; level >= 0; level-- {
+		for level := int(s.height.Load()); level >= 0; level-- {
 			pb := htm.Load(nil, &pred.next[level])
 			if pb.marked {
 				continue retry
@@ -105,7 +128,7 @@ retry:
 			for {
 				cb := htm.Load(nil, &curr.next[level])
 				for cb.marked {
-					if !htm.CAS(nil, &pred.next[level], pb, &pbox{n: cb.n}) {
+					if !htm.CAS(nil, &pred.next[level], pb, &cb.n.in) {
 						continue retry
 					}
 					pb = htm.Load(nil, &pred.next[level])
@@ -137,7 +160,7 @@ retry:
 func (s *PTOSet) Contains(key int64) bool {
 	pred := s.head
 	var curr *pnode
-	for level := MaxLevel - 1; level >= 0; level-- {
+	for level := int(s.height.Load()); level >= 0; level-- {
 		curr = htm.Load(nil, &pred.next[level]).n
 		for {
 			cb := htm.Load(nil, &curr.next[level])
@@ -180,18 +203,7 @@ func (s *PTOSet) Insert(key int64) bool {
 			break // budget spent; preds/succs/pboxes hold a fresh view
 		}
 		s.link(n, &succs)
-		st := r.Try(func(tx *htm.Tx) {
-			for l := 0; l <= top; l++ {
-				if htm.Load(tx, &preds[l].next[l]) != pboxes[l] {
-					// View changed since the search: abort and re-search
-					// rather than help the conflicting operation (§2.4).
-					tx.Abort(1)
-				}
-			}
-			for l := 0; l <= top; l++ {
-				htm.Store(tx, &preds[l].next[l], &pbox{n: n})
-			}
-		})
+		st := r.Try(func(tx *htm.Tx) { s.swing(tx, n, &preds, &pboxes) })
 		if st == htm.Committed {
 			return true
 		}
@@ -201,11 +213,26 @@ func (s *PTOSet) Insert(key int64) bool {
 	return s.insertFallback(n, top, &preds, &succs, &pboxes)
 }
 
+// swing is Insert's prefix transaction: it checks every predecessor link
+// against the box the search saw there and swings all of them to n.
+func (s *PTOSet) swing(tx *htm.Tx, n *pnode, preds *[MaxLevel]*pnode, pboxes *[MaxLevel]*pbox) {
+	for l := 0; l <= n.top; l++ {
+		if htm.Load(tx, &preds[l].next[l]) != pboxes[l] {
+			// View changed since the search: abort and re-search rather
+			// than help the conflicting operation (§2.4).
+			tx.Abort(1)
+		}
+	}
+	for l := 0; l <= n.top; l++ {
+		htm.Store(tx, &preds[l].next[l], &n.in)
+	}
+}
+
 // insertFallback performs the original lock-free insert of node n. Returns
 // false if key was found present so the insert did not happen.
 func (s *PTOSet) insertFallback(n *pnode, top int, preds, succs *[MaxLevel]*pnode, pboxes *[MaxLevel]*pbox) bool {
 	for {
-		if !htm.CAS(nil, &preds[0].next[0], pboxes[0], &pbox{n: n}) {
+		if !htm.CAS(nil, &preds[0].next[0], pboxes[0], &n.in) {
 			if s.find(n.key, preds[:], succs[:], pboxes[:]) {
 				return false
 			}
@@ -216,7 +243,7 @@ func (s *PTOSet) insertFallback(n *pnode, top int, preds, succs *[MaxLevel]*pnod
 	}
 	for l := 1; l <= top; l++ {
 		for {
-			if htm.CAS(nil, &preds[l].next[l], pboxes[l], &pbox{n: n}) {
+			if htm.CAS(nil, &preds[l].next[l], pboxes[l], &n.in) {
 				break
 			}
 			nb := htm.Load(nil, &n.next[l])
@@ -229,7 +256,7 @@ func (s *PTOSet) insertFallback(n *pnode, top int, preds, succs *[MaxLevel]*pnod
 				return true
 			}
 			if nb.n != succs[l] {
-				if !htm.CAS(nil, &n.next[l], nb, &pbox{n: succs[l]}) {
+				if !htm.CAS(nil, &n.next[l], nb, &succs[l].in) {
 					return true
 				}
 			}
@@ -260,7 +287,7 @@ func (s *PTOSet) Remove(key int64) bool {
 			for l := victim.top; l >= 0; l-- {
 				b := htm.Load(tx, &victim.next[l])
 				if !b.marked {
-					htm.Store(tx, &victim.next[l], &pbox{n: b.n, marked: true})
+					htm.Store(tx, &victim.next[l], &b.n.inMarked)
 				}
 			}
 			removed = true
@@ -285,7 +312,7 @@ func (s *PTOSet) removeFallback(victim *pnode) bool {
 	for l := victim.top; l >= 1; l-- {
 		b := htm.Load(nil, &victim.next[l])
 		for !b.marked {
-			htm.CAS(nil, &victim.next[l], b, &pbox{n: b.n, marked: true})
+			htm.CAS(nil, &victim.next[l], b, &b.n.inMarked)
 			b = htm.Load(nil, &victim.next[l])
 		}
 	}
@@ -294,7 +321,7 @@ func (s *PTOSet) removeFallback(victim *pnode) bool {
 		if b.marked {
 			return false
 		}
-		if htm.CAS(nil, &victim.next[0], b, &pbox{n: b.n, marked: true}) {
+		if htm.CAS(nil, &victim.next[0], b, &b.n.inMarked) {
 			return true
 		}
 	}

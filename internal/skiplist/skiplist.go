@@ -3,11 +3,15 @@
 // skiplist, in the formulation of Herlihy & Shavit), a Lotan–Shavit style
 // priority queue built on it, and PTO-accelerated variants of both.
 //
-// Go cannot tag pointer low bits, so each (next, marked) pair is boxed in an
-// immutable cell behind an atomic pointer — the standard Go idiom for marked
-// pointers. Box identity also rules out ABA on the snip CASes. The level-0
-// list is the authoritative set; higher levels are shortcut lists that are
-// repaired lazily by find.
+// Go cannot tag pointer low bits, so each (next, marked) pair is an
+// immutable box behind an atomic pointer — the standard Go idiom for marked
+// pointers — and a link's box is identified by its value: every node embeds
+// the two boxes that can point at it, unmarked and marked, and every link
+// to it holds a pointer to one of them. A link's pointer is then exactly
+// Harris's mark-bit word, and nothing is allocated to change it (pto.go
+// argues why value identity is enough). The level-0 list is the
+// authoritative set; higher levels are shortcut lists that are repaired
+// lazily by find, and searches start at the highest level any node has.
 //
 // The PTO variants follow the paper's finding that only local application is
 // profitable for skiplists: the search phase stays outside the transaction,
@@ -29,20 +33,26 @@ const (
 	tailKey = 1<<63 - 1
 )
 
-// box is an immutable (successor, marked) pair.
+// box is an immutable (successor, marked) pair. Only the tail's links hold
+// a box of their own; every other box is embedded in its successor.
 type box struct {
 	n      *node
 	marked bool
 }
 
 type node struct {
-	key  int64
-	top  int // index of highest valid level
-	next []atomic.Pointer[box]
+	key int64
+	// in and inMarked are the boxes of the links that point at this node;
+	// they sit beside key, so a hop reads the next link and then one line.
+	in, inMarked box
+	top          int // index of highest valid level
+	next         []atomic.Pointer[box]
 }
 
 func newNode(key int64, top int) *node {
 	n := &node{key: key, top: top, next: make([]atomic.Pointer[box], top+1)}
+	n.in = box{n: n}
+	n.inMarked = box{n: n, marked: true}
 	return n
 }
 
@@ -51,6 +61,8 @@ type Set struct {
 	head   *node
 	tail   *node
 	rstate atomic.Uint64
+	// height is the highest level any node has; it only grows.
+	height atomic.Int32
 	// casOps counts successful+failed CAS attempts, one axis of the latency
 	// PTO removes; read by the benchmark harness.
 	casOps atomic.Uint64
@@ -63,31 +75,49 @@ func NewSet() *Set {
 	s.head = newNode(headKey, MaxLevel-1)
 	for l := 0; l < MaxLevel; l++ {
 		s.tail.next[l].Store(&box{})
-		s.head.next[l].Store(&box{n: s.tail})
+		s.head.next[l].Store(&s.tail.in)
 	}
 	s.rstate.Store(0x9E3779B97F4A7C15)
 	return s
 }
 
-// randomLevel draws a geometric(1/2) tower height in [0, MaxLevel).
+// randomLevel draws a geometric(1/2) tower height in [0, MaxLevel) and
+// raises s.height to it, before the caller can link a node that tall.
 func (s *Set) randomLevel() int {
-	x := s.rstate.Add(0x9E3779B97F4A7C15)
+	l := drawLevel(&s.rstate)
+	raise(&s.height, l)
+	return l
+}
+
+// drawLevel draws a geometric(1/2) tower height in [0, MaxLevel).
+func drawLevel(rstate *atomic.Uint64) int {
+	x := rstate.Add(0x9E3779B97F4A7C15)
 	x ^= x >> 33
 	x *= 0xFF51AFD7ED558CCD
 	x ^= x >> 33
-	l := bits.TrailingZeros64(x | (1 << (MaxLevel - 1)))
-	return l
+	return bits.TrailingZeros64(x | (1 << (MaxLevel - 1)))
+}
+
+// raise lifts the monotone height h to at least l. A search that loads h
+// after a node's tower was linked starts at or above that tower's top.
+func raise(h *atomic.Int32, l int) {
+	for cur := h.Load(); int32(l) > cur; cur = h.Load() {
+		if h.CompareAndSwap(cur, int32(l)) {
+			return
+		}
+	}
 }
 
 // find locates key's predecessors and successors at every level, snipping
 // marked nodes it passes. It reports whether key is present (unmarked) at
 // level 0. predBoxes, when non-nil, receives the box observed in each
-// pred's next pointer, for identity-validated CAS by the caller.
+// pred's next pointer, for the caller's CAS. Levels above s.height are left
+// untouched: no node has them.
 func (s *Set) find(key int64, preds, succs []*node, predBoxes []*box) bool {
 retry:
 	for {
 		pred := s.head
-		for level := MaxLevel - 1; level >= 0; level-- {
+		for level := int(s.height.Load()); level >= 0; level-- {
 			pb := pred.next[level].Load()
 			if pb.marked {
 				continue retry
@@ -97,7 +127,7 @@ retry:
 				cb := curr.next[level].Load()
 				for cb.marked {
 					s.casOps.Add(1)
-					if !pred.next[level].CompareAndSwap(pb, &box{n: cb.n}) {
+					if !pred.next[level].CompareAndSwap(pb, &cb.n.in) {
 						continue retry
 					}
 					pb = pred.next[level].Load()
@@ -130,7 +160,7 @@ retry:
 func (s *Set) Contains(key int64) bool {
 	pred := s.head
 	var curr *node
-	for level := MaxLevel - 1; level >= 0; level-- {
+	for level := int(s.height.Load()); level >= 0; level-- {
 		curr = pred.next[level].Load().n
 		for {
 			cb := curr.next[level].Load()
@@ -163,16 +193,16 @@ func (s *Set) Insert(key int64) bool {
 		}
 		n := newNode(key, top)
 		for l := 0; l <= top; l++ {
-			n.next[l].Store(&box{n: succs[l]})
+			n.next[l].Store(&succs[l].in)
 		}
 		s.casOps.Add(1)
-		if !preds[0].next[0].CompareAndSwap(pboxes[0], &box{n: n}) {
+		if !preds[0].next[0].CompareAndSwap(pboxes[0], &n.in) {
 			continue
 		}
 		for l := 1; l <= top; l++ {
 			for {
 				s.casOps.Add(1)
-				if preds[l].next[l].CompareAndSwap(pboxes[l], &box{n: n}) {
+				if preds[l].next[l].CompareAndSwap(pboxes[l], &n.in) {
 					break
 				}
 				// Refresh the view; if the new node was meanwhile marked,
@@ -186,7 +216,7 @@ func (s *Set) Insert(key int64) bool {
 					return true
 				}
 				if nb.n != succs[l] {
-					if !n.next[l].CompareAndSwap(nb, &box{n: succs[l]}) {
+					if !n.next[l].CompareAndSwap(nb, &succs[l].in) {
 						return true // only a marker can beat us here
 					}
 				}
@@ -209,7 +239,7 @@ func (s *Set) Remove(key int64) bool {
 		b := victim.next[l].Load()
 		for !b.marked {
 			s.casOps.Add(1)
-			victim.next[l].CompareAndSwap(b, &box{n: b.n, marked: true})
+			victim.next[l].CompareAndSwap(b, &b.n.inMarked)
 			b = victim.next[l].Load()
 		}
 	}
@@ -219,7 +249,7 @@ func (s *Set) Remove(key int64) bool {
 			return false
 		}
 		s.casOps.Add(1)
-		if victim.next[0].CompareAndSwap(b, &box{n: b.n, marked: true}) {
+		if victim.next[0].CompareAndSwap(b, &b.n.inMarked) {
 			s.find(key, preds[:], succs[:], nil) // physical unlink
 			return true
 		}

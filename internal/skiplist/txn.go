@@ -10,14 +10,16 @@ import (
 // layer (internal/txn).
 //
 // The traversal (ctxFind) is non-helping: marked nodes are skipped in place
-// rather than physically unlinked, because a box, once marked, is never
-// written again — marking is the only write to a node's own next pointers
-// and it happens at most once per level — so a chain of marked nodes
-// between a validated predecessor and its successor is immutable. That
-// makes the validation window exact and small: recording just the
-// predecessor's box proves the whole gap unchanged, and an insert that
-// swings the predecessor's pointer over the marked chain atomically unlinks
-// it as a side effect.
+// rather than physically unlinked, because a link, once marked, never
+// changes again — marking happens at most once per level — so a chain of
+// marked nodes between a validated predecessor and its successor is
+// immutable. That makes the validation window exact and small: recording
+// just the predecessor's link proves the whole gap unchanged (the link is
+// compared by its (successor, mark) pair; pto.go says why that suffices),
+// and an insert that swings the predecessor's link over the marked chain
+// atomically unlinks it as a side effect. The search starts at s.height,
+// the highest level any node has; TxInsert draws its tower first, so the
+// search covers it.
 
 // NewPTOSetIn returns an empty PTO-accelerated set living in the shared
 // domain d, so it can participate in composed transactions with other
@@ -32,7 +34,7 @@ func NewPTOSetIn(d *htm.Domain, attempts int) *PTOSet {
 	s.head = s.newPNode(headKey, MaxLevel-1)
 	for l := 0; l < MaxLevel; l++ {
 		s.tail.next[l].Init(d, &pbox{})
-		s.head.next[l].Init(d, &pbox{n: s.tail})
+		s.head.next[l].Init(d, &s.tail.in)
 	}
 	s.rstate.Store(0x9E3779B97F4A7C15)
 	return s
@@ -45,7 +47,7 @@ func NewPTOSetIn(d *htm.Domain, attempts int) *PTOSet {
 // callers record exactly the boxes their result depends on.
 func (s *PTOSet) ctxFind(c *txn.Ctx, key int64, preds, succs []*pnode, pboxes []*pbox) bool {
 	pred := s.head
-	for level := MaxLevel - 1; level >= 0; level-- {
+	for level := int(s.height.Load()); level >= 0; level-- {
 		pb := txn.Peek(c, &pred.next[level])
 		if pb.marked {
 			c.Retry() // pred was deleted under us; re-run the body
@@ -94,24 +96,31 @@ func (s *PTOSet) TxContains(c *txn.Ctx, key int64) bool {
 func (s *PTOSet) TxInsert(c *txn.Ctx, key int64) bool {
 	var preds, succs [MaxLevel]*pnode
 	var pboxes [MaxLevel]*pbox
+	// Drawn before the search, which then starts at or above top.
+	top := s.randomLevel()
 	if s.ctxFind(c, key, preds[:], succs[:], pboxes[:]) {
 		if txn.Read(c, &succs[0].next[0]).marked {
 			c.Retry()
 		}
 		return false
 	}
-	top := s.randomLevel()
-	n := s.newPNode(key, top)
-	for l := 0; l <= top; l++ {
+	s.ctxLink(c, s.newPNode(key, top), &preds, &succs, &pboxes)
+	return true
+}
+
+// ctxLink is TxInsert's step after the search: it records every predecessor
+// link of the still-private node n as holding the box the search saw there
+// and swings it to n.
+func (s *PTOSet) ctxLink(c *txn.Ctx, n *pnode, preds, succs *[MaxLevel]*pnode, pboxes *[MaxLevel]*pbox) {
+	for l := 0; l <= n.top; l++ {
 		if txn.Read(c, &preds[l].next[l]) != pboxes[l] {
 			c.Retry()
 		}
 		// n is private until the commit publishes preds[l].next[l], so its
 		// own links can be set by re-Init without touching the domain clock.
-		n.next[l].Init(s.domain, &pbox{n: succs[l]})
-		txn.Write(c, &preds[l].next[l], &pbox{n: n})
+		n.next[l].Init(s.domain, &succs[l].in)
+		txn.Write(c, &preds[l].next[l], &n.in)
 	}
-	return true
 }
 
 // TxRemove deletes key, reporting false if absent, as part of a composed
@@ -134,10 +143,10 @@ func (s *PTOSet) TxRemove(c *txn.Ctx, key int64) bool {
 	for l := victim.top; l >= 1; l-- {
 		b := txn.Read(c, &victim.next[l])
 		if !b.marked {
-			txn.Write(c, &victim.next[l], &pbox{n: b.n, marked: true})
+			txn.Write(c, &victim.next[l], &b.n.inMarked)
 		}
 	}
-	txn.Write(c, &victim.next[0], &pbox{n: b0.n, marked: true})
+	txn.Write(c, &victim.next[0], &b0.n.inMarked)
 	c.OnCommit(func() {
 		var p2, s2 [MaxLevel]*pnode
 		s.find(key, p2[:], s2[:], nil) // physical unlink
