@@ -3,8 +3,9 @@ package sim
 import "testing"
 
 // Host-speed benchmarks and allocation pins of the simulator itself: what one
-// setup-mode access, one event and one transaction cost the host. ns/op is
-// per access, event and transaction respectively, machine-wide.
+// setup-mode access, one event, one hand-off and one transaction cost the
+// host. ns/op is per access, event, hand-off and transaction respectively,
+// machine-wide.
 
 var sink uint64
 
@@ -69,6 +70,26 @@ func eventLoop(t *Thread, shared Addr, iters int) {
 func BenchmarkEvent1T(b *testing.B) { benchRun(b, 1, eventLoop) }
 func BenchmarkEvent8T(b *testing.B) { benchRun(b, 8, eventLoop) }
 
+// The hand-off itself: two threads on different cores take turns at one
+// shared line, each iteration a load of it (an L1 hit) and a 100-cycle Work,
+// thread 1 half an iteration behind. The events then run in the order 0 0 1 1
+// 0 0 ..., and a woken thread executes its own next event and the pending one
+// of the thread that woke it, then meets that thread replied: one hand-off
+// per iteration, the most two threads can make (every wake-up executes at
+// least those two events). ns/op is one hand-off plus two events
+// (BenchmarkEvent1T is an event alone).
+func BenchmarkHandoff(b *testing.B) {
+	benchRun(b, 2, func(t *Thread, shared Addr, iters int) {
+		if t.ID() == 1 {
+			t.Work(50)
+		}
+		for i := 0; i < iters; i++ {
+			sink += t.Load(shared)
+			t.Work(100)
+		}
+	})
+}
+
 func BenchmarkTx8T(b *testing.B) {
 	benchRun(b, 8, func(t *Thread, shared Addr, iters int) {
 		own := t.Alloc(LineWords)
@@ -114,7 +135,7 @@ func TestSetupAccessDoesNotAllocate(t *testing.T) {
 
 // In steady state — the page touched, the line cached, the transaction's sets
 // grown once — neither an event nor a committed transaction allocates, with
-// the event's owner running it (1 thread) or another goroutine (2 threads, the
+// the event's owner running it (1 thread) or another body (2 threads, the
 // second one loading in a loop until the first is done).
 func TestEventsDoNotAllocate(t *testing.T) {
 	for _, n := range []int{1, 2} {

@@ -29,16 +29,15 @@
 // immediately and free of charge, which is how benchmarks prefill data
 // structures.
 //
-// Inside Run each simulated thread's body is a goroutine, but only the one
-// holding the machine's single baton runs; the rest are parked. There is no
-// scheduler goroutine: the goroutine that posts an event takes the scheduling
-// decision itself (Machine.schedule). A started, unfinished thread is in one
-// of three states:
+// Inside Run only the thread holding the machine's single baton runs its
+// body; every other body is parked. There is no scheduler: the body that
+// posts an event takes the scheduling decision itself (Machine.schedule). A
+// started, unfinished thread is in one of three states:
 //
-//   - running: its body holds the baton (or has just been sent it);
+//   - running: its body holds the baton (or has just been handed it);
 //   - pending: it has posted an event that has not been executed;
-//   - replied: its event has been executed, on another goroutine, and its
-//     body has not been resumed to collect the answer.
+//   - replied: its event has been executed, by another body's scheduling
+//     decision, and its body has not been resumed to collect the answer.
 //
 // Go code between two events costs no cycles, so a thread's clock is the time
 // of its posted event and equally of the one it will post next. The baton
@@ -46,26 +45,38 @@
 // whatever its state. If that thread is pending, the holder executes its
 // event on the spot — it carries on if the event was its own, and otherwise
 // marks the thread replied and looks again. If it is replied, only its body
-// can say what comes next: the holder wakes it and parks (Stats.Handoffs
-// counts these wake-ups, one goroutine switch each). A thread woken this way
-// is the global minimum, so it collects its reply and executes its next event
-// without a switch: events are executed in exactly the order above, and while
-// no core is shared a switch pays for two events or more. Threads are started
-// one at a time under the same baton, each when the previous one posts its
-// first event or ends.
+// can say what comes next: the holder hands it the baton and parks
+// (Stats.Handoffs counts these wake-ups). A thread woken this way is the
+// global minimum, so it collects its reply and executes its next event
+// without a hand-off: events are executed in exactly the order above, and
+// while no core is shared a hand-off pays for two events or more. Threads are
+// started one at a time under the same baton, each when the previous one
+// posts its first event or ends.
+//
+// How a parked body is resumed is the one thing that depends on the
+// toolchain, and it is fixed at build time. From Go 1.23 on (baton_coro.go)
+// each body is a coroutine of iter.Pull that Run's goroutine resumes: a body
+// parks by yielding back to Run, which resumes the thread it was handed to,
+// so a hand-off is two direct coroutine switches and never goes through the
+// Go scheduler. On Go 1.22, which has no iter (baton_chan.go), each body is a
+// goroutine parked on a channel of its own and a hand-off is a send on it.
+// The schedule is the same either way: which events run, in which order, and
+// the hand-off count.
 //
 // The sibling rule: the SMT charge asks whether a thread's sibling has
 // finished, and a replied thread may have — its body returns when resumed. So
 // before an event is executed whose thread has a replied sibling, that
 // sibling is resumed first, although it is not the minimum (such a wake-up
-// delivers a reply and no event, so threads in lock-step on shared cores switch
-// more); when the event is charged its sibling is pending or finished, never
-// undecided.
+// delivers a reply and no event, so threads in lock-step on shared cores hand
+// off more); when the event is charged its sibling is pending or finished,
+// never undecided.
 //
-// Two rules follow for bodies. They communicate only through simulated
-// memory: a body that blocks on a Go channel or mutex until another body acts
-// deadlocks the run, because that other body is not running. And since a
-// replied thread's body is resumed late, the stretches of Go code of
+// Two rules follow for bodies, and they hold whichever baton file is built,
+// because either way exactly one body runs at a time and a parked one runs
+// again only when the schedule says so. Bodies communicate only through
+// simulated memory: a body that blocks on a Go channel or mutex until another
+// body acts deadlocks the run, because that other body is not running. And
+// since a replied thread's body is resumed late, the stretches of Go code of
 // different threads do not run in event order: bodies may share Go-side
 // state only if it never influences which events they post. Per-thread slots
 // indexed by Thread.ID and write-only counters read after Run are fine; a
@@ -121,8 +132,10 @@ type Stats struct {
 	TxConflicts                  uint64
 	TxCapacity                   uint64
 	TxExplicit                   uint64
-	// Handoffs counts the times the baton woke a parked thread, each of
-	// which costs the host one goroutine switch.
+	// Handoffs counts the times the baton woke a parked thread: one per
+	// wake-up, whichever baton file is built (package comment). On Go 1.23
+	// and later each costs the host two coroutine switches, on Go 1.22 a
+	// channel send and a goroutine switch.
 	Handoffs uint64
 }
 
@@ -200,12 +213,13 @@ type thread struct {
 	writeOrder []Addr
 
 	// The baton protocol (Run): the thread's posted event, its answer, where
-	// the two stand (state), and the channel its goroutine parks on until the
-	// baton comes back to it.
+	// the two stand (state), and how its parked body is resumed when the
+	// baton comes back to it (threadBaton, in baton_coro.go or
+	// baton_chan.go).
 	req   request
 	rep   reply
 	state threadState
-	wake  chan struct{}
+	threadBaton
 }
 
 // threadState says where a started, unfinished thread stands in the baton
@@ -213,13 +227,13 @@ type thread struct {
 type threadState uint8
 
 const (
-	// running: the body holds the baton, or has been sent it.
+	// running: the body holds the baton, or has been handed it.
 	running threadState = iota
-	// pending: req is posted and not yet executed; the goroutine is parked, or
-	// is the one scheduling.
+	// pending: req is posted and not yet executed; the body is parked, or is
+	// the one scheduling.
 	pending
-	// replied: req has been executed into rep on another goroutine and the
-	// body has not been resumed, so its next event — at this same clock — is
+	// replied: req has been executed into rep by another body and the body
+	// has not been resumed, so its next event — at this same clock — is
 	// not known yet, nor whether there is one.
 	replied
 )
@@ -241,12 +255,12 @@ type Machine struct {
 	allocLine [1]Addr // shared allocator metadata line (the malloc bottleneck)
 
 	// Run state: the body, how many threads have been started, their panics,
-	// and the channel the last body to finish signals Run on.
-	running  bool
-	body     func(t *Thread)
-	started  int
-	panics   []any
-	finished chan struct{}
+	// and how Run learns where the baton goes (machineBaton).
+	running bool
+	body    func(t *Thread)
+	started int
+	panics  []any
+	machineBaton
 
 	// Set-up mode (outside Run): while directTx is set a setup-time
 	// transaction is open and undo holds what its writes overwrote.
@@ -266,7 +280,6 @@ func New(cfg Config) *Machine {
 		cost:     cfg.Cost,
 		model:    model,
 		nextAddr: LineWords, // skip the null line
-		finished: make(chan struct{}),
 	}
 	// Reserve the allocator metadata lines.
 	for i := range m.allocLine {
@@ -275,9 +288,7 @@ func New(cfg Config) *Machine {
 	}
 	threads, api := make([]thread, cfg.Threads), make([]Thread, cfg.Threads) // one allocation each
 	for i := range threads {
-		// wake holds the one token a parked goroutine is owed, so the waker
-		// never waits for it to arrive.
-		threads[i] = thread{id: i, tracker: model.NewTracker(), wake: make(chan struct{}, 1)}
+		threads[i] = thread{id: i, tracker: model.NewTracker()}
 		api[i] = Thread{m: m, id: i, rng: splitmix(cfg.Seed + uint64(i)*0x9E3779B97F4A7C15)}
 		m.threads = append(m.threads, &threads[i])
 		m.api = append(m.api, &api[i])
@@ -350,8 +361,7 @@ func (m *Machine) Run(body func(t *Thread)) {
 	}
 	m.running, m.body, m.started = true, body, 0
 	m.panics = make([]any, len(m.threads))
-	m.start()
-	<-m.finished
+	m.drive()
 	m.running, m.body = false, nil
 	for _, p := range m.panics {
 		if p != nil {
@@ -360,35 +370,41 @@ func (m *Machine) Run(body func(t *Thread)) {
 	}
 }
 
-// start hands the baton to a new goroutine running the body of the next
-// unstarted thread. When the body ends, that goroutine passes the baton on.
+// start hands the baton to the body of the next unstarted thread. When the
+// body ends, its last schedule passes the baton on.
 func (m *Machine) start() {
-	api, t := m.api[m.started], m.threads[m.started]
+	t := m.threads[m.started]
 	m.started++
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				// Surface panics from simulated code to Run's caller.
-				m.panics[t.id] = fmt.Sprintf("sim thread %d: %v", t.id, r)
-			}
-			t.done = true
-			t.resetTx() // a body that panicked inside Atomic left its transaction open
-			m.schedule(t)
-		}()
-		m.body(api)
-	}()
+	m.launch(t)
 }
 
-// schedule is called by the goroutine holding the baton once its thread self
-// has posted an event or finished, and returns when that event has been
-// executed and the baton is back. It is the protocol of the package comment:
-// while threads remain unstarted it starts the next one; otherwise it takes
-// the live thread with the smallest (clock, id) and executes its event if it
-// is pending — returning if the event was self's own, looking again if not —
-// or wakes it if it is replied, or, sibling rule, wakes the replied sibling of
-// a pending one. The last thread to finish finds nobody live and signals Run.
+// runBody runs the machine's body on t and then, whatever ended it, passes
+// the baton on for good. The baton files run it as the thread's coroutine or
+// goroutine.
+func (m *Machine) runBody(t *thread) {
+	defer func() {
+		if r := recover(); r != nil {
+			// Surface panics from simulated code to Run's caller.
+			m.panics[t.id] = fmt.Sprintf("sim thread %d: %v", t.id, r)
+		}
+		t.done = true
+		t.resetTx() // a body that panicked inside Atomic left its transaction open
+		m.schedule(t)
+	}()
+	m.body(m.api[t.id])
+}
+
+// schedule is called by the body holding the baton once its thread self has
+// posted an event or finished, and returns when that event has been executed
+// and the baton is back. It is the protocol of the package comment: while
+// threads remain unstarted it starts the next one; otherwise it takes the
+// live thread with the smallest (clock, id) and executes its event if it is
+// pending — returning if the event was self's own, looking again if not — or
+// hands it the baton if it is replied, or, sibling rule, hands it to the
+// replied sibling of a pending one. The last thread to finish finds nobody
+// live and hands the baton back to Run.
 func (m *Machine) schedule(self *thread) {
-	park := !self.done // read now: once the baton is passed on, machine state is another goroutine's
+	park := !self.done // read now: once the baton is passed on, machine state is another body's
 	if m.started < len(m.threads) {
 		m.start()
 	} else {
@@ -400,7 +416,7 @@ func (m *Machine) schedule(self *thread) {
 				}
 			}
 			if pick == nil {
-				m.finished <- struct{}{}
+				m.hand(nil)
 				return
 			}
 			if pick.state == pending {
@@ -418,12 +434,12 @@ func (m *Machine) schedule(self *thread) {
 			// pick is replied: the machine cannot go on until its body has.
 			m.stats.Handoffs++
 			pick.state = running
-			pick.wake <- struct{}{}
+			m.hand(pick)
 			break
 		}
 	}
 	if park {
-		<-self.wake
+		m.park(self)
 	}
 }
 
@@ -537,7 +553,7 @@ func (m *Machine) insertLine(t *thread, l uint64) {
 	}
 }
 
-// process executes one event, on whichever goroutine holds the baton. All
+// process executes one event, on whichever body holds the baton. All
 // memory and HTM state changes happen here, in global event order.
 func (m *Machine) process(t *thread, r *request) reply {
 	// A doomed transaction learns of its abort at its next event.
