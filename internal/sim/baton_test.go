@@ -17,9 +17,9 @@ func runRecovering(m *Machine, body func(t *Thread)) (p any) {
 	return nil
 }
 
-// settleGoroutines waits for the bodies' goroutines, which Run does not join
-// (the last one signals Run and then returns), to exit: no more goroutines
-// than before the run. (Fewer is fine — an earlier test's may have been on
+// settleGoroutines waits for the goroutines the bodies ran on (a coroutine of
+// iter.Pull has one too) to exit: no more goroutines than before the run. On
+// Go 1.22 Run does not join them (the last one signals Run and then returns). (Fewer is fine — an earlier test's may have been on
 // their way out when the count was taken.)
 func settleGoroutines(t *testing.T, before int) {
 	t.Helper()
@@ -82,8 +82,8 @@ func TestRunReentrantClocksCarryOver(t *testing.T) {
 }
 
 // A body's panic is reported under its own thread id although the event after
-// it — some other thread's — is executed on the panicking body's goroutine,
-// and the other bodies run to completion.
+// it — some other thread's — is executed by the panicking body's last
+// scheduling decision, and the other bodies run to completion.
 func TestPanicNamesItsThread(t *testing.T) {
 	for victim := 0; victim < 4; victim++ {
 		m := New(DefaultConfig(4))
@@ -107,7 +107,7 @@ func TestPanicNamesItsThread(t *testing.T) {
 			}
 		}
 		if m.Stats().Handoffs == 0 {
-			t.Fatal("no event was executed off its own goroutine")
+			t.Fatal("no event was executed by another body")
 		}
 	}
 }
@@ -134,7 +134,7 @@ func TestEventlessBodiesDoNotStall(t *testing.T) {
 	}
 }
 
-// One thread's events are all its own: no goroutine switch at all.
+// One thread's events are all its own: no hand-off at all.
 func TestSingleThreadNeverHandsOff(t *testing.T) {
 	m := New(DefaultConfig(1))
 	a := m.Thread(0).Alloc(1)
@@ -190,19 +190,19 @@ func TestPanicInsideAtomicLeavesNoTransaction(t *testing.T) {
 	}
 }
 
-// A thread whose last event was executed on another goroutine has finished in
+// A thread whose last event was executed by another body has finished in
 // simulated time although its body has not yet returned, and its SMT sibling
 // must be charged as alone on the core from then on. Threads 0 and 4 share a
 // core; the one with the single long event is the one that finishes early.
 //
-// In the first case thread 0's Work(1000) is executed on thread 4's goroutine
+// In the first case thread 0's Work(1000) is executed by thread 4's body
 // (thread 0 becomes replied) and is inflated, thread 4 being live: ⌊(3+1000) ×
 // 1.55⌋ = 1554. All five of thread 4's events come after it in (clock, id)
 // order and must cost the plain 3+100: 515. A baton that executed them while
 // thread 0 was still only replied would inflate each to ⌊103 × 1.55⌋ = 159,
 // 795 in all — this is the case that fails without the sibling rule. In the
-// mirror case thread 4 executes its own long event and finishes on its own
-// goroutine, so it passes with or without the rule: thread 0's first event
+// mirror case thread 4 executes its own long event and finishes in its own
+// body, so it passes with or without the rule: thread 0's first event
 // precedes it (159) and the other four are plain (412).
 func TestRepliedSiblingCountsAsFinished(t *testing.T) {
 	for _, c := range []struct {
@@ -230,7 +230,7 @@ func TestRepliedSiblingCountsAsFinished(t *testing.T) {
 }
 
 // A body may panic when it is resumed long after its last event was executed
-// on another goroutine. Thread 0 watches for thread 1 in that state (the
+// by another body. Thread 0 watches for thread 1 in that state (the
 // machine's own record, which a body outside this package cannot see) to
 // prove the test exercises it.
 func TestPanicWhileReplied(t *testing.T) {

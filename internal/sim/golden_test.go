@@ -133,10 +133,11 @@ func TestGoldenSchedule(t *testing.T) {
 // The baton's wake-ups are as deterministic as the schedule, so they are
 // pinned too. With one thread per core a wake-up delivers a reply to a thread
 // that is the global minimum and therefore executes its next event itself: at
-// most one switch per two events. With SMT siblings the sibling rule resumes
+// most one hand-off per two events. With SMT siblings the sibling rule resumes
 // threads that are not the minimum, which costs more, but fewer than the one
-// switch per event-off-its-goroutine of the eager baton this one replaced
-// (its count on this workload is the second number).
+// hand-off per event executed by another body of the eager baton this one
+// replaced (its count on this workload is the second number). The count is
+// the same whichever baton file is built.
 func TestGoldenHandoffs(t *testing.T) {
 	for _, c := range []struct {
 		threads      int

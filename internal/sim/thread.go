@@ -5,7 +5,8 @@ package sim
 // execute immediately and free of charge, which is how initial data
 // structure state is built.
 //
-// A Thread must only be used from the goroutine currently running its body.
+// During Run a Thread must only be used by its own body, which is then the
+// one body holding the baton (Machine's package comment).
 type Thread struct {
 	m         *Machine
 	id        int
