@@ -11,11 +11,21 @@
 // the lock bits of its Vars, which is why the baseline keeps this genuinely
 // lock-free implementation over raw words (see DESIGN.md §7).
 //
-// Words are boxed behind unique heap cells, which rules out ABA on the
-// descriptor-installation CASes. A word temporarily holds a pointer to an
-// operation descriptor while a multi-word operation is in flight; readers and
-// writers that encounter a descriptor help complete it, making every
-// operation lock-free.
+// A word temporarily holds a pointer to an operation descriptor while a
+// multi-word operation is in flight; readers and writers that encounter a
+// descriptor help complete it, making every operation lock-free.
+//
+// Words are boxed behind unique heap cells, so a CAS from a box a thread
+// loaded fails if the word changed since, even back to the same value. That
+// alone does not make claiming safe: a helper checks that the descriptor is
+// undecided and only then loads the word, and in between another helper may
+// decide the descriptor and release the word, and a later operation may put
+// the old value back in a fresh box. An unconditional claim of that box
+// would attach a decided descriptor to the word, which then gets its new
+// value a second time. A claim is therefore conditional, as in Harris,
+// Fraser and Pratt's RDCSS: the helper installs a conditional claim, and
+// whoever finds it completes it to a claim if the descriptor is still
+// undecided, and back to the plain value otherwise.
 package mcas
 
 import (
@@ -32,10 +42,13 @@ const (
 
 // box is the immutable cell a Word points at. desc == nil means the word
 // holds the plain value val; otherwise the word is claimed by desc, and val
-// is the (already validated) expected old value to restore on failure.
+// is the (already validated) expected old value to restore on failure. A
+// cond box is a conditional claim by desc: the word still holds val, and
+// whoever finds the box completes it (Word.complete).
 type box struct {
 	val  uint64
 	desc *descriptor
+	cond bool
 }
 
 type entry struct {
@@ -74,7 +87,30 @@ func (w *Word) Load() uint64 {
 		if b.desc == nil {
 			return b.val
 		}
+		w.help(b)
+	}
+}
+
+// help finishes what holds w through b: the conditional claim b, or the
+// multi-word operation that claimed w.
+func (w *Word) help(b *box) {
+	if b.cond {
+		w.complete(b)
+	} else {
 		b.desc.help()
+	}
+}
+
+// complete turns the conditional claim r into a claim by r.desc if that
+// descriptor is still undecided, and back into r's plain value otherwise.
+// The descriptor cannot succeed while r is in the word, as it has not
+// claimed the word yet; if it fails between the status check and the CAS,
+// whoever next finds the claim releases it to the value r holds anyway.
+func (w *Word) complete(r *box) {
+	if r.desc.status.Load() == undecided {
+		w.p.CompareAndSwap(r, &box{val: r.val, desc: r.desc})
+	} else {
+		w.p.CompareAndSwap(r, &box{val: r.val})
 	}
 }
 
@@ -84,7 +120,7 @@ func (w *Word) Store(v uint64) {
 	for {
 		b := w.p.Load()
 		if b.desc != nil {
-			b.desc.help()
+			w.help(b)
 			continue
 		}
 		if w.p.CompareAndSwap(b, &box{val: v}) {
@@ -99,7 +135,7 @@ func (w *Word) CAS(old, new uint64) bool {
 	for {
 		b := w.p.Load()
 		if b.desc != nil {
-			b.desc.help()
+			w.help(b)
 			continue
 		}
 		if b.val != old {
@@ -157,6 +193,15 @@ func DCSS(cmp *Word, expect uint64, w *Word, old, new uint64) bool {
 	return DCAS(cmp, expect, expect, w, old, new)
 }
 
+// claim puts a conditional claim by d on w in place of the plain box b, and
+// completes it.
+func (d *descriptor) claim(w *Word, b *box) {
+	r := &box{val: b.val, desc: d, cond: true}
+	if w.p.CompareAndSwap(b, r) {
+		w.complete(r)
+	}
+}
+
 // help drives the descriptor to completion. It is safe for any number of
 // threads to help the same descriptor concurrently.
 func (d *descriptor) help() {
@@ -170,18 +215,17 @@ claim:
 			}
 			b := e.w.p.Load()
 			switch {
-			case b.desc == d:
+			case b.desc == d && !b.cond:
 				// Already claimed (by us or a helper).
 			case b.desc != nil:
-				b.desc.help()
+				e.w.help(b)
 				continue
 			case b.val != e.old:
 				d.status.CompareAndSwap(undecided, failed)
 				break claim
 			default:
-				if !e.w.p.CompareAndSwap(b, &box{val: e.old, desc: d}) {
-					continue
-				}
+				d.claim(e.w, b)
+				continue
 			}
 			break
 		}
@@ -193,7 +237,7 @@ claim:
 	for i := range d.entries {
 		e := &d.entries[i]
 		b := e.w.p.Load()
-		if b.desc == d {
+		if b.desc == d && !b.cond {
 			v := e.old
 			if final {
 				v = e.new

@@ -78,3 +78,27 @@ func TestDCASHelpsCompetingDescriptor(t *testing.T) {
 		t.Fatalf("a=%d b=%d c=%d", a.Load(), b.Load(), c.Load())
 	}
 }
+
+// TestLateHelperCannotReclaimDecidedWord stages the helper that arrives
+// late: it has seen the descriptor undecided and stalled before loading the
+// word. Meanwhile the descriptor is decided and released, and both words get
+// their old values back in fresh boxes. When the helper resumes and claims,
+// the claim must not attach the decided descriptor to the word, or the
+// transfer would be applied a second time.
+func TestLateHelperCannotReclaimDecidedWord(t *testing.T) {
+	a, b := NewWord(1), NewWord(2)
+	d := &descriptor{entries: []entry{{w: a, old: 1, new: 10}, {w: b, old: 2, new: 20}}}
+	d.help() // another helper decides and releases while ours is stalled
+	if d.status.Load() != succeeded || a.Load() != 10 || b.Load() != 20 {
+		t.Fatalf("staging DCAS: status=%d a=%d b=%d", d.status.Load(), a.Load(), b.Load())
+	}
+	a.Store(1)
+	b.Store(2)
+	d.claim(a, a.p.Load()) // the late helper resumes and claims
+	if got := a.Load(); got != 1 {
+		t.Fatalf("a = %d after the late claim, want 1: the decided DCAS applied twice", got)
+	}
+	if got := b.Load(); got != 2 {
+		t.Fatalf("b = %d after the late claim, want 2", got)
+	}
+}
