@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// Crushing the transactional read capacity forces both PTO tables onto their
-// fallback paths: the original copy-on-write protocol with epoch brackets,
+// Crushing the transactional read capacity forces the PTO table onto its
+// fallback path: the original copy-on-write protocol with epoch brackets,
 // bucket initialization, freezing, and resizing.
 
 func modelCheck(t *testing.T, h tableIface, seed int64) {
@@ -52,22 +52,8 @@ func TestPTOTableFallbackForced(t *testing.T) {
 	}
 }
 
-func TestInplaceTableFallbackForced(t *testing.T) {
-	pol, reg := metered()
-	h := NewInplaceTable(2, 0).WithPolicy(pol)
-	h.Domain().SetCapacity(1, 1)
-	modelCheck(t, h, 13)
-	commits, fallbacks, _ := totals(reg)
-	if commits != 0 || fallbacks == 0 {
-		t.Fatalf("expected pure fallback: commits=%d fallbacks=%d", commits, fallbacks)
-	}
-	if h.InplaceHits() != 0 {
-		t.Error("in-place commit happened with transactions disabled")
-	}
-}
-
-func TestInplaceFallbackConcurrentWithResizes(t *testing.T) {
-	h := NewInplaceTable(2, 0)
+func TestPTOTableFallbackConcurrentWithResizes(t *testing.T) {
+	h := NewPTOTable(2, 0)
 	h.Domain().SetCapacity(1, 1)
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {

@@ -1,6 +1,8 @@
 // Package hashtable implements the dynamic-sized nonblocking hash table of
 // Liu, Zhang, and Spear (PODC 2014), the structure §3.3/§4.5 of the paper
-// accelerates, plus its PTO and PTO+Inplace variants.
+// accelerates, plus its PTO variant. The algorithm-modified PTO+Inplace
+// variant of Figure 4 exists only on the modeled machine, as
+// simds.HashInplace.
 //
 // Each bucket is a freezable set: an immutable array of elements behind an
 // atomic pointer. Updates are copy-on-write — build a new array, CAS the
@@ -16,8 +18,7 @@
 // replaced bucket arrays are retired and recycled through a free pool once a
 // grace period passes. §4.5's observation is that this reclaimer traffic is
 // a dominant cost of short hash table operations and vanishes inside a
-// hardware transaction; the PTO variants in pto.go and inplace.go realize
-// that.
+// hardware transaction; the PTO variant in pto.go realizes that.
 package hashtable
 
 import (

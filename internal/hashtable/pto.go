@@ -38,7 +38,7 @@ type pthnode struct {
 }
 
 // DefaultAttempts is the per-operation transaction retry budget for the
-// hash table PTO variants.
+// PTO hash table.
 const DefaultAttempts = 3
 
 func (t *PTOTable) newHNode(size int, pred *pthnode) *pthnode {
@@ -75,7 +75,6 @@ func (t *PTOTable) Domain() *htm.Domain { return t.domain }
 const (
 	abortUninitialized = 1 // bucket needs initialization (slow path work)
 	abortFrozen        = 2 // resize in progress
-	abortFull          = 3 // in-place node out of capacity (inplace.go)
 )
 
 // Insert adds key, reporting false if already present.

@@ -78,7 +78,6 @@ func TestLinearizableRealBST(t *testing.T) {
 func TestLinearizableRealHash(t *testing.T) {
 	checkRealSet(t, "hash-lockfree", func() realSet { return hashtable.NewTable(2) })
 	checkRealSet(t, "hash-pto", func() realSet { return hashtable.NewPTOTable(2, 0) })
-	checkRealSet(t, "hash-inplace", func() realSet { return hashtable.NewInplaceTable(2, 0) })
 }
 
 func TestLinearizableRealSkiplist(t *testing.T) {

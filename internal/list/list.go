@@ -47,8 +47,6 @@ type node struct {
 // Set is the lock-free baseline sorted-list set.
 type Set struct {
 	head *node
-	// casOps counts CAS attempts (diagnostic).
-	casOps atomic.Uint64
 }
 
 // New returns an empty set.
@@ -75,7 +73,6 @@ retry:
 		for {
 			cb := curr.next.Load()
 			for cb.marked {
-				s.casOps.Add(1)
 				if !pred.next.CompareAndSwap(pb, &box{n: cb.n}) {
 					continue retry
 				}
@@ -121,7 +118,6 @@ func (s *Set) Insert(key int64) bool {
 		}
 		n := &node{key: key}
 		n.next.Store(&box{n: curr})
-		s.casOps.Add(1)
 		if pred.next.CompareAndSwap(pb, &box{n: n}) {
 			return true
 		}
@@ -140,11 +136,9 @@ func (s *Set) Remove(key int64) bool {
 		if cb.marked {
 			return false
 		}
-		s.casOps.Add(1)
 		if !curr.next.CompareAndSwap(cb, &box{n: cb.n, marked: true}) {
 			continue
 		}
-		s.casOps.Add(1)
 		if !pred.next.CompareAndSwap(pb, &box{n: cb.n}) {
 			s.search(key) // let the helper traversal snip it
 		}

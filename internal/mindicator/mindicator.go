@@ -4,7 +4,9 @@
 // operations Arrive (offer a value), Depart (withdraw it), and Query (read
 // the current minimum). SNZI and the f-array are its relatives; unlike the
 // f-array not every operation must reach the root, and unlike SNZI it
-// computes min rather than a saturating bit.
+// computes min rather than a saturating bit. This package has the lock-free
+// and PTO variants; the TLE variant that Figure 2(a) compares them with
+// exists only on the modeled machine, as simds.MindTLE.
 //
 // # Baseline protocol
 //
@@ -327,101 +329,6 @@ func (p *PTO) Depart(slot int) { p.update(slot, infEnc) }
 // Query returns the current minimum over arrived values.
 func (p *PTO) Query() (int32, bool) {
 	_, val := unpack(htm.Load(nil, &p.nodes[0]))
-	if val == infEnc {
-		return 0, false
-	}
-	return dec(val), true
-}
-
-// TLE is the comparison point from Figure 2(a): a sequential min-tree
-// protected by a single coarse lock, accelerated with transactional lock
-// elision. The speculative path verifies the lock is free and runs the
-// sequential update inside a transaction; the fallback acquires the lock.
-type TLE struct {
-	domain  *htm.Domain
-	leaves  int
-	lock    htm.Var[uint64]
-	nodes   []htm.Var[uint64] // sequential representation: encoded values only
-	retries int
-	site    *speculate.Site
-}
-
-// NewTLE returns a TLE-protected sequential Mindicator.
-func NewTLE(leaves, attempts int) *TLE {
-	if leaves < 2 || leaves&(leaves-1) != 0 {
-		panic("mindicator: leaves must be a power of two ≥ 2")
-	}
-	if attempts <= 0 {
-		attempts = DefaultAttempts
-	}
-	t := &TLE{
-		domain:  htm.NewDomain(0, 0),
-		leaves:  leaves,
-		nodes:   make([]htm.Var[uint64], 2*leaves-1),
-		retries: attempts,
-	}
-	t.WithPolicy(speculate.Fixed(0))
-	t.lock.Init(t.domain, 0)
-	for i := range t.nodes {
-		t.nodes[i].Init(t.domain, uint64(infEnc))
-	}
-	return t
-}
-
-// WithPolicy replaces the speculation policy governing the elision retry
-// loop. The default, speculate.Fixed(0), reproduces the historical behavior:
-// up to `attempts` tries — stopping early when the lock is observed held —
-// then the lock is acquired. Returns t for chaining.
-func (t *TLE) WithPolicy(pol speculate.Policy) *TLE {
-	t.site = pol.Site("mindicator-tle/update", 1,
-		speculate.Level{Name: "elide", Attempts: t.retries})
-	return t
-}
-
-func (t *TLE) seqUpdate(tx *htm.Tx, slot int, val uint32) {
-	i := t.leaves - 1 + slot
-	htm.Store(tx, &t.nodes[i], uint64(val))
-	for i != 0 {
-		i = parent(i)
-		l := uint32(htm.Load(tx, &t.nodes[2*i+1]))
-		r := uint32(htm.Load(tx, &t.nodes[2*i+2]))
-		m := min(l, r)
-		if uint32(htm.Load(tx, &t.nodes[i])) == m {
-			break
-		}
-		htm.Store(tx, &t.nodes[i], uint64(m))
-	}
-}
-
-func (t *TLE) update(slot int, val uint32) {
-	r := t.site.Begin(t.domain)
-	for r.Next(0) {
-		st := r.Try(func(tx *htm.Tx) {
-			if htm.Load(tx, &t.lock) != 0 {
-				tx.Abort(1) // lock held: elision impossible right now
-			}
-			t.seqUpdate(tx, slot, val)
-		})
-		if st == htm.Committed {
-			return
-		}
-	}
-	r.Fallback()
-	for !htm.CAS(nil, &t.lock, 0, 1) {
-	}
-	t.seqUpdate(nil, slot, val)
-	htm.Store(nil, &t.lock, 0)
-}
-
-// Arrive offers v as the calling thread's value.
-func (t *TLE) Arrive(slot int, v int32) { t.update(slot, enc(v)) }
-
-// Depart withdraws the calling thread's value.
-func (t *TLE) Depart(slot int) { t.update(slot, infEnc) }
-
-// Query returns the current minimum over arrived values.
-func (t *TLE) Query() (int32, bool) {
-	val := uint32(htm.Load(nil, &t.nodes[0]))
 	if val == infEnc {
 		return 0, false
 	}

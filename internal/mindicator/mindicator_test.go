@@ -11,7 +11,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// minder abstracts the three variants so the semantic tests run against all.
+// minder abstracts the two variants so the semantic tests run against both.
 type minder interface {
 	Arrive(slot int, v int32)
 	Depart(slot int)
@@ -22,7 +22,6 @@ func variants(leaves int) map[string]minder {
 	return map[string]minder{
 		"lockfree": New(leaves),
 		"pto":      NewPTO(leaves, 0),
-		"tle":      NewTLE(leaves, 0),
 	}
 }
 
@@ -79,7 +78,7 @@ func TestNegativeAndDuplicateValues(t *testing.T) {
 	}
 }
 
-// TestQuickSequentialEquivalence drives all three variants plus a trivial
+// TestQuickSequentialEquivalence drives both variants plus a trivial
 // model with the same random operation sequence and checks the queries agree.
 func TestQuickSequentialEquivalence(t *testing.T) {
 	const leaves = 16
@@ -256,29 +255,6 @@ func TestPTOFallbackAccounting(t *testing.T) {
 	if s.Commits == 0 {
 		t.Error("no operation ever committed speculatively")
 	}
-}
-
-func TestTLEFallbackStillCorrect(t *testing.T) {
-	// Zero-attempt TLE is illegal; instead force contention so the lock path
-	// runs, and verify the result is still exact.
-	pol, reg := metered()
-	tle := NewTLE(8, 1).WithPolicy(pol)
-	var wg sync.WaitGroup
-	for s := 0; s < 8; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				tle.Arrive(s, int32(s*1000+i))
-				tle.Depart(s)
-			}
-		}(s)
-	}
-	wg.Wait()
-	if _, ok := tle.Query(); ok {
-		t.Fatal("tree non-empty after all departs")
-	}
-	t.Logf("tle fallbacks: %d", reg.Site("mindicator-tle/update").Snapshot().Fallbacks)
 }
 
 func TestInvalidLeafCount(t *testing.T) {

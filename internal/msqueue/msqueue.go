@@ -33,8 +33,6 @@ type node struct {
 type Queue struct {
 	head atomic.Pointer[node]
 	tail atomic.Pointer[node]
-	// helps counts lagging-tail assists (the work PTO eliminates).
-	helps atomic.Uint64
 }
 
 // New returns an empty queue.
@@ -56,7 +54,6 @@ func (q *Queue) Enqueue(v int64) {
 			continue
 		}
 		if next != nil {
-			q.helps.Add(1)
 			q.tail.CompareAndSwap(t, next) // help the lagging tail
 			continue
 		}
@@ -80,7 +77,6 @@ func (q *Queue) Dequeue() (int64, bool) {
 			if next == nil {
 				return 0, false
 			}
-			q.helps.Add(1)
 			q.tail.CompareAndSwap(t, next)
 			continue
 		}
@@ -90,9 +86,6 @@ func (q *Queue) Dequeue() (int64, bool) {
 		}
 	}
 }
-
-// HelpCount returns how many lagging-tail assists have run.
-func (q *Queue) HelpCount() uint64 { return q.helps.Load() }
 
 // Len counts queued values (O(n); tests and examples).
 func (q *Queue) Len() int {

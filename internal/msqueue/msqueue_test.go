@@ -215,6 +215,11 @@ func TestPTOStats(t *testing.T) {
 	t.Logf("enq commits=%d fallbacks=%d; deq commits=%d fallbacks=%d", e.Commits, e.Fallbacks, d.Commits, d.Fallbacks)
 }
 
+// TestBaselineHelpingHappens drives the baseline with the mix that leaves
+// tails lagging — eight workers, each enqueue followed by a dequeue — so
+// enqueuers and dequeuers help swing the tail. It checks what that helping
+// must preserve: a worker's dequeue always follows its own enqueue, so
+// every dequeue finds a value, and the queue ends empty.
 func TestBaselineHelpingHappens(t *testing.T) {
 	q := New()
 	var wg sync.WaitGroup
@@ -224,10 +229,15 @@ func TestBaselineHelpingHappens(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
 				q.Enqueue(int64(i))
-				q.Dequeue()
+				if _, ok := q.Dequeue(); !ok {
+					t.Error("dequeue found the queue empty after this worker's enqueue")
+					return
+				}
 			}
 		}()
 	}
 	wg.Wait()
-	t.Logf("lagging-tail assists: %d", q.HelpCount())
+	if n := q.Len(); n != 0 {
+		t.Fatalf("queue holds %d values after every enqueue was dequeued", n)
+	}
 }

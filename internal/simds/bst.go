@@ -604,25 +604,3 @@ func (b *SimBST) Keys(t *sim.Thread) []uint64 {
 	walk(b.root)
 	return out
 }
-
-// BSTDepth reports the average leaf depth and leaf count (diagnostics).
-func BSTDepth(t *sim.Thread, b *SimBST) (float64, int) {
-	var total, count int
-	var walk func(n sim.Addr, d int)
-	walk = func(n sim.Addr, d int) {
-		if b.isLeaf(t, n) {
-			if k := t.Load(n + bstKey); k < bstInf1 {
-				total += d
-				count++
-			}
-			return
-		}
-		walk(sim.Addr(t.Load(n+bstLeft)), d+1)
-		walk(sim.Addr(t.Load(n+bstRight)), d+1)
-	}
-	walk(b.root, 0)
-	if count == 0 {
-		return 0, 0
-	}
-	return float64(total) / float64(count), count
-}

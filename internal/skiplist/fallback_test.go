@@ -4,14 +4,11 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-
-	"repro/internal/speculate"
-	"repro/internal/telemetry"
 )
 
 // Crushing the transactional read capacity forces every prefix transaction
 // to abort with AbortCapacity, so all operations run the original per-level
-// CAS protocols (insertFallback, removeFallback, popFallback).
+// CAS protocols (insertFallback, removeFallback).
 
 func TestSetFallbackPathsForced(t *testing.T) {
 	pol, reg := metered()
@@ -74,49 +71,5 @@ func TestSetFallbackConcurrent(t *testing.T) {
 		if keys[i-1] >= keys[i] {
 			t.Fatal("level-0 list not sorted after contended fallback run")
 		}
-	}
-}
-
-func TestQueueFallbackPathsForced(t *testing.T) {
-	q := NewPTOQueue(0)
-	pol, reg := metered()
-	q.Set().WithPolicy(pol).Domain().SetCapacity(1, 1)
-	for i := 0; i < 300; i++ {
-		q.Push(int64(i % 50))
-	}
-	prev := int64(-1)
-	for i := 0; i < 300; i++ {
-		v, ok := q.Pop()
-		if !ok || v < prev {
-			t.Fatalf("pop %d = %d,%v after %d", i, v, ok, prev)
-		}
-		prev = v
-	}
-	if _, ok := q.Pop(); ok {
-		t.Fatal("residue after drain")
-	}
-	pop := reg.Site("skiplist/pop").Snapshot()
-	if pop.Fallbacks == 0 || pop.Fallbacks < pop.Commits {
-		t.Fatalf("fallbacks did not dominate pops: commits=%d fallbacks=%d", pop.Commits, pop.Fallbacks)
-	}
-}
-
-// TestPopFollowsAdaptivePolicy: the pop site is built from the policy the
-// set is given, so under the adaptive policy with crushed capacity every pop
-// aborts and the site's commit-ratio window switches speculation off.
-func TestPopFollowsAdaptivePolicy(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	q := NewPTOQueue(0)
-	q.Set().WithPolicy(speculate.Adaptive().WithMetrics(reg)).Domain().SetCapacity(1, 1)
-	for i := 0; i < 500; i++ {
-		q.Push(int64(i % 50))
-	}
-	for i := 0; i < 500; i++ {
-		if _, ok := q.Pop(); !ok {
-			t.Fatalf("pop %d found the queue empty", i)
-		}
-	}
-	if pop := reg.Site("skiplist/pop").Snapshot(); pop.Disables == 0 {
-		t.Fatalf("pop site never disabled speculation under crushed capacity: %+v", pop)
 	}
 }

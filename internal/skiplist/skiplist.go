@@ -1,7 +1,8 @@
 // Package skiplist implements the lock-free skiplist of §3.1/§4.3: an
 // ordered set with insert, remove, and contains (after Fraser's lock-free
-// skiplist, in the formulation of Herlihy & Shavit), a Lotan–Shavit style
-// priority queue built on it, and PTO-accelerated variants of both.
+// skiplist, in the formulation of Herlihy & Shavit), and its PTO-accelerated
+// variant. The Lotan–Shavit priority queue built on it (SkipQ, Figure 2(b))
+// exists only on the modeled machine, as simds.SimSkipQ.
 //
 // Go cannot tag pointer low bits, so each (next, marked) pair is an
 // immutable box behind an atomic pointer — the standard Go idiom for marked
@@ -13,7 +14,7 @@
 // authoritative set; higher levels are shortcut lists that are repaired
 // lazily by find, and searches start at the highest level any node has.
 //
-// The PTO variants follow the paper's finding that only local application is
+// The PTO variant follows the paper's finding that only local application is
 // profitable for skiplists: the search phase stays outside the transaction,
 // and a prefix transaction performs just the multi-CAS linking (insert) or
 // marking (remove) step, falling back to the original CAS sequence.
@@ -63,9 +64,6 @@ type Set struct {
 	rstate atomic.Uint64
 	// height is the highest level any node has; it only grows.
 	height atomic.Int32
-	// casOps counts successful+failed CAS attempts, one axis of the latency
-	// PTO removes; read by the benchmark harness.
-	casOps atomic.Uint64
 }
 
 // NewSet returns an empty set.
@@ -126,7 +124,6 @@ retry:
 			for {
 				cb := curr.next[level].Load()
 				for cb.marked {
-					s.casOps.Add(1)
 					if !pred.next[level].CompareAndSwap(pb, &cb.n.in) {
 						continue retry
 					}
@@ -195,13 +192,11 @@ func (s *Set) Insert(key int64) bool {
 		for l := 0; l <= top; l++ {
 			n.next[l].Store(&succs[l].in)
 		}
-		s.casOps.Add(1)
 		if !preds[0].next[0].CompareAndSwap(pboxes[0], &n.in) {
 			continue
 		}
 		for l := 1; l <= top; l++ {
 			for {
-				s.casOps.Add(1)
 				if preds[l].next[l].CompareAndSwap(pboxes[l], &n.in) {
 					break
 				}
@@ -238,7 +233,6 @@ func (s *Set) Remove(key int64) bool {
 	for l := victim.top; l >= 1; l-- {
 		b := victim.next[l].Load()
 		for !b.marked {
-			s.casOps.Add(1)
 			victim.next[l].CompareAndSwap(b, &b.n.inMarked)
 			b = victim.next[l].Load()
 		}
@@ -248,17 +242,12 @@ func (s *Set) Remove(key int64) bool {
 		if b.marked {
 			return false
 		}
-		s.casOps.Add(1)
 		if victim.next[0].CompareAndSwap(b, &b.n.inMarked) {
 			s.find(key, preds[:], succs[:], nil) // physical unlink
 			return true
 		}
 	}
 }
-
-// CASCount returns the cumulative number of CAS attempts the set has issued
-// (a latency diagnostic; the quantity PTO coalesces into transactions).
-func (s *Set) CASCount() uint64 { return s.casOps.Load() }
 
 // Len counts unmarked level-0 nodes. O(n); for tests and examples.
 func (s *Set) Len() int {

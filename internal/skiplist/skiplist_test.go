@@ -222,174 +222,3 @@ func TestPTOSetUsesTransactionsAndFallbacks(t *testing.T) {
 	d := s.Domain().Stats()
 	t.Logf("domain stats: %+v", d)
 }
-
-// queueIface abstracts the two queue variants.
-type queueIface interface {
-	Push(prio int64)
-	Pop() (int64, bool)
-	Len() int
-}
-
-func queueVariants() map[string]queueIface {
-	return map[string]queueIface{
-		"lockfree": NewQueue(),
-		"pto":      NewPTOQueue(0),
-	}
-}
-
-func TestQueueBasicOrdering(t *testing.T) {
-	for name, q := range queueVariants() {
-		if _, ok := q.Pop(); ok {
-			t.Errorf("%s: pop on empty returned a value", name)
-		}
-		for _, v := range []int64{5, 1, 9, 1, 3} {
-			q.Push(v)
-		}
-		want := []int64{1, 1, 3, 5, 9}
-		for i, w := range want {
-			v, ok := q.Pop()
-			if !ok || v != w {
-				t.Fatalf("%s: pop %d = %d,%v, want %d", name, i, v, ok, w)
-			}
-		}
-		if _, ok := q.Pop(); ok {
-			t.Errorf("%s: queue not empty after draining", name)
-		}
-	}
-}
-
-func TestQueueDuplicatesPreserved(t *testing.T) {
-	for name, q := range queueVariants() {
-		for i := 0; i < 50; i++ {
-			q.Push(7)
-		}
-		for i := 0; i < 50; i++ {
-			if v, ok := q.Pop(); !ok || v != 7 {
-				t.Fatalf("%s: duplicate %d lost", name, i)
-			}
-		}
-	}
-}
-
-// TestQueueConcurrentConservation pushes a known multiset from several
-// goroutines while others pop; afterwards pops+remainder must equal pushes.
-func TestQueueConcurrentConservation(t *testing.T) {
-	for name, q := range queueVariants() {
-		q := q
-		t.Run(name, func(t *testing.T) {
-			const pushers, pops, per = 4, 4, 500
-			var popped sync.Map
-			var popCount atomic.Int64
-			var wg sync.WaitGroup
-			for p := 0; p < pushers; p++ {
-				wg.Add(1)
-				go func(p int) {
-					defer wg.Done()
-					for i := 0; i < per; i++ {
-						q.Push(int64(p*per + i))
-					}
-				}(p)
-			}
-			for c := 0; c < pops; c++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for popCount.Load() < pushers*per/2 {
-						if v, ok := q.Pop(); ok {
-							if _, dup := popped.LoadOrStore(v, true); dup {
-								t.Errorf("value %d popped twice", v)
-								return
-							}
-							popCount.Add(1)
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			// Drain the remainder and check the union is exactly the pushes.
-			for {
-				v, ok := q.Pop()
-				if !ok {
-					break
-				}
-				if _, dup := popped.LoadOrStore(v, true); dup {
-					t.Fatalf("value %d popped twice during drain", v)
-				}
-				popCount.Add(1)
-			}
-			if popCount.Load() != pushers*per {
-				t.Fatalf("popped %d values, want %d", popCount.Load(), pushers*per)
-			}
-		})
-	}
-}
-
-// TestQueueQuiescentMinimality checks pops return ascending values once
-// pushing has stopped.
-func TestQueueQuiescentMinimality(t *testing.T) {
-	for name, q := range queueVariants() {
-		q := q
-		t.Run(name, func(t *testing.T) {
-			rnd := rand.New(rand.NewSource(3))
-			var wg sync.WaitGroup
-			for p := 0; p < 4; p++ {
-				wg.Add(1)
-				go func(p int) {
-					defer wg.Done()
-					r := rand.New(rand.NewSource(int64(p)))
-					for i := 0; i < 300; i++ {
-						q.Push(int64(r.Intn(10000)))
-					}
-				}(p)
-			}
-			wg.Wait()
-			_ = rnd
-			prev := int64(-1)
-			for {
-				v, ok := q.Pop()
-				if !ok {
-					break
-				}
-				if v < prev {
-					t.Fatalf("pop sequence not ascending at quiescence: %d after %d", v, prev)
-				}
-				prev = v
-			}
-		})
-	}
-}
-
-func TestPTOQueueStats(t *testing.T) {
-	q := NewPTOQueue(0)
-	pol, reg := metered()
-	q.Set().WithPolicy(pol)
-	var wg sync.WaitGroup
-	for p := 0; p < 6; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(int64(p)))
-			for i := 0; i < 400; i++ {
-				if r.Intn(2) == 0 {
-					q.Push(int64(r.Intn(1000)))
-				} else {
-					q.Pop()
-				}
-			}
-		}(p)
-	}
-	wg.Wait()
-	if reg.Site("skiplist/pop").Snapshot().Commits == 0 {
-		t.Error("no pop ever committed speculatively")
-	}
-}
-
-func TestPriorityRangePanics(t *testing.T) {
-	q := NewQueue()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range priority did not panic")
-		}
-	}()
-	q.Push(-1)
-}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/hashtable"
 	"repro/internal/htm"
 	"repro/internal/list"
+	"repro/internal/mindicator"
 	"repro/internal/mound"
 	"repro/internal/msqueue"
 	"repro/internal/skiplist"
@@ -34,7 +35,7 @@ func TestCrushedCapacityTripsAdaptiveDisable(t *testing.T) {
 	}{
 		{"bst", func(t *testing.T, p speculate.Policy) { churnSet(t, bst.NewPTO12().WithPolicy(p)) }},
 		{"skiplist", func(t *testing.T, p speculate.Policy) { churnSet(t, skiplist.NewPTOSet(0).WithPolicy(p)) }},
-		{"hashtable", func(t *testing.T, p speculate.Policy) { churnSet(t, hashtable.NewInplaceTable(4, 0).WithPolicy(p)) }},
+		{"hashtable", func(t *testing.T, p speculate.Policy) { churnSet(t, hashtable.NewPTOTable(4, 0).WithPolicy(p)) }},
 		{"list", func(t *testing.T, p speculate.Policy) { churnSet(t, list.NewPTO(0).WithPolicy(p)) }},
 		{"msqueue", func(t *testing.T, p speculate.Policy) {
 			q := msqueue.NewPTO(0).WithPolicy(p)
@@ -43,6 +44,9 @@ func TestCrushedCapacityTripsAdaptiveDisable(t *testing.T) {
 		{"mound", func(t *testing.T, p speculate.Policy) {
 			q := mound.NewPTO(0, 0).WithPolicy(p)
 			churnBag(t, q.Domain(), q.Insert, q.RemoveMin, true)
+		}},
+		{"mindicator", func(t *testing.T, p speculate.Policy) {
+			churnMind(t, mindicator.NewPTO(2*crushedThreads, 0).WithPolicy(p))
 		}},
 	}
 	for _, c := range cases {
@@ -144,5 +148,30 @@ func churnBag(t *testing.T, d *htm.Domain, put func(int64), take func() (int64, 
 		if n := seen[v].Load(); n != 1 {
 			t.Fatalf("value %d taken %d times, want 1", v, n)
 		}
+	}
+}
+
+// churnMind crushes m's capacity and has each goroutine arrive at and
+// depart from its own two leaves, then arrive once more with a final value:
+// the quiescent query must be the least final value, and empty once every
+// leaf has departed.
+func churnMind(t *testing.T, m *mindicator.PTO) {
+	m.Domain().SetCapacity(1, 1)
+	hammer(func(g int) {
+		for i := 0; i < crushedOps; i++ {
+			slot := g + crushedThreads*(i%2)
+			m.Arrive(slot, int32(i*7919%crushedOps))
+			m.Depart(slot)
+		}
+		m.Arrive(g, int32(100+g))
+	})
+	if v, ok := m.Query(); !ok || v != 100 {
+		t.Fatalf("quiescent query = %d,%v, want 100", v, ok)
+	}
+	for g := 0; g < crushedThreads; g++ {
+		m.Depart(g)
+	}
+	if v, ok := m.Query(); ok {
+		t.Fatalf("query = %d after every leaf departed", v)
 	}
 }
