@@ -72,7 +72,7 @@ func (m *Manager) nbtcPublish(t *sim.Thread, ents []entry) nbtcOutcome {
 				if w&markerBit != 0 {
 					// An in-flight MultiCAS holds this word: abort and help
 					// it to decision outside the transaction.
-					pend = sim.Addr(w &^ markerBit)
+					pend = markerDesc(w)
 					t.TxAbort(abortRetry)
 				}
 				if w != e.old {

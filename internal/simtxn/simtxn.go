@@ -30,7 +30,8 @@
 // word-granularity MultiCAS sound:
 //
 //   - Marker bit: an in-flight MultiCAS parks markerBit|descriptor in each
-//     claimed word. Every word an adapter Reads or Writes must therefore
+//     claimed word (markerBit|condBit|descriptor while the claim is
+//     conditional). Every word an adapter Reads or Writes must therefore
 //     keep bit 63 clear in its legitimate values; words whose values may use
 //     the full range (key sentinels like the BST's ^uint64(0)) may only be
 //     read with PeekRaw, which skips the marker check — sound exactly
@@ -62,6 +63,14 @@ const abortRetry = 1
 
 // markerBit flags a word claimed by an in-flight MultiCAS descriptor.
 const markerBit = uint64(1) << 63
+
+// condBit, beside markerBit, flags a conditional claim: the descriptor is
+// claiming the word, which still holds the leg's old value (see claim).
+const condBit = uint64(1) << 62
+
+// markerDesc returns the descriptor named by the marked word w, a claim or
+// a conditional claim.
+func markerDesc(w uint64) sim.Addr { return sim.Addr(w &^ (markerBit | condBit)) }
 
 // Set is the composable set capability the simulated structures implement
 // (simds.SimBST, simds.SimHash, simds.SimSkip) — the shared txnops contract
@@ -392,7 +401,7 @@ func (c *Ctx) Write(a sim.Addr, x uint64) {
 // point.
 func (c *Ctx) txResolve(a sim.Addr, w uint64) uint64 {
 	if c.helpBudget > 0 {
-		c.pend = sim.Addr(w &^ markerBit)
+		c.pend = markerDesc(w)
 	}
 	c.t.TxAbort(abortRetry)
 	panic("unreachable")
@@ -407,7 +416,7 @@ func resolve(t *sim.Thread, a sim.Addr) uint64 {
 		if w&markerBit == 0 {
 			return w
 		}
-		help(t, sim.Addr(w&^markerBit))
+		helpWord(t, a, w)
 	}
 }
 
@@ -544,6 +553,7 @@ func mcas(t *sim.Thread, ents []entry) bool {
 // claimed word to its new value (success) or old value (failure).
 func help(t *sim.Thread, d sim.Addr) {
 	marker := uint64(d) | markerBit
+	cond := marker | condBit
 	count := int(t.Load(d + mcCount))
 claim:
 	for i := 0; i < count; i++ {
@@ -554,20 +564,21 @@ claim:
 				break claim // decided: stop claiming
 			}
 			w := t.Load(a)
-			if w == marker {
-				break // already claimed (by us or a helper)
-			}
-			if w&markerBit != 0 {
-				help(t, sim.Addr(w&^markerBit))
+			switch {
+			case w == marker:
+				// Already claimed (by us or a helper).
+			case w&markerBit != 0:
+				helpWord(t, a, w)
 				continue
-			}
-			if w != old {
+			case w != old:
 				t.CAS(d+mcStatus, mcUndecided, mcFailed)
 				break claim
+			default:
+				if !claim(t, d, a, old) {
+					continue
+				}
 			}
-			if t.CAS(a, old, marker) {
-				break
-			}
+			break
 		}
 	}
 	t.CAS(d+mcStatus, mcUndecided, mcSucceeded)
@@ -575,12 +586,57 @@ claim:
 	for i := 0; i < count; i++ {
 		a := sim.Addr(t.Load(d + mcTriples + sim.Addr(3*i)))
 		w := t.Load(a)
-		if w == marker {
+		if w == marker || w == cond {
 			v := t.Load(d + mcTriples + sim.Addr(3*i) + 1)
-			if final {
+			if final && w == marker {
 				v = t.Load(d + mcTriples + sim.Addr(3*i) + 2)
 			}
-			t.CAS(a, marker, v)
+			t.CAS(a, w, v)
+		}
+	}
+}
+
+// claim claims the word at a, which held old when last loaded, for the
+// descriptor at d. The words carry no version, so between the helper's
+// status check and its CAS the descriptor may be decided and released and
+// old may come back; a plain claim would then attach a decided descriptor
+// to the word, which would get its new value a second time. The claim is
+// therefore conditional, as in Harris, Fraser and Pratt's RDCSS and in
+// internal/mcas: the CAS installs a conditional marker, and whoever finds
+// it completes it (complete). claim reports whether the word is now claimed.
+func claim(t *sim.Thread, d, a sim.Addr, old uint64) bool {
+	return t.CAS(a, old, uint64(d)|markerBit|condBit) && complete(t, d, a, old)
+}
+
+// complete turns the conditional claim by d on the word at a into a claim
+// if d is still undecided, and back into the leg's old value otherwise. d
+// cannot succeed while the conditional marker is in the word, as it has not
+// claimed the word yet; if d fails between the status load and the CAS,
+// whoever releases d's legs next returns the word to old anyway. complete
+// reports whether it claimed the word.
+func complete(t *sim.Thread, d, a sim.Addr, old uint64) bool {
+	marker := uint64(d) | markerBit
+	if t.Load(d+mcStatus) == mcUndecided {
+		return t.CAS(a, marker|condBit, marker)
+	}
+	t.CAS(a, marker|condBit, old)
+	return false
+}
+
+// helpWord finishes what holds the word at a, which read the marked w: the
+// conditional claim w, whose old value is its leg's in the descriptor, or
+// the MultiCAS that claimed a.
+func helpWord(t *sim.Thread, a sim.Addr, w uint64) {
+	d := markerDesc(w)
+	if w&condBit == 0 {
+		help(t, d)
+		return
+	}
+	count := int(t.Load(d + mcCount))
+	for i := 0; i < count; i++ {
+		if sim.Addr(t.Load(d+mcTriples+sim.Addr(3*i))) == a {
+			complete(t, d, a, t.Load(d+mcTriples+sim.Addr(3*i)+1))
+			return
 		}
 	}
 }

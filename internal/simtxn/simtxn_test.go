@@ -279,3 +279,41 @@ func TestOnCommitRunsOncePerCommit(t *testing.T) {
 		}
 	})
 }
+
+// TestLateHelperCannotReclaimDecidedWord stages the helper that arrives
+// late: it has seen the descriptor undecided and loaded the word's old
+// value, then stalled. Meanwhile the descriptor is decided and released,
+// and both words get their old values back. When the helper resumes and
+// claims, the claim must not attach the decided descriptor to the word, or
+// the transfer would be applied a second time.
+func TestLateHelperCannotReclaimDecidedWord(t *testing.T) {
+	m := sim.New(sim.DefaultConfig(1))
+	setup := m.Thread(0)
+	a := setup.Alloc(2)
+	setup.Store(a, 1)
+	setup.Store(a+1, 2)
+	m.Run(func(th *sim.Thread) {
+		ents := []entry{{addr: a, old: 1, new: 10}, {addr: a + 1, old: 2, new: 20}}
+		d := th.AllocLocal(mcTriples + 3*len(ents))
+		th.Store(d+mcCount, uint64(len(ents)))
+		for i, e := range ents {
+			th.Store(d+mcTriples+sim.Addr(3*i), uint64(e.addr))
+			th.Store(d+mcTriples+sim.Addr(3*i)+1, e.old)
+			th.Store(d+mcTriples+sim.Addr(3*i)+2, e.new)
+		}
+		help(th, d) // another helper decides and releases while ours is stalled
+		if th.Load(d+mcStatus) != mcSucceeded || th.Load(a) != 10 || th.Load(a+1) != 20 {
+			t.Errorf("staging MultiCAS: status=%d a=%d b=%d", th.Load(d+mcStatus), th.Load(a), th.Load(a+1))
+			return
+		}
+		th.Store(a, 1)
+		th.Store(a+1, 2)
+		claim(th, d, a, 1) // the late helper resumes and claims
+		if got := resolve(th, a); got != 1 {
+			t.Errorf("a = %d after the late claim, want 1: the decided MultiCAS applied twice", got)
+		}
+		if got := resolve(th, a+1); got != 2 {
+			t.Errorf("b = %d after the late claim, want 2", got)
+		}
+	})
+}
