@@ -11,7 +11,7 @@ import (
 // --- black-box semantics -------------------------------------------------
 
 func TestMCASEmptySucceeds(t *testing.T) {
-	if !MCAS() {
+	if !mcas() {
 		t.Fatal("empty MCAS must trivially succeed")
 	}
 }
@@ -19,12 +19,12 @@ func TestMCASEmptySucceeds(t *testing.T) {
 func TestMCASBasicNWord(t *testing.T) {
 	const n = 7
 	words := make([]*Word, n)
-	ops := make([]Op, n)
+	ops := make([]entry, n)
 	for i := range words {
 		words[i] = NewWord(uint64(i))
-		ops[i] = Op{W: words[i], Old: uint64(i), New: uint64(i + 100)}
+		ops[i] = entry{words[i], uint64(i), uint64(i + 100)}
 	}
-	if !MCAS(ops...) {
+	if !mcas(ops...) {
 		t.Fatal("MCAS with all-matching olds failed")
 	}
 	for i, w := range words {
@@ -37,7 +37,7 @@ func TestMCASBasicNWord(t *testing.T) {
 func TestMCASFailsAtomically(t *testing.T) {
 	a, b, c := NewWord(1), NewWord(2), NewWord(3)
 	// Middle leg's old value is wrong: nothing may change.
-	if MCAS(Op{a, 1, 10}, Op{b, 99, 20}, Op{c, 3, 30}) {
+	if mcas(entry{a, 1, 10}, entry{b, 99, 20}, entry{c, 3, 30}) {
 		t.Fatal("MCAS with a mismatched leg succeeded")
 	}
 	if a.Load() != 1 || b.Load() != 2 || c.Load() != 3 {
@@ -48,13 +48,13 @@ func TestMCASFailsAtomically(t *testing.T) {
 func TestMCASReadGuardLegs(t *testing.T) {
 	guard, w := NewWord(5), NewWord(1)
 	// Old == New on the guard leg: pure comparison, no write.
-	if !MCAS(Op{guard, 5, 5}, Op{w, 1, 2}) {
+	if !mcas(entry{guard, 5, 5}, entry{w, 1, 2}) {
 		t.Fatal("guarded MCAS failed with matching guard")
 	}
 	if guard.Load() != 5 || w.Load() != 2 {
 		t.Fatalf("guard=%d w=%d", guard.Load(), w.Load())
 	}
-	if MCAS(Op{guard, 4, 4}, Op{w, 2, 3}) {
+	if mcas(entry{guard, 4, 4}, entry{w, 2, 3}) {
 		t.Fatal("guarded MCAS succeeded with stale guard")
 	}
 	if w.Load() != 2 {
@@ -69,7 +69,7 @@ func TestMCASDuplicateWordPanics(t *testing.T) {
 		}
 	}()
 	w := NewWord(0)
-	MCAS(Op{w, 0, 1}, Op{w, 0, 2})
+	mcas(entry{w, 0, 1}, entry{w, 0, 2})
 }
 
 // --- quick-check style interleavings ------------------------------------
@@ -104,13 +104,13 @@ func TestMCASQuickCheck(t *testing.T) {
 			wg.Add(1)
 			go func(mask int, gen uint64) {
 				defer wg.Done()
-				var ops []Op
+				var ops []entry
 				for i := 0; i < nWords; i++ {
 					if mask&(1<<i) != 0 {
-						ops = append(ops, Op{words[i], gen, gen + 1})
+						ops = append(ops, entry{words[i], gen, gen + 1})
 					}
 				}
-				if MCAS(ops...) {
+				if mcas(ops...) {
 					for i := 0; i < nWords; i++ {
 						if mask&(1<<i) != 0 {
 							succ[i].Add(1)
@@ -159,14 +159,14 @@ func TestMCASHelpingUnderContention(t *testing.T) {
 			for i := 0; i < perThread; i++ {
 				// Always include word 0 to force overlap.
 				mask := 1 | rng.Intn(1<<nWords)
-				var ops []Op
+				var ops []entry
 				for j := 0; j < nWords; j++ {
 					if mask&(1<<j) != 0 {
 						cur := words[j].Load()
-						ops = append(ops, Op{words[j], cur, cur + 1})
+						ops = append(ops, entry{words[j], cur, cur + 1})
 					}
 				}
-				if MCAS(ops...) {
+				if mcas(ops...) {
 					for j := 0; j < nWords; j++ {
 						if mask&(1<<j) != 0 {
 							committed[j].Add(1)
@@ -240,7 +240,7 @@ func TestMCASDescriptorReclamation(t *testing.T) {
 	// Failed path: stage against stale olds via a competing update.
 	a, b := NewWord(1), NewWord(2)
 	a.Store(9) // invalidates the op below
-	if MCAS(Op{a, 1, 10}, Op{b, 2, 20}) {
+	if mcas(entry{a, 1, 10}, entry{b, 2, 20}) {
 		t.Fatal("stale MCAS succeeded")
 	}
 	if ab := a.p.Load(); ab.desc != nil {

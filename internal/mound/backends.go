@@ -7,8 +7,10 @@ import (
 )
 
 // mcasBackend is the baseline substrate: node words are mcas.Words and the
-// multi-word operations run the descriptor-based software protocol, costing
-// up to five CAS instructions each — the latency PTO removes.
+// multi-word operations run the descriptor-based software protocol. An
+// uncontended DCAS or DCSS costs seven CAS instructions (two per leg for the
+// conditional claim, one for the decision, two for the releases) — the
+// latency PTO removes.
 type mcasBackend struct {
 	words []*mcas.Word
 }

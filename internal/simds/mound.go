@@ -203,7 +203,14 @@ func (m *SimMound) dcasSoft(t *sim.Thread, id1 int, o1, n1 uint64, id2 int, o2, 
 	return t.Load(d+mdStatus) == mdSucceeded
 }
 
-// help drives a software DCAS descriptor to completion.
+// help drives a software DCAS descriptor to completion. Its claim is the
+// paper's unconditional CAS(a, old, marker), and the version counter that
+// every write of a node word bumps (mwBump) is what makes that safe: a
+// helper that checked the status and then stalls cannot find old in the
+// word again once the descriptor is decided and released, and so cannot
+// attach a decided descriptor to it. A DCSS's compare leg does keep its
+// value, but re-applying it writes the value the word already holds.
+// simtxn's MultiCAS runs over unversioned words and claims conditionally.
 func (m *SimMound) help(t *sim.Thread, d sim.Addr) {
 	marker := mwMarker(d)
 	for leg := 0; leg < 2; leg++ {
