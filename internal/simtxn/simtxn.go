@@ -535,6 +535,13 @@ const (
 // addresses are never reused anyway (the real layer parks this problem on
 // its epoch reclaimer).
 func mcas(t *sim.Thread, ents []entry) bool {
+	d := newDesc(t, ents)
+	help(t, d)
+	return t.Load(d+mcStatus) == mcSucceeded
+}
+
+// newDesc writes an undecided descriptor for ents and publishes it.
+func newDesc(t *sim.Thread, ents []entry) sim.Addr {
 	d := t.AllocLocal(mcTriples + 3*len(ents))
 	t.Store(d+mcStatus, mcUndecided)
 	t.Store(d+mcCount, uint64(len(ents)))
@@ -544,8 +551,7 @@ func mcas(t *sim.Thread, ents []entry) bool {
 		t.Store(d+mcTriples+sim.Addr(3*i)+2, e.new)
 	}
 	t.Fence() // publish the descriptor before installing markers
-	help(t, d)
-	return t.Load(d+mcStatus) == mcSucceeded
+	return d
 }
 
 // help drives the MultiCAS descriptor at d to completion: claim every word

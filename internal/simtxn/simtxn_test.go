@@ -293,14 +293,7 @@ func TestLateHelperCannotReclaimDecidedWord(t *testing.T) {
 	setup.Store(a, 1)
 	setup.Store(a+1, 2)
 	m.Run(func(th *sim.Thread) {
-		ents := []entry{{addr: a, old: 1, new: 10}, {addr: a + 1, old: 2, new: 20}}
-		d := th.AllocLocal(mcTriples + 3*len(ents))
-		th.Store(d+mcCount, uint64(len(ents)))
-		for i, e := range ents {
-			th.Store(d+mcTriples+sim.Addr(3*i), uint64(e.addr))
-			th.Store(d+mcTriples+sim.Addr(3*i)+1, e.old)
-			th.Store(d+mcTriples+sim.Addr(3*i)+2, e.new)
-		}
+		d := newDesc(th, []entry{{addr: a, old: 1, new: 10}, {addr: a + 1, old: 2, new: 20}})
 		help(th, d) // another helper decides and releases while ours is stalled
 		if th.Load(d+mcStatus) != mcSucceeded || th.Load(a) != 10 || th.Load(a+1) != 20 {
 			t.Errorf("staging MultiCAS: status=%d a=%d b=%d", th.Load(d+mcStatus), th.Load(a), th.Load(a+1))
