@@ -11,7 +11,7 @@
 // transactional composition layer publishes with htm.MultiCAS, the same
 // algorithm lifted onto transactional Vars; that one decides while it holds
 // the lock bits of its Vars, which is why the baseline keeps this genuinely
-// lock-free implementation over raw words (see DESIGN.md §7).
+// lock-free implementation over raw words (see DESIGN.md §8).
 //
 // A word temporarily holds a pointer to an operation descriptor while a
 // multi-word operation is in flight; readers and writers that encounter a

@@ -32,7 +32,7 @@
 // linearizable; this variant guarantees quiescent consistency and
 // self-visibility after repair settles, which is sufficient for its standard
 // uses (quiescence detection, minimum-epoch tracking) and for reproducing the
-// paper's cost structure. See DESIGN.md §7.
+// paper's cost structure. See DESIGN.md §8.
 package mindicator
 
 import (

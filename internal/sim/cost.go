@@ -4,7 +4,7 @@ import "fmt"
 
 // CostModel fixes the cycle charge of each event kind. One calibration,
 // loosely derived from Haswell latencies, is used verbatim by every
-// experiment (see DESIGN.md §7); no figure gets its own tuning.
+// experiment (see DESIGN.md §9); no figure gets its own tuning.
 type CostModel struct {
 	// Op is the implicit charge per event for the surrounding non-memory
 	// instructions (address arithmetic, compares, branches).

@@ -66,7 +66,7 @@ func modelFor(cfg Config) HTMModel {
 	panic(fmt.Sprintf("sim: unknown HTM model %q", cfg.Model))
 }
 
-// rtmModel is the default Haswell-like model (package doc, DESIGN §7).
+// rtmModel is the default Haswell-like model (package doc, DESIGN §9).
 type rtmModel struct{ read, write int }
 
 func (m rtmModel) Name() string { return ModelRTM }

@@ -1,7 +1,7 @@
 // Package sim is a deterministic discrete-event simulator of a small
 // multicore with best-effort hardware transactional memory, standing in for
 // the paper's testbed (an Intel i7-4770 with RTM) per the substitution rule
-// in DESIGN.md §2.
+// in DESIGN.md §1.
 //
 // The machine executes one memory event at a time, always the one belonging
 // to the runnable thread with the smallest cycle clock (ties broken by
