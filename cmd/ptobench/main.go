@@ -4,22 +4,12 @@
 // Usage:
 //
 //	ptobench [-figure all|2a|2b|3a|3b|3c|4a|4b|4c|5a|5b|5c|a1..a6|a8..a10|a12|e1|e2] [-scale 1.0] [-csv]
-//	         [-policy adaptive|fixed] [-attempts N]
-//	         [-model rtm|bounded] [-bounded-reads N] [-bounded-writes N] [-nbtc]
+//	         [-ablations] [-extensions]
 //
 // -figure also accepts individual ablation (a1..a6, a8..a10, a12) and
-// extension (e1, e2) IDs; -ablations / -extensions run each full set.
-// -policy/-attempts build ONE speculation policy (speculate.Policy)
-// installed on every structure the benchmarks construct, on both
-// substrates: the real runtime (the wall-clock ablations A6, A9 and A10's
-// wall arms) and the simulated machine (everything else) run the same
-// attempt/backoff/fallback engine, so one flag steers both.
-// -model/-bounded-reads/-bounded-writes select the simulated HTM design
-// (sim.HTMModel) under every modeled figure, and -nbtc publishes composed
-// fallbacks through the commit-time NBTC batch; ablation A12 ignores these
-// overrides and sweeps hardware explicitly. A negative -attempts or
-// budget, or a budget without -model bounded, is refused (exit 2) rather
-// than ignored.
+// extension (e1, e2) IDs, comma-separated; -ablations / -extensions run each
+// full set. Each experiment fixes its own hardware and retry policy, so no
+// flag but -scale changes a modeled number.
 //
 // Figures (Liu, Zhou, Spear, SPAA 2015):
 //
@@ -55,8 +45,6 @@ import (
 	"strings"
 
 	"repro/internal/bench"
-	"repro/internal/sim"
-	"repro/internal/speculate"
 )
 
 func main() {
@@ -65,50 +53,11 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of tables")
 	ablations := flag.Bool("ablations", false, "also run the ablation tables (A1-A6, A8-A10, A12; A6, A9 and A10's wall arms are wall-clock)")
 	extensions := flag.Bool("extensions", false, "also run the extension tables (E1-E2)")
-	policy := flag.String("policy", "", "speculation policy for both substrates: adaptive or fixed (empty = per-substrate default)")
-	attempts := flag.Int("attempts", 0, "override every speculation attempt budget (0 = per-structure defaults; implies -policy fixed if unset)")
-	model := flag.String("model", "", "simulated HTM model for every modeled figure: rtm or bounded (empty = rtm)")
-	boundedReads := flag.Int("bounded-reads", 0, "BoundedSet read budget in lines (0 = sim default; only with -model bounded)")
-	boundedWrites := flag.Int("bounded-writes", 0, "BoundedSet write budget in lines (0 = sim default; only with -model bounded)")
-	nbtc := flag.Bool("nbtc", false, "publish composed fallbacks via the NBTC commit-time batch on the modeled substrate")
 	flag.Parse()
 
 	if !(*scale > 0) || math.IsInf(*scale, 0) { // NaN fails the comparison too
 		refuse("invalid -scale %v (want a positive number)", *scale)
 	}
-	if *attempts < 0 {
-		refuse("invalid -attempts %d (want 0 for the per-structure defaults or a positive budget)", *attempts)
-	}
-	if *boundedReads < 0 || *boundedWrites < 0 {
-		refuse("invalid -bounded-reads %d / -bounded-writes %d (want 0 for the sim default or a positive budget)", *boundedReads, *boundedWrites)
-	}
-	if (*boundedReads > 0 || *boundedWrites > 0) && *model != sim.ModelBoundedSet {
-		refuse("-bounded-reads and -bounded-writes need -model %s", sim.ModelBoundedSet)
-	}
-
-	if *model != "" || *nbtc {
-		switch *model {
-		case "", sim.ModelRTM, sim.ModelBoundedSet:
-		default:
-			refuse("unknown model %q (want %q or %q)", *model, sim.ModelRTM, sim.ModelBoundedSet)
-		}
-		bench.SetHardware(*model, *boundedReads, *boundedWrites, *nbtc)
-	}
-
-	if *policy != "" || *attempts > 0 {
-		var p speculate.Policy
-		switch *policy {
-		case "", "fixed":
-			p = speculate.Fixed(*attempts)
-		case "adaptive":
-			p = speculate.Adaptive()
-			p.Attempts = *attempts
-		default:
-			refuse("unknown policy %q (want adaptive or fixed)", *policy)
-		}
-		bench.SetPolicy(p)
-	}
-
 	runners := map[string]func(float64) bench.Figure{
 		"2a":  bench.Fig2a,
 		"2b":  bench.Fig2b,

@@ -9,7 +9,7 @@
 // Usage:
 //
 //	ptoserver [-addr :8350] [-shards 4]
-//	          [-policy fixed|adaptive] [-attempts 4]
+//	          [-policy fixed|adaptive]
 //	          [-readcap N] [-writecap N] [-maxbatch 64]
 //	          [-metrics-addr :8351] [-sample 1s]
 //
@@ -55,7 +55,6 @@ var (
 	addr        = flag.String("addr", ":8350", "serve the op API on this address")
 	shards      = flag.Int("shards", server.DefaultShards, "shard count (each shard owns its own htm domain)")
 	policyName  = flag.String("policy", "fixed", "speculation policy: fixed or adaptive")
-	attempts    = flag.Int("attempts", 0, "composed fast-path attempt budget (0 = default)")
 	readCap     = flag.Int("readcap", 0, "transactional read capacity (0 = default, negative = force fallback)")
 	writeCap    = flag.Int("writecap", 0, "transactional write capacity (0 = default, negative = force fallback)")
 	maxBatch    = flag.Int("maxbatch", server.DefaultMaxBatch, "max ops per publication: a request's key list, a transfer's n, a /v1/txn body")
@@ -80,7 +79,6 @@ func main() {
 	srv := server.New(server.Config{
 		Shards:   *shards,
 		Policy:   pol,
-		Attempts: *attempts,
 		ReadCap:  *readCap,
 		WriteCap: *writeCap,
 		MaxBatch: *maxBatch,

@@ -3,6 +3,7 @@ package bench
 import (
 	"repro/internal/sim"
 	"repro/internal/simds"
+	"repro/internal/simspec"
 )
 
 // Ablations for the design choices DESIGN.md calls out: the retry budgets
@@ -25,9 +26,10 @@ func AblationMindicatorRetries(scale float64) Figure {
 	for _, threads := range []int{4, 8} {
 		s := Series{Name: sprintfTitle("PTO @ %d threads", threads)}
 		for _, n := range budgets {
-			n := n
+			pol := simspec.DefaultPolicy()
+			pol.Attempts = n
 			tput := measure(threads, w, func(m *sim.Machine, setup *sim.Thread) func(t *sim.Thread) {
-				mi := simds.NewMindicator(setup, simds.MindPTO, 64).WithPolicy(simPolicyAttempts(n))
+				mi := simds.NewMindicator(setup, simds.MindPTO, 64).WithPolicy(pol)
 				return func(t *sim.Thread) {
 					t.Work(opOverhead)
 					mi.Arrive(t, t.ID(), int32(t.Rand()%100000))
@@ -55,9 +57,10 @@ func AblationMoundRetries(scale float64) Figure {
 	for _, threads := range []int{4, 8} {
 		s := Series{Name: sprintfTitle("PTO @ %d threads", threads)}
 		for _, n := range budgets {
-			n := n
+			pol := simspec.DefaultPolicy()
+			pol.Attempts = n
 			tput := measure(threads, w, func(m *sim.Machine, setup *sim.Thread) func(t *sim.Thread) {
-				q := simds.NewSimMound(setup, true, false, 15).WithPolicy(simPolicyAttempts(n))
+				q := simds.NewSimMound(setup, true, false, 15).WithPolicy(pol)
 				for i := 0; i < pqPrefill; i++ {
 					q.Insert(setup, splitmixRand(uint64(i))%pqRange)
 				}
@@ -94,7 +97,7 @@ func AblationBSTBudgets(scale float64) Figure {
 	for i, c := range combos {
 		c := c
 		tput := measure(8, w, func(m *sim.Machine, setup *sim.Thread) func(t *sim.Thread) {
-			b := simds.NewSimBST(setup, simds.BSTPTO12, false, m.Config().Threads).WithPolicy(simPolicy()).WithBudgets(c.a1, c.a2)
+			b := simds.NewSimBST(setup, simds.BSTPTO12, false, m.Config().Threads).WithBudgets(c.a1, c.a2)
 			prefillSet(setup, 512, b.Insert)
 			return setOp(0, 512, b.Insert, b.Remove, b.Contains)
 		})
@@ -119,7 +122,7 @@ func AblationCapacity(scale float64) Figure {
 	}
 	build := func(kind simds.BSTKind) buildFunc {
 		return func(m *sim.Machine, setup *sim.Thread) func(t *sim.Thread) {
-			b := simds.NewSimBST(setup, kind, false, m.Config().Threads).WithPolicy(simPolicy())
+			b := simds.NewSimBST(setup, kind, false, m.Config().Threads)
 			prefillSet(setup, 512, b.Insert)
 			return setOp(0, 512, b.Insert, b.Remove, b.Contains)
 		}
@@ -157,7 +160,7 @@ func AblationSMT(scale float64) Figure {
 			cfg := sim.DefaultConfig(n)
 			cfg.SMTFactor = factor
 			tput := measureCfg(cfg, w, func(m *sim.Machine, setup *sim.Thread) func(t *sim.Thread) {
-				mi := simds.NewMindicator(setup, simds.MindPTO, 64).WithPolicy(simPolicy())
+				mi := simds.NewMindicator(setup, simds.MindPTO, 64)
 				return func(t *sim.Thread) {
 					t.Work(opOverhead)
 					mi.Arrive(t, t.ID(), int32(t.Rand()%100000))

@@ -90,10 +90,10 @@ func TestAblationComposedMoveSim(t *testing.T) {
 	longSweep(t)
 	f := AblationComposedMoveSim(ablationTestScale)
 	allPositive(t, f)
-	// Three historical arms + the caps sweep, then the matrix arms (skiplist
-	// pair, skipq+skiplist PQ pair), the batched MoveAll sweep appended by
-	// the adapter-contract refactors, and the NBTC publication arm.
-	if len(f.Series) != 11 {
+	// Three historical arms, then the matrix arms (skiplist pair,
+	// skipq+skiplist PQ pair), the batched MoveAll sweep and the NBTC
+	// publication arm.
+	if len(f.Series) != 8 {
 		t.Fatalf("unexpected table shape: %+v", f)
 	}
 	// The NBTC arm runs the same forced-fallback workload with publication
@@ -125,20 +125,6 @@ func TestAblationComposedMoveSim(t *testing.T) {
 	if at(fast, 8) < 0.9*at(fb, 8) {
 		t.Errorf("fast path fell below MultiCAS fallback at 8 threads: %v vs %v",
 			at(fast, 8), at(fb, 8))
-	}
-	// Footprint sweep: a 4-word cap aborts every fast-path attempt on
-	// capacity (a Move's traversal alone reads more), so the arm rides the
-	// fallback, well below the uncapped fast path at low contention; a
-	// 64-word cap clears the composed footprint and recovers it.
-	tight := byName(f, "Composed (caps 4 words)")
-	loose := byName(f, "Composed (caps 64 words)")
-	if at(tight, 2) >= at(fast, 2) {
-		t.Errorf("4-word cap did not degrade the fast path at 2 threads: %v vs %v",
-			at(tight, 2), at(fast, 2))
-	}
-	if at(loose, 2) < 0.95*at(fast, 2) {
-		t.Errorf("64-word cap degraded the fast path at 2 threads: %v vs %v",
-			at(loose, 2), at(fast, 2))
 	}
 }
 

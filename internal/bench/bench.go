@@ -52,11 +52,10 @@ const MaxThreads = 8
 type buildFunc func(m *sim.Machine, setup *sim.Thread) func(t *sim.Thread)
 
 // measure runs one data point: the workload on the given thread count for
-// `window` simulated cycles after a window/4 warmup. The machine is built
-// through simConfig (machine.go), so the modeled-hardware override applies;
-// by default it is sim.DefaultConfig exactly.
+// `window` simulated cycles after a window/4 warmup, on the paper's testbed
+// (sim.DefaultConfig).
 func measure(threads int, window uint64, build buildFunc) float64 {
-	return measureCfg(simConfig(threads), window, build)
+	return measureCfg(sim.DefaultConfig(threads), window, build)
 }
 
 // measureCfg is measure with an explicit machine configuration (ablations).

@@ -47,21 +47,7 @@ func AblationComposedMoveSim(scale float64) Figure {
 	for _, m := range modes {
 		s := Series{Name: m.name}
 		for _, threads := range []int{2, 4, 8} {
-			tput := measure(threads, w, buildComposedMoveSim(newSimManager, m.mode, 0))
-			s.Points = append(s.Points, Point{Threads: threads, Throughput: tput})
-		}
-		f.Series = append(f.Series, s)
-	}
-	// Footprint sweep: modeled read/write-set caps on the composed fast path
-	// (simtxn.WithCaps), the composition-layer analogue of A4's per-structure
-	// capacity sweep. A tight cap turns every Move's fast-path attempt into a
-	// deterministic capacity abort, sliding the arm onto the MultiCAS
-	// fallback; a generous cap recovers the fast-path curve — so the sweep
-	// pins where the composed footprint sits between the two.
-	for _, caps := range []int{4, 16, 64} {
-		s := Series{Name: fmt.Sprintf("Composed (caps %d words)", caps)}
-		for _, threads := range []int{2, 4, 8} {
-			tput := measure(threads, w, buildComposedMoveSim(newSimManager, composeFast, caps))
+			tput := measure(threads, w, buildComposedMoveSim(newManager, m.mode))
 			s.Points = append(s.Points, Point{Threads: threads, Throughput: tput})
 		}
 		f.Series = append(f.Series, s)
@@ -91,7 +77,7 @@ func AblationComposedMoveSim(scale float64) Figure {
 	for _, k := range []int{4, 16} {
 		s := Series{Name: fmt.Sprintf("Composed batched MoveAll (k=%d)", k)}
 		for _, threads := range []int{2, 4, 8} {
-			tput := measure(threads, w, buildComposedMoveAllSim(newSimManager, k)) * float64(k)
+			tput := measure(threads, w, buildComposedMoveAllSim(newManager, k)) * float64(k)
 			s.Points = append(s.Points, Point{Threads: threads, Throughput: tput})
 		}
 		f.Series = append(f.Series, s)
@@ -103,7 +89,7 @@ func AblationComposedMoveSim(scale float64) Figure {
 	// bit-for-bit.
 	nbtcArm := Series{Name: "Composed (NBTC fallback)"}
 	for _, threads := range []int{2, 4, 8} {
-		tput := measure(threads, w, buildComposedMoveSim(newSimManager, composeNBTC, 0))
+		tput := measure(threads, w, buildComposedMoveSim(newManager, composeNBTC))
 		nbtcArm.Points = append(nbtcArm.Points, Point{Threads: threads, Throughput: tput})
 	}
 	f.Series = append(f.Series, nbtcArm)
@@ -162,14 +148,16 @@ const (
 	composeNBTC
 )
 
+// newManager is A8's composed-layer manager: simtxn's own defaults.
+func newManager() *simtxn.Manager { return simtxn.New(0) }
+
 // buildComposedMoveSim prefills half the key range into the tree and runs
 // random-direction Moves between tree and hash table. The composed arms keep
 // the closed world the simtxn adapters require: while the machine runs, the
-// two structures are mutated only through the composition layer. caps > 0
-// bounds the fast path's modeled read- and write-set footprint in distinct
-// words; 0 leaves it machine-limited. newMgr builds the composed arms'
-// manager: newSimManager for A8, frontierMgr for A12's sweep.
-func buildComposedMoveSim(newMgr func() *simtxn.Manager, mode composeMode, caps int) buildFunc {
+// two structures are mutated only through the composition layer. newMgr
+// builds the composed arms' manager: newManager for A8, frontierMgr for
+// A12's sweep.
+func buildComposedMoveSim(newMgr func() *simtxn.Manager, mode composeMode) buildFunc {
 	const keyRange = 256
 	return func(m *sim.Machine, setup *sim.Thread) func(t *sim.Thread) {
 		if mode == composeLocked {
@@ -212,11 +200,8 @@ func buildComposedMoveSim(newMgr func() *simtxn.Manager, mode composeMode, caps 
 		if mode == composeNBTC {
 			mgr.WithNBTC(true)
 		}
-		if caps > 0 {
-			mgr.WithCaps(caps, caps)
-		}
-		b := simds.NewSimBST(setup, simds.BSTPTO12, false, m.Config().Threads).WithPolicy(simPolicy())
-		h := simds.NewSimHash(setup, simds.HashPTO, 64, m.Config().Threads).WithPolicy(simPolicy())
+		b := simds.NewSimBST(setup, simds.BSTPTO12, false, m.Config().Threads)
+		h := simds.NewSimHash(setup, simds.HashPTO, 64, m.Config().Threads)
 		h.Stabilize(setup)
 		prefillSet(setup, keyRange, b.Insert)
 		return func(t *sim.Thread) {
@@ -238,7 +223,7 @@ func buildComposedMoveSim(newMgr func() *simtxn.Manager, mode composeMode, caps 
 func buildComposedSkipMoveSim() buildFunc {
 	const keyRange = 256
 	return func(m *sim.Machine, setup *sim.Thread) func(t *sim.Thread) {
-		mgr := newSimManager()
+		mgr := simtxn.New(0)
 		s1 := simds.NewSimSkip(setup, false, m.Config().Threads)
 		s2 := simds.NewSimSkip(setup, false, m.Config().Threads)
 		prefillSet(setup, keyRange, s1.Insert)
@@ -263,7 +248,7 @@ func buildComposedSkipMoveSim() buildFunc {
 func buildComposedSkipQMoveSim() buildFunc {
 	const keyRange = 256
 	return func(m *sim.Machine, setup *sim.Thread) func(t *sim.Thread) {
-		mgr := newSimManager()
+		mgr := simtxn.New(0)
 		pq := simds.NewSimSkipQ(setup, false, m.Config().Threads)
 		set := simds.NewSimSkip(setup, false, m.Config().Threads)
 		for i := 0; i < keyRange/2; i++ {
@@ -289,8 +274,8 @@ func buildComposedMoveAllSim(newMgr func() *simtxn.Manager, k int) buildFunc {
 	const keyRange = 256
 	return func(m *sim.Machine, setup *sim.Thread) func(t *sim.Thread) {
 		mgr := newMgr()
-		b := simds.NewSimBST(setup, simds.BSTPTO12, false, m.Config().Threads).WithPolicy(simPolicy())
-		h := simds.NewSimHash(setup, simds.HashPTO, 64, m.Config().Threads).WithPolicy(simPolicy())
+		b := simds.NewSimBST(setup, simds.BSTPTO12, false, m.Config().Threads)
+		h := simds.NewSimHash(setup, simds.HashPTO, 64, m.Config().Threads)
 		h.Stabilize(setup)
 		prefillSet(setup, keyRange, b.Insert)
 		return func(t *sim.Thread) {

@@ -19,7 +19,7 @@ func ExtList(lookupPct int, scale float64) Figure {
 	const keyRange = 128
 	mk := func(pto bool) buildFunc {
 		return func(m *sim.Machine, setup *sim.Thread) func(t *sim.Thread) {
-			l := simds.NewSimList(setup, pto, m.Config().Threads).WithPolicy(simPolicy())
+			l := simds.NewSimList(setup, pto, m.Config().Threads)
 			prefillSet(setup, keyRange, l.Insert)
 			return setOp(lookupPct, keyRange, l.Insert, l.Remove, l.Contains)
 		}
@@ -41,7 +41,7 @@ func ExtQueue(scale float64) Figure {
 	w := scaled(windowPQ, scale)
 	mk := func(pto bool) buildFunc {
 		return func(m *sim.Machine, setup *sim.Thread) func(t *sim.Thread) {
-			q := simds.NewSimMSQueue(setup, pto).WithPolicy(simPolicy())
+			q := simds.NewSimMSQueue(setup, pto)
 			for i := 0; i < 256; i++ {
 				q.Enqueue(setup, uint64(i))
 			}

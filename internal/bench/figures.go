@@ -39,7 +39,7 @@ func Fig2a(scale float64) Figure {
 	w := scaled(windowMind, scale)
 	mk := func(kind simds.MindKind) buildFunc {
 		return func(m *sim.Machine, setup *sim.Thread) func(t *sim.Thread) {
-			mi := simds.NewMindicator(setup, kind, 64).WithPolicy(simPolicy())
+			mi := simds.NewMindicator(setup, kind, 64)
 			return func(t *sim.Thread) {
 				t.Work(opOverhead)
 				mi.Arrive(t, t.ID(), int32(t.Rand()%100000))
@@ -67,7 +67,7 @@ const pqRange = 1 << 18
 
 func moundBuild(pto, keepFences bool) buildFunc {
 	return func(m *sim.Machine, setup *sim.Thread) func(t *sim.Thread) {
-		q := simds.NewSimMound(setup, pto, keepFences, 15).WithPolicy(simPolicy())
+		q := simds.NewSimMound(setup, pto, keepFences, 15)
 		for i := 0; i < pqPrefill; i++ {
 			q.Insert(setup, splitmixRand(uint64(i))%pqRange)
 		}
@@ -85,7 +85,7 @@ func moundBuild(pto, keepFences bool) buildFunc {
 
 func skipqBuild(pto bool) buildFunc {
 	return func(m *sim.Machine, setup *sim.Thread) func(t *sim.Thread) {
-		q := simds.NewSimSkipQ(setup, pto, m.Config().Threads).WithPolicy(simPolicy())
+		q := simds.NewSimSkipQ(setup, pto, m.Config().Threads)
 		for i := 0; i < pqPrefill; i++ {
 			q.Push(setup, splitmixRand(uint64(i))%pqRange)
 		}
@@ -155,7 +155,7 @@ func prefillSet(setup *sim.Thread, keyRange uint64, insert func(t *sim.Thread, k
 
 func bstBuild(kind simds.BSTKind, keepFences bool, lookupPct int, keyRange uint64) buildFunc {
 	return func(m *sim.Machine, setup *sim.Thread) func(t *sim.Thread) {
-		b := simds.NewSimBST(setup, kind, keepFences, m.Config().Threads).WithPolicy(simPolicy())
+		b := simds.NewSimBST(setup, kind, keepFences, m.Config().Threads)
 		prefillSet(setup, keyRange, b.Insert)
 		return setOp(lookupPct, keyRange, b.Insert, b.Remove, b.Contains)
 	}
@@ -163,7 +163,7 @@ func bstBuild(kind simds.BSTKind, keepFences bool, lookupPct int, keyRange uint6
 
 func skipBuild(pto bool, lookupPct int, keyRange uint64) buildFunc {
 	return func(m *sim.Machine, setup *sim.Thread) func(t *sim.Thread) {
-		s := simds.NewSimSkip(setup, pto, m.Config().Threads).WithPolicy(simPolicy())
+		s := simds.NewSimSkip(setup, pto, m.Config().Threads)
 		prefillSet(setup, keyRange, s.Insert)
 		return setOp(lookupPct, keyRange, s.Insert, s.Remove, s.Contains)
 	}
@@ -192,7 +192,7 @@ func Fig3(lookupPct int, scale float64) Figure {
 
 func hashBuild(kind simds.HashKind, lookupPct int, keyRange uint64) buildFunc {
 	return func(m *sim.Machine, setup *sim.Thread) func(t *sim.Thread) {
-		h := simds.NewSimHash(setup, kind, 64, m.Config().Threads).WithPolicy(simPolicy())
+		h := simds.NewSimHash(setup, kind, 64, m.Config().Threads)
 		prefillSet(setup, keyRange, h.Insert)
 		h.Stabilize(setup)
 		return setOp(lookupPct, keyRange, h.Insert, h.Remove, h.Contains)
@@ -269,19 +269,6 @@ func Fig5c(scale float64) Figure {
 		Title:  "Fence elimination on the BST (improvement over lock-free)",
 		YLabel: "% improvement",
 		Series: []Series{Improvement(withF, base), Improvement(noF, base)},
-	}
-}
-
-// All regenerates every figure of the evaluation, in paper order.
-func All(scale float64) []Figure {
-	return []Figure{
-		Fig2a(scale),
-		Fig2b(scale),
-		Fig3(0, scale), Fig3(34, scale), Fig3(100, scale),
-		Fig4(0, scale), Fig4(80, scale), Fig4(100, scale),
-		Fig5a(scale),
-		Fig5b(scale),
-		Fig5c(scale),
 	}
 }
 

@@ -160,17 +160,11 @@ func frontierConfig(threads, lines int) sim.Config {
 	return cfg
 }
 
-// frontierMgr returns the constructor of the sweep's own composed-layer
-// manager: A12 sweeps hardware explicitly, independent of the
-// package-level SetHardware override that newSimManager applies.
+// frontierMgr returns the constructor of an arm's composed-layer manager:
+// simtxn's defaults, publishing fallbacks through the NBTC batch when nbtc
+// is set.
 func frontierMgr(nbtc bool) func() *simtxn.Manager {
-	return func() *simtxn.Manager {
-		mgr := simtxn.New(0).WithPolicy(simPolicy())
-		if nbtc {
-			mgr.WithNBTC(true)
-		}
-		return mgr
-	}
+	return func() *simtxn.Manager { return simtxn.New(0).WithNBTC(nbtc) }
 }
 
 // frontierShapes builds each shape with a given manager constructor. The
@@ -180,7 +174,7 @@ var frontierShapes = []struct {
 	build func(newMgr func() *simtxn.Manager) buildFunc
 }{
 	{"single-op", buildFrontierSingle},
-	{"pair-move", func(newMgr func() *simtxn.Manager) buildFunc { return buildComposedMoveSim(newMgr, composeFast, 0) }},
+	{"pair-move", func(newMgr func() *simtxn.Manager) buildFunc { return buildComposedMoveSim(newMgr, composeFast) }},
 	{"moveall-4", func(newMgr func() *simtxn.Manager) buildFunc { return buildComposedMoveAllSim(newMgr, 4) }},
 	{"moveall-16", func(newMgr func() *simtxn.Manager) buildFunc { return buildComposedMoveAllSim(newMgr, 16) }},
 	{"semtx-open", buildFrontierSemtx},
@@ -192,7 +186,7 @@ func buildFrontierSingle(newMgr func() *simtxn.Manager) buildFunc {
 	const keyRange = 256
 	return func(m *sim.Machine, setup *sim.Thread) func(t *sim.Thread) {
 		mgr := newMgr()
-		b := simds.NewSimBST(setup, simds.BSTPTO12, false, m.Config().Threads).WithPolicy(simPolicy())
+		b := simds.NewSimBST(setup, simds.BSTPTO12, false, m.Config().Threads)
 		prefillSet(setup, keyRange, b.Insert)
 		return func(t *sim.Thread) {
 			t.Work(opOverhead)

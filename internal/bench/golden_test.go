@@ -13,11 +13,10 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_*.csv fro
 // goldenScale is the benchmark's sim-figures scale (benchmark/simfig.go).
 const goldenScale = 0.05
 
-// goldenCSV regenerates every modeled table on the default hardware — the
-// sim-figures set (Fig 2a, 2b, 3(b), 4(b), A8), the rest of the paper's
-// figures, A1–A5, E1, E2, A10's modeled arms and A12's hardware sweep —
-// then A8 once more on ModelBoundedSet + NBTC, so both HTM models and both
-// composed commit modes are in the file.
+// goldenCSV regenerates every modeled table — the sim-figures set (Fig 2a,
+// 2b, 3(b), 4(b), A8), the rest of the paper's figures, A1–A5, E1, E2,
+// A10's modeled arms and A12's hardware sweep, which carries both HTM
+// models and both composed commit modes.
 func goldenCSV() string {
 	var b strings.Builder
 	tp := ThreePathSample(goldenScale)
@@ -37,11 +36,6 @@ func goldenCSV() string {
 	} {
 		b.WriteString(CSV(f))
 	}
-	SetHardware("bounded", 0, 0, true)
-	defer SetHardware("", 0, 0, false)
-	f := AblationComposedMoveSim(goldenScale)
-	f.ID += " bounded+nbtc"
-	b.WriteString(CSV(f))
 	return b.String()
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/hashtable"
 	"repro/internal/semtx"
+	"repro/internal/speculate"
 	"repro/internal/telemetry"
 	"repro/internal/txn"
 )
@@ -58,7 +59,7 @@ func a9Spin(seed uint64) uint64 {
 // semantic-retry rates.
 func measureA9(threads, txnsPer int, semantic bool) (tput, wordAborts, semRetries float64) {
 	reg := telemetry.NewRegistry()
-	pol := realPolicy().WithMetrics(reg)
+	pol := speculate.Fixed(0).WithMetrics(reg)
 	siteName := "a9/word"
 	if semantic {
 		siteName = "a9/semantic"

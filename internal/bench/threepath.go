@@ -9,7 +9,9 @@ import (
 	"repro/internal/list"
 	"repro/internal/sim"
 	"repro/internal/simds"
+	"repro/internal/simspec"
 	"repro/internal/simtxn"
+	"repro/internal/speculate"
 	"repro/internal/telemetry"
 	"repro/internal/txn"
 )
@@ -144,7 +146,7 @@ func buildOccupiedSim(middle bool, regOut **telemetry.Registry) buildFunc {
 		if regOut != nil {
 			*regOut = reg
 		}
-		spec := simtxn.New(0).WithPolicy(simPolicy().WithMetrics(reg))
+		spec := simtxn.New(0).WithPolicy(simspec.DefaultPolicy().WithMetrics(reg))
 		if middle {
 			spec.WithMiddle(0, 0)
 		}
@@ -203,7 +205,7 @@ func measureOccupiedReal(threads int, window time.Duration, middle bool) (float6
 	const fastAttempts = 1
 	reg := telemetry.NewRegistry()
 	d := htm.NewDomain(0, 0)
-	pol := realPolicy().WithMetrics(reg)
+	pol := speculate.Fixed(0).WithMetrics(reg)
 	spec := txn.NewIn(d, fastAttempts).WithPolicy(pol)
 	if middle {
 		spec.WithMiddle(0, 0)

@@ -26,8 +26,6 @@ type Config struct {
 	// speculate.Adaptive()); its Metrics field is overwritten with the
 	// server's registry.
 	Policy speculate.Policy
-	// Attempts is the composed fast-path budget (0 = txn.DefaultAttempts).
-	Attempts int
 	// ReadCap/WriteCap retune every shard domain's transactional capacity;
 	// 0 keeps the defaults, negative forces the MultiCAS fallback.
 	ReadCap, WriteCap int

@@ -65,7 +65,7 @@ func newShard(id int, cfg Config, reg *telemetry.Registry) *shard {
 		d.SetCapacity(cfg.ReadCap, cfg.WriteCap)
 	}
 	pol := cfg.Policy.WithMetrics(reg)
-	m := txn.NewIn(d, cfg.Attempts).WithPolicyAt(pol, siteName(id))
+	m := txn.NewIn(d, txn.DefaultAttempts).WithPolicyAt(pol, siteName(id))
 	r := m.Structures()
 	r.AddSet(DefaultSet, hashtable.NewPTOTableIn(d, 64, 0))
 	r.AddSet(DefaultSpill, skiplist.NewPTOSetIn(d, 0))

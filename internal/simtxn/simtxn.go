@@ -94,8 +94,6 @@ type Registry = txnops.Registry[*Ctx, uint64]
 type Manager struct {
 	attempts int
 	force    bool
-	readCap  int
-	writeCap int
 	site     *simspec.Site
 	reg      Registry
 
@@ -166,19 +164,6 @@ func (m *Manager) ForceFallback(on bool) *Manager {
 	return m
 }
 
-// WithCaps installs modeled read- and write-set capacity limits for the
-// fast path, in distinct words touched. A fast-path attempt whose footprint
-// exceeds a cap aborts with sim.AbortCapacity, mirroring htm.SetCapacity:
-// 0 leaves that set machine-limited (no modeled cap), a negative cap models
-// zero capacity (the first footprint access aborts). Capacity aborts are
-// deterministic, so a too-big body burns its attempt budget and lands on
-// the capture/MultiCAS fallback — the knob the A8 footprint sweep turns.
-// Set before use.
-func (m *Manager) WithCaps(readCap, writeCap int) *Manager {
-	m.readCap, m.writeCap = readCap, writeCap
-	return m
-}
-
 // Structures is the manager's registration surface: drivers register each
 // participating simulated structure once and enumerate them generically. The
 // manager holds no per-structure code.
@@ -215,16 +200,12 @@ type entry struct {
 // Ctx is the context of one composed-operation attempt. It is only valid
 // inside the body passed to Atomic/ReadOnly and must not be retained.
 type Ctx struct {
-	t        *sim.Thread
-	fast     bool
-	ents     []entry
-	idx      map[sim.Addr]int
-	wrote    bool
-	hooks    []func()
-	readCap  int // modeled read-set cap (fast path; 0 = machine-limited)
-	writeCap int // modeled write-set cap (fast path; 0 = machine-limited)
-	rset     map[sim.Addr]struct{}
-	wset     map[sim.Addr]struct{}
+	t     *sim.Thread
+	fast  bool
+	ents  []entry
+	idx   map[sim.Addr]int
+	wrote bool
+	hooks []func()
 
 	// helpBudget and pend are the middle level's helping handshake: a
 	// fast-path attempt always aborts on a marked word (§2.4 — a buffered
@@ -267,48 +248,6 @@ func (c *Ctx) runHooks() {
 	}
 }
 
-// chargeRead charges a against the modeled read-set cap. Every fast-path
-// load occupies read capacity regardless of validation semantics, just as a
-// real HTM read set holds every line the transaction touched.
-func (c *Ctx) chargeRead(a sim.Addr) {
-	if c.readCap == 0 {
-		return
-	}
-	if c.readCap < 0 {
-		c.t.TxAbortCapacity()
-	}
-	if _, ok := c.rset[a]; ok {
-		return
-	}
-	if c.rset == nil {
-		c.rset = make(map[sim.Addr]struct{}, c.readCap)
-	}
-	if len(c.rset) >= c.readCap {
-		c.t.TxAbortCapacity()
-	}
-	c.rset[a] = struct{}{}
-}
-
-// chargeWrite charges a against the modeled write-set cap.
-func (c *Ctx) chargeWrite(a sim.Addr) {
-	if c.writeCap == 0 {
-		return
-	}
-	if c.writeCap < 0 {
-		c.t.TxAbortCapacity()
-	}
-	if _, ok := c.wset[a]; ok {
-		return
-	}
-	if c.wset == nil {
-		c.wset = make(map[sim.Addr]struct{}, c.writeCap)
-	}
-	if len(c.wset) >= c.writeCap {
-		c.t.TxAbortCapacity()
-	}
-	c.wset[a] = struct{}{}
-}
-
 // Read reads the word at a as part of the operation's validated footprint.
 // On the fast path it is a transactional load that aborts on a marked word
 // (an in-flight fallback MultiCAS: do not help under speculation). In
@@ -317,7 +256,6 @@ func (c *Ctx) chargeWrite(a sim.Addr) {
 // observed word; the commit-time MultiCAS re-asserts it.
 func (c *Ctx) Read(a sim.Addr) uint64 {
 	if c.fast {
-		c.chargeRead(a)
 		w := c.t.Load(a)
 		if w&markerBit != 0 {
 			w = c.txResolve(a, w)
@@ -339,7 +277,6 @@ func (c *Ctx) Read(a sim.Addr) uint64 {
 // for words whose legitimate values may carry bit 63.
 func (c *Ctx) Peek(a sim.Addr) uint64 {
 	if c.fast {
-		c.chargeRead(a)
 		w := c.t.Load(a)
 		if w&markerBit != 0 {
 			w = c.txResolve(a, w)
@@ -360,7 +297,6 @@ func (c *Ctx) Peek(a sim.Addr) uint64 {
 // Reads or Writes, so no descriptor ever claims them.
 func (c *Ctx) PeekRaw(a sim.Addr) uint64 {
 	if c.fast {
-		c.chargeRead(a)
 		return c.t.Load(a)
 	}
 	if i, ok := c.idx[a]; ok {
@@ -376,7 +312,6 @@ func (c *Ctx) PeekRaw(a sim.Addr) uint64 {
 func (c *Ctx) Write(a sim.Addr, x uint64) {
 	c.wrote = true
 	if c.fast {
-		c.chargeWrite(a)
 		c.t.Store(a, x)
 		return
 	}
@@ -431,7 +366,7 @@ func (m *Manager) Atomic(t *sim.Thread, body func(c *Ctx)) {
 			hb := m.site.HelpBudget(lv)
 			helped := 0
 			for r.Next(lv) {
-				c := &Ctx{t: t, fast: true, readCap: m.readCap, writeCap: m.writeCap, helpBudget: hb - helped}
+				c := &Ctx{t: t, fast: true, helpBudget: hb - helped}
 				if r.Try(func() { body(c) }) == sim.OK {
 					c.runHooks()
 					return

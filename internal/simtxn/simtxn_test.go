@@ -170,89 +170,6 @@ func TestReadOnlyRejectsWrites(t *testing.T) {
 	})
 }
 
-// TestCapsForceFallback pins the modeled capacity contract: a body whose
-// distinct-word footprint exceeds a WithCaps limit aborts every fast-path
-// attempt with AbortCapacity and commits through the capture/MultiCAS
-// fallback instead.
-func TestCapsForceFallback(t *testing.T) {
-	m := sim.New(sim.DefaultConfig(1))
-	setup := m.Thread(0)
-	a := setup.Alloc(4)
-	mgr := New(0).WithCaps(2, 0)
-	m.Run(func(th *sim.Thread) {
-		mgr.Atomic(th, func(c *Ctx) {
-			var sum uint64
-			for i := sim.Addr(0); i < 3; i++ { // 3 distinct reads > cap 2
-				sum += c.Read(a + i)
-			}
-			c.Write(a+3, sum+1)
-		})
-		if th.Load(a+3) != 1 {
-			t.Errorf("word after commit = %d, want 1", th.Load(a+3))
-		}
-	})
-	st := m.Stats()
-	if st.TxCapacity == 0 {
-		t.Error("no modeled capacity aborts recorded")
-	}
-	if st.TxCommits != 0 {
-		t.Errorf("fast path committed %d times under a too-small cap", st.TxCommits)
-	}
-}
-
-// TestCapsChargeDistinctWords: re-reading and re-writing the same words must
-// not consume capacity, so a loop over a cap-sized footprint commits on the
-// fast path with no capacity aborts.
-func TestCapsChargeDistinctWords(t *testing.T) {
-	m := sim.New(sim.DefaultConfig(1))
-	setup := m.Thread(0)
-	a := setup.Alloc(2)
-	mgr := New(0).WithCaps(2, 1)
-	m.Run(func(th *sim.Thread) {
-		mgr.Atomic(th, func(c *Ctx) {
-			for i := 0; i < 8; i++ {
-				v := c.Read(a) + c.Read(a+1)
-				c.Write(a, v+1)
-			}
-		})
-	})
-	st := m.Stats()
-	if st.TxCapacity != 0 {
-		t.Errorf("repeated touches charged capacity: %d aborts", st.TxCapacity)
-	}
-	if st.TxCommits != 1 {
-		t.Errorf("fast-path commits = %d, want 1", st.TxCommits)
-	}
-	if setup.Load(a) != 8 {
-		t.Errorf("word = %d, want 8", setup.Load(a))
-	}
-}
-
-// TestNegativeCapIsZeroCapacity: a negative cap aborts on the first
-// footprint access, the modeled analogue of htm.SetCapacity(-1, -1) — every
-// operation runs on the fallback.
-func TestNegativeCapIsZeroCapacity(t *testing.T) {
-	m := sim.New(sim.DefaultConfig(1))
-	setup := m.Thread(0)
-	a := setup.Alloc(1)
-	mgr := New(0).WithCaps(-1, -1)
-	m.Run(func(th *sim.Thread) {
-		mgr.Atomic(th, func(c *Ctx) {
-			c.Write(a, c.Read(a)+1)
-		})
-	})
-	st := m.Stats()
-	if st.TxCommits != 0 {
-		t.Errorf("fast path committed %d times under zero capacity", st.TxCommits)
-	}
-	if st.TxCapacity == 0 {
-		t.Error("no capacity aborts under zero capacity")
-	}
-	if setup.Load(a) != 1 {
-		t.Errorf("word = %d, want 1", setup.Load(a))
-	}
-}
-
 // TestOnCommitRunsOncePerCommit: hooks registered by an attempt that aborts
 // must not run; the committing attempt's hooks run exactly once.
 func TestOnCommitRunsOncePerCommit(t *testing.T) {
