@@ -148,15 +148,15 @@ const (
 	composeNBTC
 )
 
-// newManager is A8's composed-layer manager: simtxn's own defaults.
+// newManager is a composed-layer manager on simtxn's own defaults: A8's, and
+// A12's RTM baseline.
 func newManager() *simtxn.Manager { return simtxn.New(0) }
 
 // buildComposedMoveSim prefills half the key range into the tree and runs
 // random-direction Moves between tree and hash table. The composed arms keep
 // the closed world the simtxn adapters require: while the machine runs, the
 // two structures are mutated only through the composition layer. newMgr
-// builds the composed arms' manager: newManager for A8, frontierMgr for
-// A12's sweep.
+// builds the composed arms' manager.
 func buildComposedMoveSim(newMgr func() *simtxn.Manager, mode composeMode) buildFunc {
 	const keyRange = 256
 	return func(m *sim.Machine, setup *sim.Thread) func(t *sim.Thread) {

@@ -6,7 +6,9 @@ import (
 	"repro/internal/semtx"
 	"repro/internal/sim"
 	"repro/internal/simds"
+	"repro/internal/simspec"
 	"repro/internal/simtxn"
+	"repro/internal/telemetry"
 )
 
 // Ablation A12: the hardware frontier. The simulator goes where real
@@ -15,11 +17,12 @@ import (
 // budgets, with and without the NBTC commit mode, next to its throughput on
 // the default RTM-like machine. The question the sweep answers is the
 // ROADMAP's "which future hardware does the composed layer actually want":
-// for every shape there is a set-size threshold below which the tiny exact
-// sets cannot hold the footprint — every fast-path attempt dies on capacity
-// and the shape rides the MultiCAS fallback — and above which the bounded
-// design recovers the fast path (and, with its exact read sets, sheds the
-// RTM filter's false aborts). The NBTC arm asks whether deferring the
+// a shape has a set-size threshold below which the tiny exact sets cannot
+// hold the footprint — every fast-path attempt dies on capacity and the
+// shape rides the MultiCAS fallback — and above which the bounded design
+// recovers the fast path (and, with its exact read sets, sheds the RTM
+// filter's false aborts), unless its footprint overflows every swept
+// budget. The NBTC arm asks whether deferring the
 // fallback's publication into one commit-time batch shifts that threshold:
 // a publication batch is much smaller than the body that produced it, so it
 // can fit a budget the body itself overflows.
@@ -33,9 +36,12 @@ const a12Threads = 4
 // a12SetLines is the swept per-side budget (read lines = write lines).
 var a12SetLines = []int{4, 8, 16, 32, 64}
 
-// frontierFitFrac: a bounded arm "fits" at the smallest budget where it
-// reaches this fraction of the shape's RTM-baseline throughput.
-const frontierFitFrac = 0.8
+// frontierFitShare: an arm "fits" at the smallest budget where at least this
+// share of its composed operations finish in one hardware transaction — a
+// fast-path commit, or for the NBTC arm also a commit-time batch. Throughput
+// alone cannot tell: where a shape's MultiCAS fallback already runs near the
+// RTM baseline, a budget that holds nothing keeps up with it.
+const frontierFitShare = 0.5
 
 // FrontierShapePoint is one swept budget of one shape.
 type FrontierShapePoint struct {
@@ -53,9 +59,9 @@ type FrontierShape struct {
 	// Baseline is ops/ms on the default RTM-like machine.
 	Baseline float64
 	Points   []FrontierShapePoint
-	// FitLines is the smallest swept budget where the bounded arm reaches
-	// frontierFitFrac of Baseline (0 = never fits in the sweep) — the
-	// shape's set-size threshold.
+	// FitLines is the smallest swept budget where the bounded arm fits
+	// (frontierFitShare; 0 = never fits in the sweep) — the shape's
+	// set-size threshold.
 	FitLines int
 	// NBTCFitLines is the same threshold for the bounded+NBTC arm.
 	NBTCFitLines int
@@ -65,14 +71,14 @@ type FrontierShape struct {
 type FrontierResult struct {
 	Threads int
 	Shapes  []FrontierShape
-	// BoundedSetOK: at least one shape both falls behind the RTM baseline
-	// at the smallest budget and recovers at a larger one — the sweep
-	// actually located a set-size threshold.
+	// BoundedSetOK: at least one shape's bounded arm does not fit at the
+	// smallest budget and fits at a larger one — the sweep actually located
+	// a set-size threshold.
 	BoundedSetOK bool
-	// NBTCOK: at least one shape where the NBTC arm shifts the threshold to
-	// a smaller budget, or beats the plain bounded arm at a budget below
-	// the threshold — the commit-time batch bought back hardware commits
-	// the body itself could not fit.
+	// NBTCOK: at least one shape where the NBTC arm fits at a smaller
+	// budget than the bounded arm, or fits where it never does — the
+	// commit-time batch bought back hardware commits the body itself could
+	// not fit.
 	NBTCOK bool
 }
 
@@ -82,45 +88,31 @@ func FrontierSample(scale float64) FrontierResult {
 	r := FrontierResult{Threads: a12Threads}
 	for _, sh := range frontierShapes {
 		fs := FrontierShape{Shape: sh.name}
-		fs.Baseline = measureCfg(sim.DefaultConfig(a12Threads), w, sh.build(frontierMgr(false)))
+		fs.Baseline = measureCfg(sim.DefaultConfig(a12Threads), w, sh.build(newManager))
 		for _, lines := range a12SetLines {
 			cfg := frontierConfig(a12Threads, lines)
-			p := FrontierShapePoint{
+			bounded, nbtc := &frontierArm{}, &frontierArm{nbtc: true}
+			fs.Points = append(fs.Points, FrontierShapePoint{
 				SetLines:    lines,
-				Bounded:     measureCfg(cfg, w, sh.build(frontierMgr(false))),
-				BoundedNBTC: measureCfg(cfg, w, sh.build(frontierMgr(true))),
-			}
-			fs.Points = append(fs.Points, p)
-			if fs.FitLines == 0 && p.Bounded >= frontierFitFrac*fs.Baseline {
+				Bounded:     measureCfg(cfg, w, sh.build(bounded.newMgr)),
+				BoundedNBTC: measureCfg(cfg, w, sh.build(nbtc.newMgr)),
+			})
+			if fs.FitLines == 0 && bounded.hwShare() >= frontierFitShare {
 				fs.FitLines = lines
 			}
-			if fs.NBTCFitLines == 0 && p.BoundedNBTC >= frontierFitFrac*fs.Baseline {
+			if fs.NBTCFitLines == 0 && nbtc.hwShare() >= frontierFitShare {
 				fs.NBTCFitLines = lines
 			}
 		}
-		behindAtSmallest := fs.Points[0].Bounded < frontierFitFrac*fs.Baseline
-		if behindAtSmallest && fs.FitLines > 0 {
+		if fs.FitLines > a12SetLines[0] {
 			r.BoundedSetOK = true
 		}
-		if (fs.NBTCFitLines > 0 && (fs.FitLines == 0 || fs.NBTCFitLines < fs.FitLines)) ||
-			frontierNBTCWinsBelowThreshold(fs) {
+		if fs.NBTCFitLines > 0 && (fs.FitLines == 0 || fs.NBTCFitLines < fs.FitLines) {
 			r.NBTCOK = true
 		}
 		r.Shapes = append(r.Shapes, fs)
 	}
 	return r
-}
-
-// frontierNBTCWinsBelowThreshold reports whether the NBTC arm beats the
-// plain bounded arm at any budget where the bounded arm is still behind the
-// baseline — the regime where publication is what's overflowing.
-func frontierNBTCWinsBelowThreshold(fs FrontierShape) bool {
-	for _, p := range fs.Points {
-		if p.Bounded < frontierFitFrac*fs.Baseline && p.BoundedNBTC > p.Bounded {
-			return true
-		}
-	}
-	return false
 }
 
 // AblationFrontier renders the A12 sweep as a figure: x is the set-size
@@ -160,11 +152,31 @@ func frontierConfig(threads, lines int) sim.Config {
 	return cfg
 }
 
-// frontierMgr returns the constructor of an arm's composed-layer manager:
-// simtxn's defaults, publishing fallbacks through the NBTC batch when nbtc
-// is set.
-func frontierMgr(nbtc bool) func() *simtxn.Manager {
-	return func() *simtxn.Manager { return simtxn.New(0).WithNBTC(nbtc) }
+// frontierArm is one arm's composed-layer manager at one measured point:
+// simtxn's defaults, publishing fallbacks through the NBTC batch when nbtc is
+// set, with a registry of its own so the sweep can count where the point's
+// operations committed.
+type frontierArm struct {
+	nbtc bool
+	reg  *telemetry.Registry
+	mgr  *simtxn.Manager
+}
+
+func (a *frontierArm) newMgr() *simtxn.Manager {
+	a.reg = telemetry.NewRegistry()
+	a.mgr = simtxn.New(0).WithPolicy(simspec.DefaultPolicy().WithMetrics(a.reg)).WithNBTC(a.nbtc)
+	return a.mgr
+}
+
+// hwShare is the share of the arm's composed operations, warm-up included,
+// that finished in one hardware transaction.
+func (a *frontierArm) hwShare() float64 {
+	s := a.reg.Site("simtxn/atomic").Snapshot()
+	hw := s.Commits
+	if a.nbtc {
+		hw += a.mgr.NBTC().Batches
+	}
+	return float64(hw) / float64(s.Commits+s.Fallbacks)
 }
 
 // frontierShapes builds each shape with a given manager constructor. The

@@ -4,9 +4,9 @@ import "testing"
 
 // TestFrontierSample pins the A12 acceptance claim on the deterministic
 // machine: the sweep covers every shape × budget, at least one shape's
-// bounded arm falls behind the RTM baseline at the smallest budget and
-// recovers at a larger one (a located set-size threshold), and the NBTC
-// arm shifts a threshold or wins below one.
+// bounded arm does not fit at the smallest budget and fits at a larger one
+// (a located set-size threshold), and the NBTC arm fits below a bounded
+// threshold.
 func TestFrontierSample(t *testing.T) {
 	longSweep(t)
 	r := FrontierSample(ablationTestScale)
@@ -41,6 +41,16 @@ func TestFrontierSample(t *testing.T) {
 	single := r.Shapes[0]
 	if single.FitLines <= a12SetLines[0] {
 		t.Errorf("single-op fit at %d lines — the smallest budget should not fit", single.FitLines)
+	}
+	// A fit is where operations commit, not a throughput level the
+	// fallback alone can reach: the pair Move's bounded arm runs almost
+	// wholly on the fallback at 4 and 8 lines, and moveall-16 finishes in
+	// one hardware transaction on neither arm at any budget.
+	if pair := r.Shapes[1]; pair.FitLines != 0 && pair.FitLines <= 8 {
+		t.Errorf("pair-move's bounded arm fit at %d lines, want above 8", pair.FitLines)
+	}
+	if wide := r.Shapes[3]; wide.FitLines != 0 || wide.NBTCFitLines != 0 {
+		t.Errorf("moveall-16 fit at %d lines (bounded) and %d (nbtc), want nowhere", wide.FitLines, wide.NBTCFitLines)
 	}
 }
 
