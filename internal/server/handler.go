@@ -16,9 +16,9 @@ const maxBodyBytes = 1 << 20
 
 // Handler returns the service mux: POST /v1/op (the op envelope),
 // POST /v1/txn (a declarative multi-op open transaction), GET /healthz,
-// GET /statz. Telemetry exports (/metrics, /debug/vars) are
-// mounted by the caller from the server's Registry — the exporters already
-// exist in internal/telemetry and are not duplicated here.
+// GET /statz. The telemetry export (/metrics) is mounted by the caller
+// from the server's Registry — the exporter already exists in
+// internal/telemetry and is not duplicated here.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/op", s.handleOp)

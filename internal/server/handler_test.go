@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -161,6 +162,31 @@ func TestHandlerKVRoundtrip(t *testing.T) {
 	}
 	if resp, _ := doOp(t, ts, Request{Op: OpGet, Key: 7}); resp.Found {
 		t.Fatalf("get after del: %+v", resp)
+	}
+}
+
+// TestRegistryServesEveryShard: the one registry the binary mounts on
+// /metrics carries every shard's composed and speculation sites.
+func TestRegistryServesEveryShard(t *testing.T) {
+	const n = 3
+	srv, ts := newTestServer(t, Config{Shards: n})
+	for i := range n {
+		pin := i
+		if resp, code := doOp(t, ts, Request{Op: OpPut, Key: int64(100 + i), Shard: &pin}); code != http.StatusOK || !resp.Changed {
+			t.Fatalf("put pinned to shard %d: %d %+v", i, code, resp)
+		}
+	}
+	var b strings.Builder
+	srv.Registry().WritePrometheus(&b)
+	out := b.String()
+	for i := range n {
+		ops := fmt.Sprintf(`pto_composed_ops_total{site="shard%d/txn"} `, i)
+		if !strings.Contains(out, ops) || strings.Contains(out, ops+"0\n") {
+			t.Errorf("shard %d: no nonzero %s line\n%s", i, ops, out)
+		}
+		if !strings.Contains(out, fmt.Sprintf(`pto_speculation_attempts_total{site="shard%d/txn"} `, i)) {
+			t.Errorf("shard %d: no pto_speculation_attempts_total series\n%s", i, out)
+		}
 	}
 }
 

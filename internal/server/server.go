@@ -22,9 +22,8 @@ type Config struct {
 	// Shards is the shard count; keys spread across shards by hash, and
 	// each shard owns its own htm domain, manager, and structures.
 	Shards int
-	// Policy is the speculation policy of every shard's manager (e.g.
-	// speculate.Adaptive()); its Metrics field is overwritten with the
-	// server's registry.
+	// Policy is ignored: every shard speculates under speculate.Fixed(0).
+	// Kept only because benchmark/serve.go:52 sets it.
 	Policy speculate.Policy
 	// ReadCap/WriteCap retune every shard domain's transactional capacity;
 	// 0 keeps the defaults, negative forces the MultiCAS fallback.
@@ -37,10 +36,6 @@ type Config struct {
 	// AdmitInterval is ignored: there is no admission evaluator.
 	// Kept only because benchmark/serve.go:54 sets it on the forced-fallback server.
 	AdmitInterval time.Duration
-
-	// Registry receives every shard's telemetry (nil: a fresh registry).
-	// Expose it with telemetry's existing expvar/Prometheus exporters.
-	Registry *telemetry.Registry
 }
 
 // withDefaults resolves zero values.
@@ -50,9 +45,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = DefaultMaxBatch
-	}
-	if c.Registry == nil {
-		c.Registry = telemetry.NewRegistry()
 	}
 	return c
 }
@@ -71,7 +63,7 @@ type Server struct {
 // New builds a server; the HTTP listener is the caller's.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	s := &Server{cfg: cfg, reg: cfg.Registry}
+	s := &Server{cfg: cfg, reg: telemetry.NewRegistry()}
 	for i := 0; i < cfg.Shards; i++ {
 		s.shards = append(s.shards, newShard(i, cfg, s.reg))
 	}

@@ -37,6 +37,7 @@ import (
 	"repro/internal/msqueue"
 	"repro/internal/semtx"
 	"repro/internal/skiplist"
+	"repro/internal/speculate"
 	"repro/internal/telemetry"
 	"repro/internal/txn"
 )
@@ -64,7 +65,7 @@ func newShard(id int, cfg Config, reg *telemetry.Registry) *shard {
 		// down the MultiCAS fallback (htm.Domain.SetCapacity).
 		d.SetCapacity(cfg.ReadCap, cfg.WriteCap)
 	}
-	pol := cfg.Policy.WithMetrics(reg)
+	pol := speculate.Fixed(0).WithMetrics(reg)
 	m := txn.NewIn(d, txn.DefaultAttempts).WithPolicyAt(pol, siteName(id))
 	r := m.Structures()
 	r.AddSet(DefaultSet, hashtable.NewPTOTableIn(d, 64, 0))

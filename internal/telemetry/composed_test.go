@@ -1,11 +1,8 @@
 package telemetry
 
 import (
-	"fmt"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 )
 
 func TestWidthHistogramBuckets(t *testing.T) {
@@ -80,51 +77,5 @@ func TestPrometheusIncludesComposed(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("prometheus output missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestSamplerLogsActiveSitesOnly(t *testing.T) {
-	r := NewRegistry()
-	active := r.Site("bst/insert")
-	r.Site("idle/site") // never touched
-	comp := r.Composed("txn/move")
-
-	var mu sync.Mutex
-	var lines []string
-	logf := func(format string, args ...any) {
-		mu.Lock()
-		defer mu.Unlock()
-		lines = append(lines, strings.TrimSpace(fmt.Sprintf(format, args...)))
-	}
-	s := StartSampler(r, 10*time.Millisecond, logf)
-	// Keep generating activity across several intervals so deltas are
-	// non-zero regardless of when the sampler takes its baseline snapshot.
-	for i := 0; i < 8; i++ {
-		active.Attempts.Add(100)
-		active.Commits.Add(90)
-		comp.Ops.Add(10)
-		comp.FastCommits.Add(10)
-		time.Sleep(15 * time.Millisecond)
-	}
-	s.Stop()
-	s.Stop() // idempotent
-
-	mu.Lock()
-	defer mu.Unlock()
-	var sawActive, sawComposed bool
-	for _, l := range lines {
-		if strings.Contains(l, "idle/site") {
-			t.Fatalf("sampler logged idle site: %q", l)
-		}
-		if strings.Contains(l, "bst/insert") {
-			sawActive = true
-		}
-		if strings.Contains(l, "txn/move") {
-			sawComposed = true
-		}
-	}
-	if !sawActive || !sawComposed {
-		t.Fatalf("sampler missed active sites (site=%v composed=%v): %v",
-			sawActive, sawComposed, lines)
 	}
 }

@@ -6,13 +6,12 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 )
 
 // goldenRegistry fills a registry with every site class — aggregate and
 // per-level speculation sites, an idle site, a composed site and an open
 // site — registered out of name order, so both the registration-order
-// outputs (Snapshot, Delta, sampler lines) and the name-ordered exposition
+// outputs (Snapshot, Delta) and the name-ordered exposition
 // are exercised. It returns the registry and a snapshot taken midway, after
 // which every class gains counts and one new site of each class appears.
 func goldenRegistry() (*Registry, Snapshot) {
@@ -74,9 +73,8 @@ func goldenRegistry() (*Registry, Snapshot) {
 	return r, mid
 }
 
-// goldenTelemetry renders the three outputs a scraper, an expvar reader or
-// a log reader sees: the Prometheus text, the Snapshot and Delta JSON, and
-// the sampler's lines for the delta over a two-second interval.
+// goldenTelemetry renders what a scraper or a Snapshot reader sees: the
+// Prometheus text and the Snapshot and Delta JSON.
 func goldenTelemetry() string {
 	r, mid := goldenRegistry()
 	var b strings.Builder
@@ -93,17 +91,13 @@ func goldenTelemetry() string {
 		}
 		fmt.Fprintf(&b, "== %s\n%s\n", part.name, js)
 	}
-	b.WriteString("== sampler\n")
-	logDelta(snap.Delta(mid), 2*time.Second, func(format string, args ...any) {
-		fmt.Fprintf(&b, format+"\n", args...)
-	})
 	return b.String()
 }
 
 // TestGoldenExposition pins the exposition byte for byte against
 // testdata/exposition.golden: metric names, label sets and their order,
-// JSON tags, registration order and the sampler's line format are what
-// dashboards, the frozen benchmark and log readers parse.
+// JSON tags and registration order are what dashboards and the frozen
+// benchmark parse.
 func TestGoldenExposition(t *testing.T) {
 	const path = "testdata/exposition.golden"
 	want, err := os.ReadFile(path)

@@ -14,12 +14,10 @@
 // operation; looking up an existing site takes only an RLock. A Registry can
 // be snapshotted into plain values (Snapshot), two snapshots can be
 // subtracted (Delta) to get a per-interval view, and a Registry can be
-// published through expvar (PublishExpvar) or rendered in Prometheus text
-// exposition format (WritePrometheus / Handler).
+// rendered in Prometheus text exposition format (WritePrometheus / Handler).
 package telemetry
 
 import (
-	"expvar"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -210,8 +208,6 @@ type Registry struct {
 	sites    class[Site]
 	composed class[Composed]
 	open     class[Open]
-
-	published sync.Once
 }
 
 // class is one site class of a Registry: its sites by name, and in
@@ -335,13 +331,4 @@ func deltas[S siteSnapshot[S]](cur, prev []S) []S {
 		out = append(out, c)
 	}
 	return out
-}
-
-// PublishExpvar publishes the registry under the given expvar name; each
-// read of the var produces a fresh Snapshot. Safe to call more than once
-// (only the first call publishes; expvar forbids duplicate names).
-func (r *Registry) PublishExpvar(name string) {
-	r.published.Do(func() {
-		expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
-	})
 }

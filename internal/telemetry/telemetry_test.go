@@ -1,13 +1,9 @@
 package telemetry
 
 import (
-	"encoding/json"
-	"expvar"
-	"fmt"
 	"net/http/httptest"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -181,28 +177,5 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 	if !strings.Contains(body, `le="5.12e-07"} 1`) {
 		t.Errorf("300ns observation missing from the 512ns cumulative bucket\n%s", body)
-	}
-}
-
-// expvarRuns numbers TestPublishExpvar's runs: expvar names live for the
-// process, so each run under -count publishes under a fresh one.
-var expvarRuns atomic.Int32
-
-func TestPublishExpvar(t *testing.T) {
-	name := fmt.Sprintf("telemetry_test_registry_%d", expvarRuns.Add(1))
-	r := NewRegistry()
-	r.Site("x").Commits.Add(3)
-	r.PublishExpvar(name)
-	r.PublishExpvar(name) // idempotent, must not panic
-	v := expvar.Get(name)
-	if v == nil {
-		t.Fatal("registry not published")
-	}
-	var snap Snapshot
-	if err := json.Unmarshal([]byte(v.String()), &snap); err != nil {
-		t.Fatalf("expvar output not JSON: %v", err)
-	}
-	if len(snap.Sites) != 1 || snap.Sites[0].Name != "x" || snap.Sites[0].Commits != 3 {
-		t.Fatalf("expvar snapshot: %+v", snap)
 	}
 }
