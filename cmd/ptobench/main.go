@@ -27,8 +27,8 @@
 // (k=4, 16). The same fast-path-over-fallback claim on the Go runtime is the
 // benchmark's lib-compose workload (its pto_speedup). A10 is the three-path
 // speculation shape (fast / helping-middle / slow) under the
-// occupied-fallback adversary, with deterministic modeled arms and
-// wall-clock arms. A12 is the hardware frontier: BoundedSet set-size
+// occupied-fallback adversary, on the modeled machine only, deterministic.
+// A12 is the hardware frontier: BoundedSet set-size
 // budgets × composed-footprint shapes vs the RTM-like baseline, with and
 // without NBTC, deterministic.
 //
@@ -51,7 +51,7 @@ func main() {
 	figure := flag.String("figure", "all", "which figure to regenerate (paper figures, ablations a1..a6, a8..a10 and a12, extensions e1 e2)")
 	scale := flag.Float64("scale", 1.0, "measurement window scale factor")
 	csv := flag.Bool("csv", false, "emit CSV instead of tables")
-	ablations := flag.Bool("ablations", false, "also run the ablation tables (A1-A6, A8-A10, A12; A6, A9 and A10's wall arms are wall-clock)")
+	ablations := flag.Bool("ablations", false, "also run the ablation tables (A1-A6, A8-A10, A12; A6 and A9 are wall-clock)")
 	extensions := flag.Bool("extensions", false, "also run the extension tables (E1-E2)")
 	flag.Parse()
 

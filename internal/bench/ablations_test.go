@@ -180,18 +180,20 @@ func TestAblationThreePath(t *testing.T) {
 	longSweep(t)
 	f := AblationThreePath(ablationTestScale)
 	allPositive(t, f)
-	// Two modeled arms and two wall-clock arms, three thread counts each.
-	if len(f.Series) != 4 {
-		t.Fatalf("unexpected table shape: %+v", f)
+	// The table is the two modeled arms and nothing else: the rows
+	// goldenCSV pins.
+	sample := ThreePathSample(ablationTestScale)
+	if len(f.Series) != 2 {
+		t.Fatalf("%d series, want the 2 modeled arms: %+v", len(f.Series), f)
 	}
-	for _, s := range f.Series {
-		if len(s.Points) != 3 {
-			t.Fatalf("series %q: %d points, want 3", s.Name, len(s.Points))
+	for i, want := range [][]Point{sample.FastSlow, sample.ThreePath} {
+		if got := f.Series[i].Points; !reflect.DeepEqual(got, want) {
+			t.Errorf("series %q: %+v, want %+v", f.Series[i].Name, got, want)
+		}
+		if len(want) != len(a10Threads) {
+			t.Errorf("series %q: %d points, want %d", f.Series[i].Name, len(want), len(a10Threads))
 		}
 	}
-	// No wall-clock throughput relations (this may be a single-CPU box); the
-	// deterministic modeled arms carry the acceptance bit.
-	sample := ThreePathSample(ablationTestScale)
 	if sample.Helped == 0 {
 		t.Fatal("modeled three-path arm helped no descriptors: middle tier never ran")
 	}

@@ -7,21 +7,15 @@ import (
 )
 
 // wallRun is the one wall-clock driver behind the ablations measured on the
-// Go runtime rather than the simulated machine (A6, A9, A10's wall arms).
-// Their numbers vary with the host, so they print only under -ablations or
-// by ID and no golden file holds them.
+// Go runtime rather than the simulated machine (A6 and A9). Their numbers
+// vary with the host, so they print only under -ablations or by ID and no
+// golden file holds them.
 //
 // threads goroutines start, then are released together; each draws its own
-// xorshift stream, seeded by its index. With ops > 0 every goroutine makes
-// ops calls of the body; otherwise they call it until window has passed
-// (time-bound: a goroutine the workload starves must not hang the run), and
-// stop reports true from then on, so a body's helpers can cut their waits
-// short.
+// xorshift stream, seeded by its index, and makes ops calls of the body.
 type wallRun struct {
 	threads int
 	ops     int
-	window  time.Duration
-	stop    atomic.Bool
 }
 
 // run drives body, which gets its goroutine's index and next random draw
@@ -40,7 +34,7 @@ func (w *wallRun) run(body func(g int, rnd uint64) int64) float64 {
 			ready.Done()
 			start.Wait()
 			var n int64
-			for i := 0; (w.ops <= 0 || i < w.ops) && !w.stop.Load(); i++ {
+			for i := 0; i < w.ops; i++ {
 				rnd ^= rnd << 13
 				rnd ^= rnd >> 7
 				rnd ^= rnd << 17
@@ -52,10 +46,6 @@ func (w *wallRun) run(body func(g int, rnd uint64) int64) float64 {
 	ready.Wait()
 	begin := time.Now()
 	start.Done()
-	if w.ops <= 0 {
-		time.Sleep(w.window)
-		w.stop.Store(true)
-	}
 	wg.Wait()
 	elapsed := time.Since(begin)
 	if elapsed <= 0 {

@@ -77,8 +77,8 @@ func TestHelperChecksAClaimItDidNotPlace(t *testing.T) {
 
 // TestStaleClaimIsTransparent: a decided descriptor's claim — left by a
 // helper that was slow to release, or put back by one that was slow to
-// claim — is nothing to a reader or to pendingDesc (a deferring attempt
-// commits through it), survives a writer, which has nothing to kill, and is
+// claim — is nothing to a reader or to a transactional writer (it commits
+// through it), survives a writer, which has nothing to kill, and is
 // overwritten by the next claimer, whose release leaves the slot empty.
 func TestStaleClaimIsTransparent(t *testing.T) {
 	for name, decided := range map[string]uint32{"succeeded": mwSucceeded, "failed": mwFailed} {
@@ -89,17 +89,14 @@ func TestStaleClaimIsTransparent(t *testing.T) {
 			stale.status.Store(decided)
 			a.claim.Store(stale)
 
-			if a.pendingDesc() != nil {
-				t.Error("pendingDesc reports a decided descriptor")
-			}
 			if st := d.Atomically(func(tx *Tx) { Store(tx, out, Load(tx, a)) }); st != Committed || Load(nil, out) != 1 {
 				t.Errorf("a reader through a stale claim: %v, read %d, want committed, 1", st, Load(nil, out))
 			}
 			if !MultiValidate(NewUpdate(a, 1, 1)) {
 				t.Error("MultiValidate through a stale claim failed")
 			}
-			if st := d.AtomicallyDeferring(func(tx *Tx) { Store(tx, a, 2) }); st != Committed {
-				t.Errorf("a deferring writer met a stale claim: %v, want committed", st)
+			if st := d.Atomically(func(tx *Tx) { Store(tx, a, 2) }); st != Committed {
+				t.Errorf("a transactional writer met a stale claim: %v, want committed", st)
 			}
 			Store(nil, a, 3)
 			if !CAS(nil, a, 3, 4) {

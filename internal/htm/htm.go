@@ -83,8 +83,7 @@ const (
 	AbortCapacity
 	// AbortExplicit means the transaction called Abort itself, e.g. because
 	// it observed a state in which it would have to help a concurrent
-	// operation (§2.4 of the paper), or because a helping or deferring
-	// attempt met more undecided descriptors than its budget (HelpExhausted).
+	// operation (§2.4 of the paper).
 	AbortExplicit
 )
 
@@ -327,15 +326,6 @@ func (h *varHead) kill() {
 	}
 }
 
-// pendingDesc returns the undecided MultiCAS descriptor claiming the Var, if
-// any, for commit's helping pass.
-func (h *varHead) pendingDesc() *MultiDesc {
-	if m := h.claim.Load(); m != nil && m.status.Load() == mwUndecided {
-		return m
-	}
-	return nil
-}
-
 // write is a single-Var direct writer's store, the Var's lock bit held: kill
 // the claim, store the value word, and stamp the Var with a fresh commit
 // version, which unlocks it.
@@ -435,20 +425,6 @@ type Tx struct {
 	// aborted is the status of an attempt that unwound out of its body
 	// (abort).
 	aborted Status
-
-	// helpBudget and helped implement the three-path template's middle
-	// tier: a transaction run with a positive budget (AtomicallyHelping)
-	// drives up to helpBudget undecided MultiCAS descriptors claiming its
-	// written Vars to decision at commit — instead of killing them or
-	// aborting on sight — then aborts explicitly (HelpExhausted). The fast
-	// path runs with budget 0 and is untouched. deferPending is the
-	// budget-0 variant for the fast level of a three-path site
-	// (AtomicallyDeferring): an undecided descriptor on the write set
-	// aborts the attempt instead of being killed, deferring the encounter
-	// to the helping tier below.
-	helpBudget   int
-	helped       int
-	deferPending bool
 }
 
 // txPool recycles Tx values across attempts (and goroutines). A pooled Tx is
@@ -518,57 +494,11 @@ func (tx *Tx) abort(st Status) {
 //
 // Nesting is not supported: f must not call Atomically.
 func (d *Domain) Atomically(f func(tx *Tx)) Status {
-	st, _ := d.atomically(0, false, f)
-	return st
-}
-
-// HelpExhausted is the abort code of a helping (middle-level) transaction
-// that ran out of helping budget: it encountered more undecided MultiCAS
-// descriptors on its write set than helpBudget allowed, helped that many to
-// decision, and aborted explicitly rather than kill the rest (commit raises
-// this AbortExplicit, not the body; callers see the status). The helping
-// is real progress — the decided descriptors stay decided — so retry
-// policies treat the abort as consuming one attempt, not the level. A
-// deferring fast attempt (AtomicallyDeferring, budget 0) aborts with the
-// same code on the first pending descriptor it finds, having helped none.
-const HelpExhausted = -2
-
-// AtomicallyHelping is Atomically with a helping budget: the three-path
-// template's middle tier. A transaction run with helpBudget > 0 does not
-// treat an undecided MultiCAS descriptor on a written Var as an obstacle to
-// kill (the writers' rule, varHead.kill) — at commit, before taking any lock
-// bit, it drives up to helpBudget such descriptors to decision via their own
-// lock-free protocol, then locks, validates, and publishes as usual. Budget
-// exhausted mid-pass aborts the attempt explicitly with code HelpExhausted,
-// leaving the remaining descriptors unharmed. The second result reports how
-// many descriptors this attempt helped to decision (counted even when the
-// attempt subsequently aborts: decisions are real, externally visible
-// progress). helpBudget <= 0 is exactly Atomically.
-func (d *Domain) AtomicallyHelping(helpBudget int, f func(tx *Tx)) (Status, int) {
-	return d.atomically(helpBudget, false, f)
-}
-
-// AtomicallyDeferring is Atomically for the fast level of a three-path site:
-// a budget-0 transaction that, at commit, aborts explicitly (code
-// HelpExhausted) when an undecided MultiCAS descriptor sits on any written
-// Var — instead of killing it, the two-path kill-paid-by-commit rule. The
-// abort leaves the descriptor alive for the helping middle tier below
-// (speculate.Run.Try picks it for a level above a Help level). Descriptors
-// that land on written Vars after the commit-time check are still killed
-// under the lock bit, the unconditional backstop.
-func (d *Domain) AtomicallyDeferring(f func(tx *Tx)) Status {
-	st, _ := d.atomically(0, true, f)
-	return st
-}
-
-func (d *Domain) atomically(helpBudget int, deferPending bool, f func(tx *Tx)) (Status, int) {
 	tx := txPool.Get().(*Tx)
 	tx.d, tx.rv = d, d.clock.Load()
 	tx.readCap, tx.writeCap = d.caps()
-	tx.helpBudget, tx.deferPending = helpBudget, deferPending
 	// A foreign panic out of f unwinds past the recycle: that Tx is dropped.
 	status := d.attempt(tx, f)
-	helped := tx.helped
 	tx.recycle()
 	switch status {
 	case Committed:
@@ -580,7 +510,7 @@ func (d *Domain) atomically(helpBudget int, deferPending bool, f func(tx *Tx)) (
 	case AbortExplicit:
 		d.explicit.Add(1)
 	}
-	return status, helped
+	return status
 }
 
 func (d *Domain) attempt(tx *Tx, f func(tx *Tx)) (status Status) {
@@ -612,33 +542,6 @@ func (tx *Tx) commit() Status {
 		return Committed
 	}
 	d := tx.d
-
-	// Helping pass (middle path): a budgeted transaction drives undecided
-	// MultiCAS descriptors claiming its written Vars to decision before
-	// taking any lock bit — a decision waits for the bits of its legs, so
-	// helping while holding one could deadlock against it. Descriptors that
-	// land on our Vars after this pass are still killed under the lock bit,
-	// the kill-paid-by-commit backstop; the pass just makes the common
-	// encounter cooperative instead of destructive. Budget 0 skips the
-	// pass entirely on the kill-semantics fast path; a deferring attempt
-	// (AtomicallyDeferring, budget 0) runs the pass only to detect a
-	// pending descriptor and abort without harming it.
-	if tx.helpBudget > 0 || tx.deferPending {
-		for i := range log {
-			h := log[i].h
-			for {
-				m := h.pendingDesc()
-				if m == nil {
-					break
-				}
-				if tx.helped >= tx.helpBudget {
-					return AbortExplicit // code HelpExhausted
-				}
-				tx.helped++
-				m.help()
-			}
-		}
-	}
 
 	// Lock phase: one look and one compare-and-swap per written Var, in the
 	// one global order; on a Var someone else holds, give back the bits taken

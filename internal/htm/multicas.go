@@ -62,8 +62,7 @@ import (
 //   - Release only empties the claim slots that still hold the descriptor.
 //     No value depends on it, readers never waited for it, and a claim it
 //     has not got to yet — or that a late helper puts back — is a decided
-//     descriptor's: transparent to pendingDesc, harmless to kill, overwritten
-//     by the next claimer.
+//     descriptor's: harmless to kill, overwritten by the next claimer.
 //
 // On real RTM none of this is needed — the fallback MCAS and hardware
 // transactions conflict through the cache-coherence protocol. The lock-bit
@@ -173,20 +172,16 @@ func (m *MultiDesc) claim(e Entry) (claimResult, *MultiDesc) {
 // must belong to the same Domain and be distinct; an empty set trivially
 // succeeds. Any thread that encounters the descriptor helps complete it.
 func MultiCAS(entries ...Entry) bool {
-	return MultiCASParked(nil, entries...)
+	return multiCAS(nil, entries...)
 }
 
-// MultiCASParked is MultiCAS with a preemption window: park (when non-nil)
-// runs once after the claim phase, while the descriptor sits fully claimed
-// but undecided. It models the protocol's documented weak spot — a fallback
-// publisher descheduled between installing its claims and deciding — which
-// is otherwise a matter of scheduler luck and on a single-core host
-// effectively never happens. While parked, concurrent writers that collide
-// with the descriptor either kill it (the two-path rule, failing this call)
-// or help it to decision (a three-path helping tier, completing this call's
-// work); decide() resolves both races correctly, so the window changes
-// timing, never safety. The A10 adversary parks with runtime.Gosched.
-func MultiCASParked(park func(), entries ...Entry) bool {
+// multiCAS is MultiCAS with a preemption window for tests: park (when
+// non-nil) runs once after the claim phase, while the descriptor sits fully
+// claimed but undecided — a fallback publisher descheduled between installing
+// its claims and deciding, which on a single-core host is otherwise a matter
+// of scheduler luck. A writer that collides with the parked descriptor kills
+// it, failing this call; decide resolves the race either way.
+func multiCAS(park func(), entries ...Entry) bool {
 	if len(entries) == 0 {
 		return true
 	}

@@ -107,6 +107,35 @@ func TestDirectStoreKillsUndecidedDescriptor(t *testing.T) {
 	}
 }
 
+// TestFastKillsParkedDescriptor is the kill rule end to end: a MultiCAS
+// parked between its claim phase and its decision meets a transaction that
+// writes one of its legs. The commit kills the undecided descriptor, so the
+// parked publication fails and its other leg never lands.
+func TestFastKillsParkedDescriptor(t *testing.T) {
+	d := NewDomain(0, 0)
+	x := NewVar(d, 5)
+	z := NewVar(d, 1)
+	var st Status
+	ok := multiCAS(func() {
+		st = d.Atomically(func(tx *Tx) { Store(tx, x, 7) })
+	}, NewUpdate(x, 5, 6), NewUpdate(z, 1, 2))
+	if st != Committed {
+		t.Fatalf("fast attempt: %v, want commit", st)
+	}
+	if ok {
+		t.Fatal("the parked MultiCAS succeeded past a committed writer of its leg")
+	}
+	if got := Load(nil, z); got != 1 {
+		t.Fatalf("Z = %d, want 1 (failed MultiCAS must not publish)", got)
+	}
+	if got := Load(nil, x); got != 7 {
+		t.Fatalf("X = %d, want 7", got)
+	}
+	if x.claim.Load() != nil || z.claim.Load() != nil {
+		t.Error("the failed MultiCAS left its claims behind")
+	}
+}
+
 // spyEntry is a leg that reports to the test when the protocol asks it
 // whether it writes and when the protocol moves its value.
 type spyEntry struct {

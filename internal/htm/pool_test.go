@@ -39,9 +39,6 @@ func checkFresh(t *testing.T, tx *Tx) {
 			break
 		}
 	}
-	if tx.helped != 0 {
-		t.Errorf("recycled Tx carries helped=%d", tx.helped)
-	}
 }
 
 func TestPoolAbortedWritesDoNotLeak(t *testing.T) {

@@ -186,25 +186,6 @@ func TestFailedWritersLeaveTheWordAsFound(t *testing.T) {
 		m.releaseAll()
 		check(t, d, x, y, clock)
 	})
-
-	t.Run("deferring abort", func(t *testing.T) {
-		d, x, y, clock := fixture(t)
-		m := &MultiDesc{d: d, entries: []Entry{NewUpdate(x, 1, 1)}}
-		m.claimAll()
-		if st := d.AtomicallyDeferring(func(tx *Tx) {
-			Store(tx, y, Load(tx, y)+1)
-			Store(tx, x, Load(tx, x)+1)
-		}); st != AbortExplicit {
-			t.Fatalf("status = %v, want an explicit abort on the pending descriptor", st)
-		}
-		if m.status.Load() != mwUndecided {
-			t.Fatal("a deferring attempt harmed the descriptor")
-		}
-		check(t, d, x, y, clock)
-		m.help() // a validation-only leg: the decision draws a version and stamps nothing
-		checkUnlocked(t, clock, x)
-		checkUnlocked(t, clock-1, y)
-	})
 }
 
 // TestReadThenWrittenVarValidatesOnItsOldStamp: at validation a Var the

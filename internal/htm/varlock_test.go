@@ -305,7 +305,7 @@ func TestWideMultiCASParkedRace(t *testing.T) {
 						x := Load(nil, v)
 						ents[i] = NewUpdate(v, x, x+1)
 					}
-					if MultiCASParked(runtime.Gosched, ents...) {
+					if multiCAS(runtime.Gosched, ents...) {
 						break
 					}
 				}

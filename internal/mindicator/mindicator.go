@@ -79,9 +79,6 @@ func New(leaves int) *Tree {
 	return t
 }
 
-// Leaves returns the number of slots.
-func (t *Tree) Leaves() int { return t.leaves }
-
 func (t *Tree) leafIndex(slot int) int { return t.leaves - 1 + slot }
 
 // setLeaf installs val at the slot's leaf with a version bump.
@@ -223,9 +220,6 @@ func (p *PTO) WithPolicy(pol speculate.Policy) *PTO {
 		speculate.Level{Name: "pto", Attempts: p.retries})
 	return p
 }
-
-// Leaves returns the number of slots.
-func (p *PTO) Leaves() int { return p.leaves }
 
 // Domain exposes the transactional domain (for tests).
 func (p *PTO) Domain() *htm.Domain { return p.domain }

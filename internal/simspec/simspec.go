@@ -101,7 +101,7 @@ func (r *Run) Try(body func()) sim.Status {
 		}
 	}
 	st := r.t.Atomic(body)
-	r.Book(outcomeOf(st), 0)
+	r.Book(outcomeOf(st))
 	return st
 }
 

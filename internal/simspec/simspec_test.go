@@ -196,11 +196,9 @@ func TestCrossDriverDecisionParity(t *testing.T) {
 		{Name: "pto1", Attempts: 2},
 		{Name: "pto2", Attempts: 4, RetryExplicit: true},
 	}
-	// The three-path shape: a deferring fast level over a helping middle
-	// (txn/simtxn's composed-publication composition). The wall driver runs
-	// the fast level through AtomicallyDeferring and the middle through
-	// AtomicallyHelping, so parity here also pins that the dispatch changes
-	// transaction machinery without changing a single retry decision.
+	// The three-path shape: a fast level over a helping middle (simtxn's
+	// composed-publication composition). Retry decisions come from the
+	// level declarations alone, so both drivers agree on it too.
 	threePath := []speculate.Level{
 		{Name: "fast", Attempts: 2, RetryExplicit: true},
 		speculate.MiddleLevel(2, 0),
@@ -303,7 +301,7 @@ func TestSimBackoffPlacement(t *testing.T) {
 		// must charge it as Work before attempting. With 8 pending units the
 		// jittered span is at least 4 units, so the charge is unambiguous.
 		for i := 0; i < 4; i++ {
-			r2.Book(speculate.OutcomeConflict, 0)
+			r2.Book(speculate.OutcomeConflict)
 		}
 		if b := r2.Backoff(); b != 8 {
 			t.Fatalf("want 8 pending backoff units, got %d", b)
@@ -319,7 +317,7 @@ func TestSimBackoffPlacement(t *testing.T) {
 		// not charge the pending backoff.
 		r3 := site.Begin(t2)
 		for r3.Next(0) {
-			r3.Book(speculate.OutcomeConflict, 0)
+			r3.Book(speculate.OutcomeConflict)
 		}
 		if b := r3.Backoff(); b == 0 {
 			t.Fatal("exhausted run should still hold pending backoff state")
@@ -337,7 +335,7 @@ func TestSimBackoffPlacement(t *testing.T) {
 			speculate.Level{Name: "b", Attempts: 1, RetryExplicit: true})
 		r4 := site2.Begin(t2)
 		r4.Next(0)
-		r4.Book(speculate.OutcomeConflict, 0)
+		r4.Book(speculate.OutcomeConflict)
 		r4.Next(1)
 		if b := r4.Backoff(); b != 0 {
 			t.Errorf("level change carried backoff %d", b)

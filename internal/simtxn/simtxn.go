@@ -144,11 +144,12 @@ func (m *Manager) rebuildSite() {
 // aborts — buffered stores cannot help a descriptor whose owner is actively
 // driving the same words — but records the claiming descriptor, and the
 // level loop helps it to decision non-transactionally between attempts (up
-// to helpBudget descriptors per level walk) before retrying. This is the
-// modeled twin of the runtime's pre-lock commit pass: the helping work runs
-// on the requesting thread and accrues its modeled cycles, which is the
-// simulator's helping-cost model, and the helped descriptor's operation
-// completes instead of being deferred behind the speculator's fallback.
+// to helpBudget descriptors per level walk) before retrying. The helping
+// work runs on the requesting thread and accrues its modeled cycles, which
+// is the simulator's helping-cost model, and the helped descriptor's
+// operation completes instead of being deferred behind the speculator's
+// fallback. The shape exists on the modeled substrate only (ablation A10):
+// the runtime's transactions kill the descriptors they collide with.
 // attempts/helpBudget ≤ 0 select the defaults. Set before use. Returns m.
 func (m *Manager) WithMiddle(attempts, helpBudget int) *Manager {
 	m.middle = speculate.MiddleLevel(attempts, helpBudget)

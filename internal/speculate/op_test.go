@@ -22,7 +22,7 @@ func trace(s *Site, feed []Outcome) []string {
 			f := feed[i]
 			i++
 			out = append(out, fmt.Sprintf("L%d:backoff=%d:%v", level, o.Backoff(), f))
-			o.Book(f, 0)
+			o.Book(f)
 			if f == OutcomeCommit {
 				out = append(out, "commit")
 				return out
@@ -164,7 +164,7 @@ func TestWalkBackoffCap(t *testing.T) {
 	var seq []int
 	for i := 0; i < 10; i++ {
 		seq = append(seq, o.Backoff())
-		o.Book(OutcomeConflict, 0)
+		o.Book(OutcomeConflict)
 	}
 	want := []int{0, 1, 2, 4, 8, 16, 32, DefaultBackoffMax, DefaultBackoffMax, DefaultBackoffMax}
 	for i := range want {
@@ -265,28 +265,6 @@ func TestHelpBudgetResolution(t *testing.T) {
 	}
 	if lv := MiddleLevel(0, 0); lv.Attempts != 2 || lv.Name != "middle" || !lv.Help {
 		t.Fatalf("MiddleLevel defaults: %+v", lv)
-	}
-}
-
-func TestDefersAtDerivedFromShape(t *testing.T) {
-	three := Fixed(0).Site("t", 1, Level{Name: "fast", Attempts: 1}, MiddleLevel(0, 0))
-	if !three.defersAt(0) {
-		t.Fatal("fast above a helping middle must defer")
-	}
-	if three.defersAt(1) {
-		t.Fatal("the helping level itself must not defer (it helps)")
-	}
-	if three.defersAt(2) {
-		t.Fatal("past the last level nothing defers")
-	}
-	if Fixed(0).Site("t", 1, Level{Name: "fast", Attempts: 1}).defersAt(0) {
-		t.Fatal("a two-path shape has no cooperating tier: no deferring")
-	}
-	noHelp := Fixed(0).Site("t", 1,
-		Level{Name: "pto1", Attempts: 1},
-		Level{Name: "pto2", Attempts: 1})
-	if noHelp.defersAt(0) {
-		t.Fatal("a deeper non-helping level must not suppress kills")
 	}
 }
 

@@ -150,11 +150,12 @@ type Level struct {
 	// Policy.Attempts overrides it when positive.
 	Attempts int
 	// Help marks the level as a cooperating (middle) tier: an attempt that
-	// encounters an undecided fallback descriptor helps it to decision
-	// inside the transaction — up to HelpBudget descriptors, then the
-	// attempt aborts explicitly — instead of the fast path's immediate
-	// abort-and-defer. A capacity abort exhausts a Help level and an
-	// explicit one consumes one attempt, whatever the policy.
+	// encounters an undecided fallback descriptor gets it helped to
+	// decision — up to HelpBudget descriptors — instead of the fast path's
+	// abort-and-defer. Only the modeled substrate (simtxn) declares one; the
+	// wall-clock Run runs a Help level's attempts like any other. A capacity
+	// abort exhausts a Help level and an explicit one consumes one attempt,
+	// whatever the policy.
 	Help bool
 	// HelpBudget bounds the helping per attempt; zero selects
 	// DefaultHelpBudget. Ignored unless Help is set.
@@ -275,30 +276,13 @@ func (s *Site) budget(level int) int {
 
 // HelpBudget returns how many in-flight fallback descriptors one attempt at
 // the level may help to decision before aborting explicitly: zero for
-// non-helping levels and past the last one. Each substrate threads it into
-// its transaction machinery.
+// non-helping levels and past the last one. The modeled substrate threads it
+// into its level loop.
 func (s *Site) HelpBudget(level int) int {
 	if level >= len(s.levels) {
 		return 0
 	}
 	return s.levels[level].HelpBudget
-}
-
-// defersAt reports whether attempts at the given level should defer to a
-// helping tier on encountering an undecided fallback descriptor: true
-// exactly when some deeper level declares Help. A deferring attempt aborts,
-// leaving the descriptor alive for the helping tier to drive to decision,
-// where a level with no helping tier below it applies the historical
-// kill-paid-by-commit rule instead. Deriving it from the shape means a site
-// cannot strand a descriptor: kills are suppressed only when a cooperating
-// tier is guaranteed to follow.
-func (s *Site) defersAt(level int) bool {
-	for _, l := range s.levels[min(level+1, len(s.levels)):] {
-		if l.Help {
-			return true
-		}
-	}
-	return false
 }
 
 // exhausts reports whether a capacity or explicit abort at the level ends
@@ -481,10 +465,9 @@ func (o *Op) Backoff() int { return o.backoff }
 // Book records one attempt of the current level: it consumes the attempt,
 // advances the conflict backoff (base, doubling to max) or applies the
 // level's exhaustion rule, and feeds the lane's adaptive window, the level's
-// telemetry (helped counts the fallback descriptors the attempt drove to
-// decision) and, on a commit, the operation's latency. Drivers call it once
+// telemetry and, on a commit, the operation's latency. Drivers call it once
 // per attempt they ran.
-func (o *Op) Book(out Outcome, helped int) {
+func (o *Op) Book(out Outcome) {
 	o.used++
 	switch {
 	case out == OutcomeConflict:
@@ -497,9 +480,6 @@ func (o *Op) Book(out Outcome, helped int) {
 	o.s.record(o.lane, o.level, out == OutcomeCommit)
 	if t := o.s.Telemetry(o.level); t != nil {
 		t.Attempts.Add(1)
-		if helped > 0 {
-			t.Helped.Add(uint64(helped))
-		}
 		switch out {
 		case OutcomeCommit:
 			t.Commits.Add(1)
@@ -559,33 +539,16 @@ func (s *Site) Begin(d *htm.Domain) Run {
 
 // Try runs one speculative attempt of the current level: waits out any
 // pending backoff, executes body as a transaction against the Run's
-// domain, and books the outcome. At a helping level the transaction carries
-// the level's helping budget (htm.AtomicallyHelping): undecided MultiCAS
-// descriptors its writes collide with are helped to decision at commit
-// instead of killing the attempt or the descriptor. At a non-helping level
-// with a helping tier below it the attempt defers instead
-// (htm.AtomicallyDeferring): an undecided descriptor on the write set
-// aborts the attempt explicitly, leaving the descriptor alive for the
-// middle tier. Only a level with no cooperating tier beneath it applies the
-// historical kill-paid-by-commit rule. The caller is responsible for acting
-// on the returned status (returning the operation's result on
-// htm.Committed).
+// domain, and books the outcome. The caller is responsible for acting on
+// the returned status (returning the operation's result on htm.Committed).
 func (r *Run) Try(body func(tx *htm.Tx)) htm.Status {
 	if r.backoff > 0 {
 		for i := BackoffSpan(r.backoff, r.s.jitter()); i > 0; i-- {
 			runtime.Gosched()
 		}
 	}
-	var st htm.Status
-	var helped int
-	if hb := r.s.HelpBudget(r.level); hb > 0 {
-		st, helped = r.d.AtomicallyHelping(hb, body)
-	} else if r.s.defersAt(r.level) {
-		st = r.d.AtomicallyDeferring(body)
-	} else {
-		st = r.d.Atomically(body)
-	}
-	r.Book(outcomeOf(st), helped)
+	st := r.d.Atomically(body)
+	r.Book(outcomeOf(st))
 	return st
 }
 

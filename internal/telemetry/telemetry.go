@@ -261,7 +261,7 @@ func (r *Registry) Site(name string) *Site {
 }
 
 // SiteAt is Site with a level label: drivers that split one call site into
-// per-level sites ("txn/atomic/fast", "txn/atomic/middle") register each
+// per-level sites ("bst/insert/pto1", "simtxn/atomic/middle") register each
 // with its level name so exports can aggregate and filter by level. The
 // label is fixed at first registration; later registrations under the same
 // name share the existing site regardless of the level they pass.

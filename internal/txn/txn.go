@@ -83,21 +83,9 @@ type Manager struct {
 	comp     *telemetry.Composed
 	reg      Registry
 
-	// pol and siteName are retained so the speculation site can be rebuilt
-	// when the level set changes (WithMiddle after WithPolicy or vice
-	// versa). middle is the declared helping tier; zero Attempts means the
-	// manager runs the classic two-path fast/fallback shape.
-	pol      speculate.Policy
-	siteName string
-	middle   speculate.Level
-
 	// force pins every composed operation straight to the MultiCAS slow
-	// path, bypassing speculation entirely — the occupied-fallback
-	// adversary of ablation A10. park, when non-nil, is handed to
-	// MultiCASParked so each publication yields between its claim phase and
-	// its decision (see FallbackPark).
+	// path, bypassing speculation entirely (ForceFallback).
 	force bool
-	park  func()
 }
 
 // New returns a Manager with its own transactional domain. attempts ≤ 0
@@ -135,8 +123,7 @@ func (m *Manager) WithPolicy(p speculate.Policy) *Manager {
 // "txn/atomic". Call before the manager is shared between goroutines.
 // Returns m.
 func (m *Manager) WithPolicyAt(p speculate.Policy, site string) *Manager {
-	m.pol, m.siteName = p, site
-	m.rebuildSite()
+	m.site = p.Site(site, 1, speculate.Level{Name: "fast", Attempts: m.attempts, RetryExplicit: true})
 	if p.Metrics != nil {
 		m.comp = p.Metrics.Composed(site)
 	} else {
@@ -145,52 +132,12 @@ func (m *Manager) WithPolicyAt(p speculate.Policy, site string) *Manager {
 	return m
 }
 
-// rebuildSite re-registers the speculation site from the manager's current
-// policy and level set: the fast level alone (the historical two-path
-// shape, registered under the site name so existing dashboards are
-// untouched), or fast + middle when WithMiddle enabled the helping tier
-// (registered per level as name/fast and name/middle with level labels).
-func (m *Manager) rebuildSite() {
-	levels := []speculate.Level{{Name: "fast", Attempts: m.attempts, RetryExplicit: true}}
-	if m.middle.Attempts > 0 {
-		levels = append(levels, m.middle)
-	}
-	m.site = m.pol.Site(m.siteName, 1, levels...)
-}
-
-// WithMiddle enables the three-path shape: between the fast level and the
-// MultiCAS fallback, composed publication gets a helping middle level whose
-// transactions drive undecided fallback descriptors to decision
-// (htm.AtomicallyHelping) instead of aborting on or killing them. attempts
-// ≤ 0 selects the middle level's default budget; helpBudget ≤ 0 selects
-// speculate.DefaultHelpBudget per attempt. Call before the manager is
-// shared between goroutines. Returns m.
-func (m *Manager) WithMiddle(attempts, helpBudget int) *Manager {
-	m.middle = speculate.MiddleLevel(attempts, helpBudget)
-	m.rebuildSite()
-	return m
-}
-
 // ForceFallback, when on, pins every composed operation straight to the
-// MultiCAS slow path — no speculation at all. It is the occupied-fallback
-// adversary knob of ablation A10: a thread running a force-fallback manager
-// keeps undecided descriptors in flight for speculating threads to collide
-// with. Call before the manager is shared between goroutines. Returns m.
+// MultiCAS slow path — no speculation at all — while the domain keeps its
+// capacity for the participating structures' own prefix transactions. Call
+// before the manager is shared between goroutines. Returns m.
 func (m *Manager) ForceFallback(on bool) *Manager {
 	m.force = on
-	return m
-}
-
-// FallbackPark installs a hook run once per fallback publication, between
-// the MultiCAS claim phase and its decision (htm.MultiCASParked): the
-// publication sits fully claimed but undecided while f runs. It models a
-// fallback publisher preempted mid-protocol — the window in which
-// speculating threads actually meet an undecided descriptor, which on a
-// single-core host otherwise requires scheduler luck. Pass runtime.Gosched
-// for the A10 adversary; nil restores plain MultiCAS. Call before the
-// manager is shared between goroutines. Returns m.
-func (m *Manager) FallbackPark(f func()) *Manager {
-	m.park = f
 	return m
 }
 
@@ -200,8 +147,8 @@ func (m *Manager) Domain() *htm.Domain { return m.d }
 
 // Site exposes the manager's speculation site (its level budgets and
 // per-level telemetry); its one caller is benchmark/probes.go:488.
-// WithPolicy/WithMiddle rebuild the site, so take the handle only after the
-// manager is fully configured.
+// WithPolicy rebuilds the site, so take the handle only after the manager is
+// fully configured.
 func (m *Manager) Site() *speculate.Site { return m.site }
 
 // Structures is the manager's registration surface: drivers register each
@@ -335,10 +282,7 @@ func Write[T comparable](c *Ctx, v *htm.Var[T], x T) {
 // commits. The body may be re-executed any number of times (on fast-path
 // aborts and capture restarts) and must therefore be restartable: all
 // externally visible effects go through the Ctx accessors and OnCommit.
-// Speculation walks every declared level outermost-first — the fast level,
-// then the helping middle level when WithMiddle enabled it (Run.Try runs
-// middle attempts with the level's helping budget) — before the MultiCAS
-// fallback.
+// The fast level's attempts come first, then the MultiCAS fallback.
 func (m *Manager) Atomic(body func(c *Ctx)) {
 	c := ctxPool.Get().(*Ctx)
 	// A foreign panic out of body unwinds past the Put: that Ctx is dropped.
@@ -350,26 +294,24 @@ func (m *Manager) Atomic(body func(c *Ctx)) {
 func (m *Manager) atomic(c *Ctx, body func(c *Ctx)) {
 	if !m.force {
 		r := m.site.Begin(m.d)
-		for lv := 0; lv < m.site.Levels(); lv++ {
-			for r.Next(lv) {
-				st := r.Try(func(tx *htm.Tx) {
-					c.htx = tx
-					body(c)
-				})
-				if st == htm.Committed {
-					c.runHooks()
-					if m.comp != nil {
-						m.comp.Ops.Add(1)
-						if c.wrote {
-							m.comp.FastCommits.Add(1)
-						} else {
-							m.comp.ReadOnlyCommits.Add(1)
-						}
+		for r.Next(0) {
+			st := r.Try(func(tx *htm.Tx) {
+				c.htx = tx
+				body(c)
+			})
+			if st == htm.Committed {
+				c.runHooks()
+				if m.comp != nil {
+					m.comp.Ops.Add(1)
+					if c.wrote {
+						m.comp.FastCommits.Add(1)
+					} else {
+						m.comp.ReadOnlyCommits.Add(1)
 					}
-					return
 				}
-				c.reset()
+				return
 			}
+			c.reset()
 		}
 		r.Fallback()
 	}
@@ -426,7 +368,7 @@ func (m *Manager) fallback(c *Ctx, body func(c *Ctx)) {
 		// reading it after MultiCAS returns: hand the slice over for good.
 		entries := c.order
 		c.order = nil
-		if htm.MultiCASParked(m.park, entries...) {
+		if htm.MultiCAS(entries...) {
 			c.runHooks()
 			if m.comp != nil {
 				m.comp.Ops.Add(1)

@@ -95,19 +95,21 @@ func TestGoldenTelemetryNames(t *testing.T) {
 		t.Errorf("modeled site classes %v missing %q", keysOf(simNames), "simtxn/atomic")
 	}
 
-	// Three-path managers (WithMiddle) register one site class per level on
-	// both substrates — the fast tier moves from the bare site name to
-	// name/fast, and the helping tier appears as name/middle. The A10
-	// harness (internal/bench/threepath.go) reads its helped count there.
+	// A multi-level site registers one site class per level, name/level, on
+	// both substrates: the runtime BST's two-level update sites (its
+	// one-level contains site keeps the bare name), and a modeled three-path
+	// manager (WithMiddle), whose fast tier moves from the bare site name to
+	// name/fast beside name/middle. The A10 harness
+	// (internal/bench/threepath.go) reads its helped count there.
 	treg := telemetry.NewRegistry()
-	txn.New(0).WithPolicy(speculate.Fixed(0).WithMetrics(treg)).WithMiddle(0, 0)
-	threeNames := map[string]bool{}
+	bst.NewPTOIn(m.Domain(), -1, -1).WithPolicy(speculate.Fixed(0).WithMetrics(treg))
+	levelNames := map[string]bool{}
 	for _, s := range treg.Snapshot().Sites {
-		threeNames[s.Name] = true
+		levelNames[s.Name] = true
 	}
-	for _, want := range []string{"txn/atomic/fast", "txn/atomic/middle"} {
-		if !threeNames[want] {
-			t.Errorf("three-path runtime site classes %v missing %q", keysOf(threeNames), want)
+	for _, want := range []string{"bst/contains", "bst/insert/pto1", "bst/insert/pto2", "bst/remove/pto1", "bst/remove/pto2"} {
+		if !levelNames[want] {
+			t.Errorf("two-level runtime site classes %v missing %q", keysOf(levelNames), want)
 		}
 	}
 	streg := telemetry.NewRegistry()
