@@ -79,10 +79,18 @@ type SimHash struct {
 // snapshot; vals backs the bucket an operation builds from them.
 type hashScratch struct{ snap, vals []uint64 }
 
+// hashSlotLines is how many epoch slot lines a table allocates whatever its
+// thread count: the simulator's limit of 16 threads. The table uses the first
+// threads of them. The padding keeps every address allocated after the slots,
+// and so a prefilled table's memory image, the same at every thread count.
+const hashSlotLines = 16
+
 // NewSimHash builds an empty table with the given initial bucket count
 // (power of two) using setup thread t.
 func NewSimHash(t *sim.Thread, kind HashKind, buckets, threads int) *SimHash {
-	h := &SimHash{kind: kind, epoch: NewEpoch(t, threads), scratch: make([]hashScratch, threads)}
+	epoch := NewEpoch(t, hashSlotLines)
+	epoch.slots = epoch.slots[:threads]
+	h := &SimHash{kind: kind, epoch: epoch, scratch: make([]hashScratch, threads)}
 	for i := 0; i < threads; i++ {
 		h.retirers = append(h.retirers, NewRetirer(h.epoch))
 	}
