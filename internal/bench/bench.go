@@ -12,8 +12,11 @@
 // Every data point runs the workload on a freshly built machine for a fixed
 // simulated duration, discarding a warmup fifth, and reports throughput in
 // operations per simulated millisecond at the machine's clock rate — the
-// paper's y-axis. Runs are deterministic: the same build always produces
-// the same numbers.
+// paper's y-axis. A structure whose prefilled memory does not depend on the
+// thread count (Figure 4's hash tables) is built once per series, and each
+// point starts from a clone of it (sweepImage) in the state a fresh build
+// would leave. Runs are deterministic: the same build always produces the
+// same numbers.
 package bench
 
 import (
@@ -61,7 +64,11 @@ func measure(threads int, window uint64, build buildFunc) float64 {
 // measureCfg is measure with an explicit machine configuration (ablations).
 func measureCfg(cfg sim.Config, window uint64, build buildFunc) float64 {
 	m := sim.New(cfg)
-	op := build(m, m.Thread(0))
+	return measureOn(m, window, build(m, m.Thread(0)))
+}
+
+// measureOn runs the workload op on every thread of m, built and filled.
+func measureOn(m *sim.Machine, window uint64, op func(t *sim.Thread)) float64 {
 	warm := window / 4
 	deadline := warm + window
 	var counted [16]uint64
@@ -81,7 +88,7 @@ func measureCfg(cfg sim.Config, window uint64, build buildFunc) float64 {
 	for _, c := range counted {
 		total += c
 	}
-	ms := float64(window) / cfg.CyclesPerMs
+	ms := float64(window) / m.Config().CyclesPerMs
 	return float64(total) / ms
 }
 
@@ -90,6 +97,28 @@ func sweep(name string, window uint64, build buildFunc) Series {
 	s := Series{Name: name}
 	for n := 1; n <= MaxThreads; n++ {
 		s.Points = append(s.Points, Point{Threads: n, Throughput: measure(n, window, build)})
+	}
+	return s
+}
+
+// imageFunc fills a structure whose memory image is the same at every thread
+// count on the set-up thread of a one-thread machine, and returns, for a
+// thread count, the per-operation body on a clone of the structure for that
+// many threads (simds.SimHash.Clone).
+type imageFunc func(setup *sim.Thread) func(threads int) func(t *sim.Thread)
+
+// sweepImage is sweep for such a structure: it fills one image and starts
+// every point from a clone of its machine (sim.Machine.Clone), which copies
+// only the pages the point touches, into the previous point's buffers. The
+// image is dropped when the sweep ends.
+func sweepImage(name string, window uint64, fill imageFunc) Series {
+	img := sim.New(sim.DefaultConfig(1))
+	point := fill(img.Thread(0))
+	s := Series{Name: name}
+	var m *sim.Machine
+	for n := 1; n <= MaxThreads; n++ {
+		m = img.Clone(sim.DefaultConfig(n), m)
+		s.Points = append(s.Points, Point{Threads: n, Throughput: measureOn(m, window, point(n))})
 	}
 	return s
 }

@@ -190,12 +190,18 @@ func Fig3(lookupPct int, scale float64) Figure {
 	}
 }
 
-func hashBuild(kind simds.HashKind, lookupPct int, keyRange uint64) buildFunc {
-	return func(m *sim.Machine, setup *sim.Thread) func(t *sim.Thread) {
-		h := simds.NewSimHash(setup, kind, 64, m.Config().Threads)
+// hashBuild fills one table of the kind for a whole sweep: its image is the
+// same at every thread count (simds' hashSlotLines), so each point runs a
+// clone of it.
+func hashBuild(kind simds.HashKind, lookupPct int, keyRange uint64) imageFunc {
+	return func(setup *sim.Thread) func(threads int) func(t *sim.Thread) {
+		h := simds.NewSimHash(setup, kind, 64, 1)
 		prefillSet(setup, keyRange, h.Insert)
 		h.Stabilize(setup)
-		return setOp(lookupPct, keyRange, h.Insert, h.Remove, h.Contains)
+		return func(threads int) func(t *sim.Thread) {
+			c := h.Clone(threads)
+			return setOp(lookupPct, keyRange, c.Insert, c.Remove, c.Contains)
+		}
 	}
 }
 
@@ -211,9 +217,9 @@ func Fig4(lookupPct int, scale float64) Figure {
 		Title:  sprintfTitle("Hash table, lookup=%d%% range=64K", lookupPct),
 		YLabel: "ops/ms",
 		Series: []Series{
-			sweep("Hash (Lockfree)", w, hashBuild(simds.HashLF, lookupPct, keyRange)),
-			sweep("Hash (PTO)", w, hashBuild(simds.HashPTO, lookupPct, keyRange)),
-			sweep("Hash (PTO+Inplace)", w, hashBuild(simds.HashInplace, lookupPct, keyRange)),
+			sweepImage("Hash (Lockfree)", w, hashBuild(simds.HashLF, lookupPct, keyRange)),
+			sweepImage("Hash (PTO)", w, hashBuild(simds.HashPTO, lookupPct, keyRange)),
+			sweepImage("Hash (PTO+Inplace)", w, hashBuild(simds.HashInplace, lookupPct, keyRange)),
 		},
 	}
 }

@@ -182,7 +182,8 @@ const pageWords = 1 << 11
 
 // page is one unit of simulated memory with the directory entries of its
 // lines. Addresses come from a bump allocator, so pages are dense and live in
-// a slice indexed by page number, created on first touch.
+// a slice indexed by page number, created on first touch — or, on a machine
+// with a shared image (Clone), copied from the image on first touch.
 type page struct {
 	words [pageWords]uint64
 	dir   [pageWords / LineWords]dline
@@ -247,6 +248,10 @@ type Machine struct {
 	stats Stats
 
 	pages []*page
+	// base is the shared image this machine's memory started from (Clone):
+	// pages that no machine writes, with no nil entry. page copies base[n]
+	// into pages on the first touch of page n.
+	base []*page
 
 	threads []*thread
 	api     []*Thread
@@ -326,7 +331,10 @@ func (m *Machine) Model() HTMModel { return m.model }
 // must only be used by the body function running on it.
 func (m *Machine) Thread(i int) *Thread { return m.api[i] }
 
-// page returns page n, creating it (every line unowned) on first touch.
+// page returns page n, creating it on first touch: a copy of the shared
+// image's page n if there is one, else blank. A load counts as a touch
+// (access writes the directory on reads). page stays within the inliner's
+// budget, and so do word and dirEntry around it: every access inlines it.
 func (m *Machine) page(n uint64) *page {
 	if n < uint64(len(m.pages)) && m.pages[n] != nil {
 		return m.pages[n]
@@ -335,11 +343,110 @@ func (m *Machine) page(n uint64) *page {
 		m.pages = append(m.pages, nil)
 	}
 	p := new(page)
-	for i := range p.dir {
-		p.dir[i].owner = -1
+	if n < uint64(len(m.base)) {
+		*p = *m.base[n]
+	} else {
+		p.dir = blank.dir
 	}
 	m.pages[n] = p
 	return p
+}
+
+// blank is a page as page creates it where no image has one: every word
+// zero, every line unowned. It stands in the image for a page the template
+// never touched.
+var blank = func() (p page) {
+	for i := range p.dir {
+		p.dir[i].owner = -1
+	}
+	return p
+}()
+
+// Clone returns a machine with configuration cfg whose simulated memory
+// starts as m's: every word, every directory entry and the allocation
+// frontier. It is how a benchmark builds a structure once and runs each point
+// on a copy. The two machines share m's pages as an image that neither
+// writes: each copies a page on its first touch of it, read or write, so
+// neither ever sees the other's accesses. The clone also starts with m's
+// Stats, and each thread that m and cfg both have keeps its random stream and
+// clock; the other threads start as New starts them, and every thread's cache
+// starts empty. m must be in set-up mode, outside Run and outside a set-up
+// transaction.
+//
+// reuse, if not nil, is an earlier clone whose run is over. The new clone
+// takes its page buffers for the pages it touched, filled now as a first
+// touch would fill them, so a benchmark that runs point after point from one
+// image makes no garbage pages. reuse's threads are detached: any later use
+// of it panics.
+func (m *Machine) Clone(cfg Config, reuse *Machine) *Machine {
+	if m.running || m.directTx {
+		panic("sim: Clone inside Run or a set-up transaction")
+	}
+	if reuse == m || reuse != nil && reuse.running {
+		panic("sim: Clone cannot reuse the image or a running machine")
+	}
+	// m's own pages join the image, and m too copies on first touch from now
+	// on: its later writes must not show through in its clones.
+	img := make([]*page, max(len(m.pages), len(m.base)))
+	copy(img, m.base)
+	for n := range img {
+		if n < len(m.pages) && m.pages[n] != nil {
+			img[n] = m.pages[n]
+		} else if img[n] == nil {
+			img[n] = &blank
+		}
+	}
+	m.base, m.pages = img, nil
+	c := New(cfg)
+	c.base, c.nextAddr, c.stats = img, m.nextAddr, m.stats
+	for i := range min(len(m.threads), len(c.threads)) {
+		c.threads[i].clock = m.threads[i].clock
+		c.api[i].rng, c.api[i].now = m.api[i].rng, m.api[i].now
+	}
+	if reuse != nil {
+		c.pages, reuse.pages, reuse.base = reuse.pages, nil, nil
+		for n, p := range c.pages {
+			switch {
+			case p == nil:
+			case n < len(img):
+				*p = *img[n]
+			default:
+				*p = blank
+			}
+		}
+		for _, t := range reuse.api {
+			t.m = nil
+		}
+	}
+	return c
+}
+
+// Digest hashes m's simulated memory: the allocation frontier, and every word
+// and directory entry of every page that differs from a blank one, with its
+// page number. It reads without touching, so it copies no shared page. Two
+// machines whose memory reads the same have the same digest, wherever their
+// pages live.
+func (m *Machine) Digest() uint64 {
+	h := splitmix(uint64(m.nextAddr))
+	for n := range max(len(m.pages), len(m.base)) {
+		var p *page
+		if n < len(m.pages) && m.pages[n] != nil {
+			p = m.pages[n]
+		} else if n < len(m.base) {
+			p = m.base[n]
+		}
+		if p == nil || *p == blank {
+			continue
+		}
+		h = splitmix(h ^ uint64(n))
+		for _, w := range p.words {
+			h = splitmix(h ^ w)
+		}
+		for _, d := range p.dir {
+			h = splitmix(h ^ uint64(uint8(d.owner))<<16 ^ uint64(d.sharers))
+		}
+	}
+	return h
 }
 
 // word returns a pointer to the backing word for a.

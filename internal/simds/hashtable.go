@@ -1,6 +1,8 @@
 package simds
 
 import (
+	"slices"
+
 	"repro/internal/sim"
 	"repro/internal/simspec"
 	"repro/internal/speculate"
@@ -81,15 +83,17 @@ type hashScratch struct{ snap, vals []uint64 }
 
 // hashSlotLines is how many epoch slot lines a table allocates whatever its
 // thread count: the simulator's limit of 16 threads. The table uses the first
-// threads of them. The padding keeps every address allocated after the slots,
-// and so a prefilled table's memory image, the same at every thread count.
+// threads of them and keeps the rest in the capacity of its epoch's slot
+// slice, for Clone. The padding keeps every address allocated after the
+// slots, and so a prefilled table's memory image, the same at every thread
+// count.
 const hashSlotLines = 16
 
 // NewSimHash builds an empty table with the given initial bucket count
 // (power of two) using setup thread t.
 func NewSimHash(t *sim.Thread, kind HashKind, buckets, threads int) *SimHash {
 	epoch := NewEpoch(t, hashSlotLines)
-	epoch.slots = epoch.slots[:threads]
+	epoch.slots = epoch.slots[:threads:hashSlotLines]
 	h := &SimHash{kind: kind, epoch: epoch, scratch: make([]hashScratch, threads)}
 	for i := 0; i < threads; i++ {
 		h.retirers = append(h.retirers, NewRetirer(h.epoch))
@@ -104,6 +108,34 @@ func NewSimHash(t *sim.Thread, kind HashKind, buckets, threads int) *SimHash {
 	}
 	t.Store(h.headPtr, uint64(hn))
 	return h.WithPolicy(simspec.DefaultPolicy())
+}
+
+// Clone returns the table for a run of the given number of threads on a
+// clone of the machine h was built on (sim.Machine.Clone). Its Go-side state
+// is what a table built for that many threads and filled the same way would
+// hold: the same simulated addresses, the epoch's first threads slot lines,
+// each thread's retirement batch and scratch buffers as h holds them (empty
+// for threads h has not got), and sites whose adaptive windows start where
+// h's stand. h is left as it was.
+func (h *SimHash) Clone(threads int) *SimHash {
+	c := &SimHash{
+		kind:     h.kind,
+		headPtr:  h.headPtr,
+		epoch:    &Epoch{global: h.epoch.global, slots: h.epoch.slots[:threads]},
+		updSite:  h.updSite.Clone(),
+		lookSite: h.lookSite.Clone(),
+		scratch:  make([]hashScratch, threads),
+	}
+	for i := 0; i < threads; i++ {
+		r := NewRetirer(c.epoch)
+		if i < len(h.retirers) {
+			r.batch = slices.Clone(h.retirers[i].batch)
+			sc := h.scratch[i]
+			c.scratch[i] = hashScratch{snap: slices.Clone(sc.snap), vals: slices.Clone(sc.vals)}
+		}
+		c.retirers = append(c.retirers, r)
+	}
+	return c
 }
 
 // WithPolicy installs the speculation policy for the table's two sites

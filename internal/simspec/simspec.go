@@ -70,6 +70,10 @@ func New(name string, p speculate.Policy, levels ...speculate.Level) *Site {
 	return &Site{Site: p.Site(name, maxThreads, levels...), unit: DefaultBackoffCycles}
 }
 
+// Clone returns a site with s's backoff unit whose lanes start where s's
+// stand (speculate.Site.Clone).
+func (s *Site) Clone() *Site { return &Site{Site: s.Site.Clone(), unit: s.unit} }
+
 // WithBackoffUnit sets the modeled cycles charged per backoff unit and
 // returns the site.
 func (s *Site) WithBackoffUnit(cycles uint64) *Site {

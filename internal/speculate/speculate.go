@@ -250,6 +250,22 @@ func (p Policy) Site(name string, lanes int, levels ...Level) *Site {
 	return s
 }
 
+// Clone returns a site with s's policy, levels and telemetry destinations
+// whose adaptive windows and jitter stream start where s's stand and then
+// move on their own. The modeled substrate uses it to run many machines from
+// one structure built once (simds.SimHash.Clone).
+func (s *Site) Clone() *Site {
+	c := &Site{pol: s.pol, levels: s.levels, tel: s.tel, win: make([]window, len(s.win))}
+	for i := range s.win {
+		w, cw := &s.win[i], &c.win[i]
+		cw.attempts.Store(w.attempts.Load())
+		cw.commits.Store(w.commits.Load())
+		cw.skip.Store(w.skip.Load())
+	}
+	c.rng.Store(s.rng.Load())
+	return c
+}
+
 // NewSite is Site with one lane.
 // Kept only because benchmark/probes.go:193 passes nil for the deleted speculate.Stats argument.
 func (p Policy) NewSite(name string, _ *struct{}, levels ...Level) *Site {

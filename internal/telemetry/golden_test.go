@@ -28,7 +28,7 @@ func goldenRegistry() (*Registry, Snapshot) {
 	ins.SpecNanos.Observe(100)
 	ins.SpecNanos.Observe(300)
 	ins.SpecNanos.Observe(70000)
-	fast := r.SiteAt("txn/atomic/fast", "fast")
+	fast := r.SiteAt("simtxn/atomic/fast", "fast")
 	fast.Attempts.Add(12)
 	fast.Commits.Add(10)
 	fast.Capacity.Add(2)
