@@ -7,13 +7,14 @@ import (
 	"sync/atomic"
 )
 
-// This file implements a lock-free multi-word CAS over Vars — the
-// internal/mcas algorithm (Harris-Fraser-Pratt style claims with helping)
-// lifted from raw 64-bit words to typed transactional Vars, and made
-// interoperable with the STM's per-Var versioned locks. It is the publication
-// primitive for the transactional composition layer (internal/txn): when the
-// HTM fast path is unavailable, a composed operation's validated read-set and
-// staged write-set are installed in one MultiCAS.
+// This file implements a lock-free multi-word CAS over typed transactional
+// Vars, in the style of Harris, Fraser and Pratt (claims with helping), made
+// interoperable with the STM's per-Var versioned locks; the baseline Mound's
+// two-word DCAS runs apart from it, over raw versioned words
+// (internal/mound). It is the publication primitive for the transactional
+// composition layer (internal/txn): when the HTM fast path is unavailable, a
+// composed operation's validated read-set and staged write-set are installed
+// in one MultiCAS.
 //
 // A Var's value word never holds anything but its value, so the fast path
 // carries none of this: a MultiCAS claims a Var through the slot beside the

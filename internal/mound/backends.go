@@ -2,38 +2,8 @@ package mound
 
 import (
 	"repro/internal/htm"
-	"repro/internal/mcas"
 	"repro/internal/speculate"
 )
-
-// mcasBackend is the baseline substrate: node words are mcas.Words and the
-// multi-word operations run the descriptor-based software protocol. An
-// uncontended DCAS or DCSS costs seven CAS instructions (two per leg for the
-// conditional claim, one for the decision, two for the releases) — the
-// latency PTO removes.
-type mcasBackend struct {
-	words []*mcas.Word
-}
-
-func newMCASBackend(size int) *mcasBackend {
-	b := &mcasBackend{words: make([]*mcas.Word, size)}
-	for i := range b.words {
-		b.words[i] = mcas.NewWord(0)
-	}
-	return b
-}
-
-func (b *mcasBackend) load(id int) uint64 { return b.words[id].Load() }
-
-func (b *mcasBackend) cas(id int, old, new uint64) bool { return b.words[id].CAS(old, new) }
-
-func (b *mcasBackend) dcss(cmp int, expect uint64, tgt int, old, new uint64) bool {
-	return mcas.DCSS(b.words[cmp], expect, b.words[tgt], old, new)
-}
-
-func (b *mcasBackend) dcas(id1 int, o1, n1 uint64, id2 int, o2, n2 uint64) bool {
-	return mcas.DCAS(b.words[id1], o1, n1, b.words[id2], o2, n2)
-}
 
 // DefaultAttempts is the paper's tuned transaction retry budget for the
 // Mound's DCAS/DCSS sub-operations ("ultimately settling on a value of

@@ -13,9 +13,34 @@
 // management — but the occupied depth grows on demand when inserts cannot
 // find a suitable leaf.
 //
-// The baseline executes DCAS/DCSS through the descriptor-based software
-// multi-word CAS of internal/mcas, each costing several CAS instructions and
-// fences. The PTO variant (§4.2) applies prefix transactions locally to
+// The baseline runs DCAS and DCSS in software over raw node words
+// (dcas.go), with the paper's descriptor protocol: a DCAS writes its legs
+// into a descriptor, claims each word in node order with CAS(old, marker),
+// decides with one CAS on the descriptor's status and releases each word
+// with one more CAS — five CAS when uncontended: two claims, one decision,
+// two releases. A thread that finds a marker helps that DCAS to its end
+// first, so every operation is lock-free. A marker names its descriptor by
+// slot and sequence number in a per-Mound table, and slots are reused, as
+// the paper's descriptors are.
+//
+// The claim is unconditional, which is safe because no claimed word's old
+// value comes back once its descriptor is decided. Every write of a node
+// word bumps its version; a failed DCAS releases the word it claimed with
+// its version renewed; and a DCSS claims its guard as a DCAS leg whose
+// release renews the guard's version, so that a DCSS writes its guard.
+// (The alternative, leaving the guard
+// unclaimed and reading it after claiming the target, would have a DCSS
+// help whatever DCAS holds the guard, which may in turn wait on the DCSS's
+// target: claiming both words in node order rules that cycle out.) A helper
+// that saw the descriptor undecided and stalled before its claim therefore
+// finds its old value gone and cannot attach a decided descriptor to a
+// word, and no marker outlives its DCAS, which is what lets a slot be
+// reused. The version has 30 bits: the claim could be fooled only by a
+// helper stalled between two instructions while a multiple of 2^30 — about
+// a billion — writes land on that one node, which takes tens of seconds of
+// nothing but writes to it.
+//
+// The PTO variant (§4.2) applies prefix transactions locally to
 // exactly those sub-operations — each DCAS/DCSS becomes one transaction
 // attempted up to four times (the paper's tuned retry value) before the
 // software path (htm.MultiCAS) runs. The whole-operation application of PTO is
@@ -41,7 +66,10 @@ const MaxValue = math.MaxInt64 - 1
 // the occupied depth.
 const probesPerLevel = 8
 
-// Word packing: [ver:31][dirty:1][idx:32].
+// Word packing: [marker:1][ver:30][dirty:1][idx:32]. The marker bit is
+// set only in a word the baseline's DCAS has claimed (dcas.go).
+const verMask = 1<<30 - 1
+
 func pack(ver uint64, dirty bool, idx uint32) uint64 {
 	w := ver<<33 | uint64(idx)
 	if dirty {
@@ -50,12 +78,15 @@ func pack(ver uint64, dirty bool, idx uint32) uint64 {
 	return w
 }
 
-func wordVer(w uint64) uint64 { return w >> 33 }
+func wordVer(w uint64) uint64 { return w >> 33 & verMask }
 func wordDirty(w uint64) bool { return w>>32&1 == 1 }
 func wordIdx(w uint64) uint32 { return uint32(w) }
 func bump(w uint64, dirty bool, idx uint32) uint64 {
-	return pack(wordVer(w)+1, dirty, idx)
+	return pack((wordVer(w)+1)&verMask, dirty, idx)
 }
+
+// renew bumps w's version and keeps its contents.
+func renew(w uint64) uint64 { return bump(w, wordDirty(w), wordIdx(w)) }
 
 // lnode is one element of a node's sorted list.
 type lnode struct {
@@ -107,7 +138,7 @@ func (p *listPool) node(i uint32) *lnode {
 }
 
 // backend abstracts the synchronization substrate: the baseline runs on
-// descriptor-based software DCAS, the PTO variant on prefix transactions
+// the software DCAS of dcas.go, the PTO variant on prefix transactions
 // with that as fallback. Node ids are 1-based heap indices.
 type backend interface {
 	load(id int) uint64
@@ -132,7 +163,7 @@ type Mound struct {
 // DefaultMaxDepth).
 func New(maxDepth int) *Mound {
 	m := newMound(maxDepth)
-	m.be = newMCASBackend(m.size)
+	m.be = newLockfreeBackend(m.size)
 	return m
 }
 

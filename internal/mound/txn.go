@@ -22,7 +22,7 @@ func NewPTOIn(d *htm.Domain, maxDepth, attempts int) *Mound {
 }
 
 // pto asserts the composed-capable backend: composition is a PTO feature
-// (the baseline's raw mcas words cannot join an htm domain).
+// (the baseline's raw words cannot join an htm domain).
 func (m *Mound) pto() *ptoBackend {
 	b, ok := m.be.(*ptoBackend)
 	if !ok {

@@ -543,9 +543,9 @@ claim:
 // status check and its CAS the descriptor may be decided and released and
 // old may come back; a plain claim would then attach a decided descriptor
 // to the word, which would get its new value a second time. The claim is
-// therefore conditional, as in Harris, Fraser and Pratt's RDCSS and in
-// internal/mcas: the CAS installs a conditional marker, and whoever finds
-// it completes it (complete). claim reports whether the word is now claimed.
+// therefore conditional, as in Harris, Fraser and Pratt's RDCSS: the CAS
+// installs a conditional marker, and whoever finds it completes it
+// (complete). claim reports whether the word is now claimed.
 func claim(t *sim.Thread, d, a sim.Addr, old uint64) bool {
 	return t.CAS(a, old, uint64(d)|markerBit|condBit) && complete(t, d, a, old)
 }
