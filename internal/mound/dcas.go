@@ -29,9 +29,7 @@ const (
 
 // desc is a descriptor slot. It holds one DCAS at a time: its owner writes
 // the next only once the last is decided and released, bumping the
-// sequence number before it writes the fields. A helper trusts the fields
-// it read only if the sequence number read before and after them is the
-// one its marker names.
+// sequence number before it writes the fields.
 type desc struct {
 	slot         uint32
 	status       atomic.Uint64
@@ -57,11 +55,10 @@ func (d *desc) publish(op *dcasOp) uint64 {
 }
 
 // snapshot reads the DCAS that d holds under seq, reporting false if the
-// slot has moved past it.
+// slot has moved past it. The caller found seq's marker in a word, so seq
+// was published before the fields are read; if the status still shows seq
+// after them, no later DCAS has begun to overwrite them.
 func (d *desc) snapshot(seq uint64) (op dcasOp, ok bool) {
-	if d.status.Load()>>2 != seq {
-		return op, false
-	}
 	for i := range op.id {
 		op.id[i] = int(d.id[i].Load())
 		op.old[i] = d.old[i].Load()

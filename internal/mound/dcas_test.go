@@ -16,8 +16,8 @@ import (
 func next(w uint64, idx uint32) uint64 { return bump(w, false, idx) }
 
 // stage publishes op and claims both of its words, as an owner that stalls
-// right after its claims leaves them, and returns the marker.
-func stage(t *testing.T, b *lockfreeBackend, op dcasOp) uint64 {
+// right after its claims leaves them.
+func stage(t *testing.T, b *lockfreeBackend, op dcasOp) {
 	t.Helper()
 	d := b.descs.get().d
 	m := marker(d.slot, d.publish(&op))
@@ -26,7 +26,6 @@ func stage(t *testing.T, b *lockfreeBackend, op dcasOp) uint64 {
 			t.Fatal("staging claim failed")
 		}
 	}
-	return m
 }
 
 // incr adds one to the list index of words x and y with one DCAS each,
@@ -46,6 +45,8 @@ func incr(b *lockfreeBackend, x, y, n int) {
 // version 0.
 func TestDCAS(t *testing.T) {
 	w := func(idx uint32) uint64 { return pack(0, false, idx) }
+	// stalled moves words 0 and 1 to indices 10 and 20.
+	stalled := dcasOp{id: [2]int{0, 1}, old: [2]uint64{w(1), w(2)}, new: [2]uint64{next(w(1), 10), next(w(2), 20)}}
 	cases := []struct {
 		name string
 		run  func(t *testing.T, b *lockfreeBackend)
@@ -173,7 +174,7 @@ func TestDCAS(t *testing.T) {
 			}
 		}},
 		{"LoadHelpsStalled", func(t *testing.T, b *lockfreeBackend) {
-			stage(t, b, dcasOp{id: [2]int{0, 1}, old: [2]uint64{w(1), w(2)}, new: [2]uint64{next(w(1), 10), next(w(2), 20)}})
+			stage(t, b, stalled)
 			if got := b.load(1); got != next(w(2), 20) {
 				t.Fatalf("word 1 = %#x after helping, want %#x", got, next(w(2), 20))
 			}
@@ -182,7 +183,7 @@ func TestDCAS(t *testing.T) {
 			}
 		}},
 		{"CASHelpsStalled", func(t *testing.T, b *lockfreeBackend) {
-			stage(t, b, dcasOp{id: [2]int{0, 1}, old: [2]uint64{w(1), w(2)}, new: [2]uint64{next(w(1), 10), next(w(2), 20)}})
+			stage(t, b, stalled)
 			if b.cas(0, w(1), next(w(1), 5)) {
 				t.Fatal("CAS with the pre-help value succeeded after helping")
 			}
@@ -194,7 +195,7 @@ func TestDCAS(t *testing.T) {
 			}
 		}},
 		{"HelpsCompeting", func(t *testing.T, b *lockfreeBackend) {
-			stage(t, b, dcasOp{id: [2]int{0, 1}, old: [2]uint64{w(1), w(2)}, new: [2]uint64{next(w(1), 10), next(w(2), 20)}})
+			stage(t, b, stalled)
 			// A DCAS overlapping word 1 helps the stalled one first, and
 			// then finds word 1 at the stalled DCAS's new value.
 			if !b.dcas(1, next(w(2), 20), next(w(2), 21), 2, w(3), next(w(3), 30)) {
