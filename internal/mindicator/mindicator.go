@@ -13,20 +13,20 @@
 // Each tree node is one 64-bit word packing a version counter and the node's
 // current minimum. An update writes its leaf, then walks toward the root
 // repairing each ancestor: read both children, recompute the minimum, and
-// install it with a versioned CAS. The walk stops early at the first ancestor
-// whose value the update does not change. Because the two child reads and the
-// parent CAS are not atomic, an upward pass alone can install a stale
-// minimum; the baseline therefore makes a second, downward validation pass
-// over the same ancestors — re-reading children, re-fixing any node that
-// went stale, and bubbling each such fix toward the root (a value installed
-// by validation must be propagated by its writer, or a concurrent updater's
-// early-stopped ascent would strand it) — before returning. This up-then-down structure (a versioned
-// write per node in each direction) plays the role of the original
-// Mindicator's mark-up/unmark-down discipline and is exactly the redundancy
-// PTO eliminates: inside a transaction the child reads and the parent write
-// are atomic, so one pass with one plain store per node suffices, and the
-// version is simply advanced by two in that single store (the paper's
-// "incremented once, by two"), eliminating the downward traversal entirely.
+// install it with a versioned CAS — only when the minimum changes; the walk
+// stops at the first ancestor it does not change. Because the child reads
+// and the parent CAS are not atomic, the baseline then makes a downward
+// validation pass over the same ancestors, re-repairing each and bubbling
+// any value it writes toward the root (a value installed by validation must
+// be propagated by its writer, or a concurrent updater's early-stopped
+// ascent would strand it). PTO drops that pass: inside a transaction the
+// child reads and the parent write are atomic, so one upward pass of plain
+// stores suffices, each advancing the version by two.
+//
+// This is not the paper's mark/unmark protocol, which simds.Mindicator
+// models and Figure 2(a) runs: there every visited node gets a versioned
+// CAS going up and again coming down, and the leaf is unmarked at the end.
+// A PTO/LF ratio of this package is taken against this package's baseline.
 //
 // Deviation from the original: the original Mindicator's Query is
 // linearizable; this variant guarantees quiescent consistency and

@@ -8,7 +8,7 @@ import (
 
 // Crushing the transactional read capacity forces the PTO queue onto the
 // original Michael–Scott protocol: double-checked snapshots and lagging-tail
-// helping (enqueueFallback, dequeueFallback).
+// helping (algo.go's Enqueue and Dequeue).
 
 func TestFallbackFIFOForced(t *testing.T) {
 	q, reg := metered()

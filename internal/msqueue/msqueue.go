@@ -10,8 +10,9 @@
 // tail swing as one prefix transaction — the lagging-tail intermediate
 // state never becomes visible and the double-checks disappear — aborting
 // explicitly (rather than helping) when it observes a tail left lagging by
-// a concurrent fallback enqueue (§2.4). The PTO dequeue is a two-store
-// transaction with the same discipline.
+// a concurrent fallback enqueue (§2.4). The PTO dequeue is a one-store
+// transaction with the same discipline. Both are written once, in algo.go,
+// which the modeled simds.SimMSQueue instantiates too.
 package msqueue
 
 import (
@@ -19,6 +20,7 @@ import (
 
 	"repro/internal/htm"
 	"repro/internal/speculate"
+	"repro/internal/txn"
 )
 
 // DefaultAttempts is the transaction retry budget for the PTO variant.
@@ -35,6 +37,16 @@ type Queue struct {
 	tail atomic.Pointer[node]
 }
 
+// plain is Queue's memory for the generic algorithm.
+type plain Queue
+
+func (q *plain) Head() *atomic.Pointer[node]                    { return &q.head }
+func (q *plain) Tail() *atomic.Pointer[node]                    { return &q.tail }
+func (*plain) Next(n *node) *atomic.Pointer[node]               { return &n.next }
+func (*plain) Val(n *node) int64                                { return n.val }
+func (*plain) Load(w *atomic.Pointer[node]) *node               { return w.Load() }
+func (*plain) CAS(w *atomic.Pointer[node], old, new *node) bool { return w.CompareAndSwap(old, new) }
+
 // New returns an empty queue.
 func New() *Queue {
 	q := &Queue{}
@@ -45,56 +57,13 @@ func New() *Queue {
 }
 
 // Enqueue appends v.
-func (q *Queue) Enqueue(v int64) {
-	n := &node{val: v}
-	for {
-		t := q.tail.Load()
-		next := t.next.Load()
-		if t != q.tail.Load() { // double-check the snapshot
-			continue
-		}
-		if next != nil {
-			q.tail.CompareAndSwap(t, next) // help the lagging tail
-			continue
-		}
-		if t.next.CompareAndSwap(nil, n) {
-			q.tail.CompareAndSwap(t, n)
-			return
-		}
-	}
-}
+func (q *Queue) Enqueue(v int64) { Enqueue((*plain)(q), &node{val: v}) }
 
 // Dequeue removes and returns the oldest value, reporting false when empty.
-func (q *Queue) Dequeue() (int64, bool) {
-	for {
-		h := q.head.Load()
-		t := q.tail.Load()
-		next := h.next.Load()
-		if h != q.head.Load() { // double-check the snapshot
-			continue
-		}
-		if h == t {
-			if next == nil {
-				return 0, false
-			}
-			q.tail.CompareAndSwap(t, next)
-			continue
-		}
-		v := next.val
-		if q.head.CompareAndSwap(h, next) {
-			return v, true
-		}
-	}
-}
+func (q *Queue) Dequeue() (int64, bool) { return Dequeue((*plain)(q)) }
 
 // Len counts queued values (O(n); tests and examples).
-func (q *Queue) Len() int {
-	n := 0
-	for c := q.head.Load().next.Load(); c != nil; c = c.next.Load() {
-		n++
-	}
-	return n
-}
+func (q *Queue) Len() int { return Len((*plain)(q)) }
 
 // PTOQueue is the PTO-accelerated FIFO queue.
 type PTOQueue struct {
@@ -112,6 +81,29 @@ type pnode struct {
 	next htm.Var[*pnode]
 }
 
+// pmem is PTOQueue's memory for the generic algorithm: loads, stores and
+// CASes run in tx (direct when tx is nil), Read and Write through c.
+type pmem struct {
+	q  *PTOQueue
+	tx *htm.Tx
+	c  *txn.Ctx
+}
+
+type pword = *htm.Var[*pnode]
+
+func (m pmem) Head() pword                       { return &m.q.head }
+func (m pmem) Tail() pword                       { return &m.q.tail }
+func (pmem) Next(n *pnode) pword                 { return &n.next }
+func (pmem) Val(n *pnode) int64                  { return n.val }
+func (m pmem) Load(w pword) *pnode               { return htm.Load(m.tx, w) }
+func (m pmem) Store(w pword, x *pnode)           { htm.Store(m.tx, w, x) }
+func (m pmem) CAS(w pword, old, new *pnode) bool { return htm.CAS(m.tx, w, old, new) }
+func (m pmem) Abort()                            { m.tx.Abort(1) }
+func (m pmem) Read(w pword) *pnode               { return txn.Read(m.c, w) }
+func (m pmem) Write(w pword, x *pnode)           { txn.Write(m.c, w, x) }
+func (m pmem) Retry()                            { m.c.Retry() }
+func (m pmem) Speculative() bool                 { return m.c.Speculative() }
+
 // NewPTO returns an empty PTO-accelerated queue (attempts ≤ 0 selects
 // DefaultAttempts).
 func NewPTO(attempts int) *PTOQueue {
@@ -123,114 +115,71 @@ func NewPTO(attempts int) *PTOQueue {
 // `attempts` tries, stopping early on an explicit (lagging-tail) abort, then
 // the original two-CAS protocol. Returns q for chaining.
 func (q *PTOQueue) WithPolicy(p speculate.Policy) *PTOQueue {
-	q.enqSite = p.Site("msqueue/enqueue", 1,
-		speculate.Level{Name: "pto", Attempts: q.attempts})
-	q.deqSite = p.Site("msqueue/dequeue", 1,
-		speculate.Level{Name: "pto", Attempts: q.attempts})
+	lv := speculate.Level{Name: "pto", Attempts: q.attempts}
+	q.enqSite = p.Site("msqueue/enqueue", 1, lv)
+	q.deqSite = p.Site("msqueue/dequeue", 1, lv)
 	return q
 }
 
 // Domain exposes the transactional domain (for tests and diagnostics).
 func (q *PTOQueue) Domain() *htm.Domain { return q.domain }
 
-// Enqueue appends v. The prefix transaction links the node and swings the
-// tail in one atomic step: no double-checks, no lagging-tail state.
-func (q *PTOQueue) Enqueue(v int64) {
+func (q *PTOQueue) newNode(v int64) *pnode {
 	n := &pnode{val: v}
 	n.next.Init(q.domain, nil)
+	return n
+}
+
+// Enqueue appends v: the prefix transaction, then the original protocol.
+func (q *PTOQueue) Enqueue(v int64) {
+	n := q.newNode(v)
 	r := q.enqSite.Begin(q.domain)
 	for r.Next(0) {
-		st := r.Try(func(tx *htm.Tx) {
-			t := htm.Load(tx, &q.tail)
-			if htm.Load(tx, &t.next) != nil {
-				tx.Abort(1) // a fallback enqueue left the tail lagging
-			}
-			htm.Store(tx, &t.next, n)
-			htm.Store(tx, &q.tail, n)
-		})
-		if st == htm.Committed {
+		if r.Try(func(tx *htm.Tx) { PrefixEnqueue(pmem{q: q, tx: tx}, n) }) == htm.Committed {
 			return
 		}
 	}
 	r.Fallback()
-	q.enqueueFallback(n)
-}
-
-// enqueueFallback is the original two-CAS protocol with helping.
-func (q *PTOQueue) enqueueFallback(n *pnode) {
-	for {
-		t := htm.Load(nil, &q.tail)
-		next := htm.Load(nil, &t.next)
-		if t != htm.Load(nil, &q.tail) {
-			continue
-		}
-		if next != nil {
-			htm.CAS(nil, &q.tail, t, next)
-			continue
-		}
-		if htm.CAS(nil, &t.next, nil, n) {
-			htm.CAS(nil, &q.tail, t, n)
-			return
-		}
-	}
+	Enqueue(pmem{q: q}, n)
 }
 
 // Dequeue removes and returns the oldest value, reporting false when empty.
-func (q *PTOQueue) Dequeue() (int64, bool) {
+func (q *PTOQueue) Dequeue() (v int64, ok bool) {
 	r := q.deqSite.Begin(q.domain)
 	for r.Next(0) {
-		var v int64
-		var ok bool
-		st := r.Try(func(tx *htm.Tx) {
-			h := htm.Load(tx, &q.head)
-			t := htm.Load(tx, &q.tail)
-			next := htm.Load(tx, &h.next)
-			if next == nil {
-				ok = false
-				return
-			}
-			if h == t {
-				tx.Abort(1) // lagging tail: let the fallback help it
-			}
-			v, ok = next.val, true
-			htm.Store(tx, &q.head, next)
-		})
-		if st == htm.Committed {
+		if r.Try(func(tx *htm.Tx) { v, ok = PrefixDequeue(pmem{q: q, tx: tx}) }) == htm.Committed {
 			return v, ok
 		}
 	}
 	r.Fallback()
-	return q.dequeueFallback()
-}
-
-// dequeueFallback is the original protocol with double-checks and helping.
-func (q *PTOQueue) dequeueFallback() (int64, bool) {
-	for {
-		h := htm.Load(nil, &q.head)
-		t := htm.Load(nil, &q.tail)
-		next := htm.Load(nil, &h.next)
-		if h != htm.Load(nil, &q.head) {
-			continue
-		}
-		if h == t {
-			if next == nil {
-				return 0, false
-			}
-			htm.CAS(nil, &q.tail, t, next)
-			continue
-		}
-		v := next.val
-		if htm.CAS(nil, &q.head, h, next) {
-			return v, true
-		}
-	}
+	return Dequeue(pmem{q: q})
 }
 
 // Len counts queued values (O(n); tests and examples).
-func (q *PTOQueue) Len() int {
-	n := 0
-	for c := htm.Load(nil, &htm.Load(nil, &q.head).next); c != nil; c = htm.Load(nil, &c.next) {
-		n++
+func (q *PTOQueue) Len() int { return Len(pmem{q: q}) }
+
+// NewPTOIn returns an empty PTO-accelerated queue living in the shared
+// domain d, so it can take part in composed transactions (internal/txn)
+// with other structures in d. attempts follows NewPTO.
+func NewPTOIn(d *htm.Domain, attempts int) *PTOQueue {
+	if attempts <= 0 {
+		attempts = DefaultAttempts
 	}
-	return n
+	q := &PTOQueue{domain: d, attempts: attempts}
+	q.WithPolicy(speculate.Fixed(0))
+	dummy := q.newNode(0)
+	q.head.Init(d, dummy)
+	q.tail.Init(d, dummy)
+	return q
 }
+
+// TxEnqueue appends v as part of a composed transaction.
+func (q *PTOQueue) TxEnqueue(c *txn.Ctx, v int64) { TxEnqueue(pmem{q: q, c: c}, q.newNode(v)) }
+
+// TxFront reads the oldest value without removing it, reporting false when
+// the queue is empty, as part of a composed transaction.
+func (q *PTOQueue) TxFront(c *txn.Ctx) (int64, bool) { return TxFront(pmem{q: q, c: c}) }
+
+// TxDequeue removes and returns the oldest value, reporting false when the
+// queue is empty, as part of a composed transaction.
+func (q *PTOQueue) TxDequeue(c *txn.Ctx) (int64, bool) { return TxDequeue(pmem{q: q, c: c}) }

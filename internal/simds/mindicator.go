@@ -7,12 +7,14 @@ import (
 )
 
 // This file hosts the Mindicator (§3.1, Figure 2(a)) on the simulated
-// machine: the lock-free baseline with its two-pass versioned-CAS protocol,
-// the PTO form whose single transaction coalesces the mark and unmark
-// version bumps into one +2 store per node and drops the downward pass, and
-// the TLE comparison point (sequential min-tree under one elided lock).
-// The protocol matches internal/mindicator; see that package for the
-// correctness discussion.
+// machine: the lock-free baseline with the paper's mark/unmark protocol
+// (every visited node gets a versioned CAS going up and again coming down,
+// and the leaf is unmarked at the end), the PTO form whose single
+// transaction coalesces the mark and unmark version bumps into one +2 store
+// per node and drops the downward pass, and the TLE comparison point
+// (sequential min-tree under one elided lock). internal/mindicator's
+// baseline differs: it writes a node only when its minimum changes, stops
+// at the first unchanged one, and bubbles its downward repairs up.
 
 // MindKind selects the Mindicator variant.
 type MindKind int

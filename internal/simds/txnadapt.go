@@ -5,10 +5,11 @@ import (
 	"repro/internal/simtxn"
 )
 
-// This file adapts the simulated BST, hash table, and MS queue to the
-// composition layer of internal/simtxn, mirroring the Tx* adapters the real
-// structures provide for internal/txn. The adapters follow the layer's two
-// conventions (see the simtxn package comment):
+// This file adapts the simulated BST, hash table, skiplist, Harris list and
+// skiplist priority queue to the composition layer of internal/simtxn,
+// mirroring the Tx* adapters the real structures provide for internal/txn
+// (the MS queue's are internal/msqueue's, instantiated in queue.go). The
+// adapters follow the layer's two conventions (see the simtxn package comment):
 //
 //   - Marker bit: only words whose legitimate values keep bit 63 clear are
 //     Read or Written — child pointers, update words, bucket words, queue
@@ -192,48 +193,6 @@ func (h *SimHash) TxInsert(c *simtxn.Ctx, key uint64) bool {
 // absent.
 func (h *SimHash) TxRemove(c *simtxn.Ctx, key uint64) bool {
 	return h.txApply(c, key, false)
-}
-
-// TxEnqueue appends v as part of a composed operation.
-func (q *SimMSQueue) TxEnqueue(c *simtxn.Ctx, v uint64) {
-	t := c.Thread()
-	n := t.AllocLocal(2)
-	t.Store(n, v)
-	t.Store(n+1, 0)
-	tail := sim.Addr(c.Read(q.tail))
-	if c.Read(tail+1) != 0 {
-		c.Retry() // lagging tail; cannot arise in a closed world
-	}
-	c.Write(tail+1, uint64(n))
-	c.Write(q.tail, uint64(n))
-}
-
-// TxFront reads the oldest value without removing it as part of a composed
-// operation, reporting false when empty. Mirrors the runtime adapter's
-// TxFront: head and next both join the footprint, so the answer is the
-// validated front of the queue at the commit point.
-func (q *SimMSQueue) TxFront(c *simtxn.Ctx) (uint64, bool) {
-	head := sim.Addr(c.Read(q.head))
-	next := c.Read(head + 1)
-	if next == 0 {
-		return 0, false
-	}
-	return c.PeekRaw(sim.Addr(next)), true
-}
-
-// TxDequeue removes and returns the oldest value as part of a composed
-// operation, reporting false when empty. Emptiness is part of the validated
-// footprint: the head node's next word commits as a no-op entry, so the
-// queue was observably empty at the commit point.
-func (q *SimMSQueue) TxDequeue(c *simtxn.Ctx) (uint64, bool) {
-	head := sim.Addr(c.Read(q.head))
-	next := c.Read(head + 1)
-	if next == 0 {
-		return 0, false
-	}
-	v := c.PeekRaw(sim.Addr(next)) // values are written once, before linking
-	c.Write(q.head, next)
-	return v, true
 }
 
 // txFind is the skiplist's non-helping search (cf. the runtime adapter in
