@@ -1,36 +1,27 @@
 package msqueue
 
-// The queue's one source — the original protocol, the prefix bodies, the
-// composed adapters — over a memory that Queue (atomics), PTOQueue (htm
-// Vars) and simds.SimMSQueue (modeled words) supply with their own attempt
-// loops: a generic loop's body closure escapes (EXPERIMENTS "Method notes").
-// N is a node (zero: the null link), W a word holding a link, V a value.
+// The PTO queue's one source — original protocol, prefix bodies, composed
+// adapters — over a Mem that PTOQueue (htm Vars) and simds.SimMSQueue
+// (modeled words) supply with their own attempt loops. Queue keeps the
+// original on its atomics: each Mem access is a dictionary call, a quarter
+// of its short loop (EXPERIMENTS "Method notes", the type-parameter
+// contract). N is a node (zero: the null link), W a link word, V a value.
 
-// Mem is what the original protocol touches: the link words, their direct
-// loads and CASes, and a node's value (written once, before linking).
+// Mem is the memory the bodies run on. Load, Store and CAS act in the prefix
+// transaction, or directly outside one; Abort ends a prefix attempt. Under a
+// composed operation (internal/txn, internal/simtxn) Read and Write join its
+// footprint (Read sees its own staged writes), Retry abandons the attempt,
+// Speculative tells the fast path from capture mode, and CAS stays direct,
+// for helping. A node's value is written once, before linking.
 type Mem[N comparable, W, V any] interface {
 	Head() W
 	Tail() W
 	Next(n N) W
 	Val(n N) V
 	Load(w W) N
-	CAS(w W, old, new N) bool
-}
-
-// Prefix is Mem inside a prefix transaction: loads are transactional,
-// stores buffered, and Abort ends the attempt explicitly.
-type Prefix[N comparable, W, V any] interface {
-	Mem[N, W, V]
 	Store(w W, x N)
+	CAS(w W, old, new N) bool
 	Abort()
-}
-
-// Ctx is Mem under a composed operation (internal/txn, internal/simtxn):
-// Read and Write join its footprint (Read sees its own staged writes),
-// Retry abandons the attempt, Speculative tells the fast path from capture
-// mode. Mem's CAS stays direct, for helping.
-type Ctx[N comparable, W, V any] interface {
-	Mem[N, W, V]
 	Read(w W) N
 	Write(w W, x N)
 	Retry()
@@ -38,7 +29,7 @@ type Ctx[N comparable, W, V any] interface {
 }
 
 // Enqueue links the new node n at the tail by the original protocol, the
-// lock-free baseline and the PTO fallback: double-check the tail snapshot,
+// PTO fallback and the modeled baseline: double-check the tail snapshot,
 // help a lagging tail, link, swing the tail.
 func Enqueue[N comparable, W, V any, M Mem[N, W, V]](m M, n N) {
 	var null N
@@ -90,7 +81,7 @@ func Dequeue[N comparable, W, V any, M Mem[N, W, V]](m M) (v V, ok bool) {
 // PrefixEnqueue is the enqueue's prefix transaction: link and tail swing in
 // one step, no double-check. A tail left lagging by a fallback enqueue
 // aborts it (§2.4: abort, don't help).
-func PrefixEnqueue[N comparable, W, V any, P Prefix[N, W, V]](m P, n N) {
+func PrefixEnqueue[N comparable, W, V any, M Mem[N, W, V]](m M, n N) {
 	var null N
 	tail := m.Tail()
 	link := m.Next(m.Load(tail))
@@ -103,7 +94,7 @@ func PrefixEnqueue[N comparable, W, V any, P Prefix[N, W, V]](m P, n N) {
 
 // PrefixDequeue is the dequeue's prefix transaction: one store, no
 // double-check, aborting on a lagging tail so the fallback can help it.
-func PrefixDequeue[N comparable, W, V any, P Prefix[N, W, V]](m P) (v V, ok bool) {
+func PrefixDequeue[N comparable, W, V any, M Mem[N, W, V]](m M) (v V, ok bool) {
 	var null N
 	head := m.Head()
 	h := m.Load(head)
@@ -120,38 +111,30 @@ func PrefixDequeue[N comparable, W, V any, P Prefix[N, W, V]](m P) (v V, ok bool
 	return v, true
 }
 
-// Len counts queued values with direct loads (O(n); tests and examples).
-func Len[N comparable, W, V any, M Mem[N, W, V]](m M) int {
-	var null N
-	k := 0
-	for c := m.Load(m.Next(m.Load(m.Head()))); c != null; c = m.Load(m.Next(c)) {
-		k++
-	}
-	return k
-}
-
 // TxEnqueue links the new node n as part of a composed operation, link and
 // tail swing in one step; the next enqueue or dequeue of the same body sees
 // the staged tail, which makes Transfer all-or-nothing. A lagging tail
 // aborts the fast path (§2.4); capture mode helps it forward, then re-runs.
-func TxEnqueue[N comparable, W, V any, C Ctx[N, W, V]](c C, n N) {
+func TxEnqueue[N comparable, W, V any, M Mem[N, W, V]](c M, n N) {
 	var null N
-	t := c.Read(c.Tail())
-	if next := c.Read(c.Next(t)); next != null {
+	tail := c.Tail()
+	t := c.Read(tail)
+	link := c.Next(t)
+	if next := c.Read(link); next != null {
 		if !c.Speculative() {
-			c.CAS(c.Tail(), t, next)
+			c.CAS(tail, t, next)
 		}
 		c.Retry()
 	}
-	c.Write(c.Next(t), n)
-	c.Write(c.Tail(), n)
+	c.Write(link, n)
+	c.Write(tail, n)
 }
 
 // TxFront reads the oldest value as part of a composed operation, reporting
 // false when the queue is empty. Head and next both join the footprint, so
 // a committed answer is the front at the commit point — the semantic head
 // item open transactions (internal/semtx) validate.
-func TxFront[N comparable, W, V any, C Ctx[N, W, V]](c C) (v V, ok bool) {
+func TxFront[N comparable, W, V any, M Mem[N, W, V]](c M) (v V, ok bool) {
 	var null N
 	next := c.Read(c.Next(c.Read(c.Head())))
 	if next == null {
@@ -164,9 +147,10 @@ func TxFront[N comparable, W, V any, C Ctx[N, W, V]](c C) (v V, ok bool) {
 // reporting false when the queue is empty; the head's null next word joins
 // the footprint, so that answer is validated too. A lagging tail is handled
 // as in TxEnqueue, so the head never passes the tail.
-func TxDequeue[N comparable, W, V any, C Ctx[N, W, V]](c C) (v V, ok bool) {
+func TxDequeue[N comparable, W, V any, M Mem[N, W, V]](c M) (v V, ok bool) {
 	var null N
-	h := c.Read(c.Head())
+	head := c.Head()
+	h := c.Read(head)
 	next := c.Read(c.Next(h))
 	if next == null {
 		return v, false
@@ -178,6 +162,6 @@ func TxDequeue[N comparable, W, V any, C Ctx[N, W, V]](c C) (v V, ok bool) {
 		c.Retry()
 	}
 	v = c.Val(next)
-	c.Write(c.Head(), next)
+	c.Write(head, next)
 	return v, true
 }

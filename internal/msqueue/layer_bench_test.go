@@ -7,10 +7,10 @@ import (
 	"repro/internal/txn"
 )
 
-// TestAllocsQueue pins what the generic algorithm costs in allocations:
-// nothing beyond the node. Enqueue allocates its node and Dequeue nothing,
-// on both instantiations; a composed TxEnqueue and TxDequeue under
-// txn.Atomic allocate what the hand-written adapters did.
+// TestAllocsQueue pins what an operation allocates: nothing beyond the node.
+// Enqueue allocates its node and Dequeue nothing, on the baseline and on the
+// PTO queue; a composed TxEnqueue and TxDequeue under txn.Atomic allocate
+// what the hand-written adapters did.
 func TestAllocsQueue(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation pins are meaningless under the race detector")
@@ -63,8 +63,8 @@ func (c composedQueue) Dequeue() (v int64, ok bool) {
 func (c composedQueue) Len() int { return c.q.Len() }
 
 // BenchmarkQueue alternates an enqueue and a dequeue on a 64-deep queue:
-// the cost of one operation of each instantiation's common path, and of
-// the PTO queue's composed adapters under txn.Atomic.
+// the cost of one operation of the baseline, of the PTO queue's common
+// path, and of its composed adapters under txn.Atomic.
 func BenchmarkQueue(b *testing.B) {
 	for _, c := range []struct {
 		name string

@@ -3,16 +3,14 @@
 // variant, exercising §5's claim that the technique extends beyond the five
 // evaluated structures.
 //
-// The baseline is the classic algorithm: enqueue links at the tail and then
-// swings the tail pointer in a second CAS, with every operation
-// double-checking that its snapshot of head/tail is still current and
-// helping a lagging tail forward. The PTO enqueue performs the link and the
-// tail swing as one prefix transaction — the lagging-tail intermediate
-// state never becomes visible and the double-checks disappear — aborting
-// explicitly (rather than helping) when it observes a tail left lagging by
-// a concurrent fallback enqueue (§2.4). The PTO dequeue is a one-store
-// transaction with the same discipline. Both are written once, in algo.go,
-// which the modeled simds.SimMSQueue instantiates too.
+// The baseline is the classic algorithm: enqueue links at the tail, then
+// swings the tail in a second CAS; every operation double-checks its
+// head/tail snapshot and helps a lagging tail forward. The PTO enqueue links
+// and swings in one prefix transaction — no lagging-tail state, no
+// double-checks — and aborts (rather than helps) on a tail left lagging by
+// a fallback enqueue (§2.4). The PTO dequeue is a one-store transaction
+// with the same discipline. Its bodies, fallback and composed adapters are
+// algo.go's, which simds.SimMSQueue instantiates too.
 package msqueue
 
 import (
@@ -37,16 +35,6 @@ type Queue struct {
 	tail atomic.Pointer[node]
 }
 
-// plain is Queue's memory for the generic algorithm.
-type plain Queue
-
-func (q *plain) Head() *atomic.Pointer[node]                    { return &q.head }
-func (q *plain) Tail() *atomic.Pointer[node]                    { return &q.tail }
-func (*plain) Next(n *node) *atomic.Pointer[node]               { return &n.next }
-func (*plain) Val(n *node) int64                                { return n.val }
-func (*plain) Load(w *atomic.Pointer[node]) *node               { return w.Load() }
-func (*plain) CAS(w *atomic.Pointer[node], old, new *node) bool { return w.CompareAndSwap(old, new) }
-
 // New returns an empty queue.
 func New() *Queue {
 	q := &Queue{}
@@ -56,14 +44,57 @@ func New() *Queue {
 	return q
 }
 
-// Enqueue appends v.
-func (q *Queue) Enqueue(v int64) { Enqueue((*plain)(q), &node{val: v}) }
+// Enqueue appends v: algo.go's Enqueue, written on the atomics (see there).
+func (q *Queue) Enqueue(v int64) {
+	n := &node{val: v}
+	for {
+		t := q.tail.Load()
+		next := t.next.Load()
+		if t != q.tail.Load() { // double-check the snapshot
+			continue
+		}
+		if next != nil {
+			q.tail.CompareAndSwap(t, next) // help the lagging tail
+			continue
+		}
+		if t.next.CompareAndSwap(nil, n) {
+			q.tail.CompareAndSwap(t, n)
+			return
+		}
+	}
+}
 
 // Dequeue removes and returns the oldest value, reporting false when empty.
-func (q *Queue) Dequeue() (int64, bool) { return Dequeue((*plain)(q)) }
+func (q *Queue) Dequeue() (int64, bool) {
+	for {
+		h := q.head.Load()
+		t := q.tail.Load()
+		next := h.next.Load()
+		if h != q.head.Load() { // double-check the snapshot
+			continue
+		}
+		if h == t {
+			if next == nil {
+				return 0, false
+			}
+			q.tail.CompareAndSwap(t, next)
+			continue
+		}
+		v := next.val
+		if q.head.CompareAndSwap(h, next) {
+			return v, true
+		}
+	}
+}
 
 // Len counts queued values (O(n); tests and examples).
-func (q *Queue) Len() int { return Len((*plain)(q)) }
+func (q *Queue) Len() int {
+	n := 0
+	for c := q.head.Load().next.Load(); c != nil; c = c.next.Load() {
+		n++
+	}
+	return n
+}
 
 // PTOQueue is the PTO-accelerated FIFO queue.
 type PTOQueue struct {
@@ -156,7 +187,13 @@ func (q *PTOQueue) Dequeue() (v int64, ok bool) {
 }
 
 // Len counts queued values (O(n); tests and examples).
-func (q *PTOQueue) Len() int { return Len(pmem{q: q}) }
+func (q *PTOQueue) Len() int {
+	n := 0
+	for c := htm.Load(nil, &htm.Load(nil, &q.head).next); c != nil; c = htm.Load(nil, &c.next) {
+		n++
+	}
+	return n
+}
 
 // NewPTOIn returns an empty PTO-accelerated queue living in the shared
 // domain d, so it can take part in composed transactions (internal/txn)

@@ -8,13 +8,10 @@ import (
 	"repro/internal/speculate"
 )
 
-// This file hosts the Michael–Scott queue on the simulated machine, as an
-// extension experiment (E2): the paper's §2.3 names the MS queue as the
-// canonical double-checked design. The algorithm — the original protocol,
-// the two prefix-transaction bodies and the composed adapters — is
-// internal/msqueue's, instantiated here on simulated words; only the
-// attempt loops are this file's. Nodes come from per-thread pools (the
-// common practice for queues, so allocation is not the story here).
+// This file hosts the Michael–Scott queue, §2.3's double-checked design, on
+// the simulated machine (extension experiment E2). Its algorithm is
+// internal/msqueue's, instantiated on simulated words; only the attempt
+// loops are this file's. Nodes come from per-thread pools.
 
 // SimMSQueue is the simulated FIFO queue. Node layout: +0 val, +1 next.
 type SimMSQueue struct {
@@ -25,9 +22,8 @@ type SimMSQueue struct {
 	deqSite *simspec.Site
 }
 
-// qmem is SimMSQueue's memory for msqueue's algorithm: thread t's loads,
-// stores and CASes (transactional inside t.Atomic), Read and Write
-// through the composed operation c.
+// qmem is SimMSQueue's msqueue.Mem: thread t's loads, stores and CASes
+// (transactional inside t.Atomic), Read and Write through c.
 type qmem struct {
 	q *SimMSQueue
 	t *sim.Thread
@@ -105,18 +101,6 @@ func (q *SimMSQueue) Dequeue(t *sim.Thread) (v uint64, ok bool) {
 		r.Fallback()
 	}
 	return msqueue.Dequeue(m)
-}
-
-// Drain pops everything (verification helper).
-func (q *SimMSQueue) Drain(t *sim.Thread) []uint64 {
-	var out []uint64
-	for {
-		v, ok := q.Dequeue(t)
-		if !ok {
-			return out
-		}
-		out = append(out, v)
-	}
 }
 
 // TxEnqueue appends v as part of a composed operation.

@@ -57,3 +57,15 @@ func TestComposedQueueLaggingTail(t *testing.T) {
 		})
 	}
 }
+
+// Drain pops everything (verification helper).
+func (q *SimMSQueue) Drain(t *sim.Thread) []uint64 {
+	var out []uint64
+	for {
+		v, ok := q.Dequeue(t)
+		if !ok {
+			return out
+		}
+		out = append(out, v)
+	}
+}

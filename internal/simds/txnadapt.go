@@ -6,10 +6,9 @@ import (
 )
 
 // This file adapts the simulated BST, hash table, skiplist, Harris list and
-// skiplist priority queue to the composition layer of internal/simtxn,
-// mirroring the Tx* adapters the real structures provide for internal/txn
-// (the MS queue's are internal/msqueue's, instantiated in queue.go). The
-// adapters follow the layer's two conventions (see the simtxn package comment):
+// priority queue to internal/simtxn, mirroring the real structures' Tx*
+// adapters for internal/txn (the MS queue's are internal/msqueue's). They
+// follow the layer's two conventions (see the simtxn package comment):
 //
 //   - Marker bit: only words whose legitimate values keep bit 63 clear are
 //     Read or Written — child pointers, update words, bucket words, queue
