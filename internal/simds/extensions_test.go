@@ -35,66 +35,111 @@ func TestSimListSingleThread(t *testing.T) {
 	}
 }
 
+// newListMode builds the list of mode using setup thread t: the baseline
+// ("lockfree"), the PTO list ("pto"), or the PTO list whose even threads
+// remove through the original protocol ("mixed") — fallback removals racing
+// transactional inserts and removes, the window where a prefix store must
+// not unmark a marked predecessor or skip a marked duplicate.
+func newListMode(t *sim.Thread, mode string, threads int) listAdapter {
+	l := NewSimList(t, mode != "lockfree", threads)
+	a := listAdapter{l: l, rm: l}
+	if mode == "mixed" {
+		fb := *l
+		fb.pto = false
+		a.rm = &fb
+	}
+	return a
+}
+
 func TestSimListConcurrentBalance(t *testing.T) {
+	// The mixed row is smaller and runs several seeds: its window needs a
+	// fallback mark to land between a transaction's traversal and its
+	// commit on the same few keys.
+	rows := []struct {
+		mode          string
+		threads, keys int
+		seeds         uint64
+	}{{"lockfree", 8, 32, 1}, {"pto", 8, 32, 1}, {"mixed", 4, 8, 8}}
 	forPolicies(t, func(t *testing.T, pol speculate.Policy) {
-		for _, pto := range []bool{false, true} {
-			m := sim.New(sim.DefaultConfig(8))
-			l := NewSimList(m.Thread(0), pto, 8).WithPolicy(pol)
-			const keys = 32
-			var ins, rem [8][keys]int
-			m.Run(func(t *sim.Thread) {
-				for i := 0; i < 120; i++ {
-					x := t.Rand()
-					k := x % keys
-					if x>>8&1 == 0 {
-						if l.Insert(t, k+1) {
-							ins[t.ID()][k]++
-						}
-					} else {
-						if l.Remove(t, k+1) {
-							rem[t.ID()][k]++
+		for _, row := range rows {
+			for seed := uint64(1); seed <= row.seeds; seed++ {
+				cfg := sim.DefaultConfig(row.threads)
+				cfg.Seed = seed
+				m := sim.New(cfg)
+				l := newListMode(m.Thread(0), row.mode, row.threads)
+				l.l.WithPolicy(pol)
+				ins := make([][]int, row.threads)
+				rem := make([][]int, row.threads)
+				for tid := range ins {
+					ins[tid] = make([]int, row.keys)
+					rem[tid] = make([]int, row.keys)
+				}
+				m.Run(func(t *sim.Thread) {
+					for i := 0; i < 120; i++ {
+						x := t.Rand()
+						k := x % uint64(row.keys)
+						if x>>8&1 == 0 {
+							if l.Insert(t, k+1) {
+								ins[t.ID()][k]++
+							}
+						} else {
+							if l.Remove(t, k+1) {
+								rem[t.ID()][k]++
+							}
 						}
 					}
+				})
+				present := map[uint64]bool{}
+				for _, k := range l.l.Keys(m.Thread(0)) {
+					present[k] = true
 				}
-			})
-			present := map[uint64]bool{}
-			for _, k := range l.Keys(m.Thread(0)) {
-				present[k] = true
-			}
-			for k := 0; k < keys; k++ {
-				bal := 0
-				for tid := 0; tid < 8; tid++ {
-					bal += ins[tid][k] - rem[tid][k]
+				for k := 0; k < row.keys; k++ {
+					bal := 0
+					for tid := 0; tid < row.threads; tid++ {
+						bal += ins[tid][k] - rem[tid][k]
+					}
+					if bal != 0 && bal != 1 {
+						t.Fatalf("%s (seed %d): key %d balance %d", row.mode, seed, k, bal)
+					}
+					if (bal == 1) != present[uint64(k+1)] {
+						t.Fatalf("%s (seed %d): key %d presence disagrees with balance", row.mode, seed, k)
+					}
 				}
-				if bal != 0 && bal != 1 {
-					t.Fatalf("pto=%v: key %d balance %d", pto, k, bal)
+				if row.mode != "lockfree" && m.Stats().TxCommits == 0 {
+					t.Errorf("%s list never committed a transaction", row.mode)
 				}
-				if (bal == 1) != present[uint64(k+1)] {
-					t.Fatalf("pto=%v: key %d presence disagrees with balance", pto, k)
-				}
-			}
-			if pto && m.Stats().TxCommits == 0 {
-				t.Error("pto list never committed a transaction")
 			}
 		}
 	})
 }
 
 func TestLinearizableSimList(t *testing.T) {
-	for _, pto := range []bool{false, true} {
-		for seed := uint64(1); seed <= 8; seed++ {
-			pto := pto
-			recordHistory(t, "list", func(setup *sim.Thread, threads int) simSet {
-				return listAdapter{NewSimList(setup, pto, threads)}
+	// The mixed row runs more seeds for the same reason as in the balance
+	// test: few three-thread histories stage its window.
+	for _, row := range []struct {
+		mode  string
+		seeds uint64
+	}{{"lockfree", 8}, {"pto", 8}, {"mixed", 100}} {
+		for seed := uint64(1); seed <= row.seeds; seed++ {
+			mode := row.mode
+			recordHistory(t, "list "+mode, func(setup *sim.Thread, threads int) simSet {
+				return newListMode(setup, mode, threads)
 			}, seed)
 		}
 	}
 }
 
-type listAdapter struct{ l *SimList }
+// listAdapter runs removals through rm, the list itself except in the mixed
+// mode, where even threads remove through its fallback-only copy.
+type listAdapter struct{ l, rm *SimList }
 
-func (a listAdapter) Insert(t *sim.Thread, k uint64) bool   { return a.l.Insert(t, k) }
-func (a listAdapter) Remove(t *sim.Thread, k uint64) bool   { return a.l.Remove(t, k) }
+func (a listAdapter) Insert(t *sim.Thread, k uint64) bool { return a.l.Insert(t, k) }
+func (a listAdapter) Remove(t *sim.Thread, k uint64) bool {
+	if t.ID()%2 == 0 {
+		return a.rm.Remove(t, k)
+	}
+	return a.l.Remove(t, k)
+}
 func (a listAdapter) Contains(t *sim.Thread, k uint64) bool { return a.l.Contains(t, k) }
 
 func TestSimListPTOElidesHazards(t *testing.T) {

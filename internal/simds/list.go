@@ -183,8 +183,14 @@ func (l *SimList) Insert(t *sim.Thread, key uint64) bool {
 		for r.Next(0) {
 			var result bool
 			st := r.Try(func() {
-				pred, curr, _ := l.searchTx(t, key)
+				pred, curr, pn := l.searchTx(t, key)
+				if pn&1 != 0 {
+					t.TxAbort(1) // a fallback removal marked pred: storing would unmark it
+				}
 				if t.Load(curr) == key {
+					if t.Load(curr+1)&1 != 0 {
+						t.TxAbort(1) // curr is logically removed: the key is absent
+					}
 					result = false
 					return
 				}
@@ -228,7 +234,10 @@ func (l *SimList) Remove(t *sim.Thread, key uint64) bool {
 			var result bool
 			var victim sim.Addr
 			st := r.Try(func() {
-				pred, curr, _ := l.searchTx(t, key)
+				pred, curr, pn := l.searchTx(t, key)
+				if pn&1 != 0 {
+					t.TxAbort(1) // a fallback removal marked pred: storing would unmark it
+				}
 				if t.Load(curr) != key {
 					result = false
 					return
