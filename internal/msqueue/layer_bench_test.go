@@ -1,6 +1,7 @@
 package msqueue
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/israce"
@@ -76,6 +77,7 @@ func BenchmarkQueue(b *testing.B) {
 				q.Enqueue(i)
 			}
 			b.ReportAllocs()
+			runtime.GC() // start from this sub-benchmark's own heap
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if i&1 == 0 {
