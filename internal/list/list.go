@@ -16,6 +16,11 @@
 // As in internal/skiplist, (next, marked) pairs are boxed behind atomic
 // pointers (the standard Go substitute for pointer tagging), which also
 // rules out ABA on the snip CASes.
+//
+// simds.SimList is the same list on modeled words (E1). Unlike the MS
+// queue, the two are not instantiations of one generic source: its
+// traversal would make an indirect call per hop, which costs the PTO and
+// composed paths more than their bound (EXPERIMENTS "Method notes").
 package list
 
 import (

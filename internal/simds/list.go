@@ -18,7 +18,10 @@ import (
 // loads (strong atomicity protects the footprint, so every hazard
 // publication, fence, and re-validation disappears), removal's mark and
 // snip coalesce into one atomic step, and the fallback is the original
-// protocol.
+// protocol. Because the traversal runs inside the transaction, a prefix
+// body can meet a fallback removal between its mark and its snip, and
+// aborts there (Insert, Remove). The runtime's internal/list writes the
+// same algorithm on htm Vars.
 
 // SimList is the simulated sorted-list set.
 type SimList struct {
