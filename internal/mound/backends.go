@@ -18,17 +18,14 @@ const DefaultAttempts = 4
 // words. Mound words embed a version counter, so value-based CAS is
 // ABA-free.
 type ptoBackend struct {
+	lists
 	domain   *htm.Domain
 	words    []htm.Var[uint64]
 	attempts int
 	site     *speculate.Site
 }
 
-func newPTOBackend(size, attempts int) *ptoBackend {
-	return newPTOBackendIn(htm.NewDomain(0, 0), size, attempts)
-}
-
-func newPTOBackendIn(d *htm.Domain, size, attempts int) *ptoBackend {
+func newPTOBackend(d *htm.Domain, size, attempts int) *ptoBackend {
 	if attempts <= 0 {
 		attempts = DefaultAttempts
 	}
@@ -48,9 +45,7 @@ func (b *ptoBackend) withPolicy(p speculate.Policy) {
 // NewPTO returns an empty PTO-accelerated mound (≤ 0 arguments select the
 // defaults).
 func NewPTO(maxDepth, attempts int) *Mound {
-	m := newMound(maxDepth)
-	m.be = newPTOBackend(m.size, attempts)
-	return m
+	return NewPTOIn(htm.NewDomain(0, 0), maxDepth, attempts)
 }
 
 // WithPolicy replaces the speculation policy governing the DCAS retry loop
@@ -59,7 +54,7 @@ func NewPTO(maxDepth, attempts int) *Mound {
 // exactly `attempts` tries — explicit aborts included — then falls back to
 // htm.MultiCAS. Returns m for chaining.
 func (m *Mound) WithPolicy(p speculate.Policy) *Mound {
-	if b, ok := m.be.(*ptoBackend); ok {
+	if b, ok := m.mem.(*ptoBackend); ok {
 		b.withPolicy(p)
 	}
 	return m
@@ -68,23 +63,36 @@ func (m *Mound) WithPolicy(p speculate.Policy) *Mound {
 // Domain exposes the transactional domain of a PTO-backed mound, or nil for
 // the baseline (for tests and diagnostics).
 func (m *Mound) Domain() *htm.Domain {
-	if b, ok := m.be.(*ptoBackend); ok {
+	if b, ok := m.mem.(*ptoBackend); ok {
 		return b.domain
 	}
 	return nil
 }
 
-func (b *ptoBackend) load(id int) uint64 { return htm.Load(nil, &b.words[id]) }
+func (b *ptoBackend) Load(id int) uint64 { return htm.Load(nil, &b.words[id]) }
 
-func (b *ptoBackend) cas(id int, old, new uint64) bool {
+func (b *ptoBackend) LoadVal(id int) (uint64, uint64) {
+	w := b.Load(id)
+	return w, b.Val(w)
+}
+
+func (b *ptoBackend) LoadClean(id int) (uint64, uint64) {
+	w := b.Load(id)
+	if Dirty(w) {
+		return w, 0
+	}
+	return w, b.Val(w)
+}
+
+func (b *ptoBackend) CAS(id int, old, new uint64) bool {
 	return htm.CAS(nil, &b.words[id], old, new)
 }
 
-func (b *ptoBackend) dcss(cmp int, expect uint64, tgt int, old, new uint64) bool {
-	return b.dcas(cmp, expect, expect, tgt, old, new)
+func (b *ptoBackend) DCSS(cmp int, expect uint64, tgt int, old, new uint64) bool {
+	return b.DCAS(cmp, expect, expect, tgt, old, new)
 }
 
-func (b *ptoBackend) dcas(id1 int, o1, n1 uint64, id2 int, o2, n2 uint64) bool {
+func (b *ptoBackend) DCAS(id1 int, o1, n1 uint64, id2 int, o2, n2 uint64) bool {
 	w1, w2 := &b.words[id1], &b.words[id2]
 	// Prefix transaction: the whole double-word update as plain loads,
 	// branches, and buffered stores (§2.3's strength reduction).

@@ -9,16 +9,15 @@ import (
 // This file is the baseline's software DCAS and DCSS over raw node words:
 // the protocol and its cost are in the package comment.
 
-// A claimed node word holds a marker: markerBit, then the sequence number
+// A claimed node word holds a marker: MarkerBit, then the sequence number
 // and the slot of the claiming descriptor, [1][seq:43][slot:20]. Node word
-// versions are masked (bump) so that no plain word has the marker bit.
+// versions are masked (Bump) so that no plain word has the marker bit.
 const (
-	markerBit = 1 << 63
-	slotBits  = 20
-	seqMask   = 1<<(63-slotBits) - 1
+	slotBits = 20
+	seqMask  = 1<<(63-slotBits) - 1
 )
 
-func marker(slot uint32, seq uint64) uint64 { return markerBit | seq<<slotBits | uint64(slot) }
+func marker(slot uint32, seq uint64) uint64 { return MarkerBit | seq<<slotBits | uint64(slot) }
 
 // The states of a descriptor's status word, seq<<2 | state.
 const (
@@ -114,6 +113,7 @@ func (t *descTable) get() *lease {
 // lockfreeBackend is the baseline substrate: node words are raw
 // atomic.Uint64s and DCAS and DCSS run the descriptor protocol over them.
 type lockfreeBackend struct {
+	lists
 	words []atomic.Uint64
 	descs descTable
 }
@@ -124,40 +124,45 @@ func newLockfreeBackend(size int) *lockfreeBackend {
 	return b
 }
 
-func (b *lockfreeBackend) load(id int) uint64 {
+func (b *lockfreeBackend) Load(id int) uint64 {
 	for {
 		v := b.words[id].Load()
-		if v&markerBit == 0 {
+		if v&MarkerBit == 0 {
 			return v
 		}
 		b.helpMarker(v)
 	}
 }
 
-func (b *lockfreeBackend) cas(id int, old, new uint64) bool {
-	w := &b.words[id]
-	for {
-		v := w.Load()
-		if v&markerBit != 0 {
-			b.helpMarker(v)
-			continue
-		}
-		if v != old {
-			return false
-		}
-		if w.CompareAndSwap(old, new) {
+func (b *lockfreeBackend) LoadVal(id int) (uint64, uint64) {
+	w := b.Load(id)
+	return w, b.Val(w)
+}
+
+func (b *lockfreeBackend) LoadClean(id int) (uint64, uint64) {
+	w := b.Load(id)
+	if Dirty(w) {
+		return w, 0
+	}
+	return w, b.Val(w)
+}
+
+func (b *lockfreeBackend) CAS(id int, old, new uint64) bool {
+	for b.Load(id) == old {
+		if b.words[id].CompareAndSwap(old, new) {
 			return true
 		}
 	}
+	return false
 }
 
-// dcss claims its guard like a DCAS leg, and the release renews the
+// DCSS claims its guard like a DCAS leg, and the release renews the
 // guard's version so that its old value cannot come back (package comment).
-func (b *lockfreeBackend) dcss(cmp int, expect uint64, tgt int, old, new uint64) bool {
-	return b.dcas(cmp, expect, renew(expect), tgt, old, new)
+func (b *lockfreeBackend) DCSS(cmp int, expect uint64, tgt int, old, new uint64) bool {
+	return b.DCAS(cmp, expect, renew(expect), tgt, old, new)
 }
 
-func (b *lockfreeBackend) dcas(id1 int, o1, n1 uint64, id2 int, o2, n2 uint64) bool {
+func (b *lockfreeBackend) DCAS(id1 int, o1, n1 uint64, id2 int, o2, n2 uint64) bool {
 	op := dcasOp{id: [2]int{id1, id2}, old: [2]uint64{o1, o2}, new: [2]uint64{n1, n2}}
 	if id2 < id1 {
 		// Legs are claimed in node order, so that two DCASes never each
@@ -174,7 +179,7 @@ func (b *lockfreeBackend) dcas(id1 int, o1, n1 uint64, id2 int, o2, n2 uint64) b
 // that has moved on held a DCAS whose owner released its every leg.
 func (b *lockfreeBackend) helpMarker(v uint64) {
 	d := (*b.descs.slots.Load())[v&(1<<slotBits-1)]
-	seq := v &^ markerBit >> slotBits
+	seq := v &^ MarkerBit >> slotBits
 	if op, ok := d.snapshot(seq); ok {
 		b.help(d, seq, &op)
 	}
@@ -194,7 +199,7 @@ claim:
 			switch v := w.Load(); {
 			case v == m:
 				continue claim
-			case v&markerBit != 0:
+			case v&MarkerBit != 0:
 				b.helpMarker(v)
 			case v != op.old[i]:
 				d.status.CompareAndSwap(open, seq<<2|failed)

@@ -13,7 +13,7 @@ import (
 // Mound's own writes do.
 
 // next is w's successor word holding list index idx.
-func next(w uint64, idx uint32) uint64 { return bump(w, false, idx) }
+func next(w uint64, idx uint32) uint64 { return Bump(w, false, idx) }
 
 // stage publishes op and claims both of its words, as an owner that stalls
 // right after its claims leaves them.
@@ -33,8 +33,8 @@ func stage(t *testing.T, b *lockfreeBackend, op dcasOp) {
 func incr(b *lockfreeBackend, x, y, n int) {
 	for i := 0; i < n; i++ {
 		for {
-			xv, yv := b.load(x), b.load(y)
-			if b.dcas(x, xv, next(xv, wordIdx(xv)+1), y, yv, next(yv, wordIdx(yv)+1)) {
+			xv, yv := b.Load(x), b.Load(y)
+			if b.DCAS(x, xv, next(xv, Ref(xv)+1), y, yv, next(yv, Ref(yv)+1)) {
 				break
 			}
 		}
@@ -52,53 +52,53 @@ func TestDCAS(t *testing.T) {
 		run  func(t *testing.T, b *lockfreeBackend)
 	}{
 		{"LoadCAS", func(t *testing.T, b *lockfreeBackend) {
-			if got := b.load(0); got != w(1) {
+			if got := b.Load(0); got != w(1) {
 				t.Fatalf("load = %#x, want %#x", got, w(1))
 			}
-			if !b.cas(0, w(1), next(w(1), 7)) || b.load(0) != next(w(1), 7) {
+			if !b.CAS(0, w(1), next(w(1), 7)) || b.Load(0) != next(w(1), 7) {
 				t.Fatal("matching CAS failed")
 			}
-			if b.cas(0, w(1), next(w(1), 8)) {
+			if b.CAS(0, w(1), next(w(1), 8)) {
 				t.Fatal("stale CAS succeeded")
 			}
 		}},
 		{"BothMatch", func(t *testing.T, b *lockfreeBackend) {
-			if !b.dcas(0, w(1), next(w(1), 10), 1, w(2), next(w(2), 20)) {
+			if !b.DCAS(0, w(1), next(w(1), 10), 1, w(2), next(w(2), 20)) {
 				t.Fatal("DCAS with both legs matching failed")
 			}
-			if b.load(0) != next(w(1), 10) || b.load(1) != next(w(2), 20) {
-				t.Fatalf("words %#x %#x after DCAS", b.load(0), b.load(1))
+			if b.Load(0) != next(w(1), 10) || b.Load(1) != next(w(2), 20) {
+				t.Fatalf("words %#x %#x after DCAS", b.Load(0), b.Load(1))
 			}
 		}},
 		{"FirstMismatch", func(t *testing.T, b *lockfreeBackend) {
-			if b.dcas(0, w(9), next(w(9), 10), 1, w(2), next(w(2), 20)) {
+			if b.DCAS(0, w(9), next(w(9), 10), 1, w(2), next(w(2), 20)) {
 				t.Fatal("DCAS succeeded with its first leg stale")
 			}
-			if b.load(0) != w(1) || b.load(1) != w(2) {
-				t.Fatalf("words %#x %#x changed by a DCAS that claimed nothing", b.load(0), b.load(1))
+			if b.Load(0) != w(1) || b.Load(1) != w(2) {
+				t.Fatalf("words %#x %#x changed by a DCAS that claimed nothing", b.Load(0), b.Load(1))
 			}
 		}},
 		{"SecondMismatch", func(t *testing.T, b *lockfreeBackend) {
 			// Legs passed out of node order: the DCAS claims word 0 first.
-			if b.dcas(1, w(9), next(w(9), 20), 0, w(1), next(w(1), 10)) {
+			if b.DCAS(1, w(9), next(w(9), 20), 0, w(1), next(w(1), 10)) {
 				t.Fatal("DCAS succeeded with its second leg stale")
 			}
 			// The claimed word keeps its contents under a renewed version.
-			if b.load(0) != renew(w(1)) || b.load(1) != w(2) {
-				t.Fatalf("words %#x %#x after a failed DCAS", b.load(0), b.load(1))
+			if b.Load(0) != renew(w(1)) || b.Load(1) != w(2) {
+				t.Fatalf("words %#x %#x after a failed DCAS", b.Load(0), b.Load(1))
 			}
 		}},
 		{"DCSS", func(t *testing.T, b *lockfreeBackend) {
-			if !b.dcss(0, w(1), 1, w(2), next(w(2), 20)) {
+			if !b.DCSS(0, w(1), 1, w(2), next(w(2), 20)) {
 				t.Fatal("DCSS with a matching guard failed")
 			}
-			if b.load(0) != renew(w(1)) || b.load(1) != next(w(2), 20) {
-				t.Fatalf("guard %#x target %#x after DCSS", b.load(0), b.load(1))
+			if b.Load(0) != renew(w(1)) || b.Load(1) != next(w(2), 20) {
+				t.Fatalf("guard %#x target %#x after DCSS", b.Load(0), b.Load(1))
 			}
-			if b.dcss(0, w(1), 1, next(w(2), 20), next(w(2), 30)) {
+			if b.DCSS(0, w(1), 1, next(w(2), 20), next(w(2), 30)) {
 				t.Fatal("DCSS with a stale guard succeeded")
 			}
-			if b.load(1) != next(w(2), 20) {
+			if b.Load(1) != next(w(2), 20) {
 				t.Fatal("failed DCSS wrote its target")
 			}
 		}},
@@ -113,13 +113,13 @@ func TestDCAS(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < n; i++ {
-					for v := b.load(0); !b.cas(0, v, next(v, wordIdx(v)+1)); v = b.load(0) {
+					for v := b.Load(0); !b.CAS(0, v, next(v, Ref(v)+1)); v = b.Load(0) {
 					}
 				}
 			}()
 			wg.Wait()
-			if wordIdx(b.load(0)) != 1+2*n || wordIdx(b.load(1)) != 2+n {
-				t.Fatalf("indices %d %d, want %d %d", wordIdx(b.load(0)), wordIdx(b.load(1)), 1+2*n, 2+n)
+			if Ref(b.Load(0)) != 1+2*n || Ref(b.Load(1)) != 2+n {
+				t.Fatalf("indices %d %d, want %d %d", Ref(b.Load(0)), Ref(b.Load(1)), 1+2*n, 2+n)
 			}
 		}},
 		{"Overlapping", func(t *testing.T, b *lockfreeBackend) {
@@ -134,7 +134,7 @@ func TestDCAS(t *testing.T) {
 			}
 			wg.Wait()
 			for id := 0; id < 3; id++ {
-				if got, want := wordIdx(b.load(id)), uint32(id+1+2*n); got != want {
+				if got, want := Ref(b.Load(id)), uint32(id+1+2*n); got != want {
 					t.Fatalf("word %d index %d, want %d", id, got, want)
 				}
 			}
@@ -156,18 +156,18 @@ func TestDCAS(t *testing.T) {
 				n1, n2 := next(w(i1), i1+1), next(w(i2), i2+1)
 				var ok bool
 				if swap {
-					ok = b.dcas(1, o2, n2, 0, o1, n1)
+					ok = b.DCAS(1, o2, n2, 0, o1, n1)
 				} else {
-					ok = b.dcas(0, o1, n1, 1, o2, n2)
+					ok = b.DCAS(0, o1, n1, 1, o2, n2)
 				}
 				if ok != (!stale1 && !stale2) {
 					return false
 				}
 				if ok {
-					return b.load(0) == n1 && b.load(1) == n2
+					return b.Load(0) == n1 && b.Load(1) == n2
 				}
-				g1 := b.load(0)
-				return (g1 == w(i1) || !stale1 && g1 == renew(w(i1))) && b.load(1) == w(i2)
+				g1 := b.Load(0)
+				return (g1 == w(i1) || !stale1 && g1 == renew(w(i1))) && b.Load(1) == w(i2)
 			}
 			if err := quick.Check(f, nil); err != nil {
 				t.Error(err)
@@ -175,22 +175,22 @@ func TestDCAS(t *testing.T) {
 		}},
 		{"LoadHelpsStalled", func(t *testing.T, b *lockfreeBackend) {
 			stage(t, b, stalled)
-			if got := b.load(1); got != next(w(2), 20) {
+			if got := b.Load(1); got != next(w(2), 20) {
 				t.Fatalf("word 1 = %#x after helping, want %#x", got, next(w(2), 20))
 			}
-			if got := b.load(0); got != next(w(1), 10) {
+			if got := b.Load(0); got != next(w(1), 10) {
 				t.Fatalf("word 0 = %#x after helping, want %#x", got, next(w(1), 10))
 			}
 		}},
 		{"CASHelpsStalled", func(t *testing.T, b *lockfreeBackend) {
 			stage(t, b, stalled)
-			if b.cas(0, w(1), next(w(1), 5)) {
+			if b.CAS(0, w(1), next(w(1), 5)) {
 				t.Fatal("CAS with the pre-help value succeeded after helping")
 			}
-			if !b.cas(0, next(w(1), 10), next(w(1), 11)) {
+			if !b.CAS(0, next(w(1), 10), next(w(1), 11)) {
 				t.Fatal("CAS with the post-help value failed")
 			}
-			if b.load(1) != next(w(2), 20) {
+			if b.Load(1) != next(w(2), 20) {
 				t.Fatal("the helped DCAS did not release its other word")
 			}
 		}},
@@ -198,11 +198,11 @@ func TestDCAS(t *testing.T) {
 			stage(t, b, stalled)
 			// A DCAS overlapping word 1 helps the stalled one first, and
 			// then finds word 1 at the stalled DCAS's new value.
-			if !b.dcas(1, next(w(2), 20), next(w(2), 21), 2, w(3), next(w(3), 30)) {
+			if !b.DCAS(1, next(w(2), 20), next(w(2), 21), 2, w(3), next(w(3), 30)) {
 				t.Fatal("overlapping DCAS failed after helping")
 			}
-			if b.load(0) != next(w(1), 10) || b.load(2) != next(w(3), 30) {
-				t.Fatalf("words %#x %#x", b.load(0), b.load(2))
+			if b.Load(0) != next(w(1), 10) || b.Load(2) != next(w(3), 30) {
+				t.Fatalf("words %#x %#x", b.Load(0), b.Load(2))
 			}
 		}},
 	}
@@ -238,11 +238,11 @@ func TestDCASTransfersConserveSum(t *testing.T) {
 				from := int(rnd>>33) % nAccounts
 				to := (from + 1 + int(rnd>>17)%(nAccounts-1)) % nAccounts
 				for {
-					fv, tv := b.load(from), b.load(to)
-					if wordIdx(fv) == 0 {
+					fv, tv := b.Load(from), b.Load(to)
+					if Ref(fv) == 0 {
 						break
 					}
-					if b.dcas(from, fv, next(fv, wordIdx(fv)-1), to, tv, next(tv, wordIdx(tv)+1)) {
+					if b.DCAS(from, fv, next(fv, Ref(fv)-1), to, tv, next(tv, Ref(tv)+1)) {
 						break
 					}
 				}
@@ -252,7 +252,7 @@ func TestDCASTransfersConserveSum(t *testing.T) {
 	wg.Wait()
 	sum := 0
 	for id := range b.words {
-		sum += int(wordIdx(b.load(id)))
+		sum += int(Ref(b.Load(id)))
 	}
 	if sum != nAccounts*1000 {
 		t.Fatalf("sum = %d, want %d", sum, nAccounts*1000)
@@ -273,9 +273,9 @@ func TestLateHelperCannotReclaimDecidedWord(t *testing.T) {
 		op   func(b *lockfreeBackend) bool
 		want bool
 	}{
-		{"DCAS", func(b *lockfreeBackend) bool { return b.dcas(0, w(1), next(w(1), 10), 1, w(2), next(w(2), 20)) }, true},
-		{"DCSS", func(b *lockfreeBackend) bool { return b.dcss(0, w(1), 1, w(2), next(w(2), 20)) }, true},
-		{"FailedDCAS", func(b *lockfreeBackend) bool { return b.dcas(0, w(1), next(w(1), 10), 1, w(9), next(w(9), 20)) }, false},
+		{"DCAS", func(b *lockfreeBackend) bool { return b.DCAS(0, w(1), next(w(1), 10), 1, w(2), next(w(2), 20)) }, true},
+		{"DCSS", func(b *lockfreeBackend) bool { return b.DCSS(0, w(1), 1, w(2), next(w(2), 20)) }, true},
+		{"FailedDCAS", func(b *lockfreeBackend) bool { return b.DCAS(0, w(1), next(w(1), 10), 1, w(9), next(w(9), 20)) }, false},
 	}
 	for _, c := range cases {
 		b := newLockfreeBackend(2)
@@ -296,7 +296,7 @@ func TestLateHelperCannotReclaimDecidedWord(t *testing.T) {
 				t.Fatalf("%s: the late helper claimed word %d for a decided DCAS", c.name, id)
 			}
 		}
-		if after := [2]uint64{b.load(0), b.load(1)}; after != before {
+		if after := [2]uint64{b.Load(0), b.Load(1)}; after != before {
 			t.Fatalf("%s: words %#x after the late claim, want %#x", c.name, after, before)
 		}
 	}
@@ -312,12 +312,12 @@ func TestDCASAllocatesNothing(t *testing.T) {
 	b := newLockfreeBackend(3)
 	for name, op := range map[string]func(){
 		"DCAS": func() {
-			x, y := b.load(1), b.load(2)
-			b.dcas(1, x, next(x, 1), 2, y, next(y, 2))
+			x, y := b.Load(1), b.Load(2)
+			b.DCAS(1, x, next(x, 1), 2, y, next(y, 2))
 		},
 		"DCSS": func() {
-			g, x := b.load(1), b.load(2)
-			b.dcss(1, g, 2, x, next(x, 3))
+			g, x := b.Load(1), b.Load(2)
+			b.DCSS(1, g, 2, x, next(x, 3))
 		},
 	} {
 		if n := testing.AllocsPerRun(100, op); n != 0 {

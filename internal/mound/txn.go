@@ -16,15 +16,15 @@ import (
 // domain d, so it can participate in composed transactions with other
 // structures in d. maxDepth and attempts follow NewPTO.
 func NewPTOIn(d *htm.Domain, maxDepth, attempts int) *Mound {
-	m := newMound(maxDepth)
-	m.be = newPTOBackendIn(d, m.size, attempts)
-	return m
+	maxDepth = depthOr(maxDepth)
+	b := newPTOBackend(d, 2<<maxDepth, attempts)
+	return newMound(b, &b.lists, maxDepth)
 }
 
 // pto asserts the composed-capable backend: composition is a PTO feature
 // (the baseline's raw words cannot join an htm domain).
 func (m *Mound) pto() *ptoBackend {
-	b, ok := m.be.(*ptoBackend)
+	b, ok := m.mem.(*ptoBackend)
 	if !ok {
 		panic("mound: composed operations require a PTO-backed mound (NewPTO/NewPTOIn)")
 	}
@@ -51,48 +51,44 @@ func (m *Mound) TxPush(c *txn.Ctx, v int64) {
 	if v < 0 || v > MaxValue {
 		panic("mound: value out of range")
 	}
-	b := m.pto()
+	b, u := m.pto(), uint64(v)
 	probes := 0
 	for {
-		d := m.depth.Load()
-		leaf := m.randomLeaf(int(d))
+		d, leaf := b.Leaf()
 		lw := txn.Peek(c, &b.words[leaf])
-		if m.val(lw) < v || wordDirty(lw) {
+		if b.Val(lw) < u || Dirty(lw) {
 			probes++
-			if probes >= probesPerLevel {
-				probes = 0
-				if int(d) < m.maxDepth {
-					m.grow(d)
-					continue
-				}
-				leaf = 0
-				for id := 1 << d; id < m.size; id++ {
-					if w := txn.Peek(c, &b.words[id]); !wordDirty(w) && m.val(w) >= v {
-						leaf, lw = id, w
-						break
-					}
-				}
-				if leaf == 0 {
-					panic("mound: capacity exhausted at maximum depth")
-				}
-			} else {
+			if probes < probesPerLevel {
 				continue
+			}
+			probes = 0
+			if d < m.maxDepth {
+				b.Grow(d)
+				continue
+			}
+			leaf = 0
+			for id := 1 << d; id < m.size(); id++ {
+				if w := txn.Peek(c, &b.words[id]); !Dirty(w) && b.Val(w) >= u {
+					leaf, lw = id, w
+					break
+				}
+			}
+			if leaf == 0 {
+				panic("mound: capacity exhausted at maximum depth")
 			}
 		}
 		nID, nw := leaf, lw
-		lo, hi := 0, int(d)
+		lo, hi := 0, d
 		for lo < hi {
 			mid := (lo + hi) / 2
-			id := leaf >> (int(d) - mid)
-			w := txn.Peek(c, &b.words[id])
-			if m.val(w) >= v {
-				hi = mid
-				nID, nw = id, w
+			id := leaf >> (d - mid)
+			if w := txn.Peek(c, &b.words[id]); b.Val(w) >= u {
+				hi, nID, nw = mid, id, w
 			} else {
 				lo = mid + 1
 			}
 		}
-		if m.val(nw) < v {
+		if b.Val(nw) < u {
 			continue
 		}
 		if txn.Read(c, &b.words[nID]) != nw {
@@ -100,12 +96,11 @@ func (m *Mound) TxPush(c *txn.Ctx, v int64) {
 		}
 		if nID != 1 {
 			pw := txn.Read(c, &b.words[nID>>1]) // DCSS guard: parent must stay clean and ≤ v
-			if wordDirty(pw) || m.val(pw) > v {
+			if Dirty(pw) || b.Val(pw) > u {
 				c.Retry()
 			}
 		}
-		idx := m.pool.alloc(v, wordIdx(nw))
-		txn.Write(c, &b.words[nID], bump(nw, wordDirty(nw), idx))
+		txn.Write(c, &b.words[nID], Bump(nw, Dirty(nw), b.Alloc(u, Ref(nw))))
 		return
 	}
 }
@@ -119,17 +114,16 @@ func (m *Mound) TxPush(c *txn.Ctx, v int64) {
 func (m *Mound) TxMin(c *txn.Ctx) (int64, bool) {
 	b := m.pto()
 	w := txn.Read(c, &b.words[1])
-	if wordDirty(w) {
+	if Dirty(w) {
 		if !c.Speculative() {
-			m.moundify(1)
+			Moundify(b, m.maxDepth, 1)
 		}
 		c.Retry()
 	}
-	i := wordIdx(w)
-	if i == 0 {
+	if Ref(w) == 0 {
 		return 0, false
 	}
-	return m.pool.node(i).val, true
+	return int64(b.Val(w)), true
 }
 
 // TxPopMin removes and returns the minimum as part of a composed
@@ -146,18 +140,17 @@ func (m *Mound) TxMin(c *txn.Ctx) (int64, bool) {
 func (m *Mound) TxPopMin(c *txn.Ctx) (int64, bool) {
 	b := m.pto()
 	w := txn.Read(c, &b.words[1])
-	if wordDirty(w) {
+	if Dirty(w) {
 		if !c.Speculative() {
-			m.moundify(1) // help clear the dirt, then re-run the body
+			Moundify(b, m.maxDepth, 1) // help clear the dirt, then re-run the body
 		}
 		c.Retry()
 	}
-	i := wordIdx(w)
-	if i == 0 {
+	if Ref(w) == 0 {
 		return 0, false // clean empty root, validated at commit
 	}
-	ln := m.pool.node(i)
-	txn.Write(c, &b.words[1], bump(w, true, ln.next))
-	c.OnCommit(func() { m.moundify(1) })
-	return ln.val, true
+	v, next := b.Pop(w)
+	txn.Write(c, &b.words[1], Bump(w, true, next))
+	c.OnCommit(func() { Moundify(m.mem, m.maxDepth, 1) })
+	return int64(v), true
 }

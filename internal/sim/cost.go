@@ -85,13 +85,16 @@ type Config struct {
 	Seed uint64
 }
 
+// MaxThreads is the most hardware threads a machine has.
+const MaxThreads = 16
+
 // Validate reports why the configuration cannot describe a machine: thread
 // count out of the scheduler's 1..16 range, non-positive core count, cache
 // or set bounds, or an unknown model name. New panics with this error, so
 // callers constructing configs from user input should call it first.
 func (cfg Config) Validate() error {
-	if cfg.Threads <= 0 || cfg.Threads > 16 {
-		return fmt.Errorf("sim: thread count %d out of range 1..16", cfg.Threads)
+	if cfg.Threads <= 0 || cfg.Threads > MaxThreads {
+		return fmt.Errorf("sim: thread count %d out of range 1..%d", cfg.Threads, MaxThreads)
 	}
 	if cfg.Cores <= 0 {
 		return fmt.Errorf("sim: core count %d must be positive", cfg.Cores)
