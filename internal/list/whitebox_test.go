@@ -82,8 +82,12 @@ func TestPTOSearchSnipsStalledMark(t *testing.T) {
 }
 
 func TestPTORemoveFallbackWindowShift(t *testing.T) {
-	// Force the fallback and stage a mark mid-protocol so removeFallback's
-	// re-validation path runs.
+	// Under crushed capacity every remove runs removeFallback: one
+	// single-threaded remove marks and snips, and a second finds the key
+	// gone. Nothing marks between its search and its mark CAS, so the
+	// re-search after a failed mark is left to the concurrent tests, which
+	// reach it only as the schedule falls (the schedule explorer of ROADMAP
+	// item 3 should stage it).
 	s := NewPTO(0)
 	s.Domain().SetCapacity(1, 1)
 	for _, k := range []int64{1, 2, 3, 4} {

@@ -39,14 +39,28 @@ func TestSimMoundSingleThread(t *testing.T) {
 	}
 }
 
+// TestSimMoundConcurrentConservation runs the baseline, the PTO mound, and
+// the PTO mound whose even threads run through a copy with the transactions
+// off ("mixed"), so that descriptor DCASes meet prefix transactions on the
+// same words.
 func TestSimMoundConcurrentConservation(t *testing.T) {
 	forPolicies(t, func(t *testing.T, pol speculate.Policy) {
-		for _, pto := range []bool{false, true} {
+		for _, mode := range []string{"lockfree", "pto", "mixed"} {
 			m := sim.New(sim.DefaultConfig(8))
-			q := NewSimMound(m.Thread(0), pto, false, 12).WithPolicy(pol)
+			q := NewSimMound(m.Thread(0), mode != "lockfree", false, 12).WithPolicy(pol)
+			even := q
+			if mode == "mixed" {
+				fb := *q
+				fb.pto = false
+				even = &fb
+			}
 			const per = 60
 			var popped [8][]uint64
 			m.Run(func(t *sim.Thread) {
+				q := q
+				if t.ID()%2 == 0 {
+					q = even
+				}
 				for i := 0; i < per; i++ {
 					q.Insert(t, uint64(t.ID()*per+i))
 					if i%2 == 1 {
@@ -69,15 +83,15 @@ func TestSimMoundConcurrentConservation(t *testing.T) {
 				total++
 			}
 			if total != 8*per {
-				t.Fatalf("pto=%v: popped+drained %d values, want %d", pto, total, 8*per)
+				t.Fatalf("%s: popped+drained %d values, want %d", mode, total, 8*per)
 			}
 			for v, c := range seen {
 				if c != 1 {
-					t.Fatalf("pto=%v: value %d seen %d times", pto, v, c)
+					t.Fatalf("%s: value %d seen %d times", mode, v, c)
 				}
 			}
-			if pto && m.Stats().TxCommits == 0 {
-				t.Error("pto mound never committed a transaction")
+			if mode != "lockfree" && m.Stats().TxCommits == 0 {
+				t.Errorf("%s: the mound never committed a transaction", mode)
 			}
 		}
 	})
