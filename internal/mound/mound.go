@@ -80,7 +80,7 @@ type listPool struct {
 
 const poolChunk = 1 << 14
 
-func (p *listPool) alloc(val uint64, next uint32) uint32 {
+func (p *listPool) Alloc(val uint64, next uint32) uint32 {
 	i := p.next.Add(1) - 1
 	for {
 		chunks := *p.chunks.Load()
@@ -127,8 +127,6 @@ func (l *lists) Pop(w uint64) (uint64, uint32) {
 	n := l.node(Ref(w))
 	return n.val, n.next
 }
-
-func (l *lists) Alloc(v uint64, next uint32) uint32 { return l.alloc(v, next) }
 
 func (l *lists) Leaf() (int, int) {
 	d := int(l.depth.Load())
