@@ -41,9 +41,6 @@ func Bump(w uint64, dirty bool, ref uint32) uint64 {
 	return pack((w>>33+1)&verMask, dirty, ref)
 }
 
-// renew bumps w's version and keeps its contents.
-func renew(w uint64) uint64 { return Bump(w, Dirty(w), Ref(w)) }
-
 // Mem is the memory a mound runs on: node words by 1-based heap id, the
 // list nodes their refs name, and the occupied depth. Load, CAS, DCSS and
 // DCAS never return or leave a marker: a word found claimed is helped to

@@ -19,6 +19,9 @@ const (
 
 func marker(slot uint32, seq uint64) uint64 { return MarkerBit | seq<<slotBits | uint64(slot) }
 
+// renew bumps w's version and keeps its contents.
+func renew(w uint64) uint64 { return Bump(w, Dirty(w), Ref(w)) }
+
 // The states of a descriptor's status word, seq<<2 | state.
 const (
 	undecided = iota
