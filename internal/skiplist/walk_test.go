@@ -1,6 +1,7 @@
 package skiplist
 
 import (
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -35,38 +36,88 @@ func (s *PTOSet) tallest() int {
 	return h
 }
 
-// TestTxContainsFootprint pins a composed lookup's reads to the levels in
-// use: below the smallest key the search makes no hop, so it reads two
-// links per level from the tallest tower's top down, then records one
-// level-0 link. A search from the fixed top level reads two per level of
-// all MaxLevel.
-func TestTxContainsFootprint(t *testing.T) {
-	m := txn.New(0)
-	s := NewPTOSetIn(m.Domain(), 0)
-	for k := int64(1); k <= 512; k++ {
-		s.Insert(2 * k)
+// tallest returns the highest level of any node of s.
+func (s *Set) tallest() int {
+	h := 0
+	for curr := s.head.next[0].Load().n; curr != s.tail; curr = curr.next[0].Load().n {
+		h = max(h, curr.top)
 	}
-	h := s.tallest()
-	if h >= MaxLevel-2 {
-		t.Fatalf("tallest tower at level %d: too tall for the pin to mean anything", h)
-	}
-	for _, key := range []int64{1, 2} {
-		var found bool
-		got := readFootprint(t, m.Domain(), func() {
-			m.ReadOnly(func(c *txn.Ctx) { found = s.TxContains(c, key) })
-		})
-		if found != (key == 2) {
-			t.Fatalf("TxContains(%d) = %v", key, found)
+	return h
+}
+
+// churn runs pairs insert/remove pairs on s, keeping its size: each inserts
+// a key of [lo, hi) that s lacks and removes one of the keys it inserted or
+// of live, the keys s held before. Towers come and go, so the tallest live
+// one falls back to what the set's size draws while every level up to the
+// tallest of all pairs' draws has been linked once.
+func churn(s setIface, rnd *rand.Rand, live []int64, lo, hi int64, pairs int) {
+	live = append([]int64(nil), live...)
+	for i := 0; i < pairs; {
+		k := lo + rnd.Int63n(hi-lo)
+		if !s.Insert(k) {
+			continue
 		}
-		if want := 2*(h+1) + 2; got > want {
-			t.Errorf("TxContains(%d) with the tallest tower at level %d: %d reads, want at most %d", key, h, got, want)
+		j := rnd.Intn(len(live))
+		s.Remove(live[j])
+		live[j] = k
+		i++
+	}
+}
+
+// TestTxContainsFootprint pins a composed lookup's reads to the levels in
+// use: below the smallest key the search makes no hop, so it reads one link
+// per level from the tallest tower's top down to level 1, two at level 0,
+// then records one level-0 link it has read already. A search from the fixed
+// top level reads one per level of all MaxLevel, and one that reads the link
+// of the node it stops at two per level. The churned row runs 2^16
+// insert/remove pairs on the 512-key set first: a height that only grows
+// would sit at the tallest tower any pair drew, not at the tallest live one.
+func TestTxContainsFootprint(t *testing.T) {
+	for _, churned := range []bool{false, true} {
+		m := txn.New(0)
+		s := NewPTOSetIn(m.Domain(), 0)
+		lf := NewSet()
+		var live []int64
+		for k := int64(2); k <= 1024; k += 2 {
+			s.Insert(k)
+			lf.Insert(k)
+			live = append(live, k)
+		}
+		if churned {
+			// Key 2 stays the smallest, and 1 stays absent below it.
+			churn(s, rand.New(rand.NewSource(1)), live[1:], 3, 2048, 1<<16)
+			churn(lf, rand.New(rand.NewSource(1)), live[1:], 3, 2048, 1<<16)
+			if got, want := int(s.height.Load()), s.tallest(); got != want {
+				t.Errorf("PTO set, churned: height %d, tallest live tower at level %d", got, want)
+			}
+			if got, want := int(lf.height.Load()), lf.tallest(); got != want {
+				t.Errorf("lock-free set, churned: height %d, tallest live tower at level %d", got, want)
+			}
+		}
+		h := s.tallest()
+		if h >= MaxLevel-2 {
+			t.Fatalf("tallest tower at level %d: too tall for the pin to mean anything", h)
+		}
+		for _, key := range []int64{1, 2} {
+			var found bool
+			got := readFootprint(t, m.Domain(), func() {
+				m.ReadOnly(func(c *txn.Ctx) { found = s.TxContains(c, key) })
+			})
+			if found != (key == 2) {
+				t.Fatalf("churned %v: TxContains(%d) = %v", churned, key, found)
+			}
+			if want := (h + 1) + 2; got > want {
+				t.Errorf("churned %v: TxContains(%d) with the tallest tower at level %d: %d reads, want at most %d", churned, key, h, got, want)
+			}
 		}
 	}
 }
 
-// TestAllocsSkiplistInsertRemove pins what a link costs: nothing. An insert
-// allocates its node and the node's slice of links; a remove nothing; a
-// composed remove its post-commit unlink hook.
+// TestAllocsSkiplistInsertRemove pins what a node and a link cost: an insert
+// allocates its node, whose tower lives in the node's own allocation unless
+// it is taller than four links (one node in sixteen, which the average
+// truncates away); a link nothing; a remove nothing; a composed remove its
+// post-commit unlink hook.
 func TestAllocsSkiplistInsertRemove(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation pins are meaningless under the race detector")
@@ -90,9 +141,9 @@ func TestAllocsSkiplistInsertRemove(t *testing.T) {
 		op   func()
 		want float64
 	}{
-		{"lock-free Insert+Remove", func() { next(); lf.Insert(k); lf.Remove(k) }, 2},
-		{"PTO Insert+Remove", func() { next(); pto.Insert(k); pto.Remove(k) }, 2},
-		{"composed TxInsert+TxRemove", func() { next(); m.Atomic(ins); m.Atomic(rm) }, 3},
+		{"lock-free Insert+Remove", func() { next(); lf.Insert(k); lf.Remove(k) }, 1},
+		{"PTO Insert+Remove", func() { next(); pto.Insert(k); pto.Remove(k) }, 1},
+		{"composed TxInsert+TxRemove", func() { next(); m.Atomic(ins); m.Atomic(rm) }, 2},
 	} {
 		if got := testing.AllocsPerRun(200, c.op); got > c.want {
 			t.Errorf("%s: %v allocs, want at most %v", c.name, got, c.want)
