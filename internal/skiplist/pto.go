@@ -49,7 +49,7 @@ type PTOSet struct {
 	head     *pnode
 	tail     *pnode
 	rstate   atomic.Uint64
-	height   atomic.Int32 // highest level any node has; only grows
+	height   atomic.Int32 // where searches start; Set.height's rule
 	attempts int
 
 	insSite *speculate.Site
@@ -67,9 +67,27 @@ func NewPTOSet(attempts int) *PTOSet {
 }
 
 // newPNode allocates a node whose links are not yet bound to the domain:
-// every caller Inits each level before the node is published.
+// every caller Inits each level before the node is published. As in
+// newNode, a tower of up to four links lives in the node's own allocation.
 func (s *PTOSet) newPNode(key int64, top int) *pnode {
-	n := &pnode{key: key, top: top, next: make([]htm.Var[*pbox], top+1)}
+	var n *pnode
+	switch top {
+	case 0:
+		x := new(withTower[pnode, [1]htm.Var[*pbox]])
+		n, x.n.next = &x.n, x.t[:]
+	case 1:
+		x := new(withTower[pnode, [2]htm.Var[*pbox]])
+		n, x.n.next = &x.n, x.t[:]
+	case 2:
+		x := new(withTower[pnode, [3]htm.Var[*pbox]])
+		n, x.n.next = &x.n, x.t[:]
+	case 3:
+		x := new(withTower[pnode, [4]htm.Var[*pbox]])
+		n, x.n.next = &x.n, x.t[:]
+	default:
+		n = &pnode{next: make([]htm.Var[*pbox], top+1)}
+	}
+	n.key, n.top = key, top
 	n.in = pbox{n: n}
 	n.inMarked = pbox{n: n, marked: true}
 	return n
@@ -102,21 +120,13 @@ func (s *PTOSet) WithPolicy(p speculate.Policy) *PTOSet {
 // Domain exposes the transactional domain (for tests).
 func (s *PTOSet) Domain() *htm.Domain { return s.domain }
 
-// randomLevel is Set.randomLevel: it raises s.height before the caller can
-// link a node that tall.
-func (s *PTOSet) randomLevel() int {
-	l := drawLevel(&s.rstate)
-	raise(&s.height, l)
-	return l
-}
-
 // find mirrors Set.find over transactional Vars, using the direct (non-
-// speculative) access path. Levels above s.height are left untouched.
-func (s *PTOSet) find(key int64, preds, succs []*pnode, predBoxes []*pbox) bool {
+// speculative) access path: it starts at max(s.height, top).
+func (s *PTOSet) find(key int64, top int, preds, succs []*pnode, predBoxes []*pbox) bool {
 retry:
 	for {
 		pred := s.head
-		for level := int(s.height.Load()); level >= 0; level-- {
+		for level := max(int(s.height.Load()), top); level >= 0; level-- {
 			pb := htm.Load(nil, &pred.next[level])
 			if pb.marked {
 				continue retry
@@ -154,29 +164,25 @@ retry:
 }
 
 // Contains reports whether key is in the set (pure traversal, no writes).
+// Like Set.Contains, above level 0 it reads only the nodes it moves past.
 func (s *PTOSet) Contains(key int64) bool {
 	pred := s.head
-	var curr *pnode
-	for level := int(s.height.Load()); level >= 0; level-- {
-		curr = htm.Load(nil, &pred.next[level]).n
-		for {
+	for level := int(s.height.Load()); level > 0; level-- {
+		for curr := htm.Load(nil, &pred.next[level]).n; curr.key < key; {
 			cb := htm.Load(nil, &curr.next[level])
-			if cb.marked {
-				curr = cb.n
-				continue
-			}
-			if curr.key < key {
+			if !cb.marked {
 				pred = curr
-				curr = cb.n
-			} else {
-				break
 			}
+			curr = cb.n
 		}
 	}
-	if curr.key != key {
-		return false
+	for curr := htm.Load(nil, &pred.next[0]).n; ; {
+		cb := htm.Load(nil, &curr.next[0])
+		if !cb.marked && curr.key >= key {
+			return curr.key == key
+		}
+		curr = cb.n
 	}
-	return !htm.Load(nil, &curr.next[0]).marked
 }
 
 // Insert adds key, reporting false if present. The prefix transaction
@@ -186,14 +192,16 @@ func (s *PTOSet) Contains(key int64) bool {
 // transactional) search so the transaction always validates a fresh view;
 // after the attempt budget is spent, the original per-level CAS sequence
 // runs.
-func (s *PTOSet) Insert(key int64) bool {
+func (s *PTOSet) Insert(key int64) bool { return s.insert(key, drawLevel(&s.rstate)) }
+
+// insert is Insert with a tower of top+1 links.
+func (s *PTOSet) insert(key int64, top int) bool {
 	var preds, succs [MaxLevel]*pnode
 	var pboxes [MaxLevel]*pbox
-	top := s.randomLevel()
 	n := s.newPNode(key, top)
 	r := s.insSite.Begin(s.domain)
 	for {
-		if s.find(key, preds[:], succs[:], pboxes[:]) {
+		if s.find(key, top, preds[:], succs[:], pboxes[:]) {
 			return false
 		}
 		if !r.Next(0) {
@@ -207,12 +215,14 @@ func (s *PTOSet) Insert(key int64) bool {
 	}
 	s.link(n, &succs)
 	r.Fallback()
-	return s.insertFallback(n, top, &preds, &succs, &pboxes)
+	return s.insertFallback(n, &preds, &succs, &pboxes)
 }
 
 // swing is Insert's prefix transaction: it checks every predecessor link
-// against the box the search saw there and swings all of them to n.
+// against the box the search saw there and swings all of them to n, after
+// raising s.height to n's top.
 func (s *PTOSet) swing(tx *htm.Tx, n *pnode, preds *[MaxLevel]*pnode, pboxes *[MaxLevel]*pbox) {
+	raise(&s.height, n.top)
 	for l := 0; l <= n.top; l++ {
 		if htm.Load(tx, &preds[l].next[l]) != pboxes[l] {
 			// View changed since the search: abort and re-search rather
@@ -227,10 +237,12 @@ func (s *PTOSet) swing(tx *htm.Tx, n *pnode, preds *[MaxLevel]*pnode, pboxes *[M
 
 // insertFallback performs the original lock-free insert of node n. Returns
 // false if key was found present so the insert did not happen.
-func (s *PTOSet) insertFallback(n *pnode, top int, preds, succs *[MaxLevel]*pnode, pboxes *[MaxLevel]*pbox) bool {
+func (s *PTOSet) insertFallback(n *pnode, preds, succs *[MaxLevel]*pnode, pboxes *[MaxLevel]*pbox) bool {
+	top := n.top
+	raise(&s.height, top)
 	for {
 		if !htm.CAS(nil, &preds[0].next[0], pboxes[0], &n.in) {
-			if s.find(n.key, preds[:], succs[:], pboxes[:]) {
+			if s.find(n.key, top, preds[:], succs[:], pboxes[:]) {
 				return false
 			}
 			s.link(n, succs)
@@ -247,7 +259,7 @@ func (s *PTOSet) insertFallback(n *pnode, top int, preds, succs *[MaxLevel]*pnod
 			if nb.marked || htm.Load(nil, &n.next[0]).marked {
 				return true
 			}
-			s.find(n.key, preds[:], succs[:], pboxes[:])
+			s.find(n.key, top, preds[:], succs[:], pboxes[:])
 			nb = htm.Load(nil, &n.next[l])
 			if nb.marked {
 				return true
@@ -267,7 +279,7 @@ func (s *PTOSet) insertFallback(n *pnode, top int, preds, succs *[MaxLevel]*pnod
 // CAS sequence.
 func (s *PTOSet) Remove(key int64) bool {
 	var preds, succs [MaxLevel]*pnode
-	if !s.find(key, preds[:], succs[:], nil) {
+	if !s.find(key, 0, preds[:], succs[:], nil) {
 		return false
 	}
 	victim := succs[0]
@@ -299,9 +311,17 @@ func (s *PTOSet) Remove(key int64) bool {
 		removed = s.removeFallback(victim)
 	}
 	if removed {
-		s.find(key, preds[:], succs[:], nil) // physical unlink
+		s.unlink(key, victim.top)
 	}
 	return removed
+}
+
+// unlink is Set.unlink: it snips the marked node of key, whose tower's top
+// is top, at every level, then lowers s.height past the levels left empty.
+func (s *PTOSet) unlink(key int64, top int) {
+	var preds, succs [MaxLevel]*pnode
+	s.find(key, top, preds[:], succs[:], nil)
+	lower(&s.height, func(l int) bool { return htm.Load(nil, &s.head.next[l]) == &s.tail.in })
 }
 
 // removeFallback is the original top-down marking sequence.

@@ -12,7 +12,8 @@
 // Harris's mark-bit word, and nothing is allocated to change it (pto.go
 // argues why value identity is enough). The level-0 list is the
 // authoritative set; higher levels are shortcut lists that are repaired
-// lazily by find, and searches start at the highest level any node has.
+// lazily by find, and searches start at a height that follows the live
+// towers (Set.height says how).
 //
 // The PTO variant follows the paper's finding that only local application is
 // profitable for skiplists: the search phase stays outside the transaction,
@@ -50,8 +51,35 @@ type node struct {
 	next         []atomic.Pointer[box]
 }
 
+// withTower is a node and its tower in one allocation: N is node or pnode,
+// T an array of its links that the node's next slices.
+type withTower[N, T any] struct {
+	n N
+	t T
+}
+
+// newNode allocates a node with a tower of top+1 links. A tower of up to
+// four links (fifteen nodes in sixteen) lives in the node's own allocation,
+// so a hop misses on one object, not two; a taller one is a slice apart.
 func newNode(key int64, top int) *node {
-	n := &node{key: key, top: top, next: make([]atomic.Pointer[box], top+1)}
+	var n *node
+	switch top {
+	case 0:
+		x := new(withTower[node, [1]atomic.Pointer[box]])
+		n, x.n.next = &x.n, x.t[:]
+	case 1:
+		x := new(withTower[node, [2]atomic.Pointer[box]])
+		n, x.n.next = &x.n, x.t[:]
+	case 2:
+		x := new(withTower[node, [3]atomic.Pointer[box]])
+		n, x.n.next = &x.n, x.t[:]
+	case 3:
+		x := new(withTower[node, [4]atomic.Pointer[box]])
+		n, x.n.next = &x.n, x.t[:]
+	default:
+		n = &node{next: make([]atomic.Pointer[box], top+1)}
+	}
+	n.key, n.top = key, top
 	n.in = box{n: n}
 	n.inMarked = box{n: n, marked: true}
 	return n
@@ -62,7 +90,16 @@ type Set struct {
 	head   *node
 	tail   *node
 	rstate atomic.Uint64
-	// height is the highest level any node has; it only grows.
+	// height is the level searches start at. A node raises it just before
+	// its first link is published, and after each physical unlink lower
+	// drops it while the head's link at that level leads to the tail. It is
+	// a hint, not a bound: a remover can lower it under an inserter that
+	// has raised it and not yet linked, so a tower can stand above it until
+	// the next raise. No answer depends on it: a lookup is right from any
+	// level, and every search that links or unlinks starts at max(height,
+	// top) for its own tower's top, so an inserter whose level was lowered
+	// under it still finds a predecessor at every level it links, and a
+	// physical unlink still snips every level of its victim.
 	height atomic.Int32
 }
 
@@ -79,14 +116,6 @@ func NewSet() *Set {
 	return s
 }
 
-// randomLevel draws a geometric(1/2) tower height in [0, MaxLevel) and
-// raises s.height to it, before the caller can link a node that tall.
-func (s *Set) randomLevel() int {
-	l := drawLevel(&s.rstate)
-	raise(&s.height, l)
-	return l
-}
-
 // drawLevel draws a geometric(1/2) tower height in [0, MaxLevel).
 func drawLevel(rstate *atomic.Uint64) int {
 	x := rstate.Add(0x9E3779B97F4A7C15)
@@ -96,8 +125,9 @@ func drawLevel(rstate *atomic.Uint64) int {
 	return bits.TrailingZeros64(x | (1 << (MaxLevel - 1)))
 }
 
-// raise lifts the monotone height h to at least l. A search that loads h
-// after a node's tower was linked starts at or above that tower's top.
+// raise lifts the height h to at least l, the top of a tower about to be
+// linked. A search that loads h after the tower was linked starts at or
+// above its top, unless lower has dropped h since.
 func raise(h *atomic.Int32, l int) {
 	for cur := h.Load(); int32(l) > cur; cur = h.Load() {
 		if h.CompareAndSwap(cur, int32(l)) {
@@ -106,16 +136,26 @@ func raise(h *atomic.Int32, l int) {
 	}
 }
 
-// find locates key's predecessors and successors at every level, snipping
-// marked nodes it passes. It reports whether key is present (unmarked) at
-// level 0. predBoxes, when non-nil, receives the box observed in each
-// pred's next pointer, for the caller's CAS. Levels above s.height are left
-// untouched: no node has them.
-func (s *Set) find(key int64, preds, succs []*node, predBoxes []*box) bool {
+// lower drops the height h while empty(h) reports that the head's link at
+// that level leads straight to the tail. It runs after each physical
+// unlink, so once removals are done h is the tallest live tower's top.
+func lower(h *atomic.Int32, empty func(l int) bool) {
+	for cur := h.Load(); cur > 0 && empty(int(cur)); cur = h.Load() {
+		h.CompareAndSwap(cur, cur-1)
+	}
+}
+
+// find locates key's predecessors and successors at every level from
+// max(s.height, top) down, snipping marked nodes it passes, where top is
+// the top of the tower the caller links or unlinks. It reports whether key
+// is present (unmarked) at level 0. predBoxes, when non-nil, receives the
+// box observed in each pred's next pointer, for the caller's CAS. Levels
+// above the start are left untouched.
+func (s *Set) find(key int64, top int, preds, succs []*node, predBoxes []*box) bool {
 retry:
 	for {
 		pred := s.head
-		for level := int(s.height.Load()); level >= 0; level-- {
+		for level := max(int(s.height.Load()), top); level >= 0; level-- {
 			pb := pred.next[level].Load()
 			if pb.marked {
 				continue retry
@@ -153,45 +193,45 @@ retry:
 }
 
 // Contains reports whether key is in the set. It is wait-free: a pure
-// traversal that skips marked nodes without writing.
+// traversal that skips marked nodes without writing. Above level 0 it reads
+// the links of the nodes it moves past and not that of the node a level
+// stops at, which would only say whether that node is marked.
 func (s *Set) Contains(key int64) bool {
 	pred := s.head
-	var curr *node
-	for level := int(s.height.Load()); level >= 0; level-- {
-		curr = pred.next[level].Load().n
-		for {
+	for level := int(s.height.Load()); level > 0; level-- {
+		for curr := pred.next[level].Load().n; curr.key < key; {
 			cb := curr.next[level].Load()
-			if cb.marked {
-				curr = cb.n
-				continue
-			}
-			if curr.key < key {
+			if !cb.marked {
 				pred = curr
-				curr = cb.n
-			} else {
-				break
 			}
+			curr = cb.n
 		}
 	}
-	if curr.key != key {
-		return false
+	for curr := pred.next[0].Load().n; ; {
+		cb := curr.next[0].Load()
+		if !cb.marked && curr.key >= key {
+			return curr.key == key
+		}
+		curr = cb.n
 	}
-	return !curr.next[0].Load().marked
 }
 
 // Insert adds key, reporting false if it was already present.
-func (s *Set) Insert(key int64) bool {
+func (s *Set) Insert(key int64) bool { return s.insert(key, drawLevel(&s.rstate)) }
+
+// insert is Insert with a tower of top+1 links.
+func (s *Set) insert(key int64, top int) bool {
 	var preds, succs [MaxLevel]*node
 	var pboxes [MaxLevel]*box
-	top := s.randomLevel()
 	for {
-		if s.find(key, preds[:], succs[:], pboxes[:]) {
+		if s.find(key, top, preds[:], succs[:], pboxes[:]) {
 			return false
 		}
 		n := newNode(key, top)
 		for l := 0; l <= top; l++ {
 			n.next[l].Store(&succs[l].in)
 		}
+		raise(&s.height, top)
 		if !preds[0].next[0].CompareAndSwap(pboxes[0], &n.in) {
 			continue
 		}
@@ -205,7 +245,7 @@ func (s *Set) Insert(key int64) bool {
 				if n.next[l].Load().marked || n.next[0].Load().marked {
 					return true
 				}
-				s.find(key, preds[:], succs[:], pboxes[:])
+				s.find(key, top, preds[:], succs[:], pboxes[:])
 				nb := n.next[l].Load()
 				if nb.marked {
 					return true
@@ -223,10 +263,10 @@ func (s *Set) Insert(key int64) bool {
 
 // Remove deletes key, reporting false if it was absent. Marking proceeds
 // top-down with level 0 last; the successful level-0 mark linearizes the
-// removal, and a final find physically unlinks the node.
+// removal, and unlink physically unlinks the node.
 func (s *Set) Remove(key int64) bool {
 	var preds, succs [MaxLevel]*node
-	if !s.find(key, preds[:], succs[:], nil) {
+	if !s.find(key, 0, preds[:], succs[:], nil) {
 		return false
 	}
 	victim := succs[0]
@@ -243,10 +283,18 @@ func (s *Set) Remove(key int64) bool {
 			return false
 		}
 		if victim.next[0].CompareAndSwap(b, &b.n.inMarked) {
-			s.find(key, preds[:], succs[:], nil) // physical unlink
+			s.unlink(key, victim.top)
 			return true
 		}
 	}
+}
+
+// unlink snips the marked node of key, whose tower's top is top, at every
+// level, then lowers s.height past the levels that left empty.
+func (s *Set) unlink(key int64, top int) {
+	var preds, succs [MaxLevel]*node
+	s.find(key, top, preds[:], succs[:], nil)
+	lower(&s.height, func(l int) bool { return s.head.next[l].Load() == &s.tail.in })
 }
 
 // Len counts unmarked level-0 nodes. O(n); for tests and examples.

@@ -17,9 +17,11 @@ import (
 // just the predecessor's link proves the whole gap unchanged (the link is
 // compared by its (successor, mark) pair; pto.go says why that suffices),
 // and an insert that swings the predecessor's link over the marked chain
-// atomically unlinks it as a side effect. The search starts at s.height,
-// the highest level any node has; TxInsert draws its tower first, so the
-// search covers it.
+// atomically unlinks it as a side effect. The search starts at
+// max(s.height, top) for the top of the tower the caller links (Set.height
+// says why that is enough), and above top it reads only the nodes it moves
+// past: the link of the node a level stops at would only say whether that
+// node is marked, and no caller uses a level above its top.
 
 // NewPTOSetIn returns an empty PTO-accelerated set living in the shared
 // domain d, so it can participate in composed transactions with other
@@ -40,19 +42,30 @@ func NewPTOSetIn(d *htm.Domain, attempts int) *PTOSet {
 	return s
 }
 
-// ctxFind is the non-helping search: per level it yields the last unmarked
-// node with key < key (preds), the first unmarked node with key ≥ key
-// (succs), and the predecessor's box (pboxes) — which may point into an
-// immutable chain of marked nodes ending at succs. Reads go through Peek;
-// callers record exactly the boxes their result depends on.
-func (s *PTOSet) ctxFind(c *txn.Ctx, key int64, preds, succs []*pnode, pboxes []*pbox) bool {
+// ctxFind is the non-helping search: per level from top down it yields
+// the last unmarked node with key < key (preds), the first unmarked node
+// with key ≥ key (succs), and the predecessor's box (pboxes) — which may
+// point into an immutable chain of marked nodes ending at succs. Levels
+// above top only lead the search down and fill nothing. Reads go through
+// Peek; callers record exactly the boxes their result depends on.
+func (s *PTOSet) ctxFind(c *txn.Ctx, key int64, top int, preds, succs []*pnode, pboxes []*pbox) bool {
 	pred := s.head
-	for level := int(s.height.Load()); level >= 0; level-- {
+	for level := max(int(s.height.Load()), top); level >= 0; level-- {
 		pb := txn.Peek(c, &pred.next[level])
 		if pb.marked {
 			c.Retry() // pred was deleted under us; re-run the body
 		}
 		curr := pb.n
+		if level > top {
+			for curr.key < key {
+				cb := txn.Peek(c, &curr.next[level])
+				if !cb.marked {
+					pred = curr
+				}
+				curr = cb.n
+			}
+			continue
+		}
 		for {
 			cb := txn.Peek(c, &curr.next[level])
 			for cb.marked {
@@ -78,7 +91,7 @@ func (s *PTOSet) ctxFind(c *txn.Ctx, key int64, preds, succs []*pnode, pboxes []
 func (s *PTOSet) TxContains(c *txn.Ctx, key int64) bool {
 	var preds, succs [MaxLevel]*pnode
 	var pboxes [MaxLevel]*pbox
-	if s.ctxFind(c, key, preds[:], succs[:], pboxes[:]) {
+	if s.ctxFind(c, key, 0, preds[:], succs[:], pboxes[:]) {
 		if txn.Read(c, &succs[0].next[0]).marked {
 			c.Retry() // deleted between search and record; re-run
 		}
@@ -94,11 +107,14 @@ func (s *PTOSet) TxContains(c *txn.Ctx, key int64) bool {
 // transaction. All top+1 predecessor links swing to the new node in the one
 // atomic step, exactly as in the structure's own prefix transaction.
 func (s *PTOSet) TxInsert(c *txn.Ctx, key int64) bool {
+	return s.txInsert(c, key, drawLevel(&s.rstate))
+}
+
+// txInsert is TxInsert with a tower of top+1 links.
+func (s *PTOSet) txInsert(c *txn.Ctx, key int64, top int) bool {
 	var preds, succs [MaxLevel]*pnode
 	var pboxes [MaxLevel]*pbox
-	// Drawn before the search, which then starts at or above top.
-	top := s.randomLevel()
-	if s.ctxFind(c, key, preds[:], succs[:], pboxes[:]) {
+	if s.ctxFind(c, key, top, preds[:], succs[:], pboxes[:]) {
 		if txn.Read(c, &succs[0].next[0]).marked {
 			c.Retry()
 		}
@@ -108,10 +124,11 @@ func (s *PTOSet) TxInsert(c *txn.Ctx, key int64) bool {
 	return true
 }
 
-// ctxLink is TxInsert's step after the search: it records every predecessor
-// link of the still-private node n as holding the box the search saw there
-// and swings it to n.
+// ctxLink is TxInsert's step after the search: it raises s.height to n's
+// top, records every predecessor link of the still-private node n as
+// holding the box the search saw there and swings it to n.
 func (s *PTOSet) ctxLink(c *txn.Ctx, n *pnode, preds, succs *[MaxLevel]*pnode, pboxes *[MaxLevel]*pbox) {
+	raise(&s.height, n.top)
 	for l := 0; l <= n.top; l++ {
 		if txn.Read(c, &preds[l].next[l]) != pboxes[l] {
 			c.Retry()
@@ -129,7 +146,7 @@ func (s *PTOSet) ctxLink(c *txn.Ctx, n *pnode, preds, succs *[MaxLevel]*pnode, p
 func (s *PTOSet) TxRemove(c *txn.Ctx, key int64) bool {
 	var preds, succs [MaxLevel]*pnode
 	var pboxes [MaxLevel]*pbox
-	if !s.ctxFind(c, key, preds[:], succs[:], pboxes[:]) {
+	if !s.ctxFind(c, key, 0, preds[:], succs[:], pboxes[:]) {
 		if txn.Read(c, &preds[0].next[0]) != pboxes[0] {
 			c.Retry()
 		}
@@ -147,9 +164,6 @@ func (s *PTOSet) TxRemove(c *txn.Ctx, key int64) bool {
 		}
 	}
 	txn.Write(c, &victim.next[0], &b0.n.inMarked)
-	c.OnCommit(func() {
-		var p2, s2 [MaxLevel]*pnode
-		s.find(key, p2[:], s2[:], nil) // physical unlink
-	})
+	c.OnCommit(func() { s.unlink(key, victim.top) })
 	return true
 }

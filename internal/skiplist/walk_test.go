@@ -177,7 +177,7 @@ func TestValueIdentityReusesBoxes(t *testing.T) {
 		var preds, succs [MaxLevel]*node
 		var pboxes [MaxLevel]*box
 		top := int(s.height.Load()) // the levels find fills
-		s.find(50, preds[:], succs[:], pboxes[:])
+		s.find(50, 0, preds[:], succs[:], pboxes[:])
 		if !s.Insert(40) || !s.Remove(40) {
 			t.Fatal("X was not inserted and removed")
 		}
@@ -206,7 +206,7 @@ func TestValueIdentityReusesBoxes(t *testing.T) {
 		// the recorded predecessor. It returns the top level it recorded.
 		record := func(key int64, preds, succs *[MaxLevel]*pnode, pboxes *[MaxLevel]*pbox) int {
 			top := int(s.height.Load())
-			s.find(key, preds[:], succs[:], pboxes[:])
+			s.find(key, 0, preds[:], succs[:], pboxes[:])
 			if !s.Insert(key-5) || !s.Remove(key-5) {
 				t.Fatalf("X = %d was not inserted and removed", key-5)
 			}
@@ -239,7 +239,7 @@ func TestValueIdentityReusesBoxes(t *testing.T) {
 			var preds, succs [MaxLevel]*pnode
 			var pboxes [MaxLevel]*pbox
 			top := int(s.height.Load())
-			s.ctxFind(c, 75, preds[:], succs[:], pboxes[:])
+			s.ctxFind(c, 75, top, preds[:], succs[:], pboxes[:])
 			if runs == 1 {
 				if !s.Insert(70) || !s.Remove(70) {
 					t.Fatal("X = 70 was not inserted and removed")
