@@ -83,6 +83,39 @@ func TestLinearizableRealHash(t *testing.T) {
 func TestLinearizableRealSkiplist(t *testing.T) {
 	checkRealSet(t, "skip-lockfree", func() realSet { return skiplist.NewSet() })
 	checkRealSet(t, "skip-pto", func() realSet { return skiplist.NewPTOSet(0) })
+	checkRealSet(t, "skip-lockfree-churned", func() realSet { return churned(skiplist.NewSet()) })
+	checkRealSet(t, "skip-pto-churned", func() realSet { return churned(skiplist.NewPTOSet(0)) })
+	checkRealSet(t, "skip-txn-churned", func() realSet {
+		m := txn.New(0)
+		return churned(txnSet{m, skiplist.NewPTOSetIn(m.Domain(), 0)})
+	})
+}
+
+// churned returns s holding 256 multiples of 4 around the checked keys 1..3,
+// after 4 096 insert/remove pairs among them: towers have come and gone, so
+// the skiplist's height has been raised and lowered, and a search for a
+// checked key hops at the upper levels. The history leaves these keys alone.
+func churned(s realSet) realSet {
+	live := make([]int64, 0, 256)
+	for j := int64(-128); j < 128; j++ {
+		s.Insert(4 * j)
+		live = append(live, 4*j)
+	}
+	rnd := uint64(1)
+	for i := 0; i < 4096; {
+		rnd ^= rnd << 13
+		rnd ^= rnd >> 7
+		rnd ^= rnd << 17
+		k := 4 * (int64(rnd%1024) - 512)
+		if !s.Insert(k) {
+			continue
+		}
+		j := rnd >> 10 % uint64(len(live))
+		s.Remove(live[j])
+		live[j] = k
+		i++
+	}
+	return s
 }
 
 func TestLinearizableRealList(t *testing.T) {
