@@ -67,27 +67,10 @@ func NewPTOSet(attempts int) *PTOSet {
 }
 
 // newPNode allocates a node whose links are not yet bound to the domain:
-// every caller Inits each level before the node is published. As in
-// newNode, a tower of up to four links lives in the node's own allocation.
+// every caller Inits each level before the node is published.
 func (s *PTOSet) newPNode(key int64, top int) *pnode {
-	var n *pnode
-	switch top {
-	case 0:
-		x := new(withTower[pnode, [1]htm.Var[*pbox]])
-		n, x.n.next = &x.n, x.t[:]
-	case 1:
-		x := new(withTower[pnode, [2]htm.Var[*pbox]])
-		n, x.n.next = &x.n, x.t[:]
-	case 2:
-		x := new(withTower[pnode, [3]htm.Var[*pbox]])
-		n, x.n.next = &x.n, x.t[:]
-	case 3:
-		x := new(withTower[pnode, [4]htm.Var[*pbox]])
-		n, x.n.next = &x.n, x.t[:]
-	default:
-		n = &pnode{next: make([]htm.Var[*pbox], top+1)}
-	}
-	n.key, n.top = key, top
+	n, next := alloc[pnode, htm.Var[*pbox]](top)
+	n.key, n.top, n.next = key, top, next
 	n.in = pbox{n: n}
 	n.inMarked = pbox{n: n, marked: true}
 	return n

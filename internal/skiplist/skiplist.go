@@ -51,35 +51,38 @@ type node struct {
 	next         []atomic.Pointer[box]
 }
 
-// withTower is a node and its tower in one allocation: N is node or pnode,
-// T an array of its links that the node's next slices.
+// withTower is a node and its tower in one allocation.
 type withTower[N, T any] struct {
 	n N
 	t T
 }
 
-// newNode allocates a node with a tower of top+1 links. A tower of up to
-// four links (fifteen nodes in sixteen) lives in the node's own allocation,
-// so a hop misses on one object, not two; a taller one is a slice apart.
-func newNode(key int64, top int) *node {
-	var n *node
+// alloc returns a new N and a tower of top+1 links of type L for it. A
+// tower of up to four links (fifteen nodes in sixteen) lives in the N's own
+// allocation, so a hop misses on one object, not two; a taller one is a
+// slice apart.
+func alloc[N, L any](top int) (*N, []L) {
 	switch top {
 	case 0:
-		x := new(withTower[node, [1]atomic.Pointer[box]])
-		n, x.n.next = &x.n, x.t[:]
+		x := new(withTower[N, [1]L])
+		return &x.n, x.t[:]
 	case 1:
-		x := new(withTower[node, [2]atomic.Pointer[box]])
-		n, x.n.next = &x.n, x.t[:]
+		x := new(withTower[N, [2]L])
+		return &x.n, x.t[:]
 	case 2:
-		x := new(withTower[node, [3]atomic.Pointer[box]])
-		n, x.n.next = &x.n, x.t[:]
+		x := new(withTower[N, [3]L])
+		return &x.n, x.t[:]
 	case 3:
-		x := new(withTower[node, [4]atomic.Pointer[box]])
-		n, x.n.next = &x.n, x.t[:]
-	default:
-		n = &node{next: make([]atomic.Pointer[box], top+1)}
+		x := new(withTower[N, [4]L])
+		return &x.n, x.t[:]
 	}
-	n.key, n.top = key, top
+	return new(N), make([]L, top+1)
+}
+
+// newNode allocates a node with a tower of top+1 links.
+func newNode(key int64, top int) *node {
+	n, next := alloc[node, atomic.Pointer[box]](top)
+	n.key, n.top, n.next = key, top, next
 	n.in = box{n: n}
 	n.inMarked = box{n: n, marked: true}
 	return n
