@@ -42,9 +42,9 @@ func TestConcurrentLowering(t *testing.T) {
 					return ok
 				}
 			}
-			contains := []func(int64) bool{s.Contains}
+			contains := []func(int64) bool{lf.Contains}
 			if !c.lockfree {
-				contains = append(contains, composedSet{m, pto}.Contains)
+				contains = []func(int64) bool{pto.Contains, composedSet{m, pto}.Contains}
 			}
 			for k := int64(0); k < prefill; k++ {
 				s.Insert(k)

@@ -141,7 +141,8 @@ func raise(h *atomic.Int32, l int) {
 
 // lower drops the height h while empty(h) reports that the head's link at
 // that level leads straight to the tail. It runs after each physical
-// unlink, so once removals are done h is the tallest live tower's top.
+// unlink, so a set whose operations ran one at a time keeps h at its
+// tallest live tower's top.
 func lower(h *atomic.Int32, empty func(l int) bool) {
 	for cur := h.Load(); cur > 0 && empty(int(cur)); cur = h.Load() {
 		h.CompareAndSwap(cur, cur-1)
