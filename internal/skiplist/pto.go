@@ -181,11 +181,14 @@ func (s *PTOSet) Insert(key int64) bool { return s.insert(key, drawLevel(&s.rsta
 func (s *PTOSet) insert(key int64, top int) bool {
 	var preds, succs [MaxLevel]*pnode
 	var pboxes [MaxLevel]*pbox
-	n := s.newPNode(key, top)
+	var n *pnode // allocated once a search finds key absent
 	r := s.insSite.Begin(s.domain)
 	for {
 		if s.find(key, top, preds[:], succs[:], pboxes[:]) {
 			return false
+		}
+		if n == nil {
+			n = s.newPNode(key, top)
 		}
 		if !r.Next(0) {
 			break // budget spent; preds/succs/pboxes hold a fresh view

@@ -117,7 +117,8 @@ func TestTxContainsFootprint(t *testing.T) {
 // allocates its node, whose tower lives in the node's own allocation unless
 // it is taller than four links (one node in sixteen, which the average
 // truncates away); a link nothing; a remove nothing; a composed remove its
-// post-commit unlink hook.
+// post-commit unlink hook. An insert of a present key allocates nothing on
+// either set: the node comes after the search that finds the key absent.
 func TestAllocsSkiplistInsertRemove(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation pins are meaningless under the race detector")
@@ -144,6 +145,8 @@ func TestAllocsSkiplistInsertRemove(t *testing.T) {
 		{"lock-free Insert+Remove", func() { next(); lf.Insert(k); lf.Remove(k) }, 1},
 		{"PTO Insert+Remove", func() { next(); pto.Insert(k); pto.Remove(k) }, 1},
 		{"composed TxInsert+TxRemove", func() { next(); m.Atomic(ins); m.Atomic(rm) }, 2},
+		{"lock-free Insert of a present key", func() { lf.Insert(8) }, 0},
+		{"PTO Insert of a present key", func() { pto.Insert(8) }, 0},
 	} {
 		if got := testing.AllocsPerRun(200, c.op); got > c.want {
 			t.Errorf("%s: %v allocs, want at most %v", c.name, got, c.want)
