@@ -42,13 +42,15 @@ type fnode struct {
 	ok   bool
 }
 
-func (n *fnode) contains(k int64) bool {
-	for _, v := range n.vals {
-		if v == k {
-			return true
-		}
+// read is the bucket read of a runtime table.
+func read(b *fnode) (Word, []int64, State) {
+	switch {
+	case b == nil:
+		return Word{}, nil, Uninit
+	case !b.ok:
+		return Word{n: b}, b.vals, Frozen
 	}
-	return false
+	return Word{n: b}, b.vals, Live
 }
 
 // hnode is one generation of the bucket table.
@@ -66,11 +68,11 @@ func newHNode(size int, pred *hnode) *hnode {
 
 // Table is the lock-free baseline hash table (a set of int64 keys).
 type Table struct {
-	head    atomic.Pointer[hnode]
-	count   atomic.Int64
-	mgr     *epoch.Manager
-	handles sync.Pool // *epoch.Handle, one per concurrent operation
-	free    sync.Pool // recycled []int64 backing arrays
+	head  atomic.Pointer[hnode]
+	count atomic.Int64
+	mgr   *epoch.Manager
+	ops   sync.Pool // *op, one per concurrent operation
+	free  sync.Pool // recycled []int64 backing arrays
 	// resizes counts completed table replacements (diagnostic).
 	resizes atomic.Uint64
 }
@@ -78,45 +80,114 @@ type Table struct {
 // NewTable returns an empty table with the given initial bucket count
 // (rounded up to a power of two; ≤ 0 selects DefaultBuckets).
 func NewTable(buckets int) *Table {
-	if buckets <= 0 {
-		buckets = DefaultBuckets
-	}
-	buckets = 1 << bits.Len(uint(buckets-1))
-	if buckets < 2 {
-		buckets = 2
-	}
 	t := &Table{mgr: epoch.NewManager()}
-	t.handles.New = func() any { return t.mgr.Register() }
-	t.head.Store(newHNode(buckets, nil))
+	t.ops.New = func() any { return &op{t: t, h: t.mgr.Register()} }
+	t.head.Store(newHNode(roundBuckets(buckets), nil))
 	return t
 }
 
-// index hashes k into [0, size); size must be a power of two. Low-bit
-// masking keeps the split/merge mapping simple: growing sends the keys of
-// old bucket j to new buckets j and j+oldSize, so a new bucket i draws from
-// old bucket i mod oldSize, and halving merges buckets i and i+newSize.
-func index(k int64, size int) int {
-	x := uint64(k) + 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	x ^= x >> 31
-	return int(x & uint64(size-1))
+// roundBuckets rounds a bucket count up to a power of two of at least 2;
+// ≤ 0 selects DefaultBuckets.
+func roundBuckets(n int) int {
+	if n <= 0 {
+		n = DefaultBuckets
+	}
+	return max(2, 1<<bits.Len(uint(n-1)))
+}
+
+// op is one operation's view of a Table: its epoch handle, through which
+// Replace retires what it replaces. Pooled with the handle.
+type op struct {
+	t *Table
+	h *epoch.Handle
 }
 
 // enter checks out an epoch handle and begins a protected operation.
-func (t *Table) enter() *epoch.Handle {
-	h := t.handles.Get().(*epoch.Handle)
-	h.Enter()
-	return h
+func (t *Table) enter() *op {
+	o := t.ops.Get().(*op)
+	o.h.Enter()
+	return o
 }
 
-func (t *Table) exit(h *epoch.Handle) {
-	h.Exit()
-	t.handles.Put(h)
+func (t *Table) exit(o *op) {
+	o.h.Exit()
+	t.ops.Put(o)
 }
 
-// newVals returns a value slice with the given capacity hint, reusing a
-// retired backing array when one is available.
+// Insert adds key, reporting false if already present.
+func (t *Table) Insert(key int64) bool {
+	o := t.enter()
+	defer t.exit(o)
+	return Update(o, key, true)
+}
+
+// Remove deletes key, reporting false if absent.
+func (t *Table) Remove(key int64) bool {
+	o := t.enter()
+	defer t.exit(o)
+	return Update(o, key, false)
+}
+
+// Contains reports whether key is present: the original wait-free lookup.
+func (t *Table) Contains(key int64) bool {
+	o := t.enter()
+	defer t.exit(o)
+	return Contains(o, key)
+}
+
+// The Table's Mem: the buckets' atomic pointers.
+
+func (o *op) Head() Gen                                { return Gen{lf: o.t.head.Load()} }
+func (*op) Size(g Gen) int                             { return g.lf.size }
+func (*op) Pred(g Gen) Gen                             { return Gen{lf: g.lf.pred.Load()} }
+func (*op) Unlink(g Gen)                               { g.lf.pred.Store(nil) }
+func (*op) Uninit(g Gen, i int) bool                   { return g.lf.buckets[i].Load() == nil }
+func (*op) Bucket(g Gen, i int) (Word, []int64, State) { return read(g.lf.buckets[i].Load()) }
+
+func (*op) Scan(g Gen, i int, key int64) (found, ok bool) {
+	b := g.lf.buckets[i].Load()
+	return b != nil && Has(b.vals, key), b != nil
+}
+
+// Replace builds the copy in an array the reclaimer has returned, and
+// retires the replaced node's array through the operation's handle.
+func (o *op) Replace(g Gen, i int, w Word, vals []int64, key int64, add bool) bool {
+	nv := Cow(o.t.newVals(len(vals)+1), vals, key, add)
+	if !g.lf.buckets[i].CompareAndSwap(w.n, &fnode{vals: nv, ok: true}) {
+		return false
+	}
+	t, old := o.t, w.n.vals
+	o.h.Retire(func() {
+		v := old[:0]
+		t.free.Put(&v)
+	})
+	return true
+}
+
+func (*op) Set(g Gen, i int, w Word, vals []int64, live bool) bool {
+	return g.lf.buckets[i].CompareAndSwap(w.n, &fnode{vals: vals, ok: live})
+}
+
+func (o *op) Install(g Gen, size int) {
+	if o.t.head.CompareAndSwap(g.lf, newHNode(size, g.lf)) {
+		o.t.resizes.Add(1)
+	}
+}
+
+// Count grows the table when the count exceeds growFactor per bucket.
+func (o *op) Count(_ int64, add bool) {
+	if !add {
+		o.t.count.Add(-1)
+		return
+	}
+	c := o.t.count.Add(1)
+	if hd := o.t.head.Load(); int(c) > growFactor*hd.size {
+		Resize(o, Gen{lf: hd}, true)
+	}
+}
+
+// newVals returns an empty value slice with at least the given capacity,
+// reusing a retired backing array when one is available.
 func (t *Table) newVals(capHint int) []int64 {
 	if v, ok := t.free.Get().(*[]int64); ok && cap(*v) >= capHint {
 		return (*v)[:0]
@@ -124,178 +195,18 @@ func (t *Table) newVals(capHint int) []int64 {
 	return make([]int64, 0, capHint)
 }
 
-// retire hands a replaced node's backing array to the reclaimer; it returns
-// to the free pool after a grace period.
-func (t *Table) retire(h *epoch.Handle, old *fnode) {
-	vals := old.vals
-	h.Retire(func() {
-		v := vals[:0]
-		t.free.Put(&v)
-	})
-}
-
-// initBucket ensures bucket i of table h is initialized, freezing and
-// splitting or merging the predecessor's buckets as needed.
-func (t *Table) initBucket(h *hnode, i int) *fnode {
-	if b := h.buckets[i].Load(); b != nil {
-		return b
-	}
-	pred := h.pred.Load()
-	var vals []int64
-	if pred != nil {
-		if h.size == pred.size*2 {
-			// Doubling: bucket i receives the matching half of the parent.
-			src := t.freeze(pred, i%pred.size)
-			for _, k := range src {
-				if index(k, h.size) == i {
-					vals = append(vals, k)
-				}
-			}
-		} else {
-			// Halving: bucket i merges parent buckets i and i+size.
-			vals = append(vals, t.freeze(pred, i)...)
-			vals = append(vals, t.freeze(pred, i+h.size)...)
-		}
-	}
-	nb := &fnode{vals: vals, ok: true}
-	if h.buckets[i].CompareAndSwap(nil, nb) {
-		return nb
-	}
-	return h.buckets[i].Load()
-}
-
-// freeze makes bucket i of table h immutable and returns its final contents.
-func (t *Table) freeze(h *hnode, i int) []int64 {
-	for {
-		b := h.buckets[i].Load()
-		if b == nil {
-			b = t.initBucket(h, i)
-		}
-		if !b.ok {
-			return b.vals
-		}
-		if h.buckets[i].CompareAndSwap(b, &fnode{vals: b.vals, ok: false}) {
-			return b.vals
-		}
-	}
-}
-
-// Insert adds key, reporting false if already present.
-func (t *Table) Insert(key int64) bool {
-	h := t.enter()
-	defer t.exit(h)
-	for {
-		hd := t.head.Load()
-		i := index(key, hd.size)
-		b := hd.buckets[i].Load()
-		if b == nil {
-			b = t.initBucket(hd, i)
-		}
-		if !b.ok {
-			continue // frozen: a resize advanced the head; re-read it
-		}
-		if b.contains(key) {
-			return false
-		}
-		vals := append(t.newVals(len(b.vals)+1), b.vals...)
-		vals = append(vals, key)
-		if hd.buckets[i].CompareAndSwap(b, &fnode{vals: vals, ok: true}) {
-			t.retire(h, b)
-			if c := t.count.Add(1); int(c) > growFactor*hd.size {
-				t.resize(hd, true)
-			}
-			return true
-		}
-	}
-}
-
-// Remove deletes key, reporting false if absent.
-func (t *Table) Remove(key int64) bool {
-	h := t.enter()
-	defer t.exit(h)
-	for {
-		hd := t.head.Load()
-		i := index(key, hd.size)
-		b := hd.buckets[i].Load()
-		if b == nil {
-			b = t.initBucket(hd, i)
-		}
-		if !b.ok {
-			continue
-		}
-		if !b.contains(key) {
-			return false
-		}
-		vals := t.newVals(len(b.vals))
-		for _, v := range b.vals {
-			if v != key {
-				vals = append(vals, v)
-			}
-		}
-		if hd.buckets[i].CompareAndSwap(b, &fnode{vals: vals, ok: true}) {
-			t.retire(h, b)
-			t.count.Add(-1)
-			return true
-		}
-	}
-}
-
-// Contains reports whether key is present. It never initializes buckets: an
-// uninitialized bucket is resolved by reading the (complete) predecessor
-// table, keeping the lookup wait-free as in the original algorithm.
-func (t *Table) Contains(key int64) bool {
-	h := t.enter()
-	defer t.exit(h)
-	hd := t.head.Load()
-	i := index(key, hd.size)
-	if b := hd.buckets[i].Load(); b != nil {
-		return b.contains(key)
-	}
-	pred := hd.pred.Load()
-	if pred == nil {
-		// The predecessor was unlinked between our two loads, which implies
-		// the bucket has been initialized by now (rare race).
-		return t.initBucket(hd, i).contains(key)
-	}
-	// The predecessor table is complete (the resizer initializes every
-	// bucket before installing a successor), so read it directly.
-	if hd.size == pred.size*2 {
-		return pred.buckets[index(key, pred.size)].Load().contains(key)
-	}
-	if pred.buckets[i].Load().contains(key) {
-		return true
-	}
-	return pred.buckets[i+hd.size].Load().contains(key)
-}
-
-// resize installs a new table generation; grow doubles, otherwise halves.
-// The current table's buckets are fully initialized first so the new
-// generation's predecessor is complete and the older chain can be unlinked.
-func (t *Table) resize(hd *hnode, grow bool) {
-	if t.head.Load() != hd {
-		return // someone already replaced this generation
-	}
-	if !grow && hd.size == 2 {
-		return
-	}
-	for i := 0; i < hd.size; i++ {
-		t.initBucket(hd, i)
-	}
-	hd.pred.Store(nil) // the chain behind hd is no longer needed
-	size := hd.size * 2
-	if !grow {
-		size = hd.size / 2
-	}
-	if t.head.CompareAndSwap(hd, newHNode(size, hd)) {
-		t.resizes.Add(1)
-	}
+// resize runs Resize under an epoch bracket.
+func (t *Table) resize(grow bool) {
+	o := t.enter()
+	defer t.exit(o)
+	Resize(o, o.Head(), grow)
 }
 
 // Grow forces a doubling of the current table.
-func (t *Table) Grow() { t.resize(t.head.Load(), true) }
+func (t *Table) Grow() { t.resize(true) }
 
 // Shrink forces a halving of the current table.
-func (t *Table) Shrink() { t.resize(t.head.Load(), false) }
+func (t *Table) Shrink() { t.resize(false) }
 
 // Size returns the current bucket count.
 func (t *Table) Size() int { return t.head.Load().size }
@@ -308,13 +219,7 @@ func (t *Table) Resizes() uint64 { return t.resizes.Load() }
 
 // Keys returns a snapshot of the elements (quiescent use only; for tests).
 func (t *Table) Keys() []int64 {
-	hd := t.head.Load()
-	var out []int64
-	for i := 0; i < hd.size; i++ {
-		b := t.initBucket(hd, i)
-		for _, v := range b.vals {
-			out = append(out, v)
-		}
-	}
-	return out
+	o := t.enter()
+	defer t.exit(o)
+	return Keys(o)
 }

@@ -71,281 +71,175 @@ func (t *PTOTable) WithPolicy(p speculate.Policy) *PTOTable {
 // Domain exposes the transactional domain (for tests and diagnostics).
 func (t *PTOTable) Domain() *htm.Domain { return t.domain }
 
-// Abort codes for the speculative paths.
-const (
-	abortUninitialized = 1 // bucket needs initialization (slow path work)
-	abortFrozen        = 2 // resize in progress
-)
-
 // Insert adds key, reporting false if already present.
-func (t *PTOTable) Insert(key int64) bool {
-	r := t.insSite.Begin(t.domain)
-	for r.Next(0) {
-		var result bool
-		st := r.Try(func(tx *htm.Tx) {
-			hd := htm.Load(tx, &t.head)
-			i := index(key, hd.size)
-			b := htm.Load(tx, &hd.buckets[i])
-			if b == nil {
-				tx.Abort(abortUninitialized)
-			}
-			if !b.ok {
-				tx.Abort(abortFrozen)
-			}
-			if b.contains(key) {
-				result = false
-				return
-			}
-			vals := make([]int64, 0, len(b.vals)+1)
-			vals = append(vals, b.vals...)
-			vals = append(vals, key)
-			htm.Store(tx, &hd.buckets[i], &fnode{vals: vals, ok: true})
-			result = true
-		})
-		if st == htm.Committed {
-			if result {
-				t.bump(1)
-			}
-			return result
-		}
-	}
-	r.Fallback()
-	return t.insertFallback(key)
-}
+func (t *PTOTable) Insert(key int64) bool { return t.update(t.insSite, key, true) }
 
 // Remove deletes key, reporting false if absent.
-func (t *PTOTable) Remove(key int64) bool {
-	r := t.rmSite.Begin(t.domain)
+func (t *PTOTable) Remove(key int64) bool { return t.update(t.rmSite, key, false) }
+
+// update runs TxUpdate as a prefix transaction, then the original protocol.
+func (t *PTOTable) update(site *speculate.Site, key int64, add bool) bool {
+	m := t.mem()
+	r := site.Begin(t.domain)
 	for r.Next(0) {
 		var result bool
 		st := r.Try(func(tx *htm.Tx) {
-			hd := htm.Load(tx, &t.head)
-			i := index(key, hd.size)
-			b := htm.Load(tx, &hd.buckets[i])
-			if b == nil {
-				tx.Abort(abortUninitialized)
-			}
-			if !b.ok {
-				tx.Abort(abortFrozen)
-			}
-			if !b.contains(key) {
-				result = false
-				return
-			}
-			vals := make([]int64, 0, len(b.vals))
-			for _, v := range b.vals {
-				if v != key {
-					vals = append(vals, v)
-				}
-			}
-			htm.Store(tx, &hd.buckets[i], &fnode{vals: vals, ok: true})
-			result = true
+			result = TxUpdate(m, (*ptoTx)(tx), Gen{pto: htm.Load(tx, &t.head)}, key, add)
 		})
 		if st == htm.Committed {
 			if result {
-				t.count.Add(-1)
+				m.Count(key, add)
 			}
 			return result
 		}
 	}
 	r.Fallback()
-	return t.removeFallback(key)
+	h := t.enter()
+	defer t.exit(h)
+	return Update(m, key, add)
 }
 
 // Contains reports whether key is present. The transactional path touches no
 // reclaimer state at all; the fallback is the original wait-free lookup
 // inside an epoch bracket.
 func (t *PTOTable) Contains(key int64) bool {
+	m := t.mem()
 	r := t.conSite.Begin(t.domain)
 	for r.Next(0) {
 		var result bool
 		st := r.Try(func(tx *htm.Tx) {
-			hd := htm.Load(tx, &t.head)
-			i := index(key, hd.size)
-			b := htm.Load(tx, &hd.buckets[i])
-			if b == nil {
-				pred := htm.Load(tx, &hd.pred)
-				if pred == nil {
-					tx.Abort(abortUninitialized)
-				}
-				if hd.size == pred.size*2 {
-					b = htm.Load(tx, &pred.buckets[index(key, pred.size)])
-				} else {
-					b = htm.Load(tx, &pred.buckets[i])
-					if b != nil && b.contains(key) {
-						result = true
-						return
-					}
-					b = htm.Load(tx, &pred.buckets[i+hd.size])
-				}
-				if b == nil {
-					tx.Abort(abortUninitialized)
-				}
-			}
-			result = b.contains(key)
+			result = TxContains(m, (*ptoTx)(tx), Gen{pto: htm.Load(tx, &t.head)}, key)
 		})
 		if st == htm.Committed {
 			return result
 		}
 	}
 	r.Fallback()
+	h := t.enter()
+	defer t.exit(h)
+	return Contains(m, key)
+}
+
+func (t *PTOTable) enter() *epoch.Handle {
 	h := t.handles.Get().(*epoch.Handle)
 	h.Enter()
-	defer func() { h.Exit(); t.handles.Put(h) }()
-	hd := htm.Load(nil, &t.head)
-	i := index(key, hd.size)
-	if b := htm.Load(nil, &hd.buckets[i]); b != nil {
-		return b.contains(key)
-	}
-	pred := htm.Load(nil, &hd.pred)
-	if pred == nil {
-		return t.initBucket(hd, i).contains(key)
-	}
-	if hd.size == pred.size*2 {
-		return htm.Load(nil, &pred.buckets[index(key, pred.size)]).contains(key)
-	}
-	if htm.Load(nil, &pred.buckets[i]).contains(key) {
-		return true
-	}
-	return htm.Load(nil, &pred.buckets[i+hd.size]).contains(key)
+	return h
 }
 
-// bump adjusts the element count and applies the growth policy.
-func (t *PTOTable) bump(delta int64) {
-	if c := t.count.Add(delta); delta > 0 {
-		hd := htm.Load(nil, &t.head)
-		if int(c) > growFactor*hd.size {
-			t.resize(hd, true)
-		}
-	}
+func (t *PTOTable) exit(h *epoch.Handle) {
+	h.Exit()
+	t.handles.Put(h)
 }
 
-// The remainder is the original copy-on-write protocol over the
-// transactional Vars: the fallback path.
+// mem is the table's Mem: direct accesses of its Vars.
+func (t *PTOTable) mem() *ptoMem { return (*ptoMem)(t) }
 
-func (t *PTOTable) insertFallback(key int64) bool {
-	h := t.handles.Get().(*epoch.Handle)
-	h.Enter()
-	defer func() { h.Exit(); t.handles.Put(h) }()
-	for {
-		hd := htm.Load(nil, &t.head)
-		i := index(key, hd.size)
-		b := htm.Load(nil, &hd.buckets[i])
-		if b == nil {
-			b = t.initBucket(hd, i)
-		}
-		if !b.ok {
-			continue
-		}
-		if b.contains(key) {
-			return false
-		}
-		vals := make([]int64, 0, len(b.vals)+1)
-		vals = append(vals, b.vals...)
-		vals = append(vals, key)
-		if htm.CAS(nil, &hd.buckets[i], b, &fnode{vals: vals, ok: true}) {
-			t.bump(1)
-			return true
-		}
+type ptoMem PTOTable
+
+func (m *ptoMem) Head() Gen              { return Gen{pto: htm.Load(nil, &m.head)} }
+func (*ptoMem) Size(g Gen) int           { return g.pto.size }
+func (*ptoMem) Pred(g Gen) Gen           { return Gen{pto: htm.Load(nil, &g.pto.pred)} }
+func (*ptoMem) Unlink(g Gen)             { htm.Store(nil, &g.pto.pred, nil) }
+func (*ptoMem) Uninit(g Gen, i int) bool { return htm.Load(nil, &g.pto.buckets[i]) == nil }
+func (*ptoMem) Bucket(g Gen, i int) (Word, []int64, State) {
+	return read(htm.Load(nil, &g.pto.buckets[i]))
+}
+
+func (*ptoMem) Scan(g Gen, i int, key int64) (found, ok bool) {
+	b := htm.Load(nil, &g.pto.buckets[i])
+	return b != nil && Has(b.vals, key), b != nil
+}
+
+// Replace retires nothing: a prefix lookup reads bucket arrays outside any
+// epoch bracket, so none may be recycled.
+func (*ptoMem) Replace(g Gen, i int, w Word, vals []int64, key int64, add bool) bool {
+	nv := Cow(make([]int64, 0, len(vals)+1), vals, key, add)
+	return htm.CAS(nil, &g.pto.buckets[i], w.n, &fnode{vals: nv, ok: true})
+}
+
+func (*ptoMem) Set(g Gen, i int, w Word, vals []int64, live bool) bool {
+	return htm.CAS(nil, &g.pto.buckets[i], w.n, &fnode{vals: vals, ok: live})
+}
+
+func (m *ptoMem) Install(g Gen, size int) {
+	if htm.CAS(nil, &m.head, g.pto, (*PTOTable)(m).newHNode(size, g.pto)) {
+		m.resizes.Add(1)
 	}
 }
 
-func (t *PTOTable) removeFallback(key int64) bool {
-	h := t.handles.Get().(*epoch.Handle)
-	h.Enter()
-	defer func() { h.Exit(); t.handles.Put(h) }()
-	for {
-		hd := htm.Load(nil, &t.head)
-		i := index(key, hd.size)
-		b := htm.Load(nil, &hd.buckets[i])
-		if b == nil {
-			b = t.initBucket(hd, i)
-		}
-		if !b.ok {
-			continue
-		}
-		if !b.contains(key) {
-			return false
-		}
-		vals := make([]int64, 0, len(b.vals))
-		for _, v := range b.vals {
-			if v != key {
-				vals = append(vals, v)
-			}
-		}
-		if htm.CAS(nil, &hd.buckets[i], b, &fnode{vals: vals, ok: true}) {
-			t.count.Add(-1)
-			return true
-		}
-	}
-}
-
-func (t *PTOTable) initBucket(h *pthnode, i int) *fnode {
-	if b := htm.Load(nil, &h.buckets[i]); b != nil {
-		return b
-	}
-	pred := htm.Load(nil, &h.pred)
-	var vals []int64
-	if pred != nil {
-		if h.size == pred.size*2 {
-			src := t.freeze(pred, i%pred.size)
-			for _, k := range src {
-				if index(k, h.size) == i {
-					vals = append(vals, k)
-				}
-			}
-		} else {
-			vals = append(vals, t.freeze(pred, i)...)
-			vals = append(vals, t.freeze(pred, i+h.size)...)
-		}
-	}
-	nb := &fnode{vals: vals, ok: true}
-	if htm.CAS(nil, &h.buckets[i], nil, nb) {
-		return nb
-	}
-	return htm.Load(nil, &h.buckets[i])
-}
-
-func (t *PTOTable) freeze(h *pthnode, i int) []int64 {
-	for {
-		b := htm.Load(nil, &h.buckets[i])
-		if b == nil {
-			b = t.initBucket(h, i)
-		}
-		if !b.ok {
-			return b.vals
-		}
-		if htm.CAS(nil, &h.buckets[i], b, &fnode{vals: b.vals, ok: false}) {
-			return b.vals
-		}
-	}
-}
-
-func (t *PTOTable) resize(hd *pthnode, grow bool) {
-	if htm.Load(nil, &t.head) != hd {
+// Count grows the table when the count exceeds growFactor per bucket.
+func (m *ptoMem) Count(_ int64, add bool) {
+	if !add {
+		m.count.Add(-1)
 		return
 	}
-	if !grow && hd.size == 2 {
-		return
+	c := m.count.Add(1)
+	if hd := htm.Load(nil, &m.head); int(c) > growFactor*hd.size {
+		Resize(m, Gen{pto: hd}, true)
 	}
-	for i := 0; i < hd.size; i++ {
-		t.initBucket(hd, i)
+}
+
+// ptoTx is the TxMem of a prefix transaction: plain loads and buffered
+// stores of the Vars.
+type ptoTx htm.Tx
+
+func (x *ptoTx) tx() *htm.Tx     { return (*htm.Tx)(x) }
+func (*ptoTx) Size(g Gen) int    { return g.pto.size }
+func (x *ptoTx) Pred(g Gen) Gen  { return Gen{pto: htm.Load(x.tx(), &g.pto.pred)} }
+func (x *ptoTx) Abort(code int)  { x.tx().Abort(code) }
+func (*ptoTx) Speculative() bool { return true }
+
+func (x *ptoTx) Find(g Gen, i int, key int64) (Word, int, int, State) {
+	return find(htm.Load(x.tx(), &g.pto.buckets[i]), key)
+}
+
+func (x *ptoTx) Lookup(g Gen, i int, key int64) (bool, State) {
+	return lookup(htm.Load(x.tx(), &g.pto.buckets[i]), key)
+}
+
+func (x *ptoTx) Put(g Gen, i int, w Word, _, _ int, key int64, add bool) {
+	htm.Store(x.tx(), &g.pto.buckets[i], put(w, key, add))
+}
+
+// find, lookup and put are the runtime tables' bucket reads and copy for a
+// transaction.
+
+func find(b *fnode, key int64) (Word, int, int, State) {
+	w, vals, st := read(b)
+	at := -1
+	for j, v := range vals {
+		if v == key {
+			at = j
+			break
+		}
 	}
-	htm.Store(nil, &hd.pred, nil)
-	size := hd.size * 2
-	if !grow {
-		size = hd.size / 2
+	return w, len(vals), at, st
+}
+
+// lookup reports a frozen bucket as live: with the head in the footprint,
+// its contents answer the lookup.
+func lookup(b *fnode, key int64) (bool, State) {
+	if b == nil {
+		return false, Uninit
 	}
-	if htm.CAS(nil, &t.head, hd, t.newHNode(size, hd)) {
-		t.resizes.Add(1)
-	}
+	return Has(b.vals, key), Live
+}
+
+func put(w Word, key int64, add bool) *fnode {
+	vals := w.n.vals
+	return &fnode{vals: Cow(make([]int64, 0, len(vals)+1), vals, key, add), ok: true}
 }
 
 // Grow forces a doubling of the current table.
-func (t *PTOTable) Grow() { t.resize(htm.Load(nil, &t.head), true) }
+func (t *PTOTable) Grow() { t.resize(true) }
 
 // Shrink forces a halving of the current table.
-func (t *PTOTable) Shrink() { t.resize(htm.Load(nil, &t.head), false) }
+func (t *PTOTable) Shrink() { t.resize(false) }
+
+func (t *PTOTable) resize(grow bool) {
+	m := t.mem()
+	Resize(m, m.Head(), grow)
+}
 
 // Size returns the current bucket count.
 func (t *PTOTable) Size() int { return htm.Load(nil, &t.head).size }
@@ -357,12 +251,4 @@ func (t *PTOTable) Len() int { return int(t.count.Load()) }
 func (t *PTOTable) Resizes() uint64 { return t.resizes.Load() }
 
 // Keys returns a snapshot of the elements (quiescent use only; for tests).
-func (t *PTOTable) Keys() []int64 {
-	hd := htm.Load(nil, &t.head)
-	var out []int64
-	for i := 0; i < hd.size; i++ {
-		b := t.initBucket(hd, i)
-		out = append(out, b.vals...)
-	}
-	return out
-}
+func (t *PTOTable) Keys() []int64 { return Keys(t.mem()) }

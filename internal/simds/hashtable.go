@@ -3,13 +3,21 @@ package simds
 import (
 	"slices"
 
+	"repro/internal/hashtable"
 	"repro/internal/sim"
 	"repro/internal/simspec"
+	"repro/internal/simtxn"
 	"repro/internal/speculate"
 )
 
 // This file hosts the dynamic-sized freezable-set hash table (§3.3, §4.5,
-// Figure 4) on the simulated machine.
+// Figure 4) on the simulated machine. The algorithm is internal/hashtable's
+// own — the copy-on-write protocol, its prefix transactions and its
+// composed adapters run from hashtable/algo.go over the modeled words of
+// the hashtable.Mem and TxMem below. What stays here is what pins the
+// figures: the growth trigger (a bucket over hashBucketThreshold values),
+// construction (every bucket initialized up front), the attempt loops, and
+// HashInplace's in-place prefix body.
 //
 // Buckets live in a table generation (hnode); each bucket word packs (fset
 // node address << 16 | counter). The lock-free baseline updates buckets by
@@ -64,6 +72,11 @@ func hbPack(n sim.Addr, ctr uint64) uint64 {
 	return uint64(n)<<16 | ctr&0xFFFF
 }
 
+// bucketWord is the address of bucket i's word in generation g.
+func bucketWord(g hashtable.Gen, i int) sim.Addr {
+	return sim.Addr(g.Addr) + hnBuckets + sim.Addr(i)
+}
+
 // SimHash is the simulated hash table.
 type SimHash struct {
 	kind     HashKind
@@ -72,14 +85,8 @@ type SimHash struct {
 	retirers []*Retirer
 	updSite  *simspec.Site
 	lookSite *simspec.Site
-	scratch  []hashScratch // per thread
+	mems     []hashMem // per thread
 }
-
-// hashScratch is one thread's Go-side buffers, reused from operation to
-// operation so that copying a bucket's values costs the host no allocation.
-// snap backs the values snapshot returns, good until the thread's next
-// snapshot; vals backs the bucket an operation builds from them.
-type hashScratch struct{ snap, vals []uint64 }
 
 // hashSlotLines is how many epoch slot lines a table allocates whatever its
 // thread count: the simulator's limit of 16 threads. The table uses the first
@@ -94,7 +101,7 @@ const hashSlotLines = 16
 func NewSimHash(t *sim.Thread, kind HashKind, buckets, threads int) *SimHash {
 	epoch := NewEpoch(t, hashSlotLines)
 	epoch.slots = epoch.slots[:threads:hashSlotLines]
-	h := &SimHash{kind: kind, epoch: epoch, scratch: make([]hashScratch, threads)}
+	h := &SimHash{kind: kind, epoch: epoch, mems: make([]hashMem, threads)}
 	for i := 0; i < threads; i++ {
 		h.retirers = append(h.retirers, NewRetirer(h.epoch))
 	}
@@ -114,9 +121,9 @@ func NewSimHash(t *sim.Thread, kind HashKind, buckets, threads int) *SimHash {
 // clone of the machine h was built on (sim.Machine.Clone). Its Go-side state
 // is what a table built for that many threads and filled the same way would
 // hold: the same simulated addresses, the epoch's first threads slot lines,
-// each thread's retirement batch and scratch buffers as h holds them (empty
-// for threads h has not got), and sites whose adaptive windows start where
-// h's stand. h is left as it was.
+// each thread's retirement batch and buffers as h holds them (empty for
+// threads h has not got), and sites whose adaptive windows start where h's
+// stand. h is left as it was.
 func (h *SimHash) Clone(threads int) *SimHash {
 	c := &SimHash{
 		kind:     h.kind,
@@ -124,14 +131,14 @@ func (h *SimHash) Clone(threads int) *SimHash {
 		epoch:    &Epoch{global: h.epoch.global, slots: h.epoch.slots[:threads]},
 		updSite:  h.updSite.Clone(),
 		lookSite: h.lookSite.Clone(),
-		scratch:  make([]hashScratch, threads),
+		mems:     make([]hashMem, threads),
 	}
 	for i := 0; i < threads; i++ {
 		r := NewRetirer(c.epoch)
 		if i < len(h.retirers) {
 			r.batch = slices.Clone(h.retirers[i].batch)
-			sc := h.scratch[i]
-			c.scratch[i] = hashScratch{snap: slices.Clone(sc.snap), vals: slices.Clone(sc.vals)}
+			m := &h.mems[i]
+			c.mems[i] = hashMem{snap: slices.Clone(m.snap), vals: slices.Clone(m.vals)}
 		}
 		c.retirers = append(c.retirers, r)
 	}
@@ -153,7 +160,7 @@ func (h *SimHash) WithPolicy(p speculate.Policy) *SimHash {
 // newNode allocates a bucket node holding vals. The in-place variant sizes
 // it with slack for speculative writes; the copy-on-write variants size it
 // exactly.
-func (h *SimHash) newNode(t *sim.Thread, vals []uint64) sim.Addr {
+func (h *SimHash) newNode(t *sim.Thread, vals []int64) sim.Addr {
 	capacity := len(vals)
 	if h.kind == HashInplace {
 		capacity = 2*len(vals) + 4
@@ -162,286 +169,9 @@ func (h *SimHash) newNode(t *sim.Thread, vals []uint64) sim.Addr {
 	t.Store(n+fsFlags, uint64(capacity)<<16|1) // capacity in the upper bits
 	t.Store(n+fsLen, uint64(len(vals)))
 	for i, v := range vals {
-		t.Store(n+fsVals+sim.Addr(i), v)
+		t.Store(n+fsVals+sim.Addr(i), uint64(v))
 	}
 	return n
-}
-
-func hashIndex(key uint64, size uint64) sim.Addr {
-	x := key + 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	x ^= x >> 31
-	return sim.Addr(x & (size - 1))
-}
-
-// bucketWordAddr returns the address of bucket i's word in generation hn.
-func bucketWordAddr(hn sim.Addr, i sim.Addr) sim.Addr { return hn + hnBuckets + i }
-
-// snapshot reads bucket i consistently (double-checked against the bucket
-// word) and returns the observed word and values; ok=false means retry. The
-// values are in the thread's scratch: the next snapshot overwrites them.
-func (h *SimHash) snapshot(t *sim.Thread, hn sim.Addr, i sim.Addr) (w uint64, vals []uint64, live bool, ok bool) {
-	w = t.Load(bucketWordAddr(hn, i))
-	n := hbNode(w)
-	if n == 0 {
-		return w, nil, false, false
-	}
-	live = t.Load(n+fsFlags)&1 == 1
-	ln := t.Load(n + fsLen)
-	sc := &h.scratch[t.ID()]
-	vals = sc.snap[:0]
-	for j := uint64(0); j < ln; j++ {
-		vals = append(vals, t.Load(n+fsVals+sim.Addr(j)))
-	}
-	sc.snap = vals
-	if h.kind == HashInplace && live {
-		// In-place mutations shift values under a scan; double-check the
-		// (pointer, counter) word.
-		if t.Load(bucketWordAddr(hn, i)) != w {
-			return w, nil, live, false
-		}
-	}
-	return w, vals, live, true
-}
-
-// initBucket initializes bucket i of generation hn from its predecessor.
-func (h *SimHash) initBucket(t *sim.Thread, hn sim.Addr, i sim.Addr) {
-	if hbNode(t.Load(bucketWordAddr(hn, i))) != 0 {
-		return
-	}
-	size := t.Load(hn + hnSize)
-	pred := sim.Addr(t.Load(hn + hnPred))
-	// freeze may come back here for a bucket of pred, so the buffer is taken,
-	// not borrowed: the nested call finds none and grows its own.
-	sc := &h.scratch[t.ID()]
-	vals := sc.vals[:0]
-	sc.vals = nil
-	if pred != 0 {
-		psize := t.Load(pred + hnSize)
-		if size == psize*2 {
-			src := h.freeze(t, pred, i&sim.Addr(psize-1))
-			for _, k := range src {
-				if hashIndex(k, size) == i {
-					vals = append(vals, k)
-				}
-			}
-		} else {
-			vals = append(vals, h.freeze(t, pred, i)...)
-			vals = append(vals, h.freeze(t, pred, i+sim.Addr(size))...)
-		}
-	}
-	n := h.newNode(t, vals)
-	sc.vals = vals
-	t.CAS(bucketWordAddr(hn, i), hbPack(0, 0), hbPack(n, 1))
-}
-
-// freeze makes bucket i of generation hn immutable and returns its final
-// contents.
-func (h *SimHash) freeze(t *sim.Thread, hn sim.Addr, i sim.Addr) []uint64 {
-	for {
-		w, vals, live, ok := h.snapshot(t, hn, i)
-		if !ok {
-			if hbNode(w) == 0 {
-				h.initBucket(t, hn, i)
-			}
-			continue
-		}
-		if !live {
-			return vals
-		}
-		fz := t.Alloc(fsVals + len(vals))
-		t.Store(fz+fsFlags, 0)
-		t.Store(fz+fsLen, uint64(len(vals)))
-		for j, v := range vals {
-			t.Store(fz+fsVals+sim.Addr(j), v)
-		}
-		if t.CAS(bucketWordAddr(hn, i), w, hbPack(fz, hbCtr(w)+1)) {
-			return vals
-		}
-	}
-}
-
-// resize installs a new generation (grow doubles, else halves).
-func (h *SimHash) resize(t *sim.Thread, hn sim.Addr, grow bool) {
-	if sim.Addr(t.Load(h.headPtr)) != hn {
-		return
-	}
-	size := t.Load(hn + hnSize)
-	if !grow && size == 2 {
-		return
-	}
-	for i := sim.Addr(0); i < sim.Addr(size); i++ {
-		h.initBucket(t, hn, i)
-	}
-	t.Store(hn+hnPred, 0)
-	nsize := size * 2
-	if !grow {
-		nsize = size / 2
-	}
-	nh := t.Alloc(hnBuckets + int(nsize))
-	t.Store(nh+hnSize, nsize)
-	t.Store(nh+hnPred, uint64(hn))
-	t.CAS(h.headPtr, uint64(hn), uint64(nh))
-}
-
-func hashContains(vals []uint64, key uint64) bool {
-	for _, v := range vals {
-		if v == key {
-			return true
-		}
-	}
-	return false
-}
-
-// apply performs an insert (add=true) or remove through the appropriate
-// speculative path and fallback.
-func (h *SimHash) apply(t *sim.Thread, key uint64, add bool) bool {
-	if h.kind != HashLF {
-		r := h.updSite.Begin(t)
-		for r.Next(0) {
-			var result bool
-			st := r.Try(func() { result = h.applyTx(t, key, add) })
-			if st == sim.OK {
-				h.maybeGrow(t, key, add, result)
-				return result
-			}
-		}
-		r.Fallback()
-	}
-	return h.applyLF(t, key, add)
-}
-
-// applyTx is one transactional attempt. The plain PTO variant keeps
-// copy-on-write (allocation and copy inside the transaction); the in-place
-// variant writes into the existing array and bumps the bucket counter.
-func (h *SimHash) applyTx(t *sim.Thread, key uint64, add bool) bool {
-	hn := sim.Addr(t.Load(h.headPtr))
-	size := t.Load(hn + hnSize)
-	i := hashIndex(key, size)
-	w := t.Load(bucketWordAddr(hn, i))
-	n := hbNode(w)
-	if n == 0 {
-		t.TxAbort(1) // uninitialized: slow-path work
-	}
-	if t.Load(n+fsFlags)&1 == 0 {
-		t.TxAbort(2) // frozen: resize in progress
-	}
-	ln := t.Load(n + fsLen)
-	found := sim.Addr(0)
-	hasKey := false
-	for j := uint64(0); j < ln; j++ {
-		if t.Load(n+fsVals+sim.Addr(j)) == key {
-			hasKey = true
-			found = sim.Addr(j)
-			break
-		}
-	}
-	if add == hasKey {
-		return false // already present / already absent
-	}
-	if h.kind == HashInplace {
-		if add {
-			// In-place write requires a free slot; the node was allocated
-			// with slack and replaced with a larger one on overflow.
-			capacity := uint64(cap64(t, n))
-			if ln == capacity {
-				t.TxAbort(3)
-			}
-			t.Store(n+fsVals+sim.Addr(ln), key)
-			t.Store(n+fsLen, ln+1)
-		} else {
-			if found != sim.Addr(ln-1) {
-				t.Store(n+fsVals+found, t.Load(n+fsVals+sim.Addr(ln-1)))
-			}
-			t.Store(n+fsLen, ln-1)
-		}
-		t.Store(bucketWordAddr(hn, i), hbPack(n, hbCtr(w)+1))
-		return true
-	}
-	// Copy-on-write inside the transaction (allocation remains).
-	sc := &h.scratch[t.ID()]
-	vals := sc.vals[:0]
-	for j := uint64(0); j < ln; j++ {
-		v := t.Load(n + fsVals + sim.Addr(j))
-		if !add && v == key {
-			continue
-		}
-		vals = append(vals, v)
-	}
-	if add {
-		vals = append(vals, key)
-	}
-	nn := h.newNode(t, vals)
-	sc.vals = vals
-	t.Store(bucketWordAddr(hn, i), hbPack(nn, hbCtr(w)+1))
-	return true
-}
-
-// cap64 infers an in-place node's capacity from its allocation: nodes store
-// it implicitly via the slack rule. To avoid an extra header word we track
-// capacity in the flags word's upper bits.
-func cap64(t *sim.Thread, n sim.Addr) uint64 { return t.Load(n+fsFlags) >> 16 }
-
-// applyLF is the original copy-on-write protocol (the fallback path),
-// epoch-bracketed, with retirement of replaced nodes.
-func (h *SimHash) applyLF(t *sim.Thread, key uint64, add bool) bool {
-	h.epoch.Enter(t)
-	defer h.epoch.Exit(t)
-	for {
-		hn := sim.Addr(t.Load(h.headPtr))
-		size := t.Load(hn + hnSize)
-		i := hashIndex(key, size)
-		w, vals, live, ok := h.snapshot(t, hn, i)
-		if !ok {
-			if hbNode(w) == 0 {
-				h.initBucket(t, hn, i)
-			}
-			continue
-		}
-		if !live {
-			continue // frozen: head has advanced
-		}
-		hasKey := hashContains(vals, key)
-		if add == hasKey {
-			return false
-		}
-		sc := &h.scratch[t.ID()]
-		nv := sc.vals[:0]
-		if add {
-			nv = append(append(nv, vals...), key)
-		} else {
-			for _, v := range vals {
-				if v != key {
-					nv = append(nv, v)
-				}
-			}
-		}
-		nn := h.newNode(t, nv)
-		sc.vals = nv
-		if t.CAS(bucketWordAddr(hn, i), w, hbPack(nn, hbCtr(w)+1)) {
-			h.retirers[t.ID()].Retire(t, hbNode(w), fsVals+len(vals))
-			h.maybeGrow(t, key, add, true)
-			return true
-		}
-		t.Free(nn, fsVals+len(nv))
-	}
-}
-
-// maybeGrow applies the growth policy after a successful insert: double
-// when the key's bucket exceeds the threshold.
-func (h *SimHash) maybeGrow(t *sim.Thread, key uint64, add, applied bool) {
-	if !add || !applied {
-		return
-	}
-	hn := sim.Addr(t.Load(h.headPtr))
-	size := t.Load(hn + hnSize)
-	i := hashIndex(key, size)
-	w := t.Load(bucketWordAddr(hn, i))
-	n := hbNode(w)
-	if n != 0 && t.Load(n+fsLen) > hashBucketThreshold {
-		h.resize(t, hn, true)
-	}
 }
 
 // Insert adds key, reporting false if present.
@@ -450,42 +180,40 @@ func (h *SimHash) Insert(t *sim.Thread, key uint64) bool { return h.apply(t, key
 // Remove deletes key, reporting false if absent.
 func (h *SimHash) Remove(t *sim.Thread, key uint64) bool { return h.apply(t, key, false) }
 
+// apply performs an insert (add=true) or remove: the prefix transaction,
+// then the original protocol, epoch-bracketed.
+func (h *SimHash) apply(t *sim.Thread, key uint64, add bool) bool {
+	m := h.mem(t)
+	if h.kind != HashLF {
+		r := h.updSite.Begin(t)
+		for r.Next(0) {
+			var result bool
+			st := r.Try(func() { result = hashtable.TxUpdate(m, m, m.Head(), int64(key), add) })
+			if st == sim.OK {
+				if result {
+					m.Count(int64(key), add)
+				}
+				return result
+			}
+		}
+		r.Fallback()
+	}
+	h.epoch.Enter(t)
+	defer h.epoch.Exit(t)
+	return hashtable.Update(m, int64(key), add)
+}
+
 // Contains reports membership. The PTO variants first try a transactional
 // lookup that touches no reclaimer state; the fallback (and the baseline)
 // is the original lookup inside an epoch bracket — wait-free for the
 // copy-on-write variants, lock-free (double-checked) for the in-place one.
 func (h *SimHash) Contains(t *sim.Thread, key uint64) bool {
+	m := h.mem(t)
 	if h.kind != HashLF {
 		r := h.lookSite.Begin(t)
 		for r.Next(0) {
 			var result bool
-			st := r.Try(func() {
-				hn := sim.Addr(t.Load(h.headPtr))
-				size := t.Load(hn + hnSize)
-				i := hashIndex(key, size)
-				w := t.Load(bucketWordAddr(hn, i))
-				n := hbNode(w)
-				if n == 0 {
-					// Uninitialized: read the (complete) predecessor
-					// generation, as the wait-free lookup does.
-					pred := sim.Addr(t.Load(hn + hnPred))
-					if pred == 0 {
-						t.TxAbort(1)
-					}
-					psize := t.Load(pred + hnSize)
-					if size == psize*2 {
-						result = h.scanTx(t, pred, i&sim.Addr(psize-1), key)
-						return
-					}
-					if h.scanTx(t, pred, i, key) {
-						result = true
-						return
-					}
-					result = h.scanTx(t, pred, i+sim.Addr(size), key)
-					return
-				}
-				result = h.scanTx2(t, n, key)
-			})
+			st := r.Try(func() { result = hashtable.TxContains(m, m, m.Head(), int64(key)) })
 			if st == sim.OK {
 				return result
 			}
@@ -494,114 +222,231 @@ func (h *SimHash) Contains(t *sim.Thread, key uint64) bool {
 	}
 	h.epoch.Enter(t)
 	defer h.epoch.Exit(t)
-	for {
-		hn := sim.Addr(t.Load(h.headPtr))
-		size := t.Load(hn + hnSize)
-		i := hashIndex(key, size)
-		w := t.Load(bucketWordAddr(hn, i))
-		if hbNode(w) == 0 {
-			// Read the (complete) predecessor generation instead of
-			// initializing, keeping the baseline lookup wait-free.
-			pred := sim.Addr(t.Load(hn + hnPred))
-			if pred == 0 {
-				h.initBucket(t, hn, i)
-				continue
-			}
-			psize := t.Load(pred + hnSize)
-			if size == psize*2 {
-				if r, ok := h.scanBucket(t, pred, i&sim.Addr(psize-1), key); ok {
-					return r
-				}
-				continue
-			}
-			if r, ok := h.scanBucket(t, pred, i, key); ok && r {
-				return true
-			} else if !ok {
-				continue
-			}
-			if r, ok := h.scanBucket(t, pred, i+sim.Addr(size), key); ok {
-				return r
-			}
-			continue
-		}
-		if r, ok := h.scanBucket(t, hn, i, key); ok {
-			return r
-		}
-	}
-}
-
-// scanTx scans bucket i of generation hn inside a transaction.
-func (h *SimHash) scanTx(t *sim.Thread, hn sim.Addr, i sim.Addr, key uint64) bool {
-	n := hbNode(t.Load(bucketWordAddr(hn, i)))
-	if n == 0 {
-		t.TxAbort(1)
-	}
-	return h.scanTx2(t, n, key)
-}
-
-// scanTx2 scans the node's values inside a transaction (no double-check
-// needed: strong atomicity keeps the view consistent).
-func (h *SimHash) scanTx2(t *sim.Thread, n sim.Addr, key uint64) bool {
-	ln := t.Load(n + fsLen)
-	for j := uint64(0); j < ln; j++ {
-		if t.Load(n+fsVals+sim.Addr(j)) == key {
-			return true
-		}
-	}
-	return false
+	return hashtable.Contains(m, int64(key))
 }
 
 // Stabilize initializes every bucket of the current generation (a warmup
 // helper for benchmarks: a long-lived table reaches this state on its own).
 func (h *SimHash) Stabilize(t *sim.Thread) {
-	hn := sim.Addr(t.Load(h.headPtr))
-	size := t.Load(hn + hnSize)
-	for i := sim.Addr(0); i < sim.Addr(size); i++ {
-		h.initBucket(t, hn, i)
-	}
-	t.Store(hn+hnPred, 0)
-}
-
-// scanBucket scans one bucket for key; ok=false means the bucket moved
-// under the scan (in-place variant) and the caller must retry.
-func (h *SimHash) scanBucket(t *sim.Thread, hn sim.Addr, i sim.Addr, key uint64) (bool, bool) {
-	w := t.Load(bucketWordAddr(hn, i))
-	n := hbNode(w)
-	if n == 0 {
-		return false, false
-	}
-	ln := t.Load(n + fsLen)
-	found := false
-	for j := uint64(0); j < ln; j++ {
-		if t.Load(n+fsVals+sim.Addr(j)) == key {
-			found = true
-			break
-		}
-	}
-	if h.kind == HashInplace && t.Load(n+fsFlags)&1 == 1 {
-		if t.Load(bucketWordAddr(hn, i)) != w {
-			return false, false
-		}
-	}
-	return found, true
+	m := h.mem(t)
+	g := m.Head()
+	hashtable.Complete(m, g, m.Size(g))
 }
 
 // Keys returns a snapshot of the elements (setup/verification helper).
 func (h *SimHash) Keys(t *sim.Thread) []uint64 {
-	hn := sim.Addr(t.Load(h.headPtr))
-	size := t.Load(hn + hnSize)
 	var out []uint64
-	for i := sim.Addr(0); i < sim.Addr(size); i++ {
-		for {
-			w, vals, _, ok := h.snapshot(t, hn, i)
-			if ok {
-				out = append(out, vals...)
-				break
-			}
-			if hbNode(w) == 0 {
-				h.initBucket(t, hn, i)
-			}
-		}
+	for _, k := range hashtable.Keys(h.mem(t)) {
+		out = append(out, uint64(k))
 	}
 	return out
 }
+
+// hashMem is thread t's hashtable.Mem on h, and its TxMem in a prefix
+// transaction, whose loads the machine makes transactional. Its buffers are
+// reused from operation to operation, so that copying a bucket's values
+// costs the host no allocation: snap backs the values a bucket read
+// returns, good until the thread's next one; vals backs the bucket an
+// update builds from them. c is the composed operation of hashCtx.
+type hashMem struct {
+	h          *SimHash
+	t          *sim.Thread
+	c          *simtxn.Ctx
+	snap, vals []int64
+}
+
+// mem is t's hashMem on h.
+func (h *SimHash) mem(t *sim.Thread) *hashMem {
+	m := &h.mems[t.ID()]
+	m.h, m.t = h, t
+	return m
+}
+
+func (m *hashMem) Head() hashtable.Gen { return hashtable.Gen{Addr: m.t.Load(m.h.headPtr)} }
+
+func (m *hashMem) Size(g hashtable.Gen) int {
+	return int(m.t.Load(sim.Addr(g.Addr) + hnSize))
+}
+
+func (m *hashMem) Pred(g hashtable.Gen) hashtable.Gen {
+	return hashtable.Gen{Addr: m.t.Load(sim.Addr(g.Addr) + hnPred)}
+}
+
+func (m *hashMem) Unlink(g hashtable.Gen) { m.t.Store(sim.Addr(g.Addr)+hnPred, 0) }
+
+func (m *hashMem) Uninit(g hashtable.Gen, i int) bool {
+	return hbNode(m.t.Load(bucketWord(g, i))) == 0
+}
+
+// Bucket reads the word, the flags, the length and every value; the
+// in-place variant double-checks a live bucket's (pointer, counter) word,
+// since in-place updates shift values under a scan.
+func (m *hashMem) Bucket(g hashtable.Gen, i int) (hashtable.Word, []int64, hashtable.State) {
+	t, bw := m.t, bucketWord(g, i)
+	w := t.Load(bw)
+	n := hbNode(w)
+	if n == 0 {
+		return hashtable.Word{Bits: w}, nil, hashtable.Uninit
+	}
+	live := t.Load(n+fsFlags)&1 == 1
+	ln := t.Load(n + fsLen)
+	vals := m.snap[:0]
+	for j := uint64(0); j < ln; j++ {
+		vals = append(vals, int64(t.Load(n+fsVals+sim.Addr(j))))
+	}
+	m.snap = vals
+	switch {
+	case !live:
+		return hashtable.Word{Bits: w}, vals, hashtable.Frozen
+	case m.h.kind == HashInplace && t.Load(bw) != w:
+		return hashtable.Word{Bits: w}, nil, hashtable.Moved
+	}
+	return hashtable.Word{Bits: w}, vals, hashtable.Live
+}
+
+// Scan reads the word, the length and the values up to key, and then, in
+// the in-place variant, a live bucket's word again.
+func (m *hashMem) Scan(g hashtable.Gen, i int, key int64) (found, ok bool) {
+	t, bw := m.t, bucketWord(g, i)
+	w := t.Load(bw)
+	n := hbNode(w)
+	if n == 0 {
+		return false, false
+	}
+	at, _ := scan(t, n, key)
+	if m.h.kind == HashInplace && t.Load(n+fsFlags)&1 == 1 && t.Load(bw) != w {
+		return false, false
+	}
+	return at >= 0, true
+}
+
+// scan reads node n's length and its values up to key, reporting key's
+// position (-1: absent) and the length.
+func scan(t *sim.Thread, n sim.Addr, key int64) (at, ln int) {
+	l := t.Load(n + fsLen)
+	for j := uint64(0); j < l; j++ {
+		if t.Load(n+fsVals+sim.Addr(j)) == uint64(key) {
+			return int(j), int(l)
+		}
+	}
+	return -1, int(l)
+}
+
+// Replace retires the replaced node through the epoch, or frees its own
+// copy when it loses the CAS.
+func (m *hashMem) Replace(g hashtable.Gen, i int, w hashtable.Word, vals []int64, key int64, add bool) bool {
+	t := m.t
+	nn := m.copyNode(vals, key, add)
+	if t.CAS(bucketWord(g, i), w.Bits, hbPack(nn, hbCtr(w.Bits)+1)) {
+		m.h.retirers[t.ID()].Retire(t, hbNode(w.Bits), fsVals+len(vals))
+		return true
+	}
+	t.Free(nn, fsVals+len(m.vals))
+	return false
+}
+
+// Set installs a live node as newNode allocates it, or a frozen one of
+// exact size whose flags word is 0.
+func (m *hashMem) Set(g hashtable.Gen, i int, w hashtable.Word, vals []int64, live bool) bool {
+	t := m.t
+	var n sim.Addr
+	if live {
+		n = m.h.newNode(t, vals)
+	} else {
+		n = t.Alloc(fsVals + len(vals))
+		t.Store(n+fsFlags, 0)
+		t.Store(n+fsLen, uint64(len(vals)))
+		for j, v := range vals {
+			t.Store(n+fsVals+sim.Addr(j), uint64(v))
+		}
+	}
+	return t.CAS(bucketWord(g, i), w.Bits, hbPack(n, hbCtr(w.Bits)+1))
+}
+
+func (m *hashMem) Install(g hashtable.Gen, size int) {
+	t := m.t
+	nh := t.Alloc(hnBuckets + size)
+	t.Store(nh+hnSize, uint64(size))
+	t.Store(nh+hnPred, g.Addr)
+	t.CAS(m.h.headPtr, g.Addr, uint64(nh))
+}
+
+// Count applies the growth policy after an insert: double when the key's
+// bucket holds more than hashBucketThreshold values.
+func (m *hashMem) Count(key int64, add bool) {
+	if !add {
+		return
+	}
+	g := m.Head()
+	w := m.t.Load(bucketWord(g, hashtable.Index(key, m.Size(g))))
+	if n := hbNode(w); n != 0 && m.t.Load(n+fsLen) > hashBucketThreshold {
+		hashtable.Resize(m, g, true)
+	}
+}
+
+// Find reads the word, the flags and the values up to key.
+func (m *hashMem) Find(g hashtable.Gen, i int, key int64) (hashtable.Word, int, int, hashtable.State) {
+	t := m.t
+	w := t.Load(bucketWord(g, i))
+	n := hbNode(w)
+	if n == 0 {
+		return hashtable.Word{Bits: w}, 0, -1, hashtable.Uninit
+	}
+	if t.Load(n+fsFlags)&1 == 0 {
+		return hashtable.Word{Bits: w}, 0, -1, hashtable.Frozen
+	}
+	at, ln := scan(t, n, key)
+	return hashtable.Word{Bits: w}, ln, at, hashtable.Live
+}
+
+// Lookup reads the word and the values up to key: strong atomicity keeps
+// the view consistent, so nothing is double-checked.
+func (m *hashMem) Lookup(g hashtable.Gen, i int, key int64) (bool, hashtable.State) {
+	n := hbNode(m.t.Load(bucketWord(g, i)))
+	if n == 0 {
+		return false, hashtable.Uninit
+	}
+	at, _ := scan(m.t, n, key)
+	return at >= 0, hashtable.Live
+}
+
+// Put stages the update. The plain PTO variant keeps copy-on-write
+// (allocation and copy inside the transaction); the in-place variant is
+// §3.3's modification: it writes into the node's array and bumps the bucket
+// counter, allocating nothing. Its nodes were allocated with slack; a full
+// one aborts (3), and the fallback replaces it with a larger one.
+func (m *hashMem) Put(g hashtable.Gen, i int, w hashtable.Word, ln, at int, key int64, add bool) {
+	t, bw, n := m.t, bucketWord(g, i), hbNode(w.Bits)
+	if m.h.kind == HashInplace {
+		l := uint64(ln)
+		if add {
+			if l == t.Load(n+fsFlags)>>16 {
+				t.TxAbort(3)
+			}
+			t.Store(n+fsVals+sim.Addr(l), uint64(key))
+			t.Store(n+fsLen, l+1)
+		} else {
+			if at != ln-1 {
+				t.Store(n+fsVals+sim.Addr(at), t.Load(n+fsVals+sim.Addr(l-1)))
+			}
+			t.Store(n+fsLen, l-1)
+		}
+		t.Store(bw, hbPack(n, hbCtr(w.Bits)+1))
+		return
+	}
+	vals := m.snap[:0]
+	for j := 0; j < ln; j++ {
+		vals = append(vals, int64(t.Load(n+fsVals+sim.Addr(j))))
+	}
+	m.snap = vals
+	t.Store(bw, hbPack(m.copyNode(vals, key, add), hbCtr(w.Bits)+1))
+}
+
+// copyNode allocates the node of vals with key added or removed.
+func (m *hashMem) copyNode(vals []int64, key int64, add bool) sim.Addr {
+	m.vals = hashtable.Cow(m.vals[:0], vals, key, add)
+	return m.h.newNode(m.t, m.vals)
+}
+
+func (m *hashMem) Abort(code int)    { m.t.TxAbort(code) }
+func (m *hashMem) Speculative() bool { return true }

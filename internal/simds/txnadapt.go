@@ -1,6 +1,7 @@
 package simds
 
 import (
+	"repro/internal/hashtable"
 	"repro/internal/sim"
 	"repro/internal/simtxn"
 )
@@ -119,80 +120,98 @@ func (b *SimBST) TxRemove(c *simtxn.Ctx, key uint64) bool {
 	return true
 }
 
-// txBucket locates key's bucket with Peeks and Reads the bucket word — the
-// hash table's whole validation window: copy-on-write updates replace the
-// node and bump the counter, so a stable bucket word pins the bucket's
-// contents. Requires a stabilized table (every bucket initialized, no
-// resize in flight); composed updates never grow the table, keeping the
-// closed world resize-free.
-func (h *SimHash) txBucket(c *simtxn.Ctx, key uint64) (bw sim.Addr, w uint64, n sim.Addr) {
-	hn := sim.Addr(c.Peek(h.headPtr))
-	size := c.Peek(hn + hnSize)
-	bw = bucketWordAddr(hn, hashIndex(key, size))
-	w = c.Read(bw)
-	n = hbNode(w)
-	if n == 0 || c.Peek(n+fsFlags)&1 == 0 {
-		c.Retry() // uninitialized or frozen: the table was not stabilized
-	}
-	return
-}
-
-// txScan reports whether key is in node n (Peek-only: published nodes are
-// immutable under the closed world's copy-on-write updates).
-func (h *SimHash) txScan(c *simtxn.Ctx, n sim.Addr, key uint64) bool {
-	ln := c.PeekRaw(n + fsLen)
-	for j := uint64(0); j < ln; j++ {
-		if c.PeekRaw(n+fsVals+sim.Addr(j)) == key {
-			return true
-		}
-	}
-	return false
-}
+// The hash table's composed adapters are hashtable/algo.go's TxContains
+// and TxUpdate over hashCtx. The head is a Peek: the validation window is
+// the bucket word, since copy-on-write updates replace the node and bump
+// the counter, so a stable bucket word pins the bucket's contents, and a
+// frozen bucket retries. Composed updates never grow the table, so a table
+// stabilized before they run stays resize-free.
 
 // TxContains reports membership as part of a composed operation.
 func (h *SimHash) TxContains(c *simtxn.Ctx, key uint64) bool {
-	_, _, n := h.txBucket(c, key)
-	return h.txScan(c, n, key)
-}
-
-// txApply is the composed insert/remove: always copy-on-write (even for
-// the in-place variant — a single staged bucket-word write keeps the
-// MultiCAS footprint at one word per set operation).
-func (h *SimHash) txApply(c *simtxn.Ctx, key uint64, add bool) bool {
-	t := c.Thread()
-	bw, w, n := h.txBucket(c, key)
-	hasKey := h.txScan(c, n, key)
-	if add == hasKey {
-		return false
-	}
-	ln := c.PeekRaw(n + fsLen)
-	var vals []uint64
-	for j := uint64(0); j < ln; j++ {
-		v := c.PeekRaw(n + fsVals + sim.Addr(j))
-		if !add && v == key {
-			continue
-		}
-		vals = append(vals, v)
-	}
-	if add {
-		vals = append(vals, key)
-	}
-	nn := h.newNode(t, vals) // private until the bucket word publishes it
-	c.Write(bw, hbPack(nn, hbCtr(w)+1))
-	return true
+	x := h.ctx(c)
+	return hashtable.TxContains((*hashMem)(x), x, x.head(), int64(key))
 }
 
 // TxInsert adds key as part of a composed operation, reporting false if
 // present.
 func (h *SimHash) TxInsert(c *simtxn.Ctx, key uint64) bool {
-	return h.txApply(c, key, true)
+	x := h.ctx(c)
+	return hashtable.TxUpdate((*hashMem)(x), x, x.head(), int64(key), true)
 }
 
 // TxRemove deletes key as part of a composed operation, reporting false if
 // absent.
 func (h *SimHash) TxRemove(c *simtxn.Ctx, key uint64) bool {
-	return h.txApply(c, key, false)
+	x := h.ctx(c)
+	return hashtable.TxUpdate((*hashMem)(x), x, x.head(), int64(key), false)
 }
+
+// hashCtx is a composed operation's hashtable.TxMem: the bucket word is
+// Read, the rest Peeked, and a node's length and values, which no adapter
+// Reads or Writes, are PeekRaw. Updates are copy-on-write even for the
+// in-place variant: one staged bucket-word write keeps the MultiCAS
+// footprint at one word per set operation.
+type hashCtx hashMem
+
+// ctx is c's thread's hashCtx on h.
+func (h *SimHash) ctx(c *simtxn.Ctx) *hashCtx {
+	m := h.mem(c.Thread())
+	m.c = c
+	return (*hashCtx)(m)
+}
+
+func (x *hashCtx) head() hashtable.Gen { return hashtable.Gen{Addr: x.c.Peek(x.h.headPtr)} }
+
+func (x *hashCtx) Size(g hashtable.Gen) int {
+	return int(x.c.Peek(sim.Addr(g.Addr) + hnSize))
+}
+
+func (x *hashCtx) Pred(g hashtable.Gen) hashtable.Gen {
+	return hashtable.Gen{Addr: x.c.Peek(sim.Addr(g.Addr) + hnPred)}
+}
+
+// Find reads the word, the flags, the length and the values up to key.
+func (x *hashCtx) Find(g hashtable.Gen, i int, key int64) (hashtable.Word, int, int, hashtable.State) {
+	c := x.c
+	w := c.Read(bucketWord(g, i))
+	n := hbNode(w)
+	if n == 0 {
+		return hashtable.Word{Bits: w}, 0, -1, hashtable.Uninit
+	}
+	st := hashtable.Live
+	if c.Peek(n+fsFlags)&1 == 0 {
+		st = hashtable.Frozen
+	}
+	ln := c.PeekRaw(n + fsLen)
+	for j := uint64(0); j < ln; j++ {
+		if c.PeekRaw(n+fsVals+sim.Addr(j)) == uint64(key) {
+			return hashtable.Word{Bits: w}, int(ln), int(j), st
+		}
+	}
+	return hashtable.Word{Bits: w}, int(ln), -1, st
+}
+
+func (x *hashCtx) Lookup(g hashtable.Gen, i int, key int64) (bool, hashtable.State) {
+	_, _, at, st := x.Find(g, i, key)
+	return at >= 0, st
+}
+
+// Put reads the length and the values again and stages the copy.
+func (x *hashCtx) Put(g hashtable.Gen, i int, w hashtable.Word, _, _ int, key int64, add bool) {
+	c, n := x.c, hbNode(w.Bits)
+	ln := c.PeekRaw(n + fsLen)
+	vals := x.snap[:0]
+	for j := uint64(0); j < ln; j++ {
+		vals = append(vals, int64(c.PeekRaw(n+fsVals+sim.Addr(j))))
+	}
+	x.snap = vals
+	nn := (*hashMem)(x).copyNode(vals, key, add) // private until the bucket word publishes it
+	c.Write(bucketWord(g, i), hbPack(nn, hbCtr(w.Bits)+1))
+}
+
+func (x *hashCtx) Abort(int)         { x.c.Retry() }
+func (x *hashCtx) Speculative() bool { return x.c.Speculative() }
 
 // txFind is the skiplist's non-helping search (cf. the runtime adapter in
 // internal/skiplist): marked nodes are skipped in place rather than snipped,
