@@ -24,11 +24,43 @@ type realSet interface {
 	Contains(k int64) bool
 }
 
+// resizing is a realSet whose table a goroutine grows and shrinks while
+// each history runs, so that lookups read through the predecessor table and
+// updates meet frozen buckets.
+type resizing struct {
+	realSet
+	table interface {
+		Grow()
+		Shrink()
+	}
+}
+
 func checkRealSet(t *testing.T, name string, mk func() realSet) {
 	t.Helper()
 	const goroutines, opsPer, rounds = 3, 10, 12
 	for round := 0; round < rounds; round++ {
 		s := mk()
+		done := make(chan struct{})
+		var resizer sync.WaitGroup
+		if r, ok := s.(resizing); ok {
+			resizer.Add(1)
+			started := make(chan struct{})
+			go func() {
+				defer resizer.Done()
+				r.table.Grow()
+				close(started) // the history begins on a table mid-resize
+				for {
+					select {
+					case <-done:
+						return
+					default:
+						r.table.Grow()
+						r.table.Shrink()
+					}
+				}
+			}()
+			<-started
+		}
 		base := time.Now()
 		histories := make([][]Op, goroutines)
 		var wg sync.WaitGroup
@@ -58,6 +90,8 @@ func checkRealSet(t *testing.T, name string, mk func() realSet) {
 			}(g)
 		}
 		wg.Wait()
+		close(done)
+		resizer.Wait()
 		var all []Op
 		for _, h := range histories {
 			all = append(all, h...)
@@ -78,6 +112,23 @@ func TestLinearizableRealBST(t *testing.T) {
 func TestLinearizableRealHash(t *testing.T) {
 	checkRealSet(t, "hash-lockfree", func() realSet { return hashtable.NewTable(2) })
 	checkRealSet(t, "hash-pto", func() realSet { return hashtable.NewPTOTable(2, 0) })
+	checkRealSet(t, "hash-composed", func() realSet {
+		m := txn.New(0)
+		return txnSet{m, hashtable.NewPTOTableIn(m.Domain(), 2, 0)}
+	})
+	checkRealSet(t, "hash-lockfree-resizing", func() realSet {
+		h := hashtable.NewTable(2)
+		return resizing{h, h}
+	})
+	checkRealSet(t, "hash-pto-resizing", func() realSet {
+		h := hashtable.NewPTOTable(2, 0)
+		return resizing{h, h}
+	})
+	checkRealSet(t, "hash-composed-resizing", func() realSet {
+		m := txn.New(0)
+		h := hashtable.NewPTOTableIn(m.Domain(), 2, 0)
+		return resizing{txnSet{m, h}, h}
+	})
 }
 
 func TestLinearizableRealSkiplist(t *testing.T) {

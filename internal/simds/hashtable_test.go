@@ -73,14 +73,30 @@ func TestSimHashGrowth(t *testing.T) {
 	}
 }
 
+// TestSimHashConcurrentBalance runs each variant, and the PTO table whose
+// even threads run through a copy with the transactions off ("mixed"), so
+// that the original protocol's updates meet prefix transactions on the same
+// buckets.
 func TestSimHashConcurrentBalance(t *testing.T) {
 	forPolicies(t, func(t *testing.T, pol speculate.Policy) {
-		for name, kind := range hashKinds() {
+		kinds := hashKinds()
+		kinds["mixed"] = HashPTO
+		for name, kind := range kinds {
 			m := sim.New(sim.DefaultConfig(8))
 			h := NewSimHash(m.Thread(0), kind, 8, 8).WithPolicy(pol)
+			even := h
+			if name == "mixed" {
+				lf := *h
+				lf.kind = HashLF
+				even = &lf
+			}
 			const keys = 128
 			var ins, rem [8][keys]int
 			m.Run(func(t *sim.Thread) {
+				h := h
+				if t.ID()%2 == 0 {
+					h = even
+				}
 				for i := 0; i < 150; i++ {
 					k := t.Rand() % keys
 					switch t.Rand() % 3 {
