@@ -12,6 +12,14 @@
 // splitting or merging their contents. An update that finds its bucket
 // frozen re-reads the table head, which by then has advanced.
 //
+// That algorithm exists once, in algo.go: the original protocol, the prefix
+// transactions and the composed adapters, over the memory contracts Mem and
+// TxMem. Table implements Mem on atomics, PTOTable (pto.go) on htm Vars,
+// and simds.SimHash on the modeled machine's words. What stays with each
+// substrate is what pins its numbers: the growth trigger (here count >
+// growFactor·size, which Len reads), lazy bucket initialization from
+// construction, the attempt loops, and the modeled in-place variant.
+//
 // The baseline interacts with an epoch-based reclaimer exactly as the
 // paper's C++ port does: every operation — including read-only lookups —
 // brackets itself with Enter/Exit (two ordered stores each way), and
@@ -195,18 +203,19 @@ func (t *Table) newVals(capHint int) []int64 {
 	return make([]int64, 0, capHint)
 }
 
-// resize runs Resize under an epoch bracket.
-func (t *Table) resize(grow bool) {
+// Grow forces a doubling of the current table.
+func (t *Table) Grow() {
 	o := t.enter()
 	defer t.exit(o)
-	Resize(o, o.Head(), grow)
+	Resize(o, o.Head(), true)
 }
 
-// Grow forces a doubling of the current table.
-func (t *Table) Grow() { t.resize(true) }
-
 // Shrink forces a halving of the current table.
-func (t *Table) Shrink() { t.resize(false) }
+func (t *Table) Shrink() {
+	o := t.enter()
+	defer t.exit(o)
+	Resize(o, o.Head(), false)
+}
 
 // Size returns the current bucket count.
 func (t *Table) Size() int { return t.head.Load().size }

@@ -231,15 +231,10 @@ func put(w Word, key int64, add bool) *fnode {
 }
 
 // Grow forces a doubling of the current table.
-func (t *PTOTable) Grow() { t.resize(true) }
+func (t *PTOTable) Grow() { Resize(t.mem(), t.mem().Head(), true) }
 
 // Shrink forces a halving of the current table.
-func (t *PTOTable) Shrink() { t.resize(false) }
-
-func (t *PTOTable) resize(grow bool) {
-	m := t.mem()
-	Resize(m, m.Head(), grow)
-}
+func (t *PTOTable) Shrink() { Resize(t.mem(), t.mem().Head(), false) }
 
 // Size returns the current bucket count.
 func (t *PTOTable) Size() int { return htm.Load(nil, &t.head).size }

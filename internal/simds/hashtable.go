@@ -14,10 +14,12 @@ import (
 // Figure 4) on the simulated machine. The algorithm is internal/hashtable's
 // own — the copy-on-write protocol, its prefix transactions and its
 // composed adapters run from hashtable/algo.go over the modeled words of
-// the hashtable.Mem and TxMem below. What stays here is what pins the
-// figures: the growth trigger (a bucket over hashBucketThreshold values),
-// construction (every bucket initialized up front), the attempt loops, and
-// HashInplace's in-place prefix body.
+// the hashtable.Mem and TxMem below. A bucket's read is one call of
+// theirs, so the modeled loads keep the order the figures were captured
+// with. What stays here is what pins the figures: the growth trigger (a
+// bucket over hashBucketThreshold values), construction (every bucket
+// initialized up front), the attempt loops, and HashInplace's in-place
+// prefix body.
 //
 // Buckets live in a table generation (hnode); each bucket word packs (fset
 // node address << 16 | counter). The lock-free baseline updates buckets by
