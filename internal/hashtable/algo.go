@@ -58,9 +58,14 @@ type Mem interface {
 	// Replace swings bucket i of g from w, which holds vals, to a live copy
 	// with key added or removed (Cow), retiring w if it succeeds.
 	Replace(g Gen, i int, w Word, vals []int64, key int64, add bool) bool
-	// Set swings bucket i of g from w (the zero Word: uninitialized) to a
-	// live or frozen node holding vals.
-	Set(g Gen, i int, w Word, vals []int64, live bool) bool
+	// Freeze swings bucket i of g from w to a frozen copy of vals.
+	Freeze(g Gen, i int, w Word, vals []int64) bool
+	// Buf returns an empty buffer for a bucket's first values, which Init
+	// takes back: the modeled machine reuses its thread's.
+	Buf() []int64
+	// Init installs vals, built in Buf's buffer, in bucket i of g unless
+	// another thread has.
+	Init(g Gen, i int, vals []int64)
 	// Install replaces head g by a new generation of size buckets whose
 	// predecessor is g, unless another thread has replaced it.
 	Install(g Gen, size int)
@@ -199,7 +204,7 @@ func initBucket(m Mem, g Gen, i int) {
 	}
 	size := m.Size(g)
 	pred := m.Pred(g)
-	var vals []int64
+	vals := m.Buf()
 	if pred != (Gen{}) {
 		if psize := m.Size(pred); size == 2*psize {
 			// Doubling: bucket i receives the matching half of the parent.
@@ -214,7 +219,7 @@ func initBucket(m Mem, g Gen, i int) {
 			vals = append(vals, freeze(m, pred, i+size)...)
 		}
 	}
-	m.Set(g, i, Word{}, vals, true)
+	m.Init(g, i, vals)
 }
 
 // freeze makes bucket i of g immutable and returns its final contents.
@@ -227,7 +232,7 @@ func freeze(m Mem, g Gen, i int) []int64 {
 		case Frozen:
 			return vals
 		case Live:
-			if m.Set(g, i, w, vals, false) {
+			if m.Freeze(g, i, w, vals) {
 				return vals
 			}
 		}

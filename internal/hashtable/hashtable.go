@@ -172,8 +172,14 @@ func (o *op) Replace(g Gen, i int, w Word, vals []int64, key int64, add bool) bo
 	return true
 }
 
-func (*op) Set(g Gen, i int, w Word, vals []int64, live bool) bool {
-	return g.lf.buckets[i].CompareAndSwap(w.n, &fnode{vals: vals, ok: live})
+func (*op) Freeze(g Gen, i int, w Word, vals []int64) bool {
+	return g.lf.buckets[i].CompareAndSwap(w.n, &fnode{vals: vals, ok: false})
+}
+
+func (*op) Buf() []int64 { return nil }
+
+func (*op) Init(g Gen, i int, vals []int64) {
+	g.lf.buckets[i].CompareAndSwap(nil, &fnode{vals: vals, ok: true})
 }
 
 func (o *op) Install(g Gen, size int) {

@@ -157,8 +157,14 @@ func (*ptoMem) Replace(g Gen, i int, w Word, vals []int64, key int64, add bool) 
 	return htm.CAS(nil, &g.pto.buckets[i], w.n, &fnode{vals: nv, ok: true})
 }
 
-func (*ptoMem) Set(g Gen, i int, w Word, vals []int64, live bool) bool {
-	return htm.CAS(nil, &g.pto.buckets[i], w.n, &fnode{vals: vals, ok: live})
+func (*ptoMem) Freeze(g Gen, i int, w Word, vals []int64) bool {
+	return htm.CAS(nil, &g.pto.buckets[i], w.n, &fnode{vals: vals, ok: false})
+}
+
+func (*ptoMem) Buf() []int64 { return nil }
+
+func (*ptoMem) Init(g Gen, i int, vals []int64) {
+	htm.CAS(nil, &g.pto.buckets[i], nil, &fnode{vals: vals, ok: true})
 }
 
 func (m *ptoMem) Install(g Gen, size int) {

@@ -347,22 +347,32 @@ func (m *hashMem) Replace(g hashtable.Gen, i int, w hashtable.Word, vals []int64
 	return false
 }
 
-// Set installs a live node as newNode allocates it, or a frozen one of
-// exact size whose flags word is 0.
-func (m *hashMem) Set(g hashtable.Gen, i int, w hashtable.Word, vals []int64, live bool) bool {
+// Freeze installs an exact-size copy whose flags word is 0.
+func (m *hashMem) Freeze(g hashtable.Gen, i int, w hashtable.Word, vals []int64) bool {
 	t := m.t
-	var n sim.Addr
-	if live {
-		n = m.h.newNode(t, vals)
-	} else {
-		n = t.Alloc(fsVals + len(vals))
-		t.Store(n+fsFlags, 0)
-		t.Store(n+fsLen, uint64(len(vals)))
-		for j, v := range vals {
-			t.Store(n+fsVals+sim.Addr(j), uint64(v))
-		}
+	fz := t.Alloc(fsVals + len(vals))
+	t.Store(fz+fsFlags, 0)
+	t.Store(fz+fsLen, uint64(len(vals)))
+	for j, v := range vals {
+		t.Store(fz+fsVals+sim.Addr(j), uint64(v))
 	}
-	return t.CAS(bucketWord(g, i), w.Bits, hbPack(n, hbCtr(w.Bits)+1))
+	return t.CAS(bucketWord(g, i), w.Bits, hbPack(fz, hbCtr(w.Bits)+1))
+}
+
+// Buf takes the thread's build buffer rather than borrowing it: initBucket
+// may come back here through freeze for a bucket of the predecessor, and
+// that nested call finds none and grows its own.
+func (m *hashMem) Buf() []int64 {
+	b := m.vals[:0]
+	m.vals = nil
+	return b
+}
+
+// Init copies vals into a new node and gives the buffer back.
+func (m *hashMem) Init(g hashtable.Gen, i int, vals []int64) {
+	n := m.h.newNode(m.t, vals)
+	m.vals = vals
+	m.t.CAS(bucketWord(g, i), hbPack(0, 0), hbPack(n, 1))
 }
 
 func (m *hashMem) Install(g hashtable.Gen, size int) {
