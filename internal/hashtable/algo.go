@@ -119,17 +119,18 @@ func Has(vals []int64, key int64) bool {
 }
 
 // Cow appends to buf the bucket vals with key added (add; key is absent)
-// or removed: the copy-on-write update.
+// or removed: the copy-on-write update. It copies in at most two runs, not
+// value by value: on a short operation the difference shows.
 func Cow(buf, vals []int64, key int64, add bool) []int64 {
-	for _, v := range vals {
-		if v != key {
-			buf = append(buf, v)
+	if add {
+		return append(append(buf, vals...), key)
+	}
+	for i, v := range vals {
+		if v == key {
+			return append(append(buf, vals[:i]...), vals[i+1:]...)
 		}
 	}
-	if add {
-		buf = append(buf, key)
-	}
-	return buf
+	return append(buf, vals...)
 }
 
 // Update inserts (add) or removes key by the original protocol, reporting

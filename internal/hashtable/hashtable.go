@@ -160,7 +160,7 @@ func (*op) Scan(g Gen, i int, key int64) (found, ok bool) {
 // Replace builds the copy in an array the reclaimer has returned, and
 // retires the replaced node's array through the operation's handle.
 func (o *op) Replace(g Gen, i int, w Word, vals []int64, key int64, add bool) bool {
-	nv := Cow(o.t.newVals(len(vals)+1), vals, key, add)
+	nv := Cow(o.t.newVals(cowLen(vals, add)), vals, key, add)
 	if !g.lf.buckets[i].CompareAndSwap(w.n, &fnode{vals: nv, ok: true}) {
 		return false
 	}

@@ -153,7 +153,7 @@ func (*ptoMem) Scan(g Gen, i int, key int64) (found, ok bool) {
 // Replace retires nothing: a prefix lookup reads bucket arrays outside any
 // epoch bracket, so none may be recycled.
 func (*ptoMem) Replace(g Gen, i int, w Word, vals []int64, key int64, add bool) bool {
-	nv := Cow(make([]int64, 0, len(vals)+1), vals, key, add)
+	nv := Cow(make([]int64, 0, cowLen(vals, add)), vals, key, add)
 	return htm.CAS(nil, &g.pto.buckets[i], w.n, &fnode{vals: nv, ok: true})
 }
 
@@ -233,7 +233,16 @@ func lookup(b *fnode, key int64) (bool, State) {
 
 func put(w Word, key int64, add bool) *fnode {
 	vals := w.n.vals
-	return &fnode{vals: Cow(make([]int64, 0, len(vals)+1), vals, key, add), ok: true}
+	return &fnode{vals: Cow(make([]int64, 0, cowLen(vals, add)), vals, key, add), ok: true}
+}
+
+// cowLen is the length of vals after Cow adds (add) or removes a key: the
+// runtime's copies are allocated to size.
+func cowLen(vals []int64, add bool) int {
+	if add {
+		return len(vals) + 1
+	}
+	return len(vals) - 1
 }
 
 // Grow forces a doubling of the current table.

@@ -41,7 +41,7 @@ func (t *PTOTable) TxInsert(c *txn.Ctx, key int64) bool {
 	if !TxUpdate(t.mem(), (*ptoCtx)(c), t.txHead(c), key, true) {
 		return false
 	}
-	c.OnCommit(func() { t.mem().Count(key, true) })
+	c.OnCommit(func() { t.mem().Count(0, true) }) // the runtime count needs no key
 	return true
 }
 
@@ -51,7 +51,7 @@ func (t *PTOTable) TxRemove(c *txn.Ctx, key int64) bool {
 	if !TxUpdate(t.mem(), (*ptoCtx)(c), t.txHead(c), key, false) {
 		return false
 	}
-	c.OnCommit(func() { t.mem().Count(key, false) })
+	c.OnCommit(func() { t.mem().Count(0, false) })
 	return true
 }
 
