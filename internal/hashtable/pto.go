@@ -29,6 +29,10 @@ type PTOTable struct {
 	insSite *speculate.Site
 	rmSite  *speculate.Site
 	conSite *speculate.Site
+
+	// onInsert and onRemove are the composed updates' OnCommit count hooks,
+	// made once per table so a composed update allocates none.
+	onInsert, onRemove func()
 }
 
 type pthnode struct {

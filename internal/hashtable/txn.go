@@ -23,6 +23,8 @@ func NewPTOTableIn(d *htm.Domain, buckets, attempts int) *PTOTable {
 	}
 	t := &PTOTable{domain: d, mgr: epoch.NewManager(), attempts: attempts}
 	t.handles.New = func() any { return t.mgr.Register() }
+	t.onInsert = func() { t.mem().Count(0, true) } // the runtime count needs no key
+	t.onRemove = func() { t.mem().Count(0, false) }
 	t.WithPolicy(speculate.Fixed(0))
 	t.head.Init(t.domain, nil)
 	htm.Store(nil, &t.head, t.newHNode(roundBuckets(buckets), nil))
@@ -41,7 +43,7 @@ func (t *PTOTable) TxInsert(c *txn.Ctx, key int64) bool {
 	if !TxUpdate(t.mem(), (*ptoCtx)(c), t.txHead(c), key, true) {
 		return false
 	}
-	c.OnCommit(func() { t.mem().Count(0, true) }) // the runtime count needs no key
+	c.OnCommit(t.onInsert)
 	return true
 }
 
@@ -51,7 +53,7 @@ func (t *PTOTable) TxRemove(c *txn.Ctx, key int64) bool {
 	if !TxUpdate(t.mem(), (*ptoCtx)(c), t.txHead(c), key, false) {
 		return false
 	}
-	c.OnCommit(func() { t.mem().Count(0, false) })
+	c.OnCommit(t.onRemove)
 	return true
 }
 
