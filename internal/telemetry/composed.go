@@ -27,11 +27,11 @@ func WidthBucketBound(i int) int {
 
 // WidthHistogram is a fixed-bucket histogram of small integer widths (MCAS
 // entry counts). The zero value is ready to use; all methods are safe for
-// concurrent use and never allocate.
+// concurrent use and never allocate. Like Histogram it keeps no count: the
+// snapshot derives it from the buckets.
 type WidthHistogram struct {
 	counts [NumWidthBuckets]atomic.Uint64
 	sum    atomic.Uint64
-	count  atomic.Uint64
 }
 
 // Observe records one width observation.
@@ -45,24 +45,24 @@ func (h *WidthHistogram) Observe(width int) {
 	}
 	h.counts[b].Add(1)
 	h.sum.Add(uint64(width))
-	h.count.Add(1)
 }
 
 // WidthHistogramSnapshot is a plain-value copy of a WidthHistogram.
 type WidthHistogramSnapshot struct {
 	Buckets [NumWidthBuckets]uint64 `json:"buckets"`
 	Sum     uint64                  `json:"sum"`
-	Count   uint64                  `json:"count"`
+	Count   uint64                  `json:"count"` // the sum of Buckets
 }
 
-// Snapshot copies the histogram's counters.
+// Snapshot copies the histogram's counters and derives Count from the
+// buckets copied.
 func (h *WidthHistogram) Snapshot() WidthHistogramSnapshot {
 	var s WidthHistogramSnapshot
 	for i := range h.counts {
 		s.Buckets[i] = h.counts[i].Load()
+		s.Count += s.Buckets[i]
 	}
 	s.Sum = h.sum.Load()
-	s.Count = h.count.Load()
 	return s
 }
 

@@ -179,3 +179,65 @@ func TestPrometheusExposition(t *testing.T) {
 		t.Errorf("300ns observation missing from the 512ns cumulative bucket\n%s", body)
 	}
 }
+
+// TestHistogramsConcurrentObserve has goroutines observe into one Histogram
+// and one WidthHistogram while another snapshots them. At quiescence the
+// derived Count equals both the number of Observe calls and the sum of the
+// buckets, and the sums are exact.
+func TestHistogramsConcurrentObserve(t *testing.T) {
+	const workers, per = 4, 5000
+	var h Histogram
+	var w WidthHistogram
+	var wantNs, wantWidth uint64
+	for g := 0; g < workers; g++ {
+		for i := 0; i < per; i++ {
+			wantNs += uint64(g*per+i) * 37
+			wantWidth += uint64(i%20 + 1)
+		}
+	}
+	var wg, observers sync.WaitGroup
+	done := make(chan struct{})
+	wg.Add(1)
+	go func() { // a scrape racing the observers
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				h.Snapshot()
+				w.Snapshot()
+			}
+		}
+	}()
+	for g := 0; g < workers; g++ {
+		observers.Add(1)
+		go func(g int) {
+			defer observers.Done()
+			for i := 0; i < per; i++ {
+				h.Observe(uint64(g*per+i) * 37)
+				w.Observe(i%20 + 1)
+			}
+		}(g)
+	}
+	observers.Wait()
+	close(done)
+	wg.Wait()
+
+	hs, ws := h.Snapshot(), w.Snapshot()
+	var hb, wb uint64
+	for _, c := range hs.Buckets {
+		hb += c
+	}
+	for _, c := range ws.Buckets {
+		wb += c
+	}
+	if hs.Count != workers*per || hb != hs.Count || hs.SumNs != wantNs {
+		t.Errorf("Histogram: count %d, bucket sum %d, sum %d; want %d, %d, %d",
+			hs.Count, hb, hs.SumNs, workers*per, workers*per, wantNs)
+	}
+	if ws.Count != workers*per || wb != ws.Count || ws.Sum != wantWidth {
+		t.Errorf("WidthHistogram: count %d, bucket sum %d, sum %d; want %d, %d, %d",
+			ws.Count, wb, ws.Sum, workers*per, workers*per, wantWidth)
+	}
+}
