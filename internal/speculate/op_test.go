@@ -11,7 +11,7 @@ import (
 // consumes feed entries until the Op refuses more attempts.
 func trace(s *Site, feed []Outcome) []string {
 	var out []string
-	o := s.Start(0, wallClock{})
+	o := s.Start(0, monoClock{})
 	i := 0
 	for level := 0; level < s.Levels(); level++ {
 		for o.Next(level) {

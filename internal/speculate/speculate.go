@@ -419,7 +419,7 @@ func BackoffSpan(units int, rnd uint64) int {
 	return units/2 + int(rnd%uint64(units+1))
 }
 
-// Clock is a driver's time source for the latency histogram: wall
+// Clock is a driver's time source for the latency histogram: monotonic
 // nanoseconds on the runtime, modeled cycles on the simulator.
 type Clock interface{ Now() uint64 }
 
@@ -535,14 +535,19 @@ func (o *Op) observe() {
 	o.clk = nil
 }
 
-// wallClock is the runtime's Clock: wall-clock nanoseconds.
-type wallClock struct{}
+// monoBase is the origin of monoClock's readings.
+var monoBase = time.Now()
 
-func (wallClock) Now() uint64 { return uint64(time.Now().UnixNano()) }
+// monoClock is the runtime's Clock: monotonic nanoseconds since monoBase.
+// time.Since reads only the monotonic clock, half the cost of time.Now's
+// wall and monotonic pair, and a step of the wall clock cannot move it.
+type monoClock struct{}
+
+func (monoClock) Now() uint64 { return uint64(time.Since(monoBase)) }
 
 // Run is the wall-clock driver over an Op: attempts are htm transactions
 // against the Run's domain, backoff is scheduler yields, latency is
-// nanoseconds, and every goroutine shares the site's one lane.
+// monotonic nanoseconds, and every goroutine shares the site's one lane.
 type Run struct {
 	Op
 	d *htm.Domain
@@ -550,7 +555,7 @@ type Run struct {
 
 // Begin starts one operation at the site against domain d.
 func (s *Site) Begin(d *htm.Domain) Run {
-	return Run{Op: s.Start(0, wallClock{}), d: d}
+	return Run{Op: s.Start(0, monoClock{}), d: d}
 }
 
 // Try runs one speculative attempt of the current level: waits out any

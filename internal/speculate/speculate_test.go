@@ -158,6 +158,52 @@ func TestMultiLevelCompositionAndCommitAccounting(t *testing.T) {
 	}
 }
 
+// TestLatencyObservedOncePerOperation extends the single operation above to
+// many: over a run whose operations commit at either level or fall back,
+// every operation lands exactly one latency observation, so summed over the
+// levels SpecNanos.Count is Commits + Fallbacks.
+func TestLatencyObservedOncePerOperation(t *testing.T) {
+	d := htm.NewDomain(0, 0)
+	reg := telemetry.NewRegistry()
+	site := Fixed(0).WithMetrics(reg).Site("t/latency", 1,
+		Level{Name: "pto1", Attempts: 2},
+		Level{Name: "pto2", Attempts: 2})
+	// An explicit abort exhausts a plain level, so each level makes one
+	// attempt. Aborting calls 1, 2 and 4 of every five makes the operations
+	// fall back, commit at level 0 and commit at level 1 in turn.
+	n := 0
+	body := func(tx *htm.Tx) {
+		if n++; n%5 == 1 || n%5 == 2 || n%5 == 4 {
+			tx.Abort(1)
+		}
+	}
+	const ops = 3000
+	for op := 0; op < ops; op++ {
+		r := site.Begin(d)
+		committed := false
+		for level := 0; level < site.Levels() && !committed; level++ {
+			for r.Next(level) {
+				if r.Try(body) == htm.Committed {
+					committed = true
+					break
+				}
+			}
+		}
+		if !committed {
+			r.Fallback()
+		}
+	}
+	l0 := reg.Site("t/latency/pto1").Snapshot()
+	l1 := reg.Site("t/latency/pto2").Snapshot()
+	if l0.Commits == 0 || l1.Commits == 0 || l0.Fallbacks+l1.Fallbacks == 0 {
+		t.Fatalf("the run did not exit every way: %+v, %+v", l0, l1)
+	}
+	exits := l0.Commits + l1.Commits + l0.Fallbacks + l1.Fallbacks
+	if got := l0.SpecNanos.Count + l1.SpecNanos.Count; got != exits || exits != ops {
+		t.Fatalf("latency observations = %d, commits + fallbacks = %d, operations = %d", got, exits, ops)
+	}
+}
+
 func TestSkipBurnsBudgetWithoutTransaction(t *testing.T) {
 	d := htm.NewDomain(0, 0)
 	reg := telemetry.NewRegistry()
@@ -324,20 +370,33 @@ func TestPerLevelAdaptiveIndependence(t *testing.T) {
 }
 
 // BenchmarkSiteEmptyTry times the attempt's fixed cost: Begin, Next(0) and
-// Try of an empty body on a Fixed(0) site, the shape the benchmark's
-// speculate.empty_try_ns probe times. Subtract a bare empty Atomically
-// (htm's BenchmarkEmptyTxn) for the engine's own share.
+// Try of an empty body on a Fixed(0) site. Subtract a bare empty Atomically
+// (htm's BenchmarkEmptyTxn) for the engine's own share. fixed is the shape
+// the benchmark's speculate.empty_try_ns probe times; metrics adds the
+// telemetry booking (two clock reads, the site's counters and the latency
+// histogram) that the sites of txn.Manager, semtx and the server's shards
+// pay on every operation.
 func BenchmarkSiteEmptyTry(b *testing.B) {
-	d := htm.NewDomain(0, 0)
-	site := Fixed(0).Site("b/empty", 1, Level{Name: "pto", Attempts: 3})
-	body := func(tx *htm.Tx) {}
-	for i := 0; i < b.N; i++ {
-		r := site.Begin(d)
-		for r.Next(0) {
-			if r.Try(body) == htm.Committed {
-				break
+	for _, c := range []struct {
+		name string
+		pol  Policy
+	}{
+		{"fixed", Fixed(0)},
+		{"metrics", Fixed(0).WithMetrics(telemetry.NewRegistry())},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			d := htm.NewDomain(0, 0)
+			site := c.pol.Site("b/empty", 1, Level{Name: "pto", Attempts: 3})
+			body := func(tx *htm.Tx) {}
+			for i := 0; i < b.N; i++ {
+				r := site.Begin(d)
+				for r.Next(0) {
+					if r.Try(body) == htm.Committed {
+						break
+					}
+				}
 			}
-		}
+		})
 	}
 }
 
