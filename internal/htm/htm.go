@@ -434,16 +434,17 @@ var txPool = sync.Pool{New: func() any { return new(Tx) }}
 // recycle returns tx to the pool as a zero Tx with capacity: cleared, so it
 // pins no value, Var or domain, and detached (live). The write index is
 // cleared over the length this attempt grew it to, so it is all zero, to its
-// capacity, whenever an attempt begins.
+// capacity, whenever an attempt begins. The fields are reset one by one: a
+// whole-struct assignment copies the struct through the GC's bulk write
+// barrier while the collector is marking, a cost every attempt would pay.
 func (tx *Tx) recycle() {
 	clear(tx.readLog)
 	clear(tx.writeLog)
 	clear(tx.writeIdx)
-	*tx = Tx{
-		readLog:  tx.readLog[:0],
-		writeLog: tx.writeLog[:0],
-		writeIdx: tx.writeIdx[:0],
-	}
+	tx.d, tx.rv = nil, 0
+	tx.reads, tx.readLog = 0, tx.readLog[:0]
+	tx.writeLog, tx.writeIdx, tx.written = tx.writeLog[:0], tx.writeIdx[:0], 0
+	tx.readCap, tx.writeCap, tx.aborted = 0, 0, 0
 	txPool.Put(tx)
 }
 

@@ -1,7 +1,9 @@
 package htm
 
 import (
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/israce"
 )
@@ -38,6 +40,34 @@ func checkFresh(t *testing.T, tx *Tx) {
 			t.Errorf("recycled Tx's write log still pins a Var or its value")
 			break
 		}
+	}
+}
+
+// TestRecycleResetsEveryField fills every field of a Tx, recycles it and
+// expects a zero Tx but for its slices' capacity. recycle resets the fields
+// one by one, so a field added to Tx needs a reset there and a value here;
+// the field count says so first.
+func TestRecycleResetsEveryField(t *testing.T) {
+	if n := reflect.TypeOf(Tx{}).NumField(); n != 10 {
+		t.Fatalf("Tx has %d fields; recycle resets, and this test fills, 10", n)
+	}
+	d := NewDomain(0, 0)
+	v := NewVar(d, 1)
+	tx := &Tx{
+		d: d, rv: 1,
+		reads: 1, readLog: []*varHead{&v.varHead},
+		writeLog: []writeEntry{{h: &v.varHead, p: unsafe.Pointer(v)}},
+		writeIdx: []idxSlot{{id: v.id, pos: 1}}, written: 1,
+		readCap: 1, writeCap: 1, aborted: AbortExplicit,
+	}
+	readLog, writeLog, writeIdx := tx.readLog, tx.writeLog, tx.writeIdx
+	tx.recycle()
+	want := Tx{readLog: readLog[:0], writeLog: writeLog[:0], writeIdx: writeIdx[:0]}
+	if !reflect.DeepEqual(*tx, want) || cap(tx.readLog) != 1 || cap(tx.writeLog) != 1 || cap(tx.writeIdx) != 1 {
+		t.Errorf("recycled Tx = %+v, want %+v with the capacity kept", *tx, want)
+	}
+	if readLog[0] != nil || writeLog[0] != (writeEntry{}) || writeIdx[0] != (idxSlot{}) {
+		t.Errorf("recycled Tx's logs still pin a Var: read %v, write %+v, index %+v", readLog[0], writeLog[0], writeIdx[0])
 	}
 }
 
