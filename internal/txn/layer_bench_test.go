@@ -145,11 +145,12 @@ func BenchmarkMoveAll16Contended(b *testing.B) {
 }
 
 // TestAllocsAtomic1Op pins a composed one-op update, an insert and a remove
-// in turn. On the prefix path all 3 allocations per op are the hash table's,
-// which builds its bucket anew; publishing the link to it costs nothing, the
-// link is its Var's value word (4 while every published value had a box).
-// On the forced fallback, 8 (17 while every claim and every release made a
-// box too).
+// in turn, at no more than it allocated before the hash table made its
+// count hooks once per table (3 and 8; now 2 and 7). On the prefix path
+// both allocations per op are the hash table's, which builds its bucket
+// anew; publishing the link to it costs nothing, the link is its Var's
+// value word (4 while every published value had a box). On the forced
+// fallback, 7 (17 while every claim and every release made a box too).
 func TestAllocsAtomic1Op(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation pins are meaningless under the race detector")
