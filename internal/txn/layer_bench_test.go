@@ -145,12 +145,13 @@ func BenchmarkMoveAll16Contended(b *testing.B) {
 }
 
 // TestAllocsAtomic1Op pins a composed one-op update, an insert and a remove
-// in turn, at no more than it allocated before the hash table made its
-// count hooks once per table (3 and 8; now 2 and 7). On the prefix path
-// both allocations per op are the hash table's, which builds its bucket
-// anew; publishing the link to it costs nothing, the link is its Var's
-// value word (4 while every published value had a box). On the forced
-// fallback, 7 (17 while every claim and every release made a box too).
+// in turn, at exactly 2 allocations per op on the prefix path and 7 on the
+// forced fallback (3 and 8 while the hash table built its count hooks per
+// operation). On the prefix path both allocations are the hash table's,
+// which builds its bucket anew; publishing the link to it costs nothing,
+// the link is its Var's value word (4 while every published value had a
+// box). On the forced fallback, 7 (17 while every claim and every release
+// made a box too). An exact pin shows an allocation that comes back.
 func TestAllocsAtomic1Op(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation pins are meaningless under the race detector")
@@ -159,10 +160,10 @@ func TestAllocsAtomic1Op(t *testing.T) {
 		name     string
 		fallback bool
 		want     float64
-	}{{"prefix path", false, 3}, {"MultiCAS fallback", true, 8}} {
+	}{{"prefix path", false, 2}, {"MultiCAS fallback", true, 7}} {
 		m, hot, _ := benchSets(c.fallback)
-		if got := testing.AllocsPerRun(200, flip(m, hot, 701)); got > c.want {
-			t.Errorf("composed one-op Atomic, %s: %v allocs, want at most %v", c.name, got, c.want)
+		if got := testing.AllocsPerRun(200, flip(m, hot, 701)); got != c.want {
+			t.Errorf("composed one-op Atomic, %s: %v allocs, want %v", c.name, got, c.want)
 		}
 	}
 }
