@@ -48,12 +48,13 @@ const (
 // maxThreads mirrors the simulator's hardware thread limit.
 const maxThreads = 16
 
-// DefaultPolicy is the simulator structures' default tuning: jittered
-// exponential backoff after conflict aborts plus per-thread adaptive
-// disabling — the successor of the hand-rolled retryBackoff helpers and
-// the per-thread throttle the structures used to carry. Tests that cover
-// the structures under another policy take it as table input.
-func DefaultPolicy() speculate.Policy { return speculate.Policy{Backoff: true, Adapt: true} }
+// DefaultPolicy is the simulator structures' default tuning: adaptation,
+// that is jittered exponential backoff after conflict aborts plus
+// per-thread adaptive disabling — the successor of the hand-rolled
+// retryBackoff helpers and the per-thread throttle the structures used to
+// carry. Tests that cover the structures under another policy take it as
+// table input.
+func DefaultPolicy() speculate.Policy { return speculate.Policy{Adapt: true} }
 
 // Site is one named speculation call site on the simulated machine: a
 // speculate.Site with one lane per hardware thread, plus the modeled cycles

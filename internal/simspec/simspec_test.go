@@ -196,28 +196,27 @@ func TestCrossDriverDecisionParity(t *testing.T) {
 		{Name: "pto1", Attempts: 2},
 		{Name: "pto2", Attempts: 4, RetryExplicit: true},
 	}
-	// The three-path shape: a fast level over a helping middle (simtxn's
-	// composed-publication composition). Retry decisions come from the
-	// level declarations alone, so both drivers agree on it too.
+	// The three-path site as simtxn declares it: a fast level over the
+	// helping middle's plain level (simtxn's level loop, not the site,
+	// applies the middle's own rules).
 	threePath := []speculate.Level{
 		{Name: "fast", Attempts: 2, RetryExplicit: true},
-		speculate.MiddleLevel(2, 0),
+		{Name: "middle", Attempts: 2, RetryExplicit: true},
 	}
-	// One level of each kind, so every policy below meets all three abort
-	// rules: a plain fast level (an explicit abort exhausts it), a helping
-	// middle (a capacity abort exhausts it, an explicit one consumes an
-	// attempt) and a RetryExplicit inner tier (both follow the policy).
+	// Both abort rules at an outer and at an inner tier: a plain level (an
+	// explicit abort exhausts it) around a RetryExplicit one (both aborts
+	// follow the policy) around a plain one again.
 	ruledThree := []speculate.Level{
 		{Name: "fast", Attempts: 2},
-		{Name: "middle", Attempts: 3, Help: true, HelpBudget: 1},
-		{Name: "pto2", Attempts: 2, RetryExplicit: true},
+		{Name: "middle", Attempts: 3, RetryExplicit: true},
+		{Name: "pto2", Attempts: 2},
 	}
 	policies := map[string]speculate.Policy{
 		"fixed-default":  speculate.Fixed(0),
 		"fixed-2":        speculate.Fixed(2),
 		"fixed-4":        speculate.Fixed(4),
 		"adaptive":       speculate.Adaptive(),
-		"sim-default":    {Backoff: true, Adapt: true},
+		"sim-default":    {Adapt: true},
 		"failfast-fixed": {Attempts: 3, FailFast: true},
 	}
 	feeds := map[string][][]speculate.Outcome{
@@ -279,7 +278,7 @@ func TestCrossDriverAdaptiveDisableParity(t *testing.T) {
 func TestSimBackoffPlacement(t *testing.T) {
 	cfg := sim.DefaultConfig(1)
 	m := sim.New(cfg)
-	pol := speculate.Policy{Backoff: true}
+	pol := speculate.Policy{Adapt: true}
 	site := New("backoff", pol, speculate.Level{Name: "pto", Attempts: 4, RetryExplicit: true})
 	m.Run(func(t2 *sim.Thread) {
 		// Baseline: cost of one committed empty attempt with no history.

@@ -61,6 +61,21 @@ const DefaultAttempts = 4
 // abortRetry is the explicit-abort code used by Ctx.Retry on the fast path.
 const abortRetry = 1
 
+// The levels of the speculation site, outermost first: the fast path, then
+// the helping middle when WithMiddle declared one.
+const (
+	fastLevel = iota
+	middleLevel
+)
+
+// The helping middle's defaults (WithMiddle with budgets ≤ 0): its attempts
+// per operation, and how many undecided descriptors one level walk may help
+// to decision.
+const (
+	defaultMiddleAttempts = 2
+	defaultHelpBudget     = 4
+)
+
 // markerBit flags a word claimed by an in-flight MultiCAS descriptor.
 const markerBit = uint64(1) << 63
 
@@ -89,8 +104,10 @@ type Registry = txnops.Registry[*Ctx, uint64]
 
 // Manager runs composed operations. Unlike the real layer there is no
 // domain to share — the simulated machine's strong atomicity covers all of
-// simulated memory — so the only configuration is the speculation policy
-// and the fallback forcing used by the A8 ablation.
+// simulated memory — so the configuration is the speculation policy
+// (WithPolicy) and three ablation shapes: the forced fallback
+// (ForceFallback, A8), the helping middle (WithMiddle, A10) and the NBTC
+// publication (WithNBTC, A8).
 type Manager struct {
 	attempts int
 	force    bool
@@ -98,10 +115,14 @@ type Manager struct {
 	reg      Registry
 
 	// pol is retained so the site can be rebuilt when the level set
-	// changes; middle is the declared helping tier (zero Attempts = the
-	// classic two-path fast/fallback shape).
-	pol    speculate.Policy
-	middle speculate.Level
+	// changes. middle is the helping tier's attempt budget (zero: the
+	// classic two-path fast/fallback shape, one level), helpBudget how many
+	// descriptors one walk of it may help, and levels the site's level
+	// count.
+	pol        speculate.Policy
+	middle     int
+	helpBudget int
+	levels     int
 
 	// nbtc switches the fallback's publication to the commit-time batch
 	// (nbtc.go); nbtcStats counts its outcomes.
@@ -132,10 +153,11 @@ func (m *Manager) WithPolicy(p speculate.Policy) *Manager {
 // policy and level set (fast alone, or fast + middle after WithMiddle).
 func (m *Manager) rebuildSite() {
 	levels := []speculate.Level{{Name: "fast", Attempts: m.attempts, RetryExplicit: true}}
-	if m.middle.Attempts > 0 {
-		levels = append(levels, m.middle)
+	if m.middle > 0 {
+		levels = append(levels, speculate.Level{Name: "middle", Attempts: m.middle, RetryExplicit: true})
 	}
 	m.site = simspec.New("simtxn/atomic", m.pol, levels...)
+	m.levels = len(levels)
 }
 
 // WithMiddle enables the three-path shape on the modeled substrate: between
@@ -150,9 +172,18 @@ func (m *Manager) rebuildSite() {
 // operation completes instead of being deferred behind the speculator's
 // fallback. The shape exists on the modeled substrate only (ablation A10):
 // the runtime's transactions kill the descriptors they collide with.
-// attempts/helpBudget ≤ 0 select the defaults. Set before use. Returns m.
+// An explicit abort consumes one of the middle's attempts, as at the fast
+// level, and a capacity abort ends the middle: the footprint overflows
+// again, helping or not. attempts ≤ 0 selects 2 and helpBudget ≤ 0 selects
+// 4. Set before use. Returns m.
 func (m *Manager) WithMiddle(attempts, helpBudget int) *Manager {
-	m.middle = speculate.MiddleLevel(attempts, helpBudget)
+	if attempts <= 0 {
+		attempts = defaultMiddleAttempts
+	}
+	if helpBudget <= 0 {
+		helpBudget = defaultHelpBudget
+	}
+	m.middle, m.helpBudget = attempts, helpBudget
 	m.rebuildSite()
 	return m
 }
@@ -363,22 +394,28 @@ func resolve(t *sim.Thread, a sim.Addr) uint64 {
 func (m *Manager) Atomic(t *sim.Thread, body func(c *Ctx)) {
 	if !m.force {
 		r := m.site.Begin(t)
-		for lv := 0; lv < m.site.Levels(); lv++ {
-			hb := m.site.HelpBudget(lv)
-			helped := 0
+		for lv := fastLevel; lv < m.levels; lv++ {
+			budget := 0
+			if lv == middleLevel {
+				budget = m.helpBudget
+			}
 			for r.Next(lv) {
-				c := &Ctx{t: t, fast: true, helpBudget: hb - helped}
-				if r.Try(func() { body(c) }) == sim.OK {
+				c := &Ctx{t: t, fast: true, helpBudget: budget}
+				st := r.Try(func() { body(c) })
+				if st == sim.OK {
 					c.runHooks()
 					return
 				}
-				// A helping-level attempt that aborted on a marked word
-				// recorded the claiming descriptor: drive it to decision
+				if lv == middleLevel && st == sim.AbortCapacity {
+					break
+				}
+				// A middle attempt that aborted on a marked word with budget
+				// left recorded the claiming descriptor: drive it to decision
 				// here, outside any transaction, then retry. The budget
 				// bounds the helping across the whole level walk.
-				if c.pend != 0 && helped < hb {
+				if c.pend != 0 {
 					help(t, c.pend)
-					helped++
+					budget--
 					if tl := m.site.Telemetry(lv); tl != nil {
 						tl.Helped.Add(1)
 					}

@@ -13,7 +13,7 @@ func trace(s *Site, feed []Outcome) []string {
 	var out []string
 	o := s.Start(0, monoClock{})
 	i := 0
-	for level := 0; level < s.Levels(); level++ {
+	for level := 0; level < len(s.levels); level++ {
 		for o.Next(level) {
 			if i >= len(feed) {
 				out = append(out, fmt.Sprintf("L%d:feed-exhausted", level))
@@ -83,7 +83,7 @@ func TestWalkDecisionTables(t *testing.T) {
 		},
 		{
 			name: "conflict backoff doubles from base and resets per level",
-			pol:  Policy{Attempts: 4, Backoff: true}, levels: []Level{one, one},
+			pol:  Policy{Attempts: 4, Adapt: true}, levels: []Level{one, one},
 			feed: []Outcome{OutcomeConflict, OutcomeConflict, OutcomeConflict, OutcomeConflict, OutcomeConflict},
 			want: []string{
 				"L0:backoff=0:conflict", "L0:backoff=1:conflict",
@@ -127,28 +127,6 @@ func TestWalkDecisionTables(t *testing.T) {
 			feed: []Outcome{OutcomeCommit},
 			want: []string{"L1:backoff=0:commit", "commit"},
 		},
-		{
-			// A Help level under a fail-fast policy keeps retrying explicit
-			// aborts while the fail-fast fast level ahead of it exhausts
-			// immediately.
-			name: "help level retries explicit under failfast",
-			pol:  Adaptive(), levels: []Level{one, MiddleLevel(3, 0)},
-			feed: []Outcome{OutcomeExplicit, OutcomeExplicit, OutcomeExplicit, OutcomeCommit},
-			want: []string{
-				"L0:backoff=0:explicit",
-				"L1:backoff=0:explicit", "L1:backoff=0:explicit",
-				"L1:backoff=0:commit", "commit",
-			},
-		},
-		{
-			// A Help level's capacity abort exhausts it even when the policy
-			// is not fail-fast: the footprint overflows again no matter how
-			// much helping happens.
-			name: "help level exhausts on capacity without failfast",
-			pol:  Fixed(0), levels: []Level{MiddleLevel(3, 0), one},
-			feed: []Outcome{OutcomeCapacity, OutcomeCommit},
-			want: []string{"L0:backoff=0:capacity", "L1:backoff=0:commit", "commit"},
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -158,7 +136,7 @@ func TestWalkDecisionTables(t *testing.T) {
 }
 
 func TestWalkBackoffCap(t *testing.T) {
-	pol := Policy{Attempts: 32, Backoff: true}
+	pol := Policy{Attempts: 32, Adapt: true}
 	o := pol.Site("t", 1, Level{Name: "l", Attempts: 1}).Start(0, nil)
 	o.Next(0)
 	var seq []int
@@ -219,52 +197,28 @@ func TestShouldDisableThreshold(t *testing.T) {
 	}
 }
 
-// TestBudgetResolution pins the static resolution of both budgets: nothing
-// but the policy and the level declaration decides them.
+// TestBudgetResolution pins the static resolution of the attempt budget:
+// nothing but the policy and the level declaration decides it.
 func TestBudgetResolution(t *testing.T) {
 	fast := Level{Name: "fast", Attempts: 3}
 	cases := []struct {
-		name             string
-		pol              Policy
-		levels           []Level
-		level            int
-		attempts, helped int
+		name     string
+		pol      Policy
+		levels   []Level
+		level    int
+		attempts int
 	}{
-		{"level default", Fixed(0), []Level{fast}, 0, 3, 0},
-		{"Policy.Attempts over the level default", Fixed(5), []Level{fast}, 0, 5, 0},
-		{"Policy.Attempts over a zero-budget level", Fixed(5), []Level{{Name: "off"}}, 0, 5, 0},
-		{"helping level naming no budget", Fixed(0), []Level{fast, MiddleLevel(0, 0)}, 1, 2, DefaultHelpBudget},
-		{"helping level naming its budget", Fixed(5), []Level{fast, MiddleLevel(4, 7)}, 1, 5, 7},
-		{"HelpBudget without Help", Fixed(0), []Level{{Name: "l", Attempts: 1, HelpBudget: 7}}, 0, 1, 0},
-		{"past the last level", Fixed(5), []Level{fast, MiddleLevel(0, 0)}, 2, 0, 0},
+		{"level default", Fixed(0), []Level{fast}, 0, 3},
+		{"Policy.Attempts over the level default", Fixed(5), []Level{fast}, 0, 5},
+		{"Policy.Attempts over a zero-budget level", Fixed(5), []Level{{Name: "off"}}, 0, 5},
+		{"inner level default", Fixed(0), []Level{fast, {Name: "inner", Attempts: 2}}, 1, 2},
+		{"past the last level", Fixed(5), []Level{fast, fast}, 2, 0},
 	}
 	for _, tc := range cases {
 		s := tc.pol.Site("t", 1, tc.levels...)
 		if got := s.budget(tc.level); got != tc.attempts {
 			t.Errorf("%s: budget(%d) = %d, want %d", tc.name, tc.level, got, tc.attempts)
 		}
-		if got := s.HelpBudget(tc.level); got != tc.helped {
-			t.Errorf("%s: HelpBudget(%d) = %d, want %d", tc.name, tc.level, got, tc.helped)
-		}
-	}
-}
-
-func TestHelpBudgetResolution(t *testing.T) {
-	s := Fixed(0).Site("t", 1, Level{Name: "fast", Attempts: 1}, MiddleLevel(0, 0))
-	if got := s.HelpBudget(0); got != 0 {
-		t.Fatalf("non-helping level budget = %d, want 0", got)
-	}
-	if got := s.HelpBudget(1); got != DefaultHelpBudget {
-		t.Fatalf("default middle budget = %d, want %d", got, DefaultHelpBudget)
-	}
-	if got := s.HelpBudget(2); got != 0 {
-		t.Fatalf("out-of-range level budget = %d, want 0", got)
-	}
-	if got := Fixed(0).Site("t", 1, MiddleLevel(0, 7)).HelpBudget(0); got != 7 {
-		t.Fatalf("declared budget = %d, want 7", got)
-	}
-	if lv := MiddleLevel(0, 0); lv.Attempts != 2 || lv.Name != "middle" || !lv.Help {
-		t.Fatalf("MiddleLevel defaults: %+v", lv)
 	}
 }
 

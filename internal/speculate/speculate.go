@@ -6,13 +6,13 @@
 //
 // The pieces:
 //
-//   - Policy is the configuration: attempt budgets, exponential backoff on
-//     conflict aborts, fail-fast on deterministic aborts, and glibc-style
-//     adaptive disabling driven by a per-site commit-ratio window. Fixed(n)
-//     is the bounded attempt loop the runtime structures historically
-//     hardcoded, and their default; the modeled figures run
-//     simspec.DefaultPolicy() (backoff and adaptation, no fail-fast);
-//     Adaptive() enables everything.
+//   - Policy is the configuration: attempt budgets, fail-fast on
+//     deterministic aborts, and adaptation — exponential backoff on conflict
+//     aborts together with glibc-style adaptive disabling driven by a
+//     per-site commit-ratio window. Fixed(n) is the bounded attempt loop the
+//     runtime structures historically hardcoded, and their default; the
+//     modeled figures run simspec.DefaultPolicy() (adaptation, no
+//     fail-fast); Adaptive() enables everything.
 //
 //   - Site is one (structure, operation) call site: the policy bound to the
 //     levels of the PTO composition, plus what both substrates record about
@@ -40,18 +40,15 @@
 // Retry semantics per abort status:
 //
 //   - A conflict is transient: the attempt is retried while budget remains,
-//     with exponential jittered backoff when Policy.Backoff is set (under
+//     with exponential jittered backoff when Policy.Adapt is set (under
 //     contention, retrying immediately re-collides; glibc's lock elision
 //     applies the same remedy).
 //
 //   - Capacity and explicit aborts are deterministic for the observed
-//     state. A capacity abort follows the policy — under FailFast it
-//     exhausts the level, otherwise it consumes one attempt — except at a
-//     Help level, where it always exhausts: the footprint overflows again,
-//     helping or not. An explicit abort (the body bailed out, §2.4)
-//     exhausts a plain level, follows the policy like a capacity abort at a
-//     RetryExplicit level, and consumes one attempt at a Help level, whose
-//     explicit aborts mean the helping budget ran out mid-attempt.
+//     state. A capacity abort follows the policy: under FailFast it
+//     exhausts the level, otherwise it consumes one attempt. An explicit
+//     abort (the body bailed out, §2.4) exhausts a plain level and follows
+//     the policy like a capacity abort at a RetryExplicit level.
 //
 // Adaptive disabling: every attempt outcome feeds a sliding window of
 // DefaultWindow attempts, kept per (site, lane, level). When a level's window
@@ -86,10 +83,6 @@ const (
 	// backoff, in scheduler-yield units.
 	DefaultBackoffBase = 1
 	DefaultBackoffMax  = 64
-	// DefaultHelpBudget is how many undecided fallback descriptors one
-	// attempt at a helping (middle) level may drive to decision before the
-	// attempt aborts explicitly and hands the operation on.
-	DefaultHelpBudget = 4
 )
 
 // Policy configures the attempt loop run at every speculation site it is
@@ -101,21 +94,19 @@ type Policy struct {
 	// every level of every site using this policy.
 	Attempts int
 
-	// Backoff enables exponential jittered backoff before retrying a
-	// conflict-aborted attempt; DefaultBackoffBase/DefaultBackoffMax bound
-	// the spin in scheduler-yield units.
-	Backoff bool
-
 	// FailFast skips a level's remaining attempts after a capacity abort,
 	// and after an explicit one at a RetryExplicit level: both are
 	// deterministic for the observed state, so retrying the identical
 	// attempt cannot succeed.
 	FailFast bool
 
-	// Adapt enables per-site adaptive disabling: when a sliding window of
-	// DefaultWindow attempts closes with a commit ratio below
-	// DefaultMinCommitRatio, the next DefaultSkipOps operations bypass
-	// speculation entirely, then the site re-probes.
+	// Adapt makes the site adapt to what its attempts meet. A conflict
+	// abort arms exponential jittered backoff before the retry
+	// (DefaultBackoffBase/DefaultBackoffMax bound the spin in
+	// scheduler-yield units). And when a sliding window of DefaultWindow
+	// attempts closes with a commit ratio below DefaultMinCommitRatio, the
+	// next DefaultSkipOps operations bypass speculation entirely, then the
+	// site re-probes.
 	Adapt bool
 
 	// Metrics, when non-nil, is the registry sites record into. Leave nil
@@ -132,7 +123,7 @@ func Fixed(attempts int) Policy { return Policy{Attempts: attempts} }
 // conflict backoff, fail-fast on deterministic aborts, and commit-ratio
 // driven disabling.
 func Adaptive() Policy {
-	return Policy{Backoff: true, FailFast: true, Adapt: true}
+	return Policy{FailFast: true, Adapt: true}
 }
 
 // WithMetrics returns a copy of the policy recording into r.
@@ -149,33 +140,11 @@ type Level struct {
 	// Attempts is the level's default budget; zero disables the level.
 	// Policy.Attempts overrides it when positive.
 	Attempts int
-	// Help marks the level as a cooperating (middle) tier: an attempt that
-	// encounters an undecided fallback descriptor gets it helped to
-	// decision — up to HelpBudget descriptors — instead of the fast path's
-	// abort-and-defer. Only the modeled substrate (simtxn) declares one; the
-	// wall-clock Run runs a Help level's attempts like any other. A capacity
-	// abort exhausts a Help level and an explicit one consumes one attempt,
-	// whatever the policy.
-	Help bool
-	// HelpBudget bounds the helping per attempt; zero selects
-	// DefaultHelpBudget. Ignored unless Help is set.
-	HelpBudget int
 	// RetryExplicit makes an explicit abort follow the policy like a
 	// capacity abort (exhaust under FailFast, else consume one attempt)
 	// instead of exhausting the level: the structures' retry loops whose
 	// explicit aborts mean a transient view change set it.
 	RetryExplicit bool
-}
-
-// MiddleLevel returns the canonical helping middle tier of a three-path
-// composition: attempts tries (≤ 0 selects 2), each allowed to drive up to
-// helpBudget undecided descriptors to decision (≤ 0 selects
-// DefaultHelpBudget).
-func MiddleLevel(attempts, helpBudget int) Level {
-	if attempts <= 0 {
-		attempts = 2
-	}
-	return Level{Name: "middle", Attempts: attempts, Help: true, HelpBudget: helpBudget}
 }
 
 // window is one (lane, level) adaptive window: attempts/commits fill the
@@ -219,9 +188,8 @@ type Site struct {
 // instances registering the same name). lanes is the number of independent
 // adaptive-window sets: the runtime shares one lane between goroutines,
 // the modeled machine gives each hardware thread its own. Each level's
-// budgets are resolved here: Attempts to Policy.Attempts when that is
-// positive, HelpBudget to zero off a Help level and to DefaultHelpBudget
-// when a Help level names none.
+// attempt budget is resolved here, to Policy.Attempts when that is
+// positive.
 func (p Policy) Site(name string, lanes int, levels ...Level) *Site {
 	s := &Site{pol: p, levels: make([]Level, len(levels)), win: make([]window, max(lanes, 1)*len(levels))}
 	if p.Metrics != nil {
@@ -230,11 +198,6 @@ func (p Policy) Site(name string, lanes int, levels ...Level) *Site {
 	for i, l := range levels {
 		if p.Attempts > 0 {
 			l.Attempts = p.Attempts
-		}
-		if !l.Help {
-			l.HelpBudget = 0
-		} else if l.HelpBudget <= 0 {
-			l.HelpBudget = DefaultHelpBudget
 		}
 		s.levels[i] = l
 		if p.Metrics == nil {
@@ -278,10 +241,6 @@ type Actuator struct{}
 
 func (s *Site) Actuator() *Actuator { return nil }
 
-// Levels returns the number of levels of the site's composition, for callers
-// that walk the levels themselves.
-func (s *Site) Levels() int { return len(s.levels) }
-
 // budget returns the attempt budget of the given level; zero past the last.
 func (s *Site) budget(level int) int {
 	if level >= len(s.levels) {
@@ -290,26 +249,11 @@ func (s *Site) budget(level int) int {
 	return s.levels[level].Attempts
 }
 
-// HelpBudget returns how many in-flight fallback descriptors one attempt at
-// the level may help to decision before aborting explicitly: zero for
-// non-helping levels and past the last one. The modeled substrate threads it
-// into its level loop.
-func (s *Site) HelpBudget(level int) int {
-	if level >= len(s.levels) {
-		return 0
-	}
-	return s.levels[level].HelpBudget
-}
-
 // exhausts reports whether a capacity or explicit abort at the level ends
 // the level instead of consuming one attempt (package doc: "Retry semantics
 // per abort status").
 func (s *Site) exhausts(level int, out Outcome) bool {
-	l := s.levels[level]
-	if l.Help {
-		return out == OutcomeCapacity
-	}
-	if out == OutcomeExplicit && !l.RetryExplicit {
+	if out == OutcomeExplicit && !s.levels[level].RetryExplicit {
 		return true
 	}
 	return s.pol.FailFast
@@ -487,7 +431,7 @@ func (o *Op) Book(out Outcome) {
 	o.used++
 	switch {
 	case out == OutcomeConflict:
-		if o.s.pol.Backoff {
+		if o.s.pol.Adapt {
 			o.backoff = min(max(2*o.backoff, DefaultBackoffBase), DefaultBackoffMax)
 		}
 	case out != OutcomeCommit && o.s.exhausts(o.level, out):

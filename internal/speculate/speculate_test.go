@@ -181,7 +181,7 @@ func TestLatencyObservedOncePerOperation(t *testing.T) {
 	for op := 0; op < ops; op++ {
 		r := site.Begin(d)
 		committed := false
-		for level := 0; level < site.Levels() && !committed; level++ {
+		for level := 0; level < len(site.levels) && !committed; level++ {
 			for r.Next(level) {
 				if r.Try(body) == htm.Committed {
 					committed = true
@@ -232,7 +232,7 @@ func TestConflictAbortRetriesWithBackoff(t *testing.T) {
 		htm.Store(nil, v, 1)
 		htm.Load(tx, v)
 	}
-	pol := Policy{Backoff: true}
+	pol := Policy{Adapt: true}
 	site := pol.Site("t/conflict", 1, Level{Name: "l0", Attempts: 5})
 	r := site.Begin(d)
 	tries := 0
