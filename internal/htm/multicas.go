@@ -101,8 +101,9 @@ type MultiDesc struct {
 // The protocol runs on the Var's untyped head; an Entry adds the two things
 // that need T: whether the Var holds the old value, and storing the new one.
 type Entry interface {
+	// IsWrite reports whether the leg changes the value.
+	IsWrite() bool
 	head() *varHead
-	writes() bool
 	holds() bool
 	move()
 }
@@ -133,7 +134,6 @@ func (u *Update[T]) SetNew(x T) { u.new = x }
 func (u *Update[T]) IsWrite() bool { return u.old != u.new }
 
 func (u *Update[T]) head() *varHead { return &u.v.varHead }
-func (u *Update[T]) writes() bool   { return u.old != u.new }
 
 // holds reports whether the leg's Var holds the leg's old value, by a direct
 // read: it waits out a writer in flight.
@@ -278,7 +278,7 @@ func (m *MultiDesc) decide() {
 	if m.status.CompareAndSwap(mwUndecided, mwSucceeded) {
 		perturb(decideWon)
 		for _, e := range m.entries {
-			if e.writes() {
+			if e.IsWrite() {
 				e.move()
 			}
 		}
@@ -294,7 +294,7 @@ func (m *MultiDesc) decide() {
 // otherwise, and for every other leg, by putting the old stamp back.
 func unlockLegs(legs []Entry, wv uint64) {
 	for _, e := range legs {
-		if wv != 0 && e.writes() {
+		if wv != 0 && e.IsWrite() {
 			e.head().ver.Store(wv)
 		} else {
 			e.head().unlockVer()

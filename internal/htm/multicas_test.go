@@ -143,8 +143,8 @@ type spyEntry struct {
 	onWrites, onMove func()
 }
 
-func (s spyEntry) writes() bool { s.onWrites(); return s.Update.writes() }
-func (s spyEntry) move()        { s.onMove(); s.Update.move() }
+func (s spyEntry) IsWrite() bool { s.onWrites(); return s.Update.IsWrite() }
+func (s spyEntry) move()         { s.onMove(); s.Update.move() }
 
 // TestDecisionMovesValues: the values move at the decision — by its winner,
 // after the status flips, under the lock bits and before the commit version

@@ -342,7 +342,7 @@ func (m *Manager) fallback(c *Ctx, body func(c *Ctx)) {
 		}
 		writes := 0
 		for _, e := range c.order {
-			if u, ok := e.(interface{ IsWrite() bool }); ok && u.IsWrite() {
+			if e.IsWrite() {
 				writes++
 			}
 		}
