@@ -107,7 +107,7 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	for _, s := range snap {
 		fmt.Fprintf(w, "%s{%s} %d\n", MetricSkipped, siteLabels(s), s.Skipped)
 	}
-	fmt.Fprintf(w, "# HELP %s MultiCAS descriptors helped to decision inside speculative attempts per site.\n", MetricHelped)
+	fmt.Fprintf(w, "# HELP %s MultiCAS descriptors helped to decision between speculative attempts, outside any transaction, per site.\n", MetricHelped)
 	fmt.Fprintf(w, "# TYPE %s counter\n", MetricHelped)
 	for _, s := range snap {
 		fmt.Fprintf(w, "%s{%s} %d\n", MetricHelped, siteLabels(s), s.Helped)

@@ -122,10 +122,12 @@ type Site struct {
 	// Skipped counts operations that bypassed speculation entirely because
 	// the site was adaptively disabled.
 	Skipped atomic.Uint64
-	// Helped counts MultiCAS descriptors a speculative attempt helped to
-	// decision from inside its transaction — the middle path's cooperative
-	// work. Only helping-capable levels produce them; fast levels report
-	// zero (they kill or defer instead of helping).
+	// Helped counts MultiCAS descriptors helped to decision between a
+	// level's speculative attempts, outside any transaction — the middle
+	// path's cooperative work: simtxn's level loop helps the descriptor an
+	// aborted middle attempt tripped on, then retries. Only the helping
+	// middle produces them; other levels report zero (they kill or defer
+	// instead of helping).
 	Helped atomic.Uint64
 
 	// SpecNanos is the latency of the speculative phase: Begin to commit,
