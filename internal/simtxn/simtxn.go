@@ -361,7 +361,7 @@ func (c *Ctx) Write(a sim.Addr, x uint64) {
 // explicitly — §2.4's "don't help under speculation" holds on this substrate
 // too, because a buffered helping store can never win against the
 // descriptor's owner actively driving the same words — but an attempt
-// running at a helping level (positive budget) first records the claiming
+// at the helping middle (positive budget) first records the claiming
 // descriptor so the level loop in Atomic can help it to decision between
 // attempts. Helping a descriptor that has meanwhile been decided is safe:
 // descriptors are never freed and help is idempotent past the decision
