@@ -17,7 +17,7 @@ import (
 // lock-free MultiCAS, so composed operations keep their nonblocking
 // progress. A marked word met inside the batch still aborts the hardware
 // attempt (§2.4: no helping under speculation) and is helped to decision
-// between attempts, exactly like the fast path's middle tier.
+// between attempts, exactly as at the helping middle.
 
 // nbtcAttempts bounds the hardware attempts per publication batch before
 // NBTC yields to the classic MultiCAS.
